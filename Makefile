@@ -88,9 +88,10 @@ test-service:
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py
 
-# Fleet-campaign throughput + resume overhead (writes BENCH_PR7.json).
+# Fleet-campaign throughput, resume and journal cost: the benchmark's
+# fleet_campaign workload with its per-layer (traced) metrics.
 bench-fleet:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_fleet.py
+	$(PYTHON) bench/run.py --workload fleet_campaign --trace 1
 
 # Observability gate (writes BENCH_PR8.json): campaign monitoring must
 # stay within 5% of a bare run with bit-identical results, and the

@@ -1541,7 +1541,8 @@ def build_parser() -> argparse.ArgumentParser:
             "checker and through the differential oracle's axes (fast\n"
             "kernel vs instrumented twin, reference vs vector engine\n"
             "backend, array vs record replay feed, telemetry on vs off,\n"
-            "serial vs shm-parallel sweep, campaign monitor on vs off).\n"
+            "serial vs shm-parallel sweep, campaign monitor on vs off,\n"
+            "fleet shard kernel vs its reference ledger).\n"
             "Any failing configuration is minimised and reprinted as a\n"
             "copy-pasteable repro snippet.  The same --seed always draws\n"
             "the same configurations."
@@ -1556,7 +1557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--axes", nargs="+", default=None,
         choices=(
             "kernel-twin", "kernel-backend", "feed", "telemetry",
-            "parallel", "monitor",
+            "parallel", "monitor", "fleet-kernel",
         ),
         help="restrict the differential oracle to these axes",
     )

@@ -43,6 +43,7 @@ from repro.fleet.spec import (
     ScrubPolicySpec,
     campaign_digest,
     group_profile,
+    group_profiles,
     group_seed,
     resolve_latent_windows,
     spec_from_dict,
@@ -64,6 +65,7 @@ __all__ = [
     "closed_form_policy",
     "fleet_shard_task",
     "group_profile",
+    "group_profiles",
     "group_seed",
     "loss_rate_interval",
     "resolve_latent_windows",

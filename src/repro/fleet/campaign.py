@@ -39,14 +39,15 @@ from repro.fleet.journal import CampaignJournal
 from repro.fleet.montecarlo import fleet_shard_task
 from repro.fleet.spec import (
     CampaignSpec,
+    GroupProfile,
     campaign_digest,
-    group_profile,
+    group_profiles,
     resolve_latent_windows,
 )
 from repro.raid.reliability import (
     HOURS_PER_YEAR,
+    GroupReliability,
     group_reliability,
-    lse_exposure_probability,
 )
 from repro.telemetry.metrics import merge_snapshots
 
@@ -198,31 +199,39 @@ class CampaignResult:
 
 
 def closed_form_policy(
-    spec: CampaignSpec, policy_index: int, latent_window_hours: float
+    spec: CampaignSpec,
+    profiles: Sequence[GroupProfile],
+    latent_window_hours: float,
 ) -> Tuple[float, float]:
     """Fleet-averaged closed-form ``(mttdl_hours, p_loss_mission)``.
 
-    Heterogeneity is handled exactly: every group's profile is
-    deterministic, so the fleet's loss rate is the mean of per-group
-    closed-form rates and its mission loss probability the mean of
-    per-group probabilities.
+    ``profiles`` is ``group_profiles(spec.fleet, spec.seed, 0, groups)``,
+    shared by every policy of the campaign.  Heterogeneity is handled
+    exactly: every group's profile is deterministic, so the fleet's loss
+    rate is the mean of per-group closed-form rates and its mission loss
+    probability the mean of per-group probabilities — summed in group
+    order, with the closed form evaluated once per distinct
+    ``(mttf_hours, lse_burst_rate_per_hour)``.
     """
     fleet = spec.fleet
     mission_hours = spec.mission_years * HOURS_PER_YEAR
+    by_profile: Dict[Tuple[float, float], GroupReliability] = {}
     rate_sum = 0.0
     p_sum = 0.0
-    for group_index in range(fleet.groups):
-        profile = group_profile(fleet, spec.seed, group_index)
-        rel = group_reliability(
-            disks=fleet.disks_per_group,
-            mttf_hours=profile.mttf_hours,
-            mttr_hours=fleet.mttr_hours,
-            mission_hours=mission_hours,
-            spare_delay_hours=fleet.spare_delay_hours,
-            lse_burst_rate_per_hour=profile.lse_burst_rate_per_hour,
-            latent_window_hours=latent_window_hours,
-            redundancy=fleet.redundancy,
-        )
+    for profile in profiles:
+        key = (profile.mttf_hours, profile.lse_burst_rate_per_hour)
+        rel = by_profile.get(key)
+        if rel is None:
+            rel = by_profile[key] = group_reliability(
+                disks=fleet.disks_per_group,
+                mttf_hours=profile.mttf_hours,
+                mttr_hours=fleet.mttr_hours,
+                mission_hours=mission_hours,
+                spare_delay_hours=fleet.spare_delay_hours,
+                lse_burst_rate_per_hour=profile.lse_burst_rate_per_hour,
+                latent_window_hours=latent_window_hours,
+                redundancy=fleet.redundancy,
+            )
         rate_sum += rel.loss_rate_per_hour
         p_sum += rel.p_loss_mission
     mean_rate = rate_sum / fleet.groups
@@ -348,9 +357,12 @@ class CampaignRunner:
         results: Dict[int, dict] = {}
         resumed = 0
         remaining: List[dict] = []
+        #: shard index -> checkpoint key, computed once per shard.
+        keys: Dict[int, str] = {}
         for params in param_sets:
             if journal is not None:
-                hit, value = journal.load(params)
+                key = keys[params["shard_index"]] = journal.key_for(params)
+                hit, value = journal.load(params, key)
                 if hit:
                     results[params["shard_index"]] = value
                     resumed += 1
@@ -371,7 +383,7 @@ class CampaignRunner:
                 check_shard_result(spec, result)
             results[shard_index] = result
             if journal is not None:
-                journal.record(shard_index, params, result)
+                journal.record(shard_index, params, result, keys[shard_index])
             if self.on_shard is not None:
                 self.on_shard(shard_index, result)
 
@@ -508,6 +520,7 @@ class CampaignRunner:
             else resolve_latent_windows(spec)
         )
 
+        profiles = group_profiles(spec.fleet, spec.seed, 0, spec.fleet.groups)
         estimates: List[PolicyEstimate] = []
         for policy_index, policy in enumerate(spec.policies):
             blocks = [shard["policies"][policy_index] for shard in completed]
@@ -551,7 +564,7 @@ class CampaignRunner:
                 estimate.p_loss_mission = losses / groups
                 estimate.p_loss_ci = wilson_interval(losses, groups)
             cf_mttdl, cf_p = closed_form_policy(
-                spec, policy_index, float(windows[policy_index])
+                spec, profiles, float(windows[policy_index])
             )
             estimate.closed_form_mttdl_hours = cf_mttdl
             estimate.closed_form_p_loss = cf_p

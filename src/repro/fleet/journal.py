@@ -135,18 +135,30 @@ class CampaignJournal:
 
         return self.cache.key(fleet_shard_task, params)
 
-    def load(self, params: dict) -> Tuple[bool, Any]:
-        """``(hit, result)`` for a shard; corrupt checkpoints miss."""
-        return self.cache.get(self.key_for(params))
+    def load(self, params: dict, key: Optional[str] = None) -> Tuple[bool, Any]:
+        """``(hit, result)`` for a shard; corrupt checkpoints miss.
 
-    def record(self, shard_index: int, params: dict, result: Any) -> str:
+        ``key`` is ``key_for(params)`` when the caller already holds it.
+        """
+        return self.cache.get(key if key is not None else self.key_for(params))
+
+    def record(
+        self,
+        shard_index: int,
+        params: dict,
+        result: Any,
+        key: Optional[str] = None,
+    ) -> str:
         """Durably checkpoint one completed shard; returns its key.
 
+        ``key`` is ``key_for(params)`` when the caller already holds it
+        (canonicalising the whole spec is the costly part of a record).
         The checkpoint entry lands before the manifest references it,
         so a crash between the two writes leaves a resumable (if
         slightly under-reported) journal, never a dangling reference.
         """
-        key = self.key_for(params)
+        if key is None:
+            key = self.key_for(params)
         self.cache.put(key, result)
         self._manifest["shards"][str(int(shard_index))] = key
         self._write_manifest()

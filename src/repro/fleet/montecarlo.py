@@ -23,17 +23,26 @@ scrub policy sets through its latent window.  Each group ends the
 mission in exactly one state — ``ok``, ``degraded``, ``rebuilding`` or
 ``lost`` — and the shard result carries the full conservation ledger
 that :func:`repro.verify.fleet.check_shard_result` audits.
+
+A group's failure history is walked **once** and every policy settles
+against it.  :func:`~repro.fleet.spec.group_seed` leaves the policy out
+(common random numbers), so all policies would replay the same stream
+and part ways only where a rebuild-read draw falls under their own
+``p_lse``: the walk records that draw at every completed rebuild and a
+policy's ledger is the first one it loses, or the walk's own end.  The
+per-(policy, group) loop this replaced lives on as the oracle in
+:func:`repro.verify.fleet.reference_shard_task`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fleet.spec import CampaignSpec, group_profile, group_seed
+from repro.fleet.spec import CampaignSpec, group_profiles, group_seed
 from repro.obs.worker import PROBE
 from repro.raid.reliability import HOURS_PER_YEAR, lse_exposure_probability
 from repro.telemetry.metrics import MetricsRegistry
@@ -41,27 +50,29 @@ from repro.telemetry.metrics import MetricsRegistry
 __all__ = ["fleet_shard_task", "simulate_group"]
 
 
-def simulate_group(
+def _walk_group(
     rng: np.random.Generator,
     disks: int,
     redundancy: int,
     mttf_hours: float,
     mttr_hours: float,
     spare_delay_hours: float,
-    p_lse: float,
     mission_hours: float,
-) -> Dict[str, float]:
-    """One redundancy group's mission: events until loss or mission end.
+) -> Tuple[List[Tuple[float, float, int]], Tuple[str, Optional[str], float, int]]:
+    """One group's failure history, before any scrub policy is applied.
 
-    Returns the group's ledger: final ``state``, observed hours (the
-    group's clock stops at loss), drive failures, completed rebuilds,
-    and the loss mode (``double`` / ``lse`` / ``unprotected``) if any.
+    Draws ``exponential / exponential / random`` per renewal cycle and
+    never stops at a rebuild: each completed rebuild is recorded as a
+    checkpoint ``(u, t, failures)`` — the rebuild-read draw, the clock
+    and the failure count at that moment — and the walk runs on to its
+    own end ``(state, loss_mode, t, failures)``.  A policy only decides
+    which checkpoint, if any, is a latent-error loss (:func:`_settle`).
     """
     lam = 1.0 / mttf_hours
     window = spare_delay_hours + mttr_hours
     t = 0.0
     failures = 0
-    rebuilds = 0
+    checkpoints = []
     state = "ok"
     loss_mode = None
     while True:
@@ -102,15 +113,48 @@ def simulate_group(
         t += window
         # The rebuild read sweeps the survivors; an unrepaired latent
         # error there is unrecoverable (the paper's Section I scenario).
-        if rng.random() < p_lse:
-            state = "lost"
-            loss_mode = "lse"
-            break
-        rebuilds += 1
+        checkpoints.append((rng.random(), t, failures))
+    return checkpoints, (state, loss_mode, t, failures)
+
+
+def _settle(checkpoints, end, p_lse: float):
+    """One policy's ledger for a walked group.
+
+    Returns ``(state, loss_mode, observed_hours, drive_failures,
+    rebuilds_completed)``: the first rebuild whose draw falls under
+    ``p_lse`` loses the group there, otherwise the walk's own end holds.
+    """
+    for rebuilds, (u, t, failures) in enumerate(checkpoints):
+        if u < p_lse:
+            return "lost", "lse", t, failures, rebuilds
+    return (*end, len(checkpoints))
+
+
+def simulate_group(
+    rng: np.random.Generator,
+    disks: int,
+    redundancy: int,
+    mttf_hours: float,
+    mttr_hours: float,
+    spare_delay_hours: float,
+    p_lse: float,
+    mission_hours: float,
+) -> Dict[str, float]:
+    """One redundancy group's mission: events until loss or mission end.
+
+    Returns the group's ledger: final ``state``, observed hours (the
+    group's clock stops at loss), drive failures, completed rebuilds,
+    and the loss mode (``double`` / ``lse`` / ``unprotected``) if any.
+    """
+    walk = _walk_group(
+        rng, disks, redundancy, mttf_hours, mttr_hours, spare_delay_hours,
+        mission_hours,
+    )
+    state, loss_mode, hours, failures, rebuilds = _settle(*walk, p_lse)
     return {
         "state": state,
         "loss_mode": loss_mode,
-        "observed_hours": t,
+        "observed_hours": hours,
         "drive_failures": failures,
         "rebuilds_completed": rebuilds,
     }
@@ -131,6 +175,12 @@ def fleet_shard_task(
     honest.  The result is a plain dict (pickle/JSON-safe) with one
     ledger per policy plus a telemetry snapshot for fleet-level
     merging.
+
+    Each group is walked once and every policy settles against that
+    walk.  Observability keeps its per-(policy, group) shape: the probe
+    total is ``group_count * len(policies)`` and advances by
+    ``len(policies)`` per group, and ``phases`` has one entry per policy
+    with the shared walk's wall time split evenly between them.
     """
     if group_count <= 0:
         raise ValueError(f"group_count must be positive: {group_count}")
@@ -141,56 +191,78 @@ def fleet_shard_task(
         )
     fleet = spec.fleet
     mission_hours = spec.mission_years * HOURS_PER_YEAR
+    policy_count = len(spec.policies)
+    tallies = [
+        {
+            "states": {"ok": 0, "degraded": 0, "rebuilding": 0, "lost": 0},
+            "losses": {"double": 0, "lse": 0, "unprotected": 0},
+            "drive_failures": 0,
+            "rebuilds_completed": 0,
+            "group_hours": [],
+            "loss_hours": [],
+        }
+        for _ in spec.policies
+    ]
+    #: lse burst rate -> p_lse per policy; one entry per drive class.
+    p_lse_by_rate: Dict[float, Tuple[float, ...]] = {}
+    # The heartbeat thread samples the probe's two integers, nothing
+    # here ever blocks on observability.
+    PROBE.reset(group_count * policy_count)
+    started = time.perf_counter()
+    profiles = group_profiles(fleet, spec.seed, group_start, group_count)
+    for group_index, profile in enumerate(profiles, group_start):
+        rate = profile.lse_burst_rate_per_hour
+        p_lses = p_lse_by_rate.get(rate)
+        if p_lses is None:
+            p_lses = p_lse_by_rate[rate] = tuple(
+                lse_exposure_probability(fleet.disks_per_group - 1, rate, window)
+                for window in latent_windows
+            )
+        checkpoints, end = _walk_group(
+            np.random.default_rng(group_seed(spec.seed, group_index)),
+            fleet.disks_per_group,
+            fleet.redundancy,
+            profile.mttf_hours,
+            fleet.mttr_hours,
+            fleet.spare_delay_hours,
+            mission_hours,
+        )
+        for tally, p_lse in zip(tallies, p_lses):
+            state, loss_mode, hours, failures, rebuilds = _settle(
+                checkpoints, end, p_lse
+            )
+            tally["states"][state] += 1
+            if loss_mode is not None:
+                tally["losses"][loss_mode] += 1
+                tally["loss_hours"].append(hours)
+            tally["drive_failures"] += failures
+            tally["rebuilds_completed"] += rebuilds
+            tally["group_hours"].append(hours)
+        PROBE.advance(policy_count)
+    phase_wall = (time.perf_counter() - started) / policy_count
+
+    # Registry calls stay policy-major (every loss of policy 0, then its
+    # counters, then policy 1): the histogram's float total depends on
+    # observation order, and the snapshot must not move.
     registry = MetricsRegistry()
     policies = []
-    phases = []
-    # One probe step per (policy, group): the heartbeat thread samples
-    # these two integers, nothing here ever blocks on observability.
-    PROBE.reset(group_count * len(spec.policies))
-    for policy_index, policy in enumerate(spec.policies):
-        window = latent_windows[policy_index]
-        phase_started = time.perf_counter()
-        states = {"ok": 0, "degraded": 0, "rebuilding": 0, "lost": 0}
-        losses = {"double": 0, "lse": 0, "unprotected": 0}
-        drive_failures = 0
-        rebuilds_completed = 0
-        group_hours = []
-        for group_index in range(group_start, group_start + group_count):
-            profile = group_profile(fleet, spec.seed, group_index)
-            p_lse = lse_exposure_probability(
-                fleet.disks_per_group - 1,
-                profile.lse_burst_rate_per_hour,
-                window,
+    for policy, window, tally in zip(spec.policies, latent_windows, tallies):
+        losses = tally["losses"]
+        group_hours = tally["group_hours"]
+        for hours in tally["loss_hours"]:
+            registry.histogram("fleet.time_to_loss_years").observe(
+                hours / HOURS_PER_YEAR
             )
-            rng = np.random.default_rng(group_seed(spec.seed, group_index))
-            ledger = simulate_group(
-                rng,
-                fleet.disks_per_group,
-                fleet.redundancy,
-                profile.mttf_hours,
-                fleet.mttr_hours,
-                fleet.spare_delay_hours,
-                p_lse,
-                mission_hours,
-            )
-            states[ledger["state"]] += 1
-            if ledger["loss_mode"] is not None:
-                losses[ledger["loss_mode"]] += 1
-                registry.histogram("fleet.time_to_loss_years").observe(
-                    ledger["observed_hours"] / HOURS_PER_YEAR
-                )
-            drive_failures += ledger["drive_failures"]
-            rebuilds_completed += ledger["rebuilds_completed"]
-            group_hours.append(ledger["observed_hours"])
-            PROBE.advance()
         # fsum is exactly rounded, so the shard sum — and the campaign
         # merge re-summing the per-group hours — is independent of how
         # the fleet happens to be partitioned into shards.
         observed_group_hours = math.fsum(group_hours)
         total_losses = sum(losses.values())
         registry.counter("fleet.groups").inc(group_count)
-        registry.counter("fleet.drive_failures").inc(drive_failures)
-        registry.counter("fleet.rebuilds_completed").inc(rebuilds_completed)
+        registry.counter("fleet.drive_failures").inc(tally["drive_failures"])
+        registry.counter("fleet.rebuilds_completed").inc(
+            tally["rebuilds_completed"]
+        )
         registry.counter("fleet.losses").inc(total_losses)
         registry.counter("fleet.losses.double").inc(losses["double"])
         registry.counter("fleet.losses.lse").inc(losses["lse"])
@@ -200,19 +272,13 @@ def fleet_shard_task(
                 "groups": group_count,
                 "losses": total_losses,
                 "losses_by_mode": dict(losses),
-                "drive_failures": drive_failures,
-                "rebuilds_completed": rebuilds_completed,
+                "drive_failures": tally["drive_failures"],
+                "rebuilds_completed": tally["rebuilds_completed"],
                 "observed_group_hours": observed_group_hours,
                 "drive_hours": observed_group_hours * fleet.disks_per_group,
                 "group_hours": group_hours,
-                "states": dict(states),
+                "states": dict(tally["states"]),
                 "latent_window_hours": float(window),
-            }
-        )
-        phases.append(
-            {
-                "policy": policy.name,
-                "wall_s": time.perf_counter() - phase_started,
             }
         )
     # "phases" is deliberately *outside* the telemetry snapshot: wall
@@ -225,5 +291,8 @@ def fleet_shard_task(
         "group_count": int(group_count),
         "policies": policies,
         "telemetry": {"metrics": registry.snapshot()},
-        "phases": phases,
+        "phases": [
+            {"policy": policy.name, "wall_s": phase_wall}
+            for policy in spec.policies
+        ],
     }

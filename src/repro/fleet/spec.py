@@ -26,6 +26,7 @@ its shorter exposure.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
@@ -43,6 +44,7 @@ __all__ = [
     "ScrubPolicySpec",
     "campaign_digest",
     "group_profile",
+    "group_profiles",
     "group_seed",
     "resolve_latent_windows",
     "spec_from_dict",
@@ -257,24 +259,41 @@ class GroupProfile:
     age_years: float
 
 
-def group_profile(
-    fleet: FleetSpec, campaign_seed: int, group_index: int
-) -> GroupProfile:
-    """Which drives group ``group_index`` got, and how worn they are.
+def group_profiles(
+    fleet: FleetSpec, campaign_seed: int, start: int, count: int
+) -> List[GroupProfile]:
+    """Which drives groups ``[start, start+count)`` got, and how worn.
 
     The class draw (by weight) and the age jitter come from a dedicated
-    seed substream, and wear-out inflates the failure rate
-    multiplicatively: ``lam = (1/mttf) * (1 + wearout * age)``.
+    per-group seed substream, and wear-out inflates the failure rate
+    multiplicatively: ``lam = (1/mttf) * (1 + wearout * age)``.  A fleet
+    of one class with no age spread has nothing to draw — every group
+    gets the same profile — so no generator is built for it.
     """
-    rng = np.random.default_rng(
-        derive_seed(derive_seed(campaign_seed, _PROFILE_STREAM), group_index)
-    )
-    weights = np.array([cls.weight for cls in fleet.classes])
-    pick = rng.random() * float(weights.sum())
-    class_index = int(np.searchsorted(np.cumsum(weights), pick, side="right"))
-    class_index = min(class_index, len(fleet.classes) - 1)
-    cls = fleet.classes[class_index]
-    age = cls.age_years + rng.random() * fleet.age_spread_years
+    classes = fleet.classes
+    spread = fleet.age_spread_years
+    if len(classes) == 1 and spread == 0:
+        # ``+ 0.0`` is what the jitter term contributes: it turns an
+        # ``age_years`` of -0.0 into 0.0 exactly as a draw would.
+        return [_profile(classes, 0, classes[0].age_years + 0.0)] * count
+    weights = np.array([cls.weight for cls in classes])
+    total = float(weights.sum())
+    cumulative = np.cumsum(weights).tolist()
+    stream = derive_seed(campaign_seed, _PROFILE_STREAM)
+    last = len(classes) - 1
+    profiles = []
+    for group_index in range(start, start + count):
+        rng = np.random.default_rng(derive_seed(stream, group_index))
+        class_index = min(bisect_right(cumulative, rng.random() * total), last)
+        age = classes[class_index].age_years + rng.random() * spread
+        profiles.append(_profile(classes, class_index, age))
+    return profiles
+
+
+def _profile(
+    classes: Tuple[DriveClass, ...], class_index: int, age: float
+) -> GroupProfile:
+    cls = classes[class_index]
     accel = 1.0 + cls.wearout_per_year * age
     return GroupProfile(
         class_index=class_index,
@@ -283,6 +302,13 @@ def group_profile(
         lse_burst_rate_per_hour=cls.lse_burst_rate_per_hour,
         age_years=age,
     )
+
+
+def group_profile(
+    fleet: FleetSpec, campaign_seed: int, group_index: int
+) -> GroupProfile:
+    """:func:`group_profiles` for the single group ``group_index``."""
+    return group_profiles(fleet, campaign_seed, group_index, 1)[0]
 
 
 # -- JSON round-trip ---------------------------------------------------------

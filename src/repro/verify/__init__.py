@@ -23,12 +23,15 @@ harness catches each one.  CLI entry point: ``repro verify``.
 PR 7 adds :mod:`repro.verify.fleet`: conservation laws for fleet
 campaigns — drive-state accounting across OK/degraded/rebuilding/lost,
 shard-range conservation, and checkpoint-digest consistency for the
-campaign journal.
+campaign journal — and holds the fleet shard kernel's reference ledger
+(``reference_shard_task``), which the ``fleet-kernel`` axis compares
+the kernel with.
 """
 
 from repro.verify.differential import (
     AXES,
     DifferentialMismatch,
+    check_fleet_kernel,
     check_monitor,
     check_parallel,
     outcome_signature,
@@ -61,6 +64,7 @@ __all__ = [
     "check_error_log",
     "check_campaign_journal",
     "check_fleet_conservation",
+    "check_fleet_kernel",
     "check_media_faults",
     "check_monitor",
     "check_parallel",

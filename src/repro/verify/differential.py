@@ -27,6 +27,10 @@ axis                paths compared
                     campaign under a live
                     :class:`~repro.obs.monitor.CampaignMonitor` — the
                     campaign-scale passivity contract (PR 8)
+``fleet-kernel``    :func:`~repro.fleet.montecarlo.fleet_shard_task`
+                    (each group walked once, policies settled against
+                    the walk) vs the per-(policy, group) reference loop
+                    :func:`repro.verify.fleet.reference_shard_task`
 ==================  ====================================================
 
 Outcomes are reduced to a SHA-256 *signature* through
@@ -48,6 +52,7 @@ from repro.verify.scenario import run_scenario
 __all__ = [
     "AXES",
     "DifferentialMismatch",
+    "check_fleet_kernel",
     "check_monitor",
     "check_parallel",
     "outcome_signature",
@@ -56,11 +61,11 @@ __all__ = [
 
 #: All axes, in the order ``run_axes`` exercises them.  ``parallel``
 #: is batch-level (one pool spawn amortised over many configs) and
-#: lives in :func:`check_parallel`; ``monitor`` runs a small seeded
-#: fleet campaign rather than the scenario itself.
+#: lives in :func:`check_parallel`; ``monitor`` and ``fleet-kernel``
+#: run a small seeded fleet campaign rather than the scenario itself.
 AXES = (
     "kernel-twin", "kernel-backend", "feed", "telemetry", "parallel",
-    "monitor",
+    "monitor", "fleet-kernel",
 )
 
 
@@ -169,6 +174,10 @@ def run_axes(
         )
     if "monitor" in selected:
         signatures["monitor"] = check_monitor(int(base.get("seed", 0) or 0))
+    if "fleet-kernel" in selected:
+        signatures["fleet-kernel"] = check_fleet_kernel(
+            int(base.get("seed", 0) or 0)
+        )
     return signatures
 
 
@@ -221,6 +230,74 @@ def check_monitor(seed: int = 0) -> str:
     off = {"metrics": bare.metrics_dict(), "telemetry": bare.telemetry}
     on = {"metrics": monitored.metrics_dict(), "telemetry": monitored.telemetry}
     return _compare("monitor", {"seed": seed}, off, on, include_telemetry=True)
+
+
+def check_fleet_kernel(seed: int = 0) -> str:
+    """The ``fleet-kernel`` axis: one walk per group vs the reference loop.
+
+    Runs every shard of a small seeded campaign through
+    :func:`~repro.fleet.montecarlo.fleet_shard_task` and through
+    :func:`repro.verify.fleet.reference_shard_task`, and requires every
+    policy block (``group_hours`` included) and telemetry snapshot to be
+    bit-identical.  The campaign is built to separate the two: weighted
+    drive classes with wear-out and age jitter (per-group profile
+    draws), and three policies of which one has a zero latent window
+    (never an ``lse`` loss) and one a very long one.
+    """
+    from repro.fleet.campaign import CampaignRunner
+    from repro.fleet.montecarlo import fleet_shard_task
+    from repro.fleet.spec import (
+        CampaignSpec,
+        DriveClass,
+        FleetSpec,
+        ScrubPolicySpec,
+    )
+    from repro.verify.fleet import reference_shard_task
+
+    spec = CampaignSpec(
+        fleet=FleetSpec(
+            groups=24,
+            disks_per_group=4,
+            classes=(
+                DriveClass(
+                    weight=3.0, mttf_hours=2.0e4,
+                    lse_burst_rate_per_hour=1e-3, wearout_per_year=0.05,
+                ),
+                DriveClass(
+                    preset="caviar", weight=1.0, mttf_hours=1.0e4,
+                    lse_burst_rate_per_hour=4e-3, age_years=2.0,
+                    wearout_per_year=0.1,
+                ),
+            ),
+            age_spread_years=3.0,
+        ),
+        policies=(
+            ScrubPolicySpec(name="weekly", latent_window_hours=84.0),
+            ScrubPolicySpec(name="never-latent", latent_window_hours=0.0),
+            ScrubPolicySpec(
+                name="staggered", algorithm="staggered",
+                latent_window_hours=400.0,
+            ),
+        ),
+        mission_years=5.0,
+        seed=seed,
+        shards=3,
+    )
+
+    def ledgers(task) -> dict:
+        outcome: dict = {"telemetry": {}}
+        for params in CampaignRunner.shard_param_sets(spec):
+            shard = task(**params)
+            name = f"shard-{shard['shard']}"
+            outcome[name] = shard["policies"]
+            outcome["telemetry"][name] = shard["telemetry"]
+        return outcome
+
+    return _compare(
+        "fleet-kernel", {"seed": seed},
+        ledgers(fleet_shard_task), ledgers(reference_shard_task),
+        include_telemetry=True,
+    )
 
 
 def check_parallel(

@@ -70,7 +70,8 @@ class TestRunAxes:
     def test_all_axes_agree(self, family):
         signatures = run_axes(SCENARIOS[family])
         assert set(signatures) == {
-            "kernel-twin", "kernel-backend", "feed", "telemetry", "monitor"
+            "kernel-twin", "kernel-backend", "feed", "telemetry", "monitor",
+            "fleet-kernel",
         }
         assert all(len(s) == 64 for s in signatures.values())
         # kernel-twin, kernel-backend and telemetry all compare
@@ -132,8 +133,37 @@ class TestMonitorAxis:
         assert set(signatures) == {"monitor"}
 
 
-def test_axes_constant_covers_all_six():
+class TestFleetKernelAxis:
+    def test_kernel_matches_reference_ledger(self):
+        from repro.verify import check_fleet_kernel
+
+        assert check_fleet_kernel(seed=5) == check_fleet_kernel(seed=5)
+        assert check_fleet_kernel(seed=5) != check_fleet_kernel(seed=6)
+
+    def test_a_settling_bug_is_caught(self, monkeypatch):
+        import repro.fleet.montecarlo as montecarlo
+        from repro.verify import check_fleet_kernel
+
+        genuine = montecarlo._settle
+
+        def off_by_one(checkpoints, end, p_lse):
+            ledger = list(genuine(checkpoints, end, p_lse))
+            if ledger[1] == "lse":
+                ledger[4] += 1  # counts the rebuild that lost the group
+            return tuple(ledger)
+
+        monkeypatch.setattr(montecarlo, "_settle", off_by_one)
+        with pytest.raises(DifferentialMismatch) as exc:
+            check_fleet_kernel(seed=5)
+        assert exc.value.axis == "fleet-kernel"
+
+    def test_run_axes_includes_fleet_kernel(self):
+        signatures = run_axes(SCENARIOS["synthetic"], axes=("fleet-kernel",))
+        assert set(signatures) == {"fleet-kernel"}
+
+
+def test_axes_constant_covers_all_seven():
     assert AXES == (
         "kernel-twin", "kernel-backend", "feed", "telemetry", "parallel",
-        "monitor",
+        "monitor", "fleet-kernel",
     )
