@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 smoke bench bench-telemetry bench-replay bench-verify bench-kernel bench-fleet bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -32,32 +32,12 @@ bench-telemetry:
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks
 
-# Zero-copy replay gate: the batched/shared-memory replay path must
-# beat the legacy per-record/pickling path by 2x (Fig. 7 grid) and 4x
-# (8-task detection sweep) with bit-identical results (writes
-# BENCH_PR4.json), plus a scaled-down pytest pass.
-bench-replay:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_replay.py
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_perf_replay.py \
-		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
-		-p no:cacheprovider --override-ini testpaths=benchmarks
-
 # Invariant-checker overhead gate: the live InvariantSink must stay
 # within 10% of the bare kernel on the 1M-event churn workload (writes
 # BENCH_PR5.json), plus a scaled-down pytest pass.
 bench-verify:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_verify.py
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_perf_verify.py \
-		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
-		-p no:cacheprovider --override-ini testpaths=benchmarks
-
-# Vector-kernel gate: the numpy batch-advance backend must beat the
-# reference engine by 4x on the 1M-event churn workload with
-# bit-identical results across the Fig. 7 grid, repro detect and all
-# three scenario families (writes BENCH_PR6.json).
-bench-kernel:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_perf.py
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_perf_kernel_vector.py \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks
 
@@ -87,6 +67,12 @@ test-service:
 # NDJSON event streaming.  Deterministic.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py
+
+# The stack benchmark (BENCHMARK.json, bench/README.md), every
+# workload at seconds-long input sizes: output checks only, the
+# numbers mean nothing.  Both event kernels run in the replay workloads.
+bench-quick:
+	$(PYTHON) bench/run.py --all --quick
 
 # Fleet-campaign throughput, resume and journal cost: the benchmark's
 # fleet_campaign workload with its per-layer (traced) metrics.

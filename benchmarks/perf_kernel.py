@@ -22,8 +22,10 @@ usage profiles:
 Timings use ``time.process_time`` (CPU time) with min-of-N interleaved
 repetitions, so results are stable on shared/noisy machines.
 
-Run directly (``PYTHONPATH=src python benchmarks/perf_kernel.py``) or
-via ``benchmarks/run_perf.py``, which also writes ``BENCH_PR1.json``.
+Run directly (``PYTHONPATH=src python benchmarks/perf_kernel.py``).
+``PHASES`` and ``WORKLOADS`` are also what the telemetry and
+invariant-checker overhead gates (``perf_telemetry.py``,
+``perf_verify.py``) time.
 """
 
 from __future__ import annotations

@@ -186,7 +186,6 @@ def run_detection_experiment(
     foreground: bool = False,
     trace: Optional[Trace] = None,
     time_scale: float = 1.0,
-    feed: str = "arrays",
     think_mean: float = 0.05,
     threshold: float = 0.01,
     remediation: Optional[RemediationPolicy] = None,
@@ -211,11 +210,10 @@ def run_detection_experiment(
     foreground:
         Add a closed-loop :class:`RandomReader`, so errors can also be
         found "the hard way" and detection sources compete.
-    trace / time_scale / feed:
+    trace / time_scale:
         Replay a recorded trace as the foreground load instead
         (open-loop, LBNs wrapped onto the shrunk drive).  Mutually
-        exclusive with ``foreground``; ``feed`` as in
-        :func:`~repro.analysis.replay_cdf.replay_with_scrubber`.
+        exclusive with ``foreground``.
     remediate:
         Enable the split/remap/verify lifecycle (with ``remediation``
         overriding the default :class:`RemediationPolicy`).
@@ -231,8 +229,6 @@ def run_detection_experiment(
         raise ValueError(f"horizon must be positive: {horizon}")
     if trace is not None and foreground:
         raise ValueError("pass either trace or foreground, not both")
-    if feed not in ("arrays", "records"):
-        raise ValueError(f"feed must be 'arrays' or 'records': {feed!r}")
     plan = build_model(model, **(model_params or {})).generate(
         Drive(spec, cache_enabled=False).total_sectors, horizon, seed
     )
@@ -251,9 +247,8 @@ def run_detection_experiment(
             sim, device, streams.get("foreground"), think_mean=think_mean
         ).start()
     elif trace is not None:
-        source = trace if feed == "arrays" else trace.records()
         TraceReplayer(
-            sim, device, source, time_scale=time_scale, wrap_lbn=True
+            sim, device, trace, time_scale=time_scale, wrap_lbn=True
         ).start()
 
     policy = remediation if remediation is not None else (
@@ -314,7 +309,6 @@ def detection_sweep_task(
     foreground: bool = False,
     trace: Optional[Trace] = None,
     time_scale: float = 1.0,
-    feed: str = "arrays",
     request_bytes: int = 64 * 1024,
     collect_telemetry: bool = False,
     kernel: str = "reference",
@@ -361,7 +355,6 @@ def detection_sweep_task(
         foreground=foreground,
         trace=trace,
         time_scale=time_scale,
-        feed=feed,
         request_bytes=request_bytes,
         telemetry=recorder,
         kernel=kernel,

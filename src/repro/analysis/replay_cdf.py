@@ -118,7 +118,6 @@ def replay_with_scrubber(
     horizon: Optional[float] = None,
     idle_gate: float = 0.010,
     cache_enabled: bool = False,
-    feed: str = "arrays",
     kernel: str = "reference",
 ) -> ReplayResult:
     """Replay ``trace`` with an optional scrubber.
@@ -133,18 +132,11 @@ def replay_with_scrubber(
     ``waiting`` (the Waiting scrubber; keys ``threshold`` and
     ``request_bytes``) may be given; neither replays the bare trace.
 
-    ``feed`` selects how the replayer ingests the trace:
-    ``"arrays"`` (default) uses the batched array cursor,
-    ``"records"`` the legacy per-record generator.  The two are
-    bit-identical; ``"records"`` exists for A/B benchmarks and as a
-    paranoia switch.  ``kernel`` selects the engine backend, also
-    bit-identical (neither switch participates in the baseline memo
-    key for that reason).
+    ``kernel`` selects the engine backend; the backends are
+    bit-identical, so it does not participate in the baseline memo key.
     """
     if scrubber is not None and waiting is not None:
         raise ValueError("pass either scrubber or waiting, not both")
-    if feed not in ("arrays", "records"):
-        raise ValueError(f"feed must be 'arrays' or 'records': {feed!r}")
     if horizon is None:
         horizon = trace.duration
     if horizon <= 0:
@@ -157,8 +149,7 @@ def replay_with_scrubber(
         NoopScheduler() if waiting is not None else CFQScheduler(idle_gate=idle_gate)
     )
     device = BlockDevice(sim, Drive(spec, cache_enabled=cache_enabled), scheduler)
-    source = trace if feed == "arrays" else trace.records()
-    TraceReplayer(sim, device, source).start()
+    TraceReplayer(sim, device, trace).start()
 
     scrub_bytes = scrub_requests = 0
     agent = None
@@ -236,8 +227,6 @@ def replay_baseline(
     horizon: Optional[float] = None,
     idle_gate: float = 0.010,
     cache_enabled: bool = False,
-    feed: str = "arrays",
-    memo: bool = True,
     result_cache=None,
     kernel: str = "reference",
 ) -> ReplayResult:
@@ -248,19 +237,15 @@ def replay_baseline(
     horizon, idle gate, cache flag) return the memoized result instead
     of re-simulating — in-process via a small LRU, and across
     processes when ``result_cache`` (a
-    :class:`~repro.parallel.cache.ResultCache`) is given.  ``memo=False``
-    bypasses the in-process memo (the on-disk cache, when given, is
-    still consulted); ``feed`` never participates in the key because
-    both feeds are bit-identical.
+    :class:`~repro.parallel.cache.ResultCache`) is given.
     """
     if horizon is None:
         horizon = trace.duration
     key = _baseline_key(trace, spec, horizon, idle_gate, cache_enabled)
-    if memo:
-        cached = _BASELINE_MEMO.get(key)
-        if cached is not None:
-            _BASELINE_MEMO.move_to_end(key)
-            return cached
+    cached = _BASELINE_MEMO.get(key)
+    if cached is not None:
+        _BASELINE_MEMO.move_to_end(key)
+        return cached
     disk_key = None
     if result_cache is not None:
         disk_key = result_cache.key(
@@ -275,8 +260,7 @@ def replay_baseline(
         )
         hit, value = result_cache.get(disk_key)
         if hit:
-            if memo:
-                _remember_baseline(key, value)
+            _remember_baseline(key, value)
             return value
     result = replay_with_scrubber(
         trace,
@@ -284,13 +268,11 @@ def replay_baseline(
         horizon=horizon,
         idle_gate=idle_gate,
         cache_enabled=cache_enabled,
-        feed=feed,
         kernel=kernel,
     )
     if result_cache is not None:
         result_cache.put(disk_key, result)
-    if memo:
-        _remember_baseline(key, result)
+    _remember_baseline(key, result)
     return result
 
 
@@ -309,8 +291,6 @@ def replay_slowdown_task(
     horizon: Optional[float] = None,
     idle_gate: float = 0.010,
     cache_enabled: bool = False,
-    feed: str = "arrays",
-    baseline_memo: bool = True,
     kernel: str = "reference",
 ) -> dict:
     """Picklable sweep task: one replay config plus its slowdown.
@@ -318,10 +298,9 @@ def replay_slowdown_task(
     Runs ``replay_with_scrubber`` for the given configuration and
     compares against the :func:`replay_baseline` no-scrub run — which
     is memoized, so an N-configuration sweep in one process pays for
-    the baseline once (``baseline_memo=False`` restores the legacy
-    recompute-per-task behaviour for A/B benchmarks).  Designed for
-    :class:`~repro.parallel.runner.SweepRunner`, which ships ``trace``
-    to workers through shared memory.
+    the baseline once.  Designed for
+    :class:`~repro.parallel.runner.SweepRunner`, which ships ``trace`` to
+    workers through shared memory.
     """
     if drive not in PRESETS:
         raise ValueError(
@@ -336,7 +315,6 @@ def replay_slowdown_task(
         horizon=horizon,
         idle_gate=idle_gate,
         cache_enabled=cache_enabled,
-        feed=feed,
         kernel=kernel,
     )
     baseline = replay_baseline(
@@ -345,8 +323,6 @@ def replay_slowdown_task(
         horizon=horizon,
         idle_gate=idle_gate,
         cache_enabled=cache_enabled,
-        feed=feed,
-        memo=baseline_memo,
         kernel=kernel,
     )
     return {

@@ -17,8 +17,6 @@ Eleven commands cover the library's main workflows:
 * ``verify``    — correctness harness: fuzz seeded configurations
   through the runtime invariant checker and the differential oracle
   (``--self-test`` plants known bugs and asserts they are caught);
-* ``bench``     — run the performance regression suite
-  (``benchmarks/run_perf.py``) and write its machine-stable JSON;
 * ``fleet``     — fleet-scale reliability campaign: MTTDL and
   P(data loss) per scrub policy over tens of thousands of drives,
   with durable per-shard checkpoints (``--journal``), bit-identical
@@ -787,40 +785,6 @@ def cmd_verify(args) -> int:
     return status or (0 if report.ok else 1)
 
 
-def cmd_bench(args) -> int:
-    import os
-
-    # benchmarks/ is not a package; locate it by walking up from the
-    # working directory (a checkout runs `repro bench` from anywhere
-    # inside the tree) and import run_perf from there.
-    probe = os.path.abspath(os.getcwd())
-    bench_dir = None
-    while True:
-        candidate = os.path.join(probe, "benchmarks")
-        if os.path.isfile(os.path.join(candidate, "run_perf.py")):
-            bench_dir = candidate
-            break
-        parent = os.path.dirname(probe)
-        if parent == probe:
-            break
-        probe = parent
-    if bench_dir is None:
-        raise SystemExit(
-            "repro bench: could not find benchmarks/run_perf.py above "
-            f"{os.getcwd()}; run from inside a repository checkout"
-        )
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    import run_perf
-
-    argv = []
-    if args.output:
-        argv += ["--output", args.output]
-    if args.quick:
-        argv.append("--quick")
-    return run_perf.main(argv)
-
-
 def _parse_policy(text: str, index: int):
     """``alg[:regions][@period_hours]`` -> ScrubPolicySpec.
 
@@ -1538,8 +1502,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "Each fuzzed configuration runs under the runtime invariant\n"
-            "checker and through the differential oracle's axes (fast\n"
-            "kernel vs instrumented twin, reference vs vector engine\n"
+            "checker and through the differential oracle's axes (no sink\n"
+            "vs a live invariant sink, reference vs vector engine\n"
             "backend, array vs record replay feed, telemetry on vs off,\n"
             "serial vs shm-parallel sweep, campaign monitor on vs off,\n"
             "fleet shard kernel vs its reference ledger).\n"
@@ -1587,19 +1551,6 @@ def build_parser() -> argparse.ArgumentParser:
     mlet.add_argument("--regions", type=int, nargs="+", default=[16, 64, 128])
     mlet.add_argument("--seed", type=int, default=0)
     mlet.set_defaults(func=cmd_mlet)
-
-    bench = sub.add_parser(
-        "bench", help="run the performance regression suite (BENCH JSON)"
-    )
-    bench.add_argument(
-        "--output", "-o", default=None,
-        help="benchmark JSON output path (default benchmarks/../BENCH_PR6.json)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="scaled-down event counts for a smoke run (no speedup gate)",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     fleet = sub.add_parser(
         "fleet",

@@ -13,14 +13,15 @@ Entries are pickle files under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro/sweeps``), written atomically via a temp file and
 ``os.replace`` so concurrent writers can never leave a torn entry.
 
-Entries written since PR 7 are *self-verifying*: the payload is
-prefixed with a header carrying its SHA-256, so a truncated, bit-rotted
-or torn entry is detected on read, **evicted** from disk (rather than
-poisoning every future run with a crash or a silent wrong value), and
-counted — in :attr:`ResultCache.evictions` and, when a telemetry sink
-is attached, in the ``cache.evictions`` counter.  Pre-PR 7 entries
-(bare pickles) are still readable; ones that fail to unpickle are
-evicted the same way.  Fleet campaign journals
+Entries are *self-verifying*: the payload is prefixed with a header
+carrying its SHA-256, so a truncated, bit-rotted or torn entry is
+detected on read, **evicted** from disk (rather than poisoning every
+future run with a crash or a silent wrong value), and counted — in
+:attr:`ResultCache.evictions` and, when a telemetry sink is attached,
+in the ``cache.evictions`` counter.  A file without the header is
+evicted the same way: the key hashes the library version, so no
+release that wrote bare pickles can address an entry of this one.
+Fleet campaign journals
 (:mod:`repro.fleet.journal`) lean on this: a corrupt shard checkpoint
 degrades to recomputing that shard, never to a crashed resume.
 
@@ -211,18 +212,16 @@ class ResultCache:
             self.misses += 1
             return False, None
         header = len(_ENTRY_MAGIC) + _DIGEST_LEN + 1
-        if data.startswith(_ENTRY_MAGIC):
-            payload = data[header:]
-            recorded = data[len(_ENTRY_MAGIC):header - 1]
-            if (
-                len(data) < header
-                or hashlib.sha256(payload).hexdigest().encode() != recorded
-            ):
-                self._evict(path, "digest")
-                self.misses += 1
-                return False, None
-        else:
-            payload = data  # pre-PR 7 bare-pickle entry
+        payload = data[header:]
+        recorded = data[len(_ENTRY_MAGIC):header - 1]
+        if (
+            not data.startswith(_ENTRY_MAGIC)
+            or len(data) < header
+            or hashlib.sha256(payload).hexdigest().encode() != recorded
+        ):
+            self._evict(path, "digest")
+            self.misses += 1
+            return False, None
         try:
             # A corrupted payload can make pickle raise nearly anything
             # (e.g. ValueError from a garbage opcode argument).

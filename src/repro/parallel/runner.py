@@ -141,11 +141,6 @@ class SweepRunner:
     base_seed:
         When set, :meth:`map` can inject ``derive_seed(base_seed, i)``
         into each task (see ``seed_param``).
-    share_traces:
-        Ship :class:`Trace` parameters to pool workers through shared
-        memory (default).  ``False`` falls back to pickling them with
-        the rest of the parameters — the pre-shared-memory behaviour,
-        kept as an escape hatch and for A/B benchmarks.
     retry:
         :class:`~repro.parallel.supervise.RetryPolicy` governing how
         broken-pool victims are retried on fresh workers.  Default:
@@ -159,7 +154,6 @@ class SweepRunner:
         cache: Optional[ResultCache] = None,
         base_seed: Optional[int] = None,
         telemetry=None,
-        share_traces: bool = True,
         retry=None,
     ) -> None:
         if workers is None:
@@ -172,7 +166,6 @@ class SweepRunner:
         self.workers = int(workers)
         self.cache = cache
         self.base_seed = base_seed
-        self.share_traces = share_traces
         #: Tasks actually executed (cache misses) over this runner's life.
         self.executed = 0
         #: Extra attempts spent re-running broken-pool victims.
@@ -292,11 +285,7 @@ class SweepRunner:
 
         exported: List = []  # TraceArrays segments owned by this map() call
         try:
-            if (
-                self.share_traces
-                and self.workers > 1
-                and len(pending) > 1
-            ):
+            if self.workers > 1 and len(pending) > 1:
                 pending = self._substitute_traces(pending, exported)
             use_pool = (
                 self.workers > 1

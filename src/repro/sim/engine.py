@@ -4,13 +4,13 @@
 are processed in ``(time, priority, sequence)`` order, so simultaneous
 events fire deterministically in scheduling order.
 
-The :meth:`Simulation.run` loop is the kernel's hot path: it inlines
-:meth:`Simulation.step` with the heap, the ``heappop`` function and the
-processed-sentinel bound to locals, so each event costs one heap pop,
-one sentinel store and the callback calls — no method dispatch and no
-allocation.  ``step()`` remains the single-event reference
-implementation (and the API for manual stepping); the two must stay
-semantically identical.
+The :meth:`Simulation.run` loop is the kernel's hot path and the only
+event loop in the package: it inlines :meth:`Simulation.step` with the
+heap, the ``heappop`` function and the processed-sentinel bound to
+locals, so each event costs one heap pop, one sentinel store and the
+callback calls — no method dispatch and no allocation.  ``step()``
+remains the single-event reference implementation (and the API for
+manual stepping); the two must stay semantically identical.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class Simulation:
     """
 
     #: Kernel backend identifier; :class:`~repro.sim.vector.VectorSimulation`
-    #: overrides this with ``"vector"``.  Components that need a
-    #: kernel-specific fast path (e.g. the replay cursor) branch on it.
+    #: overrides this with ``"vector"``.
     kernel = "reference"
 
     __slots__ = (
@@ -155,6 +154,10 @@ class Simulation:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
+    def _pending(self) -> int:
+        """Number of scheduled events not yet fired."""
+        return len(self._queue)
+
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:
@@ -204,10 +207,12 @@ class Simulation:
                         f"until={deadline} lies in the past (now={self._now})"
                     )
                 self._until_marker(deadline)
-        # Hot loop: step() inlined with everything bound to locals.  A
-        # telemetry sink selects the instrumented twin of the loop once
-        # per run() call — the disabled path is byte-for-byte the PR 1
-        # fast path, so a NullSink (or no sink) costs nothing per event.
+        # Hot loop: step() inlined with everything bound to locals.
+        # Telemetry counts events by difference: every queue insertion
+        # consumes exactly one sequence number, so the events fired by
+        # this call are the sequence numbers consumed minus the growth
+        # of the pending set.  An enabled sink therefore costs three
+        # samples per run() call and nothing per event.
         sink = self.telemetry
         if sink is not None and not sink.enabled:
             sink = None
@@ -217,67 +222,41 @@ class Simulation:
         unpause = gc_pause and gc.isenabled()
         if unpause:
             gc.disable()
+        seq_start = self._seq
+        pending_start = self._pending()
+        wall_start = time.perf_counter()
         try:
             try:
-                if sink is None:
-                    while queue:
-                        item = heappop(queue)
-                        self._now = item[0]
-                        event = item[2]
-                        callbacks = event._callbacks
-                        event._callbacks = processed
-                        if callbacks is not None:
-                            if callbacks.__class__ is list:
-                                for callback in callbacks:
-                                    callback(event)
-                            else:
-                                callbacks(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                else:
-                    self._run_instrumented(sink)
+                while queue:
+                    item = heappop(queue)
+                    self._now = item[0]
+                    event = item[2]
+                    callbacks = event._callbacks
+                    event._callbacks = processed
+                    if callbacks is not None:
+                        if callbacks.__class__ is list:
+                            for callback in callbacks:
+                                callback(event)
+                        else:
+                            callbacks(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
             except StopSimulation as stop:
                 return stop.args[0] if stop.args else None
         finally:
+            events = self._seq - seq_start - (self._pending() - pending_start)
+            wall = time.perf_counter() - wall_start
             if unpause:
                 gc.enable()
                 gc.collect(0)
+            if sink is not None:
+                # Reported on every exit (normal, ``until``, exception).
+                # Telemetry only observes — it never schedules, reorders
+                # or consumes randomness — so a run fires the same event
+                # sequence with or without it.
+                sink.engine_run(events, self._now, wall)
         if isinstance(until, Event) and not until.triggered:
             raise RuntimeError(
                 "simulation ran out of events before the awaited event fired"
             )
         return stop_value
-
-    def _run_instrumented(self, sink) -> None:
-        """The run() hot loop plus telemetry: semantically identical event
-        processing, with a popped-event count and wall-clock duration
-        reported to ``sink.engine_run`` on exit (normal, ``until``, or
-        exception).  Telemetry only observes — it never schedules,
-        reorders, or consumes randomness — so a run records the same
-        event sequence with or without it.
-        """
-        queue = self._queue
-        heappop = heapq.heappop
-        processed = _PROCESSED
-        events = 0
-        wall_start = time.perf_counter()
-        try:
-            while queue:
-                item = heappop(queue)
-                self._now = item[0]
-                event = item[2]
-                callbacks = event._callbacks
-                event._callbacks = processed
-                events += 1
-                if callbacks is not None:
-                    if callbacks.__class__ is list:
-                        for callback in callbacks:
-                            callback(event)
-                    else:
-                        callbacks(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            sink.engine_run(
-                events, self._now, time.perf_counter() - wall_start
-            )

@@ -1,54 +1,55 @@
 """The numpy-vectorized batch-advance simulation kernel.
 
 :class:`VectorSimulation` is a drop-in :class:`~repro.sim.engine.Simulation`
-whose event loop advances through *runs* of plain timers with array
-operations instead of one ``heappop`` per event.  It is selected with
+that retires *runs* of plain timers with array operations instead of
+one ``heappop`` per event.  It is selected with
 ``make_simulation(kernel="vector")`` (or ``--kernel vector`` on the
 CLI) and is required to be **bit-identical** to the reference kernel:
 the ``kernel-backend`` axis of :mod:`repro.verify.differential` holds a
 seeded scenario fixed and demands equal outcome signatures from both
 backends.
 
-Array queue layout (struct of arrays)
--------------------------------------
-Object events — processes, timeouts someone waits on, interrupts,
-condition events — keep flowing through the reference binary heap
-(``sim._queue``), so every existing raw-``heappush`` fast path
-(``Timeout.__init__``, ``Process._resume``, the replay cursor) works
-unchanged.  The vector kernel adds a second, array-backed store for
-*object-free* timers next to it:
+Timer store + one proxy event, one loop
+---------------------------------------
+There is no second event loop.  Every event that carries an object —
+processes, timeouts someone waits on, interrupts, condition events,
+the replay cursor — flows through the ordinary binary heap and is fired
+by :meth:`Simulation.run`.  The vector kernel only adds an array store
+for *pure* timers (no callback, no waiter) fed by
+:meth:`VectorSimulation.schedule_timers`:
 
 ``_bt : float64[n]``
-    due times of the sorted timer backbone;
+    due times, sorted;
 ``_bk : int64[n]``
-    heap keys (the engine's sequence numbers, urgent-biased exactly
-    like heap keys), so merging the two stores preserves the global
+    the engine's sequence numbers, so the store and the heap share one
     ``(time, key)`` total order;
-``_brefs : list | None``
-    per-entry payload: a bare callable fired at its due time, or
-    ``None`` for a pure timer.  When *every* entry of the backbone is
-    pure the whole list is elided (``None``) and the run loop may
-    retire entire runs of entries with one ``searchsorted``;
-``_in_t/_in_k/_in_refs``
-    an unsorted *incoming* buffer fed by :meth:`VectorSimulation.call_at`;
-    it is merged (numpy ``lexsort``) into the backbone before the loop
-    fires anything, so ordering is identical to a heap insert.
+``_bcur : int``
+    index of the store head; entries before it are retired.
 
-Batch boundary = next decision point
-------------------------------------
-A run of consecutive *pure* backbone timers contains no callbacks, so
-no observer can distinguish firing them one at a time from retiring
-them in bulk: the loop finds the run's end with one binary search
-against the earliest *decision point* — the heap head (the next object
-event, e.g. a process resume or the ``run(until=...)`` deadline
-marker) — sets the clock to the last fired time and adds the run's
-length to the event count reported to the telemetry sink.  Entries
-with callbacks always fire one per loop iteration, re-checking both
-stores in between, exactly like the reference loop.
+Whenever the store is non-empty, one shared proxy :class:`Event` sits
+in the heap keyed at the store head's own ``(time, key)`` — the exact
+heap entry a ``Timeout`` for that timer would have had.  Two
+invariants make the proxy invisible:
+
+* a proxy in the heap is always keyed at a still-pending timer (an
+  earlier batch may leave extra proxies behind the newest one; they are
+  discarded when they reach the heap head);
+* proxies consume no sequence numbers, so every other event keeps the
+  key it has on the reference kernel.
+
+Batch boundary = next real heap entry
+-------------------------------------
+When the base loop pops the proxy, its callback retires every stored
+timer that sorts before the next *real* heap entry (all of them if
+none remains) with one ``searchsorted``, sets the clock to the last
+retired time and re-arms the proxy at the new head.  Pure timers have
+no callbacks, so no observer can distinguish firing them one at a time
+from retiring them in bulk; telemetry counts events by difference
+(:meth:`Simulation._pending`), so the retired run is counted too.
 
 Float-determinism policy
 ------------------------
-No tolerance windows: times stored in the float64 arrays are the same
+No tolerance windows: times stored in the float64 array are the same
 IEEE doubles the heap tuples would carry (``float(np.float64)`` is
 exact), sequence numbers are consumed identically, and comparisons use
 the same ``(time, key)`` order, so outcomes are required to be
@@ -57,15 +58,12 @@ bit-identical — the differential oracle hashes them with no epsilon.
 
 from __future__ import annotations
 
-import gc
-import time
-from heapq import heappop
-from typing import Any, Callable, Optional
+from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.sim.engine import Simulation, StopSimulation
-from repro.sim.events import _PROCESSED, Event
+from repro.sim.engine import Simulation
+from repro.sim.events import Event
 
 __all__ = [
     "KERNELS",
@@ -109,27 +107,30 @@ def make_simulation(
 class VectorSimulation(Simulation):
     """Batch-advance kernel: heap for object events, arrays for timers.
 
-    See the module docstring for the queue layout and the batching
+    See the module docstring for the store layout and the batching
     rule.  All :class:`Simulation` APIs behave identically except
-    :meth:`step`, which the batch loop cannot honour event-by-event
+    :meth:`step`, which bulk retirement cannot honour event-by-event
     and therefore refuses (:class:`UnsupportedKernelFeature`).
     """
 
     kernel = "vector"
 
-    __slots__ = ("_bt", "_bk", "_brefs", "_bcur", "_in_t", "_in_k", "_in_refs")
+    __slots__ = ("_bt", "_bk", "_bcur", "_proxy", "_proxies")
 
     def __init__(self, start: float = 0.0, telemetry=None) -> None:
         super().__init__(start=start, telemetry=telemetry)
         self._bt = _EMPTY_T
         self._bk = _EMPTY_K
-        self._brefs: Optional[list] = None
         self._bcur = 0
-        self._in_t: list = []
-        self._in_k: list = []
-        self._in_refs: list = []
+        #: The shared proxy event and how many heap entries carry it.
+        #: Sharing one object keeps equal-keyed proxy entries
+        #: comparable (tuple comparison stops at identity).
+        self._proxy = proxy = Event(self)
+        proxy._ok = True
+        proxy._value = None
+        proxy._callbacks = self._retire
+        self._proxies = 0
 
-    # -- vector-only scheduling APIs ---------------------------------------
     def schedule_timers(self, delays) -> int:
         """Schedule a whole batch of pure timers in one array operation.
 
@@ -151,234 +152,62 @@ class VectorSimulation(Simulation):
         seq = self._seq
         keys = np.arange(seq + 1, seq + n + 1, dtype=np.int64)
         self._seq = seq + n
+        bcur = self._bcur
+        armed = None
+        if bcur < self._bt.size:
+            armed = self._bk[bcur]
+            times = np.concatenate((self._bt[bcur:], times))
+            keys = np.concatenate((self._bk[bcur:], keys))
+        # Pending keys all precede the new ones and the pending segment
+        # is already sorted, so a stable sort on time alone yields
+        # ``(time, key)`` order.
         order = np.argsort(times, kind="stable")
-        self._absorb(times[order], keys[order], None)
+        self._bt = times[order]
+        self._bk = keys = keys[order]
+        self._bcur = 0
+        if armed is None or keys[0] != armed:
+            self._arm()
         return n
 
-    def call_at(self, when: float, fn: Optional[Callable[[], None]] = None) -> int:
-        """Schedule a bare callback (or a pure timer) at absolute ``when``.
-
-        The object-free analogue of a ``Timeout`` carrying a single
-        waiter: one sequence number, no event allocation.  ``fn`` takes
-        no arguments.  Returns the consumed sequence number.
-        """
-        t = float(when)
-        if t < self._now:
-            raise ValueError(f"call_at({t}) lies in the past (now={self._now})")
-        self._seq = seq = self._seq + 1
-        self._in_t.append(t)
-        self._in_k.append(seq)
-        self._in_refs.append(fn)
-        return seq
-
-    # -- store maintenance --------------------------------------------------
-    def _absorb(self, times, keys, refs: Optional[list]) -> None:
-        """Merge a ``(time, key)``-sorted segment into the backbone."""
+    def _arm(self) -> None:
+        """Push a proxy heap entry keyed at the store head."""
         bcur = self._bcur
+        self._proxies += 1
+        heappush(
+            self._queue,
+            (float(self._bt[bcur]), int(self._bk[bcur]), self._proxy),
+        )
+
+    def _retire(self, proxy: Event) -> None:
+        """Proxy callback: retire the timers due before the next real event."""
+        proxy._callbacks = self._retire
+        queue = self._queue
+        proxies = self._proxies - 1
+        while queue and queue[0][2] is proxy:
+            heappop(queue)
+            proxies -= 1
+        self._proxies = proxies
         bt = self._bt
-        if bcur >= bt.size:
-            self._bt = times
-            self._bk = keys
-            self._brefs = refs
-            self._bcur = 0
-            return
-        rem_t = bt[bcur:]
-        rem_k = self._bk[bcur:]
-        old_refs = self._brefs
-        if old_refs is not None:
-            old_refs = old_refs[bcur:]
-        last = rem_t.size - 1
-        if times[0] > rem_t[last] or (
-            times[0] == rem_t[last] and keys[0] > rem_k[last]
-        ):
-            # Entirely after the current tail: plain append.
-            self._bt = np.concatenate((rem_t, times))
-            self._bk = np.concatenate((rem_k, keys))
-            if old_refs is None and refs is None:
-                self._brefs = None
-            else:
-                if old_refs is None:
-                    old_refs = [None] * rem_t.size
-                if refs is None:
-                    refs = [None] * times.size
-                self._brefs = old_refs + refs
-            self._bcur = 0
-            return
-        merged_t = np.concatenate((rem_t, times))
-        merged_k = np.concatenate((rem_k, keys))
-        order = np.lexsort((merged_k, merged_t))
-        self._bt = merged_t[order]
-        self._bk = merged_k[order]
-        if old_refs is None and refs is None:
-            self._brefs = None
-        else:
-            if old_refs is None:
-                old_refs = [None] * rem_t.size
-            if refs is None:
-                refs = [None] * times.size
-            combined = old_refs + refs
-            self._brefs = [combined[i] for i in order]
-        self._bcur = 0
+        end = bt.size
+        if queue:
+            limit_t, limit_k = queue[0][0], queue[0][1]
+            bk = self._bk
+            bcur = self._bcur
+            end = bcur + int(bt[bcur:].searchsorted(limit_t, side="left"))
+            while end < bt.size and bt[end] == limit_t and bk[end] < limit_k:
+                end += 1
+        self._now = float(bt[end - 1])
+        self._bcur = end
+        if end < bt.size:
+            self._arm()
 
-    def _merge_incoming(self) -> None:
-        it = np.asarray(self._in_t, dtype=np.float64)
-        ik = np.asarray(self._in_k, dtype=np.int64)
-        refs = self._in_refs
-        self._in_t = []
-        self._in_k = []
-        self._in_refs = []
-        order = np.lexsort((ik, it))
-        if all(r is None for r in refs):
-            sorted_refs = None
-        else:
-            sorted_refs = [refs[i] for i in order]
-        self._absorb(it[order], ik[order], sorted_refs)
-
-    # -- engine API ----------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event across all three stores."""
-        best = self._queue[0][0] if self._queue else float("inf")
-        if self._bcur < self._bt.size:
-            t = float(self._bt[self._bcur])
-            if t < best:
-                best = t
-        if self._in_t:
-            t = min(self._in_t)
-            if t < best:
-                best = t
-        return best
+    def _pending(self) -> int:
+        return len(self._queue) - self._proxies + self._bt.size - self._bcur
 
     def step(self) -> None:
-        """Refused: the batch loop has no single-event granularity."""
+        """Refused: bulk retirement has no single-event granularity."""
         raise UnsupportedKernelFeature(
             "the vector kernel advances in batches and does not support "
             "manual single-event stepping; use kernel='reference' for "
             "step()-driven debugging"
         )
-
-    def run(self, until: Optional[Any] = None, gc_pause: bool = True) -> Any:
-        """Run until ``until``; semantics mirror :meth:`Simulation.run`."""
-        stop_value: Any = None
-        if until is not None:
-            if isinstance(until, Event):
-                if until.processed:
-                    return until.value
-                until.callbacks.append(StopSimulation.callback)
-            else:
-                deadline = float(until)
-                if deadline < self._now:
-                    raise ValueError(
-                        f"until={deadline} lies in the past (now={self._now})"
-                    )
-                self._until_marker(deadline)
-        sink = self.telemetry
-        if sink is not None and not sink.enabled:
-            sink = None
-        unpause = gc_pause and gc.isenabled()
-        if unpause:
-            gc.disable()
-        try:
-            try:
-                self._drain(sink)
-            except StopSimulation as stop:
-                return stop.args[0] if stop.args else None
-        finally:
-            if unpause:
-                gc.enable()
-                gc.collect(0)
-        if isinstance(until, Event) and not until.triggered:
-            raise RuntimeError(
-                "simulation ran out of events before the awaited event fired"
-            )
-        return stop_value
-
-    def _drain(self, sink) -> None:
-        """The batch-advance hot loop.
-
-        Fires heap events and backbone timers in global ``(time, key)``
-        order; runs of consecutive *pure* backbone timers bounded by
-        the heap head (the next decision point) retire in bulk.  Every
-        retired entry — bulk or not — counts toward the event total
-        flushed to ``sink.engine_run`` on exit, so telemetry reports
-        the same count as the reference kernel.
-        """
-        queue = self._queue
-        heappop_ = heappop
-        processed = _PROCESSED
-        searchsorted = np.searchsorted
-        events = 0
-        wall_start = time.perf_counter() if sink is not None else 0.0
-        try:
-            while True:
-                if self._in_t:
-                    self._merge_incoming()
-                bt = self._bt
-                bcur = self._bcur
-                blen = bt.size
-                if queue:
-                    head = queue[0]
-                    if bcur < blen:
-                        bk = self._bk
-                        t = bt[bcur]
-                        if head[0] < t or (head[0] == t and head[1] < bk[bcur]):
-                            pass  # heap event first; fall through
-                        else:
-                            refs = self._brefs
-                            if refs is None:
-                                # Bulk-retire pure timers up to the heap head.
-                                limit_t = head[0]
-                                limit_k = head[1]
-                                j = bcur + int(
-                                    searchsorted(bt[bcur:], limit_t, side="left")
-                                )
-                                while j < blen and bt[j] == limit_t and bk[j] < limit_k:
-                                    j += 1
-                                events += j - bcur
-                                self._bcur = j
-                                self._now = float(bt[j - 1])
-                                continue
-                            fn = refs[bcur]
-                            self._bcur = bcur + 1
-                            self._now = float(t)
-                            events += 1
-                            if fn is not None:
-                                fn()
-                            continue
-                    # Fire one heap event (the reference loop body).
-                    item = heappop_(queue)
-                    self._now = item[0]
-                    event = item[2]
-                    callbacks = event._callbacks
-                    event._callbacks = processed
-                    events += 1
-                    if callbacks is not None:
-                        if callbacks.__class__ is list:
-                            for callback in callbacks:
-                                callback(event)
-                        else:
-                            callbacks(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    continue
-                if bcur < blen:
-                    refs = self._brefs
-                    if refs is None:
-                        # Heap empty: the rest of a pure backbone drains
-                        # in one step (nothing can observe the interior).
-                        events += blen - bcur
-                        self._bcur = blen
-                        self._now = float(bt[blen - 1])
-                        continue
-                    fn = refs[bcur]
-                    self._bcur = bcur + 1
-                    self._now = float(bt[bcur])
-                    events += 1
-                    if fn is not None:
-                        fn()
-                    continue
-                break
-        finally:
-            if sink is not None:
-                sink.engine_run(
-                    events, self._now, time.perf_counter() - wall_start
-                )

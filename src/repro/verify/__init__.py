@@ -1,7 +1,7 @@
 """Correctness harness: invariants, differential oracle, config fuzzer.
 
-Four PRs of optimisation (fast kernel, parallel sweeps, telemetry twin
-loop, zero-copy replay) left the stack with pairs of code paths that
+Four PRs of optimisation (fast kernel, parallel sweeps, telemetry,
+zero-copy replay) left the stack with pairs of code paths that
 promise bit-identical behaviour and a web of conservation laws the
 simulation must respect.  This package checks both, three ways:
 
@@ -10,7 +10,7 @@ simulation must respect.  This package checks both, three ways:
   raises :class:`InvariantViolation` with the offending event window;
 * :mod:`repro.verify.differential` — :func:`run_axes` /
   :func:`check_parallel`, flipping one implementation switch at a time
-  (fast kernel vs instrumented twin, record vs batched replay feed,
+  (no sink vs a live invariant checker, record vs batched replay feed,
   telemetry on vs off, serial vs shm-parallel) and requiring
   bit-identical outcomes;
 * :mod:`repro.verify.fuzzer` — :func:`fuzz`, deterministic random

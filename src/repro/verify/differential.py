@@ -7,9 +7,10 @@ oracle can flip while holding the seeded scenario fixed:
 ==================  ====================================================
 axis                paths compared
 ==================  ====================================================
-``kernel-twin``     engine fast loop vs the instrumented twin loop (the
-                    twin is selected whenever an enabled sink is
-                    attached)
+``kernel-twin``     no sink vs a live :class:`InvariantSink` — the
+                    engine has one loop, so this is sink passivity
+                    under the invariant checker; the name (a public
+                    ``--axes`` value) predates the single loop
 ``kernel-backend``  the reference heap kernel vs the PR 6 numpy
                     batch-advance kernel (:mod:`repro.sim.vector`) —
                     the scenario's own ``kernel`` parameter is
@@ -148,10 +149,10 @@ def run_axes(
     signatures: Dict[str, str] = {}
 
     if "kernel-twin" in selected:
-        fast = run_scenario(**base, telemetry="none")
-        twin = run_scenario(**base, telemetry="invariants")
+        bare = run_scenario(**base, telemetry="none")
+        checked = run_scenario(**base, telemetry="invariants")
         signatures["kernel-twin"] = _compare(
-            "kernel-twin", base, fast, twin, include_telemetry=False
+            "kernel-twin", base, bare, checked, include_telemetry=False
         )
     if "kernel-backend" in selected:
         kb = {k: v for k, v in base.items() if k != "kernel"}

@@ -228,8 +228,8 @@ def fuzz(
     """Fuzz ``n`` seeded configurations under the full harness.
 
     Per config: the invariant checker (via the ``kernel-twin`` axis,
-    which runs it as the twin's sink) and the per-scenario differential
-    axes.  Per fleet: one batch serial-vs-parallel comparison over
+    which runs it as the sink of one side) and the per-scenario
+    differential axes.  Per fleet: one batch serial-vs-parallel comparison over
     every configuration that passed, so the pool is spawned twice per
     fuzz run rather than twice per config.  ``axes=()`` restricts to
     invariants only (each config runs once, validated).

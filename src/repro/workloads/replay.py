@@ -107,7 +107,6 @@ class _ReplayCursor(Event):
         "_idx",
         "_designated",
         "_done",
-        "_vector",
     )
 
     def __init__(
@@ -147,11 +146,6 @@ class _ReplayCursor(Event):
         self._idx = 0
         self._designated = False
         self._done = False
-        #: On the vector kernel the cursor schedules its waits straight
-        #: into the array queue (``sim.call_at``) with no per-event
-        #: object at all — not even the reused ``_fire_ev``.  Sequence
-        #: consumption and due-time floats are identical either way.
-        self._vector = sim.kernel == "vector"
 
     @property
     def is_alive(self) -> bool:
@@ -162,9 +156,6 @@ class _ReplayCursor(Event):
     def _start(self) -> "_ReplayCursor":
         """Schedule the init event (mirrors ``Process.__init__``)."""
         sim = self.sim
-        if self._vector:
-            sim.call_at(sim._now, self._fire_vec)
-            return self
         init = Event.__new__(Event)
         init.sim = sim
         init._callbacks = self._on_fire
@@ -193,9 +184,7 @@ class _ReplayCursor(Event):
         self._done = True
         # Forget the event that would have resumed us (mirrors the
         # target-detach in Process._resume): it stays in the heap and
-        # pops later as a no-op.  The vector path has no event object
-        # to detach — its pending array entry fires ``_fire_vec``,
-        # whose ``_done`` guard makes it the same counted no-op.
+        # pops later as a no-op.
         target = self._fire_ev if self._start_at is not None else self._init_ev
         if target is not None and target._callbacks is self._on_fire:
             target._callbacks = None
@@ -217,12 +206,7 @@ class _ReplayCursor(Event):
         heappush(sim._queue, (sim._now, seq, self))
 
     # -- hot path ----------------------------------------------------------
-    def _fire_vec(self) -> None:
-        """Array-queue wakeup (no event argument, ``_done`` guarded)."""
-        if not self._done:
-            self._fire(None)
-
-    def _fire(self, _event: Optional[Event]) -> None:
+    def _fire(self, _event: Event) -> None:
         sim = self.sim
         now = sim._now
         if self._start_at is None:
@@ -254,10 +238,6 @@ class _ReplayCursor(Event):
             idx += 1
         self._idx = idx
         self._designated = True
-        if self._vector:
-            # Same ``now + delay`` float as the Timeout below, one seq.
-            sim.call_at(now + (dues[idx] - now), self._fire_vec)
-            return
         ev = self._fire_ev
         if ev is None:
             ev = self._fire_ev = Event.__new__(Event)

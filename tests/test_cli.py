@@ -226,14 +226,6 @@ class TestKernelFlag:
         assert "2/2 configs passed" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_bench_finds_run_perf_from_repo(self, monkeypatch, tmp_path):
-        # Point the walk-up at an empty directory: no benchmarks/ tree.
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match="could not find"):
-            main(["bench"])
-
-
 class TestFleetMonitor:
     """PR 8: live observability flags on the fleet command."""
 

@@ -6,6 +6,8 @@ scheduling order, or cache state.  Serial, parallel, and warm-cache
 executions must therefore be bit-identical.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from repro.analysis.service_model import ScrubServiceModel
 from repro.core.optimizer import ScrubParameterOptimizer
 from repro.parallel import ResultCache, SweepRunner, canonicalize, derive_seed
+from repro.parallel.cache import _ENTRY_MAGIC
 
 
 def _noisy_dot(values, scale, seed):
@@ -319,27 +322,34 @@ class TestCacheEviction:
         key = cache.key(_square, {"x": 8})
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle at all")
+        payload = b"not a pickle at all"  # under a header that verifies
+        digest = hashlib.sha256(payload).hexdigest().encode()
+        path.write_bytes(_ENTRY_MAGIC + digest + b"\n" + payload)
         hit, _ = cache.get(key)
         assert not hit and not path.exists()
         counters = recorder.metrics.snapshot()["counters"]
         assert counters["cache.evictions.unpicklable"] == 1
 
-    def test_legacy_bare_pickle_entries_still_hit(self, tmp_path):
+    def test_headerless_entry_is_evicted_and_recomputed(self, tmp_path):
         import pickle
 
-        cache = ResultCache(tmp_path)
+        from repro.telemetry import Recorder
+
+        recorder = Recorder(wall_time=False)
+        cache = ResultCache(tmp_path, telemetry=recorder)
         key = cache.key(_square, {"x": 6})
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps(36))  # pre-PR 7 entry format
-        hit, value = cache.get(key)
-        assert hit and value == 36
-        assert cache.evictions == 0
+        path.write_bytes(pickle.dumps(-1))  # a bare pickle, wrong on purpose
+        runner = SweepRunner(workers=0, cache=cache)
+        assert runner.map(_square, [{"x": 6}]) == [36]
+        assert (runner.executed, cache.evictions, cache.hits) == (1, 1, 0)
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["cache.evictions.digest"] == 1
+        # The recomputed value replaced it under a verifying header.
+        assert cache.get(key) == (True, 36)
 
     def test_new_entries_are_self_verifying(self, tmp_path):
-        from repro.parallel.cache import _ENTRY_MAGIC
-
         cache = ResultCache(tmp_path)
         key = cache.key(_square, {"x": 2})
         cache.put(key, 4)

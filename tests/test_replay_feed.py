@@ -2,6 +2,8 @@
 chunked streaming, stop()/error parity, baseline memoization, and the
 mean_slowdown_vs comparison guards."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from repro.analysis.replay_cdf import (
     replay_slowdown_task,
     replay_with_scrubber,
 )
+from repro.core.policies.device import WaitingScrubber
+from repro.core.sequential import SequentialScrub
 from repro.disk import Drive, hitachi_ultrastar_15k450
 from repro.parallel import ResultCache
-from repro.sched import BlockDevice, CFQScheduler
+from repro.sched import BlockDevice, CFQScheduler, NoopScheduler
 from repro.sim import Simulation
 from repro.telemetry import Recorder
 from repro.traces import Trace, generate_trace
@@ -214,15 +218,26 @@ class TestBaselineMemo:
         )
         new = replay_slowdown_task(trace, **kwargs)
         clear_baseline_memo()
-        legacy = replay_slowdown_task(
-            trace, feed="records", baseline_memo=False, **kwargs
-        )
-        assert new["mean_slowdown"] == legacy["mean_slowdown"]
-        assert np.array_equal(
-            new["result"].fg_response_times,
-            legacy["result"].fg_response_times,
-        )
-        clear_baseline_memo()
+
+        # The same two runs on the record feed, built by hand.
+        def records_run(waiting):
+            sim = Simulation()
+            device = BlockDevice(
+                sim, Drive(hitachi_ultrastar_15k450(), cache_enabled=False),
+                NoopScheduler() if waiting else CFQScheduler(idle_gate=0.010),
+            )
+            TraceReplayer(sim, device, trace.records()).start()
+            if waiting:
+                WaitingScrubber(
+                    sim, device, SequentialScrub(), **kwargs["waiting"]
+                ).start()
+            sim.run(until=HORIZON)
+            return device.log.response_times("foreground")
+
+        scrubbed, bare = records_run(True), records_run(False)
+        assert np.array_equal(new["result"].fg_response_times, scrubbed)
+        n = min(len(scrubbed), len(bare))
+        assert new["mean_slowdown"] == float((scrubbed[:n] - bare[:n]).mean())
 
 
 class TestMeanSlowdownGuards:
@@ -265,7 +280,19 @@ class TestMeanSlowdownGuards:
         assert isinstance(slowdown, float)
 
     def test_feed_validation(self, trace):
-        with pytest.raises(ValueError, match="feed"):
+        # The feed is no longer a public switch: the record feed is
+        # reached through TraceReplayer (above) and the verify harness.
+        from repro.analysis.detection import (
+            detection_sweep_task,
+            run_detection_experiment,
+        )
+
+        for fn in (
+            replay_with_scrubber, replay_baseline, replay_slowdown_task,
+            run_detection_experiment, detection_sweep_task,
+        ):
+            assert "feed" not in inspect.signature(fn).parameters
+        with pytest.raises(TypeError, match="feed"):
             replay_with_scrubber(
-                trace, hitachi_ultrastar_15k450(), horizon=1.0, feed="turbo"
+                trace, hitachi_ultrastar_15k450(), horizon=1.0, feed="records"
             )

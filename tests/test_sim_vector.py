@@ -147,27 +147,58 @@ class TestScheduleTimers:
         assert sim.now == 4.0
 
 
-class TestCallAt:
-    def test_fires_in_time_and_seq_order(self):
-        sim = make_simulation("vector")
-        fired = []
-        sim.call_at(2.0, lambda: fired.append("later"))
-        sim.call_at(1.0, lambda: fired.append("sooner"))
-        sim.call_at(1.0, lambda: fired.append("sooner-2"))
-        sim.run()
-        assert fired == ["sooner", "sooner-2", "later"]
-        assert sim.now == 2.0
+class TestProxy:
+    """White-box checks of the store's proxy heap entry."""
 
-    def test_pure_entry_advances_clock(self):
+    def test_proxy_is_keyed_at_the_store_head_and_takes_no_seq(self):
         sim = make_simulation("vector")
-        sim.call_at(3.0)
-        sim.run()
-        assert sim.now == 3.0
+        sim.schedule_timers([3.0, 1.0, 2.0])
+        assert sim._seq == 3
+        assert sim._queue == [(1.0, 2, sim._proxy)]
+        assert sim._pending() == 3
 
-    def test_past_time_rejected(self):
-        sim = make_simulation("vector", start=5.0)
-        with pytest.raises(ValueError, match="lies in the past"):
-            sim.call_at(4.0)
+    def test_earlier_batch_arms_a_second_proxy(self):
+        sim = make_simulation("vector")
+        sim.schedule_timers([5.0])
+        sim.schedule_timers([6.0])  # head unchanged: no new proxy
+        assert sim._proxies == 1
+        sim.schedule_timers([2.0])  # precedes the armed head
+        assert sim._proxies == 2
+        assert sorted(e[:2] for e in sim._queue) == [(2.0, 3), (5.0, 1)]
+        assert sim._pending() == 3
+        sim.run()
+        assert (sim.now, sim._proxies, sim._queue, sim._pending()) == (6.0, 0, [], 0)
+
+    def test_every_heap_proxy_points_at_a_pending_timer(self):
+        sim = make_simulation("vector")
+        seen = []
+
+        def check(_event):
+            pending = set(
+                zip(sim._bt[sim._bcur:].tolist(), sim._bk[sim._bcur:].tolist())
+            )
+            proxies = [e[:2] for e in sim._queue if e[2] is sim._proxy]
+            assert len(proxies) == sim._proxies
+            assert set(proxies) <= pending
+            # The store head is always armed while user code runs.
+            assert min(pending) in proxies
+            seen.append(sim.now)
+
+        sim.schedule_timers([5.0, 7.0, 9.0])
+        sim.timeout(1.0).callbacks.append(
+            lambda ev: (sim.schedule_timers([1.0, 4.0]), check(ev))
+        )
+        sim.timeout(3.0).callbacks.append(check)
+        sim.timeout(5.0).callbacks.append(check)
+        sim.timeout(8.0).callbacks.append(check)
+        sim.run()
+        assert seen == [1.0, 3.0, 5.0, 8.0]
+        assert sim.now == 9.0
+
+    def test_run_is_the_inherited_loop(self):
+        for name in ("run", "peek"):
+            assert getattr(VectorSimulation, name) is getattr(Simulation, name)
+        assert not hasattr(VectorSimulation, "_drain")
 
 
 class TestEngineApi:
@@ -176,10 +207,12 @@ class TestEngineApi:
         assert sim.peek() == float("inf")
         sim.timeout(3.0)  # heap
         assert sim.peek() == 3.0
-        sim.schedule_timers([2.0])  # backbone
+        sim.schedule_timers([2.0])  # store, seen through its proxy
         assert sim.peek() == 2.0
-        sim.call_at(1.0)  # incoming buffer
+        sim.schedule_timers([4.0, 1.0])  # a later batch with an earlier head
         assert sim.peek() == 1.0
+        sim.run(until=1.5)
+        assert sim.peek() == 2.0
 
     def test_step_refused(self):
         sim = make_simulation("vector")

@@ -261,8 +261,8 @@ class TestDeterminism:
         assert plain == strip_telemetry(collected)
 
     def test_engine_event_order_identical_with_recorder(self):
-        # The instrumented twin of the engine's fast loop must fire
-        # events in exactly the same order as the untouched one.
+        # A recording sink must leave the engine firing events in
+        # exactly the same order as a run without one.
         import repro.sim as kernel
         from tests.test_sim_determinism import run_scenario
 
