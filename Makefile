@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -78,6 +78,12 @@ bench-quick:
 # fleet_campaign workload with its per-layer (traced) metrics.
 bench-fleet:
 	$(PYTHON) bench/run.py --workload fleet_campaign --trace 1
+
+# Service submit->done latency and where it goes (queue wait, slot run,
+# client polls): the benchmark's service_mix workload with its
+# per-layer (traced) metrics.
+bench-service:
+	$(PYTHON) bench/run.py --workload service_mix --trace 1
 
 # Observability gate (writes BENCH_PR8.json): campaign monitoring must
 # stay within 5% of a bare run with bit-identical results, and the

@@ -1085,6 +1085,21 @@ def cmd_serve(args) -> int:
         service.stop()
 
 
+def _job_timing(job: dict) -> str:
+    """``queued <ms> · ran <ms>`` from a job record's wall-clock stamps.
+
+    ``queued`` runs from the first submission to the latest claim;
+    parts whose stamps are not set yet are left out.
+    """
+    started, finished = job.get("started", 0.0), job.get("finished", 0.0)
+    parts = []
+    if started:
+        parts.append(f"queued {(started - job['created']) * 1e3:.0f} ms")
+        if finished:
+            parts.append(f"ran {(finished - started) * 1e3:.0f} ms")
+    return " · ".join(parts)
+
+
 def cmd_submit(args) -> int:
     import json
 
@@ -1124,7 +1139,11 @@ def cmd_submit(args) -> int:
         final = client.wait(job["id"], timeout=args.timeout)
     except ServiceTimeout as exc:
         raise SystemExit(f"submit: {exc}")
-    print(f"submit: campaign {job['id'][:12]} -> {final['state']}")
+    timing = _job_timing(final)
+    print(
+        f"submit: campaign {job['id'][:12]} -> {final['state']}"
+        + (f" ({timing})" if timing else "")
+    )
     if final["state"] == "done":
         metrics = final["result"]["metrics"]
         print(f"{'policy':<22}{'losses':>8}{'P(loss)':>10}")
@@ -1160,6 +1179,9 @@ def cmd_submit_status(args) -> int:
         f"campaign {job['id'][:12]}: {job['state']}, "
         f"{job['attempts']} attempt(s), client {job['client']}"
     )
+    timing = _job_timing(job)
+    if timing:
+        print(timing)
     live = payload.get("status")
     if live:
         progress = live.get("progress_live", live.get("progress"))

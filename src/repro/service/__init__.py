@@ -8,7 +8,8 @@ crashes.  This package is that layer, stdlib-only:
 * :mod:`repro.service.queue` — persistent content-addressed job queue
   (job id = campaign digest; atomic per-job records; crash recovery
   never leaves a ``running`` orphan);
-* :mod:`repro.service.scheduler` — fair-share dispatcher feeding
+* :mod:`repro.service.scheduler` — fair-share, event-driven dispatcher
+  (woken by the queue, never polling; claims rate-limited) feeding
   :class:`~repro.fleet.campaign.CampaignRunner` slots, with the queue's
   cancel flag wired into cooperative cancellation;
 * :mod:`repro.service.api` — minimal asyncio HTTP API (submit, status,

@@ -9,7 +9,7 @@ tests and the CLI alike; campaign execution never touches the loop
 
 Routes::
 
-    GET    /healthz                  liveness + queue state counts
+    GET    /healthz                  dispatcher liveness + queue state counts
     POST   /campaigns                submit (201 created / 200 duplicate)
     GET    /campaigns                list jobs
     GET    /campaigns/{id}           job record + live progress
@@ -24,7 +24,10 @@ to the file on disk.
 
 Errors are JSON, ``{"error": "<message>"}``, with conventional status
 codes: 400 malformed JSON or spec, 404 unknown job or route, 405
-wrong method.
+wrong method.  ``/healthz`` answers 503 with ``"ok": false`` when the
+dispatcher thread is gone (nothing would ever be claimed again), and
+otherwise carries the last dispatch round's error, if any, as
+``dispatch_error``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _REASONS = {
     411: "Length Required",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 #: Poll cadence for the follow-mode event stream, seconds.
 _STREAM_POLL = 0.05
@@ -252,9 +256,7 @@ class CampaignService:
             if method != "GET":
                 await self._respond(writer, 405, {"error": "use GET"})
                 return
-            await self._respond(
-                writer, 200, {"ok": True, "counts": self.queue.counts()}
-            )
+            await self._health(writer)
             return
         if not parts or parts[0] != "campaigns":
             await self._respond(writer, 404, {"error": f"no such route: {path}"})
@@ -294,6 +296,17 @@ class CampaignService:
         await self._respond(writer, 404, {"error": f"no such route: {path}"})
 
     # -- endpoints -----------------------------------------------------------
+
+    async def _health(self, writer) -> None:
+        alive = self.scheduler.alive
+        payload = {
+            "ok": alive,
+            "counts": self.queue.counts(),
+            "dispatch_error": self.scheduler.last_error,
+        }
+        if not alive:
+            payload["error"] = "dispatcher thread is not running"
+        await self._respond(writer, 200 if alive else 503, payload)
 
     async def _submit(self, writer, headers, body) -> None:
         try:

@@ -146,8 +146,13 @@ class ServiceClient:
     def wait(
         self, job_id: str, timeout: float = 60.0, poll: float = 0.05
     ) -> dict:
-        """Block until the job is terminal; returns its record."""
+        """Block until the job is terminal; returns its record.
+
+        The delay between status requests starts at 5 ms and doubles up
+        to ``poll``, so a short job is not charged a full ``poll``.
+        """
         deadline = time.monotonic() + timeout
+        delay = min(0.005, poll)
         while True:
             status, payload = self.job(job_id)
             if status != 200:
@@ -159,7 +164,8 @@ class ServiceClient:
                 raise ServiceTimeout(
                     f"job {job_id} still {job['state']} after {timeout}s"
                 )
-            time.sleep(poll)
+            time.sleep(delay)
+            delay = min(2.0 * delay, poll)
 
     def iter_events(self, job_id: str, follow: bool = True) -> Iterator[dict]:
         """Yield parsed events; reconnects are the caller's concern."""

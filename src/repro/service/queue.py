@@ -29,6 +29,20 @@ transition stamps a monotone sequence number (``seq`` at submit,
 ``started_seq`` at claim, ``finished_seq`` at finish), so tests can
 check "B's first job started before A's second" as a total order
 instead of sampling timings.
+
+A transition is durable before it is visible: each one builds the next
+record as a copy, writes it, and only after ``os.replace`` returned
+swaps it into memory and advances the sequence counters.  A write that
+fails (``ENOSPC``) therefore leaves memory, disk and a reopened queue
+agreeing on the *old* record, and the retried transition gets the
+sequence number the failed one would have had.
+
+The queue also owns the dispatcher's wake-up signal, :attr:`JobQueue.
+wakeup`: a :class:`threading.Event` raised whenever a job becomes
+claimable (``submit`` of a new or requeued job, ``release``).  The
+scheduler raises it as well when a slot frees, and blocks on it instead
+of polling — so anything that drives a ``JobQueue`` without the HTTP
+layer wakes the dispatcher just the same.
 """
 
 from __future__ import annotations
@@ -84,6 +98,10 @@ class Job:
     shards_total: int = 0
     created: float = 0.0
     updated: float = 0.0
+    #: Wall clock of the latest claim and of reaching a terminal state;
+    #: ``0.0`` until set, and again after a requeue by resubmission.
+    started: float = 0.0
+    finished: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +119,8 @@ class Job:
             "shards_total": self.shards_total,
             "created": self.created,
             "updated": self.updated,
+            "started": self.started,
+            "finished": self.finished,
         }
 
     @classmethod
@@ -122,8 +142,8 @@ class JobQueue:
     """Crash-safe on-disk queue with content-addressed dedup.
 
     All methods are thread-safe (one lock; every mutation persists the
-    record before returning).  Reads return *copies* so callers can
-    never mutate queue state behind the lock's back.
+    next record before it becomes visible).  Reads return *copies* so
+    callers can never mutate queue state behind the lock's back.
     """
 
     def __init__(self, root) -> None:
@@ -136,6 +156,9 @@ class JobQueue:
         self._started_seq = 0
         self._finished_seq = 0
         self._recovered: List[str] = []
+        #: Raised whenever a job becomes claimable; the dispatcher blocks
+        #: on it (and raises it itself when a slot frees or it stops).
+        self.wakeup = threading.Event()
         self._load()
 
     # -- persistence ---------------------------------------------------------
@@ -144,15 +167,33 @@ class JobQueue:
         return os.path.join(self.jobs_dir, f"{job_id}.json")
 
     def _persist(self, job: Job) -> None:
-        job.updated = time.time()
         path = self._path(job.id)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(job.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(job.to_dict(), handle, sort_keys=True)
+                handle.write("\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    def _commit(self, job: Job, **changes) -> Job:
+        """Persist ``job`` with ``changes`` applied, then make it visible.
+
+        The live record is replaced only after the write succeeded, so
+        a failing ``_persist`` leaves the queue as it was.  Callers
+        advance their sequence counter after this returns.
+        """
+        record = replace(job, updated=time.time(), **changes)
+        self._persist(record)
+        self._jobs[record.id] = record
+        return replace(record)
 
     def _load(self) -> None:
         """Read every record; heal interrupted states.
@@ -172,16 +213,18 @@ class JobQueue:
                 raise QueueError(f"unreadable job record {name}: {exc}") from exc
             if job.id != name[: -len(".json")]:
                 raise QueueError(f"job record {name} claims id {job.id}")
+            self._jobs[job.id] = job
             if job.state == "running":
                 if job.cancel_requested:
-                    job.state = "cancelled"
-                    job.error = "cancelled while service was down"
-                    job.finished_seq = self._finished_seq
+                    self._commit(
+                        job,
+                        state="cancelled",
+                        error="cancelled while service was down",
+                        finished_seq=self._finished_seq,
+                    )
                 else:
-                    job.state = "queued"
-                self._persist(job)
+                    self._commit(job, state="queued")
                 self._recovered.append(job.id)
-            self._jobs[job.id] = job
         self._seq = 1 + max((j.seq for j in self._jobs.values()), default=-1)
         self._started_seq = 1 + max(
             (j.started_seq for j in self._jobs.values()), default=-1
@@ -223,24 +266,31 @@ class JobQueue:
             existing = self._jobs.get(job_id)
             if existing is not None:
                 if existing.state in ("failed", "cancelled"):
-                    existing.state = "queued"
-                    existing.cancel_requested = False
-                    existing.error = None
-                    existing.finished_seq = -1
-                    self._persist(existing)
+                    requeued = self._commit(
+                        existing,
+                        state="queued",
+                        cancel_requested=False,
+                        error=None,
+                        finished_seq=-1,
+                        started=0.0,
+                        finished=0.0,
+                    )
+                    self.wakeup.set()
+                    return requeued, False
                 return replace(existing), False
-            job = Job(
-                id=job_id,
-                spec=canonical,
-                client=client,
-                seq=self._seq,
-                shards_total=spec.shards,
-                created=time.time(),
+            job = self._commit(
+                Job(
+                    id=job_id,
+                    spec=canonical,
+                    client=client,
+                    seq=self._seq,
+                    shards_total=spec.shards,
+                    created=time.time(),
+                )
             )
             self._seq += 1
-            self._persist(job)
-            self._jobs[job_id] = job
-            return replace(job), True
+            self.wakeup.set()
+            return job, True
 
     # -- scheduling ----------------------------------------------------------
 
@@ -248,35 +298,46 @@ class JobQueue:
         """Claim the next runnable job, fair-share across clients.
 
         Among queued jobs, picks the one whose client currently has the
-        fewest ``running`` jobs (ties broken by submission order), so a
-        client that dumped fifty campaigns cannot starve one that
-        submitted a single job.  ``client_quota > 0`` caps running jobs
-        per client; clients at quota are skipped entirely.
+        fewest ``running`` jobs, so a client that dumped fifty campaigns
+        cannot starve one that submitted a single job.  Ties go to the
+        client served least recently (the smallest latest
+        ``started_seq`` over its jobs), then to submission order: which
+        client wins must not depend on whether the other's last running
+        job ended a moment before or after the claim.  ``client_quota >
+        0`` caps running jobs per client; clients at quota are skipped
+        entirely.
         """
         with self._lock:
             running: Dict[str, int] = {}
+            served: Dict[str, int] = {}
             for job in self._jobs.values():
                 if job.state == "running":
                     running[job.client] = running.get(job.client, 0) + 1
+                served[job.client] = max(
+                    served.get(job.client, -1), job.started_seq
+                )
             best: Optional[Job] = None
-            best_key: Tuple[int, int] = (0, 0)
+            best_key: Tuple[int, int, int] = (0, 0, 0)
             for job in self._jobs.values():
                 if job.state != "queued":
                     continue
                 load = running.get(job.client, 0)
                 if client_quota > 0 and load >= client_quota:
                     continue
-                key = (load, job.seq)
+                key = (load, served[job.client], job.seq)
                 if best is None or key < best_key:
                     best, best_key = job, key
             if best is None:
                 return None
-            best.state = "running"
-            best.attempts += 1
-            best.started_seq = self._started_seq
+            claimed = self._commit(
+                best,
+                state="running",
+                attempts=best.attempts + 1,
+                started_seq=self._started_seq,
+                started=time.time(),
+            )
             self._started_seq += 1
-            self._persist(best)
-            return replace(best)
+            return claimed
 
     def finish(
         self,
@@ -294,13 +355,16 @@ class JobQueue:
                 raise QueueError(
                     f"job {job_id} is {job.state}, cannot finish to {state}"
                 )
-            job.state = state
-            job.result = result
-            job.error = error
-            job.finished_seq = self._finished_seq
+            finished = self._commit(
+                job,
+                state=state,
+                result=result,
+                error=error,
+                finished_seq=self._finished_seq,
+                finished=time.time(),
+            )
             self._finished_seq += 1
-            self._persist(job)
-            return replace(job)
+            return finished
 
     def release(self, job_id: str) -> Job:
         """Return a running job to the queue (service drain, not failure)."""
@@ -308,9 +372,9 @@ class JobQueue:
             job = self._require(job_id)
             if job.state != "running":
                 raise QueueError(f"job {job_id} is {job.state}, cannot release")
-            job.state = "queued"
-            self._persist(job)
-            return replace(job)
+            released = self._commit(job, state="queued")
+            self.wakeup.set()
+            return released
 
     def request_cancel(self, job_id: str) -> Job:
         """Cancel a job.
@@ -322,15 +386,17 @@ class JobQueue:
         with self._lock:
             job = self._require(job_id)
             if job.state == "queued":
-                job.state = "cancelled"
-                job.cancel_requested = True
-                job.finished_seq = self._finished_seq
+                cancelled = self._commit(
+                    job,
+                    state="cancelled",
+                    cancel_requested=True,
+                    finished_seq=self._finished_seq,
+                    finished=time.time(),
+                )
                 self._finished_seq += 1
-                self._persist(job)
-            elif job.state == "running":
-                if not job.cancel_requested:
-                    job.cancel_requested = True
-                    self._persist(job)
+                return cancelled
+            if job.state == "running" and not job.cancel_requested:
+                return self._commit(job, cancel_requested=True)
             return replace(job)
 
     # -- inspection ----------------------------------------------------------

@@ -18,13 +18,40 @@ Outcome mapping::
 Because every campaign checkpoints per shard, none of these paths can
 duplicate work: a resumed or retried job replays completed shards from
 the journal as cache hits.
+
+Dispatch is event-driven: the dispatcher blocks, with no timeout, on
+the queue's :attr:`~repro.service.queue.JobQueue.wakeup` event, which
+is raised wherever a job can become claimable (``submit``, ``release``)
+or a slot can become free (the end of :meth:`CampaignScheduler.
+_execute`, which follows the job's ``finish`` and so covers a client's
+quota too), and by :meth:`CampaignScheduler.stop`.  Each round is
+*clear → claim until nothing is claimable or no slot is free → wait*:
+a signal raised after the clear leaves the event set, so the wait
+returns at once and the next round claims; one raised before the clear
+is followed by that round's own claim.  No wake-up can be lost and no
+fallback timer is needed: an idle service makes no claim attempts, and
+a job submitted to one is claimed at once.
+
+Claims are rate-limited, though: at most ``max_jobs`` of them start in
+any :attr:`CampaignScheduler.claim_spacing` window, so a slot is
+refilled no sooner than that after it was last filled.  Every thread
+of the service shares one interpreter lock; a closed loop of callers
+that always has the next job queued would otherwise keep the slots
+busy all the time, the API would answer each request only between a
+campaign's bytecodes, and the job rate would be whatever the host's
+CPU speed is that minute.  The spacing is the one timed wait on the
+dispatch path; it is entered only when a claim comes due sooner than
+the spacing after an earlier one, and :meth:`CampaignScheduler.stop`
+cuts it short.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
@@ -52,13 +79,16 @@ class CampaignScheduler:
         Worker processes *per campaign* (``0``/``1`` = serial shards).
     client_quota:
         Max running jobs per client (``0`` = unlimited).
-    poll:
-        Dispatcher sleep between empty claim attempts, seconds.
     task_timeout, max_attempts:
         Per-shard supervision knobs, forwarded to the runner.
     status_interval:
         Seconds between ``status.json`` rewrites (0 = every event).
     """
+
+    #: Seconds in which at most ``max_jobs`` claims start (see the
+    #: module docstring): about two tiny campaigns' slot time, so that
+    #: under saturation the API keeps half of the interpreter.
+    claim_spacing = 0.028
 
     def __init__(
         self,
@@ -67,7 +97,6 @@ class CampaignScheduler:
         max_jobs: int = 1,
         workers: int = 0,
         client_quota: int = 0,
-        poll: float = 0.05,
         task_timeout: Optional[float] = None,
         max_attempts: int = 3,
         status_interval: float = 0.0,
@@ -78,7 +107,6 @@ class CampaignScheduler:
         self.max_jobs = max(1, int(max_jobs))
         self.workers = workers
         self.client_quota = client_quota
-        self.poll = poll
         self.task_timeout = task_timeout
         self.max_attempts = max(1, int(max_attempts))
         self.status_interval = status_interval
@@ -87,6 +115,11 @@ class CampaignScheduler:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._inflight: Dict[str, object] = {}
         self._inflight_lock = threading.Lock()
+        #: ``"Type: message"`` of the last exception a dispatch round
+        #: raised (the round's jobs stay ``queued``); ``None`` so far.
+        self.last_error: Optional[str] = None
+        #: ``time.monotonic()`` of the latest ``max_jobs`` claims.
+        self._claimed: deque = deque(maxlen=self.max_jobs)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -110,12 +143,18 @@ class CampaignScheduler:
         service picks them up as resumes.
         """
         self._stop.set()
+        self.queue.wakeup.set()
         if self._dispatcher is not None:
             self._dispatcher.join()
             self._dispatcher = None
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
             self._pool = None
+
+    @property
+    def alive(self) -> bool:
+        """Whether the dispatcher thread is running."""
+        return self._dispatcher is not None and self._dispatcher.is_alive()
 
     def job_dir(self, job_id: str) -> str:
         return os.path.join(self.campaigns_dir, job_id)
@@ -133,11 +172,33 @@ class CampaignScheduler:
             return len(self._inflight) < self.max_jobs
 
     def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.claim_next(self.client_quota) if self._slots_free() else None
+        wakeup = self.queue.wakeup
+        while True:
+            # Clear before looking, so a signal raised from here on
+            # survives to the wait below (see the module docstring).
+            wakeup.clear()
+            if self._stop.is_set():
+                return
+            try:
+                self._dispatch_round()
+            except Exception as exc:
+                # The queue commits a claim only once it is on disk, so
+                # the job is still ``queued`` and the next wake-up (any
+                # submit or slot release) claims it: no retry loop here.
+                self.last_error = f"{type(exc).__name__}: {exc}"
+            wakeup.wait()
+
+    def _dispatch_round(self) -> None:
+        """Fill free slots with claimable jobs, ``claim_spacing`` apart."""
+        while self._slots_free():
+            if len(self._claimed) == self.max_jobs:
+                pause = self._claimed[0] + self.claim_spacing - time.monotonic()
+                if pause > 0 and self._stop.wait(pause):
+                    return
+            job = self.queue.claim_next(self.client_quota)
             if job is None:
-                self._stop.wait(self.poll)
-                continue
+                return
+            self._claimed.append(time.monotonic())
             with self._inflight_lock:
                 self._inflight[job.id] = self._pool.submit(self._execute, job)
 
@@ -152,6 +213,7 @@ class CampaignScheduler:
         finally:
             with self._inflight_lock:
                 self._inflight.pop(job.id, None)
+            self.queue.wakeup.set()
 
     def _run_job(self, job: Job) -> None:
         spec = spec_from_dict(job.spec)

@@ -19,7 +19,7 @@ pytestmark = pytest.mark.service
 JOB_FIELDS = {
     "id", "spec", "client", "state", "seq", "started_seq", "finished_seq",
     "attempts", "cancel_requested", "error", "result", "shards_total",
-    "created", "updated",
+    "created", "updated", "started", "finished",
 }
 
 
@@ -57,6 +57,7 @@ def test_healthz(client):
     status, payload = client.health()
     assert status == 200
     assert payload["ok"] is True
+    assert payload["dispatch_error"] is None
     assert set(payload["counts"]) == {
         "queued", "running", "done", "failed", "cancelled"
     }
@@ -80,7 +81,8 @@ def test_duplicate_submit_same_job_no_new_work(client):
     status1, p1 = client.submit(spec)
     assert status1 == 201
     job_id = p1["job"]["id"]
-    client.wait(job_id, timeout=30)
+    done = client.wait(job_id, timeout=30)
+    assert 0.0 < done["created"] <= done["started"] <= done["finished"]
     # Same spec again -- and again with cosmetic JSON differences
     # (int-vs-float) that must canonicalize to the same digest.
     cosmetic = json.loads(json.dumps(spec))
@@ -201,3 +203,51 @@ def test_submitted_metrics_bit_identical_to_direct_run(client):
     assert job["result"]["metrics"] == json.loads(json.dumps(direct))
     assert job["result"]["completeness"] == 1.0
     assert job["result"]["shards_completed"] == 6
+
+
+def test_cli_submit_prints_where_the_time_went(service, tmp_path, capsys):
+    """``--wait`` and ``--status`` report ``queued <ms> · ran <ms>``."""
+    import re
+
+    from repro.cli import main
+
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(_spec(seed=140)))
+    assert main(
+        ["submit", "--url", service.url, "--spec-json", str(spec_file), "--wait"]
+    ) == 0
+    waited = capsys.readouterr().out
+    timing = re.compile(r"queued \d+ ms · ran \d+ ms")
+    assert re.search(r"-> done \(" + timing.pattern + r"\)", waited)
+    job_id = campaign_digest(spec_from_dict(_spec(seed=140)))
+    assert main(["submit", "--url", service.url, "--status", job_id]) == 0
+    assert timing.search(capsys.readouterr().out)
+
+
+# -- the client's own tick ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "poll, expected",
+    [
+        (0.05, [0.005, 0.01, 0.02, 0.04, 0.05, 0.05]),
+        (0.005, [0.005] * 6),  # what the benchmark's spelled-out loop uses
+        (0.002, [0.002] * 6),  # ``poll`` is a ceiling, also below 5 ms
+    ],
+)
+def test_wait_backs_off_from_5ms_up_to_poll(monkeypatch, poll, expected):
+    """``wait`` sleeps 5, 10, 20, 40 ms ... and never longer than ``poll``."""
+    api = ServiceClient("http://127.0.0.1:1")
+    calls = []
+
+    def job(job_id):
+        calls.append(job_id)
+        state = "done" if len(calls) > len(expected) else "running"
+        return 200, {"job": {"id": job_id, "state": state}}
+
+    delays = []
+    monkeypatch.setattr(api, "job", job)
+    monkeypatch.setattr("repro.service.client.time.sleep", delays.append)
+    assert api.wait("j", timeout=60, poll=poll)["state"] == "done"
+    assert delays == pytest.approx(expected)
+    assert max(delays) <= poll

@@ -151,6 +151,36 @@ def test_seq_counters_survive_reopen(tmp_path):
     assert reopened.finish(job2.id, "done").finished_seq == 1
 
 
+def test_records_without_wall_clock_stamps_still_load(tmp_path):
+    """Records written before ``started``/``finished`` existed."""
+    queue = JobQueue(tmp_path)
+    job, _ = queue.submit(_spec(), client="a")
+    with open(queue._path(job.id)) as handle:
+        record = json.load(handle)
+    del record["started"], record["finished"]
+    with open(queue._path(job.id), "w") as handle:
+        json.dump(record, handle)
+    old = JobQueue(tmp_path).get(job.id)
+    assert (old.started, old.finished) == (0.0, 0.0)
+
+
+def test_wall_clock_stamps_follow_the_transitions(tmp_path):
+    queue = JobQueue(tmp_path)
+    job, _ = queue.submit(_spec(), client="a")
+    assert (job.started, job.finished) == (0.0, 0.0)
+    first = queue.claim_next()
+    assert job.created <= first.started and first.finished == 0.0
+    queue.release(job.id)
+    second = queue.claim_next()
+    assert second.started >= first.started  # the latest claim
+    failed = queue.finish(job.id, "failed", error="boom")
+    assert failed.started == second.started <= failed.finished
+    back, _ = queue.submit(_spec(), client="a")
+    assert (back.started, back.finished) == (0.0, 0.0)  # cleared on requeue
+    cancelled = queue.request_cancel(job.id)
+    assert cancelled.started == 0.0 < cancelled.finished
+
+
 def test_corrupt_record_is_rejected(tmp_path):
     queue = JobQueue(tmp_path)
     job, _ = queue.submit(_spec(), client="a")
