@@ -19,13 +19,20 @@ Writes ``BENCH_PR9.json`` next to the repo root.  Three rows:
   differential contract holds (slowdown goal met, throughput within
   1% of the grid's optimum) and the search spends >= 5x fewer
   interval-evaluations (the :data:`~repro.analysis.slowdown.SIM_METER`
-  effort proxy — deterministic, so this gate cannot flake) on every
-  workload.
+  effort count — deterministic, so this gate cannot flake) on every
+  workload.  The row holds no timing (counts, chosen sizes, relative
+  throughput), so it is also **gated against the committed file**:
+  any difference from the ``search_vs_grid`` row already in
+  ``BENCH_PR9.json`` means the meter's unit or a chosen parameter
+  moved, and fails the run before the file is overwritten.
 
 Effort is counted in interval-evaluations rather than wall seconds:
-each fixed-waiting simulation is one vectorised pass over the idle
-sample, so evaluations are proportional to simulation-seconds but
-identical across machines and runs.
+one (idle interval, simulation) question answered, each simulation
+charging the size of the idle sample it answers for.  That is
+identical across machines and runs, and it is a count of logical work
+only — not proportional to simulation-seconds: a threshold bisection
+answers most of those questions without touching the interval again
+(its working set shrinks as the threshold's lower bound rises).
 """
 
 from __future__ import annotations
@@ -233,6 +240,26 @@ def bench_search_suite(rows, failures):
     return failures
 
 
+def check_row_unchanged(failures, path, name, row):
+    """Gate a deterministic row against the one committed at ``path``."""
+    try:
+        with open(path) as fh:
+            committed = json.load(fh)["rows"][name]
+    except (OSError, KeyError):
+        return _check(failures, f"{name} row unchanged", True, "no committed row")
+    row = json.loads(json.dumps(row))
+    if row == committed:
+        return _check(failures, f"{name} row identical to the committed one", True)
+    changed = sorted(
+        key for key in set(row["workloads"]) | set(committed["workloads"])
+        if row["workloads"].get(key) != committed["workloads"].get(key)
+    )
+    return _check(
+        failures, f"{name} row identical to the committed one", False,
+        f"differs in {', '.join(changed) or 'the summary fields'}",
+    )
+
+
 def main() -> int:
     rows = {}
     failures = 0
@@ -246,6 +273,9 @@ def main() -> int:
     out = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_PR9.json",
+    )
+    failures = check_row_unchanged(
+        failures, out, "search_vs_grid", rows["search_vs_grid"]
     )
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -26,13 +26,19 @@ from repro.core.adaptive import FixedSchedule, SizeSchedule
 class _SimMeter:
     """Process-global simulation-effort meter.
 
-    The unit is *interval evaluations* — one idle interval pushed
-    through one Waiting simulation — which is the inner-loop work both
-    the exhaustive grid and the successive-halving search spend, so
-    their costs compare directly regardless of sample size.  Purely
-    additive bookkeeping (two integer adds per simulate call); workers
-    meter their own process, so cross-process totals must be summed by
-    the caller or measured serially.
+    The unit is *interval evaluations*: one (idle interval, Waiting
+    simulation) question answered.  A simulation charges 1 sim and the
+    size of the idle sample it answers for — not the number of array
+    elements it touches, which is smaller (``durations > threshold``
+    discards most intervals before any arithmetic, and a threshold
+    bisection hands :func:`fixed_waiting_pass` a working set that
+    shrinks as it converges).  That makes it a machine-independent
+    count of the logical work the exhaustive grid and the
+    successive-halving search ask for, so their costs compare directly
+    regardless of sample size; it is *not* proportional to seconds.
+    Purely additive bookkeeping (two integer adds per simulation);
+    workers meter their own process, so cross-process totals must be
+    summed by the caller or measured serially.
     """
 
     __slots__ = ("sims", "interval_evals")
@@ -82,11 +88,44 @@ def simulate_fixed_waiting(
 ) -> SlowdownResult:
     """Vectorised simulation for a fixed request size."""
     durations = np.asarray(durations, dtype=float)
+    return fixed_waiting_pass(
+        durations,
+        len(durations),
+        threshold,
+        request_bytes,
+        float(service_model.time(float(request_bytes))),
+        total_requests,
+        span,
+        label,
+    )
+
+
+def fixed_waiting_pass(
+    work: np.ndarray,
+    sample_size: int,
+    threshold: float,
+    request_bytes: int,
+    service: float,
+    total_requests: int,
+    span: float,
+    label: str = "",
+) -> SlowdownResult:
+    """The fixed-size Waiting arithmetic on a working set of a sample.
+
+    ``work`` must hold, in sample order, every interval of the idle
+    sample longer than ``threshold``; which shorter ones it also holds
+    makes no difference, because the pass discards them first.  So a
+    caller that only ever raises its threshold (a bisection's lower
+    bound) may keep handing over a shrinking array and get, bit for
+    bit, the result of simulating the whole sample.  ``service`` is the
+    request size's service time, looked up by the caller.  The meter is
+    charged ``sample_size`` — the sample the answer is for — whatever
+    ``len(work)`` is.
+    """
     _validate(threshold, total_requests, span)
     SIM_METER.sims += 1
-    SIM_METER.interval_evals += len(durations)
-    service = float(service_model.time(float(request_bytes)))
-    usable = durations[durations > threshold] - threshold
+    SIM_METER.interval_evals += sample_size
+    usable = work[work > threshold] - threshold
 
     complete = np.floor(usable / service)
     partial = usable - complete * service

@@ -240,8 +240,13 @@ def cmd_corpus_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _tune_one(args, durations, total_requests, span, model, goal, runner):
-    """One (workload, goal) tuning by the selected method."""
+def _build_tuner(args, durations, total_requests, span, model):
+    """One workload's tuner for the selected method, shared by its goals.
+
+    Returns ``tune(goal, runner) -> OptimalParameters``; building it
+    once per workload lets the search sort the idle sample once however
+    many goals are asked for.
+    """
     from repro.core.optimizer import ScrubParameterOptimizer
     from repro.core.search import SuccessiveHalvingSearch
 
@@ -249,13 +254,14 @@ def _tune_one(args, durations, total_requests, span, model, goal, runner):
         return ScrubParameterOptimizer(
             durations, total_requests, span, model,
             max_slowdown=args.max_slowdown_ms / 1e3,
-        ).optimize(goal, runner=runner)
-    return SuccessiveHalvingSearch(
+        ).optimize
+    search = SuccessiveHalvingSearch(
         durations, total_requests, span, model,
         max_slowdown=args.max_slowdown_ms / 1e3,
         seed=args.search_seed,
         keep_min=args.budget,
-    ).search(goal, runner=runner).best
+    )
+    return lambda goal, runner: search.search(goal, runner=runner).best
 
 
 def _optimize_corpus(args) -> int:
@@ -317,13 +323,11 @@ def _optimize_corpus(args) -> int:
             if not args.json:
                 print(f"{name:<12} no idle intervals")
             continue
+        tune = _build_tuner(args, durations, len(stored), stored.duration, model)
         for goal_ms in args.goals_ms:
             before = SIM_METER.snapshot()
             try:
-                best = _tune_one(
-                    args, durations, len(stored), stored.duration, model,
-                    goal_ms / 1e3, runner,
-                )
+                best = tune(goal_ms / 1e3, runner)
             except ValueError:
                 if not args.json:
                     print(f"{name:<12} {goal_ms:6.2f}ms  unattainable")
@@ -383,12 +387,10 @@ def cmd_optimize(args) -> int:
         recorder = Recorder(wall_time=False)
     runner = _build_runner(args, telemetry=recorder)
     print(f"{'goal':>8}  {'threshold':>10}  {'request':>8}  {'scrub':>10}")
+    tune = _build_tuner(args, durations, len(trace), trace.duration, model)
     for goal_ms in args.goals_ms:
         try:
-            best = _tune_one(
-                args, durations, len(trace), trace.duration, model,
-                goal_ms / 1e3, runner,
-            )
+            best = tune(goal_ms / 1e3, runner)
         except ValueError:
             print(f"{goal_ms:6.2f}ms  unattainable on this workload")
             continue

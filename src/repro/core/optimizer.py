@@ -19,13 +19,14 @@ under a second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.service_model import ScrubServiceModel
-from repro.analysis.slowdown import SlowdownResult, simulate_fixed_waiting
+from repro.analysis.slowdown import SlowdownResult, fixed_waiting_pass
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel import SweepRunner
@@ -48,6 +49,37 @@ class OptimalParameters:
     @property
     def throughput_mbps(self) -> float:
         return self.throughput / 1e6
+
+
+def _rank(size: int, result: SlowdownResult) -> Tuple[float, int]:
+    """Sort key of a candidate: throughput descending, then size ascending."""
+    return (-result.throughput, size)
+
+
+def _pick_best(
+    slowdown_goal: float,
+    candidates: Iterable[Tuple[int, Optional[SlowdownResult]]],
+) -> OptimalParameters:
+    """The winner among ``(size, threshold-search result)`` pairs.
+
+    The one tie-break rule of every tuning entry point: highest scrub
+    throughput, an exact tie going to the smaller request size; a
+    ``None`` result marks a size that cannot meet the goal.  Raises
+    :class:`ValueError` when no size can.
+    """
+    feasible = [(size, result) for size, result in candidates if result is not None]
+    if not feasible:
+        raise ValueError(
+            f"no parameters meet slowdown goal {slowdown_goal}s for this workload"
+        )
+    size, result = min(feasible, key=lambda pair: _rank(*pair))
+    return OptimalParameters(
+        slowdown_goal=slowdown_goal,
+        threshold=result.threshold,
+        request_bytes=size,
+        throughput=result.throughput,
+        achieved_slowdown=result.mean_slowdown,
+    )
 
 
 class ScrubParameterOptimizer:
@@ -107,11 +139,23 @@ class ScrubParameterOptimizer:
         return admissible
 
     def simulate(self, threshold: float, request_bytes: int) -> SlowdownResult:
-        return simulate_fixed_waiting(
-            self.durations,
+        return self._pass(
+            self.durations, threshold, request_bytes, self._service(request_bytes)
+        )
+
+    def _service(self, request_bytes: int) -> float:
+        return float(self.service_model.time(float(request_bytes)))
+
+    def _pass(
+        self, work: np.ndarray, threshold: float, request_bytes: int, service: float
+    ) -> SlowdownResult:
+        """One simulation of the full sample, computed from ``work``."""
+        return fixed_waiting_pass(
+            work,
+            len(self.durations),
             threshold,
             request_bytes,
-            self.service_model,
+            service,
             self.total_requests,
             self.span,
         )
@@ -131,6 +175,12 @@ class ScrubParameterOptimizer:
         bisection midpoint, so convergence costs exactly one simulation
         per iteration — no final re-simulation of ``hi``.  Pass
         ``at_zero`` (the threshold-0 result) when already computed.
+
+        The bisection owns a working set that only shrinks: a rejected
+        midpoint becomes ``lo``, every later threshold is ``>= lo``, so
+        an interval no longer than ``lo`` can never be usable again and
+        is dropped (order kept).  Each step's result is bit-identical
+        to simulating the whole sample, and is metered as that.
         """
         if slowdown_goal <= 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
@@ -139,16 +189,19 @@ class ScrubParameterOptimizer:
             at_zero = self.simulate(0.0, request_bytes)
         if at_zero.mean_slowdown <= slowdown_goal:
             return at_zero
-        best = self.simulate(hi, request_bytes)
+        service = self._service(request_bytes)
+        work = self.durations
+        best = self._pass(work, hi, request_bytes, service)
         if best.mean_slowdown > slowdown_goal:
             return None
         for _ in range(iterations):
             mid = (lo + hi) / 2.0
-            result = self.simulate(mid, request_bytes)
+            result = self._pass(work, mid, request_bytes, service)
             if result.mean_slowdown <= slowdown_goal:
                 hi, best = mid, result
             else:
                 lo = mid
+                work = work[work > lo]
         return best
 
     # -- the headline call ----------------------------------------------------------
@@ -164,46 +217,33 @@ class ScrubParameterOptimizer:
         threshold searches fan out as independent (cacheable) tasks;
         serially, sizes are explored best-upper-bound first and any
         size whose threshold-0 throughput (its ceiling — throughput is
-        non-increasing in the threshold) cannot beat the incumbent is
-        pruned without a search.  ``prune=False`` disables the
+        non-increasing in the threshold) cannot outrank the incumbent
+        is pruned without a search.  ``prune=False`` disables the
         domination skip, making the serial path the true exhaustive
         grid — what the successive-halving benchmark and differential
         check compare against.  Pruning is exact (the ceiling argument
-        above), so both settings return identical parameters.
+        above, applied to the full :func:`_pick_best` order), so all
+        three ways of calling this return identical parameters, exact
+        throughput ties included.
         """
         if runner is not None:
             return self._optimize_with_runner(slowdown_goal, runner)
-        best: Optional[OptimalParameters] = None
         sizes = self.admissible_sizes()
         # One vectorised sim per size: the threshold-0 upper bound.
         ceiling = {size: self.simulate(0.0, size) for size in sizes}
         ranked = sorted(sizes, key=lambda s: ceiling[s].throughput, reverse=True)
+        searched = []
+        incumbent = (math.inf, 0)  # the best _rank among the sizes searched
         for size in ranked:
-            if (
-                prune
-                and best is not None
-                and ceiling[size].throughput <= best.throughput
-            ):
-                continue  # dominated: cannot beat the incumbent at any threshold
+            if prune and _rank(size, ceiling[size]) > incumbent:
+                continue  # dominated: ranks below the incumbent at any threshold
             result = self.best_threshold(
                 size, slowdown_goal, at_zero=ceiling[size]
             )
-            if result is None:
-                continue
-            candidate = OptimalParameters(
-                slowdown_goal=slowdown_goal,
-                threshold=result.threshold,
-                request_bytes=size,
-                throughput=result.throughput,
-                achieved_slowdown=result.mean_slowdown,
-            )
-            if best is None or candidate.throughput > best.throughput:
-                best = candidate
-        if best is None:
-            raise ValueError(
-                f"no parameters meet slowdown goal {slowdown_goal}s for this workload"
-            )
-        return best
+            searched.append((size, result))
+            if result is not None:
+                incumbent = min(incumbent, _rank(size, result))
+        return _pick_best(slowdown_goal, searched)
 
     def _optimize_with_runner(
         self, slowdown_goal: float, runner: "SweepRunner"
@@ -223,24 +263,7 @@ class ScrubParameterOptimizer:
             for size in sizes
         ]
         results = runner.map(_best_threshold_task, tasks)
-        best: Optional[OptimalParameters] = None
-        for size, result in zip(sizes, results):
-            if result is None:
-                continue
-            candidate = OptimalParameters(
-                slowdown_goal=slowdown_goal,
-                threshold=result.threshold,
-                request_bytes=size,
-                throughput=result.throughput,
-                achieved_slowdown=result.mean_slowdown,
-            )
-            if best is None or candidate.throughput > best.throughput:
-                best = candidate
-        if best is None:
-            raise ValueError(
-                f"no parameters meet slowdown goal {slowdown_goal}s for this workload"
-            )
-        return best
+        return _pick_best(slowdown_goal, zip(sizes, results))
 
 
 def _best_threshold_task(

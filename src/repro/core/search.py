@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.core.optimizer import (
     OptimalParameters,
     ScrubParameterOptimizer,
     _best_threshold_task,
+    _pick_best,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -174,6 +176,15 @@ class SuccessiveHalvingSearch:
         self.min_sample = min_sample
 
     # -- rungs -------------------------------------------------------------------
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Duration-sorted index of the full sample, computed once.
+
+        Every rung of every goal strides the same order: a subsample
+        depends on the seed, the rung and its fraction, not on the goal.
+        """
+        return np.argsort(self._full.durations, kind="stable")
+
     def _rung_sample(self, rung: int, fraction: float) -> np.ndarray:
         """The seeded idle-duration subsample for one rung.
 
@@ -192,13 +203,13 @@ class SuccessiveHalvingSearch:
         m = min(n, max(self.min_sample, math.ceil(n * fraction)))
         if m >= n:
             return durations
-        order = np.argsort(durations, kind="stable")
         rng = np.random.default_rng([self.seed, rung])
         # m evenly spaced positions in [0, n), phase-shifted by the
-        # seed; floor keeps every position in range.
+        # seed.  An offset of 1 - 2**-53 rounds (m - 1) + offset up to
+        # m, whose position is n: clip it back into range.
         offset = float(rng.random())
         positions = ((np.arange(m) + offset) * (n / m)).astype(np.intp)
-        indices = order[positions]
+        indices = self._order[np.minimum(positions, n - 1)]
         indices.sort()  # original time order: stable float summation
         return durations[indices]
 
@@ -296,8 +307,9 @@ class SuccessiveHalvingSearch:
         grid then the search (or vice versa) pays for the overlap once.
         """
         full = self._full
+        sizes = sorted(arms)
         tasks = []
-        for size in sorted(arms):
+        for size in sizes:
             task = dict(
                 durations=full.durations,
                 total_requests=full.total_requests,
@@ -314,29 +326,4 @@ class SuccessiveHalvingSearch:
             results = runner.map(_best_threshold_task, tasks)
         else:
             results = [_best_threshold_task(**task) for task in tasks]
-        best: Optional[OptimalParameters] = None
-        for task, result in zip(tasks, results):
-            if result is None:
-                continue
-            candidate = OptimalParameters(
-                slowdown_goal=slowdown_goal,
-                threshold=result.threshold,
-                request_bytes=task["request_bytes"],
-                throughput=result.throughput,
-                achieved_slowdown=result.mean_slowdown,
-            )
-            if (
-                best is None
-                or candidate.throughput > best.throughput
-                or (
-                    candidate.throughput == best.throughput
-                    and candidate.request_bytes < best.request_bytes
-                )
-            ):
-                best = candidate
-        if best is None:
-            raise ValueError(
-                f"no parameters meet slowdown goal {slowdown_goal}s "
-                "for this workload"
-            )
-        return best
+        return _pick_best(slowdown_goal, zip(sizes, results))

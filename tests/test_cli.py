@@ -89,6 +89,37 @@ class TestOptimize:
         grid_out = capsys.readouterr().out
         assert search_out == grid_out
 
+    @pytest.mark.parametrize("method", ["search", "grid"])
+    def test_one_tuner_per_workload_whatever_the_goal_count(
+        self, method, capsys, monkeypatch
+    ):
+        from repro.core.optimizer import ScrubParameterOptimizer
+        from repro.core.search import SuccessiveHalvingSearch
+
+        built = []
+        # The search wraps an optimizer, so count the outermost class only.
+        cls = SuccessiveHalvingSearch if method == "search" else ScrubParameterOptimizer
+        real = cls.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        argv = [
+            "optimize", "--synthetic", "MSRusr2", "--duration", "900",
+            "--method", method, "--goals-ms",
+        ]
+        assert main(argv + ["2.0"]) == 0
+        single = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(cls, "__init__", counting)
+        assert main(argv + ["1.0", "2.0", "4.0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert built == [cls.__name__]
+        assert [row for row in rows if row.startswith("  2.00ms")] == [
+            row for row in single if row.startswith("  2.00ms")
+        ]
+        assert sum(row.lstrip()[:1].isdigit() for row in rows) == 3
+
 
 class TestCorpus:
     @pytest.fixture()

@@ -206,22 +206,24 @@ class TestOptimizerSweepCaching:
 
         import repro.core.optimizer as optimizer_module
 
+        # Every simulation the optimizer runs (simulate and each
+        # bisection step alike) goes through this one function.
         calls = {"n": 0}
-        real = optimizer_module.simulate_fixed_waiting
+        real = optimizer_module.fixed_waiting_pass
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(
-            optimizer_module, "simulate_fixed_waiting", counting
-        )
+        monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", counting)
         warm_runner = SweepRunner(workers=0, cache=ResultCache(tmp_path))
         warm = [optimizer.optimize(g, runner=warm_runner) for g in goals]
 
         assert warm == cold
         assert warm_runner.executed == 0
         assert calls["n"] == 0  # zero simulation calls on the warm rerun
+        optimizer.best_threshold(12 * 65536, 0.001, iterations=5)
+        assert calls["n"] == 7  # the spy sees threshold 0, hi and every step
 
     def test_runner_path_matches_serial_optimize(self, tmp_path, optimizer):
         runner = SweepRunner(workers=0, cache=ResultCache(tmp_path))

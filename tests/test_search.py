@@ -21,6 +21,7 @@ from repro.core.search import (
 )
 from repro.disk.models import PRESETS
 from repro.traces import generate_trace
+from repro.traces.catalog import trace_idle_intervals
 from repro.traces.idle import idle_intervals_from_trace
 from repro.verify import DifferentialMismatch, check_search_vs_grid
 from repro.verify.search import DEFAULT_SEARCH_TOLERANCE
@@ -122,6 +123,88 @@ class TestSearch:
         assert outcome.best.throughput >= grid.throughput * (
             1 - DEFAULT_SEARCH_TOLERANCE
         )
+
+
+def _sizes(first_64k, last_64k=64):
+    return tuple(k * 65536 for k in range(first_64k, last_64k + 1))
+
+
+class TestSearchEffortIsPinned:
+    """The effort meter's unit is fixed: a simulation charges the size
+    of the idle sample it answers for, however few array elements the
+    bisection's working set still holds.  These literals were read off
+    the search before it pruned; a silent redefinition fails here."""
+
+    @pytest.mark.parametrize(
+        "name, intervals, interval_evals, sims, rungs",
+        [
+            ("MSRusr2", 2879, 1425922, 2131,
+             [(512, 1345, 688640), (512, 484, 247808), (720, 176, 126720)]),
+            ("TPCdisk88", 298840, 66418312, 2194,
+             [(4670, 1408, 6575360), (18678, 484, 9040152),
+              (74710, 176, 13148960)]),
+        ],
+    )
+    def test_catalog_day_reports_the_recorded_effort(
+        self, name, intervals, interval_evals, sims, rungs
+    ):
+        trace = generate_trace(name, duration=600.0, seed=7)
+        _, durations = trace_idle_intervals(name, trace)
+        assert len(durations) == intervals
+        model = ScrubServiceModel.from_spec(PRESETS["ultrastar"]())
+        outcome = SuccessiveHalvingSearch(
+            durations, len(trace), trace.duration, model
+        ).search(GOAL)
+        assert (outcome.interval_evals, outcome.sims) == (interval_evals, sims)
+        assert [
+            (rung.sample, rung.sims, rung.interval_evals) for rung in outcome.rungs
+        ] == rungs
+        assert [rung.survivors for rung in outcome.rungs] == [
+            _sizes(43), _sizes(57), _sizes(62)
+        ]
+        assert outcome.best.request_bytes == 4 << 20
+
+
+class TestRungSample:
+    def test_sorts_the_sample_once_per_search_object(self, workload, monkeypatch):
+        calls = []
+        real = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        search = SuccessiveHalvingSearch(**workload)
+        fresh = SuccessiveHalvingSearch(**workload)
+        monkeypatch.setattr(np, "argsort", counting)
+        first = search.search(GOAL)
+        second = search.search(GOAL / 2)
+        assert len(first.rungs) == len(second.rungs) == 3
+        assert calls == [len(workload["durations"])]
+        # Reusing the order changes nothing: a new object agrees.
+        assert fresh.search(GOAL / 2) == second
+
+    def test_last_position_stays_in_range_at_the_largest_offset(
+        self, workload, monkeypatch
+    ):
+        """``Generator.random()`` can return ``1 - 2**-53``; ``(m - 1) +
+        offset`` then rounds to ``m`` and the last stride position to
+        ``n`` — one past the end for this ``(n, fraction)``."""
+
+        class LargestOffset:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *args, **kwargs: LargestOffset()
+        )
+        n = 199_980
+        durations = np.arange(1.0, n + 1.0)[::-1].copy()
+        search = SuccessiveHalvingSearch(**{**workload, "durations": durations})
+        sample = search._rung_sample(2, 1 / 4)
+        assert len(sample) == 49_995
+        assert sample.max() == float(n)  # clipped onto the longest interval
+        assert np.all(np.diff(sample) < 0)  # still in original time order
 
 
 class TestSearchDifferential:
