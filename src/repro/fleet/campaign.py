@@ -170,7 +170,10 @@ class CampaignResult:
     failed_shards: List[int]
     telemetry: dict
     #: Task attempt accounting from the supervision layer (empty for
-    #: serial runs): total attempts, retries, timeouts, worker deaths.
+    #: serial runs): total attempts, retries, timeouts, worker deaths,
+    #: and ``peak_rss_kb`` — the largest lifetime peak RSS any worker
+    #: reported with a heartbeat.  Workers are reused across shards, so
+    #: it is a per-worker high-water mark, not a per-shard one.
     supervision: Dict[str, int] = field(default_factory=dict)
 
     def metrics_dict(self) -> dict:

@@ -22,7 +22,10 @@ Design constraints, in order:
 
 Peak RSS comes from ``resource.getrusage`` when the platform provides
 it (Linux reports kilobytes) and is ``None`` elsewhere — consumers
-must treat it as best-effort.
+must treat it as best-effort.  ``ru_maxrss`` is a high-water mark over
+the *process's* lifetime and a supervised worker serves many tasks, so
+a beat reports the peak of the worker so far, not of the task it is
+running; only the maximum over a whole campaign keeps its meaning.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ __all__ = ["PROBE", "WorkerProbe", "peak_rss_kb"]
 
 
 def peak_rss_kb() -> Optional[int]:
-    """This process's peak resident set size in KiB, if knowable."""
+    """This process's lifetime peak resident set size in KiB, if knowable."""
     try:
         import resource
 

@@ -8,7 +8,8 @@ Fig. 15 sizing curves.  This package provides:
   deterministic per-task seeds; parallel output is bit-identical to
   serial;
 * :class:`SupervisedRunner` — the fault-tolerant execution layer for
-  long campaigns: one supervised process per task attempt, heartbeat
+  long campaigns: a fixed set of supervised worker processes fed one
+  task attempt at a time (killed and re-forked on any fault), heartbeat
   and hung-task detection, :class:`RetryPolicy` backoff with seeded
   jitter, straggler re-dispatch, and per-task :class:`TaskOutcome`
   reporting instead of batch-poisoning failures;

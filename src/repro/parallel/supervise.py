@@ -6,16 +6,37 @@ trusted to finish.  Fleet campaigns (:mod:`repro.fleet`) run long
 enough that the execution layer itself must be as fault-tolerant as
 the storage it models — workers get SIGKILLed by the OOM killer,
 wedge in uninterruptible sleep, or straggle an order of magnitude
-behind their peers.  :class:`SupervisedRunner` runs one process per
-task attempt and supervises it end to end:
+behind their peers.  :class:`SupervisedRunner` feeds tasks to a fixed
+set of supervised worker processes — forked per slot, not per attempt —
+and supervises every attempt end to end.
+
+Worker lifecycle: ``map()`` forks a worker the first time a slot is
+needed, at most ``workers`` of them.  A worker loops *receive a task
+index → run ``fn(**param_sets[index])`` → answer ``ok`` or ``err``*
+over one duplex pipe; under fork it inherits ``fn`` and the parameter
+sets, so only the index crosses the pipe and parameters need not be
+picklable (spawn-only platforms pickle the list once per worker).  A
+worker that answers — a task that *raises* included — goes back to the
+idle list and takes the next ready attempt.  **Kill and refill:** a
+worker is never repaired; on pipe EOF, a missed deadline, missed
+heartbeats, or when a speculative twin wins, the *worker* is
+SIGTERM→SIGKILLed and joined, and the slot is refilled by a fresh fork
+at the next launch.  An idle worker found dead at hand-over is replaced
+the same way and no task is charged an attempt.  Workers belong to one
+``map()`` call: all are reaped before it returns or raises, and the
+runner instance holds none.  Should the supervisor itself be SIGKILLed,
+a worker notices within a second of going idle that it is no longer
+its child, and exits.
 
 * **worker-death detection** — each worker holds a pipe to the
   supervisor; a killed worker closes it, and the EOF is observed on
   the next poll, not after a batch barrier;
 * **heartbeats** — a daemon thread in the worker beats every
-  ``heartbeat_interval`` seconds, so a worker that is alive-but-frozen
-  (SIGSTOP, D-state) is distinguished from one that is merely slow and
-  is declared lost after ``heartbeat_grace`` missed beats;
+  ``heartbeat_interval`` seconds from the start of each task, so a
+  worker that is alive-but-frozen (SIGSTOP, D-state) is distinguished
+  from one that is merely slow and is declared lost after
+  ``heartbeat_grace`` missed beats; the progress probe is reset before
+  each task, so no beat carries the previous task's progress;
 * **hung-task deadline** — a task that exceeds ``task_timeout``
   wall-clock seconds (e.g. an accidental sleep-forever) is terminated
   and treated like any other failed attempt;
@@ -138,65 +159,89 @@ class TaskOutcome:
     #: not merely beat — so a degraded campaign can say when a shard
     #: actually wedged, not when supervision gave up on it.
     last_progress_time: Optional[float] = None
-    #: Peak resident set size across this task's attempts, if the
-    #: worker platform reports it.
+    #: Highest ``ru_maxrss`` shipped with this task's heartbeats, if the
+    #: worker platform reports it.  That is a process-lifetime
+    #: high-water mark and workers are reused: it reads "peak of the
+    #: worker up to that beat", earlier tasks included, not "peak of
+    #: this attempt".
     peak_rss_kb: Optional[int] = None
 
 
-def _supervised_worker(conn, fn, kwargs, heartbeat_interval) -> None:
-    """Worker entry point: run the task, beating while it runs.
+def _beat(conn, lock, done, interval) -> None:
+    """Heartbeat thread of one task: beat until ``done`` or a broken pipe.
 
-    The heartbeat thread and the result send share ``lock`` because
-    ``Connection.send`` is not thread-safe; the thread exits as soon as
-    the event is set or the pipe breaks (supervisor gone).
+    ``done`` is re-checked under ``lock`` so that no beat can follow the
+    task's own result onto the pipe — the supervisor would book it, and
+    the progress it carries, on the worker's *next* task.
     """
-    lock = threading.Lock()
-    done = threading.Event()
-
-    def beat() -> None:
-        while not done.wait(heartbeat_interval):
+    while not done.wait(interval):
+        with lock:
+            if done.is_set():
+                return
             try:
-                with lock:
-                    conn.send(("hb", PROBE.payload()))
+                conn.send(("hb", PROBE.payload()))
             except Exception:
                 return
 
-    if heartbeat_interval and heartbeat_interval > 0:
-        threading.Thread(target=beat, daemon=True).start()
+
+def _supervised_worker(conn, fn, param_sets, heartbeat_interval, supervisor) -> None:
+    """Worker entry point: serve task indices until the supervisor is gone.
+
+    Each index received runs ``fn(**param_sets[index])`` with a fresh
+    heartbeat thread (so the beat interval restarts with the task) and
+    a reset :data:`PROBE`, and answers ``("ok", value)`` or ``("err",
+    message)``.  An ``Exception`` is an answer and the worker carries
+    on; ``SystemExit`` / ``KeyboardInterrupt`` and a result that cannot
+    be sent end the process, which the supervisor reads as a death.
+
+    The heartbeat thread and the result send share ``lock`` because
+    ``Connection.send`` is not thread-safe.  ``supervisor`` is the pid
+    this worker must stay a child of.
+    """
+    lock = threading.Lock()
     try:
-        try:
-            value = fn(**kwargs)
-        except BaseException as exc:  # report, don't kill the pipe silently
-            message = ("err", f"{type(exc).__name__}: {exc}")
-        else:
-            message = ("ok", value)
-        done.set()
-        with lock:
-            conn.send(message)
-    except Exception:
-        pass  # supervisor already gone or result unpicklable; EOF tells it
+        while True:
+            # A forked worker holds a copy of the supervisor's end of its
+            # own pipe (and of every pipe open at its fork), so a
+            # SIGKILLed supervisor need not read as EOF: an idle worker
+            # also watches whose child it is.
+            while not conn.poll(1.0):
+                if os.getppid() != supervisor:
+                    return
+            index = conn.recv()
+            PROBE.reset()
+            done = threading.Event()
+            if heartbeat_interval > 0:
+                threading.Thread(
+                    target=_beat,
+                    args=(conn, lock, done, heartbeat_interval),
+                    daemon=True,
+                ).start()
+            try:
+                message = ("ok", fn(**param_sets[index]))
+            except Exception as exc:
+                message = ("err", f"{type(exc).__name__}: {exc}")
+            finally:
+                done.set()
+            with lock:
+                conn.send(message)
+    except (EOFError, OSError):
+        pass  # supervisor gone
     finally:
-        done.set()
         conn.close()
 
 
-class _Attempt:
-    """One running worker process for one task."""
+class _Worker:
+    """One worker process and, while it is busy, the attempt it runs."""
 
     __slots__ = (
-        "index", "params", "attempt", "process", "conn",
-        "started", "last_beat", "speculative",
+        "process", "conn",
+        "index", "attempt", "started", "last_beat", "speculative",
     )
 
-    def __init__(self, index, params, attempt, process, conn, now, speculative):
-        self.index = index
-        self.params = params
-        self.attempt = attempt
+    def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.started = now
-        self.last_beat = now
-        self.speculative = speculative
 
 
 @dataclass
@@ -204,7 +249,6 @@ class _Pending:
     """A task attempt waiting for a slot (possibly in backoff)."""
 
     index: int
-    params: dict
     attempt: int
     ready_at: float = 0.0
 
@@ -267,38 +311,40 @@ class SupervisedRunner:
         self.telemetry = (
             telemetry if telemetry is not None and telemetry.enabled else None
         )
-        # Fork keeps task functions defined in __main__ usable and skips
-        # re-importing the world per attempt; spawn-only platforms fall
+        # Fork keeps task functions defined in __main__ usable, lets a
+        # worker inherit the parameter sets instead of unpickling them
+        # and skips re-importing the world; spawn-only platforms fall
         # back to their default.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else None)
 
     # -- internals -----------------------------------------------------------
 
-    def _spawn(self, fn, pending: _Pending, now: float, speculative: bool):
-        parent, child = self._ctx.Pipe(duplex=False)
+    def _spawn(self, fn, param_sets) -> _Worker:
+        parent, child = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_supervised_worker,
-            args=(child, fn, pending.params, self.heartbeat_interval),
+            args=(child, fn, param_sets, self.heartbeat_interval, os.getpid()),
             daemon=True,
         )
         process.start()
         child.close()
-        return _Attempt(
-            pending.index, pending.params, pending.attempt + 1,
-            process, parent, now, speculative,
-        )
+        self._count("supervise.spawns")
+        return _Worker(process, parent)
 
     @staticmethod
-    def _terminate(attempt: _Attempt) -> None:
-        try:
-            attempt.process.terminate()
-            attempt.process.join(timeout=2.0)
-            if attempt.process.is_alive():
-                attempt.process.kill()
-                attempt.process.join(timeout=2.0)
-        finally:
-            attempt.conn.close()
+    def _reap(workers: Sequence[_Worker]) -> None:
+        """SIGTERM (then SIGKILL) every worker in ``workers`` and join it."""
+        for worker in workers:
+            worker.process.terminate()
+        for worker in workers:
+            try:
+                worker.process.join(timeout=2.0)
+                if worker.process.is_alive():
+                    worker.process.kill()
+                    worker.process.join(timeout=2.0)
+            finally:
+                worker.conn.close()
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.telemetry is not None:
@@ -336,6 +382,11 @@ class SupervisedRunner:
         back ``ok=False`` with ``error="cancelled"`` — ``on_result`` is
         *not* fired for them, so checkpointing callers never journal a
         cancelled task.  Already-finished tasks keep their results.
+
+        The worker processes belong to this call: they are forked as
+        slots are first needed and all reaped before it returns or
+        raises, so concurrent ``map()`` calls on one runner share
+        nothing.
         """
         outcomes = [TaskOutcome(index=i) for i in range(len(param_sets))]
 
@@ -346,13 +397,54 @@ class SupervisedRunner:
                 on_event(kind, index, info)
             except Exception:
                 pass
-        queue: deque = deque(
-            _Pending(i, dict(params), 0) for i, params in enumerate(param_sets)
-        )
-        running: Dict[Any, _Attempt] = {}  # conn -> attempt
+        queue: deque = deque(_Pending(i, 0) for i in range(len(param_sets)))
+        running: Dict[Any, _Worker] = {}  # conn -> busy worker
+        idle: List[_Worker] = []
         done: set = set()
         durations: List[float] = []
         self._count("supervise.tasks", len(param_sets))
+
+        def pop_ready(now: float) -> Optional[_Pending]:
+            """First queued attempt whose backoff has elapsed."""
+            for position, pending in enumerate(queue):
+                if pending.ready_at <= now:
+                    del queue[position]
+                    return pending
+            return None
+
+        def engage(index: int) -> _Worker:
+            """Hand task ``index`` to an idle worker, else to a fresh one."""
+            while idle:
+                worker = idle.pop()
+                try:
+                    worker.conn.send(index)
+                    return worker
+                except OSError:
+                    # Died while idle: replaced, and no task is charged.
+                    self._reap([worker])
+            worker = self._spawn(fn, param_sets)
+            try:
+                worker.conn.send(index)
+            except OSError:
+                pass  # stillborn; the EOF on the next poll reports the death
+            return worker
+
+        def launch(index: int, attempt: int, now: float, speculative: bool) -> None:
+            worker = engage(index)
+            worker.index = index
+            worker.attempt = attempt
+            worker.started = worker.last_beat = now
+            worker.speculative = speculative
+            running[worker.conn] = worker
+            outcomes[index].attempts += 1
+            emit(
+                "attempt_started", index,
+                {
+                    "attempt": attempt,
+                    "speculative": speculative,
+                    "pid": worker.process.pid,
+                },
+            )
 
         def finish(outcome: TaskOutcome) -> None:
             done.add(outcome.index)
@@ -361,23 +453,32 @@ class SupervisedRunner:
             if on_result is not None:
                 on_result(outcome)
 
-        def retire(attempt: _Attempt, now: float, kind: str, error: str) -> None:
-            """An attempt failed; retry with backoff or finalise."""
-            self._terminate(attempt)
-            if attempt.index in done:
+        def retire(worker: _Worker, now: float, kind: str, error: str) -> None:
+            """An attempt failed; retry with backoff or finalise.
+
+            A worker that answered ``err`` is sound and goes back to the
+            idle list; after a death, deadline or stall it is killed and
+            its slot refilled by a fresh fork on the next launch.
+            """
+            del running[worker.conn]
+            if kind == "error":
+                idle.append(worker)
+            else:
+                self._reap([worker])
+            if worker.index in done:
                 return  # a speculative twin already won
             emit(
-                "attempt_failed", attempt.index,
+                "attempt_failed", worker.index,
                 {
-                    "attempt": attempt.attempt,
+                    "attempt": worker.attempt,
                     "kind": kind,
                     "error": error,
-                    "duration": now - attempt.started,
+                    "duration": now - worker.started,
                 },
             )
-            outcome = outcomes[attempt.index]
+            outcome = outcomes[worker.index]
             outcome.error = error
-            outcome.duration = now - attempt.started
+            outcome.duration = now - worker.started
             if kind == "timeout":
                 outcome.timeouts += 1
                 self._count("supervise.timeouts")
@@ -390,42 +491,41 @@ class SupervisedRunner:
             else:
                 self._count("supervise.errors")
             # Another in-flight copy of the same task keeps its chance.
-            if any(a.index == attempt.index for a in running.values()):
+            if any(w.index == worker.index for w in running.values()):
                 return
-            if attempt.attempt >= self.retry.max_attempts:
+            if worker.attempt >= self.retry.max_attempts:
                 finish(outcome)
                 return
             self._count("supervise.retries")
             queue.append(
                 _Pending(
-                    attempt.index,
-                    attempt.params,
-                    attempt.attempt,
-                    ready_at=now + self.retry.delay(attempt.attempt, attempt.index),
+                    worker.index,
+                    worker.attempt,
+                    ready_at=now + self.retry.delay(worker.attempt, worker.index),
                 )
             )
 
-        def succeed(attempt: _Attempt, now: float, value: Any) -> None:
-            self._terminate(attempt)
-            if attempt.index in done:
+        def succeed(worker: _Worker, now: float, value: Any) -> None:
+            del running[worker.conn]
+            idle.append(worker)
+            if worker.index in done:
                 return
             emit(
-                "attempt_ok", attempt.index,
-                {"attempt": attempt.attempt, "duration": now - attempt.started},
+                "attempt_ok", worker.index,
+                {"attempt": worker.attempt, "duration": now - worker.started},
             )
-            outcome = outcomes[attempt.index]
+            outcome = outcomes[worker.index]
             outcome.ok = True
             outcome.value = value
             outcome.error = None
-            outcome.duration = now - attempt.started
+            outcome.duration = now - worker.started
             durations.append(outcome.duration)
-            # Cancel twins (speculation) and queued retries of this task.
-            for conn, twin in list(running.items()):
-                if twin.index == attempt.index and twin is not attempt:
-                    self._terminate(twin)
-                    del running[conn]
-            for entry in [p for p in queue if p.index == attempt.index]:
-                queue.remove(entry)
+            # Kill the losing twins (speculation).  No retry of this task
+            # can be queued: one is queued only when no copy is in flight.
+            twins = [w for w in running.values() if w.index == worker.index]
+            for twin in twins:
+                del running[twin.conn]
+            self._reap(twins)
             finish(outcome)
 
         stopped = False
@@ -438,25 +538,13 @@ class SupervisedRunner:
                 now = time.monotonic()
                 # Launch everything ready while slots are free.
                 while len(running) < self.workers and queue:
-                    ready = [p for p in queue if p.ready_at <= now]
-                    if not ready:
+                    pending = pop_ready(now)
+                    if pending is None:
                         break
-                    pending = ready[0]
-                    queue.remove(pending)
                     if pending.index in done:
                         continue
-                    attempt = self._spawn(fn, pending, now, speculative=False)
-                    outcomes[pending.index].attempts += 1
+                    launch(pending.index, pending.attempt + 1, now, False)
                     self._count("supervise.attempts")
-                    running[attempt.conn] = attempt
-                    emit(
-                        "attempt_started", pending.index,
-                        {
-                            "attempt": attempt.attempt,
-                            "speculative": False,
-                            "pid": attempt.process.pid,
-                        },
-                    )
                 # Speculative straggler re-dispatch.
                 if (
                     self.straggler_factor is not None
@@ -467,57 +555,41 @@ class SupervisedRunner:
                 ):
                     median = sorted(durations)[len(durations) // 2]
                     threshold = self.straggler_factor * max(median, self._POLL)
-                    for attempt in list(running.values()):
+                    for worker in list(running.values()):
                         if len(running) >= self.workers:
                             break
-                        if attempt.speculative or now - attempt.started < threshold:
+                        if worker.speculative or now - worker.started < threshold:
                             continue
                         copies = sum(
-                            1 for a in running.values() if a.index == attempt.index
+                            1 for w in running.values() if w.index == worker.index
                         )
                         if copies > 1:
                             continue
-                        twin = self._spawn(
-                            fn,
-                            _Pending(attempt.index, attempt.params, attempt.attempt - 1),
-                            now,
-                            speculative=True,
-                        )
-                        outcomes[attempt.index].attempts += 1
-                        outcomes[attempt.index].speculated += 1
+                        launch(worker.index, worker.attempt, now, True)
+                        outcomes[worker.index].speculated += 1
                         self._count("supervise.speculative")
-                        running[twin.conn] = twin
-                        emit(
-                            "attempt_started", attempt.index,
-                            {
-                                "attempt": twin.attempt,
-                                "speculative": True,
-                                "pid": twin.process.pid,
-                            },
-                        )
                 if not running:
                     if queue:
                         wake = min(p.ready_at for p in queue)
                         time.sleep(min(max(wake - now, 0.0), self._POLL) or 0.001)
                     continue
                 for conn in mp_connection.wait(list(running), timeout=self._POLL):
-                    attempt = running.get(conn)
-                    if attempt is None:
+                    worker = running.get(conn)
+                    if worker is None:
                         continue
                     now = time.monotonic()
                     try:
                         kind, payload = conn.recv()
                     except (EOFError, OSError):
-                        del running[conn]
                         retire(
-                            attempt, now, "death",
-                            f"worker pid={attempt.process.pid} died "
-                            f"(attempt {attempt.attempt})",
+                            worker, now, "death",
+                            f"worker pid={worker.process.pid} died "
+                            f"(attempt {worker.attempt})",
                         )
                         continue
                     if kind == "hb":
-                        attempt.last_beat = now
-                        outcome = outcomes[attempt.index]
+                        worker.last_beat = now
+                        outcome = outcomes[worker.index]
                         if isinstance(payload, dict):
                             previous = (outcome.last_progress or {}).get(
                                 "done", -1
@@ -531,35 +603,31 @@ class SupervisedRunner:
                                     outcome.peak_rss_kb or 0, int(rss)
                                 )
                         emit(
-                            "heartbeat", attempt.index,
-                            {"attempt": attempt.attempt, "payload": payload},
+                            "heartbeat", worker.index,
+                            {"attempt": worker.attempt, "payload": payload},
                         )
                     elif kind == "ok":
-                        del running[conn]
-                        succeed(attempt, now, payload)
+                        succeed(worker, now, payload)
                     else:
-                        del running[conn]
-                        retire(attempt, now, "error", str(payload))
+                        retire(worker, now, "error", str(payload))
                 # Deadline / heartbeat sweeps.
                 now = time.monotonic()
-                for conn, attempt in list(running.items()):
+                for worker in list(running.values()):
                     if (
                         self.task_timeout is not None
-                        and now - attempt.started > self.task_timeout
+                        and now - worker.started > self.task_timeout
                     ):
-                        del running[conn]
                         retire(
-                            attempt, now, "timeout",
+                            worker, now, "timeout",
                             f"task exceeded {self.task_timeout:.3g}s deadline "
-                            f"(attempt {attempt.attempt})",
+                            f"(attempt {worker.attempt})",
                         )
                     elif (
                         self.heartbeat_interval > 0
-                        and now - attempt.last_beat
+                        and now - worker.last_beat
                         > self.heartbeat_grace * self.heartbeat_interval
                     ):
-                        del running[conn]
-                        progress = outcomes[attempt.index].last_progress
+                        progress = outcomes[worker.index].last_progress
                         note = (
                             f", last progress {progress.get('done')}"
                             f"/{progress.get('total')}"
@@ -567,16 +635,15 @@ class SupervisedRunner:
                             else ""
                         )
                         retire(
-                            attempt, now, "stall",
+                            worker, now, "stall",
                             f"no heartbeat for "
-                            f"{now - attempt.last_beat:.3g}s "
-                            f"(attempt {attempt.attempt}{note})",
+                            f"{now - worker.last_beat:.3g}s "
+                            f"(attempt {worker.attempt}{note})",
                         )
         finally:
-            # KeyboardInterrupt or an on_result exception must not leak
-            # worker processes.
-            for attempt in running.values():
-                self._terminate(attempt)
+            # Normal return, should_stop, KeyboardInterrupt or a raising
+            # on_result: no worker outlives the call.
+            self._reap(list(running.values()) + idle)
         if stopped:
             for outcome in outcomes:
                 if outcome.index in done:

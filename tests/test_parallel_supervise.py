@@ -268,3 +268,357 @@ class TestProgressProbe:
         assert failed[0]["kind"] == "death"
         assert failed[0]["attempt"] == 1
         assert failed[0]["duration"] >= 0.0
+
+
+# -- persistent workers (PR 16) ----------------------------------------------
+
+
+def _slow_square(x, sentinel=None):
+    """Squares ``x``; SIGKILLs its worker once if given a fresh sentinel."""
+    if sentinel is not None and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.01)
+    return x * x
+
+
+def _stop_once(sentinel, value):
+    """Freezes its whole worker (heartbeat thread included) once."""
+    if not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return value * 7
+
+
+def _raise_odd(value):
+    if value % 2:
+        raise ValueError(f"odd {value}")
+    return value
+
+
+def _probe_or_wait(steps, pause):
+    """``steps`` probed steps, or (``steps == 0``) one probe-less wait."""
+    if steps:
+        return _probed_task(steps, pause)
+    time.sleep(pause)
+    return 0
+
+
+def _apply(x, hook):
+    return hook(x)
+
+
+def _alive(pid):
+    """Whether any thread of ``pid`` is still running.
+
+    A SIGKILLed process whose main thread is already a zombie keeps its
+    pipes open until its last (heartbeat) thread is gone too.
+    """
+    try:
+        threads = os.listdir(f"/proc/{pid}/task")
+    except OSError:
+        return False
+    for tid in threads:
+        try:
+            with open(f"/proc/{pid}/task/{tid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue
+        if state not in "ZX":
+            return True
+    return False
+
+
+def _wait_dead(pid, timeout=10.0):
+    """Wait until ``pid`` has exited (reaped or not) and closed its pipes."""
+    deadline = time.monotonic() + timeout
+    while _alive(pid):
+        assert time.monotonic() < deadline, f"pid {pid} still alive"
+        time.sleep(0.01)
+
+
+class _Events:
+    """``on_event`` collector: ``(kind, index, info)`` in arrival order."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, kind, index, info):
+        self.rows.append((kind, index, dict(info)))
+
+    def started(self):
+        return [
+            (index, info["attempt"], info["pid"])
+            for kind, index, info in self.rows
+            if kind == "attempt_started"
+        ]
+
+    def pids(self):
+        return [pid for _, _, pid in self.started()]
+
+
+def _recorded(**kwargs):
+    from repro.telemetry import Recorder
+
+    recorder = Recorder(wall_time=False)
+    return SupervisedRunner(telemetry=recorder, **kwargs), recorder
+
+
+def _counters(recorder):
+    return recorder.metrics.snapshot()["counters"]
+
+
+class TestPersistentWorkers:
+    """Workers are forked per slot and live for the whole ``map()``."""
+
+    def test_clean_map_forks_one_process_per_slot(self):
+        runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        events = _Events()
+        outcomes = runner.map(
+            _slow_square, [{"x": i} for i in range(16)], on_event=events
+        )
+        assert [o.value for o in outcomes] == [i * i for i in range(16)]
+        assert all(o.attempts == 1 for o in outcomes)
+        assert len(set(events.pids())) <= 2
+        # Launch order is queue order: first ready entry first.
+        assert [index for index, _, _ in events.started()] == list(range(16))
+        counters = _counters(recorder)
+        assert counters["supervise.spawns"] == 2
+        assert counters["supervise.attempts"] == 16
+
+    def test_sigkill_replaces_only_the_dead_worker(self, tmp_path):
+        runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        events = _Events()
+        params = [{"x": i} for i in range(16)]
+        params[5]["sentinel"] = str(tmp_path / "victim")
+        outcomes = runner.map(_slow_square, params, on_event=events)
+        assert [o.value for o in outcomes] == [i * i for i in range(16)]
+        assert outcomes[5].attempts == 2 and outcomes[5].worker_deaths == 1
+        assert sum(o.attempts for o in outcomes) == 17
+        (victim,) = [
+            pid for index, attempt, pid in events.started()
+            if (index, attempt) == (5, 1)
+        ]
+        kinds = [kind for kind, _, _ in events.rows]
+        death = kinds.index("attempt_failed")
+
+        def launched(rows):
+            return {info["pid"] for kind, _, info in rows if kind == "attempt_started"}
+
+        before, after = launched(events.rows[:death]), launched(events.rows[death:])
+        assert len(before) == 2 and victim in before
+        (survivor,) = before - {victim}
+        assert victim not in after
+        assert survivor in after  # the other worker was not disturbed
+        assert len(after - before) == 1  # exactly one replacement
+        assert _counters(recorder)["supervise.spawns"] == 3
+
+    def test_deadline_kill_retries_on_a_fresh_worker(self, tmp_path):
+        runner, recorder = _recorded(
+            workers=1, task_timeout=0.5, heartbeat_interval=0.1, retry=_FAST
+        )
+        events = _Events()
+        (outcome,) = runner.map(
+            _hang_once, [{"sentinel": str(tmp_path / "hung"), "value": 3}],
+            on_event=events,
+        )
+        assert outcome.ok and outcome.value == 21
+        assert outcome.timeouts == 1 and outcome.attempts == 2
+        first, second = events.pids()
+        assert first != second
+        assert not os.path.exists(f"/proc/{first}")  # killed and reaped
+        assert _counters(recorder)["supervise.spawns"] == 2
+
+    def test_stall_kill_retries_on_a_fresh_worker(self, tmp_path):
+        runner, recorder = _recorded(
+            workers=1, heartbeat_interval=0.05, heartbeat_grace=4.0, retry=_FAST
+        )
+        events = _Events()
+        (outcome,) = runner.map(
+            _stop_once, [{"sentinel": str(tmp_path / "frozen"), "value": 2}],
+            on_event=events,
+        )
+        assert outcome.ok and outcome.value == 14
+        assert outcome.stalls == 1 and outcome.attempts == 2
+        first, second = events.pids()
+        assert first != second
+        assert not os.path.exists(f"/proc/{first}")  # SIGKILL reaches a stopped process
+        assert _counters(recorder)["supervise.spawns"] == 2
+
+    def test_raising_task_keeps_its_worker(self):
+        runner, recorder = _recorded(
+            workers=1, heartbeat_interval=0.2,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        events = _Events()
+        raised, returned = runner.map(
+            _raise_odd, [{"value": 1}, {"value": 2}], on_event=events
+        )
+        assert not raised.ok and "odd 1" in raised.error
+        assert returned.ok and returned.value == 2
+        first, second = events.pids()
+        assert first == second
+        counters = _counters(recorder)
+        assert counters["supervise.spawns"] == 1
+        assert counters["supervise.errors"] == 1
+
+    def test_idle_worker_death_charges_no_task(self):
+        runner, recorder = _recorded(workers=1, retry=_FAST, heartbeat_interval=0.2)
+        events = _Events()
+
+        def kill_idle_worker(outcome):
+            if outcome.index == 0:
+                pid = events.pids()[-1]
+                os.kill(pid, signal.SIGKILL)
+                _wait_dead(pid)
+
+        outcomes = runner.map(
+            _square, [{"x": 3}, {"x": 4}],
+            on_result=kill_idle_worker, on_event=events,
+        )
+        assert [o.value for o in outcomes] == [9, 16]
+        assert all(o.attempts == 1 and o.worker_deaths == 0 for o in outcomes)
+        first, second = events.pids()
+        assert first != second
+        counters = _counters(recorder)
+        assert counters["supervise.spawns"] == 2
+        assert counters["supervise.attempts"] == 2
+        assert "supervise.worker_deaths" not in counters
+
+    def test_beats_never_carry_the_previous_tasks_progress(self):
+        runner = SupervisedRunner(workers=1, heartbeat_interval=0.02)
+        events = _Events()
+        probed, plain = runner.map(
+            _probe_or_wait,
+            [{"steps": 8, "pause": 0.03}, {"steps": 0, "pause": 0.2}],
+            on_event=events,
+        )
+        assert probed.last_progress["total"] == 8
+        first, second = events.pids()
+        assert first == second
+        beats = [
+            info["payload"] for kind, index, info in events.rows
+            if kind == "heartbeat" and index == 1
+        ]
+        assert beats
+        assert all((b["done"], b["total"]) == (0, 0) for b in beats)
+        assert (plain.last_progress["done"], plain.last_progress["total"]) == (0, 0)
+
+    def test_heartbeat_interval_restarts_with_each_task(self):
+        # One beat lands in the first task (at 0.4 s of 0.6).  A beat
+        # cadence carried over would fire again at 0.8 s, inside the
+        # second task (0.6-0.9 s); restarted, its first beat is due at
+        # 1.0 s, after it has finished.
+        runner = SupervisedRunner(workers=1, heartbeat_interval=0.4)
+        events = _Events()
+        slow, fast = runner.map(
+            _probe_or_wait,
+            [{"steps": 0, "pause": 0.6}, {"steps": 0, "pause": 0.3}],
+            on_event=events,
+        )
+        first, second = events.pids()
+        assert first == second
+        assert slow.last_progress is not None
+        assert fast.ok
+        assert fast.last_progress is None
+        assert fast.last_progress_time is None
+
+    def test_params_need_not_be_picklable_under_fork(self):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("params are pickled once per worker without fork")
+        runner = SupervisedRunner(workers=2, heartbeat_interval=0.2)
+        outcomes = runner.map(
+            _apply, [{"x": i, "hook": lambda v: v + 100} for i in range(4)]
+        )
+        assert [o.value for o in outcomes] == [100, 101, 102, 103]
+
+    def test_no_worker_outlives_map(self):
+        import multiprocessing as mp
+
+        runner = SupervisedRunner(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        runner.map(_square, [{"x": i} for i in range(6)])
+        assert mp.active_children() == []
+
+        events = _Events()
+        outcomes = runner.map(
+            _hang, [{"value": i} for i in range(4)],
+            on_event=events, should_stop=lambda: bool(events.rows),
+        )
+        assert all(o.error == "cancelled" for o in outcomes)
+        assert events.pids()
+        assert mp.active_children() == []
+
+        def boom(outcome):
+            raise RuntimeError("checkpoint failed")
+
+        with pytest.raises(RuntimeError, match="checkpoint failed"):
+            runner.map(_slow_square, [{"x": i} for i in range(6)], on_result=boom)
+        assert mp.active_children() == []
+
+    def test_concurrent_maps_on_one_runner_share_no_worker(self):
+        import threading
+
+        runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        collectors = [_Events(), _Events()]
+        results = [None, None]
+
+        def run(slot):
+            results[slot] = runner.map(
+                _slow_square, [{"x": 10 * slot + i} for i in range(8)],
+                on_event=collectors[slot],
+            )
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot in (0, 1):
+            assert [o.value for o in results[slot]] == [
+                (10 * slot + i) ** 2 for i in range(8)
+            ]
+        pids = [set(collector.pids()) for collector in collectors]
+        assert all(1 <= len(group) <= 2 for group in pids)
+        assert not pids[0] & pids[1]
+        assert _counters(recorder)["supervise.spawns"] == len(pids[0] | pids[1])
+
+    def test_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
+        import subprocess
+        import sys
+
+        script = tmp_path / "driver.py"
+        script.write_text(
+            "import sys, time\n"
+            "from repro.parallel import SupervisedRunner\n"
+            "def nap(x):\n"
+            "    time.sleep(0.2)\n"
+            "    return x\n"
+            "def announce(kind, index, info):\n"
+            "    if kind == 'attempt_started':\n"
+            "        print(info['pid'], flush=True)\n"
+            "SupervisedRunner(workers=2, heartbeat_interval=0.05).map(\n"
+            "    nap, [{'x': i} for i in range(200)], on_event=announce)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        driver = subprocess.Popen(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            workers = {int(driver.stdout.readline()) for _ in range(2)}
+            assert len(workers) == 2
+        finally:
+            driver.kill()  # SIGKILL: no finally, no atexit
+            driver.wait(timeout=10.0)
+            driver.stdout.close()
+        try:
+            for pid in workers:
+                _wait_dead(pid)
+        finally:
+            for pid in workers:  # a failing run must not leave them behind
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

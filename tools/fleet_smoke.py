@@ -11,12 +11,14 @@ are acceptance criteria from PR 7, the fifth from PR 8:
    journalled shard (``shards_resumed`` > 0, all checkpoint hits) and
    finish bit-identical to the baseline.
 3. **SIGKILL a worker** — run under supervision with a shard task that
-   kills its own worker once; the campaign must retry it and still
+   kills its own worker once; the campaign must retry it, replace that
+   one worker only (``supervise.spawns == workers + 1``) and still
    match the baseline exactly.
 4. **Wedge a worker** — a shard task that sleeps forever on every
    attempt must trip the hung-task deadline, exhaust its retries, and
    degrade the campaign to an explicit ``completeness < 1`` with every
-   other shard's results intact.
+   other shard's results intact.  Neither act may leave a worker
+   process behind once ``CampaignRunner.run()`` has returned.
 5. **Watch it die and come back** — run the campaign under a
    :class:`~repro.obs.CampaignMonitor`, interrupt it mid-flight, then
    resume with a *fresh* monitor on the same observability directory:
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -52,6 +55,7 @@ from repro.fleet import (  # noqa: E402
     fleet_shard_task,
 )
 from repro.parallel import RetryPolicy  # noqa: E402
+from repro.telemetry import Recorder  # noqa: E402
 from repro.verify import check_campaign_journal  # noqa: E402
 
 
@@ -177,18 +181,31 @@ def main() -> int:
         print("act 3: SIGKILLed shard worker is retried")
         sentinels = os.path.join(tmp, "sentinels")
         os.makedirs(sentinels)
+        workers = 2
+        recorder = Recorder(wall_time=False)
         survived = CampaignRunner(
             spec,
             journal_dir=os.path.join(tmp, "worker-killed"),
-            workers=2,
+            workers=workers,
             retry=_FAST,
             task=functools.partial(_kill_shard_once, sentinels),
+            telemetry=recorder,
         ).run()
         failures += not check(
             "worker death detected and retried",
             survived.supervision.get("worker_deaths", 0) == 1
             and survived.supervision.get("retries", 0) >= 1,
             f"supervision {survived.supervision}",
+        )
+        spawns = recorder.metrics.snapshot()["counters"].get("supervise.spawns")
+        failures += not check(
+            "only the dead worker was replaced",
+            spawns == workers + 1,
+            f"{spawns} worker processes forked for {workers} slots",
+        )
+        failures += not check(
+            "no worker outlives the campaign",
+            not multiprocessing.active_children(),
         )
         failures += not check(
             "post-retry campaign bit-identical to baseline",
@@ -206,6 +223,10 @@ def main() -> int:
             ),
             task=_wedge_shard,
         ).run()
+        failures += not check(
+            "no worker outlives the degraded campaign",
+            not multiprocessing.active_children(),
+        )
         failures += not check(
             "hung shard timed out and was abandoned",
             degraded.shards_failed == 1 and degraded.failed_shards == [5],
