@@ -15,10 +15,20 @@ tier1:
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT)
 
 # End-to-end smoke of the fault-injection lifecycle on a tiny fault
-# plan: the detect CLI across all three policies, then the detection
-# experiment benchmark (ATA cache-bug A/B + serial/parallel identity).
+# plan: the detect CLI across all three policies, the same sweep over a
+# replayed trace in process and on two forked workers (a Trace parameter
+# through the one process pool; the two outputs must be byte-identical),
+# then the detection experiment benchmark (ATA cache-bug A/B +
+# serial/parallel identity).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro detect --horizon 1.5 --cylinders 30
+	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	for workers in 0 2; do \
+		PYTHONPATH=src $(PYTHON) -m repro detect --synthetic MSRsrc11 \
+			--duration 60 --horizon 1.5 --cylinders 30 \
+			--workers $$workers > "$$out/workers-$$workers.txt"; \
+	done; \
+	cmp "$$out/workers-0.txt" "$$out/workers-2.txt"
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_fig_detection.py \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks

@@ -52,8 +52,10 @@ from repro.disk.models import PRESETS  # noqa: E402
 from repro.traces import CATALOG, generate_trace  # noqa: E402
 from repro.traces.catalog import generate_corpus  # noqa: E402
 from repro.traces.idle import idle_intervals_from_trace  # noqa: E402
-from repro.traces.shm import packed_nbytes  # noqa: E402
-from repro.traces.store import DEFAULT_CHUNK_REQUESTS  # noqa: E402
+from repro.traces.store import (  # noqa: E402
+    DEFAULT_CHUNK_REQUESTS,
+    packed_nbytes,
+)
 from repro.verify.search import check_search_vs_grid  # noqa: E402
 
 #: Gates.

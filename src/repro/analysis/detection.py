@@ -321,8 +321,8 @@ def detection_sweep_task(
 
     ``trace`` replays a recorded workload as the foreground load (see
     :func:`run_detection_experiment`).  When fanned out through
-    :class:`~repro.parallel.runner.SweepRunner`, the trace ships to
-    workers zero-copy via shared memory and enters the cache key as
+    :class:`~repro.parallel.runner.SweepRunner`, the forked workers
+    inherit the trace (no copy is sent) and it enters the cache key as
     its content digest.
 
     ``collect_telemetry`` records the run with a fresh

@@ -299,8 +299,8 @@ def replay_slowdown_task(
     compares against the :func:`replay_baseline` no-scrub run — which
     is memoized, so an N-configuration sweep in one process pays for
     the baseline once.  Designed for
-    :class:`~repro.parallel.runner.SweepRunner`, which ships ``trace`` to
-    workers through shared memory.
+    :class:`~repro.parallel.runner.SweepRunner`, whose forked workers
+    inherit ``trace`` instead of receiving a copy.
     """
     if drive not in PRESETS:
         raise ValueError(

@@ -523,8 +523,8 @@ def cmd_detect(args) -> int:
             raise SystemExit(
                 "detect: --trace and --synthetic are mutually exclusive"
             )
-        # Loaded once here; SweepRunner ships it to workers zero-copy
-        # through shared memory and keys the cache on its content digest.
+        # Loaded once here; SweepRunner's forked workers inherit it and
+        # the cache is keyed on its content digest.
         fg_trace = _load_trace(args)
     collect = bool(args.telemetry or args.trace_out)
     param_sets = [
@@ -1529,7 +1529,7 @@ def build_parser() -> argparse.ArgumentParser:
             "checker and through the differential oracle's axes (no sink\n"
             "vs a live invariant sink, reference vs vector engine\n"
             "backend, array vs record replay feed, telemetry on vs off,\n"
-            "serial vs shm-parallel sweep, campaign monitor on vs off,\n"
+            "serial vs forked-worker sweep, campaign monitor on vs off,\n"
             "fleet shard kernel vs its reference ledger).\n"
             "Any failing configuration is minimised and reprinted as a\n"
             "copy-pasteable repro snippet.  The same --seed always draws\n"

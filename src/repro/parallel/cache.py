@@ -64,6 +64,19 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sweeps"
 
 
+def derive_seed(base_seed: int, index: int) -> int:
+    """Deterministic, well-mixed per-task seed.
+
+    Hash-derived (SHA-256 of ``base_seed:index``) rather than
+    ``base_seed + index`` so neighbouring tasks get statistically
+    independent streams; identical for a given (base, index) pair on
+    every platform and process, which is what makes parallel sweeps
+    reproducible.
+    """
+    digest = hashlib.sha256(f"{int(base_seed)}:{int(index)}".encode()).digest()
+    return int.from_bytes(digest[:8], "little") >> 1  # non-negative int64
+
+
 def canonicalize(obj: Any) -> Any:
     """Reduce ``obj`` to a stable, repr-hashable canonical form.
 
@@ -77,7 +90,7 @@ def canonicalize(obj: Any) -> Any:
     * a :class:`~repro.traces.record.Trace` becomes its *content
       digest* (:meth:`Trace.digest`): two regenerated synthetic traces
       that share a name but not data get different keys, while the
-      same data parsed, generated, or viewed through shared memory
+      same data parsed, generated, or mapped from a trace store
       gets the same one — and the digest is memoised on the trace, so
       a 64-task sweep hashes its columns once, not 64 times;
     * objects are ``(qualified class name, canonicalized attributes)``,

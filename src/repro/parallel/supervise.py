@@ -1,14 +1,15 @@
-"""Fault-tolerant task supervision: heartbeats, retries, stragglers.
+"""Supervised worker processes: the stack's one process fan-out.
 
-:class:`~repro.parallel.runner.SweepRunner` assumes workers mostly
-behave: a crashed process gets one clean retry and everything else is
-trusted to finish.  Fleet campaigns (:mod:`repro.fleet`) run long
-enough that the execution layer itself must be as fault-tolerant as
-the storage it models — workers get SIGKILLed by the OOM killer,
-wedge in uninterruptible sleep, or straggle an order of magnitude
-behind their peers.  :class:`SupervisedRunner` feeds tasks to a fixed
-set of supervised worker processes — forked per slot, not per attempt —
-and supervises every attempt end to end.
+Both batch runners execute here.  Fleet campaigns (:mod:`repro.fleet`)
+run long enough that the execution layer itself must be as
+fault-tolerant as the storage it models — workers get SIGKILLed by the
+OOM killer, wedge in uninterruptible sleep, or straggle an order of
+magnitude behind their peers — and use all of it;
+:class:`~repro.parallel.runner.SweepRunner` runs its cache misses on the
+same workers with death detection and the retry policy only (no
+heartbeat, deadline or speculation).  :class:`SupervisedRunner` feeds
+tasks to a fixed set of supervised worker processes — forked per slot,
+not per attempt — and supervises every attempt end to end.
 
 Worker lifecycle: ``map()`` forks a worker the first time a slot is
 needed, at most ``workers`` of them.  A worker loops *receive a task
@@ -73,7 +74,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.worker import PROBE
-from repro.parallel.runner import derive_seed
+from repro.parallel.cache import derive_seed
 
 __all__ = ["RetryPolicy", "SupervisedRunner", "TaskOutcome"]
 
@@ -123,13 +124,6 @@ class RetryPolicy:
             1 << 63
         )
         return base * (1.0 - self.jitter * unit)
-
-
-#: Retry policy reproducing the pre-PR 7 SweepRunner behaviour: one
-#: immediate retry on a fresh worker, nothing else.
-LEGACY_RETRY = RetryPolicy(
-    max_attempts=2, backoff_base=0.0, backoff_max=0.0, jitter=0.0
-)
 
 
 @dataclass

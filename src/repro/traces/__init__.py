@@ -31,7 +31,6 @@ from repro.traces.io import (
     write_csv_trace,
 )
 from repro.traces.record import Trace, TraceRecord
-from repro.traces.shm import TraceArrays, TraceHandle
 from repro.traces.store import (
     StoredTrace,
     StoredTraceRef,
@@ -49,10 +48,8 @@ __all__ = [
     "StoredTraceRef",
     "SyntheticTraceGenerator",
     "Trace",
-    "TraceArrays",
     "TraceCorpus",
     "TraceFormatError",
-    "TraceHandle",
     "TraceProfile",
     "TraceRecord",
     "TraceSpec",

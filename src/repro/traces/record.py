@@ -79,9 +79,9 @@ class Trace:
     validate:
         Skip the column sanity checks when ``False``.  Only for
         internal fast paths that rebuild a trace from columns already
-        validated once (e.g. shared-memory views, streamed chunks);
-        the checks are O(n) and a worker attaching a multi-million
-        request trace should not re-pay them.
+        validated once (e.g. store chunk views, streamed chunks); the
+        checks are O(n) and mapping a multi-million request chunk
+        should not re-pay them.
     """
 
     def __init__(
@@ -126,7 +126,7 @@ class Trace:
         """Content digest of the trace (SHA-256 over the four columns).
 
         Two traces with identical requests share a digest regardless of
-        how they were built (parsed, generated, shared-memory view),
+        how they were built (parsed, generated, mapped from a store),
         while regenerated synthetic traces that merely share a *name*
         do not — which is what makes the digest safe as a cache-key
         component for trace-driven experiments.  ``capacity_sectors``

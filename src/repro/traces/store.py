@@ -1,10 +1,10 @@
 """Columnar on-disk trace store with memory-mapped zero-copy reads.
 
-A multi-GB trace cannot live in RAM per process, and PR 4's
-shared-memory columns still require *somebody* to materialise the whole
-thing once.  This module puts the columns on disk instead, in the same
-packed layout the shm exporter uses (:data:`repro.traces.shm._COLUMNS`),
-split into fixed-size chunk files:
+A multi-GB trace cannot live in RAM per process, and handing an
+in-memory :class:`Trace` to forked workers still requires *somebody* to
+materialise the whole thing once.  This module puts the columns on disk
+instead, packed back to back (:data:`_COLUMNS`) and split into
+fixed-size chunk files:
 
     store-dir/
         header.json          versioned metadata, written last
@@ -48,7 +48,6 @@ from repro.traces.record import (
     TraceRecord,
     update_digest_bytes,
 )
-from repro.traces.shm import _COLUMNS, column_views, packed_nbytes
 
 #: On-disk format tag / version for a single stored trace.
 STORE_FORMAT = "repro-trace-store"
@@ -65,6 +64,36 @@ DEFAULT_CHUNK_REQUESTS = 1 << 20
 
 #: Bytes hashed per update while verifying a chunk file.
 _HASH_BLOCK = 1 << 22
+
+#: Column layout: (attribute, dtype); a chunk file is these four arrays
+#: back to back, each ``itemsize * requests`` bytes.
+_COLUMNS = (
+    ("times", np.dtype(np.float64)),
+    ("lbns", np.dtype(np.int64)),
+    ("sectors", np.dtype(np.int64)),
+    ("is_write", np.dtype(np.bool_)),
+)
+
+
+def packed_nbytes(n: int) -> int:
+    """Size in bytes of ``n`` requests in the packed column layout."""
+    return sum(dtype.itemsize for _, dtype in _COLUMNS) * n
+
+
+def column_views(buf, n: int) -> dict:
+    """The four packed column arrays as zero-copy views into ``buf``.
+
+    ``buf`` is any buffer-protocol object (the mmap of a chunk file, a
+    ``bytearray`` being filled) holding the :data:`_COLUMNS` layout for
+    ``n`` requests.  Returns ``{attr: ndarray}`` views — no copies,
+    which is what keeps a corpus chunk open O(1) in trace size.
+    """
+    columns = {}
+    offset = 0
+    for attr, dtype in _COLUMNS:
+        columns[attr] = np.ndarray(n, dtype=dtype, buffer=buf, offset=offset)
+        offset += dtype.itemsize * n
+    return columns
 
 
 class TraceStoreError(Exception):
@@ -85,10 +114,9 @@ def _sha256_of(view: memoryview) -> str:
 class _ChunkMapping:
     """A read-only mmap of one chunk file, pinned to its trace views.
 
-    Mirrors the shm attachment contract: the chunk :class:`Trace` holds
-    a reference to this mapping so the buffer cannot vanish under its
-    arrays; ``close`` tolerates live exports and simply leaves the
-    mapping to the garbage collector.
+    The chunk :class:`Trace` holds a reference to this mapping so the
+    buffer cannot vanish under its arrays; ``close`` tolerates live
+    exports and simply leaves the mapping to the garbage collector.
     """
 
     def __init__(self, path: Path) -> None:
@@ -283,10 +311,11 @@ def write_trace(
 class StoredTraceRef:
     """A picklable pointer to an on-disk store.
 
-    What crosses a process boundary instead of trace data: workers
-    re-open the store by path and get the page cache as their shared
-    memory.  The digest rides along so cache/memo keys never require
-    touching the data files.
+    What crosses a pickling boundary instead of trace data: the other
+    side re-opens the store by path and gets the page cache as its
+    shared memory.  (Forked sweep workers need none: they inherit the
+    :class:`StoredTrace` itself.)  The digest rides along so cache/memo
+    keys never require touching the data files.
     """
 
     path: str
@@ -409,7 +438,7 @@ class StoredTrace:
         return (float(time_range[0]), float(time_range[1]))
 
     def ref(self) -> StoredTraceRef:
-        """The picklable handle workers re-open this store from."""
+        """The picklable handle another process can re-open this store from."""
         return StoredTraceRef(
             path=str(self._dir),
             digest=self.digest(),

@@ -11,7 +11,7 @@ simulation must respect.  This package checks both, three ways:
 * :mod:`repro.verify.differential` — :func:`run_axes` /
   :func:`check_parallel`, flipping one implementation switch at a time
   (no sink vs a live invariant checker, record vs batched replay feed,
-  telemetry on vs off, serial vs shm-parallel) and requiring
+  telemetry on vs off, serial vs forked workers) and requiring
   bit-identical outcomes;
 * :mod:`repro.verify.fuzzer` — :func:`fuzz`, deterministic random
   configurations driven through both of the above, with failures

@@ -22,8 +22,9 @@ axis                paths compared
 ``telemetry``       telemetry off vs a recording :class:`Recorder` —
                     the sink-passivity contract (observation never
                     perturbs)
-``parallel``        serial execution vs the shm-parallel
-                    :class:`~repro.parallel.runner.SweepRunner` pool
+``parallel``        serial execution vs
+                    :class:`~repro.parallel.runner.SweepRunner` on
+                    forked workers
 ``monitor``         a fleet campaign with no observer vs the same
                     campaign under a live
                     :class:`~repro.obs.monitor.CampaignMonitor` — the
@@ -308,9 +309,9 @@ def check_parallel(
 
     Maps :func:`run_scenario` over ``param_sets`` twice through
     :class:`~repro.parallel.runner.SweepRunner` — once with one worker
-    (in-process) and once with ``workers`` processes (shared-memory
-    trace shipping enabled) — and requires position-wise identical
-    outcome signatures.  Returns the per-config signatures.
+    (in-process) and once on ``workers`` forked worker processes — and
+    requires position-wise identical outcome signatures.  Returns the
+    per-config signatures.
     """
     from repro.parallel.runner import SweepRunner
 

@@ -6,17 +6,35 @@ scheduling order, or cache state.  Serial, parallel, and warm-cache
 executions must therefore be bit-identical.
 """
 
+import ast
 import hashlib
+import multiprocessing
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.analysis.detection import detection_sweep_task
 from repro.analysis.service_model import ScrubServiceModel
 from repro.core.optimizer import ScrubParameterOptimizer
-from repro.parallel import ResultCache, SweepRunner, canonicalize, derive_seed
+from repro.parallel import (
+    ResultCache,
+    RetryPolicy,
+    SweepRunner,
+    SweepTaskError,
+    canonicalize,
+    derive_seed,
+)
 from repro.parallel.cache import _ENTRY_MAGIC
+from repro.traces import Trace, generate_trace, write_trace
+
+#: Retries at once: crash tests must not add backoff sleeps to tier-1.
+_NO_BACKOFF = RetryPolicy(backoff_base=0.0, jitter=0.0)
 
 
 def _noisy_dot(values, scale, seed):
@@ -28,6 +46,15 @@ def _noisy_dot(values, scale, seed):
 
 def _square(x):
     return x * x
+
+
+def _apply(hook, x):
+    """``hook`` may be anything callable — picklable or not."""
+    return hook(x), os.getpid()
+
+
+def _echo(task, scale=1):
+    return task * scale
 
 
 # -- determinism: serial vs parallel ----------------------------------------
@@ -69,11 +96,34 @@ class TestSerialParallelIdentical:
             i * i for i in range(7)
         ]
 
-    def test_unpicklable_task_falls_back_to_serial(self):
-        double = lambda x: 2 * x  # noqa: E731 — deliberately unpicklable
+    def test_lambda_task_runs_in_workers(self):
+        # Workers inherit the task by fork: nothing has to pickle.
+        double = lambda x: (2 * x, os.getpid())  # noqa: E731
+        params = [{"x": i} for i in range(4)]
         runner = SweepRunner(workers=2)
-        assert runner.map(double, [{"x": 1}, {"x": 2}]) == [2, 4]
-        assert runner.executed == 2
+        pooled = runner.map(double, params)
+        serial = SweepRunner(workers=0).map(double, params)
+        assert [v for v, _ in pooled] == [v for v, _ in serial] == [0, 2, 4, 6]
+        assert all(pid == os.getpid() for _, pid in serial)
+        assert all(pid != os.getpid() for _, pid in pooled)
+        assert runner.executed == 4
+
+    def test_unpicklable_parameters_run_in_workers(self):
+        lock = threading.Lock()  # cannot be pickled
+
+        def hook(x):
+            with lock:
+                return x + 100
+
+        params = [{"hook": hook, "x": i} for i in range(4)]
+        pooled = SweepRunner(workers=2).map(_apply, params)
+        serial = SweepRunner(workers=0).map(_apply, params)
+        assert [v for v, _ in pooled] == [v for v, _ in serial]
+        assert all(pid != os.getpid() for _, pid in pooled)
+
+    def test_task_kwarg_named_task_does_not_collide(self):
+        params = [{"task": i, "scale": 3} for i in range(3)]
+        assert SweepRunner(workers=2).map(_echo, params) == [0, 3, 6]
 
     def test_explicit_seed_wins_over_derived(self):
         params = [{"values": [1.0, 2.0], "scale": 1.0, "seed": 7}]
@@ -232,12 +282,10 @@ class TestOptimizerSweepCaching:
         )
 
 
-# -- worker-crash resilience -------------------------------------------------
+# -- worker deaths and task exceptions ---------------------------------------
 
 def _flaky(sentinel, value, crash=False):
     """Dies hard (kills its worker) once, then succeeds on retry."""
-    import os
-
     if crash and not os.path.exists(sentinel):
         open(sentinel, "w").close()
         os._exit(1)
@@ -246,8 +294,6 @@ def _flaky(sentinel, value, crash=False):
 
 def _fatal(value, crash=False):
     """Reproducibly kills its worker when asked to."""
-    import os
-
     if crash:
         os._exit(1)
     return value
@@ -257,6 +303,32 @@ def _angry(value):
     raise ValueError(f"no thanks: {value}")
 
 
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _raise_locked(value):
+    raise _Unpicklable(f"locked {value}")
+
+
+def _raise_for(value, calls, bad=()):
+    """Logs the call, then raises ``KeyError(value, "why")`` for ``bad`` values."""
+    with open(calls, "a") as fh:
+        fh.write(f"{value}\n")
+    if value in bad:
+        raise KeyError(value, "why")
+    return value
+
+
+def _raise_until(flag, value, bad):
+    """Raises for ``bad`` until the ``flag`` file exists."""
+    if value == bad and not os.path.exists(flag):
+        raise ValueError(f"not yet: {value}")
+    return value * 10
+
+
 class TestWorkerCrashResilience:
     def test_transient_crash_is_retried_on_fresh_worker(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
@@ -264,34 +336,108 @@ class TestWorkerCrashResilience:
             {"sentinel": sentinel, "value": i, "crash": i == 1}
             for i in range(4)
         ]
-        results = SweepRunner(workers=2).map(_flaky, params)
-        assert results == [0, 2, 4, 6]
+        runner = SweepRunner(workers=2, retry=_NO_BACKOFF)
+        assert runner.map(_flaky, params) == [0, 2, 4, 6]
+        assert runner.retries == 1  # only the task whose worker died
 
     def test_reproducible_crash_raises_structured_error(self, tmp_path):
-        from repro.parallel import SweepTaskError
-
         params = [
             {"value": 0},
             {"value": 1, "crash": True},
             {"value": 2},
         ]
+        runner = SweepRunner(workers=2, retry=_NO_BACKOFF)
         with pytest.raises(SweepTaskError) as excinfo:
-            SweepRunner(workers=2).map(_fatal, params)
+            runner.map(_fatal, params)
         assert excinfo.value.failures == [(1, {"value": 1, "crash": True})]
-        # The message names the failing task and its parameter set.
-        assert "task 1" in str(excinfo.value)
-        assert "'crash': True" in str(excinfo.value)
+        # The message names the failing task, its parameter set, the
+        # attempts spent and the last death supervision saw.
+        message = str(excinfo.value)
+        assert "task 1" in message
+        assert "'crash': True" in message
+        assert "3 attempts" in message and "died" in message
+        assert runner.retries == 2
 
     def test_ordinary_exceptions_propagate_unwrapped(self):
         params = [{"value": 0}, {"value": 1}]
         with pytest.raises(ValueError, match="no thanks"):
             SweepRunner(workers=2).map(_angry, params)
 
+    def test_lowest_index_raiser_wins_and_is_not_retried(self, tmp_path):
+        calls = tmp_path / "calls"
+        params = [
+            {"value": i, "calls": str(calls), "bad": (1, 3)} for i in range(5)
+        ]
+        runner = SweepRunner(workers=2)
+        with pytest.raises(KeyError) as excinfo:
+            runner.map(_raise_for, params)
+        assert type(excinfo.value) is KeyError
+        assert excinfo.value.args == (1, "why")
+        # The traceback from the worker rides along as the cause.
+        assert "_raise_for" in str(excinfo.value.__cause__)
+        # Every task ran exactly once: a raise is an answer, not a fault.
+        assert sorted(calls.read_text().split()) == ["0", "1", "2", "3", "4"]
+        assert runner.retries == 0
+        assert runner.executed == 3
+
+    def test_unpicklable_exception_arrives_as_runtime_error(self):
+        with pytest.raises(RuntimeError, match="_Unpicklable: locked 0"):
+            SweepRunner(workers=2).map(
+                _raise_locked, [{"value": 0}, {"value": 1}]
+            )
+
     def test_serial_path_is_unaffected(self):
         results = SweepRunner(workers=0).map(
             _fatal, [{"value": 3}, {"value": 4}]
         )
         assert results == [3, 4]
+
+    def test_no_child_outlives_map(self, tmp_path):
+        runner = SweepRunner(workers=2, retry=_NO_BACKOFF)
+        runner.map(_square, [{"x": i} for i in range(4)])
+        assert multiprocessing.active_children() == []
+        with pytest.raises(SweepTaskError):
+            runner.map(_fatal, [{"value": 0}, {"value": 1, "crash": True}])
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError):
+            runner.map(_angry, [{"value": 0}, {"value": 1}])
+        assert multiprocessing.active_children() == []
+
+
+class TestFailedSweepKeepsFinishedResults:
+    """Results reach the cache as they land, not after the whole batch."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_second_run_executes_only_what_had_not_finished(
+        self, tmp_path, workers
+    ):
+        from repro.telemetry import Recorder
+
+        flag = tmp_path / "fixed"
+        params = [{"flag": str(flag), "value": i, "bad": 2} for i in range(4)]
+        recorder = Recorder(wall_time=False)
+        first = SweepRunner(
+            workers=workers,
+            cache=ResultCache(tmp_path / "cache"),
+            telemetry=recorder,
+        )
+        with pytest.raises(ValueError, match="not yet: 2"):
+            first.map(_raise_until, params)
+        # In process the sweep stops at the raise; on workers the batch
+        # drains, so only the raiser itself is missing.
+        finished = 2 if workers == 0 else 3
+        assert first.executed == finished
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["parallel.executed"] == finished
+        assert counters["parallel.tasks"] == 4
+
+        flag.touch()
+        second = SweepRunner(
+            workers=workers, cache=ResultCache(tmp_path / "cache")
+        )
+        assert second.map(_raise_until, params) == [0, 10, 20, 30]
+        assert second.cache_hits == finished
+        assert second.executed == 4 - finished
 
 
 class TestCacheEviction:
@@ -360,8 +506,6 @@ class TestCacheEviction:
 
 def _die_n_times(sentinel, value, times):
     """Kills its worker until ``times`` prior attempts are on record."""
-    import os
-
     count = 0
     if os.path.exists(sentinel):
         with open(sentinel) as fh:
@@ -374,11 +518,9 @@ def _die_n_times(sentinel, value, times):
 
 
 class TestConfigurableRetry:
-    """PR 7: the broken-pool retry loop is policy-driven."""
+    """A task whose worker died is retried under the runner's policy."""
 
     def test_extra_attempts_rescue_a_twice_crashing_task(self, tmp_path):
-        from repro.parallel import RetryPolicy
-
         sentinel = str(tmp_path / "double-crash")
         policy = RetryPolicy(
             max_attempts=4, backoff_base=0.0, backoff_max=0.0, jitter=0.0
@@ -389,23 +531,28 @@ class TestConfigurableRetry:
             {"sentinel": str(tmp_path / "unused"), "value": 1, "times": 0},
         ]
         assert runner.map(_die_n_times, params) == [21, 3]
-        # The crasher burns exactly two retries; its pool-mate may add
-        # one more if the broken pool took it down before it finished.
-        assert 2 <= runner.retries <= 3
+        # Exact: only the task whose worker died is charged an attempt.
+        assert runner.retries == 2
 
-    def test_default_policy_gives_up_after_one_retry(self, tmp_path):
-        from repro.parallel import SweepTaskError
+    def test_default_policy_gives_up_after_three_attempts(self, tmp_path):
+        import dataclasses
 
-        sentinel = str(tmp_path / "stubborn")
+        assert SweepRunner(workers=2).retry == RetryPolicy()
+        # The same three attempts, minus the backoff sleeps.
+        runner = SweepRunner(
+            workers=2, retry=dataclasses.replace(RetryPolicy(), backoff_base=0.0)
+        )
+        sentinel = tmp_path / "stubborn"
         params = [
-            {"sentinel": sentinel, "value": 7, "times": 5},
+            {"sentinel": str(sentinel), "value": 7, "times": 5},
             {"sentinel": str(tmp_path / "unused"), "value": 1, "times": 0},
         ]
         with pytest.raises(SweepTaskError):
-            SweepRunner(workers=2).map(_die_n_times, params)
+            runner.map(_die_n_times, params)
+        assert len(sentinel.read_text().split()) == 3
+        assert runner.retries == 2
 
     def test_attempts_and_retries_land_in_telemetry(self, tmp_path):
-        from repro.parallel import RetryPolicy
         from repro.telemetry import Recorder
 
         recorder = Recorder(wall_time=False)
@@ -420,9 +567,8 @@ class TestConfigurableRetry:
         ]
         assert runner.map(_die_n_times, params) == [6, 15]
         counters = recorder.metrics.snapshot()["counters"]
-        assert counters["parallel.retries"] == runner.retries
-        assert counters["parallel.attempts"] == 2 + runner.retries
-        assert runner.retries >= 1
+        assert counters["parallel.retries"] == runner.retries == 1
+        assert counters["parallel.attempts"] == 3
 
 
 class TestCachePoisoning:
@@ -528,3 +674,132 @@ class TestCacheSizeBudget:
     def test_invalid_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             ResultCache(tmp_path, max_bytes=0)
+
+
+# -- trace parameters: inherited by the workers, keyed by content ------------
+
+def make_trace(**meta):
+    return Trace(
+        times=[0.0, 1.0, 2.5, 2.5, 10.0],
+        lbns=[100, 200, 100, 300, 50],
+        sectors=[8, 16, 8, 32, 8],
+        is_write=[False, True, False, False, True],
+        **meta,
+    )
+
+
+def _trace_stats(trace, factor=1):
+    if not isinstance(trace, Trace):  # a StoredTrace
+        trace = trace.as_trace()
+    return (
+        len(trace), float(trace.times[-1]), trace.digest()[:12], factor,
+        os.getpid(),
+    )
+
+
+def _flaky_trace(sentinel, trace, crash=False):
+    """Kills its worker once, then succeeds on the retry."""
+    if crash and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os._exit(1)
+    return len(trace)
+
+
+def _without_pids(results):
+    assert all(r[-1] != os.getpid() for r in results)
+    return [r[:-1] for r in results]
+
+
+class TestTraceParameters:
+    def test_parallel_results_match_serial(self):
+        trace = generate_trace("MSRsrc11", duration=60.0, seed=5)
+        params = [{"trace": trace, "factor": i} for i in range(4)]
+        serial = SweepRunner(workers=0).map(_trace_stats, params)
+        pooled = SweepRunner(workers=2).map(_trace_stats, params)
+        assert [r[:-1] for r in serial] == _without_pids(pooled)
+
+    def test_stored_trace_parallel_matches_serial(self, tmp_path):
+        trace = generate_trace("MSRsrc11", duration=60.0, seed=5)
+        stored = write_trace(trace, tmp_path / "store", chunk_requests=512)
+        assert stored.chunk_count > 1
+        params = [{"trace": stored, "factor": i} for i in range(4)]
+        serial = SweepRunner(workers=0).map(_trace_stats, params)
+        pooled = SweepRunner(workers=2).map(_trace_stats, params)
+        assert [r[:-1] for r in serial] == _without_pids(pooled)
+        assert serial[0][2] == trace.digest()[:12]
+
+    def test_worker_crash_retry_still_sees_the_trace(self, tmp_path):
+        trace = make_trace()
+        sentinel = str(tmp_path / "crashed-once")
+        params = [
+            {"sentinel": sentinel, "trace": trace, "crash": i == 1}
+            for i in range(4)
+        ]
+        runner = SweepRunner(workers=2, retry=_NO_BACKOFF)
+        assert runner.map(_flaky_trace, params) == [len(trace)] * 4
+        assert runner.retries == 1
+
+
+class TestTraceCacheKeys:
+    def test_canonicalize_uses_content_digest(self):
+        trace = make_trace(name="a")
+        assert canonicalize(trace) == ("trace", trace.digest())
+
+    def test_same_name_different_content_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        t1 = generate_trace("MSRsrc11", duration=60.0, seed=1)
+        t2 = generate_trace("MSRsrc11", duration=60.0, seed=2)
+        assert cache.key(_trace_stats, {"trace": t1}) != cache.key(
+            _trace_stats, {"trace": t2}
+        )
+
+    def test_same_content_same_key(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        t1 = generate_trace("MSRsrc11", duration=60.0, seed=1)
+        t2 = generate_trace("MSRsrc11", duration=60.0, seed=1)
+        assert t1 is not t2
+        assert cache.key(_trace_stats, {"trace": t1}) == cache.key(
+            _trace_stats, {"trace": t2}
+        )
+
+    def test_keys_unchanged_since_the_executor_pool(self, tmp_path):
+        # Computed at the commit before SweepRunner moved onto the
+        # supervised workers: a cache directory written there is served
+        # whole by this code (same version, same canonical forms).
+        assert repro.__version__ == "1.10.0"
+        params = {
+            "trace": make_trace(name="a", capacity_sectors=4096),
+            "horizon": 1.5,
+            "seed": 3,
+            "cache_bug": False,
+            "foreground": None,
+            "durations": np.arange(6, dtype=float) / 4,
+            "sizes": [65536, 131072],
+        }
+        assert ResultCache(tmp_path).key(detection_sweep_task, params) == (
+            "6d5be6e382ee53e984ad997a47487be138590df7a949a823e2667aab43306a76"
+        )
+
+
+# -- one process pool --------------------------------------------------------
+
+
+def test_supervise_is_the_only_process_fan_out():
+    """``multiprocessing`` enters through ``parallel/supervise.py`` alone."""
+    root = Path(repro.__file__).parent
+    banned = ("concurrent.futures.process", "ProcessPoolExecutor", "shared_memory")
+    importers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                assert not any(word in name for word in banned), (path, name)
+                if name.split(".")[0] == "multiprocessing":
+                    importers.add(str(path.relative_to(root)))
+    assert importers == {os.path.join("parallel", "supervise.py")}

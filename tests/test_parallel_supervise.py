@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.parallel import RetryPolicy, SupervisedRunner, TaskOutcome
-from repro.parallel.supervise import LEGACY_RETRY
 
 
 def _square(x):
@@ -81,10 +80,6 @@ class TestRetryPolicy:
             jitter=0.0,
         )
         assert policy.delay(3) == 15.0
-
-    def test_legacy_policy_is_one_immediate_retry(self):
-        assert LEGACY_RETRY.max_attempts == 2
-        assert LEGACY_RETRY.delay(1) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
