@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -13,6 +13,14 @@ TIMEOUT ?= 120
 tier1:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -x -q -m "not service" \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT)
+
+# The import contract (DESIGN section 17): importing any package of
+# repro, tuning a trace and replaying one load no scipy module at all; a
+# fleet campaign ends holding scipy.special and nothing heavier.  Prints
+# seconds / modules / RSS per row (fresh interpreter each); exit 1 on a
+# forbidden module only -- the seconds are bench/run.py's to judge.
+import-budget:
+	$(PYTHON) tools/import_budget.py
 
 # End-to-end smoke of the fault-injection lifecycle on a tiny fault
 # plan: the detect CLI across all three policies, the same sweep over a

@@ -78,26 +78,19 @@ def loss_rate_interval(
 ) -> Tuple[float, float]:
     """Poisson CI for a loss *rate* given ``losses`` over ``exposure``.
 
-    Exact (chi-square) bounds when SciPy is available, Wald-on-sqrt
-    otherwise; ``losses=0`` yields a one-sided interval.
+    Exact (Garwood) bounds: ``chi2.ppf(q, 2k) / 2`` is
+    ``gammaincinv(k, q)``, which is what SciPy's chi-square evaluates;
+    ``losses=0`` yields a one-sided interval.
     """
     if exposure_hours <= 0:
         raise ValueError(f"exposure must be positive: {exposure_hours}")
     if losses < 0:
         raise ValueError(f"losses must be >= 0: {losses}")
-    alpha = 1.0 - confidence
-    try:
-        from scipy.stats import chi2
+    from scipy.special import gammaincinv  # at the call: see DESIGN section 17
 
-        low = (
-            chi2.ppf(alpha / 2, 2 * losses) / 2 if losses > 0 else 0.0
-        )
-        high = chi2.ppf(1 - alpha / 2, 2 * losses + 2) / 2
-    except Exception:  # pragma: no cover - scipy is a baked-in dependency
-        z = 1.96
-        spread = z * math.sqrt(losses) if losses else z
-        low = max(0.0, losses - spread)
-        high = losses + spread + z * z
+    alpha = 1.0 - confidence
+    low = gammaincinv(losses, alpha / 2) if losses > 0 else 0.0
+    high = gammaincinv(losses + 1, 1 - alpha / 2)
     return low / exposure_hours, high / exposure_hours
 
 
@@ -116,9 +109,9 @@ def wilson_interval(
 
 
 def _z_for(confidence: float) -> float:
-    from scipy.stats import norm
+    from scipy.special import ndtri  # what norm.ppf evaluates
 
-    return float(norm.ppf(0.5 + confidence / 2))
+    return float(ndtri(0.5 + confidence / 2))
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Statistical analysis of I/O workloads (paper Section V-A).
 
-Implements, from scratch on numpy/scipy, the analyses the paper runs on
-its trace collection:
+Implements, from scratch on numpy, the analyses the paper runs on its
+trace collection.  Three functions lean on scipy (``rankdata``,
+``f_oneway``, ``solve_toeplitz``) and import it at the call, so
+importing this package loads none of it (DESIGN section 17):
 
 * :mod:`repro.stats.idle` — idle-interval summary statistics (Table II);
 * :mod:`repro.stats.periodicity` — ANOVA-based period detection (Fig. 9)

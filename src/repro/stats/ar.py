@@ -10,7 +10,8 @@ length of the current idle interval from the previous ``p`` at the
 moment the interval begins.  The paper notes AR(p) via Yule–Walker is
 the only model cheap enough to fit "to the millions of samples that
 need to be factored at the I/O level" — ACD and ARIMA were too slow —
-so that is what we implement.
+so that is what we implement.  The Toeplitz solve is
+``scipy.linalg.solve_toeplitz``, imported where it is called.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from repro.stats.autocorr import acf
 
@@ -81,6 +81,8 @@ def fit_ar(x: np.ndarray, order: int) -> ARModel:
         raise ValueError(
             f"need more than {order + 1} samples for AR({order}), got {len(x)}"
         )
+    from scipy.linalg import solve_toeplitz  # at the call: only AR fits pay
+
     rho = acf(x, order)
     coefficients = solve_toeplitz((rho[:-1], rho[:-1]), rho[1:])
     variance = float(x.var())

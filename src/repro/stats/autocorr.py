@@ -4,13 +4,14 @@ The paper reports that 44 of its 63 busiest traces show strong
 autocorrelation in idle-interval lengths, and cites prior Hurst
 parameter evidence (H > 0.5) for disk workloads.  Both estimators are
 implemented here: the sample ACF (FFT-based, so million-sample series
-are fine) and an aggregated-variance Hurst estimator.
+are fine) and an aggregated-variance Hurst estimator.  numpy only,
+except the rank transform (``scipy.stats.rankdata``, imported where it
+is called).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 
 def acf(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -58,7 +59,9 @@ def has_significant_autocorrelation(
     if len(x) <= lags:
         raise ValueError("series too short for the requested lags")
     if method == "rank":
-        x = sp_stats.rankdata(x)
+        from scipy.stats import rankdata  # at the call: only rank ACFs pay
+
+        x = rankdata(x)
     elif method != "linear":
         raise ValueError(f"unknown method: {method!r}")
     values = acf(x, lags)[1:]

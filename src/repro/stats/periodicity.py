@@ -8,6 +8,7 @@ with period ``p``, between-phase variance is large relative to
 within-phase variance, giving a large F statistic.  The detected
 period is the significant candidate with the largest F; a result of
 one hour means "no periodicity detected", exactly as in the paper.
+The F test is ``scipy.stats.f_oneway``, imported where it is called.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
-from scipy import stats as sp_stats
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ def _anova_f(counts: np.ndarray, period: int) -> Tuple[float, float]:
     # Each phase needs at least two observations for a within-variance.
     if any(len(g) < 2 for g in groups):
         return 0.0, 1.0
-    f, p = sp_stats.f_oneway(*groups)
+    from scipy.stats import f_oneway  # at the call: only period detection pays
+
+    f, p = f_oneway(*groups)
     if not np.isfinite(f):
         return 0.0, 1.0
     return float(f), float(p)

@@ -24,10 +24,10 @@ traces drive both statistical analysis and full-stack replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.traces.record import Trace
 
@@ -198,7 +198,10 @@ class SyntheticTraceGenerator:
         noise_sigma = sigma * np.sqrt(1.0 - phi * phi)
         noise = self.rng.normal(0.0, noise_sigma, size=count)
         noise[0] = self.rng.normal(0.0, sigma)  # start in stationarity
-        logs = lfilter([1.0], [1.0, -phi], noise)  # AR(1) recursion in C
+        # AR(1) recursion y[n] = x[n] + phi*y[n-1]: one multiply and one add,
+        # each rounded, per gap -- only burst gaps come here (thousands a trace).
+        recursion = accumulate(noise.tolist(), lambda y, x: x + phi * y)
+        logs = np.fromiter(recursion, dtype=float, count=count)
         return np.exp(mu + logs)
 
     def _warp(self, operational_times: np.ndarray) -> np.ndarray:

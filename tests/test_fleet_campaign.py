@@ -12,12 +12,18 @@ The campaign engine's central promises:
   campaign still completes identically;
 * a shard that fails every attempt degrades the campaign to an
   explicit ``completeness < 1`` instead of poisoning it.
+
+And the intervals the merge attaches to those metrics are the exact
+ones: bit for bit what ``scipy.stats`` would return, computed without
+importing it.
 """
 
 import functools
 import os
 import signal
+import sys
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
@@ -31,7 +37,10 @@ from repro.fleet import (
     campaign_digest,
     fleet_shard_task,
     group_seed,
+    loss_rate_interval,
+    wilson_interval,
 )
+from repro.fleet.campaign import _z_for
 from repro.parallel import RetryPolicy
 
 
@@ -230,3 +239,60 @@ class TestGracefulDegradation:
         # Surviving shards still produce estimates over their groups.
         assert all(p.groups == done_groups for p in result.policies)
         assert result.telemetry["gauges"]["fleet.completeness"] < 1.0
+
+
+class TestIntervalsExact:
+    """``gammaincinv`` / ``ndtri`` against the ``scipy.stats`` calls they replaced."""
+
+    CONFIDENCES = (0.9, 0.95, 0.99, 0.9999)
+
+    def test_loss_rate_interval_is_the_chi_square_formula_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(18)
+        losses = np.arange(5001)
+        columns = [np.full(len(losses), c) for c in self.CONFIDENCES]
+        columns.append(rng.uniform(0.5, 0.999999, size=len(losses)))
+        for confidence in columns:
+            exposure = rng.uniform(1.0, 1e9, size=len(losses))
+            alpha = 1.0 - confidence
+            low = np.where(  # chi2.ppf(q, 0) is nan, and unused
+                losses > 0, chi2.ppf(alpha / 2, 2 * losses) / 2, 0.0
+            ) / exposure
+            high = chi2.ppf(1 - alpha / 2, 2 * losses + 2) / 2 / exposure
+            ours = np.array([
+                loss_rate_interval(int(k), float(t), float(c))
+                for k, t, c in zip(losses, exposure, confidence)
+            ])
+            assert ours[:, 0].tobytes() == low.tobytes()
+            assert ours[:, 1].tobytes() == high.tobytes()
+
+    def test_z_is_norm_ppf_bit_for_bit(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(18)
+        for confidence in (*self.CONFIDENCES, *rng.uniform(0.0, 1.0, size=2000)):
+            confidence = float(confidence)
+            assert _z_for(confidence).hex() == float(
+                norm.ppf(0.5 + confidence / 2)
+            ).hex()
+
+    def test_the_95_percent_literal_is_the_computed_z(self):
+        # wilson_interval carries the literal so the default path needs
+        # no scipy on every merge; it may never disagree with _z_for.
+        assert float(_z_for(0.95)).hex() == (1.959963984540054).hex()
+        nudged = wilson_interval(7, 90, confidence=0.95 + 1e-12)
+        assert wilson_interval(7, 90) == pytest.approx(nudged, rel=1e-9)
+
+    def test_confidence_is_honoured_and_zero_losses_are_one_sided(self):
+        narrow = loss_rate_interval(12, 1000.0, confidence=0.9)
+        wide = loss_rate_interval(12, 1000.0, confidence=0.9999)
+        assert wide[0] < narrow[0] < 12 / 1000.0 < narrow[1] < wide[1]
+        low, high = loss_rate_interval(0, 1000.0)
+        assert low == 0.0 and high > 0.0
+
+    def test_a_failing_scipy_surfaces_instead_of_changing_the_answer(self, monkeypatch):
+        # There used to be a silent Wald fallback with z = 1.96 here.
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        with pytest.raises(ImportError):
+            loss_rate_interval(3, 1000.0)

@@ -12,7 +12,12 @@ from repro.traces import (
 )
 from repro.traces.catalog import trace_idle_intervals
 from repro.traces.idle import idle_intervals, service_times
-from repro.traces.synth import FLAT, OFFICE_HOURS
+from repro.traces.synth import FLAT, OFFICE_HOURS, _lognormal_params
+
+BURSTY = sorted(
+    name for name, spec in CATALOG.items()
+    if not spec.profile.memoryless and spec.profile.gap_autocorr != 0
+)
 
 
 def make_generator(profile):
@@ -115,6 +120,53 @@ class TestGenerator:
         expected = trace.sectors[:-1]
         sequential = np.mean(deltas == expected)
         assert sequential > 0.6
+
+
+class TestCorrelatedGapsExact:
+    """``_correlated_lognormal`` against the ``lfilter`` call it replaced."""
+
+    @pytest.mark.parametrize("count", [1, 2, 1000, 51_627])
+    @pytest.mark.parametrize("name", BURSTY)
+    def test_ar1_recursion_is_lfilter_bit_for_bit(self, name, count):
+        """The Python recursion ``y[n] = x[n] + phi*y[n-1]`` is now the
+        *definition* of the gap process; ``scipy.signal.lfilter([1], [1,
+        -phi], x)`` (direct form II transposed: the same multiply and
+        the same add, each rounded once) is only the reference it is
+        checked against.  On a platform whose scipy build fuses the
+        multiply-add the two differ in the last bit and this one test
+        fails -- loudly, here, instead of as a silent drift of every
+        trace digest.  The traces are then still the ones every other
+        machine generates.
+        """
+        from scipy.signal import lfilter
+
+        profile = CATALOG[name].profile
+        phi = profile.gap_autocorr
+        mu, sigma = _lognormal_params(profile.idle_gap_mean, profile.idle_gap_cov)
+        seed = 1000 + count
+
+        ours = SyntheticTraceGenerator(
+            profile, RandomStreams(seed=seed).get("synth")
+        )._correlated_lognormal(mu, sigma, count)
+
+        rng = RandomStreams(seed=seed).get("synth")
+        noise = rng.normal(0.0, sigma * np.sqrt(1.0 - phi * phi), size=count)
+        noise[0] = rng.normal(0.0, sigma)
+        reference = np.exp(mu + lfilter([1.0], [1.0, -phi], noise))
+
+        assert ours.dtype == reference.dtype == np.float64
+        assert ours.shape == (count,)
+        assert ours.tobytes() == reference.tobytes()
+
+    def test_nine_bursty_catalog_profiles_take_the_recursion(self):
+        assert len(BURSTY) == 9
+
+    @pytest.mark.parametrize("phi, count", [(0.0, 500), (0.5, 0), (0.0, 0)])
+    def test_early_returns_draw_plain_lognormals(self, phi, count):
+        profile = TraceProfile(name="t", gap_autocorr=phi)
+        gaps = make_generator(profile)._correlated_lognormal(-1.0, 2.0, count)
+        plain = RandomStreams(seed=11).get("synth").lognormal(-1.0, 2.0, size=count)
+        assert gaps.tobytes() == plain.tobytes()
 
 
 class TestIdleExtraction:

@@ -91,7 +91,14 @@ def start_serve(data_dir: str):
 def wait_for_checkpoints(path: str, minimum: int, timeout: float = 60.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if os.path.isdir(path) and len(os.listdir(path)) >= minimum:
+        # Landed entries only: the cache makes ``<key[:2]>/`` and a
+        # ``.tmp`` file before the ``.pkl`` is renamed into place, and a
+        # kill in that window leaves one checkpoint fewer than counted.
+        landed = sum(
+            name.endswith(".pkl")
+            for _, _, names in os.walk(path) for name in names
+        )
+        if landed >= minimum:
             return
         time.sleep(0.02)
     fail(f"fewer than {minimum} checkpoints appeared in {path}")
