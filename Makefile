@@ -26,8 +26,10 @@ import-budget:
 # plan: the detect CLI across all three policies, the same sweep over a
 # replayed trace in process and on two forked workers (a Trace parameter
 # through the one process pool; the two outputs must be byte-identical),
-# then the detection experiment benchmark (ATA cache-bug A/B +
-# serial/parallel identity).
+# then `repro trace` (the Waiting scrubber over injected faults and a
+# foreground reader) run twice: the request and error logs must be
+# byte-identical and the Chrome trace must parse; last the detection
+# experiment benchmark (ATA cache-bug A/B + serial/parallel identity).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro detect --horizon 1.5 --cylinders 30
 	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
@@ -37,6 +39,15 @@ smoke:
 			--workers $$workers > "$$out/workers-$$workers.txt"; \
 	done; \
 	cmp "$$out/workers-0.txt" "$$out/workers-2.txt"
+	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	for run in 1 2; do \
+		PYTHONPATH=src $(PYTHON) -m repro trace --cylinders 30 --inject \
+			--foreground --horizon 1.0 --algorithm waiting \
+			-o "$$out/T$$run.json" --jsonl "$$out/P$$run" > /dev/null; \
+		$(PYTHON) -c "import json, sys; json.load(open(sys.argv[1]))" "$$out/T$$run.json"; \
+	done; \
+	cmp "$$out/P1.requests.jsonl" "$$out/P2.requests.jsonl"; \
+	cmp "$$out/P1.errors.jsonl" "$$out/P2.errors.jsonl"
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_fig_detection.py \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks

@@ -5,6 +5,10 @@
   trace-driven policy simulations);
 * :mod:`repro.analysis.throughput` — standalone scrubber throughput
   (Figs. 4, 5a, 5b);
+* :mod:`repro.analysis.stack` — the scenario layer: the one assembler
+  (:class:`ScrubStack`) of engine + drive + scheduler + foreground +
+  scrubber that the three full-stack experiments below, the
+  ``repro.verify`` oracle and ``repro trace`` all run;
 * :mod:`repro.analysis.impact` — scrubber vs foreground workload
   experiments on the full stack (Figs. 3, 6a, 6b);
 * :mod:`repro.analysis.replay_cdf` — trace replay with scrubbers,
@@ -46,6 +50,7 @@ from repro.analysis.slowdown import (
     simulate_adaptive_waiting,
     simulate_fixed_waiting,
 )
+from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.analysis.throughput import standalone_scrub_throughput
 
 __all__ = [
@@ -55,6 +60,8 @@ __all__ = [
     "PolicyPoint",
     "ReplayResult",
     "ScrubServiceModel",
+    "ScrubStack",
+    "ScrubberSetup",
     "SlowdownResult",
     "compute_detection_metrics",
     "detection_sweep_task",

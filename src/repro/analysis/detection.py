@@ -6,11 +6,11 @@ policy *find* the errors, who finds them (scrubber vs foreground I/O),
 and how many are silently missed because the ATA ``VERIFY`` firmware
 bug served the scrub from the drive cache (paper Fig. 1)?
 
-:func:`run_detection_experiment` builds the full stack — drive with
-installed faults, scheduler, optional foreground reader, one of the
-three scrub policies (Sequential, Staggered, Waiting) with the
-split/remap/verify lifecycle enabled — runs it for a horizon, and
-distils the :class:`~repro.faults.log.ErrorLog` into a
+:func:`run_detection_experiment` generates the fault plan, runs a
+:class:`~repro.analysis.stack.ScrubStack` — one of the three scrub
+policies (Sequential, Staggered, Waiting) with the split/remap/verify
+lifecycle enabled, an optional foreground — to a horizon and drains
+it, and distils the :class:`~repro.faults.log.ErrorLog` into a
 :class:`DetectionMetrics`.
 
 :func:`detection_sweep_task` is the module-level (picklable) wrapper
@@ -25,30 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.policies.device import WaitingScrubber
-from repro.core.scrubber import ScrubAlgorithm, Scrubber
-from repro.core.sequential import SequentialScrub
-from repro.core.staggered import StaggeredScrub
+from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.disk.drive import Drive
 from repro.disk.models import PRESETS, DriveSpec
 from repro.faults import (
     ErrorEventKind,
     ErrorLog,
-    MediaFaults,
     RemediationPolicy,
     build_model,
 )
-from repro.sched.cfq import CFQScheduler
-from repro.sched.device import BlockDevice
-from repro.sched.noop import NoopScheduler
-from repro.sched.request import PriorityClass
-from repro.sim import RandomStreams, make_simulation
 from repro.traces.record import Trace
-from repro.workloads.replay import TraceReplayer
-from repro.workloads.synthetic import RandomReader
-
-#: Scrub policies the experiment understands.
-ALGORITHMS = ("sequential", "staggered", "waiting")
 
 
 def shrunk_spec(spec: DriveSpec, cylinders: int = 50) -> DriveSpec:
@@ -163,16 +149,6 @@ class DetectionResult:
     telemetry: Optional[dict] = None
 
 
-def _build_algorithm(name: str, regions: int) -> ScrubAlgorithm:
-    if name in ("sequential", "waiting"):
-        return SequentialScrub()
-    if name == "staggered":
-        return StaggeredScrub(regions=regions)
-    raise ValueError(
-        f"unknown scrub algorithm {name!r}; choose from {ALGORITHMS}"
-    )
-
-
 def run_detection_experiment(
     spec: DriveSpec,
     algorithm: str = "sequential",
@@ -232,66 +208,41 @@ def run_detection_experiment(
     plan = build_model(model, **(model_params or {})).generate(
         Drive(spec, cache_enabled=False).total_sectors, horizon, seed
     )
-    sim = make_simulation(kernel, telemetry=telemetry)
-    drive = Drive(spec, cache_enabled=cache_enabled)
-    faults = MediaFaults(plan, spare_sectors=spare_sectors)
-    drive.install_faults(faults)
-    scheduler = (
-        NoopScheduler() if algorithm == "waiting" else CFQScheduler(idle_gate=idle_gate)
-    )
-    device = BlockDevice(sim, drive, scheduler)
-
-    if foreground:
-        streams = RandomStreams(seed=seed)
-        RandomReader(
-            sim, device, streams.get("foreground"), think_mean=think_mean
-        ).start()
-    elif trace is not None:
-        TraceReplayer(
-            sim, device, trace, time_scale=time_scale, wrap_lbn=True
-        ).start()
-
     policy = remediation if remediation is not None else (
         RemediationPolicy() if remediate else None
     )
-    if algorithm == "waiting":
-        scrubber = WaitingScrubber(
-            sim,
-            device,
-            _build_algorithm(algorithm, regions),
+    stack = ScrubStack(
+        spec,
+        ScrubberSetup(
+            algorithm=algorithm,
+            regions=regions,
+            request_bytes=request_bytes,
             threshold=threshold,
-            request_bytes=request_bytes,
-            remediation=policy,
-        )
-    else:
-        scrubber = Scrubber(
-            sim,
-            device,
-            _build_algorithm(algorithm, regions),
-            request_bytes=request_bytes,
-            priority=PriorityClass.IDLE,
-            remediation=policy,
-        )
-    process = scrubber.start()
-
-    sim.run(until=horizon)
-    if process.is_alive:
-        # Drain: no new extents, but the in-flight verify and any
-        # remediation it triggered run to completion, so no detected
-        # error is abandoned mid-lifecycle by the horizon cut-off.
-        scrubber.request_stop()
-        sim.run(until=process)
-    faults.finalize(horizon)
+        ),
+        idle_gate=idle_gate,
+        cache_enabled=cache_enabled,
+        kernel=kernel,
+        telemetry=telemetry,
+        fault_plan=plan,
+        spare_sectors=spare_sectors,
+        remediation=policy,
+    )
+    if foreground:
+        stack.reader("random", seed, think_mean)
+    elif trace is not None:
+        stack.replay(trace, time_scale)
+    stack.run(horizon, drain=True)
+    scrubber = stack.scrubber
     return DetectionResult(
         drive=spec.name,
         algorithm=algorithm,
         cache_enabled=cache_enabled,
         seed=seed,
-        metrics=compute_detection_metrics(faults.log, horizon),
+        metrics=compute_detection_metrics(stack.faults.log, horizon),
         errors_seen=scrubber.errors_seen,
         sectors_remapped=scrubber.sectors_remapped,
         bytes_scrubbed=scrubber.bytes_scrubbed,
-        foreground_bytes=device.log.bytes_completed("foreground"),
+        foreground_bytes=stack.device.log.bytes_completed("foreground"),
     )
 
 

@@ -15,41 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.scrubber import ScrubAlgorithm, Scrubber
-from repro.core.sequential import SequentialScrub
-from repro.core.staggered import StaggeredScrub
-from repro.disk.drive import Drive
+from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.disk.models import DriveSpec
-from repro.sched.cfq import CFQScheduler
-from repro.sched.device import BlockDevice
-from repro.sched.request import PriorityClass
-from repro.sim import RandomStreams, Simulation
-from repro.workloads.synthetic import RandomReader, SequentialReader
-
-
-@dataclass(frozen=True)
-class ScrubberSetup:
-    """How to configure the scrubber for an impact experiment.
-
-    ``user_level=True`` selects the paper's user-space scrubber:
-    requests become soft barriers (priority classes stop mattering)
-    and delays are timed issue-to-issue; the kernel scrubber times its
-    delays completion-to-issue.
-    """
-
-    algorithm: str = "sequential"  # or "staggered"
-    regions: int = 128
-    request_bytes: int = 64 * 1024
-    priority: PriorityClass = PriorityClass.IDLE
-    user_level: bool = False
-    delay: float = 0.0
-
-    def build_algorithm(self) -> ScrubAlgorithm:
-        if self.algorithm == "sequential":
-            return SequentialScrub()
-        if self.algorithm == "staggered":
-            return StaggeredScrub(regions=self.regions)
-        raise ValueError(f"unknown scrub algorithm: {self.algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -97,44 +64,15 @@ def run_impact_experiment(
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
-    sim = Simulation()
-    streams = RandomStreams(seed=seed)
-    device = BlockDevice(
-        sim,
-        Drive(spec, cache_enabled=cache_enabled),
-        CFQScheduler(idle_gate=idle_gate),
+    stack = ScrubStack(
+        spec, scrubber, idle_gate=idle_gate, cache_enabled=cache_enabled
     )
-
-    if workload == "sequential":
-        reader = SequentialReader(
-            sim, device, streams.get("foreground"), think_mean=think_mean
-        )
-    elif workload == "random":
-        reader = RandomReader(
-            sim, device, streams.get("foreground"), think_mean=think_mean
-        )
-    else:
-        raise ValueError(f"unknown workload: {workload!r}")
-    reader.start()
-
-    scrub_proc = None
-    if scrubber is not None:
-        scrub_proc = Scrubber(
-            sim,
-            device,
-            scrubber.build_algorithm(),
-            request_bytes=scrubber.request_bytes,
-            priority=scrubber.priority,
-            soft_barrier=scrubber.user_level,
-            delay=scrubber.delay,
-            delay_mode="interval" if scrubber.user_level else "gap",
-        )
-        scrub_proc.start()
-
-    sim.run(until=horizon)
+    stack.reader(workload, seed, think_mean)
+    stack.run(horizon)
+    log = stack.device.log
     return ImpactResult(
         horizon=horizon,
-        foreground_bytes=device.log.bytes_completed("foreground"),
-        scrubber_bytes=scrub_proc.bytes_scrubbed if scrub_proc else 0,
-        fg_response_times=device.log.response_times("foreground"),
+        foreground_bytes=log.bytes_completed("foreground"),
+        scrubber_bytes=stack.scrubber.bytes_scrubbed if stack.scrubber else 0,
+        fg_response_times=log.response_times("foreground"),
     )

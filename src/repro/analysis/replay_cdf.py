@@ -28,17 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.impact import ScrubberSetup
-from repro.core.policies.device import WaitingScrubber
-from repro.core.scrubber import Scrubber
-from repro.disk.drive import Drive
+from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.disk.models import PRESETS, DriveSpec
-from repro.sched.cfq import CFQScheduler
-from repro.sched.device import BlockDevice
-from repro.sched.noop import NoopScheduler
-from repro.sim import make_simulation
 from repro.traces.record import Trace
-from repro.workloads.replay import TraceReplayer
 
 #: Allowed relative completed-request divergence between two runs of
 #: the same trace before ``mean_slowdown_vs`` refuses the comparison.
@@ -130,63 +122,47 @@ def replay_with_scrubber(
 
     Exactly one of ``scrubber`` (CFQ-scheduled, Fig. 7 style) and
     ``waiting`` (the Waiting scrubber; keys ``threshold`` and
-    ``request_bytes``) may be given; neither replays the bare trace.
+    ``request_bytes``, any other key is a ``ValueError``) may be given;
+    neither replays the bare trace.
 
     ``kernel`` selects the engine backend; the backends are
     bit-identical, so it does not participate in the baseline memo key.
     """
     if scrubber is not None and waiting is not None:
         raise ValueError("pass either scrubber or waiting, not both")
+    if waiting is not None:
+        unknown = sorted(set(waiting) - {"threshold", "request_bytes"})
+        if unknown:
+            raise ValueError(
+                f"unknown waiting key(s) {unknown}; "
+                "valid keys are 'threshold' and 'request_bytes'"
+            )
+        scrubber = ScrubberSetup(
+            algorithm="waiting",
+            threshold=waiting.get("threshold", 0.1),
+            request_bytes=waiting.get("request_bytes", 64 * 1024),
+        )
     if horizon is None:
         horizon = trace.duration
     if horizon <= 0:
         raise ValueError("horizon must be positive (empty trace?)")
 
-    sim = make_simulation(kernel)
-    # The Waiting scrubber self-schedules, so it runs on a plain FIFO
-    # device; CFQ is only needed when CFQ itself is the policy.
-    scheduler = (
-        NoopScheduler() if waiting is not None else CFQScheduler(idle_gate=idle_gate)
+    stack = ScrubStack(
+        spec,
+        scrubber,
+        idle_gate=idle_gate,
+        cache_enabled=cache_enabled,
+        kernel=kernel,
     )
-    device = BlockDevice(sim, Drive(spec, cache_enabled=cache_enabled), scheduler)
-    TraceReplayer(sim, device, trace).start()
-
-    scrub_bytes = scrub_requests = 0
-    agent = None
-    if scrubber is not None:
-        agent = Scrubber(
-            sim,
-            device,
-            scrubber.build_algorithm(),
-            request_bytes=scrubber.request_bytes,
-            priority=scrubber.priority,
-            soft_barrier=scrubber.user_level,
-            delay=scrubber.delay,
-            delay_mode="interval" if scrubber.user_level else "gap",
-        )
-        agent.start()
-    elif waiting is not None:
-        from repro.core.sequential import SequentialScrub
-
-        agent = WaitingScrubber(
-            sim,
-            device,
-            SequentialScrub(),
-            threshold=waiting.get("threshold", 0.1),
-            request_bytes=waiting.get("request_bytes", 64 * 1024),
-        )
-        agent.start()
-
-    sim.run(until=horizon)
-    if agent is not None:
-        scrub_bytes = agent.bytes_scrubbed
-        scrub_requests = agent.requests_issued
+    stack.replay(trace)
+    stack.run(horizon)
+    log, agent = stack.device.log, stack.scrubber
     return ReplayResult(
         horizon=horizon,
-        fg_response_times=device.log.response_times("foreground"),
-        fg_requests=device.log.count("foreground"),
-        scrub_bytes=scrub_bytes,
-        scrub_requests=scrub_requests,
+        fg_response_times=log.response_times("foreground"),
+        fg_requests=log.count("foreground"),
+        scrub_bytes=agent.bytes_scrubbed if agent else 0,
+        scrub_requests=agent.requests_issued if agent else 0,
         trace_digest=trace.digest(),
     )
 

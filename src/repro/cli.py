@@ -1,12 +1,15 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eleven commands cover the library's main workflows:
+Thirteen commands cover the library's main workflows:
 
 * ``generate``  — write a synthetic catalog trace to CSV;
+* ``corpus``    — build, list and re-hash an on-disk columnar trace
+  corpus (``corpus build`` / ``list`` / ``verify``);
 * ``analyze``   — Section V-A statistics for a trace (idle stats,
   periodicity, tails, hazard);
 * ``optimize``  — Table III: best (wait threshold, request size) for
-  slowdown goals on a given drive;
+  slowdown goals on a given drive, by successive-halving search, for
+  one trace or every entry of a ``--corpus``;
 * ``throughput`` — standalone scrub throughput for an algorithm/size;
 * ``mlet``      — MLET by scrub order under bursty LSEs;
 * ``detect``    — error detection/remediation under injected LSEs,
@@ -24,7 +27,11 @@ Eleven commands cover the library's main workflows:
   observability (``--monitor``: progress lines, ``status.json``,
   event log, span trace, Prometheus textfile);
 * ``report``    — render a campaign monitor's observability
-  directory as a self-contained HTML run report.
+  directory as a self-contained HTML run report;
+* ``serve``     — campaign orchestration service: an HTTP job API
+  over the fleet runner with a persistent queue;
+* ``submit``    — submit a campaign to a running ``repro serve``
+  (``--wait`` for its metrics, ``--status ID`` to report a job).
 
 ``throughput``, ``detect`` and ``optimize`` also take ``--telemetry``
 (print a metrics summary table) and, where a simulation runs
@@ -241,20 +248,14 @@ def cmd_corpus_verify(args) -> int:
 
 
 def _build_tuner(args, durations, total_requests, span, model):
-    """One workload's tuner for the selected method, shared by its goals.
+    """One workload's successive-halving tuner, shared by its goals.
 
     Returns ``tune(goal, runner) -> OptimalParameters``; building it
     once per workload lets the search sort the idle sample once however
     many goals are asked for.
     """
-    from repro.core.optimizer import ScrubParameterOptimizer
     from repro.core.search import SuccessiveHalvingSearch
 
-    if args.method == "grid":
-        return ScrubParameterOptimizer(
-            durations, total_requests, span, model,
-            max_slowdown=args.max_slowdown_ms / 1e3,
-        ).optimize
     search = SuccessiveHalvingSearch(
         durations, total_requests, span, model,
         max_slowdown=args.max_slowdown_ms / 1e3,
@@ -295,7 +296,7 @@ def _optimize_corpus(args) -> int:
     payload = {
         "corpus": str(corpus.root),
         "drive": args.drive,
-        "method": args.method,
+        "method": "search",
         "budget": args.budget,
         "goals_ms": list(args.goals_ms),
         "entries": {},
@@ -498,7 +499,8 @@ def cmd_mlet(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    from repro.analysis.detection import ALGORITHMS, detection_sweep_task
+    from repro.analysis.detection import detection_sweep_task
+    from repro.analysis.stack import ALGORITHMS
     from repro.parallel import SweepRunner
 
     model_params = {}
@@ -625,83 +627,55 @@ def cmd_trace(args) -> int:
         )
         return 2
     from repro.analysis.detection import shrunk_spec
-    from repro.core import SequentialScrub, StaggeredScrub
-    from repro.core.policies.device import WaitingScrubber
-    from repro.core.scrubber import Scrubber
+    from repro.analysis.stack import ScrubberSetup, ScrubStack
     from repro.disk.drive import Drive
-    from repro.faults import MediaFaults, RemediationPolicy, build_model
-    from repro.sched.cfq import CFQScheduler
-    from repro.sched.device import BlockDevice
-    from repro.sched.noop import NoopScheduler
-    from repro.sched.request import PriorityClass
-    from repro.sim import RandomStreams, Simulation
+    from repro.faults import RemediationPolicy, build_model
     from repro.telemetry import Recorder, format_table, write_chrome_trace
     from repro.telemetry.export import (
         error_log_records,
         request_log_records,
         write_jsonl,
     )
-    from repro.workloads.replay import TraceReplayer
-    from repro.workloads.synthetic import RandomReader
 
     spec = _drive_spec(args.drive)
     if args.cylinders:
         spec = shrunk_spec(spec, cylinders=args.cylinders)
 
-    recorder = Recorder(wall_time=True)
-    sim = Simulation(telemetry=recorder)
-    drive = Drive(spec, cache_enabled=not args.no_cache)
-    faults = None
+    plan = None
     if args.inject:
+        total_sectors = Drive(spec, cache_enabled=False).total_sectors
         plan = build_model(
             "bursts",
             inter_burst_mean=args.burst_mean,
             in_burst_time_mean=args.burst_mean / 50.0,
-        ).generate(drive.total_sectors, args.horizon, args.seed)
-        faults = MediaFaults(plan)
-        drive.install_faults(faults)
-    scheduler = (
-        NoopScheduler() if args.algorithm == "waiting" else CFQScheduler()
+        ).generate(total_sectors, args.horizon, args.seed)
+    recorder = Recorder(wall_time=True)
+    # Idle gate, Waiting threshold and spare pool are CFQScheduler's,
+    # WaitingScrubber's and MediaFaults' own defaults (`repro detect`
+    # runs Waiting at 10 ms and a 4096-sector pool: DESIGN §18).
+    stack = ScrubStack(
+        spec,
+        ScrubberSetup(
+            algorithm=args.algorithm,
+            regions=args.regions,
+            request_bytes=args.request_kb * 1024,
+            threshold=0.1,
+        ),
+        idle_gate=0.010,
+        cache_enabled=not args.no_cache,
+        telemetry=recorder,
+        fault_plan=plan,
+        spare_sectors=1024,
+        remediation=RemediationPolicy() if args.inject else None,
+        max_log_records=args.max_log_records,
     )
-    device = BlockDevice(
-        sim, drive, scheduler, max_log_records=args.max_log_records
-    )
-
     if args.trace or args.synthetic:
-        TraceReplayer(sim, device, _load_trace(args)).start()
+        stack.replay(_load_trace(args))
     elif args.foreground:
-        streams = RandomStreams(seed=args.seed)
-        RandomReader(
-            sim, device, streams.get("foreground"),
-            think_mean=args.think_ms / 1e3,
-        ).start()
-
-    if args.algorithm == "staggered":
-        algorithm = StaggeredScrub(regions=args.regions)
-    else:
-        algorithm = SequentialScrub()
-    remediation = RemediationPolicy() if args.inject else None
-    if args.algorithm == "waiting":
-        scrubber = WaitingScrubber(
-            sim, device, algorithm,
-            request_bytes=args.request_kb * 1024,
-            remediation=remediation,
-        )
-    else:
-        scrubber = Scrubber(
-            sim, device, algorithm,
-            request_bytes=args.request_kb * 1024,
-            priority=PriorityClass.IDLE,
-            remediation=remediation,
-        )
-    process = scrubber.start()
-    sim.run(until=args.horizon)
-    if process.is_alive:
-        # Drain in-flight scrub work so no request is left mid-lifecycle.
-        scrubber.request_stop()
-        sim.run(until=process)
-    if faults is not None:
-        faults.finalize(args.horizon)
+        stack.reader("random", args.seed, args.think_ms / 1e3)
+    # Drain in-flight scrub work so no request is left mid-lifecycle.
+    stack.run(args.horizon, drain=True)
+    device, drive, faults = stack.device, stack.drive, stack.faults
 
     count = write_chrome_trace(
         args.out,
@@ -1301,11 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--goals-ms", type=float, nargs="+", default=[1.0, 2.0, 4.0]
     )
     optimize.add_argument("--max-slowdown-ms", type=float, default=50.4)
-    optimize.add_argument(
-        "--method", choices=("search", "grid"), default="search",
-        help="tuning method: successive-halving search (default) or the "
-        "exhaustive per-size grid",
-    )
     optimize.add_argument(
         "--budget", type=int, default=3, metavar="N",
         help="search budget: arms kept through the final full-horizon "

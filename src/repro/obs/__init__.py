@@ -16,7 +16,6 @@ observability on or off.
 from repro.obs.monitor import (
     STATUS_VERSION,
     CampaignMonitor,
-    follow_events,
     read_events_chunk,
 )
 from repro.obs.prometheus import prometheus_lines, write_textfile
@@ -32,7 +31,6 @@ __all__ = [
     "SpanRecorder",
     "WorkerProbe",
     "build_report",
-    "follow_events",
     "load_obs_dir",
     "read_events_chunk",
     "peak_rss_kb",

@@ -34,16 +34,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..telemetry.export import atomic_write
 from .spans import SpanRecorder
 
 __all__ = [
     "CampaignMonitor",
     "STATUS_VERSION",
-    "follow_events",
     "read_events_chunk",
 ]
 
@@ -626,28 +625,21 @@ class CampaignMonitor:
         if not force and now - self._last_status < self.interval:
             return
         self._last_status = now
-        payload = self.status()
-        try:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.out_dir, prefix=".status-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, indent=2, sort_keys=True)
-                os.replace(tmp, self.status_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            self.io_errors += 1
+        self._write_json(self.status_path, self.status())
         if self.on_progress is not None:
             try:
                 self.on_progress(self.progress_line())
             except Exception:
                 pass
+
+    def _write_json(self, path: str, payload: dict) -> None:
+        """Replace ``path`` atomically; an unwritable directory degrades
+        monitoring (``io_errors``), never the campaign."""
+        try:
+            with atomic_write(path) as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+        except OSError:
+            self.io_errors += 1
 
     def _write_summary(self) -> None:
         payload = {
@@ -666,22 +658,7 @@ class CampaignMonitor:
             "telemetry": self.merged_snapshot(),
             "phases": self._phase_summary(),
         }
-        try:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.out_dir, prefix=".summary-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, indent=2, sort_keys=True)
-                os.replace(tmp, self.summary_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            self.io_errors += 1
+        self._write_json(self.summary_path, payload)
 
     def _phase_summary(self) -> List[dict]:
         """Aggregate kernel-phase wall time across shards, by phase."""
@@ -721,33 +698,6 @@ def read_events_chunk(path: str, offset: int = 0) -> "tuple[bytes, int]":
     except OSError:
         return b"", offset
     return chunk, offset + len(chunk)
-
-
-def follow_events(
-    path: str,
-    offset: int = 0,
-    poll: float = 0.1,
-    should_stop=None,
-):
-    """Yield event-log byte chunks as the file grows (a ``tail -f``).
-
-    Polls every ``poll`` seconds; the generator finishes when
-    ``should_stop()`` returns true *and* the log is drained, so a
-    consumer that stops the campaign still receives every event written
-    before the stop.  With no ``should_stop`` it follows forever —
-    callers stream it until they close the generator.
-    """
-    while True:
-        chunk, offset = read_events_chunk(path, offset)
-        if chunk:
-            yield chunk
-            continue
-        if should_stop is not None and should_stop():
-            chunk, offset = read_events_chunk(path, offset)
-            if chunk:
-                yield chunk
-            return
-        time.sleep(poll)
 
 
 def _json_num(value: float):

@@ -11,18 +11,17 @@ Prometheus histograms with cumulative ``_bucket{le=...}`` series plus
 Metric names are sanitised (``sim.requests.completed`` →
 ``repro_sim_requests_completed``); values render with :func:`repr` so
 the round trip through text is lossless for floats.  Writing goes
-through a temp file + :func:`os.replace` because node_exporter may
-scrape the directory at any moment.
+through :func:`~repro.telemetry.export.atomic_write` because
+node_exporter may scrape the directory at any moment.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-import tempfile
 from typing import List
 
+from ..telemetry.export import atomic_write
 from ..telemetry.metrics import Histogram
 
 __all__ = ["prometheus_lines", "write_textfile"]
@@ -81,17 +80,6 @@ def write_textfile(path: str, snapshot: dict, prefix: str = "repro") -> int:
     either the previous complete export or the new one, never partial.
     """
     lines = prometheus_lines(snapshot, prefix=prefix)
-    text = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".prom-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as handle:
+        handle.write("\n".join(lines) + "\n")
     return len(lines)

@@ -21,8 +21,9 @@ from __future__ import annotations
 import html
 import json
 import os
-import tempfile
 from typing import List, Optional
+
+from ..telemetry.export import atomic_write
 
 __all__ = ["build_report", "load_obs_dir", "render_html"]
 
@@ -293,16 +294,6 @@ def build_report(obs_dir: str, out_path: Optional[str] = None) -> str:
     data = load_obs_dir(obs_dir)
     target = out_path or os.path.join(obs_dir, "report.html")
     text = render_html(data)
-    directory = os.path.dirname(os.path.abspath(target)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(target) as handle:
+        handle.write(text)
     return target

@@ -18,13 +18,41 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from typing import IO, Dict, Iterable, Iterator, Union
 
 __all__ = [
+    "atomic_write",
     "error_log_records",
     "request_log_records",
     "write_jsonl",
 ]
+
+
+@contextmanager
+def atomic_write(path: str) -> Iterator[IO[str]]:
+    """Open a text file that replaces ``path`` only if the block completes.
+
+    The handle is a temp file in ``path``'s directory (so the rename
+    never crosses a filesystem) whose name does not end in ``path``'s
+    suffix (so a directory scraper — the Prometheus textfile collector
+    — never picks it up).  A clean exit renames it over ``path``; an
+    exception unlinks it and propagates; a SIGKILL leaves the previous
+    file, or no file, never a torn one.  The one writer behind every
+    operator-facing observability file.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def write_jsonl(
@@ -35,35 +63,24 @@ def write_jsonl(
     Keys are written in insertion order (the adapters emit a stable
     order), so identical runs produce byte-identical files.
 
-    Path destinations are crash-safe: records stream into a temp file
-    in the same directory, atomically renamed over the final path only
-    once every record is written and flushed — a SIGKILL mid-export
-    leaves the previous file (or no file), never a torn one.
+    Path destinations are crash-safe (:func:`atomic_write`) and synced
+    to disk before the rename; file objects are streamed straight
+    through.
     """
-    count = 0
     if hasattr(destination, "write"):
-        for record in records:
-            destination.write(json.dumps(record) + "\n")
-            count += 1
-        return count
-    directory = os.path.dirname(os.path.abspath(destination)) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=".jsonl-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-                count += 1
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, destination)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        return _write_lines(destination, records)
+    with atomic_write(destination) as handle:
+        count = _write_lines(handle, records)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return count
+
+
+def _write_lines(handle: IO[str], records: Iterable[Dict]) -> int:
+    count = 0
+    for record in records:
+        handle.write(json.dumps(record) + "\n")
+        count += 1
     return count
 
 

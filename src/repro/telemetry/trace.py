@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, List, Optional, Union
 
+from repro.telemetry.export import atomic_write
+
 __all__ = [
     "recorder_events",
     "with_pid",
@@ -175,12 +177,13 @@ def write_chrome_trace(
     """Write ``events`` as a Chrome trace JSON object; returns the count.
 
     The output loads directly in Perfetto / ``chrome://tracing`` and
-    round-trips through ``json.load``.
+    round-trips through ``json.load``.  A path destination is written
+    through :func:`~repro.telemetry.export.atomic_write`.
     """
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     if hasattr(destination, "write"):
         json.dump(payload, destination)
     else:
-        with open(destination, "w", encoding="utf-8") as handle:
+        with atomic_write(destination) as handle:
             json.dump(payload, handle)
     return len(events)

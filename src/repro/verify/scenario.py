@@ -3,12 +3,15 @@
 Every pillar of :mod:`repro.verify` needs the same primitive: *build
 the full stack from a flat picklable parameter dict, run it, and
 return a deterministic, picklable outcome*.  :func:`run_scenario` is
-that primitive.  It is deliberately close to
-:func:`repro.analysis.detection.run_detection_experiment` but exposes
-the switches the differential oracle flips — telemetry mode, replay
-feed — as first-class parameters, and distils the run into a plain
-``dict`` that :func:`repro.parallel.cache.canonicalize` can hash, so
-two runs agree iff their outcome signatures agree.
+that primitive.  It runs the same assembly as ``repro detect``,
+``repro trace`` and the figure experiments —
+:class:`repro.analysis.stack.ScrubStack` — so what the fuzzer, the
+differential axes and the planted-bug self-test validate is the code
+those ship.  On top it exposes the switches the oracle flips —
+telemetry mode, replay feed — as first-class parameters, and distils
+the run into a plain ``dict`` that
+:func:`repro.parallel.cache.canonicalize` can hash, so two runs agree
+iff their outcome signatures agree.
 
 Three scenario families cover the stack's behavioural envelope:
 
@@ -42,21 +45,13 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.detection import compute_detection_metrics, shrunk_spec
-from repro.core.policies.device import WaitingScrubber
-from repro.core.scrubber import Scrubber
-from repro.core.sequential import SequentialScrub
-from repro.core.staggered import StaggeredScrub
+from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.disk.drive import Drive
 from repro.disk.models import PRESETS
-from repro.faults import MediaFaults, RemediationPolicy, build_model
-from repro.sched.cfq import CFQScheduler
-from repro.sched.device import BlockDevice
-from repro.sched.noop import NoopScheduler
-from repro.sched.request import PriorityClass
-from repro.sim import KERNELS, make_simulation
+from repro.faults import RemediationPolicy, build_model
+from repro.sim import KERNELS
 from repro.traces.catalog import generate_trace
 from repro.traces.record import Trace
-from repro.workloads.replay import TraceReplayer
 
 __all__ = ["FAMILIES", "FEEDS", "TELEMETRY_MODES", "run_scenario"]
 
@@ -175,25 +170,33 @@ def run_scenario(
     total_sectors = Drive(spec, cache_enabled=False).total_sectors
 
     sink = _build_sink(telemetry, total_sectors)
-    sim = make_simulation(kernel, telemetry=sink)
-    drive_model = Drive(spec, cache_enabled=cache_enabled)
-
-    faults = None
+    plan = None
     if family == "fault-injected":
         if model_params is None:
             model_params = _FAULT_DEFAULTS.get(model, {})
         plan = build_model(model, **model_params).generate(
             total_sectors, horizon, seed
         )
-        faults = MediaFaults(plan, spare_sectors=spare_sectors)
-        drive_model.install_faults(faults)
-
-    scheduler = (
-        NoopScheduler()
-        if algorithm == "waiting"
-        else CFQScheduler(idle_gate=idle_gate)
+    stack = ScrubStack(
+        spec,
+        ScrubberSetup(
+            algorithm=algorithm,
+            regions=regions,
+            request_bytes=request_kb * 1024,
+            delay=scrub_delay,
+            threshold=threshold,
+        ),
+        idle_gate=idle_gate,
+        cache_enabled=cache_enabled,
+        kernel=kernel,
+        telemetry=sink,
+        fault_plan=plan,
+        spare_sectors=spare_sectors,
+        remediation=RemediationPolicy() if plan is not None else None,
     )
-    device = BlockDevice(sim, drive_model, scheduler)
+    sim, device, scrubber, faults = (
+        stack.sim, stack.device, stack.scrubber, stack.faults
+    )
 
     # Foreground: a generated catalog trace replayed open-loop.  The
     # trace is a pure function of (trace_name, horizon, seed,
@@ -210,43 +213,8 @@ def run_scenario(
             source = (r for chunk in source for r in chunk.records())
     else:
         source = trace if feed == "arrays" else trace.records()
-    TraceReplayer(
-        sim, device, source, time_scale=time_scale, wrap_lbn=True
-    ).start()
-
-    remediation = RemediationPolicy() if family == "fault-injected" else None
-    if algorithm == "waiting":
-        scrubber = WaitingScrubber(
-            sim,
-            device,
-            SequentialScrub(),
-            threshold=threshold,
-            request_bytes=request_kb * 1024,
-            remediation=remediation,
-        )
-    else:
-        scrub_algorithm = (
-            StaggeredScrub(regions=regions)
-            if algorithm == "staggered"
-            else SequentialScrub()
-        )
-        scrubber = Scrubber(
-            sim,
-            device,
-            scrub_algorithm,
-            request_bytes=request_kb * 1024,
-            priority=PriorityClass.IDLE,
-            delay=scrub_delay,
-            remediation=remediation,
-        )
-    process = scrubber.start()
-
-    sim.run(until=horizon)
-    if process.is_alive:
-        scrubber.request_stop()
-        sim.run(until=process)
-    if faults is not None:
-        faults.finalize(horizon)
+    stack.replay(source, time_scale)
+    stack.run(horizon, drain=True)
 
     if telemetry == "invariants":
         sink.finish(faults)

@@ -79,26 +79,42 @@ class TestOptimize:
             ])
 
     def test_grid_method_matches_search(self, capsys):
-        argv = [
+        """The CLI's halving search prints the exhaustive grid's row (the
+        grid is no flag any more: ``ScrubParameterOptimizer.optimize``)."""
+        from repro.analysis.service_model import ScrubServiceModel
+        from repro.core.optimizer import ScrubParameterOptimizer
+        from repro.disk.models import PRESETS
+        from repro.traces import generate_trace
+        from repro.traces.idle import idle_intervals_from_trace
+
+        assert main([
             "optimize", "--synthetic", "MSRusr2", "--duration", "900",
             "--goals-ms", "2.0",
-        ]
-        assert main(argv) == 0
+        ]) == 0
         search_out = capsys.readouterr().out
-        assert main(argv + ["--method", "grid"]) == 0
-        grid_out = capsys.readouterr().out
-        assert search_out == grid_out
+        trace = generate_trace("MSRusr2", duration=900, seed=0)
+        _, durations = idle_intervals_from_trace(trace, positioning=4.0 / 1e3)
+        best = ScrubParameterOptimizer(
+            durations, len(trace), trace.duration,
+            ScrubServiceModel.from_spec(PRESETS["ultrastar"]()),
+            max_slowdown=50.4 / 1e3,
+        ).optimize(2.0 / 1e3)
+        grid_row = (
+            f"{2.0:6.2f}ms  {best.threshold * 1e3:8.1f}ms  "
+            f"{best.request_bytes // 1024:6d}KB  "
+            f"{best.throughput_mbps:8.2f}MB/s"
+        )
+        assert grid_row in search_out.splitlines()
 
-    @pytest.mark.parametrize("method", ["search", "grid"])
+    # The [grid] twin went with ``--method``; the id stays [search].
+    @pytest.mark.parametrize("method", ["search"])
     def test_one_tuner_per_workload_whatever_the_goal_count(
         self, method, capsys, monkeypatch
     ):
-        from repro.core.optimizer import ScrubParameterOptimizer
         from repro.core.search import SuccessiveHalvingSearch
 
         built = []
-        # The search wraps an optimizer, so count the outermost class only.
-        cls = SuccessiveHalvingSearch if method == "search" else ScrubParameterOptimizer
+        cls = SuccessiveHalvingSearch
         real = cls.__init__
 
         def counting(self, *args, **kwargs):
@@ -107,7 +123,7 @@ class TestOptimize:
 
         argv = [
             "optimize", "--synthetic", "MSRusr2", "--duration", "900",
-            "--method", method, "--goals-ms",
+            "--goals-ms",
         ]
         assert main(argv + ["2.0"]) == 0
         single = capsys.readouterr().out.splitlines()

@@ -130,3 +130,41 @@ class TestStatusJson:
 
         data = load_obs_dir(str(obs))
         assert all("event" in e for e in data["events"])
+
+
+class TestChromeTrace:
+    def test_atomic_on_path_destination(self, tmp_path):
+        from repro.telemetry import write_chrome_trace
+
+        dest = tmp_path / "trace.json"
+        events = [{"name": "a", "ph": "i", "ts": 0, "pid": 0, "tid": 0}]
+        assert write_chrome_trace(str(dest), events) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+        assert json.loads(dest.read_text())["traceEvents"] == events
+
+    def test_sigkill_mid_export_never_tears_the_file(self, tmp_path):
+        dest = tmp_path / "trace.json"
+        dest.write_text('{"traceEvents": [], "displayTimeUnit": "ms"}')
+        child = _run_child(
+            f"""
+            import itertools
+            from repro.telemetry import write_chrome_trace
+
+            class Endless(list):
+                # json.dump streams a list element by element, so the
+                # export is still mid-document when the kill lands.
+                def __iter__(self):
+                    for index in itertools.count():
+                        if index == 3:
+                            print("READY", flush=True)
+                        yield {{"name": "x" * 4096, "ph": "i", "ts": index}}
+
+            write_chrome_trace({str(dest)!r}, Endless([None]))
+            """,
+            ready_token="READY",
+        )
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait()
+        assert json.loads(dest.read_text()) == {
+            "traceEvents": [], "displayTimeUnit": "ms",
+        }

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.obs import follow_events, read_events_chunk
+from repro.obs import read_events_chunk
 from repro.service import CampaignService, ServiceClient
 
 pytestmark = pytest.mark.service
@@ -120,8 +120,8 @@ def test_disconnect_reconnect_assembles_identical_bytes(service):
     assert assembled == _events_file(service, job_id)
 
 
-def test_read_events_chunk_and_follow_events_helpers(tmp_path):
-    """The obs-layer primitives the API streams through."""
+def test_read_events_chunk_helper(tmp_path):
+    """The obs-layer primitive the API streams through."""
     path = os.path.join(tmp_path, "events.jsonl")
     chunk, offset = read_events_chunk(path)
     assert chunk == b"" and offset == 0  # missing file is empty, not an error
@@ -133,23 +133,3 @@ def test_read_events_chunk_and_follow_events_helpers(tmp_path):
         handle.write(b'{"event":"b"}\n')
     chunk2, offset2 = read_events_chunk(path, offset)
     assert chunk2 == b'{"event":"b"}\n'
-
-    stop = {"now": False}
-    seen = []
-
-    def consume():
-        for piece in follow_events(path, poll=0.01, should_stop=lambda: stop["now"]):
-            seen.append(piece)
-
-    import threading
-
-    thread = threading.Thread(target=consume)
-    thread.start()
-    time.sleep(0.05)
-    with open(path, "ab") as handle:
-        handle.write(b'{"event":"c"}\n')
-    time.sleep(0.1)
-    stop["now"] = True
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert b"".join(seen) == open(path, "rb").read()

@@ -1,0 +1,357 @@
+"""The scenario layer: one assembler, and only one (DESIGN section 18).
+
+:class:`repro.analysis.stack.ScrubStack` is the single place that
+decides which scheduler sits under which scrubber, in what order the
+processes start, and how a run is drained.  These tests pin those
+decisions, pin what each of the five experiments passes to it, and
+fail when a second hand-built stack appears under ``src/repro``.
+"""
+
+import ast
+import hashlib
+import pathlib
+
+import pytest
+
+from repro.analysis import stack as stack_module
+from repro.analysis.detection import run_detection_experiment, shrunk_spec
+from repro.analysis.impact import run_impact_experiment
+from repro.analysis.replay_cdf import replay_baseline, replay_with_scrubber
+from repro.analysis.stack import ScrubberSetup, ScrubStack
+from repro.cli import main
+from repro.core.policies.device import WaitingScrubber
+from repro.core.scrubber import Scrubber
+from repro.disk.drive import Drive
+from repro.disk.models import PRESETS
+from repro.faults import RemediationPolicy, build_model
+from repro.parallel.cache import ResultCache, canonicalize
+from repro.sched.cfq import CFQScheduler
+from repro.sched.noop import NoopScheduler
+from repro.traces import generate_trace
+from repro.verify.scenario import FAMILIES, run_scenario
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+SPEC = shrunk_spec(PRESETS["ultrastar"](), cylinders=30)
+
+
+def _trace(duration=1.0):
+    return generate_trace("TPCdisk66", duration=duration, seed=0)
+
+
+def _stack(setup=None, **kwargs):
+    kwargs.setdefault("idle_gate", 0.010)
+    kwargs.setdefault("cache_enabled", True)
+    return ScrubStack(SPEC, setup, **kwargs)
+
+
+class TestRuleTable:
+    def test_waiting_runs_on_a_fifo_device(self):
+        built = _stack(ScrubberSetup("waiting", threshold=0.02))
+        assert isinstance(built.device.scheduler, NoopScheduler)
+        assert isinstance(built.scrubber, WaitingScrubber)
+        assert built.scrubber.threshold == 0.02
+
+    @pytest.mark.parametrize("algorithm", ["sequential", "staggered"])
+    @pytest.mark.parametrize("user_level", [False, True])
+    def test_everything_else_runs_under_cfq(self, algorithm, user_level):
+        built = _stack(
+            ScrubberSetup(algorithm, regions=4, user_level=user_level),
+            idle_gate=0.003,
+        )
+        assert isinstance(built.device.scheduler, CFQScheduler)
+        assert built.device.scheduler.idle_gate == 0.003
+        assert type(built.scrubber) is Scrubber
+        assert type(built.scrubber.algorithm).__name__.lower().startswith(algorithm)
+        assert built.scrubber.soft_barrier is user_level
+        assert (built.scrubber.delay_mode == "interval") is user_level
+
+    def test_a_bare_foreground_runs_under_cfq(self):
+        built = _stack()
+        assert isinstance(built.device.scheduler, CFQScheduler)
+        assert built.scrubber is None and built.faults is None
+
+    def test_unknown_algorithm_names_the_valid_ones(self):
+        with pytest.raises(ValueError) as error:
+            _stack(ScrubberSetup("zigzag"))
+        for name in ("zigzag", "sequential", "staggered", "waiting"):
+            assert name in str(error.value)
+
+    def test_no_default_for_what_the_experiments_disagree_on(self):
+        with pytest.raises(TypeError):
+            ScrubStack(SPEC, cache_enabled=True)  # no idle gate
+        with pytest.raises(TypeError):
+            ScrubStack(SPEC, idle_gate=0.010)  # no cache flag
+        with pytest.raises(ValueError, match="threshold"):
+            _stack(ScrubberSetup("waiting"))
+        plan = build_model("bernoulli").generate(
+            Drive(SPEC).total_sectors, 1.0, 0
+        )
+        with pytest.raises(ValueError, match="spare_sectors"):
+            _stack(fault_plan=plan)
+
+
+class TestStartOrder:
+    def test_foreground_before_scrubber(self):
+        built = _stack(ScrubberSetup())
+        sim = built.sim
+        base = sim._seq
+        built.replay(_trace())
+        assert sim._seq == base + 1  # the foreground's init event
+        real_start, around = built.scrubber.start, []
+
+        def start():
+            around.append(sim._seq)
+            process = real_start()
+            around.append(sim._seq)
+            return process
+
+        built.scrubber.start = start
+        built.run(0.2)
+        assert around == [base + 1, base + 2]  # started in run(), second
+
+    def test_a_stack_without_a_scrubber_just_runs(self):
+        built = _stack()
+        built.replay(_trace())
+        built.run(0.5)
+        assert built.sim.now == 0.5
+        assert built.device.log.count("foreground") > 0
+
+
+class TestDrain:
+    def _run(self, drain):
+        plan = build_model("bernoulli", per_sector_probability=0.002).generate(
+            Drive(SPEC).total_sectors, 0.3, 0
+        )
+        built = _stack(
+            ScrubberSetup(regions=8),
+            fault_plan=plan,
+            spare_sectors=64,
+            remediation=RemediationPolicy(),
+        )
+        built.reader("random", 0, 0.02)
+        built.run(0.3, drain=drain)
+        return built, plan
+
+    def test_drain_finishes_the_lifecycle(self):
+        built, plan = self._run(drain=True)
+        scrubber, log = built.scrubber, built.device.log
+        assert built.sim.now > 0.3
+        assert scrubber.requests_issued == log.count("scrubber")
+        assert scrubber.errors_seen > 0
+        assert built.faults.log.scrub_lifecycle_complete()
+
+    def test_no_drain_stops_at_the_horizon(self):
+        built, plan = self._run(drain=False)
+        scrubber, log = built.scrubber, built.device.log
+        assert built.sim.now == 0.3
+        # Seed 0 cuts a verify in flight: issued, not completed.
+        assert scrubber.requests_issued == log.count("scrubber") + 1
+        assert not built.faults.log.scrub_lifecycle_complete()
+        drained, _ = self._run(drain=True)
+        assert len(drained.device.log) > len(log)
+
+    def test_run_closes_the_fault_log_at_the_horizon(self):
+        plan = build_model("bernoulli", per_sector_probability=0.002).generate(
+            Drive(SPEC).total_sectors, 0.3, 0
+        )
+        built = _stack(fault_plan=plan, spare_sectors=64)
+        built.run(0.3)  # no command ever reaches the drive
+        assert len(built.faults.log.onsets) == len(plan.errors) > 0
+
+
+#: Constructors and calls that make a stack, and the only modules under
+#: ``src/repro`` that may use them: the assembler, the scrubber-alone
+#: throughput measurement (a different machine: no foreground, no
+#: policy rule, the algorithm passed as an instance) and the
+#: multi-device manager, which is handed its devices.
+ASSEMBLY = {
+    "BlockDevice": {"analysis/stack.py", "analysis/throughput.py"},
+    "NoopScheduler": {"analysis/stack.py", "analysis/throughput.py"},
+    "Scrubber": {"analysis/stack.py", "analysis/throughput.py", "core/manager.py"},
+    "make_simulation": {"analysis/stack.py", "analysis/throughput.py"},
+    "CFQScheduler": {"analysis/stack.py"},
+    "WaitingScrubber": {"analysis/stack.py"},
+    "MediaFaults": {"analysis/stack.py"},
+    "TraceReplayer": {"analysis/stack.py"},
+    "request_stop": {"analysis/stack.py"},
+}
+
+
+def _assembly_calls(tree):
+    """Names from :data:`ASSEMBLY` that ``tree`` calls (docstrings are
+    strings, not calls, so examples in them do not count)."""
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ASSEMBLY:
+                called.add(name)
+    return called
+
+
+class TestOneAssembler:
+    def test_nothing_else_under_src_builds_a_stack(self):
+        where = {name: set() for name in ASSEMBLY}
+        files = sorted(SRC.rglob("*.py"))
+        assert len(files) > 50  # the walk found the package
+        for path in files:
+            for name in _assembly_calls(ast.parse(path.read_text())):
+                where[name].add(path.relative_to(SRC).as_posix())
+        assert where == ASSEMBLY
+
+    @pytest.mark.parametrize("source, names", [
+        ("device = BlockDevice(sim, drive, CFQScheduler())", {"BlockDevice", "CFQScheduler"}),
+        ("from repro.faults import MediaFaults\nx = faults.MediaFaults(plan)", {"MediaFaults"}),
+        ("scrubber.request_stop()", {"request_stop"}),
+        ('"""drive.install_faults(MediaFaults(plan))"""', set()),
+        ("from repro.sched.device import BlockDevice", set()),
+    ])
+    def test_the_walk_sees_what_it_should(self, source, names):
+        assert _assembly_calls(ast.parse(source)) == names
+
+    def test_trace_command_reaches_below_the_assembler_for_nothing(self):
+        tree = ast.parse((SRC / "cli.py").read_text())
+        (cmd_trace,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "cmd_trace"
+        ]
+        imported = [
+            node.module for node in ast.walk(cmd_trace)
+            if isinstance(node, ast.ImportFrom)
+        ]
+        assert "repro.analysis.stack" in imported
+        for module in imported:
+            assert module.split(".")[:2] not in (
+                ["repro", "sched"], ["repro", "core"], ["repro", "workloads"],
+            )
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Every ``ScrubStack`` built, as ``(setup, kwargs, drain)`` rows."""
+    rows = []
+    real_init, real_run = ScrubStack.__init__, ScrubStack.run
+
+    def init(self, spec, setup=None, **kwargs):
+        rows.append([setup, kwargs, None])
+        self._row = rows[-1]
+        real_init(self, spec, setup, **kwargs)
+
+    def run(self, horizon, drain=False):
+        self._row[2] = drain
+        real_run(self, horizon, drain)
+
+    monkeypatch.setattr(ScrubStack, "__init__", init)
+    monkeypatch.setattr(ScrubStack, "run", run)
+    return rows
+
+
+def _passed(row):
+    setup, kwargs, drain = row
+    return (
+        kwargs["idle_gate"],
+        setup.threshold if setup is not None else None,
+        kwargs.get("spare_sectors"),
+        kwargs["cache_enabled"],
+        drain,
+    )
+
+
+class TestTheOracleRunsProductionCode:
+    """One ``ScrubStack`` per run at every site, with the values that
+    site has always used: (idle gate, Waiting threshold, spare pool,
+    drive cache, drains)."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_run_scenario(self, family, assemblies):
+        run_scenario(family=family, algorithm="waiting", horizon=0.2)
+        (row,) = assemblies
+        assert _passed(row) == (0.002, 0.005, 512, True, True)
+        assert (row[1]["fault_plan"] is not None) == (family == "fault-injected")
+
+    def test_run_detection_experiment(self, assemblies):
+        run_detection_experiment(SPEC, algorithm="waiting", horizon=0.2)
+        (row,) = assemblies
+        assert _passed(row) == (0.010, 0.01, 4096, True, True)
+
+    @pytest.mark.parametrize("config, threshold", [
+        ({}, None),
+        ({"scrubber": ScrubberSetup()}, None),
+        ({"waiting": {}}, 0.1),
+        ({"waiting": {"threshold": 0.03}}, 0.03),
+    ])
+    def test_replay_with_scrubber(self, config, threshold, assemblies):
+        replay_with_scrubber(_trace(0.3), SPEC, **config)
+        (row,) = assemblies
+        assert _passed(row) == (0.010, threshold, None, False, False)
+        assert (row[0] is None) == (config == {})
+
+    def test_run_impact_experiment(self, assemblies):
+        run_impact_experiment(SPEC, "random", ScrubberSetup(), horizon=0.2)
+        (row,) = assemblies
+        assert _passed(row) == (0.010, None, None, False, False)
+
+    def test_trace_command(self, assemblies, tmp_path, capsys):
+        assert main([
+            "trace", "--cylinders", "30", "--inject", "--foreground",
+            "--horizon", "0.2", "--algorithm", "waiting",
+            "-o", str(tmp_path / "trace.json"),
+        ]) == 0
+        capsys.readouterr()
+        (row,) = assemblies
+        # CFQScheduler's, WaitingScrubber's and MediaFaults' own defaults.
+        assert _passed(row) == (0.010, 0.1, 1024, True, True)
+
+
+class TestCacheKeysDidNotMove:
+    """``canonicalize()`` names an object by module, class and fields,
+    so moving code can move ``ResultCache`` keys.  Literals captured at
+    the commit before the assembler existed."""
+
+    @pytest.fixture
+    def keyed(self, monkeypatch):
+        seen = []
+        real = ResultCache.key
+
+        def key(cache, fn, params):
+            identity = (fn.__module__, fn.__qualname__, canonicalize(params))
+            seen.append(hashlib.sha256(repr(identity).encode()).hexdigest())
+            return real(cache, fn, params)
+
+        monkeypatch.setattr(ResultCache, "key", key)
+        return lambda: hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest()
+
+    def test_replay_baseline(self, keyed, tmp_path):
+        replay_baseline(
+            _trace(2.0), PRESETS["ultrastar"](), horizon=1.0,
+            result_cache=ResultCache(tmp_path),
+        )
+        assert keyed() == (
+            "f84df5b2bc9dc042b451fd96f225108d1554f41f9c3fe2464348658008775807"
+        )
+
+    def test_detection_sweep_task(self, keyed, tmp_path, capsys):
+        assert main([
+            "detect", "--horizon", "0.5", "--cylinders", "30",
+            "--cache-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert keyed() == (
+            "8bf6638811b8d78c02deead54d0a38f02f8fb2e8447c8ce0817016bdf70b0a0e"
+        )
+
+    def test_table_iii_tasks(self, keyed, tmp_path, capsys):
+        assert main([
+            "optimize", "--synthetic", "MSRusr2", "--duration", "900",
+            "--goals-ms", "2.0", "--cache-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert keyed() == (
+            "2d7422d21a4113b89e3ea2b0f03cd2ca4d108cb5edddeee06f4066afd1684f85"
+        )
+
+    def test_the_setup_is_still_importable_from_impact(self):
+        from repro.analysis.impact import ScrubberSetup as from_impact
+
+        assert from_impact is stack_module.ScrubberSetup

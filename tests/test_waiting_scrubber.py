@@ -187,6 +187,22 @@ class TestReplayWithScrubber:
                 waiting={"threshold": 0.1},
             )
 
+    @pytest.mark.parametrize("waiting, named", [
+        ({"treshold": 0.01}, "treshold"),
+        ({"threshold": 0.01, "request_kb": 64}, "request_kb"),
+    ])
+    def test_misspelt_waiting_key_rejected(self, waiting, named, monkeypatch):
+        from repro.analysis import stack
+
+        def built(*args, **kwargs):
+            raise AssertionError("validated only after the stack was built")
+
+        monkeypatch.setattr(stack.ScrubStack, "__init__", built)
+        with pytest.raises(ValueError, match=named):
+            replay_with_scrubber(
+                self._sparse_trace(), hitachi_ultrastar_15k450(), waiting=waiting
+            )
+
     def test_empty_trace_rejected(self):
         empty = make_trace([])
         with pytest.raises(ValueError):
