@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 import-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget trace-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -21,6 +21,14 @@ tier1:
 # forbidden module only -- the seconds are bench/run.py's to judge.
 import-budget:
 	$(PYTHON) tools/import_budget.py
+
+# Working memory of trace synthesis (DESIGN section 19): every catalog
+# entry at the CLI's default 4 h, MSRsrc11 at 6 h and one day, a fresh
+# interpreter each; prints kept / drawn, seconds, RSS and whether the
+# trace reached its duration; exit 1 when a call grows the process by
+# more than 3x the trace's bytes + 32 MB.  Seconds are never judged.
+trace-budget:
+	$(PYTHON) tools/trace_budget.py
 
 # End-to-end smoke of the fault-injection lifecycle on a tiny fault
 # plan: the detect CLI across all three policies, the same sweep over a
@@ -132,4 +140,4 @@ bench-corpus:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 smoke
+check: tier1 trace-budget smoke

@@ -53,7 +53,7 @@ from repro.telemetry import Recorder, TelemetrySink
 from repro.traces import Trace, generate_trace
 
 #: Bump when any result can change (the ``ResultCache`` key hashes it);
-#: an exact change of implementation does not (PRs 11-18 moved no result).
+#: an exact change of implementation does not (PRs 11-20 moved no result).
 __version__ = "1.10.0"
 
 __all__ = [

@@ -173,12 +173,15 @@ class Trace:
         """Sub-trace with arrivals in ``[start, end)`` (times re-based)."""
         if end < start:
             raise ValueError(f"empty window: [{start}, {end})")
-        mask = (self.times >= start) & (self.times < end)
+        # Times are sorted, so [start, end) is one slice: two binary
+        # searches, not two passes over the column (or a mapped store).
+        # Copied, as a mask would: the window does not pin its parent.
+        lo, hi = np.searchsorted(self.times, (start, end), side="left")
         return Trace(
-            self.times[mask] - start,
-            self.lbns[mask],
-            self.sectors[mask],
-            self.is_write[mask],
+            self.times[lo:hi] - start,
+            self.lbns[lo:hi].copy(),
+            self.sectors[lo:hi].copy(),
+            self.is_write[lo:hi].copy(),
             name=self.name,
             description=self.description,
             capacity_sectors=self.capacity_sectors,

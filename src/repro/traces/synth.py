@@ -23,6 +23,7 @@ traces drive both statistical analysis and full-stack replay.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Optional, Sequence, Tuple
@@ -43,6 +44,10 @@ NIGHTLY_BATCH = (
 )
 #: Featureless profile (no periodicity).
 FLAT = tuple([1.0] * 24)
+
+#: Arrivals per block of whole bursts in ``_bursty_times``: its working
+#: arrays stay about a megabyte each however long the trace.
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,16 @@ def _lognormal_params(mean: float, cov: float) -> Tuple[float, float]:
     return mu, float(np.sqrt(sigma2))
 
 
+def _continued_cumsum(carry: float, values: np.ndarray) -> np.ndarray:
+    """``[carry, carry + v0, (carry + v0) + v1, ...]``.
+
+    ``np.cumsum`` adds left to right, so continuing from the last value
+    of the cumsum before performs exactly the additions of one cumsum
+    over everything: blocks reproduce the whole bit for bit.
+    """
+    return np.cumsum(np.concatenate(([carry], values)))
+
+
 class SyntheticTraceGenerator:
     """Generates :class:`~repro.traces.record.Trace` objects from a profile."""
 
@@ -132,7 +147,7 @@ class SyntheticTraceGenerator:
             p.size_choices,
             size=n,
             p=np.asarray(p.size_weights) / np.sum(p.size_weights),
-        ).astype(np.int64)
+        )
         lbns = self._addresses(sectors)
         is_write = self.rng.random(n) < p.write_fraction
         return Trace(
@@ -146,15 +161,35 @@ class SyntheticTraceGenerator:
         )
 
     # -- arrival processes ------------------------------------------------------
+    def _warn_ran_dry(self, stop: float) -> None:
+        """The draw was sized blind and ended before ``duration``."""
+        p = self.profile
+        warnings.warn(
+            f"trace {p.name!r} ran out of arrivals at {stop:.6g} s of the "
+            f"{p.duration:g} s asked for: nothing arrives after that",
+            RuntimeWarning,
+            stacklevel=4,  # whoever called generate()
+        )
+
     def _poisson_times(self) -> np.ndarray:
         p = self.profile
         expected = p.rate * p.duration
         gaps = self.rng.exponential(1.0 / p.rate, size=int(expected * 1.05) + 10)
         times = np.cumsum(gaps)
+        if times[-1] < p.duration:
+            self._warn_ran_dry(times[-1])
         return times[times < p.duration]
 
     def _bursty_times(self) -> np.ndarray:
-        """ON/OFF bursts in operational time, warped for periodicity."""
+        """ON/OFF bursts in operational time, warped for periodicity.
+
+        One gap and one length per burst are drawn for the whole
+        estimate up front; arrivals are then formed a block of whole
+        bursts at a time, every running sum continued from the block
+        before (the same additions in the same order as one pass over
+        the whole draw).  Arrivals come in time order, so the first
+        block that drops one ends the arithmetic.
+        """
         p = self.profile
         mu, sigma = _lognormal_params(p.idle_gap_mean, p.idle_gap_cov)
         mean_burst_duration = p.burst_len_mean * p.intra_gap_mean
@@ -165,27 +200,53 @@ class SyntheticTraceGenerator:
         # Geometric lengths with the requested mean (support >= 1).
         success = min(1.0, 1.0 / p.burst_len_mean)
         lengths = self.rng.geometric(success, size=n_bursts)
-        total = int(lengths.sum())
-        intra = self.rng.exponential(p.intra_gap_mean, size=total)
-
-        # Offsets of each arrival inside its burst (cumsum with resets).
         burst_ends = np.cumsum(lengths)
-        burst_starts_idx = burst_ends - lengths
-        running = np.cumsum(intra)
-        base = np.repeat(
-            running[burst_starts_idx] - intra[burst_starts_idx], lengths
-        )
-        offsets = running - base
+        gap_sums = np.cumsum(gaps)
+        knots = self._warp_knots()
 
-        burst_durations = running[burst_ends - 1] - (
-            running[burst_starts_idx] - intra[burst_starts_idx]
-        )
-        prior_durations = np.concatenate(([0.0], np.cumsum(burst_durations[:-1])))
-        burst_start_times = np.cumsum(gaps) + prior_durations
-        times = np.repeat(burst_start_times, lengths) + offsets
-
-        times = self._warp(times)
-        return times[times < p.duration]
+        # Sized for the draw and trimmed at the end: the pages past the
+        # last arrival kept are never written, so never resident.
+        times = np.empty(int(burst_ends[-1]))
+        kept = 0
+        intra_sum = 0.0  # every intra gap of the blocks before, summed
+        duration_sum = 0.0  # every burst duration of the blocks before
+        first = drawn = 0  # bursts / arrivals in the blocks before
+        reached = False  # a block dropped an arrival: the rest is later
+        while first < n_bursts:
+            last = max(first + 1, int(np.searchsorted(
+                burst_ends, drawn + _BLOCK, side="right"
+            )))
+            count = int(burst_ends[last - 1]) - drawn
+            # Drawn even when unused: sizes, addresses and write flags
+            # come next on this stream.
+            intra = self.rng.exponential(p.intra_gap_mean, size=count)
+            if not reached:
+                block_lengths = lengths[first:last]
+                ends = burst_ends[first:last] - drawn
+                starts = ends - block_lengths
+                # Offsets of each arrival inside its burst (cumsum with resets).
+                running = _continued_cumsum(intra_sum, intra)[1:]
+                intra_sum = running[-1]
+                base = running[starts] - intra[starts]
+                prior_durations = _continued_cumsum(
+                    duration_sum, running[ends - 1] - base
+                )
+                duration_sum = prior_durations[-1]
+                running -= np.repeat(base, block_lengths)
+                running += np.repeat(
+                    gap_sums[first:last] + prior_durations[:-1], block_lengths
+                )
+                if knots is not None:
+                    running = np.interp(running, *knots)
+                keep = running[running < p.duration]
+                times[kept:kept + len(keep)] = keep
+                kept += len(keep)
+                reached = len(keep) < count
+            first, drawn = last, drawn + count
+        if not reached:
+            self._warn_ran_dry(times[kept - 1])
+        times.resize(kept, refcheck=False)
+        return times
 
     def _correlated_lognormal(
         self, mu: float, sigma: float, count: int
@@ -204,18 +265,19 @@ class SyntheticTraceGenerator:
         logs = np.fromiter(recursion, dtype=float, count=count)
         return np.exp(mu + logs)
 
-    def _warp(self, operational_times: np.ndarray) -> np.ndarray:
-        """Map operational time to wall time via the rate profile.
+    def _warp_knots(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Knots mapping operational time to wall time via the rate profile.
 
         The cumulative intensity ``L(t) = integral of h`` is piecewise
         linear over hours; arrivals generated in operational time ``s``
-        land at wall time ``L^{-1}(s)``, concentrating them in
-        high-multiplier hours.
+        land at wall time ``L^{-1}(s)`` (``np.interp(s, *knots)``),
+        concentrating them in high-multiplier hours.  ``None`` for a
+        flat profile: warping is the identity.
         """
         p = self.profile
         profile = np.asarray(p.hourly_profile, dtype=float)
         if np.allclose(profile, profile[0]):
-            return operational_times  # flat: warping is the identity
+            return None
         profile = profile / profile.mean()
         hour = p.period_hours * 3600.0 / len(profile)
         n_hours = int(np.ceil(p.duration / hour)) + len(profile) + 1
@@ -224,7 +286,7 @@ class SyntheticTraceGenerator:
         operational_knots = np.concatenate(
             ([0.0], np.cumsum(multipliers * hour))
         )
-        return np.interp(operational_times, operational_knots, wall_knots)
+        return operational_knots, wall_knots
 
     # -- addresses -----------------------------------------------------------------
     def _addresses(self, sectors: np.ndarray) -> np.ndarray:
@@ -237,17 +299,17 @@ class SyntheticTraceGenerator:
         is_jump[0] = True
         jump_targets = self._jump_targets(int(is_jump.sum()))
 
-        # Run-relative offsets: cumsum of sizes with a reset at each jump.
-        shifted = np.concatenate(([0], sectors[:-1]))
-        running = np.cumsum(shifted)
-        jump_idx = np.flatnonzero(is_jump)
-        run_ids = np.cumsum(is_jump) - 1
-        base = running[jump_idx][run_ids]
-        offsets = running - base
-        lbns = jump_targets[run_ids] + offsets
+        # Run-relative offsets: cumsum of sizes with a reset at each
+        # jump.  All int64, so one array updated in place is exact.
+        lbns = np.zeros(n, dtype=np.int64)
+        np.cumsum(sectors[:-1], out=lbns[1:])
+        run_ids = np.cumsum(is_jump)
+        run_ids -= 1
+        lbns -= lbns[np.flatnonzero(is_jump)][run_ids]
+        lbns += jump_targets[run_ids]
         # Wrap runs that fall off the end of the disk.
         limit = p.capacity_sectors - int(sectors.max())
-        return np.mod(lbns, max(1, limit)).astype(np.int64)
+        return np.mod(lbns, max(1, limit), out=lbns)
 
     def _jump_targets(self, count: int) -> np.ndarray:
         p = self.profile

@@ -69,6 +69,54 @@ class TestTrace:
         with pytest.raises(ValueError):
             make_trace().window(5.0, 1.0)
 
+    @staticmethod
+    def assert_window_is_the_mask(trace, start, end):
+        """``window`` slices between two binary searches; the mask over
+        the whole column it replaced is the reference."""
+        mask = (trace.times >= start) & (trace.times < end)
+        sub = trace.window(start, end)
+        assert sub.times.tobytes() == (trace.times[mask] - start).tobytes()
+        assert sub.lbns.tobytes() == trace.lbns[mask].tobytes()
+        assert sub.sectors.tobytes() == trace.sectors[mask].tobytes()
+        assert sub.is_write.tobytes() == trace.is_write[mask].tobytes()
+        assert (sub.name, sub.capacity_sectors) == (trace.name, trace.capacity_sectors)
+        for column in (sub.times, sub.lbns, sub.sectors, sub.is_write):
+            assert column.base is None  # a copy: the parent can be freed
+        return sub
+
+    def test_window_equals_the_mask_it_replaced(self):
+        rng = np.random.default_rng(5)
+        # Quarter-second grid: plenty of duplicate times, so windows
+        # start and end inside runs of equal arrivals.
+        times = np.sort(rng.integers(0, 400, size=2000) / 4.0)
+        trace = Trace(
+            times, rng.integers(0, 10**6, size=2000),
+            rng.integers(1, 129, size=2000), rng.random(2000) < 0.3,
+            name="w", capacity_sectors=10**7,
+        )
+        for _ in range(200):
+            start, end = np.sort(rng.integers(-8, 420, size=2) / 4.0)
+            self.assert_window_is_the_mask(trace, float(start), float(end))
+        first, last = float(times[0]), float(times[-1])
+        assert len(self.assert_window_is_the_mask(trace, first, last)) < len(trace)
+        whole = self.assert_window_is_the_mask(trace, first, last + 0.25)
+        assert len(whole) == len(trace)
+        assert len(self.assert_window_is_the_mask(trace, 50.0, 50.0)) == 0
+        assert len(self.assert_window_is_the_mask(trace, 50.1, 50.2)) == 0
+        assert len(self.assert_window_is_the_mask(trace, last + 1, last + 9)) == 0
+        assert len(self.assert_window_is_the_mask(trace, -9.0, first)) == 0
+
+    def test_window_of_an_unvalidated_chunk_view(self):
+        parent = make_trace(name="chunked", capacity_sectors=4096)
+        view = Trace(
+            parent.times[1:], parent.lbns[1:], parent.sectors[1:],
+            parent.is_write[1:], name=parent.name,
+            capacity_sectors=parent.capacity_sectors, validate=False,
+        )
+        sub = self.assert_window_is_the_mask(view, 2.5, 10.0)
+        assert sub.lbns.tolist() == [100, 300]
+        assert len(self.assert_window_is_the_mask(view, 0.0, 99.0)) == 4
+
     def test_requests_per_bin(self):
         trace = make_trace()
         counts = trace.requests_per_bin(bin_seconds=5.0)

@@ -1,5 +1,8 @@
 """Tests for synthetic trace generation and the catalog (repro.traces)."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from repro.sim import RandomStreams
 from repro.traces import (
     CATALOG,
     SyntheticTraceGenerator,
+    Trace,
     TraceProfile,
     generate_trace,
 )
+from repro.traces import synth
 from repro.traces.catalog import trace_idle_intervals
 from repro.traces.idle import idle_intervals, service_times
 from repro.traces.synth import FLAT, OFFICE_HOURS, _lognormal_params
@@ -167,6 +172,313 @@ class TestCorrelatedGapsExact:
         gaps = make_generator(profile)._correlated_lognormal(-1.0, 2.0, count)
         plain = RandomStreams(seed=11).get("synth").lognormal(-1.0, 2.0, size=count)
         assert gaps.tobytes() == plain.tobytes()
+
+
+# -- the one-shot synthesis the block loop replaced --------------------------
+#
+# ``_bursty_times``, ``_warp``, ``_addresses`` and the body of
+# ``generate`` as they stood before synthesis went block-wise, verbatim
+# but for ``self`` becoming the generator passed in.  They draw the same
+# values in the same order from the same stream, hold every array for
+# the whole draw at once, and are the reference the block loop must
+# equal bit for bit.
+
+def _one_shot_generate(self) -> Trace:
+    p = self.profile
+    if p.memoryless:
+        times = self._poisson_times()
+    else:
+        times = _one_shot_bursty_times(self)
+    n = len(times)
+    sectors = self.rng.choice(
+        p.size_choices,
+        size=n,
+        p=np.asarray(p.size_weights) / np.sum(p.size_weights),
+    ).astype(np.int64)
+    lbns = _one_shot_addresses(self, sectors)
+    is_write = self.rng.random(n) < p.write_fraction
+    return Trace(
+        times,
+        lbns,
+        sectors,
+        is_write,
+        name=p.name,
+        description=p.description,
+        capacity_sectors=p.capacity_sectors,
+    )
+
+
+def _one_shot_bursty_times(self) -> np.ndarray:
+    """ON/OFF bursts in operational time, warped for periodicity."""
+    p = self.profile
+    mu, sigma = _lognormal_params(p.idle_gap_mean, p.idle_gap_cov)
+    mean_burst_duration = p.burst_len_mean * p.intra_gap_mean
+    mean_cycle = p.idle_gap_mean + mean_burst_duration
+    n_bursts = int(p.duration / mean_cycle * 1.3) + 10
+
+    gaps = self._correlated_lognormal(mu, sigma, n_bursts)
+    # Geometric lengths with the requested mean (support >= 1).
+    success = min(1.0, 1.0 / p.burst_len_mean)
+    lengths = self.rng.geometric(success, size=n_bursts)
+    total = int(lengths.sum())
+    intra = self.rng.exponential(p.intra_gap_mean, size=total)
+
+    # Offsets of each arrival inside its burst (cumsum with resets).
+    burst_ends = np.cumsum(lengths)
+    burst_starts_idx = burst_ends - lengths
+    running = np.cumsum(intra)
+    base = np.repeat(
+        running[burst_starts_idx] - intra[burst_starts_idx], lengths
+    )
+    offsets = running - base
+
+    burst_durations = running[burst_ends - 1] - (
+        running[burst_starts_idx] - intra[burst_starts_idx]
+    )
+    prior_durations = np.concatenate(([0.0], np.cumsum(burst_durations[:-1])))
+    burst_start_times = np.cumsum(gaps) + prior_durations
+    times = np.repeat(burst_start_times, lengths) + offsets
+
+    times = _one_shot_warp(self, times)
+    return times[times < p.duration]
+
+
+def _one_shot_warp(self, operational_times: np.ndarray) -> np.ndarray:
+    p = self.profile
+    profile = np.asarray(p.hourly_profile, dtype=float)
+    if np.allclose(profile, profile[0]):
+        return operational_times  # flat: warping is the identity
+    profile = profile / profile.mean()
+    hour = p.period_hours * 3600.0 / len(profile)
+    n_hours = int(np.ceil(p.duration / hour)) + len(profile) + 1
+    multipliers = np.tile(profile, -(-n_hours // len(profile)))[:n_hours]
+    wall_knots = np.arange(n_hours + 1) * hour
+    operational_knots = np.concatenate(
+        ([0.0], np.cumsum(multipliers * hour))
+    )
+    return np.interp(operational_times, operational_knots, wall_knots)
+
+
+def _one_shot_addresses(self, sectors: np.ndarray) -> np.ndarray:
+    """Sequential runs interleaved with jumps into hot regions."""
+    p = self.profile
+    n = len(sectors)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    is_jump = self.rng.random(n) >= p.seq_prob
+    is_jump[0] = True
+    jump_targets = self._jump_targets(int(is_jump.sum()))
+
+    # Run-relative offsets: cumsum of sizes with a reset at each jump.
+    shifted = np.concatenate(([0], sectors[:-1]))
+    running = np.cumsum(shifted)
+    jump_idx = np.flatnonzero(is_jump)
+    run_ids = np.cumsum(is_jump) - 1
+    base = running[jump_idx][run_ids]
+    offsets = running - base
+    lbns = jump_targets[run_ids] + offsets
+    # Wrap runs that fall off the end of the disk.
+    limit = p.capacity_sectors - int(sectors.max())
+    return np.mod(lbns, max(1, limit)).astype(np.int64)
+
+
+def catalog_generator(name, duration, seed, **overrides):
+    """What ``generate_trace(name, duration, seed)`` builds, not yet run."""
+    profile = CATALOG[name].profile.with_overrides(
+        duration=float(duration), **overrides
+    )
+    return SyntheticTraceGenerator(
+        profile, RandomStreams(seed=seed).get(f"trace/{name}")
+    )
+
+
+def assert_same_trace(ours: Trace, reference: Trace) -> None:
+    for column in ("times", "lbns", "sectors", "is_write"):
+        a, b = getattr(ours, column), getattr(reference, column)
+        assert a.dtype == b.dtype, column
+        assert a.shape == b.shape, column
+        assert a.tobytes() == b.tobytes(), column
+    assert ours.digest() == reference.digest()
+
+
+def both_ways(name, duration, seed, **overrides):
+    """(block-wise trace, one-shot trace), run-dry warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ours = catalog_generator(name, duration, seed, **overrides).generate()
+        reference = _one_shot_generate(
+            catalog_generator(name, duration, seed, **overrides)
+        )
+    return ours, reference
+
+
+MEMORYLESS = sorted(set(CATALOG) - set(BURSTY))
+
+
+class TestBlockSynthesisExact:
+    """Block-wise synthesis against the one-shot code it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("duration", [60, 600, 3600, 21_600])
+    @pytest.mark.parametrize("name", BURSTY)
+    def test_bursty_catalog_traces_equal_one_shot(self, name, duration, seed):
+        ours, reference = both_ways(name, duration, seed)
+        assert len(ours) > 0
+        assert_same_trace(ours, reference)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("duration", [60, 600])
+    @pytest.mark.parametrize("name", MEMORYLESS)
+    def test_memoryless_catalog_traces_equal_one_shot(self, name, duration, seed):
+        """Same arrivals either way; this is the in-place address path."""
+        assert_same_trace(*both_ways(name, duration, seed))
+
+    def test_generate_trace_is_the_block_path(self):
+        ours = generate_trace("MSRusr1", duration=600, seed=7)
+        assert_same_trace(ours, both_ways("MSRusr1", 600, 7)[1])
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, 1 << 40])
+    @pytest.mark.parametrize("name", BURSTY)
+    def test_any_block_size_gives_the_same_trace(self, monkeypatch, name, block):
+        """1: every burst its own block, boundaries on the first and the
+        last burst and between all neighbours; 7: bursts longer than the
+        block (means are 2-40 arrivals) are one block each; 2**40: the
+        whole draw is one block, which is the one-shot computation."""
+        monkeypatch.setattr(synth, "_BLOCK", block)
+        assert_same_trace(*both_ways(name, 600, 7))
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_block_boundaries_after_the_horizon_and_in_a_dry_trace(
+        self, monkeypatch, block
+    ):
+        monkeypatch.setattr(synth, "_BLOCK", block)
+        assert_same_trace(*both_ways("MSRsrc11", 3600, 11))  # stops early
+        assert_same_trace(*both_ways("HPc6t8d0", 14_400, 0))  # runs dry
+        assert_same_trace(*both_ways("MSRsrc11", 600, 3, hourly_profile=FLAT))
+
+    @pytest.mark.parametrize("name, scale", [("MSRsrc11", 0.03), ("HPc6t5d1", 0.5)])
+    def test_rate_scaled_traces_equal_one_shot(self, name, scale):
+        ours = generate_trace(name, duration=3600, seed=7, rate_scale=scale)
+        burst_len_mean = max(1.0, CATALOG[name].profile.burst_len_mean * scale)
+        reference = both_ways(name, 3600, 7, burst_len_mean=burst_len_mean)[1]
+        assert_same_trace(ours, reference)
+
+    @pytest.mark.parametrize("name, duration, overrides, dry", [
+        ("MSRsrc11", 21_600, {}, False),  # the loop stops at the horizon
+        ("HPc6t8d0", 14_400, {}, True),  # the loop consumes every burst
+        ("MSRusr2", 600, {"hourly_profile": FLAT}, False),  # no warp
+    ])
+    def test_stream_stands_where_the_one_shot_left_it(
+        self, name, duration, overrides, dry
+    ):
+        """Sizes, addresses and write flags are drawn next on the same
+        stream, so the gaps of bursts never reached must still be drawn."""
+        ours = catalog_generator(name, duration, 7, **overrides)
+        reference = catalog_generator(name, duration, 7, **overrides)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            times = ours._bursty_times()
+        assert bool(caught) == dry
+        assert times.tobytes() == _one_shot_bursty_times(reference).tobytes()
+        assert ours.rng.random() == reference.rng.random()
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_carried_sum_is_the_sum(self, block, seed):
+        """The one numpy property the exactness rests on: ``np.cumsum``
+        adds left to right, so a block that starts from the previous
+        block's last value performs the additions of the whole."""
+        values = np.random.default_rng(seed).exponential(0.002, size=10_000)
+        values[::97] *= 1e6  # mixed magnitudes: rounding differs by order
+        chained, carry = [], 0.0
+        for lo in range(0, len(values), block):
+            sums = synth._continued_cumsum(carry, values[lo:lo + block])
+            assert sums[0] == carry
+            carry = sums[-1]
+            chained.append(sums[1:])
+        assert np.concatenate(chained).tobytes() == np.cumsum(values).tobytes()
+
+    @pytest.mark.parametrize("name", ["MSRsrc11", "HPc6t5d1", "TPCdisk66"])
+    def test_no_arrival_kept_is_an_empty_valid_trace(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = generate_trace(name, duration=1e-9, seed=0)
+        assert len(ours) == 0 and ours.duration == 0.0
+        assert ours.times.dtype == np.float64 and ours.lbns.dtype == np.int64
+        assert_same_trace(ours, both_ways(name, 1e-9, 0)[1])
+
+
+def traced_peak(name, duration):
+    """(trace, tracemalloc peak in bytes) of one ``generate_trace``."""
+    tracemalloc.start()
+    try:
+        trace = generate_trace(name, duration=duration, seed=7)
+        return trace, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSynthesisWorkingMemory:
+    """Allocation peaks (deterministic; numpy reports to tracemalloc).
+
+    The one-shot code held eight arrays as long as the whole draw: 97 MB
+    for the 9 MB MSRsrc11 trace, 30 MB for the 2 MB MSRusr2 one.  The
+    bursty bounds include the output buffer, sized for the draw and
+    mostly never touched."""
+
+    MB = 1 << 20
+
+    def test_six_hours_of_msrsrc11(self):
+        trace, peak = traced_peak("MSRsrc11", 21_600)
+        assert len(trace) == 381_774
+        assert peak <= 30 * self.MB
+
+    def test_cli_default_msrusr2(self):
+        trace, peak = traced_peak("MSRusr2", 14_400)
+        assert len(trace) == 82_867
+        assert peak <= 15 * self.MB
+
+    def test_memoryless_trace_within_three_times_its_columns(self):
+        trace, peak = traced_peak("TPCdisk66", 600)
+        columns = sum(
+            column.nbytes
+            for column in (trace.times, trace.lbns, trace.sectors, trace.is_write)
+        )
+        assert peak <= 3 * columns
+
+
+class TestRunDryWarning:
+    """The burst estimate ignores the hour profile; a trace that ends
+    before its ``duration`` because the draw ran out now says so."""
+
+    def test_hp_cello_at_the_cli_default_duration(self):
+        with pytest.warns(RuntimeWarning, match=r"'HPc6t8d0' ran out .* 14400 s"):
+            trace = generate_trace("HPc6t8d0", duration=4 * 3600.0)
+        assert trace.times[-1] < 0.65 * 4 * 3600.0  # nothing after ~2.5 h
+
+    def test_poisson_margin_too_short(self):
+        """``1.05 x + 10`` gaps for ``x`` expected arrivals is a 1.4 sigma
+        margin at a few arrivals a second: some seeds keep every gap."""
+        rate = CATALOG["TPCdisk66"].profile.rate * 0.01
+        drawn = int(rate * 20 * 1.05) + 10
+        dry = next(
+            seed for seed in range(100)
+            if len(both_ways("TPCdisk66", 20, seed, rate=rate)[1]) == drawn
+        )
+        with pytest.warns(RuntimeWarning, match="'TPCdisk66' ran out"):
+            trace = generate_trace(
+                "TPCdisk66", duration=20, seed=dry, rate_scale=0.01
+            )
+        assert len(trace) == drawn and trace.times[-1] < 20
+
+    @pytest.mark.parametrize("name, duration, seed", [
+        ("MSRsrc11", 21_600, 7), ("TPCdisk66", 600, 7),
+        *((name, 60, 0) for name in sorted(CATALOG)),
+    ])
+    def test_silent_when_the_duration_is_reached(self, name, duration, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_trace(name, duration=duration, seed=seed)
 
 
 class TestIdleExtraction:
