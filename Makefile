@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 import-budget trace-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget trace-budget stack-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -29,6 +29,15 @@ import-budget:
 # more than 3x the trace's bytes + 32 MB.  Seconds are never judged.
 trace-budget:
 	$(PYTHON) tools/trace_budget.py
+
+# What a finished full-stack run leaves behind (DESIGN sections 12 and
+# 18): twelve serial runs in one fresh interpreter of the Fig. 7
+# cfq-staggered-128 replay on each kernel and of a fault-injected detect
+# run with remediation, no gc.collect() anywhere; prints max RSS and
+# tracked objects after every call; exit 1 when call 12 stands more than
+# 2 MB or 1000 tracked objects above call 2.  Seconds are never judged.
+stack-budget:
+	$(PYTHON) tools/stack_budget.py
 
 # End-to-end smoke of the fault-injection lifecycle on a tiny fault
 # plan: the detect CLI across all three policies, the same sweep over a
@@ -140,4 +149,4 @@ bench-corpus:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 trace-budget smoke
+check: tier1 trace-budget stack-budget smoke

@@ -5,7 +5,7 @@ scrubber thread per block device under an I/O scheduler, next to a
 foreground load, run to a horizon.  :class:`ScrubStack` builds it; the
 experiments (impact, replay CDFs, detection, the ``repro.verify``
 oracle, ``repro trace``) choose a foreground, a fault plan and what to
-read off the logs afterwards.  Four decisions live here and nowhere
+read off the logs afterwards.  Five decisions live here and nowhere
 else (DESIGN §18):
 
 * name → scrubber: ``"sequential"`` / ``"staggered"`` are the framework
@@ -19,7 +19,10 @@ else (DESIGN §18):
   who reaches the idle disk first;
 * the drain: at the horizon a draining run lets the in-flight verify and
   any remediation it triggered finish, so no detected error is abandoned
-  mid-lifecycle by the cut-off.
+  mid-lifecycle by the cut-off;
+* the release: a stack runs once, and ``run()`` ends by closing the
+  simulation over the processes the stack started, so that dropping the
+  stack frees the finished run by reference counting.
 
 Idle gate, drive cache, Waiting threshold and spare pool have no default
 here: the experiments disagree on them, and a default would silently
@@ -120,7 +123,8 @@ class ScrubStack:
     and every no-scrub baseline).  ``fault_plan`` installs latent sector
     errors with a ``spare_sectors`` reallocation pool; ``remediation``
     is handed to the scrubber.  After :meth:`run`, read results off
-    ``device.log``, ``scrubber`` and ``faults.log``.
+    ``device.log``, ``scrubber``, ``faults.log``, ``drive.cache``,
+    ``foreground`` and the clock (``sim.now``).
     """
 
     def __init__(
@@ -157,13 +161,32 @@ class ScrubStack:
             if setup is not None
             else None
         )
+        #: The foreground workload (:class:`TraceReplayer` or reader),
+        #: ``None`` until :meth:`replay` or :meth:`reader` starts one.
+        self.foreground = None
+        #: Handles of the processes this stack started, for the kernel
+        #: teardown at the end of :meth:`run`; ``None`` once released.
+        self._started: Optional[list] = [self.device.dispatcher]
+
+    def _live(self) -> list:
+        """The handles of a stack that has not run yet."""
+        if self._started is None:
+            raise RuntimeError("this stack has run and released its simulation")
+        return self._started
+
+    def _start_foreground(self, workload) -> None:
+        started = self._live()
+        if self.foreground is not None:
+            raise RuntimeError("this stack already has a foreground")
+        self.foreground = workload
+        started.append(workload.start())
 
     def replay(self, records, time_scale: float = 1.0) -> None:
         """Start an open-loop replay of ``records`` as the foreground
         (anything :class:`TraceReplayer` accepts; LBNs wrap onto the drive)."""
-        TraceReplayer(
-            self.sim, self.device, records, time_scale=time_scale
-        ).start()
+        self._start_foreground(
+            TraceReplayer(self.sim, self.device, records, time_scale=time_scale)
+        )
 
     def reader(self, pattern: str, seed: int, think_mean: float) -> None:
         """Start a closed-loop synthetic reader as the foreground:
@@ -172,20 +195,36 @@ class ScrubStack:
         readers = {"sequential": SequentialReader, "random": RandomReader}
         if pattern not in readers:
             raise ValueError(f"unknown workload: {pattern!r}")
-        readers[pattern](
-            self.sim,
-            self.device,
-            RandomStreams(seed=seed).get("foreground"),
-            think_mean=think_mean,
-        ).start()
+        self._start_foreground(
+            readers[pattern](
+                self.sim,
+                self.device,
+                RandomStreams(seed=seed).get("foreground"),
+                think_mean=think_mean,
+            )
+        )
 
     def run(self, horizon: float, drain: bool = False) -> None:
-        """Start the scrubber, run to ``horizon``, optionally drain, and
-        close the fault log at ``horizon``."""
+        """Start the scrubber, run to ``horizon``, optionally drain,
+        close the fault log at ``horizon`` and release the simulation.
+
+        A stack runs once.  What is still pending at the horizon (the
+        event heap, the dispatcher, the scrubber and the foreground
+        waiting mid-request) is torn down by :meth:`Simulation.close`,
+        so that dropping the stack frees all of it by reference
+        counting; the logs and counters named in the class docstring
+        stay readable, and a second ``run()`` (or a late ``replay()`` /
+        ``reader()``) raises ``RuntimeError``.
+        """
+        started = self._live()
         process = self.scrubber.start() if self.scrubber is not None else None
+        if process is not None:
+            started.append(process)
         self.sim.run(until=horizon)
         if drain and process is not None and process.is_alive:
             self.scrubber.request_stop()
             self.sim.run(until=process)
         if self.faults is not None:
             self.faults.finalize(horizon)
+        self._started = None
+        self.sim.close(started)

@@ -64,6 +64,7 @@ speculative duplicates observationally free.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
 import threading
@@ -192,6 +193,12 @@ def _supervised_worker(conn, fn, param_sets, heartbeat_interval, supervisor) -> 
     ``Connection.send`` is not thread-safe.  ``supervisor`` is the pid
     this worker must stay a child of.
     """
+    # Everything alive here was inherited from the supervisor (fork) or
+    # made by importing this module (spawn) and lives as long as the
+    # worker: move it out of the collector's sight, so that a task's
+    # full collection neither traverses the driver's heap nor
+    # copy-on-write-faults every page of it.
+    gc.freeze()
     lock = threading.Lock()
     try:
         while True:

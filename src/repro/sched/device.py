@@ -131,7 +131,8 @@ class BlockDevice:
         #: (not processed) and must not be re-armed; the ``.processed``
         #: guard falls back to a fresh Timeout for that wait.
         self._recheck = ReusableTimeout(sim)
-        self._dispatcher_proc = sim.process(self._dispatcher())
+        #: The dispatcher process (alive as long as the simulation).
+        self.dispatcher = sim.process(self._dispatcher())
 
     # -- public API ------------------------------------------------------------
     def submit(self, request: IORequest) -> Event:
@@ -226,3 +227,7 @@ class BlockDevice:
             for observer in self.observers:
                 observer("complete", request, sim.now)
             request.completion.succeed(request)
+            # The event now carries the request to whoever waits on it;
+            # the request pointing back at the event would make every
+            # completed request a reference cycle.
+            request.completion = None

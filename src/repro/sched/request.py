@@ -59,7 +59,9 @@ class IORequest:
         self.submit_time: Optional[float] = None
         self.dispatch_time: Optional[float] = None
         self.complete_time: Optional[float] = None
-        #: Completion event, set by the owning BlockDevice at submit.
+        #: Completion event, set by the owning BlockDevice at submit and
+        #: dropped again when it is triggered (the event's value is this
+        #: request; keeping both directions would be a reference cycle).
         self.completion = None
         #: Drive-level timing breakdown, set at completion.
         self.breakdown = None

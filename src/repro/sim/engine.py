@@ -19,7 +19,7 @@ import gc
 import heapq
 import time
 from functools import partial
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from repro.sim.events import _PROCESSED, NORMAL, URGENT, URGENT_BIAS, Event, Timeout
 from repro.sim.process import Process
@@ -46,6 +46,11 @@ class StopSimulation(Exception):
 
 class EmptySchedule(Exception):
     """Raised when the event queue has run dry."""
+
+
+def _closed(*_args: Any, **_kwargs: Any) -> None:
+    """What :attr:`Simulation.timeout` is after :meth:`Simulation.close`."""
+    raise RuntimeError("this simulation has been closed")
 
 
 class Simulation:
@@ -150,6 +155,33 @@ class Simulation:
         heapq.heappush(self._queue, (deadline, seq - URGENT_BIAS, marker))
         return marker
 
+    def close(self, processes: Iterable[Event] = ()) -> None:
+        """Release everything still pending, so that dropping the
+        simulation frees it — and the components built on it — by
+        reference counting.
+
+        What has been processed is acyclic already (see :meth:`run`).
+        What is left at a horizon is not: the heap holds events whose
+        callbacks are bound methods of live processes, a live process
+        holds its generator frame and the bound ``_resume`` it hands to
+        every event it waits on, and the simulation refers to itself
+        through :attr:`timeout` and the pooled ``until`` marker.
+        ``close()`` clears the heap, unhooks those self-references and
+        abandons each of ``processes`` (generator closed at its wait
+        point, ``finally`` blocks run).  The kernel keeps no registry
+        of the processes it started — that would be a store per spawn
+        for the benefit of one call per simulation — so the caller
+        passes the handles it owns.
+
+        Afterwards :attr:`now` and the sequence counter stay readable;
+        :meth:`run` and :attr:`timeout` raise ``RuntimeError``.
+        """
+        for process in processes:
+            process._close()
+        self._queue.clear()
+        self._marker = None
+        self.timeout = _closed
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -185,14 +217,21 @@ class Simulation:
             event is processed and returns its value.
         gc_pause:
             Pause the cyclic garbage collector while the event loop
-            runs (restored, with a collection, on exit).  Kernel
-            objects are acyclic once popped from the queue, so
-            reference counting reclaims them; the cycle collector only
-            rescans the pending-event heap over and over, which can
-            double the cost of allocation-heavy simulations.  Pass
-            ``False`` for workloads that create many cyclic structures
-            per event and must bound memory mid-run.
+            runs (restored, with a young-generation collection, on
+            exit).  Kernel objects are acyclic once processed — a fired
+            condition lets go of its constituents, a finished process
+            of its bound resume callback, and a completed request (see
+            :class:`~repro.sched.device.BlockDevice`) of its completion
+            event — so reference counting reclaims them, and the cycle
+            collector would only rescan the pending-event heap over and
+            over, which can double the cost of allocation-heavy
+            simulations.  What is still *pending* when ``run`` returns
+            is cyclic (:meth:`close` releases it).  Pass ``False`` for
+            workloads that create many cyclic structures per event and
+            must bound memory mid-run.
         """
+        if self.timeout is _closed:
+            _closed()
         stop_value: Any = None
         if until is not None:
             if isinstance(until, Event):

@@ -158,6 +158,12 @@ class Event:
             event._defused = True
             self.fail(event.value)
 
+    def _detach(self) -> None:
+        """Forget the waiters of an event that will never be processed
+        (kernel teardown, :meth:`Simulation.close`)."""
+        if self._callbacks is not _PROCESSED:
+            self._callbacks = None
+
     # -- composition -----------------------------------------------------
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.sim, [self, other])
@@ -239,7 +245,12 @@ class ReusableTimeout(Event):
 
 
 class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf`."""
+    """Base for :class:`AnyOf` / :class:`AllOf`.
+
+    ``events`` lists the constituents while the condition is pending
+    and is empty once it has fired (the value maps the constituents
+    processed by then to their values).
+    """
 
     __slots__ = ("events", "_count")
 
@@ -268,6 +279,13 @@ class _Condition(Event):
     def _satisfied(self) -> bool:
         raise NotImplementedError
 
+    def _detach(self) -> None:
+        # Each constituent holds ``_check``, and through it this
+        # condition and its ``events`` list: a cycle until it fires.
+        Event._detach(self)
+        for event in self.events:
+            event._detach()
+
     def _collect(self) -> dict:
         return {
             event: event.value
@@ -283,10 +301,16 @@ class _Condition(Event):
         if not event.ok:
             event._defused = True
             self.fail(event.value)
-            return
-        self._count += 1
-        if self._satisfied():
+        else:
+            self._count += 1
+            if not self._satisfied():
+                return
             self.succeed(self._collect())
+        # Fired: let go of the constituents.  One that is still pending
+        # keeps ``_check`` (a late failure must still be defused) and
+        # through it this condition; pointing back at it would be a
+        # reference cycle for as long as it stays pending.
+        self.events = ()
 
 
 class AnyOf(_Condition):

@@ -9,7 +9,9 @@ fires when the generator returns, so processes can wait on each other.
 The resume path is the hottest non-allocating code in the kernel:
 
 * the bound ``_resume`` method is created once (``_on_fire``) instead
-  of allocating a fresh bound method for every wait;
+  of allocating a fresh bound method for every wait — a reference from
+  the process to itself, dropped when it finishes, fails or is closed,
+  so that a process that is done is freed by reference counting;
 * a process waiting alone on an event stores that callable directly in
   the event's ``_callbacks`` slot — no list allocation per yield;
 * the target-detach bookkeeping (forgetting the event we were waiting
@@ -99,6 +101,16 @@ class Process(Event):
         self._interrupted = True
         self.sim.schedule_interrupt(event)
 
+    def _close(self) -> None:
+        """Abandon a process that is still alive (kernel teardown,
+        :meth:`Simulation.close`): the generator is closed where it
+        waits, so its ``finally`` blocks run and its frame lets go of
+        everything it held; the process never fires."""
+        if self._target is not None:
+            self._target._detach()
+        self._target = self._on_fire = None
+        self._generator.close()
+
     # -- engine callback ---------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome."""
@@ -130,7 +142,7 @@ class Process(Event):
             except StopIteration as stop:
                 # Inlined succeed(): a finishing process is by
                 # definition still pending, so skip the re-trigger guard.
-                self._target = None
+                self._target = self._on_fire = None
                 sim._active_process = None
                 self._ok = True
                 self._value = getattr(stop, "value", None)
@@ -139,13 +151,13 @@ class Process(Event):
                 return
             except Interrupt as exc:
                 # The generator re-raised an interrupt it did not handle.
-                self._target = None
+                self._target = self._on_fire = None
                 sim._active_process = None
                 self._defused = True
                 self.fail(exc)
                 return
             except BaseException as exc:
-                self._target = None
+                self._target = self._on_fire = None
                 sim._active_process = None
                 self.fail(exc)
                 return

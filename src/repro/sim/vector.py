@@ -201,6 +201,15 @@ class VectorSimulation(Simulation):
         if end < bt.size:
             self._arm()
 
+    def close(self, processes=()) -> None:
+        """Also empty the timer store and let go of the proxy event,
+        whose callback is a bound method of this simulation."""
+        super().close(processes)
+        self._bt = _EMPTY_T
+        self._bk = _EMPTY_K
+        self._bcur = self._proxies = 0
+        self._proxy = None
+
     def _pending(self) -> int:
         return len(self._queue) - self._proxies + self._bt.size - self._bcur
 

@@ -182,23 +182,30 @@ class _ReplayCursor(Event):
         if self._done or not self.is_alive:
             return
         self._done = True
-        # Forget the event that would have resumed us (mirrors the
-        # target-detach in Process._resume): it stays in the heap and
-        # pops later as a no-op.
-        target = self._fire_ev if self._start_at is not None else self._init_ev
-        if target is not None and target._callbacks is self._on_fire:
-            target._callbacks = None
         if self._start_at is None:
             # Interrupted before the init event fired: the generator
             # path fails the process with the interrupt (pre-defused).
+            self._close()
             self._defused = True
             Event.fail(self, Interrupt("stop"))
         else:
             self._finish()
 
+    def _close(self) -> None:
+        """Let go of the bound ``_fire`` and of the two events that
+        carry it (mirrors ``Process._close`` and the target-detach in
+        ``Process._resume``; also how a cursor that ends on its own
+        stops referring to itself).  An event still in the heap pops
+        later as a no-op."""
+        for ev in (self._fire_ev, self._init_ev):
+            if ev is not None:
+                ev._detach()
+        self._on_fire = self._fire_ev = self._init_ev = None
+
     def _finish(self) -> None:
         """Completion event (mirrors the inlined succeed on StopIteration)."""
         self._done = True
+        self._close()
         sim = self.sim
         self._ok = True
         self._value = None
@@ -254,6 +261,7 @@ class _ReplayCursor(Event):
     def _submit(self, idx: int) -> bool:
         if idx == self._bad:
             self._done = True
+            self._close()
             Event.fail(
                 self,
                 ValueError(

@@ -8,6 +8,7 @@ structured :class:`TaskOutcome` instead of an exception, so a batch
 always completes and callers can salvage the survivors.
 """
 
+import gc
 import os
 import signal
 import time
@@ -363,8 +364,40 @@ def _counters(recorder):
     return recorder.metrics.snapshot()["counters"]
 
 
+def _heap_in_sight(value):
+    """What the collector would traverse in this worker, and whether
+    the driver's ballast is part of it."""
+    frozen = gc.get_freeze_count()
+    collectable = len(gc.get_objects())
+    gc.collect()  # must neither see nor free what the driver holds
+    return value, frozen, collectable, len(_BALLAST)
+
+
+#: A driver-side heap for the forked workers to inherit.
+_BALLAST = []
+
+
 class TestPersistentWorkers:
     """Workers are forked per slot and live for the whole ``map()``."""
+
+    def test_a_worker_freezes_the_heap_it_inherits(self):
+        _BALLAST.extend((i, []) for i in range(50_000))
+        try:
+            assert gc.get_freeze_count() == 0
+            tracked = len(gc.get_objects())
+            outcomes = SupervisedRunner(workers=2, retry=_FAST).map(
+                _heap_in_sight, [{"value": i} for i in range(6)]
+            )
+            assert gc.get_freeze_count() == 0  # the driver's collector is untouched
+        finally:
+            _BALLAST.clear()
+        assert all(o.ok for o in outcomes)
+        for value, (echo, frozen, collectable, ballast) in enumerate(
+            o.value for o in outcomes
+        ):
+            assert echo == value and ballast == 50_000
+            assert frozen > 100_000  # the ballast's tuples and lists
+            assert collectable < tracked - 100_000
 
     def test_clean_map_forks_one_process_per_slot(self):
         runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)

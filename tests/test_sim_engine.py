@@ -1,8 +1,11 @@
 """Tests for the discrete-event engine (repro.sim.engine)."""
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
-from repro.sim import Event, Simulation, Timeout
+from repro.sim import KERNELS, Event, Simulation, Timeout, make_simulation
 from repro.sim.engine import EmptySchedule
 
 
@@ -236,3 +239,103 @@ def test_event_repr_shows_state():
     assert "triggered" in repr(ev)
     sim.run()
     assert "processed" in repr(ev)
+
+
+# -- what is processed is acyclic; close() releases what is pending ----------
+
+
+@contextmanager
+def _collector_off():
+    """Tracked-object counts that only reference counting can lower."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_finished_processes_do_not_pile_up_inside_one_run(kernel):
+    # 10 000 short-lived processes inside one gc-paused run(): each is
+    # freed when it finishes, not when the run ends.
+    sim = make_simulation(kernel)
+    tracked = []
+
+    def worker(sim):
+        yield sim.timeout(1.0)
+        yield sim.timeout(1.0)
+
+    def spawner(sim):
+        for _ in range(101):
+            for _ in range(100):
+                sim.process(worker(sim))
+            yield sim.timeout(3.0)
+            tracked.append(len(gc.get_objects()))
+
+    with _collector_off():
+        sim.process(spawner(sim))
+        sim.run()
+    assert len(tracked) == 101
+    assert tracked[-1] - tracked[0] <= 16
+
+
+def test_a_fired_condition_lets_go_of_its_constituents():
+    sim = Simulation()
+    quiet = sim.event()  # never fires: it keeps the condition's callback
+    with _collector_off():
+        before = len(gc.get_objects())
+        for _ in range(100):
+            condition = sim.timeout(1.0) | quiet
+            sim.run(until=condition)
+            assert condition.events == ()
+        del condition
+        quiet._detach()
+        assert len(gc.get_objects()) - before <= 16
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_close_releases_what_is_pending(kernel):
+    closed = []
+
+    def waiter(sim, wakeup):
+        try:
+            while True:
+                yield sim.timeout(0.25) | wakeup
+        finally:
+            closed.append(sim.now)
+
+    def build():
+        sim = make_simulation(kernel)
+        processes = [sim.process(waiter(sim, sim.event())) for _ in range(50)]
+        sim.run(until=10.1)  # leaves the pooled marker and 50 live waits
+        return sim, processes
+
+    sim, processes = build()  # warm-up: first-use caches
+    sim.close(processes)
+    del sim, processes
+    with _collector_off():
+        before = len(gc.get_objects())
+        sim, processes = build()
+        sim.close(processes)
+        assert sim.now == 10.1 and sim._seq > 0
+        assert sim.peek() == float("inf") and sim._pending() == 0
+        assert not any(process.triggered for process in processes)
+        del sim, processes
+        assert len(gc.get_objects()) - before <= 16
+    assert closed == [10.1] * 100  # every generator's finally ran
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_closed_simulation_refuses_to_run(kernel):
+    sim = make_simulation(kernel)
+    sim.timeout(1.0)
+    sim.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        sim.run(until=2.0)
+    with pytest.raises(RuntimeError, match="closed"):
+        sim.run()
+    with pytest.raises(RuntimeError, match="closed"):
+        sim.timeout(1.0)
+    assert sim.now == 0.0
+    sim.close()  # idempotent

@@ -8,6 +8,7 @@ fail when a second hand-built stack appears under ``src/repro``.
 """
 
 import ast
+import gc
 import hashlib
 import pathlib
 
@@ -27,8 +28,11 @@ from repro.faults import RemediationPolicy, build_model
 from repro.parallel.cache import ResultCache, canonicalize
 from repro.sched.cfq import CFQScheduler
 from repro.sched.noop import NoopScheduler
+from repro.sim import KERNELS
 from repro.traces import generate_trace
 from repro.verify.scenario import FAMILIES, run_scenario
+from repro.workloads.replay import TraceReplayer
+from repro.workloads.synthetic import RandomReader
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 SPEC = shrunk_spec(PRESETS["ultrastar"](), cylinders=30)
@@ -157,6 +161,162 @@ class TestDrain:
         built = _stack(fault_plan=plan, spare_sectors=64)
         built.run(0.3)  # no command ever reaches the drive
         assert len(built.faults.log.onsets) == len(plan.errors) > 0
+
+
+#: The Fig. 7 legend, as ``replay_with_scrubber`` keywords.
+FIG7 = {
+    "none": {},
+    "cfq-sequential": {"scrubber": ScrubberSetup(algorithm="sequential")},
+    "cfq-staggered-128": {
+        "scrubber": ScrubberSetup(algorithm="staggered", regions=128)
+    },
+    "waiting-100ms": {"waiting": {"threshold": 0.1, "request_bytes": 64 * 1024}},
+}
+#: A latent-error density for sub-second horizons on the 30-cylinder
+#: drive (the model's defaults are calibrated for disk-days).
+DENSE_BURSTS = {"inter_burst_mean": 0.08, "in_burst_time_mean": 0.0016}
+
+
+def _growth_per_call(call, calls=3):
+    """Tracked objects each further ``call()`` leaves behind once one
+    warm-up call has filled the first-use caches, with the collector
+    off: only reference counting can free the finished stack."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(calls):
+            call()
+        return (len(gc.get_objects()) - before) / calls
+    finally:
+        gc.enable()
+
+
+class TestAFinishedStackIsFreedWhenDropped:
+    """No reference cycle survives ``run()``: serial experiments in one
+    process do not grow it (``make stack-budget`` is the RSS side)."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("config", sorted(FIG7))
+    def test_replay_with_scrubber(self, config, kernel):
+        trace = _trace(0.5)
+        assert _growth_per_call(
+            lambda: replay_with_scrubber(trace, SPEC, kernel=kernel, **FIG7[config])
+        ) <= 16
+
+    @pytest.mark.parametrize("foreground", ["reader", "trace"])
+    @pytest.mark.parametrize("algorithm", ["sequential", "staggered", "waiting"])
+    def test_run_detection_experiment(self, algorithm, foreground):
+        # A foreground light enough that an Idle-class scrubber runs.
+        light = generate_trace("TPCdisk66", duration=0.5, seed=0, rate_scale=0.1)
+        source = {"foreground": True} if foreground == "reader" else {"trace": light}
+
+        def call():
+            result = run_detection_experiment(
+                SPEC, algorithm=algorithm, horizon=0.5, seed=0,
+                model_params=DENSE_BURSTS, **source,
+            )
+            # Fault plan, remediation and the drain all took part.
+            assert result.sectors_remapped > 0
+
+        assert _growth_per_call(call) <= 16
+
+    @pytest.mark.parametrize(
+        "scrubber", [None, ScrubberSetup()], ids=["alone", "scrubbed"]
+    )
+    @pytest.mark.parametrize("workload", ["sequential", "random"])
+    def test_run_impact_experiment(self, workload, scrubber):
+        spec = PRESETS["ultrastar"]()  # room for the reader's 8 MB chunks
+        assert _growth_per_call(
+            lambda: run_impact_experiment(spec, workload, scrubber, horizon=0.5)
+        ) <= 16
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_run_scenario(self, family):
+        assert _growth_per_call(
+            lambda: run_scenario(family=family, algorithm="staggered", horizon=0.3)
+        ) <= 16
+
+
+class TestRelease:
+    def _ran(self, setup=ScrubberSetup(regions=8)):
+        plan = build_model("bursts", **DENSE_BURSTS).generate(
+            Drive(SPEC).total_sectors, 0.5, 0
+        )
+        built = _stack(
+            setup,
+            fault_plan=plan,
+            spare_sectors=4096,
+            remediation=RemediationPolicy(),
+            max_log_records=50,
+        )
+        built.replay(
+            generate_trace("TPCdisk66", duration=0.5, seed=0, rate_scale=0.1)
+        )
+        built.run(0.5, drain=True)
+        return built
+
+    def test_what_the_callers_read_afterwards_is_still_there(self):
+        built = self._ran()
+        assert built.sim.now >= 0.5 and built.sim._seq > 0
+        assert len(built.device.log) == 50 and built.device.log.dropped > 0
+        assert built.device.log.response_times("foreground").size > 0
+        assert built.scrubber.requests_issued > 0
+        assert built.scrubber.bytes_scrubbed > 0
+        assert built.scrubber.remediation_stats.sectors_remapped > 0
+        assert built.scrubber.sectors_remapped > 0
+        assert len(built.faults.log.records) > 0
+        assert built.drive.cache.evictions >= 0
+        assert built.foreground.submitted > 0
+
+    def test_a_stack_runs_once(self):
+        built = self._ran()
+        with pytest.raises(RuntimeError, match="released"):
+            built.run(1.0)
+        with pytest.raises(RuntimeError, match="released"):
+            built.replay(_trace())
+        with pytest.raises(RuntimeError, match="released"):
+            built.reader("random", 0, 0.02)
+        with pytest.raises(RuntimeError, match="closed"):
+            built.sim.run(until=2.0)
+
+    def test_the_processes_it_started_are_abandoned_not_finished(self):
+        built = self._ran(ScrubberSetup("waiting", threshold=0.005))
+        assert built.device.dispatcher.is_alive
+        assert built.device.observers == []  # the Waiting scrubber's finally ran
+        assert built.sim.peek() == float("inf")
+
+
+class TestForegroundHandle:
+    def test_none_until_one_is_started(self):
+        built = _stack(ScrubberSetup())
+        assert built.foreground is None
+        built.replay(_trace())
+        assert isinstance(built.foreground, TraceReplayer)
+        built.run(0.2)
+        assert 0 < built.foreground.submitted <= len(_trace())
+
+    def test_the_reader_can_be_stopped_and_read(self):
+        built = _stack()
+        built.reader("random", 0, 0.02)
+        assert isinstance(built.foreground, RandomReader)
+        built.sim.run(until=0.1)
+        issued = built.foreground.requests_issued
+        assert issued > 0
+        built.foreground.stop()
+        built.run(0.3)
+        assert built.foreground.requests_issued == issued
+
+    def test_a_second_foreground_is_refused(self):
+        built = _stack()
+        built.reader("sequential", 0, 0.02)
+        with pytest.raises(RuntimeError, match="already has a foreground"):
+            built.replay(_trace())
+        with pytest.raises(RuntimeError, match="already has a foreground"):
+            built.reader("random", 0, 0.02)
+        with pytest.raises(ValueError, match="unknown workload"):
+            _stack().reader("zigzag", 0, 0.02)
 
 
 #: Constructors and calls that make a stack, and the only modules under

@@ -1,0 +1,139 @@
+"""Stack budget: what a finished full-stack run leaves behind in its process.
+
+``make stack-budget`` runs this.  Every figure of the paper is a grid of
+``ScrubStack`` runs made one after another in one long-lived process (a
+CLI sweep, a ``SupervisedRunner`` worker, the ``verify`` fuzzer), so a
+run that is not freed when its stack is dropped is a leak that grows
+with the grid.  For each row a fresh interpreter makes twelve serial
+calls and prints, after every call, the process's max RSS (the
+high-water mark, which is what the benchmark's ``peak_rss_mb`` reads)
+and the number of objects the cycle collector tracks:
+
+* ``replay/<kernel>`` -- ``replay_with_scrubber`` of the Fig. 7
+  ``cfq-staggered-128`` configuration on the benchmark's 40 s MSRsrc11
+  window (seed 7), once per event kernel;
+* ``detect`` -- ``run_detection_experiment`` with a fault plan,
+  remediation, a trace foreground and the drain.
+
+Nothing in the probe calls ``gc.collect()``: between runs a driver
+allocates almost nothing with the collector on, so what reference
+counting does not free stays (DESIGN sections 12 and 18).
+
+Exit status 1 when call 12 stands more than 2 MB or 1000 tracked
+objects above call 2 (call 1 pays for imports and first-use caches).
+The seconds are printed for the reader and never judged.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from typing import List
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+CALLS = 12
+GROWTH_MB = 2.0
+GROWTH_OBJECTS = 1000
+
+_PROBE = """
+import gc, json, resource, sys, time
+import numpy as np
+from repro.analysis.detection import run_detection_experiment, shrunk_spec
+from repro.analysis.replay_cdf import replay_with_scrubber
+from repro.analysis.stack import ScrubberSetup
+from repro.disk.models import PRESETS
+from repro.traces import generate_trace
+
+row, calls = sys.argv[1], int(sys.argv[2])
+spec = PRESETS["ultrastar"]()
+if row.startswith("replay/"):
+    # bench/wl_replay.py's window: the 40 s stretch of a 6 h MSRsrc11
+    # trace whose request count is nearest 25 a second.
+    trace = generate_trace("MSRsrc11", duration=6 * 3600.0, seed=7)
+    nearest = int(np.argmin(np.abs(trace.requests_per_bin(40.0) - 25.0 * 40.0)))
+    start = float(trace.times[0]) + nearest * 40.0
+    trace = trace.window(start, start + 40.0)
+    kernel = row.split("/")[1]
+    setup = ScrubberSetup(algorithm="staggered", regions=128)
+    def call():
+        replay_with_scrubber(trace, spec, scrubber=setup, horizon=40.0, kernel=kernel)
+else:
+    spec = shrunk_spec(spec, cylinders=50)
+    trace = generate_trace("MSRsrc11", duration=600.0, seed=7)
+    def call():
+        # A fault density for a 5 s horizon (the model's defaults are
+        # calibrated for disk-days): some 600 latent errors, a few of
+        # them found by the scrubber and taken through split / remap /
+        # re-verify.
+        result = run_detection_experiment(
+            spec, algorithm="staggered", horizon=5.0, seed=7, trace=trace,
+            model_params={"inter_burst_mean": 0.08, "in_burst_time_mean": 0.0016},
+        )
+        assert result.sectors_remapped > 0
+
+samples = []
+for _ in range(calls):
+    begin = time.perf_counter()
+    call()
+    samples.append({
+        "seconds": time.perf_counter() - begin,
+        "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "objects": len(gc.get_objects()),
+    })
+print(json.dumps(samples))
+"""
+
+ROWS = ("replay/reference", "replay/vector", "detect")
+
+
+def measure(row: str) -> List[dict]:
+    """Twelve serial calls of ``row`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, row, str(CALLS)],
+        env=env, capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise RuntimeError(f"probe exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def over_budget(samples: List[dict]) -> bool:
+    second, last = samples[1], samples[-1]
+    return (
+        last["rss_mb"] - second["rss_mb"] > GROWTH_MB
+        or last["objects"] - second["objects"] > GROWTH_OBJECTS
+    )
+
+
+def main() -> int:
+    print(f"{'row':<17} {'call':>4} {'seconds':>8} {'rss MB':>8} {'tracked':>9}")
+    failed = False
+    for row in ROWS:
+        samples = measure(row)
+        for index, sample in enumerate(samples, start=1):
+            print(
+                f"{row:<17} {index:>4d} {sample['seconds']:>8.3f} "
+                f"{sample['rss_mb']:>8.1f} {sample['objects']:>9d}"
+            )
+        if over_budget(samples):
+            failed = True
+            second, last = samples[1], samples[-1]
+            print(
+                f"{row:<17} OVER BUDGET: call {CALLS} is "
+                f"{last['rss_mb'] - second['rss_mb']:+.1f} MB and "
+                f"{last['objects'] - second['objects']:+d} tracked objects "
+                f"above call 2"
+            )
+    print("stack budget [FAIL]" if failed else "stack budget [OK]")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
