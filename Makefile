@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 import-budget trace-budget stack-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget surface examples trace-budget stack-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -21,6 +21,23 @@ tier1:
 # forbidden module only -- the seconds are bench/run.py's to judge.
 import-budget:
 	$(PYTHON) tools/import_budget.py
+
+# The surface contract (tools/surface.py): every public class or
+# function under src/repro is reached from an entry point -- the CLI,
+# bench/, benchmarks/, tools/, examples/ or a README python block -- by a
+# name-based walk in which an __init__ re-export is not a use.  Prints
+# what nothing reaches, what only tests/ reach and what only examples/
+# reach; exit 1 unless the first two are exactly the tool's allow-list.
+surface:
+	$(PYTHON) tools/surface.py
+
+# The five examples are entry points of the surface walk (they alone
+# keep RaidArray, raid/geometry.py and raid/errors.py alive), so they
+# have to run: exit status only, ~11 s in all.
+examples:
+	set -e; for example in examples/*.py; do \
+		PYTHONPATH=src $(PYTHON) $$example > /dev/null; \
+	done
 
 # Working memory of trace synthesis (DESIGN section 19): every catalog
 # entry at the CLI's default 4 h, MSRsrc11 at 6 h and one day, a fresh
@@ -149,4 +166,4 @@ bench-corpus:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 trace-budget stack-budget smoke
+check: tier1 import-budget surface examples trace-budget stack-budget smoke

@@ -13,7 +13,7 @@ The library is organised bottom-up:
 * :mod:`repro.traces` — trace container/parsers, synthetic trace
   generators calibrated to the paper's trace statistics, idle-interval
   extraction;
-* :mod:`repro.stats` — ANOVA periodicity, autocorrelation/Hurst, AR(p)
+* :mod:`repro.stats` — ANOVA periodicity, autocorrelation, AR(p)
   fitting, hazard-rate and tail estimators;
 * :mod:`repro.core` — the paper's contribution: scrubbing framework,
   sequential/staggered orders, Waiting/AR/Oracle policies, adaptive

@@ -26,7 +26,6 @@
 from repro.analysis.collision import (
     PolicyPoint,
     evaluate_policy,
-    sweep_policy,
     sweep_policy_cls,
 )
 from repro.analysis.detection import (
@@ -40,8 +39,6 @@ from repro.analysis.detection import (
 from repro.analysis.impact import ImpactResult, run_impact_experiment
 from repro.analysis.replay_cdf import (
     ReplayResult,
-    replay_baseline,
-    replay_slowdown_task,
     replay_with_scrubber,
 )
 from repro.analysis.service_model import ScrubServiceModel
@@ -66,8 +63,6 @@ __all__ = [
     "compute_detection_metrics",
     "detection_sweep_task",
     "evaluate_policy",
-    "replay_baseline",
-    "replay_slowdown_task",
     "replay_with_scrubber",
     "run_detection_experiment",
     "run_impact_experiment",
@@ -75,6 +70,5 @@ __all__ = [
     "simulate_adaptive_waiting",
     "simulate_fixed_waiting",
     "standalone_scrub_throughput",
-    "sweep_policy",
     "sweep_policy_cls",
 ]

@@ -14,7 +14,7 @@ evaluated over a trace's idle intervals:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -84,25 +84,6 @@ def evaluate_policy(
     )
 
 
-def sweep_policy(
-    factory: Callable[[float], IdlePolicy],
-    parameters: Iterable[float],
-    durations: np.ndarray,
-    total_requests: Optional[int] = None,
-    label_format: str = "{:g}",
-) -> List[PolicyPoint]:
-    """Evaluate ``factory(p)`` for each parameter ``p`` (one Fig. 14 line)."""
-    return [
-        evaluate_policy(
-            factory(parameter),
-            durations,
-            total_requests=total_requests,
-            label=label_format.format(parameter),
-        )
-        for parameter in parameters
-    ]
-
-
 def _evaluate_task(
     policy_cls: type,
     parameter: float,
@@ -127,13 +108,13 @@ def sweep_policy_cls(
     policy_kwargs: Optional[dict] = None,
     runner=None,
 ) -> List[PolicyPoint]:
-    """Sweep ``policy_cls(p, **policy_kwargs)`` over ``parameters``.
+    """Sweep ``policy_cls(p, **policy_kwargs)`` over ``parameters`` (one
+    Fig. 14 line).
 
-    The runner-friendly sibling of :func:`sweep_policy`: the policy is
-    named by class rather than closed over in a factory, so each point
-    is an independent picklable task a
+    The policy is named by class rather than closed over in a factory,
+    so each point is an independent picklable task a
     :class:`~repro.parallel.SweepRunner` can distribute and cache.
-    Without a runner this is exactly :func:`sweep_policy`.
+    Without a runner the points are evaluated in place, in order.
     """
     policy_kwargs = dict(policy_kwargs or {})
     tasks = [

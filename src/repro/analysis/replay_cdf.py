@@ -6,30 +6,17 @@ stack with one of three scrubbing configurations — none, a
 CFQ-scheduled scrubber, or the Waiting scrubber — and reports the
 foreground response-time distribution plus the scrubber's achieved
 rate, which is exactly what the paper's Fig. 7 legend shows.
-
-Baseline memoization
---------------------
-Every ``mean_slowdown_vs`` comparison needs the *same* no-scrub
-baseline, and a Fig. 7 / Fig. 14-style grid re-derives it per
-configuration.  :func:`replay_baseline` replays the bare trace once
-per (trace digest, drive spec, horizon, idle gate, cache flag) and
-serves repeats from an in-process LRU — and, when given a
-:class:`~repro.parallel.cache.ResultCache`, from disk across
-processes and sessions.  The memo key is content-addressed via
-:meth:`Trace.digest`, so regenerated traces that merely share a name
-never collide.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.analysis.stack import ScrubberSetup, ScrubStack
-from repro.disk.models import PRESETS, DriveSpec
+from repro.disk.models import DriveSpec
 from repro.traces.record import Trace
 
 #: Allowed relative completed-request divergence between two runs of
@@ -117,8 +104,8 @@ def replay_with_scrubber(
     ``trace`` may be an in-memory :class:`Trace` or a
     :class:`~repro.traces.store.StoredTrace` — the latter streams
     zero-copy from its memory-mapped chunk files, its header digest
-    feeds the result (and the baseline memo key) without re-hashing,
-    and only one chunk is resident at a time.
+    feeds the result without re-hashing, and only one chunk is resident
+    at a time.
 
     Exactly one of ``scrubber`` (CFQ-scheduled, Fig. 7 style) and
     ``waiting`` (the Waiting scrubber; keys ``threshold`` and
@@ -126,7 +113,7 @@ def replay_with_scrubber(
     neither replays the bare trace.
 
     ``kernel`` selects the engine backend; the backends are
-    bit-identical, so it does not participate in the baseline memo key.
+    bit-identical.
     """
     if scrubber is not None and waiting is not None:
         raise ValueError("pass either scrubber or waiting, not both")
@@ -165,143 +152,3 @@ def replay_with_scrubber(
         scrub_requests=agent.requests_issued if agent else 0,
         trace_digest=trace.digest(),
     )
-
-
-#: In-process no-scrub baseline memo, keyed on the full parameter
-#: tuple.  Small and LRU: a sweep grid reuses one baseline per
-#: (trace, spec, horizon) combination, of which a session has a few.
-_BASELINE_MEMO: "OrderedDict[tuple, ReplayResult]" = OrderedDict()
-_BASELINE_MEMO_SIZE = 16
-
-
-def _baseline_key(
-    trace: Trace,
-    spec: DriveSpec,
-    horizon: float,
-    idle_gate: float,
-    cache_enabled: bool,
-) -> tuple:
-    from repro.parallel.cache import canonicalize
-
-    return (
-        trace.digest(),
-        repr(canonicalize(spec)),
-        float(horizon).hex(),
-        float(idle_gate).hex(),
-        bool(cache_enabled),
-    )
-
-
-def clear_baseline_memo() -> None:
-    """Drop every in-process memoized baseline (mainly for tests)."""
-    _BASELINE_MEMO.clear()
-
-
-def replay_baseline(
-    trace: Trace,
-    spec: DriveSpec,
-    horizon: Optional[float] = None,
-    idle_gate: float = 0.010,
-    cache_enabled: bool = False,
-    result_cache=None,
-    kernel: str = "reference",
-) -> ReplayResult:
-    """The no-scrub replay of ``trace``, memoized.
-
-    Identical to ``replay_with_scrubber(trace, spec)`` with no
-    scrubber, but repeated calls with the same (trace content, spec,
-    horizon, idle gate, cache flag) return the memoized result instead
-    of re-simulating — in-process via a small LRU, and across
-    processes when ``result_cache`` (a
-    :class:`~repro.parallel.cache.ResultCache`) is given.
-    """
-    if horizon is None:
-        horizon = trace.duration
-    key = _baseline_key(trace, spec, horizon, idle_gate, cache_enabled)
-    cached = _BASELINE_MEMO.get(key)
-    if cached is not None:
-        _BASELINE_MEMO.move_to_end(key)
-        return cached
-    disk_key = None
-    if result_cache is not None:
-        disk_key = result_cache.key(
-            replay_baseline,
-            {
-                "trace": trace,
-                "spec": spec,
-                "horizon": horizon,
-                "idle_gate": idle_gate,
-                "cache_enabled": cache_enabled,
-            },
-        )
-        hit, value = result_cache.get(disk_key)
-        if hit:
-            _remember_baseline(key, value)
-            return value
-    result = replay_with_scrubber(
-        trace,
-        spec,
-        horizon=horizon,
-        idle_gate=idle_gate,
-        cache_enabled=cache_enabled,
-        kernel=kernel,
-    )
-    if result_cache is not None:
-        result_cache.put(disk_key, result)
-    _remember_baseline(key, result)
-    return result
-
-
-def _remember_baseline(key: tuple, result: ReplayResult) -> None:
-    _BASELINE_MEMO[key] = result
-    _BASELINE_MEMO.move_to_end(key)
-    while len(_BASELINE_MEMO) > _BASELINE_MEMO_SIZE:
-        _BASELINE_MEMO.popitem(last=False)
-
-
-def replay_slowdown_task(
-    trace: Trace,
-    drive: str = "ultrastar",
-    scrubber: Optional[ScrubberSetup] = None,
-    waiting: Optional[dict] = None,
-    horizon: Optional[float] = None,
-    idle_gate: float = 0.010,
-    cache_enabled: bool = False,
-    kernel: str = "reference",
-) -> dict:
-    """Picklable sweep task: one replay config plus its slowdown.
-
-    Runs ``replay_with_scrubber`` for the given configuration and
-    compares against the :func:`replay_baseline` no-scrub run — which
-    is memoized, so an N-configuration sweep in one process pays for
-    the baseline once.  Designed for
-    :class:`~repro.parallel.runner.SweepRunner`, whose forked workers
-    inherit ``trace`` instead of receiving a copy.
-    """
-    if drive not in PRESETS:
-        raise ValueError(
-            f"unknown drive {drive!r}; choose from {sorted(PRESETS)}"
-        )
-    spec = PRESETS[drive]()
-    result = replay_with_scrubber(
-        trace,
-        spec,
-        scrubber=scrubber,
-        waiting=waiting,
-        horizon=horizon,
-        idle_gate=idle_gate,
-        cache_enabled=cache_enabled,
-        kernel=kernel,
-    )
-    baseline = replay_baseline(
-        trace,
-        spec,
-        horizon=horizon,
-        idle_gate=idle_gate,
-        cache_enabled=cache_enabled,
-        kernel=kernel,
-    )
-    return {
-        "result": result,
-        "mean_slowdown": result.mean_slowdown_vs(baseline),
-    }

@@ -21,8 +21,6 @@
   scrubbing).
 """
 
-from repro.core.autotune import AutoTuner
-from repro.core.manager import ScrubManager
 from repro.core.scrubber import ScrubAlgorithm, Scrubber
 from repro.core.search import (
     SearchOutcome,
@@ -32,9 +30,7 @@ from repro.core.sequential import SequentialScrub
 from repro.core.staggered import StaggeredScrub
 
 __all__ = [
-    "AutoTuner",
     "ScrubAlgorithm",
-    "ScrubManager",
     "Scrubber",
     "SearchOutcome",
     "SequentialScrub",

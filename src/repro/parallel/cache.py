@@ -45,7 +45,7 @@ from typing import Any, Callable, Optional, Tuple, Union
 import numpy as np
 
 from repro.traces.record import Trace
-from repro.traces.store import StoredTrace, StoredTraceRef
+from repro.traces.store import StoredTrace
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -106,8 +106,6 @@ def canonicalize(obj: Any) -> Any:
         # representation it was invoked with — and the stored digest
         # comes from the header, so no data is read at all.
         return ("trace", obj.digest())
-    if isinstance(obj, StoredTraceRef):
-        return ("trace", obj.digest)
     if isinstance(obj, float):
         return ("f", obj.hex())
     if isinstance(obj, np.integer):

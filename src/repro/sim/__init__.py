@@ -3,9 +3,8 @@
 This package provides the simulation substrate used by every other part
 of the library: a priority-queue event loop (:class:`~repro.sim.engine.Simulation`),
 generator-based processes (:class:`~repro.sim.process.Process`), one-shot
-events and timeouts (:mod:`repro.sim.events`), counted resources
-(:mod:`repro.sim.resources`) and deterministic named random streams
-(:mod:`repro.sim.rng`).
+events and timeouts (:mod:`repro.sim.events`) and deterministic named
+random streams (:mod:`repro.sim.rng`).
 
 The design follows the classic process-interaction style (as popularised
 by SimPy): a *process* is a Python generator that ``yield``\\ s events; the
@@ -30,7 +29,6 @@ Example
 from repro.sim.engine import Simulation, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, ReusableTimeout, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.vector import (
     KERNELS,
@@ -47,10 +45,8 @@ __all__ = [
     "KERNELS",
     "Process",
     "RandomStreams",
-    "Resource",
     "ReusableTimeout",
     "Simulation",
-    "Store",
     "StopSimulation",
     "Timeout",
     "UnsupportedKernelFeature",

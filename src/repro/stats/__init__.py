@@ -8,8 +8,7 @@ importing this package loads none of it (DESIGN section 17):
 * :mod:`repro.stats.idle` — idle-interval summary statistics (Table II);
 * :mod:`repro.stats.periodicity` — ANOVA-based period detection (Fig. 9)
   and activity binning (Fig. 8);
-* :mod:`repro.stats.autocorr` — autocorrelation function and Hurst
-  exponent estimation;
+* :mod:`repro.stats.autocorr` — autocorrelation function;
 * :mod:`repro.stats.ar` — Yule–Walker AR(p) fitting with AIC order
   selection (the Section V-B Auto-Regression policy's engine);
 * :mod:`repro.stats.hazard` — conditional remaining-idle-time
@@ -18,7 +17,7 @@ importing this package loads none of it (DESIGN section 17):
 """
 
 from repro.stats.ar import ARModel, fit_ar, select_ar_order
-from repro.stats.autocorr import acf, has_significant_autocorrelation, hurst_exponent
+from repro.stats.autocorr import acf, has_significant_autocorrelation
 from repro.stats.hazard import (
     expected_remaining,
     fraction_intervals_longer,
@@ -39,7 +38,6 @@ __all__ = [
     "fit_ar",
     "fraction_intervals_longer",
     "has_significant_autocorrelation",
-    "hurst_exponent",
     "percentile_remaining",
     "select_ar_order",
     "summarize_idle",

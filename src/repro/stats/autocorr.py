@@ -1,12 +1,10 @@
-"""Autocorrelation and long-range dependence estimators.
+"""Autocorrelation estimators.
 
 The paper reports that 44 of its 63 busiest traces show strong
-autocorrelation in idle-interval lengths, and cites prior Hurst
-parameter evidence (H > 0.5) for disk workloads.  Both estimators are
-implemented here: the sample ACF (FFT-based, so million-sample series
-are fine) and an aggregated-variance Hurst estimator.  numpy only,
-except the rank transform (``scipy.stats.rankdata``, imported where it
-is called).
+autocorrelation in idle-interval lengths.  The sample ACF here is
+FFT-based, so million-sample series are fine.  numpy only, except the
+rank transform (``scipy.stats.rankdata``, imported where it is
+called).
 """
 
 from __future__ import annotations
@@ -68,38 +66,3 @@ def has_significant_autocorrelation(
     band = threshold_sigma / np.sqrt(len(x))
     return bool(np.mean(np.abs(values)) > band)
 
-
-def hurst_exponent(
-    x: np.ndarray, min_block: int = 8, num_scales: int = 12
-) -> float:
-    """Aggregated-variance Hurst estimator.
-
-    For a self-similar process, the variance of block means over blocks
-    of size ``m`` scales as ``m^(2H-2)``; ``H`` is recovered from the
-    slope of ``log Var(m)`` against ``log m``.  ``H = 0.5`` is
-    short-range dependence; ``H > 0.5`` indicates long-range dependence.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 4 * min_block:
-        raise ValueError(f"series too short for Hurst estimation: {n}")
-    max_block = n // 4
-    blocks = np.unique(
-        np.geomspace(min_block, max_block, num_scales).astype(int)
-    )
-    log_m, log_var = [], []
-    for m in blocks:
-        usable = (n // m) * m
-        means = x[:usable].reshape(-1, m).mean(axis=1)
-        if len(means) < 2:
-            continue
-        variance = means.var()
-        if variance <= 0:
-            continue
-        log_m.append(np.log(m))
-        log_var.append(np.log(variance))
-    if len(log_m) < 3:
-        raise ValueError("not enough usable scales for Hurst estimation")
-    slope = np.polyfit(log_m, log_var, 1)[0]
-    hurst = 1.0 + slope / 2.0
-    return float(np.clip(hurst, 0.0, 1.0))

@@ -54,7 +54,6 @@ from repro.telemetry.sink import (
     NullSink,
     Recorder,
     TelemetrySink,
-    active_sink,
 )
 from repro.telemetry.trace import recorder_events, with_pid, write_chrome_trace
 
@@ -67,7 +66,6 @@ __all__ = [
     "NullSink",
     "Recorder",
     "TelemetrySink",
-    "active_sink",
     "error_log_records",
     "format_table",
     "merge_snapshots",

@@ -27,17 +27,16 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["NULL_SINK", "NullSink", "Recorder", "TelemetrySink", "active_sink"]
+__all__ = ["NULL_SINK", "NullSink", "Recorder", "TelemetrySink"]
 
 
 class TelemetrySink:
     """The hook protocol.  Base implementation: everything is a no-op.
 
     Subclasses set :attr:`enabled` to ``True`` and override the hooks
-    they care about.  Components must guard hook calls with
-    ``if sink is not None`` after normalising through
-    :func:`active_sink`, so a no-op base method is a safety net, not a
-    hot path.
+    they care about.  Components keep ``None`` in place of a disabled
+    sink and guard hook calls with ``if sink is not None``, so a no-op
+    base method is a safety net, not a hot path.
     """
 
     #: Disabled sinks are skipped entirely by instrumented components.
@@ -102,18 +101,6 @@ class NullSink(TelemetrySink):
 #: Shared disabled sink; ``telemetry=None`` and ``telemetry=NULL_SINK``
 #: are equivalent everywhere.
 NULL_SINK = NullSink()
-
-
-def active_sink(sink: Optional[TelemetrySink]) -> Optional[TelemetrySink]:
-    """Normalise a sink argument: ``None`` unless recording is enabled.
-
-    Components store the result once and guard every hook call with a
-    single ``is not None`` test, so the disabled case pays no method
-    dispatch at all.
-    """
-    if sink is not None and sink.enabled:
-        return sink
-    return None
 
 
 class Recorder(TelemetrySink):

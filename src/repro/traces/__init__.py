@@ -33,7 +33,6 @@ from repro.traces.io import (
 from repro.traces.record import Trace, TraceRecord
 from repro.traces.store import (
     StoredTrace,
-    StoredTraceRef,
     StoreIntegrityError,
     TraceCorpus,
     TraceStoreError,
@@ -45,7 +44,6 @@ __all__ = [
     "CATALOG",
     "StoreIntegrityError",
     "StoredTrace",
-    "StoredTraceRef",
     "SyntheticTraceGenerator",
     "Trace",
     "TraceCorpus",

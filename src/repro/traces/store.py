@@ -37,7 +37,6 @@ import json
 import mmap
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -307,32 +306,6 @@ def write_trace(
     return StoredTrace.open(directory)
 
 
-@dataclass(frozen=True)
-class StoredTraceRef:
-    """A picklable pointer to an on-disk store.
-
-    What crosses a pickling boundary instead of trace data: the other
-    side re-opens the store by path and gets the page cache as its
-    shared memory.  (Forked sweep workers need none: they inherit the
-    :class:`StoredTrace` itself.)  The digest rides along so cache/memo
-    keys never require touching the data files.
-    """
-
-    path: str
-    digest: str
-    length: int
-    name: str
-
-    def open(self) -> "StoredTrace":
-        stored = StoredTrace.open(self.path)
-        if stored.digest() != self.digest:
-            raise StoreIntegrityError(
-                f"store at {self.path} has digest {stored.digest()[:12]}..., "
-                f"ref expects {self.digest[:12]}..."
-            )
-        return stored
-
-
 class StoredTrace:
     """A trace read zero-copy from an on-disk store directory.
 
@@ -436,15 +409,6 @@ class StoredTrace:
         if time_range is None:
             return None
         return (float(time_range[0]), float(time_range[1]))
-
-    def ref(self) -> StoredTraceRef:
-        """The picklable handle another process can re-open this store from."""
-        return StoredTraceRef(
-            path=str(self._dir),
-            digest=self.digest(),
-            length=len(self),
-            name=self.name,
-        )
 
     def chunk(self, index: int) -> Trace:
         """Chunk ``index`` as a zero-copy mmap-backed :class:`Trace`.

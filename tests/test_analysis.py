@@ -11,7 +11,7 @@ from repro.analysis import (
     simulate_adaptive_waiting,
     simulate_fixed_waiting,
     standalone_scrub_throughput,
-    sweep_policy,
+    sweep_policy_cls,
 )
 from repro.analysis.impact import ScrubberSetup
 from repro.analysis.throughput import verify_response_times
@@ -86,18 +86,14 @@ class TestCollisionEvaluation:
         assert halved.collision_rate == pytest.approx(base.collision_rate / 2)
 
     def test_sweep_produces_tradeoff_curve(self, durations):
-        points = sweep_policy(
-            lambda t: WaitingPolicy(t), [0.05, 0.2, 0.8], durations
-        )
+        points = sweep_policy_cls(WaitingPolicy, [0.05, 0.2, 0.8], durations)
         rates = [p.collision_rate for p in points]
         utils = [p.utilisation for p in points]
         assert rates == sorted(rates, reverse=True)
         assert utils == sorted(utils, reverse=True)
 
     def test_dominates(self, durations):
-        points = sweep_policy(
-            lambda t: WaitingPolicy(t), [0.05, 0.2], durations
-        )
+        points = sweep_policy_cls(WaitingPolicy, [0.05, 0.2], durations)
         assert not points[0].dominates(points[1])
 
     def test_validation(self, durations):

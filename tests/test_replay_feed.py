@@ -1,24 +1,15 @@
 """Batched array-cursor replay vs the legacy record feed: bit-identity,
-chunked streaming, stop()/error parity, baseline memoization, and the
-mean_slowdown_vs comparison guards."""
+chunked streaming, stop()/error parity, and the mean_slowdown_vs
+comparison guards."""
 
 import inspect
 
 import numpy as np
 import pytest
 
-from repro.analysis.replay_cdf import (
-    ReplayResult,
-    clear_baseline_memo,
-    replay_baseline,
-    replay_slowdown_task,
-    replay_with_scrubber,
-)
-from repro.core.policies.device import WaitingScrubber
-from repro.core.sequential import SequentialScrub
+from repro.analysis.replay_cdf import ReplayResult, replay_with_scrubber
 from repro.disk import Drive, hitachi_ultrastar_15k450
-from repro.parallel import ResultCache
-from repro.sched import BlockDevice, CFQScheduler, NoopScheduler
+from repro.sched import BlockDevice, CFQScheduler
 from repro.sim import Simulation
 from repro.telemetry import Recorder
 from repro.traces import Trace, generate_trace
@@ -168,78 +159,6 @@ class TestCursorParity:
         assert "exceeds device size" in run(bad)[0]
 
 
-class TestBaselineMemo:
-    def test_memo_serves_repeat_baselines(self, trace, monkeypatch):
-        clear_baseline_memo()
-        spec = hitachi_ultrastar_15k450()
-        first = replay_baseline(trace, spec, horizon=HORIZON)
-
-        import repro.analysis.replay_cdf as mod
-
-        def _no_sim(*args, **kwargs):
-            raise AssertionError("memoized baseline must not re-simulate")
-
-        monkeypatch.setattr(mod, "replay_with_scrubber", _no_sim)
-        again = replay_baseline(trace, spec, horizon=HORIZON)
-        assert again is first
-        clear_baseline_memo()
-
-    def test_memo_keyed_on_trace_content(self, trace):
-        clear_baseline_memo()
-        spec = hitachi_ultrastar_15k450()
-        other = generate_trace("MSRsrc11", duration=60.0, seed=12)
-        a = replay_baseline(trace, spec, horizon=HORIZON)
-        b = replay_baseline(other, spec, horizon=HORIZON)
-        assert a.trace_digest != b.trace_digest
-        clear_baseline_memo()
-
-    def test_on_disk_cache_round_trip(self, trace, tmp_path):
-        clear_baseline_memo()
-        spec = hitachi_ultrastar_15k450()
-        cache = ResultCache(str(tmp_path))
-        first = replay_baseline(
-            trace, spec, horizon=HORIZON, result_cache=cache
-        )
-        clear_baseline_memo()  # force the disk path
-        again = replay_baseline(
-            trace, spec, horizon=HORIZON, result_cache=cache
-        )
-        assert cache.hits == 1
-        assert np.array_equal(
-            again.fg_response_times, first.fg_response_times
-        )
-        clear_baseline_memo()
-
-    def test_slowdown_task_feeds_are_identical(self, trace):
-        clear_baseline_memo()
-        kwargs = dict(
-            waiting={"threshold": 0.1, "request_bytes": 64 * 1024},
-            horizon=HORIZON,
-        )
-        new = replay_slowdown_task(trace, **kwargs)
-        clear_baseline_memo()
-
-        # The same two runs on the record feed, built by hand.
-        def records_run(waiting):
-            sim = Simulation()
-            device = BlockDevice(
-                sim, Drive(hitachi_ultrastar_15k450(), cache_enabled=False),
-                NoopScheduler() if waiting else CFQScheduler(idle_gate=0.010),
-            )
-            TraceReplayer(sim, device, trace.records()).start()
-            if waiting:
-                WaitingScrubber(
-                    sim, device, SequentialScrub(), **kwargs["waiting"]
-                ).start()
-            sim.run(until=HORIZON)
-            return device.log.response_times("foreground")
-
-        scrubbed, bare = records_run(True), records_run(False)
-        assert np.array_equal(new["result"].fg_response_times, scrubbed)
-        n = min(len(scrubbed), len(bare))
-        assert new["mean_slowdown"] == float((scrubbed[:n] - bare[:n]).mean())
-
-
 class TestMeanSlowdownGuards:
     def _result(self, digest="d1", horizon=HORIZON, n=100):
         return ReplayResult(
@@ -288,8 +207,7 @@ class TestMeanSlowdownGuards:
         )
 
         for fn in (
-            replay_with_scrubber, replay_baseline, replay_slowdown_task,
-            run_detection_experiment, detection_sweep_task,
+            replay_with_scrubber, run_detection_experiment, detection_sweep_task,
         ):
             assert "feed" not in inspect.signature(fn).parameters
         with pytest.raises(TypeError, match="feed"):

@@ -254,70 +254,3 @@ class TestSearchDifferential:
         assert cache.hits > 0
         grid = ScrubParameterOptimizer(**workload).optimize(GOAL)
         assert outcome.best.request_bytes == grid.request_bytes
-
-
-def _autotune_stack():
-    from repro.core import SequentialScrub
-    from repro.core.policies import WaitingScrubber
-    from repro.disk import Drive, hitachi_ultrastar_15k450
-    from repro.sched import BlockDevice, NoopScheduler
-    from repro.sim import Simulation
-
-    sim = Simulation()
-    device = BlockDevice(
-        sim,
-        Drive(hitachi_ultrastar_15k450(), cache_enabled=False),
-        NoopScheduler(),
-    )
-    scrubber = WaitingScrubber(
-        sim, device, SequentialScrub(), threshold=0.5, request_bytes=65536
-    )
-    return sim, device, scrubber
-
-
-class TestAutoTunerSearch:
-    #: Cheap two-point service model, as in test_autotune.py.
-    SERVICE = ScrubServiceModel([65536, 4 * 1024 * 1024], [0.005, 0.045])
-
-    def _run_tuner(self, method):
-        from repro.core.autotune import AutoTuner
-        from repro.disk import DiskCommand
-        from repro.sched import IORequest
-        from repro.sim import RandomStreams
-
-        sim, device, scrubber = _autotune_stack()
-        scrubber.start()
-        rng = RandomStreams(seed=5).get("fg")
-
-        def foreground():
-            for _ in range(2000):
-                done = device.submit(IORequest(DiskCommand.read(0, 8)))
-                yield done
-                yield sim.timeout(rng.exponential(0.05))
-
-        sim.process(foreground())
-        tuner = AutoTuner(
-            sim, scrubber, self.SERVICE, slowdown_goal=0.001,
-            retune_interval=5.0, min_samples=50, method=method,
-        )
-        tuner.start()
-        sim.run(until=30.0)
-        return tuner
-
-    def test_autotune_method_search_matches_grid(self):
-        grid = self._run_tuner("grid")
-        search = self._run_tuner("search")
-        assert grid.retunes >= 1 and search.retunes == grid.retunes
-        a, b = grid.history[-1], search.history[-1]
-        assert b.request_bytes == a.request_bytes
-        assert b.throughput == a.throughput
-
-    def test_autotune_rejects_unknown_method(self):
-        from repro.core.autotune import AutoTuner
-
-        sim, device, scrubber = _autotune_stack()
-        with pytest.raises(ValueError, match="method"):
-            AutoTuner(
-                sim, scrubber, self.SERVICE, slowdown_goal=GOAL,
-                method="annealing",
-            )

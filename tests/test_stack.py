@@ -17,7 +17,7 @@ import pytest
 from repro.analysis import stack as stack_module
 from repro.analysis.detection import run_detection_experiment, shrunk_spec
 from repro.analysis.impact import run_impact_experiment
-from repro.analysis.replay_cdf import replay_baseline, replay_with_scrubber
+from repro.analysis.replay_cdf import replay_with_scrubber
 from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.cli import main
 from repro.core.policies.device import WaitingScrubber
@@ -320,14 +320,13 @@ class TestForegroundHandle:
 
 
 #: Constructors and calls that make a stack, and the only modules under
-#: ``src/repro`` that may use them: the assembler, the scrubber-alone
+#: ``src/repro`` that may use them: the assembler and the scrubber-alone
 #: throughput measurement (a different machine: no foreground, no
-#: policy rule, the algorithm passed as an instance) and the
-#: multi-device manager, which is handed its devices.
+#: policy rule, the algorithm passed as an instance).
 ASSEMBLY = {
     "BlockDevice": {"analysis/stack.py", "analysis/throughput.py"},
     "NoopScheduler": {"analysis/stack.py", "analysis/throughput.py"},
-    "Scrubber": {"analysis/stack.py", "analysis/throughput.py", "core/manager.py"},
+    "Scrubber": {"analysis/stack.py", "analysis/throughput.py"},
     "make_simulation": {"analysis/stack.py", "analysis/throughput.py"},
     "CFQScheduler": {"analysis/stack.py"},
     "WaitingScrubber": {"analysis/stack.py"},
@@ -481,15 +480,6 @@ class TestCacheKeysDidNotMove:
 
         monkeypatch.setattr(ResultCache, "key", key)
         return lambda: hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest()
-
-    def test_replay_baseline(self, keyed, tmp_path):
-        replay_baseline(
-            _trace(2.0), PRESETS["ultrastar"](), horizon=1.0,
-            result_cache=ResultCache(tmp_path),
-        )
-        assert keyed() == (
-            "f84df5b2bc9dc042b451fd96f225108d1554f41f9c3fe2464348658008775807"
-        )
 
     def test_detection_sweep_task(self, keyed, tmp_path, capsys):
         assert main([

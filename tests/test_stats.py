@@ -11,7 +11,6 @@ from repro.stats import (
     fit_ar,
     fraction_intervals_longer,
     has_significant_autocorrelation,
-    hurst_exponent,
     percentile_remaining,
     select_ar_order,
     summarize_idle,
@@ -136,14 +135,6 @@ class TestAutocorrelation:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             has_significant_autocorrelation(np.ones(100), method="magic")
-
-    def test_hurst_of_white_noise(self):
-        x = rng().standard_normal(100_000)
-        assert hurst_exponent(x) == pytest.approx(0.5, abs=0.08)
-
-    def test_hurst_validation(self):
-        with pytest.raises(ValueError):
-            hurst_exponent(np.ones(10))
 
 
 class TestARFitting:

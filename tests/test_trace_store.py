@@ -10,14 +10,11 @@ The central properties:
 * truncated or corrupt data is refused, never silently served.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
 from repro.traces import (
     StoredTrace,
-    StoredTraceRef,
     StoreIntegrityError,
     Trace,
     TraceCorpus,
@@ -173,32 +170,6 @@ class TestIntegrity:
             write_trace(small_trace(n=16), tmp_path / "s", chunk_requests=8)
 
 
-# -- refs --------------------------------------------------------------------
-
-
-class TestStoredTraceRef:
-    def test_pickle_round_trip_and_open(self, tmp_path):
-        stored = write_trace(
-            small_trace(), tmp_path / "s", chunk_requests=256
-        )
-        ref = pickle.loads(pickle.dumps(stored.ref()))
-        assert ref.digest == stored.digest()
-        assert ref.length == len(stored)
-        reopened = ref.open()
-        assert reopened.digest() == stored.digest()
-
-    def test_open_refuses_digest_mismatch(self, tmp_path):
-        stored = write_trace(
-            small_trace(), tmp_path / "s", chunk_requests=256
-        )
-        bad = StoredTraceRef(
-            path=str(stored.path), digest="0" * 64,
-            length=len(stored), name=stored.name,
-        )
-        with pytest.raises(StoreIntegrityError, match="ref expects"):
-            bad.open()
-
-
 # -- streaming idle extraction ----------------------------------------------
 
 
@@ -256,7 +227,6 @@ class TestStoredReplay:
         trace = small_trace()
         stored = write_trace(trace, tmp_path / "s", chunk_requests=256)
         assert canonicalize(stored) == canonicalize(trace)
-        assert canonicalize(stored.ref()) == canonicalize(trace)
 
 
 # -- corpus ------------------------------------------------------------------
