@@ -25,9 +25,11 @@ class TestGenerate:
         trace = read_csv_trace(out_path)
         assert len(trace) > 10
 
-    def test_generate_requires_name_and_output(self):
-        with pytest.raises(SystemExit):
-            main(["generate"])
+    def test_generate_requires_name_and_output(self, capsys):
+        assert main(["generate"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro generate: needs --name and --output"
+        )
 
 
 class TestAnalyze:
@@ -72,11 +74,13 @@ class TestOptimize:
         assert "2.00ms" in out
         assert "CFQ-like baseline" in out
 
-    def test_unknown_drive_rejected(self):
-        with pytest.raises(SystemExit, match="unknown drive"):
-            main([
-                "optimize", "--synthetic", "MSRusr2", "--drive", "flopotron",
-            ])
+    def test_unknown_drive_rejected(self, capsys):
+        assert main([
+            "optimize", "--synthetic", "MSRusr2", "--drive", "flopotron",
+        ]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro optimize: unknown drive 'flopotron'; choose from "
+        )
 
     def test_grid_method_matches_search(self, capsys):
         """The CLI's halving search prints the exhaustive grid's row (the
@@ -137,17 +141,18 @@ class TestOptimize:
         assert sum(row.lstrip()[:1].isdigit() for row in rows) == 3
 
 
-class TestCorpus:
-    @pytest.fixture()
-    def corpus_dir(self, tmp_path):
-        path = tmp_path / "corpus"
-        assert main([
-            "corpus", "build", "--out", str(path),
-            "--names", "MSRusr2", "--duration", "600",
-            "--chunk-requests", "1024",
-        ]) == 0
-        return path
+@pytest.fixture
+def corpus_dir(tmp_path):
+    path = tmp_path / "corpus"
+    assert main([
+        "corpus", "build", "--out", str(path),
+        "--names", "MSRusr2", "--duration", "600",
+        "--chunk-requests", "1024",
+    ]) == 0
+    return path
 
+
+class TestCorpus:
     def test_build_and_list(self, corpus_dir, capsys):
         capsys.readouterr()
         assert main(["corpus", "list", str(corpus_dir)]) == 0
@@ -310,9 +315,11 @@ class TestFleetMonitor:
         assert json.loads(bare_json.read_text()) == \
             json.loads(mon_json.read_text())
 
-    def test_trace_out_requires_monitor(self, tmp_path):
-        with pytest.raises(SystemExit, match="--monitor"):
-            main(self._BASE + ["--trace-out", str(tmp_path / "t.json")])
+    def test_trace_out_requires_monitor(self, tmp_path, capsys):
+        assert main(self._BASE + ["--trace-out", str(tmp_path / "t.json")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro fleet: --trace-out needs --monitor"
+        )
 
     def test_report_roundtrip(self, tmp_path, capsys):
         obs = tmp_path / "obs"
@@ -324,9 +331,10 @@ class TestFleetMonitor:
         assert "report.html" in capsys.readouterr().out
         assert "</html>" in (obs / "report.html").read_text()
 
-    def test_report_empty_dir_fails_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="monitor"):
-            main(["report", str(tmp_path)])
+    def test_report_empty_dir_fails_cleanly(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro report: ") and "monitor" in err
 
 
 class TestTraceCounters:
@@ -339,3 +347,167 @@ class TestTraceCounters:
         out = capsys.readouterr().out
         assert "device.log_dropped" in out
         assert "drive.cache_evictions" in out
+
+
+_FLEET = TestFleetMonitor._BASE
+
+
+class TestOutsideInput:
+    """A user's file or catalog name is read in one place and never
+    leaves it as a traceback: its own message, exit 2."""
+
+    def test_missing_trace_file(self, capsys):
+        assert main(["analyze", "--trace", "/nonexistent.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "repro analyze: [Errno 2] No such file or directory: "
+            "'/nonexistent.csv'\n"
+        )
+
+    def test_malformed_trace_names_its_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,op,offset\n0.0,R,0\n")
+        assert main(["optimize", "--trace", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro optimize: {bad}:1: canonical trace missing column 'lbn'\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--synthetic", "NOPE"],
+        ["generate", "--name", "NOPE", "-o", "x.csv"],
+    ])
+    def test_unknown_catalog_name_lists_the_catalog(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: unknown trace 'NOPE'; available: [")
+        assert "MSRsrc11" in err and "Traceback" not in err
+
+
+class TestExitCodes:
+    """2 = the command line was wrong, whoever noticed: argparse, or a
+    handler's UsageError printed as ``repro <command>: <message>``."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["throughput", "--drive", "nope"], "unknown drive 'nope'"),
+        (["mlet", "--drive", "nope"], "unknown drive 'nope'"),
+        (["fleet", "--resume"], "--resume needs --journal DIR"),
+        (["optimize", "--synthetic", "MSRusr2", "--budget", "0"],
+         "--budget must be >= 1: 0"),
+        (["fleet", "--policy", "staggered:x"], "--policy 'staggered:x': "),
+        (["fleet", "--policy", "zigzag"],
+         "--policy 'zigzag': algorithm must be sequential|staggered"),
+        (["fleet", "--policy", "sequential", "--policy", "sequential@168"],
+         "duplicate policies after parsing"),
+        (["submit", "--groups", "0"], "groups"),
+        (["submit", "--spec-json", "/nonexistent.json"],
+         "cannot read /nonexistent.json"),
+        (["submit", "--url", "ftp://example"], "--url: base_url must be http://"),
+        (["detect", "--algorithms", "zigzag"], "unknown algorithm 'zigzag'"),
+        (["optimize", "--synthetic", "MSRusr2", "--entries", "MSRusr2"],
+         "--entries selects entries of a --corpus"),
+        (["optimize", "--synthetic", "MSRusr2", "--json", "--telemetry"],
+         "--json and --telemetry both write stdout"),
+    ])
+    def test_a_handler_s_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["detect", "trace"])
+    @pytest.mark.parametrize("pair", [
+        ["--foreground", "--synthetic", "MSRsrc11"],
+        ["--trace", "f.csv", "--foreground"],
+        ["--trace", "f.csv", "--synthetic", "MSRsrc11"],
+    ])
+    def test_foreground_sources_are_one_exclusive_group(
+        self, command, pair, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] + pair)
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_a_service_that_cannot_be_reached_is_a_failure_not_usage(
+        self, capsys
+    ):
+        # port 9 (discard) on localhost: nothing listens there
+        assert main(
+            ["submit", "--url", "http://127.0.0.1:9", "--groups", "24"]
+        ) == 1
+        assert capsys.readouterr().err.startswith(
+            "submit: cannot reach http://127.0.0.1:9: "
+        )
+
+
+class TestNoFlagIsIgnored:
+    def test_corpus_tuning_prints_its_telemetry(self, corpus_dir, capsys):
+        assert main([
+            "optimize", "--corpus", str(corpus_dir), "--goals-ms", "2.0",
+            "--telemetry",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "== sweep telemetry ==" in out and "parallel.tasks" in out
+
+    def test_a_single_trace_is_a_one_entry_json_table(self, corpus_dir, capsys):
+        import json
+
+        capsys.readouterr()
+        argv = ["--duration", "600", "--goals-ms", "2.0", "--json"]
+        assert main(["optimize", "--corpus", str(corpus_dir)] + argv) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert main(["optimize", "--synthetic", "MSRusr2"] + argv) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert single.pop("corpus") is None and table.pop("corpus")
+        # same seed, same duration: the corpus entry *is* this trace (the
+        # streamed idle extraction differs from the in-memory one in the
+        # last bits, so the tuned numbers agree to ~1e-5 only)
+        (entry,), (stored,) = single.pop("entries").values(), table.pop("entries").values()
+        assert single == table
+        goal, stored_goal = entry.pop("goals")["2"], stored.pop("goals")["2"]
+        assert entry == stored
+        assert goal.keys() == stored_goal.keys()
+        assert goal["request_kb"] == stored_goal["request_kb"]
+        assert goal["throughput_mbps"] == pytest.approx(
+            stored_goal["throughput_mbps"], rel=1e-3
+        )
+
+
+class TestJsonTargets:
+    """``--json FILE`` of `fleet` and `submit`: refused before the
+    campaign when it cannot be written, written atomically when it can."""
+
+    def test_fleet_refuses_an_unwritable_target_before_it_runs(self, capsys):
+        assert main(_FLEET + ["--json", "/no/such/dir/x.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even the campaign banner
+        assert captured.err == (
+            "repro fleet: --json /no/such/dir/x.json: cannot write in "
+            "/no/such/dir\n"
+        )
+
+    def test_submit_refuses_it_before_it_contacts_the_service(self, capsys):
+        assert main([
+            "submit", "--url", "http://127.0.0.1:9", "--wait",
+            "--json", "/no/such/dir/x.json",
+        ]) == 2
+        assert "cannot write in /no/such/dir" in capsys.readouterr().err
+
+    def test_fleet_json_is_written_atomically(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        from repro.telemetry import export
+
+        written = []
+        real = export.atomic_write
+
+        def spy(path):
+            written.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(export, "atomic_write", spy)
+        target = tmp_path / "fleet.json"
+        assert main(_FLEET + ["--json", str(target)]) == 0
+        assert written == [str(target)]
+        assert json.loads(target.read_text())["completeness"] == 1.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json"]

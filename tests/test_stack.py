@@ -370,13 +370,9 @@ class TestOneAssembler:
         assert _assembly_calls(ast.parse(source)) == names
 
     def test_trace_command_reaches_below_the_assembler_for_nothing(self):
-        tree = ast.parse((SRC / "cli.py").read_text())
-        (cmd_trace,) = [
-            node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "cmd_trace"
-        ]
+        tree = ast.parse((SRC / "cli" / "trace.py").read_text())
         imported = [
-            node.module for node in ast.walk(cmd_trace)
+            node.module for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
         ]
         assert "repro.analysis.stack" in imported

@@ -49,8 +49,8 @@ def test_the_live_tree_is_its_allow_list():
 @pytest.fixture(scope="module")
 def planted(tmp_path_factory):
     """``audit`` of a tree holding a copy of ``repro.stats`` with four
-    functions planted in ``autocorr.py``, a CLI that calls ``acf`` and a
-    test that calls ``planted_outer``."""
+    functions planted in ``autocorr.py``, a CLI package whose ``analyze``
+    handler calls ``acf`` and a test that calls ``planted_outer``."""
     root = tmp_path_factory.mktemp("surface")
     package = root / "src" / "repro"
     shutil.copytree(REPO / "src" / "repro" / "stats", package / "stats")
@@ -61,8 +61,12 @@ def planted(tmp_path_factory):
             "from repro.stats.autocorr import planted_exported\n"
             "__all__ += ['planted_exported']\n"
         )
-    (package / "cli.py").write_text(
-        "from repro.stats import acf\n\ndef main():\n    return acf([1.0], 0)\n"
+    (package / "cli").mkdir()
+    (package / "cli" / "__init__.py").write_text("def main():\n    return 0\n")
+    (package / "cli" / "analyze.py").write_text(
+        "def run(args):\n"
+        "    from repro.stats import acf\n\n"
+        "    return acf([1.0], 0)\n"
     )
     (root / "tests").mkdir()
     (root / "tests" / "test_planted.py").write_text(
@@ -75,6 +79,8 @@ def planted(tmp_path_factory):
 def test_what_the_cli_calls_is_live(planted):
     listed = planted["unreached"] + planted["tests"] + planted["examples"]
     assert "stats.autocorr.acf" not in listed
+    # a command handler is a root of the walk, never library surface
+    assert not [key for key in listed if key.startswith("cli.")]
     assert "stats.hazard.usable_fraction" in planted["unreached"]  # no root left
 
 

@@ -421,10 +421,11 @@ class TestCli:
     def test_trace_conflicting_sources_exit_2(self, capsys):
         from repro.cli import main
 
-        code = main(["trace", "--trace", "x.csv", "--synthetic", "MSRsrc11"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--trace", "x.csv", "--synthetic", "MSRsrc11"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "mutually exclusive" in err
+        assert "--synthetic: not allowed with argument --trace" in err
 
     def test_trace_end_to_end(self, tmp_path, capsys):
         from repro.cli import main

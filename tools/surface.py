@@ -10,8 +10,9 @@ string are not identifiers, hence not uses.  Module-level code of
 ``src/repro`` (preset tables, registries) runs on import and counts as
 an entry point, as do, whole file by whole file:
 
-* ``entry``    -- ``repro/cli.py`` and ``__main__.py``, ``bench/``,
-  ``benchmarks/``, ``tools/``;
+* ``entry``    -- the ``repro/cli/`` package and ``__main__.py``,
+  ``bench/``, ``benchmarks/``, ``tools/`` (the command handlers under
+  ``repro/cli/`` are roots of the walk, not nodes of it);
 * ``examples`` -- ``examples/`` and the fenced python blocks of
   ``README.md`` (``make examples`` keeps the former running);
 * ``tests``    -- ``tests/``.
@@ -44,7 +45,7 @@ ALLOWED: Dict[str, str] = {
 #: Directories and files whose every identifier is a use, one tuple per
 #: origin in the order the walk adds them: entry, examples, tests.
 ORIGINS = (
-    ("src/repro/cli.py", "src/repro/__main__.py",
+    ("src/repro/cli", "src/repro/__main__.py",
      "bench", "benchmarks", "tools"),
     ("examples", "README.md"),
     ("tests",),
@@ -93,14 +94,17 @@ def audit(root: str = ROOT) -> Dict[str, List[str]]:
     public names of ``root/src/repro`` by the last origin that has to be
     added before a walk reaches them (``unreached``: none does)."""
     package = os.path.join(root, "src", "repro")
-    roots = {os.path.join(root, entry) for entry in ORIGINS[0]}
+    roots = [os.path.join(root, entry) for entry in ORIGINS[0]]
     uses: Dict[str, Set[str]] = {}      # "pkg.mod.name" -> identifiers
     by_name: Dict[str, List[str]] = {}  # "name" -> every node so called
     seeds: Set[str] = set()
     for folder, _, names in os.walk(package):
         for name in names:
             path = os.path.join(folder, name)
-            if not name.endswith(".py") or path in roots:
+            if not name.endswith(".py") or any(
+                path == entry or path.startswith(entry + os.sep)
+                for entry in roots
+            ):
                 continue
             module = os.path.relpath(path, package)[:-3].replace(os.sep, ".")
             with open(path) as handle:
