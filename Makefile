@@ -47,12 +47,13 @@ examples:
 trace-budget:
 	$(PYTHON) tools/trace_budget.py
 
-# What a finished full-stack run leaves behind (DESIGN sections 12 and
+# What a finished full-stack run leaves behind (DESIGN sections 6.1 and
 # 18): twelve serial runs in one fresh interpreter of the Fig. 7
-# cfq-staggered-128 replay on each kernel and of a fault-injected detect
-# run with remediation, no gc.collect() anywhere; prints max RSS and
-# tracked objects after every call; exit 1 when call 12 stands more than
-# 2 MB or 1000 tracked objects above call 2.  Seconds are never judged.
+# cfq-staggered-128 replay, of a scrubber-alone throughput measurement
+# and of a fault-injected detect run with remediation, no gc.collect()
+# anywhere; prints max RSS and tracked objects after every call; exit 1
+# when call 12 stands more than 2 MB or 1000 tracked objects above
+# call 2.  Seconds are never judged.
 stack-budget:
 	$(PYTHON) tools/stack_budget.py
 

@@ -169,7 +169,6 @@ def run_detection_experiment(
     spare_sectors: int = 4096,
     idle_gate: float = 0.010,
     telemetry=None,
-    kernel: str = "reference",
 ) -> DetectionResult:
     """Run one scrub policy against a seeded fault plan for ``horizon`` s.
 
@@ -197,9 +196,6 @@ def run_detection_experiment(
         Optional :class:`~repro.telemetry.TelemetrySink` threaded
         through the whole stack (engine, device, drive, scrubber,
         remediation).  Recording never perturbs the run.
-    kernel:
-        Engine backend (``"reference"`` or ``"vector"``); results are
-        bit-identical across backends.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
@@ -221,7 +217,6 @@ def run_detection_experiment(
         ),
         idle_gate=idle_gate,
         cache_enabled=cache_enabled,
-        kernel=kernel,
         telemetry=telemetry,
         fault_plan=plan,
         spare_sectors=spare_sectors,
@@ -262,7 +257,6 @@ def detection_sweep_task(
     time_scale: float = 1.0,
     request_bytes: int = 64 * 1024,
     collect_telemetry: bool = False,
-    kernel: str = "reference",
 ) -> DetectionResult:
     """Picklable sweep task: one detection run on a shrunk preset drive.
 
@@ -308,7 +302,6 @@ def detection_sweep_task(
         time_scale=time_scale,
         request_bytes=request_bytes,
         telemetry=recorder,
-        kernel=kernel,
     )
     if recorder is not None:
         result = replace(result, telemetry=recorder.export())

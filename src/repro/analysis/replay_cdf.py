@@ -97,7 +97,6 @@ def replay_with_scrubber(
     horizon: Optional[float] = None,
     idle_gate: float = 0.010,
     cache_enabled: bool = False,
-    kernel: str = "reference",
 ) -> ReplayResult:
     """Replay ``trace`` with an optional scrubber.
 
@@ -111,9 +110,6 @@ def replay_with_scrubber(
     ``waiting`` (the Waiting scrubber; keys ``threshold`` and
     ``request_bytes``, any other key is a ``ValueError``) may be given;
     neither replays the bare trace.
-
-    ``kernel`` selects the engine backend; the backends are
-    bit-identical.
     """
     if scrubber is not None and waiting is not None:
         raise ValueError("pass either scrubber or waiting, not both")
@@ -139,7 +135,6 @@ def replay_with_scrubber(
         scrubber,
         idle_gate=idle_gate,
         cache_enabled=cache_enabled,
-        kernel=kernel,
     )
     stack.replay(trace)
     stack.run(horizon)

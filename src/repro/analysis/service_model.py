@@ -55,25 +55,12 @@ class ScrubServiceModel:
         warmup: int = 4,
         samples: int = 12,
         start_fraction: float = 0.3,
-        kernel: str = "reference",
     ) -> "ScrubServiceModel":
         """Measure back-to-back sequential VERIFY times on a drive model.
 
         ``start_fraction`` positions the measurement in the middle of
-        the disk (a representative zone).  ``kernel="vector"`` measures
-        all grid sizes at once through
-        :meth:`~repro.disk.drive.Drive.batched_media_times` (one lane
-        per size — the per-size measurement chains are independent);
-        the results are bit-identical to the scalar path.
+        the disk (a representative zone).
         """
-        from repro.sim.vector import KERNELS
-
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}: {kernel!r}")
-        if kernel == "vector":
-            return cls._from_spec_vector(
-                spec, sizes, warmup, samples, start_fraction
-            )
         times = []
         for size in sizes:
             drive = Drive(spec, cache_enabled=False)
@@ -86,40 +73,6 @@ class ScrubServiceModel:
                 now = breakdown.finish + 5e-5
                 lbn += sectors
             times.append(float(np.mean(observed[warmup:])))
-        return cls(list(sizes), times)
-
-    @classmethod
-    def _from_spec_vector(
-        cls,
-        spec: DriveSpec,
-        sizes: Sequence[int],
-        warmup: int,
-        samples: int,
-        start_fraction: float,
-    ) -> "ScrubServiceModel":
-        """The vector-kernel measurement: one batched lane per size."""
-        drive = Drive(spec, cache_enabled=False)
-        n = len(sizes)
-        sectors = np.array(
-            [max(1, size // SECTOR_SIZE) for size in sizes], dtype=np.int64
-        )
-        lbn = np.full(n, int(drive.total_sectors * start_fraction), np.int64)
-        now = np.zeros(n, dtype=np.float64)
-        head = np.zeros(n, dtype=np.int64)
-        observed = np.empty((warmup + samples, n), dtype=np.float64)
-        for step in range(warmup + samples):
-            totals, finishes, head = drive.batched_media_times(
-                lbn, sectors, now, head
-            )
-            observed[step] = totals
-            now = finishes + 5e-5
-            lbn += sectors
-        # Contiguous per-size columns so np.mean's pairwise summation
-        # visits the same order as the scalar path's list-of-floats.
-        times = [
-            float(np.mean(np.ascontiguousarray(observed[warmup:, j])))
-            for j in range(n)
-        ]
         return cls(list(sizes), times)
 
     def time(self, request_bytes) -> np.ndarray:

@@ -45,7 +45,7 @@ from repro.sched.cfq import CFQScheduler
 from repro.sched.device import BlockDevice
 from repro.sched.noop import NoopScheduler
 from repro.sched.request import PriorityClass
-from repro.sim import RandomStreams, Simulation, make_simulation
+from repro.sim import RandomStreams, Simulation
 from repro.workloads.replay import TraceReplayer
 from repro.workloads.synthetic import RandomReader, SequentialReader
 
@@ -134,14 +134,13 @@ class ScrubStack:
         *,
         idle_gate: float,
         cache_enabled: bool,
-        kernel: str = "reference",
         telemetry=None,
         fault_plan: Optional[FaultPlan] = None,
         spare_sectors: Optional[int] = None,
         remediation: Optional[RemediationPolicy] = None,
         max_log_records: Optional[int] = None,
     ) -> None:
-        self.sim = make_simulation(kernel, telemetry=telemetry)
+        self.sim = Simulation(telemetry=telemetry)
         self.drive = Drive(spec, cache_enabled=cache_enabled)
         self.faults: Optional[MediaFaults] = None
         if fault_plan is not None:
@@ -164,7 +163,7 @@ class ScrubStack:
         #: The foreground workload (:class:`TraceReplayer` or reader),
         #: ``None`` until :meth:`replay` or :meth:`reader` starts one.
         self.foreground = None
-        #: Handles of the processes this stack started, for the kernel
+        #: Handles of the processes this stack started, for the engine
         #: teardown at the end of :meth:`run`; ``None`` once released.
         self._started: Optional[list] = [self.device.dispatcher]
 

@@ -17,7 +17,7 @@ from repro.disk.drive import Drive
 from repro.disk.models import DriveSpec
 from repro.sched.device import BlockDevice
 from repro.sched.noop import NoopScheduler
-from repro.sim import make_simulation
+from repro.sim import Simulation
 
 
 def standalone_scrub_throughput(
@@ -29,18 +29,19 @@ def standalone_scrub_throughput(
     delay_mode: str = "gap",
     cache_enabled: bool = False,
     telemetry=None,
-    kernel: str = "reference",
 ) -> float:
     """Scrub throughput (bytes/second) with no foreground workload.
 
     ``telemetry`` optionally threads a
     :class:`~repro.telemetry.TelemetrySink` through the run; recording
-    does not change the measured throughput.  ``kernel`` selects the
-    engine backend; the measured throughput is identical either way.
+    does not change the measured throughput.  Like
+    :meth:`ScrubStack.run() <repro.analysis.stack.ScrubStack.run>` the
+    run ends by closing the simulation over the two processes it
+    started, so a returned call leaves nothing for the collector.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
-    sim = make_simulation(kernel, telemetry=telemetry)
+    sim = Simulation(telemetry=telemetry)
     device = BlockDevice(sim, Drive(spec, cache_enabled=cache_enabled), NoopScheduler())
     scrubber = Scrubber(
         sim,
@@ -50,9 +51,11 @@ def standalone_scrub_throughput(
         delay=delay,
         delay_mode=delay_mode,
     )
-    scrubber.start()
+    process = scrubber.start()
     sim.run(until=horizon)
-    return scrubber.throughput(horizon)
+    throughput = scrubber.throughput(horizon)
+    sim.close((device.dispatcher, process))
+    return throughput
 
 
 def verify_response_times(

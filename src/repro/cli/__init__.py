@@ -13,14 +13,13 @@ handlers import what they run, so building the parser loads nothing
 
 **Shared flags.**  A flag set more than one command takes is one builder
 in :mod:`._shared` (trace source, sweep workers and cache, shard
-supervision, campaign spec, ``--kernel``, ``--telemetry`` /
-``--trace-out``), called by every command that takes it.
+supervision, campaign spec, ``--telemetry`` / ``--trace-out``), called
+by every command that takes it.
 
 **Exit codes** are :data:`EXIT_CODES` below, the epilogue of ``repro
 --help``.  A handler raises :class:`~._shared.UsageError` for what
 argparse cannot check; :func:`main` prints it as ``repro <command>:
-<message>`` and returns 2, as it does for a scenario ``--kernel vector``
-does not support (never a silent fallback).
+<message>`` and returns 2.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ EXIT_CODES = """exit codes:
      planted bug, a corpus integrity error, no idle intervals to analyze
      or optimize, a fleet invariant violation, a service that cannot be
      reached or rejects the job
-  2  the command line was wrong: a bad flag, value, file or name, or a
-     scenario --kernel vector does not support
+  2  the command line was wrong: a bad flag, value, file or name
   3  a campaign or job finished degraded (completeness < 1)"""
 
 
@@ -63,10 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    from repro.sim.vector import UnsupportedKernelFeature
-
     try:
         return args.func(args)
-    except (UsageError, UnsupportedKernelFeature) as exc:
+    except UsageError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -134,17 +134,6 @@ def build_runner(args, telemetry=None):
     return SweepRunner(workers=args.workers, cache=cache, telemetry=telemetry)
 
 
-def add_kernel_flag(parser: ArgumentParser, default="reference", help=None) -> None:
-    from repro.sim import KERNELS
-
-    parser.add_argument(
-        "--kernel", choices=KERNELS, default=default,
-        help=help or "simulation engine backend (default %(default)s); both "
-        "are bit-identical, and an unsupported scenario under 'vector' "
-        "fails with exit code 2 instead of falling back",
-    )
-
-
 def add_telemetry_flags(parser: ArgumentParser, telemetry: str, trace_out="") -> None:
     """``--telemetry`` and, given its help text, ``--trace-out FILE``."""
     parser.add_argument("--telemetry", action="store_true", help=telemetry)

@@ -5,9 +5,8 @@ without the ATA ``VERIFY``-from-cache firmware bug (paper Fig. 1)."""
 import argparse
 
 from ._shared import (
-    UsageError, add_kernel_flag, add_sweep_flags, add_telemetry_flags,
-    add_trace_source, build_runner, bursts_params, drive_spec, load_trace,
-    print_telemetry,
+    UsageError, add_sweep_flags, add_telemetry_flags, add_trace_source,
+    build_runner, bursts_params, drive_spec, load_trace, print_telemetry,
 )
 
 
@@ -58,7 +57,6 @@ def register(subparsers) -> None:
         parser, "record every run and print a merged fleet metrics table",
         trace_out="write one Chrome trace JSON with a process row per run",
     )
-    add_kernel_flag(parser)
     parser.set_defaults(func=run)
 
 
@@ -88,7 +86,6 @@ def run(args) -> int:
             cache_enabled=not args.no_cache, cache_bug=bug,
             foreground=args.foreground, trace=fg_trace,
             collect_telemetry=bool(args.telemetry or args.trace_out),
-            kernel=args.kernel,
         )
         for algorithm in args.algorithms
         for bug in (False, True)

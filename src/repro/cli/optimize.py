@@ -9,9 +9,9 @@ metrics table."""
 import json
 
 from ._shared import (
-    UsageError, add_kernel_flag, add_sweep_flags, add_telemetry_flags,
-    add_trace_source, build_runner, drive_spec, load_trace, make_recorder,
-    open_corpus, print_telemetry,
+    UsageError, add_sweep_flags, add_telemetry_flags, add_trace_source,
+    build_runner, drive_spec, load_trace, make_recorder, open_corpus,
+    print_telemetry,
 )
 
 
@@ -47,7 +47,6 @@ def register(subparsers) -> None:
     add_telemetry_flags(
         parser, "print a sweep-telemetry metrics table after the results"
     )
-    add_kernel_flag(parser)
     parser.set_defaults(func=run)
 
 
@@ -105,7 +104,7 @@ def run(args) -> int:
     unattainable = "unattainable" + ("" if corpus else " on this workload")
     spec = drive_spec(args.drive)
     say(f"measuring scrub service times on {spec.name}...")
-    model = ScrubServiceModel.from_spec(spec, kernel=args.kernel)
+    model = ScrubServiceModel.from_spec(spec)
     recorder = make_recorder(args.telemetry, wall_time=False)
     runner = build_runner(args, telemetry=recorder)
     payload = {

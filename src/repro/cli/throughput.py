@@ -2,8 +2,7 @@
 algorithm and request size on an otherwise idle drive."""
 
 from ._shared import (
-    add_kernel_flag, add_telemetry_flags, drive_spec, make_recorder,
-    print_telemetry,
+    add_telemetry_flags, drive_spec, make_recorder, print_telemetry,
 )
 
 
@@ -23,7 +22,6 @@ def register(subparsers) -> None:
         parser, "print a metrics summary table for the run",
         trace_out="write a Chrome trace-event JSON of the run",
     )
-    add_kernel_flag(parser)
     parser.set_defaults(func=run)
 
 
@@ -40,7 +38,7 @@ def run(args) -> int:
     rate = standalone_scrub_throughput(
         spec, algorithm, request_bytes=args.request_kb * 1024,
         horizon=args.horizon, delay=args.delay_ms / 1e3,
-        telemetry=recorder, kernel=args.kernel,
+        telemetry=recorder,
     )
     full_scan_h = spec.capacity_bytes / rate / 3600 if rate else float("inf")
     print(

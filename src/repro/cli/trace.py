@@ -4,8 +4,7 @@ the telemetry recorder on, export a Chrome trace-event JSON (Perfetto /
 the request and error logs."""
 
 from ._shared import (
-    add_kernel_flag, add_trace_source, bursts_params, drive_spec, load_trace,
-    print_telemetry,
+    add_trace_source, bursts_params, drive_spec, load_trace, print_telemetry,
 )
 
 
@@ -57,24 +56,10 @@ def register(subparsers) -> None:
         help="also write PREFIX.requests.jsonl (and PREFIX.errors.jsonl "
         "with --inject) for offline analysis",
     )
-    add_kernel_flag(parser)
     parser.set_defaults(func=run)
 
 
 def run(args) -> int:
-    if args.kernel == "vector":
-        # The trace exporter's Recorder runs with wall_time=True and
-        # attributes wall-clock spans to individual events; the vector
-        # kernel retires timer batches in bulk, so per-event wall
-        # attribution is meaningless there.  Fail fast rather than
-        # silently recording garbage or falling back.
-        from repro.sim.vector import UnsupportedKernelFeature
-
-        raise UnsupportedKernelFeature(
-            "repro trace records per-event wall-clock spans, which the "
-            "vector kernel's batch retirement cannot attribute; "
-            "use --kernel reference"
-        )
     from repro.analysis.detection import shrunk_spec
     from repro.analysis.stack import ScrubberSetup, ScrubStack
     from repro.disk.drive import Drive

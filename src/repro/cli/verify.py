@@ -7,14 +7,11 @@ missed planted bug, 2 that the command line was wrong."""
 import argparse
 import sys
 
-from ._shared import add_kernel_flag
-
 #: ``repro.verify.AXES``, spelled out: importing ``repro.verify`` to
 #: build the parser would cost every command ~50 modules
 #: (tests/test_cli_contract.py holds the two equal).
 AXES = (
-    "kernel-twin", "kernel-backend", "feed", "telemetry",
-    "parallel", "monitor", "fleet-kernel",
+    "kernel-twin", "feed", "telemetry", "parallel", "monitor", "fleet-kernel",
 )
 
 
@@ -26,10 +23,10 @@ def register(subparsers) -> None:
         epilog=(
             "Each fuzzed configuration runs under the runtime invariant\n"
             "checker and through the differential oracle's axes (no sink\n"
-            "vs a live invariant sink, reference vs vector engine\n"
-            "backend, array vs record replay feed, telemetry on vs off,\n"
-            "serial vs forked-worker sweep, campaign monitor on vs off,\n"
-            "fleet shard kernel vs its reference ledger).\n"
+            "vs a live invariant sink, array vs record replay feed,\n"
+            "telemetry on vs off, serial vs forked-worker sweep, campaign\n"
+            "monitor on vs off, fleet shard kernel vs its reference\n"
+            "ledger).\n"
             "Any failing configuration is minimised and reprinted as a\n"
             "copy-pasteable repro snippet.  The same --seed always draws\n"
             "the same configurations."
@@ -52,12 +49,6 @@ def register(subparsers) -> None:
         "--self-test", action="store_true",
         help="first plant each known seeded bug and assert it is caught "
         "(pass --configs 0 to run the self-test alone)",
-    )
-    add_kernel_flag(
-        parser, default=None,
-        help="force every fuzzed config onto one engine backend "
-        "(default: drawn per config; the kernel-backend axis still "
-        "compares both regardless)",
     )
     parser.set_defaults(func=run)
 
@@ -101,7 +92,6 @@ def run(args) -> int:
         axes=tuple(args.axes) if args.axes else None,
         parallel_workers=args.workers,
         progress=progress,
-        kernel=args.kernel,
     )
     print(report.summary())
     for failure in report.failures:

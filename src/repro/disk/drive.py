@@ -24,9 +24,7 @@ Cache semantics per Section III-A:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.disk.cache import DiskCache
 from repro.disk.commands import (
@@ -340,76 +338,6 @@ class Drive:
             status=status,
             error_lbn=error_lbn,
         )
-
-    def batched_media_times(
-        self, lbns, sectors, nows, head_cylinders
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised media-access timing for independent command lanes.
-
-        Each lane ``i`` is one command ``(lbns[i], sectors[i])`` issued
-        at ``nows[i]`` with the head parked at ``head_cylinders[i]``;
-        lanes are independent (separate drives, or well-separated
-        commands on one drive).  Returns ``(totals, finishes,
-        head_cylinders)`` float64/float64/int64 arrays, where each lane
-        is bit-identical to the scalar
-        ``service(...).total`` / ``.finish`` / resulting head position:
-        the loop walks tracks with the same seek/latency/sweep
-        expression trees as :meth:`_media_access`, just masked across
-        lanes.
-
-        The method is *pure* — no drive state is touched — and only
-        models the plain mechanical path: a drive with fault state or
-        an enabled cache has per-command side effects (error retries,
-        cache fills) the batch cannot reproduce, so those configurations
-        raise :class:`~repro.sim.vector.UnsupportedKernelFeature`
-        rather than silently diverging.
-        """
-        from repro.sim.vector import UnsupportedKernelFeature
-
-        if self.faults is not None:
-            raise UnsupportedKernelFeature(
-                "batched media timing cannot model per-command fault "
-                "retries; use the scalar service() path on drives with "
-                "fault state installed"
-            )
-        if self.cache_enabled:
-            raise UnsupportedKernelFeature(
-                "batched media timing cannot model cache fills; disable "
-                "the cache or use the scalar service() path"
-            )
-        nows = np.asarray(nows, dtype=np.float64)
-        lbn = np.array(lbns, dtype=np.int64)
-        remaining = np.array(sectors, dtype=np.int64)
-        head = np.array(head_cylinders, dtype=np.int64)
-        if np.any(lbn + remaining > self.total_sectors):
-            raise ValueError(
-                f"batched command exceeds disk size {self.total_sectors}"
-            )
-        t = nows + self.spec.command_overhead
-        hs = self.spec.head_switch_time
-        first = True
-        while True:
-            active = remaining > 0
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            cyl, _, sector, spt, track = self.geometry.locate_batch(lbn[idx])
-            seeks = self.seek_model.times(np.abs(cyl - head[idx]))
-            if not first:
-                seeks = np.where(
-                    cyl == head[idx], hs, np.maximum(seeks, hs)
-                )
-            ta = t[idx] + seeks
-            head[idx] = cyl
-            angles = self.geometry.angles_of_batch(sector, spt, track)
-            ta = ta + self.rotation.latencies_to(angles, ta)
-            chunk = np.minimum(remaining[idx], spt - sector)
-            t[idx] = ta + self.rotation.transfer_times(chunk, spt)
-            lbn[idx] += chunk
-            remaining[idx] -= chunk
-            first = False
-        finishes = t + self.spec.completion_overhead
-        return finishes - nows, finishes, head
 
     def __repr__(self) -> str:
         return f"<Drive {self.spec.name!r} head@{self.head_cylinder}>"

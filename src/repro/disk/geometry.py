@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.disk.commands import SECTOR_SIZE
 
@@ -97,14 +95,6 @@ class DiskGeometry:
         self._total_cylinders = cyl
         self._total_tracks = track
 
-        # Array mirrors of the per-zone tables for the batch path.
-        self._zfl = np.asarray(self._zone_first_lbn, dtype=np.int64)
-        self._zfc = np.asarray(self._zone_first_cyl, dtype=np.int64)
-        self._zft = np.asarray(self._zone_first_track, dtype=np.int64)
-        self._zspt = np.asarray(
-            [zone.sectors_per_track for zone in self.zones], dtype=np.int64
-        )
-
     # -- sizes -------------------------------------------------------------
     @property
     def total_sectors(self) -> int:
@@ -164,48 +154,6 @@ class DiskGeometry:
         angle = (
             location.sector / location.sectors_per_track
             + location.track_index * self.track_skew
-        )
-        return angle % 1.0
-
-    def locate_batch(
-        self, lbns
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`locate`: map an LBN array to physical coords.
-
-        Returns the struct-of-arrays form of :class:`Location` —
-        ``(cylinder, head, sector, sectors_per_track, track_index)``
-        int64 arrays.  All arithmetic is exact integer math mirroring
-        the scalar ``divmod`` chain, so every lane equals the scalar
-        :meth:`locate` of its LBN.
-        """
-        lbn = np.asarray(lbns, dtype=np.int64)
-        if lbn.size and (
-            int(lbn.min()) < 0 or int(lbn.max()) >= self._total_sectors
-        ):
-            raise ValueError(
-                f"LBN out of range [0, {self._total_sectors}) in batch"
-            )
-        zi = np.searchsorted(self._zfl, lbn, side="right") - 1
-        spt = self._zspt[zi]
-        offset = lbn - self._zfl[zi]
-        sectors_per_cyl = spt * self.heads
-        cyl_in_zone = offset // sectors_per_cyl
-        rest = offset - cyl_in_zone * sectors_per_cyl
-        head = rest // spt
-        sector = rest - head * spt
-        cylinder = self._zfc[zi] + cyl_in_zone
-        track_index = self._zft[zi] + cyl_in_zone * self.heads + head
-        return cylinder, head, sector, spt, track_index
-
-    def angles_of_batch(self, sectors, spts, track_indices) -> np.ndarray:
-        """Vectorised :meth:`angle_of` over :meth:`locate_batch` columns.
-
-        Same ``sector/spt + track*skew (mod 1)`` float64 expression as
-        the scalar path, element-wise bit-identical.
-        """
-        angle = (
-            np.asarray(sectors) / np.asarray(spts)
-            + np.asarray(track_indices) * self.track_skew
         )
         return angle % 1.0
 

@@ -86,22 +86,6 @@ class SeekModel:
         # extreme spec combinations; clamp to a tenth of track-to-track.
         return float(max(t, 0.0))
 
-    def times(self, distances) -> np.ndarray:
-        """Vectorised :meth:`time` over an array of cylinder distances.
-
-        Bit-identical to the scalar path element-wise: the same
-        ``a + b*sqrt(d) + c*d`` IEEE-754 expression tree is evaluated in
-        float64 with the same zero-distance and clamp-to-zero special
-        cases, so ``times(d)[i] == time(d[i])`` exactly.
-        """
-        d = np.asarray(distances)
-        if d.size and np.any(d < 0):
-            raise ValueError("negative seek distance in batch")
-        d = d.astype(np.float64)
-        t = self.a + self.b * np.sqrt(d) + self.c * d
-        return np.where(d == 0.0, 0.0, np.maximum(t, 0.0))
-
-
 @dataclass(frozen=True)
 class RotationModel:
     """Constant-speed spindle."""
@@ -139,30 +123,3 @@ class RotationModel:
                 f"{sectors} sectors exceed one track ({sectors_per_track})"
             )
         return (sectors / sectors_per_track) * self.period
-
-    # -- vectorised batch paths (bit-identical to the scalar methods) -----
-    def angles_at(self, times) -> np.ndarray:
-        """Vectorised :meth:`angle_at` over an array of absolute times."""
-        return (np.asarray(times, dtype=np.float64) / self.period) % 1.0
-
-    def latencies_to(self, target_angles, times) -> np.ndarray:
-        """Vectorised :meth:`latency_to`: element-wise rotational delay.
-
-        Same float64 ``((target - angle) % 1.0) * period`` expression as
-        the scalar path (numpy's float64 ``%`` matches Python's float
-        modulo bit-for-bit), so results are exactly equal element-wise.
-        """
-        gap = (
-            np.asarray(target_angles, dtype=np.float64) - self.angles_at(times)
-        ) % 1.0
-        return gap * self.period
-
-    def transfer_times(self, sectors, sectors_per_track) -> np.ndarray:
-        """Vectorised :meth:`transfer_time` over parallel arrays."""
-        s = np.asarray(sectors)
-        spt = np.asarray(sectors_per_track)
-        if s.size and np.any(s < 0):
-            raise ValueError("negative sector count in batch")
-        if s.size and np.any(s > spt):
-            raise ValueError("sector count exceeds one track in batch")
-        return (s / spt) * self.period

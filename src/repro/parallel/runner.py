@@ -167,13 +167,6 @@ class SweepRunner:
             runs just the same, workers included.
         param_sets:
             One kwargs dict per task.  Dicts are copied, never mutated.
-            The engine backend travels here too: tasks that take a
-            ``kernel`` key (e.g. ``detection_sweep_task``) carry it like
-            any other parameter, and it participates in cache keys the
-            same way.  Because both backends are bit-identical, a cache
-            entry produced under one kernel is equally valid for the
-            other; the key still separates them so an A/B sweep never
-            serves one side from the other's cache.
         seed_param:
             When given (and ``base_seed`` is set), each task that does
             not already carry this key gets

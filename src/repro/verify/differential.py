@@ -11,10 +11,6 @@ axis                paths compared
                     engine has one loop, so this is sink passivity
                     under the invariant checker; the name (a public
                     ``--axes`` value) predates the single loop
-``kernel-backend``  the reference heap kernel vs the PR 6 numpy
-                    batch-advance kernel (:mod:`repro.sim.vector`) —
-                    the scenario's own ``kernel`` parameter is
-                    overridden on both sides
 ``feed``            legacy record-generator replay vs the PR 4 batched
                     ``_ReplayCursor`` array feed — compared *with* a
                     recorder attached, so the full event stream and
@@ -66,8 +62,7 @@ __all__ = [
 #: lives in :func:`check_parallel`; ``monitor`` and ``fleet-kernel``
 #: run a small seeded fleet campaign rather than the scenario itself.
 AXES = (
-    "kernel-twin", "kernel-backend", "feed", "telemetry", "parallel",
-    "monitor", "fleet-kernel",
+    "kernel-twin", "feed", "telemetry", "parallel", "monitor", "fleet-kernel",
 )
 
 
@@ -154,13 +149,6 @@ def run_axes(
         checked = run_scenario(**base, telemetry="invariants")
         signatures["kernel-twin"] = _compare(
             "kernel-twin", base, bare, checked, include_telemetry=False
-        )
-    if "kernel-backend" in selected:
-        kb = {k: v for k, v in base.items() if k != "kernel"}
-        reference = run_scenario(**kb, kernel="reference", telemetry="none")
-        vector = run_scenario(**kb, kernel="vector", telemetry="none")
-        signatures["kernel-backend"] = _compare(
-            "kernel-backend", kb, reference, vector, include_telemetry=False
         )
     if "feed" in selected:
         arrays = run_scenario(**base, feed="arrays", telemetry="recorder")

@@ -35,7 +35,6 @@ __all__ = ["DEFAULTS", "FuzzFailure", "FuzzReport", "fuzz", "generate_configs", 
 #: The quiet baseline configuration minimisation shrinks towards; keys
 #: double as the set of parameters the fuzzer is allowed to vary.
 DEFAULTS: Dict[str, object] = {
-    "kernel": "reference",
     "family": "synthetic",
     "drive": "ultrastar",
     "cylinders": 30,
@@ -93,11 +92,9 @@ def generate_configs(seed: int, n: int) -> List[dict]:
         threshold = round(float(rng.uniform(0.001, 0.02)), 4)
         idle_gate = round(float(rng.uniform(0.0005, 0.005)), 4)
         scrub_delay = (0.0, 0.0005)[int(rng.integers(2))]
-        kernel = ("reference", "vector")[int(rng.integers(2))]
         run_seed = int(rng.integers(0, 2**31 - 1))
         configs.append(
             {
-                "kernel": kernel,
                 "family": family,
                 "drive": drive,
                 "cylinders": cylinders,
@@ -223,7 +220,6 @@ def fuzz(
     axes: Optional[Sequence[str]] = None,
     parallel_workers: int = 2,
     progress: Optional[Callable[[int, int], None]] = None,
-    kernel: Optional[str] = None,
 ) -> FuzzReport:
     """Fuzz ``n`` seeded configurations under the full harness.
 
@@ -234,10 +230,6 @@ def fuzz(
     fuzz run rather than twice per config.  ``axes=()`` restricts to
     invariants only (each config runs once, validated).
 
-    ``kernel`` forces every drawn configuration onto one engine backend
-    (the fuzzer otherwise draws it per config); the ``kernel-backend``
-    axis still compares both backends regardless.
-
     Never raises on a finding — failures are minimised and collected
     into the returned :class:`FuzzReport`.
     """
@@ -245,11 +237,7 @@ def fuzz(
     per_config = tuple(a for a in selected if a != "parallel")
     report = FuzzReport(seed=seed, configs=n, axes=selected)
     healthy: List[dict] = []
-    configs = generate_configs(seed, n)
-    if kernel is not None:
-        for params in configs:
-            params["kernel"] = kernel
-    for index, params in enumerate(configs):
+    for index, params in enumerate(generate_configs(seed, n)):
         if progress is not None:
             progress(index, n)
         if per_config:

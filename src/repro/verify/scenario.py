@@ -32,10 +32,6 @@ the legacy record-generator replayer path) and
 into *core* keys — which must be bit-identical across every axis the
 oracle flips — and the ``"telemetry"`` key, which only exists when a
 recorder was attached.
-
-``kernel="reference" | "vector"`` selects the engine backend (the PR 6
-differential axis); outcomes must be bit-identical across kernels and
-carry no kernel marker of their own.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.disk.drive import Drive
 from repro.disk.models import PRESETS
 from repro.faults import RemediationPolicy, build_model
-from repro.sim import KERNELS
 from repro.traces.catalog import generate_trace
 from repro.traces.record import Trace
 
@@ -135,7 +130,6 @@ def run_scenario(
     idle_gate: float = 0.002,
     scrub_delay: float = 0.0,
     telemetry: str = "none",
-    kernel: str = "reference",
 ) -> dict:
     """Run one seeded scenario end to end; return its outcome dict.
 
@@ -157,8 +151,6 @@ def run_scenario(
         raise ValueError(f"family must be one of {FAMILIES}: {family!r}")
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}: {feed!r}")
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}: {kernel!r}")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
     if drive not in PRESETS:
@@ -188,7 +180,6 @@ def run_scenario(
         ),
         idle_gate=idle_gate,
         cache_enabled=cache_enabled,
-        kernel=kernel,
         telemetry=sink,
         fault_plan=plan,
         spare_sectors=spare_sectors,

@@ -239,45 +239,6 @@ class TestVerify:
             main(["verify", "--axes", "chaos"])
 
 
-class TestKernelFlag:
-    def test_throughput_identical_under_both_kernels(self, capsys):
-        assert main(["throughput", "--horizon", "1", "--kernel", "reference"]) == 0
-        reference = capsys.readouterr().out
-        assert main(["throughput", "--horizon", "1", "--kernel", "vector"]) == 0
-        assert capsys.readouterr().out == reference
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["throughput", "--kernel", "turbo"])
-
-    def test_trace_vector_fails_fast_with_exit_2(self, tmp_path, capsys):
-        code = main([
-            "trace", "--kernel", "vector", "--horizon", "0.1",
-            "--out", str(tmp_path / "t.json"),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "vector" in err
-        assert "--kernel reference" in err
-        assert not (tmp_path / "t.json").exists()  # no silent fallback
-
-    def test_verify_kernel_backend_axis(self, capsys):
-        code = main([
-            "verify", "--seed", "7", "--configs", "2",
-            "--axes", "kernel-backend",
-        ])
-        assert code == 0
-        assert "2/2 configs passed" in capsys.readouterr().out
-
-    def test_verify_forced_kernel(self, capsys):
-        code = main([
-            "verify", "--seed", "7", "--configs", "2",
-            "--axes", "kernel-twin", "--kernel", "vector",
-        ])
-        assert code == 0
-        assert "2/2 configs passed" in capsys.readouterr().out
-
-
 class TestFleetMonitor:
     """PR 8: live observability flags on the fleet command."""
 
@@ -427,6 +388,12 @@ class TestExitCodes:
             main([command] + pair)
         assert excinfo.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_the_kernel_flag_is_gone_not_deprecated(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--kernel", "vector"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel vector" in capsys.readouterr().err
 
     def test_a_service_that_cannot_be_reached_is_a_failure_not_usage(
         self, capsys

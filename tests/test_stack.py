@@ -19,16 +19,17 @@ from repro.analysis.detection import run_detection_experiment, shrunk_spec
 from repro.analysis.impact import run_impact_experiment
 from repro.analysis.replay_cdf import replay_with_scrubber
 from repro.analysis.stack import ScrubberSetup, ScrubStack
+from repro.analysis.throughput import standalone_scrub_throughput
 from repro.cli import main
 from repro.core.policies.device import WaitingScrubber
 from repro.core.scrubber import Scrubber
+from repro.core.staggered import StaggeredScrub
 from repro.disk.drive import Drive
 from repro.disk.models import PRESETS
 from repro.faults import RemediationPolicy, build_model
 from repro.parallel.cache import ResultCache, canonicalize
 from repro.sched.cfq import CFQScheduler
 from repro.sched.noop import NoopScheduler
-from repro.sim import KERNELS
 from repro.traces import generate_trace
 from repro.verify.scenario import FAMILIES, run_scenario
 from repro.workloads.replay import TraceReplayer
@@ -197,12 +198,11 @@ class TestAFinishedStackIsFreedWhenDropped:
     """No reference cycle survives ``run()``: serial experiments in one
     process do not grow it (``make stack-budget`` is the RSS side)."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("config", sorted(FIG7))
-    def test_replay_with_scrubber(self, config, kernel):
+    def test_replay_with_scrubber(self, config):
         trace = _trace(0.5)
         assert _growth_per_call(
-            lambda: replay_with_scrubber(trace, SPEC, kernel=kernel, **FIG7[config])
+            lambda: replay_with_scrubber(trace, SPEC, **FIG7[config])
         ) <= 16
 
     @pytest.mark.parametrize("foreground", ["reader", "trace"])
@@ -237,6 +237,17 @@ class TestAFinishedStackIsFreedWhenDropped:
         assert _growth_per_call(
             lambda: run_scenario(family=family, algorithm="staggered", horizon=0.3)
         ) <= 16
+
+    def test_standalone_scrub_throughput(self):
+        # The second assembly site: every point of Figs. 4, 5a, 5b.
+        spec = PRESETS["ultrastar"]()
+        rates = []
+        assert _growth_per_call(
+            lambda: rates.append(
+                standalone_scrub_throughput(spec, StaggeredScrub(128), horizon=2.0)
+            )
+        ) <= 16
+        assert len(set(rates)) == 1 and rates[0] > 0
 
 
 class TestRelease:
@@ -322,12 +333,14 @@ class TestForegroundHandle:
 #: Constructors and calls that make a stack, and the only modules under
 #: ``src/repro`` that may use them: the assembler and the scrubber-alone
 #: throughput measurement (a different machine: no foreground, no
-#: policy rule, the algorithm passed as an instance).
+#: policy rule, the algorithm passed as an instance).  ``sim/vector.py``
+#: constructs an engine inside ``make_simulation``, the factory only
+#: ``bench/`` calls.
 ASSEMBLY = {
     "BlockDevice": {"analysis/stack.py", "analysis/throughput.py"},
     "NoopScheduler": {"analysis/stack.py", "analysis/throughput.py"},
     "Scrubber": {"analysis/stack.py", "analysis/throughput.py"},
-    "make_simulation": {"analysis/stack.py", "analysis/throughput.py"},
+    "Simulation": {"analysis/stack.py", "analysis/throughput.py", "sim/vector.py"},
     "CFQScheduler": {"analysis/stack.py"},
     "WaitingScrubber": {"analysis/stack.py"},
     "MediaFaults": {"analysis/stack.py"},
@@ -380,6 +393,71 @@ class TestOneAssembler:
             assert module.split(".")[:2] not in (
                 ["repro", "sched"], ["repro", "core"], ["repro", "workloads"],
             )
+
+
+#: What went with the ``kernel`` knob.  ``repro.sim`` still holds the
+#: factory and the timer store for ``bench/``; nothing above it may name
+#: them, or the second drive-timing model that hung off the knob.
+KNOB_NAMES = {
+    "make_simulation", "KERNELS", "VectorSimulation", "UnsupportedKernelFeature",
+    "schedule_timers", "batched_media_times", "locate_batch",
+}
+
+
+def _knob_uses(tree):
+    """Where ``tree`` takes, passes or names the kernel knob."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            if any(
+                arg.arg == "kernel"
+                for arg in args.posonlyargs + args.args + args.kwonlyargs
+            ):
+                found.append(f"parameter kernel of {getattr(node, 'name', 'lambda')}")
+        elif isinstance(node, ast.Call):
+            if any(keyword.arg == "kernel" for keyword in node.keywords):
+                found.append("kernel= keyword")
+        elif isinstance(node, ast.Name) and node.id in KNOB_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in KNOB_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if {alias.name.rpartition(".")[2], alias.asname} & KNOB_NAMES:
+                    found.append(f"import {alias.name}")
+    return found
+
+
+class TestTheKernelKnobStaysDeleted:
+    def test_nothing_above_the_sim_package_takes_or_names_it(self):
+        files = [
+            path for path in sorted(SRC.rglob("*.py"))
+            if path.relative_to(SRC).parts[0] != "sim"
+        ]
+        assert len(files) > 50
+        uses = {
+            path.relative_to(SRC).as_posix(): found
+            for path in files
+            if (found := _knob_uses(ast.parse(path.read_text())))
+        }
+        assert uses == {}
+
+    @pytest.mark.parametrize("source, count", [
+        ("def run(spec, kernel='reference'): pass", 1),
+        ("def run(spec, *, kernel): pass", 1),
+        ("ScrubStack(spec, kernel=args.kernel)", 1),
+        ("from repro.sim import make_simulation as build", 1),
+        ("from repro.sim.vector import UnsupportedKernelFeature", 1),
+        ("sim.schedule_timers(delays)", 1),
+        ("drive.batched_media_times(lbn, n, now, head)", 1),
+        ("if kernel not in KERNELS: raise ValueError(kernel)", 1),
+        ("sim = Simulation(telemetry=sink)", 0),
+        ('"""``kernel="vector"`` is gone."""', 0),
+        ("signatures['fleet-kernel'] = check_fleet_kernel(seed)", 0),
+    ])
+    def test_the_walk_sees_what_it_should(self, source, count):
+        assert len(_knob_uses(ast.parse(source))) == count
 
 
 @pytest.fixture
@@ -462,7 +540,9 @@ class TestTheOracleRunsProductionCode:
 class TestCacheKeysDidNotMove:
     """``canonicalize()`` names an object by module, class and fields,
     so moving code can move ``ResultCache`` keys.  Literals captured at
-    the commit before the assembler existed."""
+    the commit before the assembler existed; the detection one moved
+    once since, when ``detection_sweep_task`` lost its ``kernel``
+    parameter (it is the old key set with that one entry dropped)."""
 
     @pytest.fixture
     def keyed(self, monkeypatch):
@@ -484,7 +564,7 @@ class TestCacheKeysDidNotMove:
         ]) == 0
         capsys.readouterr()
         assert keyed() == (
-            "8bf6638811b8d78c02deead54d0a38f02f8fb2e8447c8ce0817016bdf70b0a0e"
+            "db00681bf691f12fd0a3beebb5fe16d11ae3be7f61eb21054f01e9356416a91d"
         )
 
     def test_table_iii_tasks(self, keyed, tmp_path, capsys):

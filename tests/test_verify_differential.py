@@ -69,16 +69,14 @@ class TestRunAxes:
     @pytest.mark.parametrize("family", sorted(SCENARIOS))
     def test_all_axes_agree(self, family):
         signatures = run_axes(SCENARIOS[family])
+        # Every axis but the batch-level ``parallel``.
         assert set(signatures) == {
-            "kernel-twin", "kernel-backend", "feed", "telemetry", "monitor",
-            "fleet-kernel",
+            "kernel-twin", "feed", "telemetry", "monitor", "fleet-kernel",
         }
         assert all(len(s) == 64 for s in signatures.values())
-        # kernel-twin, kernel-backend and telemetry all compare
-        # core-only outcomes of the same scenario, so their agreed
-        # signatures coincide.
+        # kernel-twin and telemetry both compare core-only outcomes of
+        # the same scenario, so their agreed signatures coincide.
         assert signatures["kernel-twin"] == signatures["telemetry"]
-        assert signatures["kernel-twin"] == signatures["kernel-backend"]
 
     def test_axis_subset(self):
         signatures = run_axes(SCENARIOS["synthetic"], axes=("kernel-twin",))
@@ -162,8 +160,7 @@ class TestFleetKernelAxis:
         assert set(signatures) == {"fleet-kernel"}
 
 
-def test_axes_constant_covers_all_seven():
+def test_axes_constant_covers_all_six():
     assert AXES == (
-        "kernel-twin", "kernel-backend", "feed", "telemetry", "parallel",
-        "monitor", "fleet-kernel",
+        "kernel-twin", "feed", "telemetry", "parallel", "monitor", "fleet-kernel",
     )

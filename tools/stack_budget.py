@@ -9,15 +9,18 @@ calls and prints, after every call, the process's max RSS (the
 high-water mark, which is what the benchmark's ``peak_rss_mb`` reads)
 and the number of objects the cycle collector tracks:
 
-* ``replay/<kernel>`` -- ``replay_with_scrubber`` of the Fig. 7
+* ``replay`` -- ``replay_with_scrubber`` of the Fig. 7
   ``cfq-staggered-128`` configuration on the benchmark's 40 s MSRsrc11
-  window (seed 7), once per event kernel;
+  window (seed 7);
+* ``throughput`` -- ``standalone_scrub_throughput`` of a 128-region
+  staggered scrubber alone on the drive for 2 s, the second assembly
+  site (a point of Figs. 4, 5a, 5b);
 * ``detect`` -- ``run_detection_experiment`` with a fault plan,
   remediation, a trace foreground and the drain.
 
 Nothing in the probe calls ``gc.collect()``: between runs a driver
 allocates almost nothing with the collector on, so what reference
-counting does not free stays (DESIGN sections 12 and 18).
+counting does not free stays (DESIGN sections 6.1 and 18).
 
 Exit status 1 when call 12 stands more than 2 MB or 1000 tracked
 objects above call 2 (call 1 pays for imports and first-use caches).
@@ -44,22 +47,26 @@ import numpy as np
 from repro.analysis.detection import run_detection_experiment, shrunk_spec
 from repro.analysis.replay_cdf import replay_with_scrubber
 from repro.analysis.stack import ScrubberSetup
+from repro.analysis.throughput import standalone_scrub_throughput
+from repro.core.staggered import StaggeredScrub
 from repro.disk.models import PRESETS
 from repro.traces import generate_trace
 
 row, calls = sys.argv[1], int(sys.argv[2])
 spec = PRESETS["ultrastar"]()
-if row.startswith("replay/"):
+if row == "replay":
     # bench/wl_replay.py's window: the 40 s stretch of a 6 h MSRsrc11
     # trace whose request count is nearest 25 a second.
     trace = generate_trace("MSRsrc11", duration=6 * 3600.0, seed=7)
     nearest = int(np.argmin(np.abs(trace.requests_per_bin(40.0) - 25.0 * 40.0)))
     start = float(trace.times[0]) + nearest * 40.0
     trace = trace.window(start, start + 40.0)
-    kernel = row.split("/")[1]
     setup = ScrubberSetup(algorithm="staggered", regions=128)
     def call():
-        replay_with_scrubber(trace, spec, scrubber=setup, horizon=40.0, kernel=kernel)
+        replay_with_scrubber(trace, spec, scrubber=setup, horizon=40.0)
+elif row == "throughput":
+    def call():
+        assert standalone_scrub_throughput(spec, StaggeredScrub(128), horizon=2.0) > 0
 else:
     spec = shrunk_spec(spec, cylinders=50)
     trace = generate_trace("MSRsrc11", duration=600.0, seed=7)
@@ -86,7 +93,7 @@ for _ in range(calls):
 print(json.dumps(samples))
 """
 
-ROWS = ("replay/reference", "replay/vector", "detect")
+ROWS = ("replay", "throughput", "detect")
 
 
 def measure(row: str) -> List[dict]:
