@@ -13,9 +13,9 @@ then sector along the track, zones ordered from the outer edge inward.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from repro.disk.commands import SECTOR_SIZE
 
@@ -36,9 +36,13 @@ class Zone:
             )
 
 
-@dataclass(frozen=True)
-class Location:
-    """Physical coordinates of an LBN."""
+class Location(NamedTuple):
+    """Physical coordinates of an LBN.
+
+    A ``NamedTuple`` rather than a frozen dataclass: the drive builds
+    one per track it touches, and a tuple built from positional
+    arguments costs under a third as much.
+    """
 
     cylinder: int
     head: int
@@ -79,15 +83,18 @@ class DiskGeometry:
         self.zones: List[Zone] = list(zones)
         self.track_skew = track_skew
 
-        # Precompute per-zone cumulative first-LBN / first-cylinder / first-track.
+        # Precompute per-zone cumulative first-LBN / first-cylinder /
+        # first-track, and each zone's sectors per track.
         self._zone_first_lbn: List[int] = []
         self._zone_first_cyl: List[int] = []
         self._zone_first_track: List[int] = []
+        self._zone_spt: List[int] = []
         lbn = cyl = track = 0
         for zone in self.zones:
             self._zone_first_lbn.append(lbn)
             self._zone_first_cyl.append(cyl)
             self._zone_first_track.append(track)
+            self._zone_spt.append(zone.sectors_per_track)
             lbn += zone.cylinders * heads * zone.sectors_per_track
             cyl += zone.cylinders
             track += zone.cylinders * heads
@@ -115,34 +122,37 @@ class DiskGeometry:
     # -- mapping -----------------------------------------------------------
     def zone_of_lbn(self, lbn: int) -> int:
         """Index of the zone containing ``lbn``."""
-        self._check_lbn(lbn)
-        return bisect.bisect_right(self._zone_first_lbn, lbn) - 1
+        if not 0 <= lbn < self._total_sectors:
+            raise self._out_of_range(lbn)
+        return bisect_right(self._zone_first_lbn, lbn) - 1
 
     def zone_of_cylinder(self, cylinder: int) -> int:
         """Index of the zone containing ``cylinder``."""
         if not 0 <= cylinder < self._total_cylinders:
             raise ValueError(f"cylinder out of range: {cylinder}")
-        return bisect.bisect_right(self._zone_first_cyl, cylinder) - 1
+        return bisect_right(self._zone_first_cyl, cylinder) - 1
 
     def locate(self, lbn: int) -> Location:
-        """Map ``lbn`` to its physical :class:`Location`."""
-        zi = self.zone_of_lbn(lbn)
-        zone = self.zones[zi]
-        offset = lbn - self._zone_first_lbn[zi]
-        spt = zone.sectors_per_track
-        sectors_per_cyl = spt * self.heads
-        cyl_in_zone, rest = divmod(offset, sectors_per_cyl)
-        head, sector = divmod(rest, spt)
-        cylinder = self._zone_first_cyl[zi] + cyl_in_zone
-        track_index = (
-            self._zone_first_track[zi] + cyl_in_zone * self.heads + head
-        )
+        """Map ``lbn`` to its physical :class:`Location`.
+
+        The drive calls this once per track it touches, so the zone
+        lookup is inlined: one range check, one bisection and the
+        divisions below, all on the per-zone lists built at construction.
+        """
+        if not 0 <= lbn < self._total_sectors:
+            raise self._out_of_range(lbn)
+        zi = bisect_right(self._zone_first_lbn, lbn) - 1
+        spt = self._zone_spt[zi]
+        # Tracks are numbered cylinder-major, so the track within the
+        # zone splits into (cylinder, head) by the head count.
+        track_in_zone, sector = divmod(lbn - self._zone_first_lbn[zi], spt)
+        cyl_in_zone, head = divmod(track_in_zone, self.heads)
         return Location(
-            cylinder=cylinder,
-            head=head,
-            sector=sector,
-            sectors_per_track=spt,
-            track_index=track_index,
+            self._zone_first_cyl[zi] + cyl_in_zone,
+            head,
+            sector,
+            spt,
+            self._zone_first_track[zi] + track_in_zone,
         )
 
     def angle_of(self, location: Location) -> float:
@@ -159,13 +169,10 @@ class DiskGeometry:
 
     def sectors_per_track_at(self, lbn: int) -> int:
         """Sectors per track in the zone containing ``lbn``."""
-        return self.zones[self.zone_of_lbn(lbn)].sectors_per_track
+        return self._zone_spt[self.zone_of_lbn(lbn)]
 
-    def _check_lbn(self, lbn: int) -> None:
-        if not 0 <= lbn < self._total_sectors:
-            raise ValueError(
-                f"LBN {lbn} out of range [0, {self._total_sectors})"
-            )
+    def _out_of_range(self, lbn: int) -> ValueError:
+        return ValueError(f"LBN {lbn} out of range [0, {self._total_sectors})")
 
     # -- constructors --------------------------------------------------------
     @classmethod

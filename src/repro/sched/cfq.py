@@ -182,7 +182,10 @@ class CFQScheduler(IOSchedulerBase):
 
     # -- helpers -----------------------------------------------------------------------
     def _pending_be(self) -> bool:
-        return any(len(q) for q in self._be.values())
+        for queue in self._be.values():
+            if queue:
+                return True
+        return False
 
     def _all_queues(self):
         yield self._rt

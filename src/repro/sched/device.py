@@ -131,6 +131,11 @@ class BlockDevice:
         #: (not processed) and must not be re-armed; the ``.processed``
         #: guard falls back to a fresh Timeout for that wait.
         self._recheck = ReusableTimeout(sim)
+        #: Pooled timer the dispatcher sleeps on while the drive services
+        #: a request.  It is the dispatcher's only wait at that point, so
+        #: it has always fired (been processed) before the next request
+        #: re-arms it.
+        self._service = ReusableTimeout(sim)
         #: The dispatcher process (alive as long as the simulation).
         self.dispatcher = sim.process(self._dispatcher())
 
@@ -139,13 +144,15 @@ class BlockDevice:
         """Queue ``request``; returns its completion event."""
         if request.submit_time is not None:
             raise ValueError(f"{request!r} was already submitted")
-        request.stamp_submit(self.sim.now)
-        request.completion = self.sim.event()
-        self.scheduler.add(request, self.sim.now)
+        sim = self.sim
+        now = sim._now
+        request.stamp_submit(now)
+        request.completion = sim.event()
+        self.scheduler.add(request, now)
         if self.telemetry is not None:
-            self.telemetry.request_queued(self.sim.now, request)
+            self.telemetry.request_queued(now, request)
         for observer in self.observers:
-            observer("submit", request, self.sim.now)
+            observer("submit", request, now)
         self._kick()
         return request.completion
 
@@ -169,20 +176,28 @@ class BlockDevice:
             self._wakeup.succeed()
 
     def _dispatcher(self):
+        # The clock only moves while the generator is suspended, so it is
+        # read once per wake; the collaborators are bound once.  The
+        # telemetry sink is read from ``self`` at each use: it may be
+        # replaced after construction.
         sim = self.sim
+        scheduler = self.scheduler
+        drive = self.drive
+        log = self.log
         while True:
-            request, recheck = self.scheduler.select(sim.now)
+            now = sim._now
+            request, recheck = scheduler.select(now)
             if request is None:
-                if recheck is not None and recheck <= sim.now:
+                if recheck is not None and recheck <= now:
                     raise RuntimeError(
-                        f"scheduler {self.scheduler.name} asked to re-check "
-                        f"at {recheck} which is not in the future ({sim.now})"
+                        f"scheduler {scheduler.name} asked to re-check "
+                        f"at {recheck} which is not in the future ({now})"
                     )
                 if recheck is None:
                     yield self._wakeup
                 else:
                     timer = self._recheck
-                    wait = recheck - sim.now
+                    wait = recheck - now
                     yield AnyOf(
                         sim,
                         [
@@ -196,36 +211,37 @@ class BlockDevice:
                     self._wakeup = sim.event()
                 continue
 
-            request.dispatch_time = sim.now
-            self.scheduler.on_dispatch(request, sim.now)
+            request.dispatch_time = now
+            scheduler.on_dispatch(request, now)
             if self.telemetry is not None:
-                self.telemetry.request_dispatched(sim.now, request)
-            breakdown = self.drive.service(request.command, sim.now)
+                self.telemetry.request_dispatched(now, request)
+            breakdown = drive.service(request.command, now)
             self.busy = True
-            self.busy_since = sim.now
-            yield sim.timeout(breakdown.finish - sim.now)
+            self.busy_since = now
+            yield self._service.arm(breakdown.finish - now)
+            now = sim._now
             self.busy = False
-            self.total_busy_time += sim.now - self.busy_since
+            self.total_busy_time += now - self.busy_since
             self.busy_since = None
 
-            request.complete_time = sim.now
+            request.complete_time = now
             request.breakdown = breakdown
-            if breakdown.error_lbn is not None and self.drive.faults is not None:
+            if breakdown.error_lbn is not None and drive.faults is not None:
                 # Attribute the detection to the submitting stream: this
                 # is where "found by the scrubber" vs "found the hard
                 # way, by a foreground read" is decided.
-                self.drive.faults.log.record_media_error(
-                    sim.now,
+                drive.faults.log.record_media_error(
+                    now,
                     breakdown.error_lbn,
                     source=request.source,
                     opcode=request.command.opcode.value,
                 )
-            self.scheduler.on_complete(request, sim.now)
-            self.log.add(request)
+            scheduler.on_complete(request, now)
+            log.add(request)
             if self.telemetry is not None:
-                self.telemetry.request_completed(sim.now, request)
+                self.telemetry.request_completed(now, request)
             for observer in self.observers:
-                observer("complete", request, sim.now)
+                observer("complete", request, now)
             request.completion.succeed(request)
             # The event now carries the request to whoever waits on it;
             # the request pointing back at the event would make every

@@ -1,18 +1,38 @@
 """Tests for the drive service model (repro.disk.drive)."""
 
+import bisect
+import functools
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from repro.disk import (
+    CommandStatus,
     DiskCommand,
+    DiskGeometry,
     Drive,
     Interface,
+    Opcode,
+    ServiceBreakdown,
     fujitsu_map3367np,
     fujitsu_max3073rc,
     hitachi_deskstar_7k1000,
     hitachi_ultrastar_15k450,
     wd_caviar_blue,
 )
+from repro.disk.models import PRESETS
+from repro.faults.plan import FaultPlan, SectorError
+from repro.faults.state import MediaFaults
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - the container ships hypothesis
+    HAVE_HYPOTHESIS = False
 
 
 @pytest.fixture
@@ -211,3 +231,455 @@ class TestInterfaces:
         assert hitachi_ultrastar_15k450().rotation_period == pytest.approx(4e-3)
         assert wd_caviar_blue().rotation_period == pytest.approx(8.333e-3, rel=1e-3)
         assert fujitsu_map3367np().rotation_period == pytest.approx(6e-3)
+
+
+# -- the golden oracle: the per-command path as it was before it was tuned --
+#
+# Copied verbatim from the commit before ``ServiceBreakdown`` / ``Location``
+# became ``NamedTuple``s, ``SeekModel.time`` left numpy and ``locate`` was
+# inlined; only the class names differ.  ``_ReferenceDrive`` must compute
+# the same bits as ``Drive`` on every command.
+
+
+@dataclass(frozen=True)
+class _ReferenceBreakdown:
+    """Timing decomposition (and outcome) of one serviced command."""
+
+    start: float
+    finish: float
+    overhead: float
+    seek: float
+    rotation: float
+    transfer: float
+    cache_hit: bool
+    status: CommandStatus = CommandStatus.GOOD
+    error_lbn: Optional[int] = None
+
+    @property
+    def total(self) -> float:
+        return self.finish - self.start
+
+    @property
+    def ok(self) -> bool:
+        return self.status is CommandStatus.GOOD
+
+
+@dataclass(frozen=True)
+class _ReferenceLocation:
+    """Physical coordinates of an LBN."""
+
+    cylinder: int
+    head: int
+    sector: int
+    sectors_per_track: int
+    track_index: int
+
+
+class _ReferenceGeometry(DiskGeometry):
+    def zone_of_lbn(self, lbn: int) -> int:
+        """Index of the zone containing ``lbn``."""
+        self._check_lbn(lbn)
+        return bisect.bisect_right(self._zone_first_lbn, lbn) - 1
+
+    def locate(self, lbn: int) -> _ReferenceLocation:
+        """Map ``lbn`` to its physical :class:`Location`."""
+        zi = self.zone_of_lbn(lbn)
+        zone = self.zones[zi]
+        offset = lbn - self._zone_first_lbn[zi]
+        spt = zone.sectors_per_track
+        sectors_per_cyl = spt * self.heads
+        cyl_in_zone, rest = divmod(offset, sectors_per_cyl)
+        head, sector = divmod(rest, spt)
+        cylinder = self._zone_first_cyl[zi] + cyl_in_zone
+        track_index = (
+            self._zone_first_track[zi] + cyl_in_zone * self.heads + head
+        )
+        return _ReferenceLocation(
+            cylinder=cylinder,
+            head=head,
+            sector=sector,
+            sectors_per_track=spt,
+            track_index=track_index,
+        )
+
+    def angle_of(self, location: _ReferenceLocation) -> float:
+        """Angular position (fraction of a revolution) of a sector's start."""
+        angle = (
+            location.sector / location.sectors_per_track
+            + location.track_index * self.track_skew
+        )
+        return angle % 1.0
+
+    def sectors_per_track_at(self, lbn: int) -> int:
+        """Sectors per track in the zone containing ``lbn``."""
+        return self.zones[self.zone_of_lbn(lbn)].sectors_per_track
+
+    def _check_lbn(self, lbn: int) -> None:
+        if not 0 <= lbn < self._total_sectors:
+            raise ValueError(
+                f"LBN {lbn} out of range [0, {self._total_sectors})"
+            )
+
+
+@dataclass(frozen=True)
+class _ReferenceSeek:
+    a: float
+    b: float
+    c: float
+    cylinders: int
+
+    def time(self, distance: int) -> float:
+        """Seek time in seconds for a move of ``distance`` cylinders."""
+        if distance < 0:
+            raise ValueError(f"negative seek distance: {distance}")
+        if distance == 0:
+            return 0.0
+        t = self.a + self.b * np.sqrt(distance) + self.c * distance
+        return float(max(t, 0.0))
+
+
+@dataclass(frozen=True)
+class _ReferenceRotation:
+    """Constant-speed spindle."""
+
+    rpm: float
+
+    def __post_init__(self) -> None:
+        if self.rpm <= 0:
+            raise ValueError(f"rpm must be positive: {self.rpm}")
+
+    @property
+    def period(self) -> float:
+        """Seconds per revolution."""
+        return 60.0 / self.rpm
+
+    def angle_at(self, time: float) -> float:
+        """Platter angle (fraction of a revolution) at absolute ``time``."""
+        return (time / self.period) % 1.0
+
+    def latency_to(self, target_angle: float, time: float) -> float:
+        """Seconds until the head is over ``target_angle``, from ``time``."""
+        gap = (target_angle - self.angle_at(time)) % 1.0
+        return gap * self.period
+
+    def transfer_time(self, sectors: int, sectors_per_track: int) -> float:
+        """Media time to sweep ``sectors`` contiguous sectors on one track."""
+        if sectors < 0:
+            raise ValueError(f"negative sector count: {sectors}")
+        if sectors > sectors_per_track:
+            raise ValueError(
+                f"{sectors} sectors exceed one track ({sectors_per_track})"
+            )
+        return (sectors / sectors_per_track) * self.period
+
+
+class _ReferenceDrive(Drive):
+    """``Drive`` with the old mechanical model and the old service path;
+    the cache, the fault state and everything else are shared code."""
+
+    def __init__(self, spec, cache_enabled=True, faults=None):
+        super().__init__(spec, cache_enabled=cache_enabled, faults=faults)
+        self.geometry = _ReferenceGeometry.zoned(
+            heads=spec.heads,
+            cylinders=spec.cylinders,
+            outer_spt=spec.outer_spt,
+            inner_spt=spec.inner_spt,
+            num_zones=spec.num_zones,
+            track_skew=spec.track_skew,
+        )
+        seek = self.seek_model
+        self.seek_model = _ReferenceSeek(seek.a, seek.b, seek.c, seek.cylinders)
+        self.rotation = _ReferenceRotation(spec.rpm)
+
+    def service(self, command: DiskCommand, now: float) -> _ReferenceBreakdown:
+        if command.end_lbn > self.total_sectors:
+            raise ValueError(
+                f"command {command} exceeds disk size {self.total_sectors}"
+            )
+        if now < self._last_issue_time:
+            raise ValueError(
+                f"commands must be issued in time order: {now} < "
+                f"{self._last_issue_time}"
+            )
+        self._last_issue_time = now
+        self.commands_serviced += 1
+
+        breakdown = None
+        if self._uses_cache_path(command):
+            breakdown = self._try_cache(command, now)
+        if breakdown is None:
+            breakdown = self._media_access(command, now)
+        if self.telemetry is not None:
+            self.telemetry.drive_serviced(command, breakdown)
+        return breakdown
+
+    def _uses_cache_path(self, command: DiskCommand) -> bool:
+        if not self.cache_enabled:
+            return False
+        if command.opcode is Opcode.READ:
+            return True
+        if command.opcode is Opcode.VERIFY:
+            return (
+                self.spec.interface is Interface.ATA
+                and self.spec.ata_verify_cache_bug
+            )
+        return False
+
+    def _try_cache(
+        self, command: DiskCommand, now: float
+    ) -> Optional[_ReferenceBreakdown]:
+        t = now + self.spec.command_overhead
+        ready = self.cache.lookup(command.lbn, command.sectors, t)
+        if ready is None:
+            return None
+        t = max(t, ready)
+        transfer = command.bytes / self.spec.interface_rate
+        finish = t + transfer + self.spec.completion_overhead
+        if self.faults is not None:
+            for bad in self.faults.bad_in_range(
+                command.lbn, command.sectors, now
+            ):
+                self.faults.log.record_cache_masked(
+                    finish, bad, command.opcode.value
+                )
+        return _ReferenceBreakdown(
+            start=now,
+            finish=finish,
+            overhead=self.spec.command_overhead + self.spec.completion_overhead,
+            seek=0.0,
+            rotation=max(0.0, ready - (now + self.spec.command_overhead)),
+            transfer=transfer,
+            cache_hit=True,
+        )
+
+    def _media_access(
+        self, command: DiskCommand, now: float
+    ) -> _ReferenceBreakdown:
+        t = now + self.spec.command_overhead
+        seek_total = rotation_total = transfer_total = 0.0
+
+        lbn = command.lbn
+        remaining = command.sectors
+        current_track: Optional[int] = None
+        while remaining > 0:
+            loc = self.geometry.locate(lbn)
+            if current_track is None:
+                seek_time = self.seek_model.time(
+                    abs(loc.cylinder - self.head_cylinder)
+                )
+            elif loc.cylinder != self.head_cylinder:
+                seek_time = max(
+                    self.seek_model.time(abs(loc.cylinder - self.head_cylinder)),
+                    self.spec.head_switch_time,
+                )
+            else:
+                seek_time = self.spec.head_switch_time
+            t += seek_time
+            seek_total += seek_time
+            self.head_cylinder = loc.cylinder
+            current_track = loc.track_index
+
+            latency = self.rotation.latency_to(self.geometry.angle_of(loc), t)
+            t += latency
+            rotation_total += latency
+
+            chunk = min(remaining, loc.sectors_per_track - loc.sector)
+            sweep = self.rotation.transfer_time(chunk, loc.sectors_per_track)
+            t += sweep
+            transfer_total += sweep
+            lbn += chunk
+            remaining -= chunk
+
+        media_end = t
+
+        status = CommandStatus.GOOD
+        error_lbn: Optional[int] = None
+        if self.faults is not None:
+            error_lbn = self.faults.first_bad(command.lbn, command.sectors, now)
+            if error_lbn is not None:
+                status = CommandStatus.MEDIUM_ERROR
+                media_end += self.spec.media_error_retry_time
+        finish = media_end + self.spec.completion_overhead
+
+        if status is CommandStatus.MEDIUM_ERROR:
+            self.cache.invalidate(command.lbn, command.sectors)
+        elif self._uses_cache_path(command):
+            zone_rate = self.geometry.sectors_per_track_at(
+                command.lbn
+            ) / self.rotation.period
+            limit = None
+            if self.faults is not None:
+                end = command.end_lbn + self.cache.read_ahead_sectors
+                limit = self.faults.limit_end(command.end_lbn, end, now)
+            self.cache.insert(
+                command.lbn,
+                command.sectors,
+                media_end,
+                fill_rate=zone_rate,
+                read_ahead=True,
+                limit=limit,
+            )
+        elif command.opcode is Opcode.WRITE:
+            self.cache.invalidate(command.lbn, command.sectors)
+
+        return _ReferenceBreakdown(
+            start=now,
+            finish=finish,
+            overhead=self.spec.command_overhead + self.spec.completion_overhead,
+            seek=seek_total,
+            rotation=rotation_total,
+            transfer=transfer_total,
+            cache_hit=False,
+            status=status,
+            error_lbn=error_lbn,
+        )
+
+
+def _draw_stream(spec, rng, length):
+    """``length`` commands (opcode, lbn, sectors, idle gap before it) that
+    mix sequential runs, re-reads, zone-boundary straddlers, commands
+    ending at the last LBN and random seeks, 1 sector to 3 tracks long."""
+    geometry = Drive(spec).geometry
+    total = geometry.total_sectors
+    boundaries = geometry._zone_first_lbn[1:]
+    longest = 3 * spec.outer_spt
+    opcodes = (Opcode.READ, Opcode.WRITE, Opcode.VERIFY)
+    stream, lbn, sectors = [], 0, 1
+    for _ in range(length):
+        kind = rng.choice(["sequential", "again", "zone", "last", "random"])
+        if kind != "again":
+            sectors = int(rng.choice([1, 2, 8, 128, int(rng.integers(1, longest + 1))]))
+        if kind == "sequential":
+            lbn = lbn + sectors if lbn + 2 * sectors <= total else 0
+        elif kind == "zone":
+            lbn = int(rng.choice(boundaries)) - int(rng.integers(1, sectors + 1))
+        elif kind == "last":
+            lbn = total - sectors
+        elif kind == "random":
+            lbn = int(rng.integers(0, total - sectors + 1))
+        opcode = opcodes[int(rng.choice(3, p=[0.5, 0.15, 0.35]))]
+        gap = float(rng.choice([0.0, 5e-5, rng.exponential(2e-3), rng.uniform(0, 0.02)]))
+        stream.append((opcode, lbn, sectors, gap))
+    return stream
+
+
+def _plan_for(stream, spec, cache_enabled, rng):
+    """Latent errors for ``stream``: sectors bad from the start inside
+    (or just past) a fifth of the commands, and sectors that go bad
+    between one command's finish and the next command's start, so that
+    a buffer hit on them is the ATA / read-cache masking path."""
+    total = Drive(spec).geometry.total_sectors
+    onsets = {}
+    for _, lbn, sectors, _ in stream:
+        if rng.random() < 0.2:
+            onsets.setdefault(min(total - 1, lbn + int(rng.integers(0, sectors + 64))), 0.0)
+
+    def plan():
+        errors = sorted((time, lbn) for lbn, time in onsets.items())
+        return FaultPlan(
+            total_sectors=total,
+            horizon=1.0 + max([time for time, _ in errors], default=0.0),
+            errors=tuple(SectorError(time, lbn) for time, lbn in errors),
+        )
+
+    # When each command starts and finishes, read off the production drive.
+    drive = Drive(spec, cache_enabled=cache_enabled, faults=MediaFaults(plan()))
+    now, spans = 0.0, []
+    for opcode, lbn, sectors, gap in stream:
+        finish = drive.service(DiskCommand(opcode, lbn, sectors), now).finish
+        spans.append((now, finish))
+        now = finish + gap
+    for (_, finish), (_, lbn, sectors, _) in zip(spans, stream[1:]):
+        if rng.random() < 0.5:
+            onsets.setdefault(lbn + int(rng.integers(0, sectors)), finish)
+    return plan()
+
+
+def _same_bits(new, old):
+    def key(value):
+        return value.hex() if isinstance(value, float) else value
+
+    fields = [
+        "start", "finish", "overhead", "seek", "rotation", "transfer",
+        "cache_hit", "status", "error_lbn", "total", "ok",
+    ]
+    return [key(getattr(new, name)) for name in fields] == [
+        key(getattr(old, name)) for name in fields
+    ]
+
+
+def _segments(drive):
+    return [
+        (s.start, s.end, s.filled_boundary, s.ready_from.hex(),
+         float(s.fill_rate).hex(), s.last_used.hex())
+        for s in drive.cache.segments
+    ]
+
+
+def _check_against_reference(preset, cache_enabled, with_faults, seed):
+    spec = PRESETS[preset]()
+    rng = np.random.default_rng(seed)
+    stream = _draw_stream(spec, rng, 60)
+    plan = _plan_for(stream, spec, cache_enabled, rng) if with_faults else None
+    new, old = (
+        cls(spec, cache_enabled, MediaFaults(plan) if with_faults else None)
+        for cls in (Drive, _ReferenceDrive)
+    )
+    now = 0.0
+    for opcode, lbn, sectors, gap in stream:
+        command = DiskCommand(opcode, lbn, sectors)
+        got, want = new.service(command, now), old.service(command, now)
+        assert type(got) is ServiceBreakdown
+        assert _same_bits(got, want), (command, now, got, want)
+        assert new.head_cylinder == old.head_cylinder
+        assert _segments(new) == _segments(old)
+        if got.error_lbn is not None and rng.random() < 0.5:
+            assert new.reallocate(got.error_lbn, got.finish) == old.reallocate(
+                want.error_lbn, want.finish
+            )
+        now = got.finish + gap
+    assert (new.cache.hits, new.cache.misses) == (old.cache.hits, old.cache.misses)
+    if with_faults:
+        assert new.faults.log.records == old.faults.log.records
+
+
+def _stream_property(test):
+    """Drive ``test(preset, cache_enabled, with_faults, seed)`` with
+    hypothesis or, without it, a seeded sweep over the same space."""
+    if HAVE_HYPOTHESIS:
+        return settings(max_examples=60, deadline=None)(
+            given(
+                preset=st.sampled_from(sorted(PRESETS)),
+                cache_enabled=st.booleans(),
+                with_faults=st.booleans(),
+                seed=st.integers(0, 2**32 - 1),
+            )(test)
+        )
+
+    @functools.wraps(test)
+    def fallback():
+        rng = np.random.default_rng(20120625)
+        for _ in range(60):
+            test(
+                preset=str(rng.choice(sorted(PRESETS))),
+                cache_enabled=bool(rng.integers(2)),
+                with_faults=bool(rng.integers(2)),
+                seed=int(rng.integers(2**32)),
+            )
+
+    return fallback
+
+
+@_stream_property
+def test_every_command_matches_the_reference_drive(
+    preset, cache_enabled, with_faults, seed
+):
+    _check_against_reference(preset, cache_enabled, with_faults, seed)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("cache_enabled", [False, True])
+@pytest.mark.parametrize("with_faults", [False, True])
+def test_each_preset_matches_the_reference_drive(preset, cache_enabled, with_faults):
+    # Every cell of the space, whatever the property draws.
+    _check_against_reference(preset, cache_enabled, with_faults, seed=7)

@@ -18,11 +18,13 @@ from repro.analysis import stack as stack_module
 from repro.analysis.detection import run_detection_experiment, shrunk_spec
 from repro.analysis.impact import run_impact_experiment
 from repro.analysis.replay_cdf import replay_with_scrubber
+from repro.analysis.service_model import ScrubServiceModel
 from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.analysis.throughput import standalone_scrub_throughput
 from repro.cli import main
 from repro.core.policies.device import WaitingScrubber
 from repro.core.scrubber import Scrubber
+from repro.core.sequential import SequentialScrub
 from repro.core.staggered import StaggeredScrub
 from repro.disk.drive import Drive
 from repro.disk.models import PRESETS
@@ -535,6 +537,55 @@ class TestTheOracleRunsProductionCode:
         (row,) = assemblies
         # CFQScheduler's, WaitingScrubber's and MediaFaults' own defaults.
         assert _passed(row) == (0.010, 0.1, 1024, True, True)
+
+
+#: What the full stack computes on the Fig. 7 drive, recorded at the
+#: commit before the per-command path (``repro.disk`` and
+#: ``sched/device.py``) was rewritten for speed.  A seek, rotation,
+#: transfer or cache decision that moves by one ulp, or an event that
+#: fires in another order, changes one of them.
+FULL_STACK_DIGESTS = {
+    "replay/MSRsrc11/none": "02d9143101ac1ad40957c42f2b41917c593d6d58cc456f9a0f6d48b1fb09defb",
+    "replay/MSRsrc11/cfq-sequential": "ffa7cb6e4fd6960205c03a967c48192b3922d1c3e819f34cb1bb6fd74e9d24b9",
+    "replay/MSRsrc11/cfq-staggered-128": "de4a3d41133cf504093c8ce22c636a3285833f23e87060cd52c15c2406ce99c7",
+    "replay/MSRsrc11/waiting-100ms": "d254bf0ea6a6722a7ace58d81275d16d8fa64ff91821f91dd5c5f5c50cf32cda",
+    "replay/TPCdisk66/none": "ec94820eaf0959be62aa2e05f25cf09bef87359fbab33003c8d71b4cd4ace8cb",
+    "replay/TPCdisk66/cfq-sequential": "07bdfd525a6490530423d91303b82c4a6714e6b7724a19a44d554f8337515f8f",
+    "replay/TPCdisk66/cfq-staggered-128": "07bdfd525a6490530423d91303b82c4a6714e6b7724a19a44d554f8337515f8f",
+    "replay/TPCdisk66/waiting-100ms": "9890cc15cff56fe8b96ed95abb8b01de4bbe1e971846187cb69854e1d77e7aff",
+    "throughput/sequential": "0x1.bc00000000000p+23",
+    "throughput/staggered-128": "0x1.3780000000000p+24",
+    "service_model/caviar": "ebb065398c6575579b6c4c3f437a2af62d0b61a800cbb87dab5439ad2c138586",
+    "service_model/deskstar": "de04a3be6097c38357726a0bb5343a6b469bec1e8ec7574587c534a6957d7e73",
+    "service_model/map3367np": "c44ff1ce721d9aadd48b58bc1c9da84e3cdb71f9f1b0244f09bb586ba3d24577",
+    "service_model/max3073rc": "c77c496f80f8b93044aca703e31b8f457c7a729881cfda96f6681eb8b22dcf66",
+    "service_model/ultrastar": "090276f69248997df3fad3f0befb4f0a4f643941eca414d29ab936ec9ff19852",
+}
+
+
+def test_the_full_stack_computes_the_recorded_bits():
+    ultrastar = PRESETS["ultrastar"]
+    seen = {}
+    for name, duration in (("MSRsrc11", 60.0), ("TPCdisk66", 2.0)):
+        trace = generate_trace(name, duration=duration, seed=7)
+        for config, kwargs in FIG7.items():
+            result = replay_with_scrubber(trace, ultrastar(), idle_gate=0.010, **kwargs)
+            digest = hashlib.sha256(result.fg_response_times.tobytes())
+            digest.update(repr(
+                (result.fg_requests, result.scrub_requests, result.scrub_bytes)
+            ).encode())
+            seen[f"replay/{name}/{config}"] = digest.hexdigest()
+    for label, algorithm in (
+        ("sequential", SequentialScrub()), ("staggered-128", StaggeredScrub(128)),
+    ):
+        rate = standalone_scrub_throughput(ultrastar(), algorithm, horizon=2.0)
+        seen[f"throughput/{label}"] = float(rate).hex()
+    for preset in sorted(PRESETS):
+        model = ScrubServiceModel.from_spec(PRESETS[preset]())
+        seen[f"service_model/{preset}"] = hashlib.sha256(
+            model._sizes.tobytes() + model._times.tobytes()
+        ).hexdigest()
+    assert seen == FULL_STACK_DIGESTS
 
 
 class TestCacheKeysDidNotMove:
