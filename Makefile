@@ -23,11 +23,13 @@ import-budget:
 	$(PYTHON) tools/import_budget.py
 
 # The surface contract (tools/surface.py): every public class or
-# function under src/repro is reached from an entry point -- the CLI,
+# function, every method and every defaulted parameter under src/repro
+# is reached (a parameter: passed) from an entry point -- the CLI,
 # bench/, benchmarks/, tools/, examples/ or a README python block -- by a
 # name-based walk in which an __init__ re-export is not a use.  Prints
-# what nothing reaches, what only tests/ reach and what only examples/
-# reach; exit 1 unless the first two are exactly the tool's allow-list.
+# three tables of what nothing reaches, what only tests/ reach and what
+# only examples/ reach; exit 1 unless each table's first two are
+# exactly its allow-list in the tool.
 surface:
 	$(PYTHON) tools/surface.py
 

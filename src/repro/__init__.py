@@ -87,7 +87,7 @@ __all__ = [
 ]
 
 
-def quickstart_scrub_throughput(horizon: float = 5.0) -> dict:
+def quickstart_scrub_throughput() -> dict:
     """Five-second taste of the library: scrub throughput by algorithm.
 
     Returns a dict of MB/s for a sequential and a 128-region staggered
@@ -98,9 +98,9 @@ def quickstart_scrub_throughput(horizon: float = 5.0) -> dict:
     spec = hitachi_ultrastar_15k450()
     return {
         "sequential": standalone_scrub_throughput(
-            spec, SequentialScrub(), horizon=horizon
+            spec, SequentialScrub(), horizon=5.0
         ) / 1e6,
         "staggered-128": standalone_scrub_throughput(
-            spec, StaggeredScrub(128), horizon=horizon
+            spec, StaggeredScrub(128), horizon=5.0
         ) / 1e6,
     }

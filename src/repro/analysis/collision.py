@@ -32,17 +32,6 @@ class PolicyPoint:
     utilised_time: float
     utilisation: float
 
-    def dominates(self, other: "PolicyPoint") -> bool:
-        """Pareto dominance: no worse on both axes, better on one."""
-        return (
-            self.collision_rate <= other.collision_rate
-            and self.utilisation >= other.utilisation
-            and (
-                self.collision_rate < other.collision_rate
-                or self.utilisation > other.utilisation
-            )
-        )
-
 
 def evaluate_policy(
     policy: IdlePolicy,
@@ -104,7 +93,6 @@ def sweep_policy_cls(
     parameters: Iterable[float],
     durations: np.ndarray,
     total_requests: Optional[int] = None,
-    label_format: str = "{:g}",
     policy_kwargs: Optional[dict] = None,
     runner=None,
 ) -> List[PolicyPoint]:
@@ -124,7 +112,7 @@ def sweep_policy_cls(
             policy_kwargs=policy_kwargs,
             durations=durations,
             total_requests=total_requests,
-            label=label_format.format(parameter),
+            label=f"{parameter:g}",
         )
         for parameter in parameters
     ]

@@ -82,26 +82,15 @@ class DetectionMetrics:
     #: Every scrub-detected sector ended remapped and verified.
     lifecycle_complete: bool
 
-    @property
-    def detection_ratio(self) -> float:
-        """Fraction of injected errors detected (1.0 when none injected)."""
-        return self.detected / self.injected if self.injected else 1.0
 
-    @property
-    def scrub_share(self) -> float:
-        """Fraction of detections owed to the scrubber."""
-        return self.scrub_detected / self.detected if self.detected else 0.0
-
-
-def compute_detection_metrics(
-    log: ErrorLog, horizon: float, scrub_prefix: str = "scrubber"
-) -> DetectionMetrics:
-    """Distil an :class:`ErrorLog` into :class:`DetectionMetrics`."""
+def compute_detection_metrics(log: ErrorLog, horizon: float) -> DetectionMetrics:
+    """Distil an :class:`ErrorLog` into :class:`DetectionMetrics`; a
+    detection whose source starts with ``"scrubber"`` is the scrubber's."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
     injected = len(log.onsets)
     detected = len(log.detections)
-    scrub_detected = len(log.detected_by(scrub_prefix))
+    scrub_detected = len(log.detected_by("scrubber"))
     masked = log.by_kind(ErrorEventKind.CACHE_MASKED)
     missed = {r.lbn for r in masked} - set(log.detections)
     latencies = [
@@ -123,7 +112,7 @@ def compute_detection_metrics(
         mean_time_to_detection=(
             sum(latencies) / len(latencies) if latencies else None
         ),
-        lifecycle_complete=log.scrub_lifecycle_complete(scrub_prefix),
+        lifecycle_complete=log.scrub_lifecycle_complete("scrubber"),
     )
 
 
@@ -162,36 +151,32 @@ def run_detection_experiment(
     foreground: bool = False,
     trace: Optional[Trace] = None,
     time_scale: float = 1.0,
-    think_mean: float = 0.05,
-    threshold: float = 0.01,
-    remediation: Optional[RemediationPolicy] = None,
-    remediate: bool = True,
-    spare_sectors: int = 4096,
-    idle_gate: float = 0.010,
     telemetry=None,
 ) -> DetectionResult:
     """Run one scrub policy against a seeded fault plan for ``horizon`` s.
+
+    The split/remap/verify lifecycle runs under the default
+    :class:`RemediationPolicy` with a 4096-sector spare pool; CFQ's idle
+    gate is 10 ms.
 
     Parameters
     ----------
     algorithm:
         ``"sequential"`` / ``"staggered"`` run the framework
         :class:`Scrubber` under CFQ; ``"waiting"`` runs the
-        self-scheduling :class:`WaitingScrubber` (idle ``threshold``)
+        self-scheduling :class:`WaitingScrubber` (10 ms idle threshold)
         under NOOP, as in the paper's kernel integration.
     model / model_params / seed:
         Fault plan inputs (see :mod:`repro.faults.plan`); the plan is a
         pure function of these plus the drive size and horizon.
     foreground:
-        Add a closed-loop :class:`RandomReader`, so errors can also be
-        found "the hard way" and detection sources compete.
+        Add a closed-loop :class:`RandomReader` (50 ms mean think time),
+        so errors can also be found "the hard way" and detection sources
+        compete.
     trace / time_scale:
         Replay a recorded trace as the foreground load instead
         (open-loop, LBNs wrapped onto the shrunk drive).  Mutually
         exclusive with ``foreground``.
-    remediate:
-        Enable the split/remap/verify lifecycle (with ``remediation``
-        overriding the default :class:`RemediationPolicy`).
     telemetry:
         Optional :class:`~repro.telemetry.TelemetrySink` threaded
         through the whole stack (engine, device, drive, scrubber,
@@ -204,26 +189,23 @@ def run_detection_experiment(
     plan = build_model(model, **(model_params or {})).generate(
         Drive(spec, cache_enabled=False).total_sectors, horizon, seed
     )
-    policy = remediation if remediation is not None else (
-        RemediationPolicy() if remediate else None
-    )
     stack = ScrubStack(
         spec,
         ScrubberSetup(
             algorithm=algorithm,
             regions=regions,
             request_bytes=request_bytes,
-            threshold=threshold,
+            threshold=0.01,
         ),
-        idle_gate=idle_gate,
+        idle_gate=0.010,
         cache_enabled=cache_enabled,
         telemetry=telemetry,
         fault_plan=plan,
-        spare_sectors=spare_sectors,
-        remediation=policy,
+        spare_sectors=4096,
+        remediation=RemediationPolicy(),
     )
     if foreground:
-        stack.reader("random", seed, think_mean)
+        stack.reader("random", seed, 0.05)
     elif trace is not None:
         stack.replay(trace, time_scale)
     stack.run(horizon, drain=True)

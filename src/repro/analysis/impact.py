@@ -42,19 +42,18 @@ def run_impact_experiment(
     workload: str = "sequential",
     scrubber: Optional[ScrubberSetup] = None,
     horizon: float = 30.0,
-    seed: int = 1,
     idle_gate: float = 0.010,
-    cache_enabled: bool = False,
-    think_mean: float = 0.100,
 ) -> ImpactResult:
-    """Run foreground (+ optional scrubber) for ``horizon`` seconds.
+    """Run foreground (+ optional scrubber) for ``horizon`` seconds,
+    drive cache off.
 
     Parameters
     ----------
     workload:
         ``"sequential"`` (8 MB chunks of 64 KB reads) or ``"random"``
-        (random 64 KB reads), both with exponential think times —
-        the paper's two synthetic workloads.
+        (random 64 KB reads), both with exponential think times of mean
+        100 ms drawn from seed 1 — the paper's two synthetic
+        workloads.
     scrubber:
         ``None`` runs the foreground alone (the "None" bars).
     idle_gate:
@@ -64,10 +63,8 @@ def run_impact_experiment(
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
-    stack = ScrubStack(
-        spec, scrubber, idle_gate=idle_gate, cache_enabled=cache_enabled
-    )
-    stack.reader(workload, seed, think_mean)
+    stack = ScrubStack(spec, scrubber, idle_gate=idle_gate, cache_enabled=False)
+    stack.reader(workload, 1, 0.100)
     stack.run(horizon)
     log = stack.device.log
     return ImpactResult(

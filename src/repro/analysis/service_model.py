@@ -19,8 +19,8 @@ from repro.disk.commands import SECTOR_SIZE, DiskCommand
 from repro.disk.drive import Drive
 from repro.disk.models import DriveSpec
 
-#: Default measurement grid: 64 KB to 8 MB.
-_DEFAULT_GRID = tuple(
+#: Measurement grid: 64 KB to 8 MB.
+_GRID = tuple(
     int(k * 1024) for k in (64, 128, 256, 512, 1024, 2048, 3072, 4096, 6144, 8192)
 )
 
@@ -48,32 +48,25 @@ class ScrubServiceModel:
         )
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: DriveSpec,
-        sizes: Sequence[int] = _DEFAULT_GRID,
-        warmup: int = 4,
-        samples: int = 12,
-        start_fraction: float = 0.3,
-    ) -> "ScrubServiceModel":
+    def from_spec(cls, spec: DriveSpec) -> "ScrubServiceModel":
         """Measure back-to-back sequential VERIFY times on a drive model.
 
-        ``start_fraction`` positions the measurement in the middle of
-        the disk (a representative zone).
+        Each grid size runs 4 warm-up and 12 measured commands from 30%
+        into the disk (a representative middle zone).
         """
         times = []
-        for size in sizes:
+        for size in _GRID:
             drive = Drive(spec, cache_enabled=False)
             sectors = max(1, size // SECTOR_SIZE)
-            lbn = int(drive.total_sectors * start_fraction)
+            lbn = int(drive.total_sectors * 0.3)
             now, observed = 0.0, []
-            for _ in range(warmup + samples):
+            for _ in range(4 + 12):
                 breakdown = drive.service(DiskCommand.verify(lbn, sectors), now)
                 observed.append(breakdown.total)
                 now = breakdown.finish + 5e-5
                 lbn += sectors
-            times.append(float(np.mean(observed[warmup:])))
-        return cls(list(sizes), times)
+            times.append(float(np.mean(observed[4:])))
+        return cls(list(_GRID), times)
 
     def time(self, request_bytes) -> np.ndarray:
         """Service time (seconds) for one or more request sizes (bytes)."""

@@ -26,8 +26,6 @@ def standalone_scrub_throughput(
     request_bytes: int = 64 * 1024,
     horizon: float = 15.0,
     delay: float = 0.0,
-    delay_mode: str = "gap",
-    cache_enabled: bool = False,
     telemetry=None,
 ) -> float:
     """Scrub throughput (bytes/second) with no foreground workload.
@@ -42,15 +40,8 @@ def standalone_scrub_throughput(
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
     sim = Simulation(telemetry=telemetry)
-    device = BlockDevice(sim, Drive(spec, cache_enabled=cache_enabled), NoopScheduler())
-    scrubber = Scrubber(
-        sim,
-        device,
-        algorithm,
-        request_bytes=request_bytes,
-        delay=delay,
-        delay_mode=delay_mode,
-    )
+    device = BlockDevice(sim, Drive(spec, cache_enabled=False), NoopScheduler())
+    scrubber = Scrubber(sim, device, algorithm, request_bytes=request_bytes, delay=delay)
     process = scrubber.start()
     sim.run(until=horizon)
     throughput = scrubber.throughput(horizon)
@@ -64,13 +55,13 @@ def verify_response_times(
     pattern: str = "random",
     samples: int = 60,
     cache_enabled: bool = False,
-    seed: int = 0,
-    turnaround: float = 5e-5,
 ) -> np.ndarray:
     """Response times of individual VERIFY commands (Figs. 1, 4).
 
     ``pattern`` is ``"random"`` (Fig. 4's service-time measurement) or
-    ``"sequential"`` (Fig. 1's access pattern).
+    ``"sequential"`` (Fig. 1's access pattern).  Random LBNs come from
+    seed 0; each command is issued 50 µs after the previous one
+    completes.
     """
     if pattern not in ("random", "sequential"):
         raise ValueError(f"unknown pattern: {pattern!r}")
@@ -78,14 +69,14 @@ def verify_response_times(
         raise ValueError(f"samples must be positive: {samples}")
     drive = Drive(spec, cache_enabled=cache_enabled)
     sectors = max(1, request_bytes // SECTOR_SIZE)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     now, lbn, times = 0.0, 0, []
     for _ in range(samples):
         if pattern == "random":
             lbn = int(rng.integers(0, drive.total_sectors - sectors))
         breakdown = drive.service(DiskCommand.verify(lbn, sectors), now)
         times.append(breakdown.total)
-        now = breakdown.finish + turnaround
+        now = breakdown.finish + 5e-5
         if pattern == "sequential":
             lbn += sectors
     return np.asarray(times)

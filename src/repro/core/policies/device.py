@@ -41,6 +41,10 @@ class WaitingScrubber:
         firing begins.
     request_bytes:
         Fixed scrub request size (Section V-C: fixed beats adaptive).
+
+    Its verifies are best-effort requests from source ``"scrubber"``:
+    it paces itself, so no priority class is needed to keep it out of
+    the foreground's way.
     """
 
     def __init__(
@@ -50,8 +54,6 @@ class WaitingScrubber:
         algorithm: ScrubAlgorithm,
         threshold: float = 0.1,
         request_bytes: int = 64 * 1024,
-        priority: PriorityClass = PriorityClass.BE,
-        source: str = "scrubber",
         remediation: Optional[RemediationPolicy] = None,
     ) -> None:
         if threshold < 0:
@@ -65,8 +67,7 @@ class WaitingScrubber:
         self.algorithm = algorithm
         self.threshold = threshold
         self.request_sectors = request_bytes // SECTOR_SIZE
-        self.priority = priority
-        self.source = source
+        self.source = "scrubber"
 
         self.remediation = remediation
 
@@ -235,7 +236,7 @@ class WaitingScrubber:
     def _submit_verify(self, lbn, sectors):
         request = IORequest(
             DiskCommand.verify(lbn, sectors),
-            priority=self.priority,
+            priority=PriorityClass.BE,
             source=self.source,
         )
         completion = self.device.submit(request)

@@ -12,9 +12,9 @@ optimum might be instead:
 
 * **Rungs of increasing trace-horizon budget.**  Rung ``r`` evaluates
   the surviving sizes on a seeded stratified subsample of the idle
-  durations (default fractions 1/64, 1/16, 1/4 of the full sample)
-  with a short bisection, scores each size by its achieved scrub
-  throughput, and keeps the top ``1/eta``.
+  durations (fractions 1/64, 1/16, 1/4 of the full sample) with a
+  short bisection, scores each size by its achieved scrub throughput,
+  and keeps the top third.
 * **Seeded rung assignment.**  Subsamples come from
   ``numpy.random.default_rng([seed, rung])``, so a search is a pure
   function of ``(inputs, seed)`` — reruns are bit-identical.
@@ -27,7 +27,7 @@ optimum might be instead:
   the grid and the search run (e.g. the differential check), the final
   rung is served from the :class:`~repro.parallel.cache.ResultCache`.
 
-Cost: with defaults, ≈220–340 interval-evaluations per idle interval
+Cost: ≈220–340 interval-evaluations per idle interval
 against the exhaustive grid's ≈2700 — an 8–12x reduction on the
 seeded catalog suite, measured by
 :data:`repro.analysis.slowdown.SIM_METER` and gated (≥5x per
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Subsample fractions for the elimination rungs (final rung is always
 #: the full sample).
-DEFAULT_RUNG_FRACTIONS = (1 / 64, 1 / 16, 1 / 4)
+RUNG_FRACTIONS = (1 / 64, 1 / 16, 1 / 4)
 
 #: Never subsample below this many idle intervals.  Because the rung
 #: subsample is stratified over the duration-sorted order (every
@@ -70,6 +70,16 @@ DEFAULT_RUNG_FRACTIONS = (1 / 64, 1 / 16, 1 / 4)
 #: modest floor suffices: 512 stratified intervals rank the true
 #: optimum into the survivor set on every seeded catalog workload.
 MIN_RUNG_SAMPLE = 512
+
+#: Bisection iterations at elimination rungs (the final rung uses the
+#: grid's 40).  This must stay deep enough to resolve the threshold: a
+#: coarse bisection leaves an overshoot proportional to
+#: ``max_duration * 2**-k`` that systematically penalises
+#: threshold-sensitive large sizes and mis-ranks them out of the
+#: survivor set.  20 iterations resolve the threshold to ~1e-6 of the
+#: longest idle interval, which keeps every seeded catalog workload
+#: within tolerance.
+RUNG_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -107,31 +117,17 @@ class SuccessiveHalvingSearch:
 
     Constructor parameters mirror
     :class:`~repro.core.optimizer.ScrubParameterOptimizer` (same idle
-    sample, same candidate sizes, same admissibility cap), plus the
-    search schedule:
+    sample, same candidate sizes, same admissibility cap), plus:
 
     Parameters
     ----------
     seed:
         Root seed for the rung subsamples; the search is a pure
         function of its inputs and this seed.
-    rung_fractions:
-        Increasing idle-sample fractions for the elimination rungs.
-    eta:
-        Keep the top ``1/eta`` of arms per rung.
     keep_min:
         Never eliminate below this many arms before the final rung —
         the safety margin that lets a subsample mis-rank the true
         optimum without losing it.
-    rung_iterations:
-        Bisection iterations at elimination rungs (the final rung uses
-        ``final_iterations``, the grid's default).  This must stay
-        deep enough to resolve the threshold: a coarse bisection
-        leaves an overshoot proportional to ``max_duration * 2**-k``
-        that systematically penalises threshold-sensitive large sizes
-        and mis-ranks them out of the survivor set.  20 iterations
-        resolve the threshold to ~1e-6 of the longest idle interval,
-        which keeps every seeded catalog workload within tolerance.
     """
 
     def __init__(
@@ -143,37 +139,16 @@ class SuccessiveHalvingSearch:
         sizes: Optional[Sequence[int]] = None,
         max_slowdown: float = DEFAULT_MAX_SLOWDOWN,
         seed: int = 0,
-        rung_fractions: Sequence[float] = DEFAULT_RUNG_FRACTIONS,
-        eta: int = 3,
         keep_min: int = 3,
-        rung_iterations: int = 20,
-        final_iterations: int = 40,
-        min_sample: int = MIN_RUNG_SAMPLE,
     ) -> None:
         self._full = ScrubParameterOptimizer(
             durations, total_requests, span, service_model,
             sizes=sizes, max_slowdown=max_slowdown,
         )
-        if eta < 2:
-            raise ValueError(f"eta must be >= 2: {eta}")
         if keep_min < 1:
             raise ValueError(f"keep_min must be >= 1: {keep_min}")
-        if rung_iterations < 1 or final_iterations < 1:
-            raise ValueError("iteration counts must be >= 1")
-        fractions = tuple(float(f) for f in rung_fractions)
-        if any(not 0.0 < f <= 1.0 for f in fractions) or (
-            list(fractions) != sorted(fractions)
-        ):
-            raise ValueError(
-                f"rung_fractions must be increasing in (0, 1]: {fractions}"
-            )
         self.seed = int(seed)
-        self.rung_fractions = fractions
-        self.eta = eta
         self.keep_min = keep_min
-        self.rung_iterations = rung_iterations
-        self.final_iterations = final_iterations
-        self.min_sample = min_sample
 
     # -- rungs -------------------------------------------------------------------
     @cached_property
@@ -200,7 +175,7 @@ class SuccessiveHalvingSearch:
         """
         durations = self._full.durations
         n = len(durations)
-        m = min(n, max(self.min_sample, math.ceil(n * fraction)))
+        m = min(n, max(MIN_RUNG_SAMPLE, math.ceil(n * fraction)))
         if m >= n:
             return durations
         rng = np.random.default_rng([self.seed, rung])
@@ -235,7 +210,7 @@ class SuccessiveHalvingSearch:
         scores: Dict[int, float] = {}
         for size in arms:
             result = rung_opt.best_threshold(
-                size, slowdown_goal, iterations=self.rung_iterations
+                size, slowdown_goal, iterations=RUNG_ITERATIONS
             )
             scores[size] = -math.inf if result is None else result.throughput
         after = SIM_METER.snapshot()
@@ -247,13 +222,11 @@ class SuccessiveHalvingSearch:
             # keep every arm and let a bigger budget discriminate.
             keep = len(arms)
         else:
-            keep = min(
-                len(arms), max(self.keep_min, math.ceil(len(arms) / self.eta))
-            )
+            keep = min(len(arms), max(self.keep_min, math.ceil(len(arms) / 3)))
         return RungReport(
             index=rung,
             sample=len(sample),
-            iterations=self.rung_iterations,
+            iterations=RUNG_ITERATIONS,
             arms=tuple(arms),
             survivors=tuple(sorted(ranked[:keep])),
             sims=after["sims"] - before["sims"],
@@ -276,7 +249,7 @@ class SuccessiveHalvingSearch:
         start = SIM_METER.snapshot()
         arms = list(self._full.admissible_sizes())
         rungs = []
-        for rung, fraction in enumerate(self.rung_fractions):
+        for rung, fraction in enumerate(RUNG_FRACTIONS):
             if len(arms) <= self.keep_min:
                 break
             report = self._run_rung(rung, fraction, arms, slowdown_goal)
@@ -308,9 +281,8 @@ class SuccessiveHalvingSearch:
         """
         full = self._full
         sizes = sorted(arms)
-        tasks = []
-        for size in sizes:
-            task = dict(
+        tasks = [
+            dict(
                 durations=full.durations,
                 total_requests=full.total_requests,
                 span=full.span,
@@ -319,9 +291,8 @@ class SuccessiveHalvingSearch:
                 slowdown_goal=slowdown_goal,
                 max_slowdown=full.max_slowdown,
             )
-            if self.final_iterations != 40:  # non-default: must key the cache
-                task["iterations"] = self.final_iterations
-            tasks.append(task)
+            for size in sizes
+        ]
         if runner is not None:
             results = runner.map(_best_threshold_task, tasks)
         else:

@@ -26,13 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.disk.cache import DiskCache
-from repro.disk.commands import (
-    SECTOR_SIZE,
-    CommandStatus,
-    DiskCommand,
-    Interface,
-    Opcode,
-)
+from repro.disk.commands import CommandStatus, DiskCommand, Interface, Opcode
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import RotationModel, SeekModel
 from repro.disk.models import DriveSpec
@@ -89,13 +83,7 @@ class Drive:
     issue commands one at a time with non-decreasing ``now`` values.
     """
 
-    def __init__(
-        self,
-        spec: DriveSpec,
-        cache_enabled: bool = True,
-        faults: Optional["MediaFaults"] = None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, spec: DriveSpec, cache_enabled: bool = True) -> None:
         self.spec = spec
         self.geometry = DiskGeometry.zoned(
             heads=spec.heads,
@@ -118,19 +106,17 @@ class Drive:
             read_ahead_sectors=spec.read_ahead_sectors,
         )
         self.cache_enabled = cache_enabled
-        #: Latent-sector-error state; ``None`` means a fault-free drive
-        #: (the fault checks then cost one attribute test per command).
-        self.faults = faults
+        #: Latent-sector-error state (:meth:`install_faults`); ``None``
+        #: means a fault-free drive (the fault checks then cost one
+        #: attribute test per command).
+        self.faults: Optional["MediaFaults"] = None
         self.head_cylinder = 0
         self._last_issue_time = float("-inf")
         self.commands_serviced = 0
         #: Optional telemetry sink; meters every serviced command.  A
         #: :class:`~repro.sched.device.BlockDevice` installs its
-        #: simulation's sink here automatically; standalone users (the
-        #: service-model measurements) may pass one explicitly.
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        #: simulation's sink here.
+        self.telemetry = None
 
     # -- properties ----------------------------------------------------------
     @property
@@ -140,17 +126,6 @@ class Drive:
     @property
     def capacity_bytes(self) -> int:
         return self.geometry.capacity_bytes
-
-    def media_rate(self, lbn: int) -> float:
-        """Sustained media transfer rate (bytes/second) at ``lbn``'s zone."""
-        spt = self.geometry.sectors_per_track_at(lbn)
-        return spt * SECTOR_SIZE / self.rotation.period
-
-    def set_cache_enabled(self, enabled: bool) -> None:
-        """Toggle the read cache, dropping contents when disabling."""
-        self.cache_enabled = enabled
-        if not enabled:
-            self.cache.clear()
 
     def install_faults(self, faults: "MediaFaults") -> None:
         """Attach latent-sector-error state to this drive."""

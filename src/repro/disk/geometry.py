@@ -100,7 +100,6 @@ class DiskGeometry:
             track += zone.cylinders * heads
         self._total_sectors = lbn
         self._total_cylinders = cyl
-        self._total_tracks = track
 
     # -- sizes -------------------------------------------------------------
     @property
@@ -115,32 +114,16 @@ class DiskGeometry:
     def cylinders(self) -> int:
         return self._total_cylinders
 
-    @property
-    def tracks(self) -> int:
-        return self._total_tracks
-
     # -- mapping -----------------------------------------------------------
-    def zone_of_lbn(self, lbn: int) -> int:
-        """Index of the zone containing ``lbn``."""
-        if not 0 <= lbn < self._total_sectors:
-            raise self._out_of_range(lbn)
-        return bisect_right(self._zone_first_lbn, lbn) - 1
-
-    def zone_of_cylinder(self, cylinder: int) -> int:
-        """Index of the zone containing ``cylinder``."""
-        if not 0 <= cylinder < self._total_cylinders:
-            raise ValueError(f"cylinder out of range: {cylinder}")
-        return bisect_right(self._zone_first_cyl, cylinder) - 1
-
     def locate(self, lbn: int) -> Location:
         """Map ``lbn`` to its physical :class:`Location`.
 
         The drive calls this once per track it touches, so the zone
-        lookup is inlined: one range check, one bisection and the
-        divisions below, all on the per-zone lists built at construction.
+        lookup is one range check, one bisection and the divisions
+        below, all on the per-zone lists built at construction.
         """
         if not 0 <= lbn < self._total_sectors:
-            raise self._out_of_range(lbn)
+            raise ValueError(f"LBN {lbn} out of range [0, {self._total_sectors})")
         zi = bisect_right(self._zone_first_lbn, lbn) - 1
         spt = self._zone_spt[zi]
         # Tracks are numbered cylinder-major, so the track within the
@@ -167,20 +150,13 @@ class DiskGeometry:
         )
         return angle % 1.0
 
-    def sectors_per_track_at(self, lbn: int) -> int:
-        """Sectors per track in the zone containing ``lbn``."""
-        return self._zone_spt[self.zone_of_lbn(lbn)]
-
-    def _out_of_range(self, lbn: int) -> ValueError:
-        return ValueError(f"LBN {lbn} out of range [0, {self._total_sectors})")
-
     # -- constructors --------------------------------------------------------
     @classmethod
     def uniform(
-        cls, heads: int, cylinders: int, sectors_per_track: int, track_skew: float = 0.1
+        cls, heads: int, cylinders: int, sectors_per_track: int
     ) -> "DiskGeometry":
         """A single-zone geometry (useful for tests and analysis)."""
-        return cls(heads, [Zone(cylinders, sectors_per_track)], track_skew)
+        return cls(heads, [Zone(cylinders, sectors_per_track)])
 
     @classmethod
     def zoned(

@@ -72,10 +72,6 @@ class FaultPlan:
     def lbns(self) -> Tuple[int, ...]:
         return tuple(e.lbn for e in self.errors)
 
-    def errors_until(self, now: float) -> int:
-        """Number of errors with onset at or before ``now``."""
-        return sum(1 for e in self.errors if e.time <= now)
-
 
 def _dedupe_and_sort(
     times: np.ndarray, lbns: np.ndarray, total_sectors: int, horizon: float

@@ -32,22 +32,16 @@ class MediaFaults:
     spare_sectors:
         Size of the reallocation spare pool; ``reallocate`` fails once
         it is exhausted (the drive would be failed out of the array).
-    log:
-        Lifecycle log; a fresh one is created when omitted.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        spare_sectors: int = 1024,
-        log: Optional[ErrorLog] = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, spare_sectors: int = 1024) -> None:
         if spare_sectors < 0:
             raise ValueError(f"spare_sectors negative: {spare_sectors}")
         self.plan = plan
         self.spare_sectors = spare_sectors
         self.spares_used = 0
-        self.log = log if log is not None else ErrorLog()
+        #: Lifecycle log.
+        self.log = ErrorLog()
         self._schedule = list(plan.errors)  # sorted by (time, lbn)
         self._cursor = 0
         self._active: List[int] = []  # sorted active bad LBNs
@@ -82,9 +76,6 @@ class MediaFaults:
     @property
     def remapped_count(self) -> int:
         return len(self._remapped)
-
-    def onset_of(self, lbn: int) -> Optional[float]:
-        return self._onset.get(lbn)
 
     def first_bad(self, lbn: int, sectors: int, now: float) -> Optional[int]:
         """Lowest active bad LBN inside ``[lbn, lbn + sectors)``, if any."""

@@ -73,10 +73,8 @@ class CampaignCancelled(RuntimeError):
     """
 
 
-def loss_rate_interval(
-    losses: int, exposure_hours: float, confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Poisson CI for a loss *rate* given ``losses`` over ``exposure``.
+def loss_rate_interval(losses: int, exposure_hours: float) -> Tuple[float, float]:
+    """95% Poisson CI for a loss *rate* given ``losses`` over ``exposure``.
 
     Exact (Garwood) bounds: ``chi2.ppf(q, 2k) / 2`` is
     ``gammaincinv(k, q)``, which is what SciPy's chi-square evaluates;
@@ -88,7 +86,7 @@ def loss_rate_interval(
         raise ValueError(f"losses must be >= 0: {losses}")
     from scipy.special import gammaincinv  # at the call: see DESIGN section 17
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     low = gammaincinv(losses, alpha / 2) if losses > 0 else 0.0
     high = gammaincinv(losses + 1, 1 - alpha / 2)
     return low / exposure_hours, high / exposure_hours

@@ -11,7 +11,7 @@ two load-bearing reasons:
 * **Determinism.**  Every random decision a campaign makes — which
   drive class a group gets, its age jitter, its whole-drive failure
   draws — derives from ``(campaign seed, stream, group index)`` via
-  :func:`repro.parallel.runner.derive_seed`.  Seeds never depend on
+  :func:`repro.parallel.cache.derive_seed`.  Seeds never depend on
   shard layout or worker scheduling, so a campaign sharded 4 ways, 64
   ways, interrupted and resumed, or re-run serially produces
   bit-identical fleet metrics.
@@ -34,8 +34,7 @@ import hashlib
 
 import numpy as np
 
-from repro.parallel.cache import canonicalize
-from repro.parallel.runner import derive_seed
+from repro.parallel.cache import canonicalize, derive_seed
 
 __all__ = [
     "CampaignSpec",

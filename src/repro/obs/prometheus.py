@@ -29,12 +29,8 @@ __all__ = ["prometheus_lines", "write_textfile"]
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def _metric_name(prefix: str, name: str) -> str:
-    cleaned = _NAME_RE.sub("_", name)
-    full = f"{prefix}_{cleaned}" if prefix else cleaned
-    if not re.match(r"[a-zA-Z_]", full):
-        full = "_" + full
-    return full
+def _metric_name(name: str) -> str:
+    return "repro_" + _NAME_RE.sub("_", name)
 
 
 def _fmt(value: float) -> str:
@@ -47,19 +43,20 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
-def prometheus_lines(snapshot: dict, prefix: str = "repro") -> List[str]:
-    """Render a metrics snapshot as Prometheus exposition-format lines."""
+def prometheus_lines(snapshot: dict) -> List[str]:
+    """Render a metrics snapshot as Prometheus exposition-format lines,
+    every metric name prefixed ``repro_``."""
     lines: List[str] = []
     for name, value in snapshot.get("counters", {}).items():
-        metric = _metric_name(prefix, name)
+        metric = _metric_name(name)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_fmt(value)}")
     for name, value in snapshot.get("gauges", {}).items():
-        metric = _metric_name(prefix, name)
+        metric = _metric_name(name)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_fmt(value)}")
     for name, hist in snapshot.get("histograms", {}).items():
-        metric = _metric_name(prefix, name)
+        metric = _metric_name(name)
         lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
         for index, bucket in enumerate(hist["counts"]):
@@ -73,13 +70,13 @@ def prometheus_lines(snapshot: dict, prefix: str = "repro") -> List[str]:
     return lines
 
 
-def write_textfile(path: str, snapshot: dict, prefix: str = "repro") -> int:
+def write_textfile(path: str, snapshot: dict) -> int:
     """Atomically write ``snapshot`` in exposition format; returns lines.
 
     Safe against concurrent scrapes: the file at ``path`` is always
     either the previous complete export or the new one, never partial.
     """
-    lines = prometheus_lines(snapshot, prefix=prefix)
+    lines = prometheus_lines(snapshot)
     with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")
     return len(lines)

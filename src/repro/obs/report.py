@@ -63,10 +63,10 @@ def load_obs_dir(obs_dir: str) -> dict:
     return data
 
 
-def _svg_histogram(
-    values: List[float], width: int = 640, height: int = 180, bins: int = 24
-) -> str:
-    """A dependency-free SVG bar histogram of shard durations."""
+def _svg_histogram(values: List[float]) -> str:
+    """A dependency-free 640 x 180 SVG bar histogram of shard durations
+    in 24 bins."""
+    width, height, bins = 640, 180, 24
     if not values:
         return "<p class='empty'>no shard durations recorded</p>"
     low = min(values)

@@ -180,8 +180,9 @@ class SpanRecorder:
         """All closed spans, in completion order."""
         return tuple(self._closed)
 
-    def chrome_events(self, pid: int = 0, process_name: str = "campaign") -> List[dict]:
-        """Flatten to Chrome trace-event dicts (feed ``write_chrome_trace``).
+    def chrome_events(self, process_name: str = "campaign") -> List[dict]:
+        """Flatten to Chrome trace-event dicts on process id 0 (feed
+        ``write_chrome_trace``).
 
         Any still-open spans are exported as if they ended now, so a
         trace written mid-campaign (or after a crash) is still valid.
@@ -190,7 +191,7 @@ class SpanRecorder:
             {
                 "name": "process_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": 0,
                 "tid": 0,
                 "args": {"name": process_name},
             }
@@ -200,7 +201,7 @@ class SpanRecorder:
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": 0,
                     "tid": tid,
                     "args": {"name": name},
                 }
@@ -221,7 +222,7 @@ class SpanRecorder:
                         "ph": "i",
                         "s": "t",
                         "ts": span.start * _US,
-                        "pid": pid,
+                        "pid": 0,
                         "tid": span.tid,
                         "args": span.args,
                     }
@@ -236,7 +237,7 @@ class SpanRecorder:
                     "ph": "X",
                     "ts": span.start * _US,
                     "dur": (span.end - span.start) * _US,
-                    "pid": pid,
+                    "pid": 0,
                     "tid": span.tid,
                     "args": args,
                 }

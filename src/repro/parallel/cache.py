@@ -24,13 +24,6 @@ release that wrote bare pickles can address an entry of this one.
 Fleet campaign journals
 (:mod:`repro.fleet.journal`) lean on this: a corrupt shard checkpoint
 degrades to recomputing that shard, never to a crashed resume.
-
-Since PR 9 the cache can also carry an on-disk **size budget**
-(``max_bytes``): corpus-scale tuning memoizes per-workload baselines
-whose total would otherwise grow without bound, so writes past the
-budget evict the least-recently-*read* entries first (reads refresh
-atime explicitly) and count them in :attr:`ResultCache.lru_evictions`
-/ the ``cache.lru_evictions`` telemetry counter.
 """
 
 from __future__ import annotations
@@ -147,15 +140,7 @@ class ResultCache:
         in place (they are never read again).
     telemetry:
         Optional telemetry sink; corrupt-entry evictions are counted in
-        its ``cache.evictions`` metric and budget evictions in
-        ``cache.lru_evictions``.
-    max_bytes:
-        On-disk size budget.  When set, every :meth:`put` that pushes
-        the cache past the budget evicts entries oldest-access first
-        (LRU by atime; reads :meth:`touch <get>` their entry, so mounts
-        with ``relatime``/``noatime`` still order correctly) until the
-        total fits again.  ``None`` (default) means unbounded —
-        corpus-scale baseline memoization should always set a budget.
+        its ``cache.evictions`` metric.
     """
 
     def __init__(
@@ -163,21 +148,15 @@ class ResultCache:
         root: Optional[Union[str, Path]] = None,
         version: Optional[str] = None,
         telemetry=None,
-        max_bytes: Optional[int] = None,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         if version is None:
             from repro import __version__ as version
         self.version = version
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive: {max_bytes}")
-        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         #: Corrupt or truncated entries deleted from disk on read.
         self.evictions = 0
-        #: Entries deleted to keep the cache within :attr:`max_bytes`.
-        self.lru_evictions = 0
         self.telemetry = (
             telemetry if telemetry is not None and telemetry.enabled else None
         )
@@ -242,13 +221,6 @@ class ResultCache:
             self.misses += 1
             return False, None
         self.hits += 1
-        # Refresh the access time explicitly: relatime (the common
-        # mount default) only updates atime once a day, which would
-        # make LRU ordering effectively insertion order.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
         return True, value
 
     def put(self, key: str, value: Any) -> None:
@@ -268,46 +240,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        if self.max_bytes is not None:
-            self._enforce_budget(keep=path)
-
-    def _enforce_budget(self, keep: Optional[Path] = None) -> int:
-        """Evict oldest-atime entries until the cache fits ``max_bytes``.
-
-        The just-written entry (``keep``) is never evicted, so a put
-        always makes progress even when one result exceeds the whole
-        budget.  Returns the number of entries evicted; races with
-        concurrent writers are benign (a vanished file is skipped, and
-        whichever process runs last enforces the budget it observes).
-        """
-        entries = []
-        total = 0
-        for entry in self.root.glob("*/*.pkl"):
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_atime, stat.st_size, entry))
-            total += stat.st_size
-        evicted = 0
-        if total <= self.max_bytes:
-            return evicted
-        entries.sort(key=lambda item: (item[0], str(item[2])))
-        for _, size, entry in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and entry == keep:
-                continue
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-            self.lru_evictions += 1
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter("cache.lru_evictions").inc()
-        return evicted
 
     def clear(self) -> int:
         """Delete every entry; returns the number of entries removed."""

@@ -4,12 +4,12 @@
 one task function, optionally backed by a
 :class:`~repro.parallel.cache.ResultCache`.  Results always come back in
 input order, and a parallel run is bit-identical to a serial one: every
-task is independent, seeds are derived deterministically per task
-*index* (not per worker), and no worker-local state leaks into results.
+task is independent, carries any seed it needs in its own parameters,
+and no worker-local state leaks into results.
 
-What is the sweep's own lives here: seed derivation, the cache lookup
-(on the parameters as the caller passed them — a trace canonicalizes to
-its content digest), input order, and the in-process branch for
+What is the sweep's own lives here: the cache lookup (on the parameters
+as the caller passed them — a trace canonicalizes to its content
+digest), input order, and the in-process branch for
 ``workers <= 1`` or a single cache miss.  Every other batch of misses
 runs on :class:`~repro.parallel.supervise.SupervisedRunner`'s forked
 workers, the stack's only process fan-out.  **Workers inherit by fork:**
@@ -40,7 +40,7 @@ from functools import partial
 from itertools import zip_longest
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.parallel.cache import ResultCache, derive_seed
+from repro.parallel.cache import ResultCache
 from repro.parallel.supervise import RetryPolicy, SupervisedRunner, TaskOutcome
 
 
@@ -107,9 +107,6 @@ class SweepRunner:
         ``1`` runs serially in-process (still using the cache).
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely.
-    base_seed:
-        When set, :meth:`map` can inject ``derive_seed(base_seed, i)``
-        into each task (see ``seed_param``).
     retry:
         :class:`~repro.parallel.supervise.RetryPolicy` for tasks whose
         worker died.  Default: ``RetryPolicy()`` — three attempts with
@@ -120,7 +117,6 @@ class SweepRunner:
         self,
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        base_seed: Optional[int] = None,
         telemetry=None,
         retry=None,
     ) -> None:
@@ -131,7 +127,6 @@ class SweepRunner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.workers = int(workers)
         self.cache = cache
-        self.base_seed = base_seed
         #: Tasks actually executed (cache misses) over this runner's life.
         self.executed = 0
         #: Extra attempts spent re-running tasks whose worker died.
@@ -147,16 +142,7 @@ class SweepRunner:
     def cache_hits(self) -> int:
         return self.cache.hits if self.cache is not None else 0
 
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses if self.cache is not None else 0
-
-    def map(
-        self,
-        fn: Callable,
-        param_sets: Sequence[dict],
-        seed_param: Optional[str] = None,
-    ) -> List[Any]:
+    def map(self, fn: Callable, param_sets: Sequence[dict]) -> List[Any]:
         """Return ``[fn(**params) for params in param_sets]``, accelerated.
 
         Parameters
@@ -167,28 +153,13 @@ class SweepRunner:
             runs just the same, workers included.
         param_sets:
             One kwargs dict per task.  Dicts are copied, never mutated.
-        seed_param:
-            When given (and ``base_seed`` is set), each task that does
-            not already carry this key gets
-            ``params[seed_param] = derive_seed(base_seed, index)``.
-            The injected seed participates in the cache key, so cached
-            and fresh runs see identical randomness.
 
         Each result is stored in the cache the moment it lands, so a
         sweep that ends in a task exception, a :class:`SweepTaskError`
         or Ctrl-C keeps everything it finished; no worker process
         outlives the call.
         """
-        tasks: List[dict] = []
-        for index, params in enumerate(param_sets):
-            params = dict(params)
-            if (
-                seed_param is not None
-                and self.base_seed is not None
-                and seed_param not in params
-            ):
-                params[seed_param] = derive_seed(self.base_seed, index)
-            tasks.append(params)
+        tasks = [dict(params) for params in param_sets]
 
         results: List[Any] = [None] * len(tasks)
         pending: List[Tuple[int, Optional[str]]] = []  # (index, cache key)

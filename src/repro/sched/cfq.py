@@ -7,10 +7,10 @@ scheduler that the paper's experiments exercise:
   only after the disk has seen no foreground (RT/BE) activity for
   ``idle_gate`` seconds (Section III-B reports 10 ms).
 * **BE time slices** — each submitting source owns the disk for
-  ``slice_sync`` seconds at a time; an owner whose queue goes empty is
-  *anticipated* for ``slice_idle`` seconds before the slice is handed
-  over, which is what lets a closed-loop sequential stream keep the
-  disk across its sub-millisecond think gaps.
+  :data:`SLICE_SYNC` seconds at a time; an owner whose queue goes empty
+  is *anticipated* for :data:`SLICE_IDLE` seconds before the slice is
+  handed over, which is what lets a closed-loop sequential stream keep
+  the disk across its sub-millisecond think gaps.
 * **Soft barriers** — pass-through commands (user-level ``ioctl``
   VERIFYs) are never sorted or merged and pin queue order: requests
   submitted after a barrier cannot overtake it, and the barrier itself
@@ -33,6 +33,14 @@ from repro.sched.base import IOSchedulerBase, Selection
 from repro.sched.elevator import ElevatorQueue
 from repro.sched.request import IORequest, PriorityClass
 
+#: Length of a BE source's time slice: Linux 2.6.35 CFQ's
+#: ``cfq_slice_sync`` default (HZ / 10), the scheduler of Section III-B.
+SLICE_SYNC = 0.100
+
+#: How long an empty BE owner queue is anticipated before it loses its
+#: slice: Linux 2.6.35 CFQ's ``cfq_slice_idle`` default (HZ / 125).
+SLICE_IDLE = 0.008
+
 
 class CFQScheduler(IOSchedulerBase):
     """CFQ model with idle-class gating, BE slices and soft barriers.
@@ -45,26 +53,14 @@ class CFQScheduler(IOSchedulerBase):
         10 ms; the paper also observes that the *measured* behaviour of
         CFQ corresponded to a much smaller effective gate, which can be
         reproduced by passing a value near zero.
-    slice_sync:
-        Length of a BE source's time slice.
-    slice_idle:
-        How long an empty BE owner queue is anticipated before losing
-        its slice.
     """
 
     name = "cfq"
 
-    def __init__(
-        self,
-        idle_gate: float = 0.010,
-        slice_sync: float = 0.100,
-        slice_idle: float = 0.008,
-    ) -> None:
-        if idle_gate < 0 or slice_sync <= 0 or slice_idle < 0:
-            raise ValueError("scheduler time parameters must be non-negative")
+    def __init__(self, idle_gate: float = 0.010) -> None:
+        if idle_gate < 0:
+            raise ValueError(f"idle_gate must be non-negative: {idle_gate}")
         self.idle_gate = idle_gate
-        self.slice_sync = slice_sync
-        self.slice_idle = slice_idle
 
         self._rt = ElevatorQueue()
         self._be: Dict[str, ElevatorQueue] = {}
@@ -143,7 +139,7 @@ class CFQScheduler(IOSchedulerBase):
             return owner_queue.pop(self._position), None
         if slice_live and owner_queue is not None:
             # Owner queue empty: anticipate its next request briefly.
-            anticipation_end = self._be_owner_last_activity + self.slice_idle
+            anticipation_end = self._be_owner_last_activity + SLICE_IDLE
             if now < anticipation_end:
                 return None, min(self._be_slice_end, anticipation_end)
         # Hand the slice to the next backlogged source, round robin.
@@ -153,7 +149,7 @@ class CFQScheduler(IOSchedulerBase):
             queue = self._be.get(source)
             if queue:
                 self._be_owner = source
-                self._be_slice_end = now + self.slice_sync
+                self._be_slice_end = now + SLICE_SYNC
                 self._be_owner_last_activity = now
                 return queue.pop(self._position), None
         return None, None  # unreachable while _pending_be() held

@@ -1,8 +1,8 @@
 """Deadline scheduler: elevator order with per-request expiry.
 
 A simplified version of the Linux deadline scheduler: requests are
-served in C-LOOK order, but each carries a deadline (``read_expire`` /
-``write_expire`` after submission); when the oldest request has
+served in C-LOOK order, but each carries a deadline (:data:`READ_EXPIRE`
+/ :data:`WRITE_EXPIRE` after submission); when the oldest request has
 expired, the elevator jumps to it.  Included as an ablation baseline —
 it has no prioritisation, so it cannot protect foreground traffic from
 a scrubber, which is the paper's point about scheduler support.
@@ -15,26 +15,25 @@ from repro.sched.base import IOSchedulerBase, Selection
 from repro.sched.elevator import ElevatorQueue
 from repro.sched.request import IORequest
 
+#: Read and write deadlines: Linux deadline-iosched's ``read_expire``
+#: (HZ / 2) and ``write_expire`` (5 * HZ) defaults.
+READ_EXPIRE = 0.5
+WRITE_EXPIRE = 5.0
+
 
 class DeadlineScheduler(IOSchedulerBase):
     """C-LOOK with expiry-driven jumps."""
 
     name = "deadline"
 
-    def __init__(self, read_expire: float = 0.5, write_expire: float = 5.0) -> None:
-        if read_expire <= 0 or write_expire <= 0:
-            raise ValueError("expiry times must be positive")
-        self.read_expire = read_expire
-        self.write_expire = write_expire
+    def __init__(self) -> None:
         self._elevator = ElevatorQueue()
         self._deadlines = {}
         self._position = 0
 
     def add(self, request: IORequest, now: float) -> None:
         expire = (
-            self.write_expire
-            if request.command.opcode is Opcode.WRITE
-            else self.read_expire
+            WRITE_EXPIRE if request.command.opcode is Opcode.WRITE else READ_EXPIRE
         )
         self._deadlines[request] = now + expire
         self._elevator.add(request)

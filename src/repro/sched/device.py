@@ -68,9 +68,6 @@ class RequestLog:
             [r.response_time for r in self.requests(source)], dtype=float
         )
 
-    def wait_times(self, source: Optional[str] = None) -> np.ndarray:
-        return np.array([r.wait_time for r in self.requests(source)], dtype=float)
-
     def bytes_completed(self, source: Optional[str] = None) -> int:
         return sum(r.bytes for r in self.requests(source))
 

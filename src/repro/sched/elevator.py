@@ -34,22 +34,13 @@ class ElevatorQueue:
         self._lbns.insert(index, request.command.lbn)
         self._requests.insert(index, request)
 
-    def peek(self, position: int) -> Optional[IORequest]:
-        """The request the elevator would serve next from ``position``."""
-        if not self._requests:
-            return None
-        index = bisect.bisect_left(self._lbns, position)
-        if index == len(self._requests):
-            index = 0  # C-LOOK wrap to the lowest LBN
-        return self._requests[index]
-
     def pop(self, position: int) -> Optional[IORequest]:
         """Remove and return the next request in C-LOOK order."""
         if not self._requests:
             return None
         index = bisect.bisect_left(self._lbns, position)
         if index == len(self._requests):
-            index = 0
+            index = 0  # C-LOOK wrap to the lowest LBN
         self._lbns.pop(index)
         return self._requests.pop(index)
 

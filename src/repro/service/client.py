@@ -3,9 +3,7 @@
 ``http.client`` only — the same zero-dependency rule as the server.
 Every JSON method returns ``(status, payload)`` and never raises on
 HTTP error codes, so contract tests can assert on 400/404/405 bodies
-directly.  :meth:`ServiceClient.stream_events` hands back the raw
-response object instead, letting tests read partial NDJSON, kill the
-connection mid-stream and reconnect from a byte offset.
+directly.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 from urllib.parse import urlencode, urlsplit
 
 from repro.service.queue import TERMINAL_STATES
@@ -41,13 +39,9 @@ class ServiceClient:
     # -- plumbing ------------------------------------------------------------
 
     def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict] = None,
-        query: Optional[dict] = None,
+        self, method: str, path: str, body: Optional[dict] = None
     ) -> Tuple[int, dict]:
-        status, raw, ctype = self._request_raw(method, path, body, query)
+        status, raw, ctype = self._request_raw(method, path, body)
         if "json" not in ctype:
             return status, {"raw": raw.decode("utf-8", "replace")}
         try:
@@ -125,22 +119,6 @@ class ServiceClient:
         )
         return status, raw
 
-    def stream_events(
-        self, job_id: str, offset: int = 0, follow: bool = True
-    ) -> Tuple[int, http.client.HTTPResponse, http.client.HTTPConnection]:
-        """Open the event stream and return it unread.
-
-        Returns ``(status, response, connection)``; the caller reads
-        (and may abandon) the response, then closes the connection.
-        """
-        conn = self._connect(
-            "GET",
-            f"/campaigns/{job_id}/events",
-            query={"offset": offset, "follow": int(follow)},
-        )
-        response = conn.getresponse()
-        return response.status, response, conn
-
     # -- conveniences --------------------------------------------------------
 
     def wait(
@@ -166,22 +144,3 @@ class ServiceClient:
                 )
             time.sleep(delay)
             delay = min(2.0 * delay, poll)
-
-    def iter_events(self, job_id: str, follow: bool = True) -> Iterator[dict]:
-        """Yield parsed events; reconnects are the caller's concern."""
-        status, response, conn = self.stream_events(job_id, follow=follow)
-        try:
-            if status != 200:
-                raise RuntimeError(f"event stream -> {status}")
-            buffer = b""
-            while True:
-                chunk = response.read(4096)
-                if not chunk:
-                    break
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if line.strip():
-                        yield json.loads(line.decode("utf-8"))
-        finally:
-            conn.close()

@@ -21,15 +21,13 @@ import time
 from functools import partial
 from typing import Any, Generator, Iterable, Optional
 
-from repro.sim.events import _PROCESSED, NORMAL, URGENT, URGENT_BIAS, Event, Timeout
+from repro.sim.events import _PROCESSED, URGENT_BIAS, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = [
     "EmptySchedule",
-    "NORMAL",
     "Simulation",
     "StopSimulation",
-    "URGENT",
 ]
 
 
@@ -122,11 +120,10 @@ class Simulation:
         return Process(self, generator)
 
     # -- scheduling ----------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
         """Insert a triggered event into the queue (engine-internal)."""
         self._seq = seq = self._seq + 1
-        key = seq if priority else seq - URGENT_BIAS
-        heapq.heappush(self._queue, (self._now + delay, key, event))
+        heapq.heappush(self._queue, (self._now + delay, seq, event))
 
     def schedule_interrupt(self, event: Event) -> None:
         """Queue ``event`` ahead of same-time normal events."""
@@ -206,29 +203,24 @@ class Simulation:
         if not event._ok and not event._defused:
             raise event._value
 
-    def run(self, until: Optional[Any] = None, gc_pause: bool = True) -> Any:
+    def run(self, until: Optional[Any] = None) -> Any:
         """Run until ``until`` (a time, an :class:`Event`, or queue-empty).
 
-        Parameters
-        ----------
-        until:
-            ``None`` runs until no events remain.  A number runs until the
-            clock reaches that time.  An :class:`Event` runs until that
-            event is processed and returns its value.
-        gc_pause:
-            Pause the cyclic garbage collector while the event loop
-            runs (restored, with a young-generation collection, on
-            exit).  Kernel objects are acyclic once processed — a fired
-            condition lets go of its constituents, a finished process
-            of its bound resume callback, and a completed request (see
-            :class:`~repro.sched.device.BlockDevice`) of its completion
-            event — so reference counting reclaims them, and the cycle
-            collector would only rescan the pending-event heap over and
-            over, which can double the cost of allocation-heavy
-            simulations.  What is still *pending* when ``run`` returns
-            is cyclic (:meth:`close` releases it).  Pass ``False`` for
-            workloads that create many cyclic structures per event and
-            must bound memory mid-run.
+        ``None`` runs until no events remain.  A number runs until the
+        clock reaches that time.  An :class:`Event` runs until that
+        event is processed and returns its value.
+
+        The cyclic garbage collector is paused while the event loop
+        runs (restored, with a young-generation collection, on exit).
+        Kernel objects are acyclic once processed — a fired condition
+        lets go of its constituents, a finished process of its bound
+        resume callback, and a completed request (see
+        :class:`~repro.sched.device.BlockDevice`) of its completion
+        event — so reference counting reclaims them, and the cycle
+        collector would only rescan the pending-event heap over and
+        over, which can double the cost of allocation-heavy
+        simulations.  What is still *pending* when ``run`` returns is
+        cyclic (:meth:`close` releases it).
         """
         if self.timeout is _closed:
             _closed()
@@ -258,7 +250,7 @@ class Simulation:
         queue = self._queue
         heappop = heapq.heappop
         processed = _PROCESSED
-        unpause = gc_pause and gc.isenabled()
+        unpause = gc.isenabled()
         if unpause:
             gc.disable()
         seq_start = self._seq

@@ -35,14 +35,10 @@ _PENDING = object()
 #: Sentinel replacing the callback list once the engine has fired it.
 _PROCESSED = object()
 
-#: Default event priority.  Lower fires first among same-time events.
-NORMAL = 1
-#: Priority for urgent events (e.g. interrupts).
-URGENT = 0
-
 #: Queue entries are ``(time, key, event)`` 3-tuples where ``key``
 #: folds (priority, sequence) into one integer: normal events use the
-#: bare sequence number, urgent events subtract this bias, so every
+#: bare sequence number, urgent events (interrupts, ``run(until=)``
+#: deadline markers) subtract this bias, so every
 #: urgent key sorts before every normal key at equal times while
 #: sequence order is preserved within each class.  One int comparison
 #: replaces two tuple elements on the heap hot path, and the common
@@ -150,14 +146,6 @@ class Event:
         self.sim._enqueue(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            event._defused = True
-            self.fail(event.value)
-
     def _detach(self) -> None:
         """Forget the waiters of an event that will never be processed
         (kernel teardown, :meth:`Simulation.close`)."""
@@ -228,14 +216,15 @@ class ReusableTimeout(Event):
         self._defused = False
         self.delay = 0.0
 
-    def arm(self, delay: float, value: Any = None) -> "ReusableTimeout":
-        """Re-schedule this event ``delay`` time units from now."""
+    def arm(self, delay: float) -> "ReusableTimeout":
+        """Re-schedule this event ``delay`` time units from now (its
+        value is ``None``)."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         delay = float(delay)
         sim = self.sim
         self._callbacks = None
-        self._value = value
+        self._value = None
         self._ok = True
         self._defused = False
         self.delay = delay

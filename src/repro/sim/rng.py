@@ -49,8 +49,3 @@ class RandomStreams:
             )
             self._streams[name] = np.random.default_rng(child)
         return self._streams[name]
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a new stream family namespaced under ``name``."""
-        child_seed = int(self.get(f"__spawn__/{name}").integers(0, 2**63 - 1))
-        return RandomStreams(seed=child_seed)

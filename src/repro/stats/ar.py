@@ -17,7 +17,7 @@ so that is what we implement.  The Toeplitz solve is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,19 +38,6 @@ class ARModel:
     @property
     def order(self) -> int:
         return len(self.coefficients)
-
-    def predict(self, history: Sequence[float]) -> float:
-        """One-step-ahead prediction given the most recent durations.
-
-        ``history[-1]`` is the most recent complete interval.  Shorter
-        histories are padded with the process mean.
-        """
-        history = np.asarray(history, dtype=float)
-        prediction = self.mean
-        for i, a in enumerate(self.coefficients, start=1):
-            past = history[-i] if len(history) >= i else self.mean
-            prediction += a * (past - self.mean)
-        return float(prediction)
 
     def predict_series(self, x: np.ndarray) -> np.ndarray:
         """One-step-ahead predictions for every position in ``x``.
@@ -99,18 +86,15 @@ def fit_ar(x: np.ndarray, order: int) -> ARModel:
     )
 
 
-def select_ar_order(
-    x: np.ndarray, max_order: int = 20, orders: Optional[Sequence[int]] = None
-) -> ARModel:
-    """Fit AR(p) for each candidate order and return the AIC minimiser."""
+def select_ar_order(x: np.ndarray, max_order: int = 20) -> ARModel:
+    """Fit AR(p) for each order up to ``max_order`` (and a quarter of
+    the samples) and return the AIC minimiser."""
     x = np.asarray(x, dtype=float)
-    if orders is None:
-        limit = min(max_order, len(x) // 4)
-        if limit < 1:
-            raise ValueError(f"series too short for AR fitting: {len(x)}")
-        orders = range(1, limit + 1)
+    limit = min(max_order, len(x) // 4)
+    if limit < 1:
+        raise ValueError(f"series too short for AR fitting: {len(x)}")
     best: Optional[ARModel] = None
-    for order in orders:
+    for order in range(1, limit + 1):
         model = fit_ar(x, order)
         if best is None or model.aic < best.aic:
             best = model

@@ -35,34 +35,24 @@ def acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     return autocov / autocov[0]
 
 
-def has_significant_autocorrelation(
-    x: np.ndarray,
-    lags: int = 10,
-    threshold_sigma: float = 2.0,
-    method: str = "rank",
-) -> bool:
+def has_significant_autocorrelation(x: np.ndarray) -> bool:
     """Whether early ACF values exceed the white-noise confidence band.
 
     For white noise the ACF at non-zero lags is ~N(0, 1/n); we call the
-    series autocorrelated if the mean of the first ``lags`` absolute
-    autocorrelations exceeds ``threshold_sigma / sqrt(n)``.
+    series autocorrelated if the mean of the first 10 absolute
+    autocorrelations exceeds ``2 / sqrt(n)`` (two sigma).
 
-    ``method="rank"`` (default) computes the ACF of the rank-transformed
-    series (a lag-wise Spearman correlation).  Idle-time samples have
-    CoVs of 10–200, and the linear ACF of such heavy-tailed data is
-    dominated by a handful of extreme values — the rank ACF is the
-    standard robust alternative.
+    The ACF is that of the rank-transformed series (a lag-wise Spearman
+    correlation).  Idle-time samples have CoVs of 10–200, and the linear
+    ACF of such heavy-tailed data is dominated by a handful of extreme
+    values — the rank ACF is the standard robust alternative.
     """
     x = np.asarray(x, dtype=float)
-    if len(x) <= lags:
-        raise ValueError("series too short for the requested lags")
-    if method == "rank":
-        from scipy.stats import rankdata  # at the call: only rank ACFs pay
+    if len(x) <= 10:
+        raise ValueError("series too short for 10 lags")
+    from scipy.stats import rankdata  # at the call: only autocorrelation tests pay
 
-        x = rankdata(x)
-    elif method != "linear":
-        raise ValueError(f"unknown method: {method!r}")
-    values = acf(x, lags)[1:]
-    band = threshold_sigma / np.sqrt(len(x))
+    x = rankdata(x)
+    values = acf(x, 10)[1:]
+    band = 2.0 / np.sqrt(len(x))
     return bool(np.mean(np.abs(values)) > band)
-

@@ -14,7 +14,7 @@ The F test is ``scipy.stats.f_oneway``, imported where it is called.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,13 +48,13 @@ def _anova_f(counts: np.ndarray, period: int) -> Tuple[float, float]:
 
 
 def anova_period(
-    counts: np.ndarray,
-    max_period: Optional[int] = None,
-    candidates: Optional[Iterable[int]] = None,
-    alpha: float = 0.01,
-    stabilise: bool = True,
+    counts: np.ndarray, max_period: Optional[int] = None
 ) -> PeriodResult:
     """Detect the strongest period in a series of per-bin counts.
+
+    Counts go through ``log1p`` first — request counts are heavy-tailed,
+    and ANOVA assumes roughly homoskedastic groups — and a candidate
+    with ``p >= 0.01`` is not significant.
 
     Parameters
     ----------
@@ -63,13 +63,6 @@ def anova_period(
     max_period:
         Largest candidate period, default ``len(counts) // 3`` (each
         phase needs several repetitions).
-    candidates:
-        Explicit candidate periods (overrides ``max_period``).
-    alpha:
-        Significance level; candidates with ``p >= alpha`` are ignored.
-    stabilise:
-        Apply ``log1p`` first — request counts are heavy-tailed, and
-        ANOVA assumes roughly homoskedastic groups.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1:
@@ -78,21 +71,16 @@ def anova_period(
         raise ValueError(
             f"need at least 6 bins to detect a period, got {len(counts)}"
         )
-    if stabilise:
-        counts = np.log1p(counts)
-    if candidates is None:
-        limit = max_period if max_period is not None else len(counts) // 3
-        limit = max(2, min(limit, len(counts) // 2))
-        candidates = range(2, limit + 1)
+    counts = np.log1p(counts)
+    limit = max_period if max_period is not None else len(counts) // 3
+    limit = max(2, min(limit, len(counts) // 2))
 
     results = []
-    for period in candidates:
-        if period < 2:
-            raise ValueError(f"candidate periods must be >= 2: {period}")
+    for period in range(2, limit + 1):
         f, p = _anova_f(counts, period)
-        results.append((int(period), f, p))
+        results.append((period, f, p))
 
-    significant = [r for r in results if r[2] < alpha]
+    significant = [r for r in results if r[2] < 0.01]
     if not significant:
         return PeriodResult(
             period=1, f_statistic=0.0, p_value=1.0, candidates=tuple(results)

@@ -85,12 +85,6 @@ class TelemetrySink:
         """One :meth:`Simulation.run` finished: events popped, final
         clock, and (when measured) wall-clock duration."""
 
-    # -- generic ------------------------------------------------------------
-    def instant(
-        self, now: float, category: str, name: str, args: Optional[dict] = None
-    ) -> None:
-        """A point-in-time event with no duration."""
-
 
 class NullSink(TelemetrySink):
     """The default sink: recording disabled, near-zero overhead."""
@@ -114,19 +108,16 @@ class Recorder(TelemetrySink):
         wall time is the only non-deterministic value in the registry;
         leave it off when snapshots must be bit-identical across runs
         (the serial == parallel sweep guarantee).
-    capture_requests:
-        Keep a per-request event tuple for trace export.  Disable to
-        record metrics only (long runs, bounded memory).
+
+    Every completed request and every scrub-progress sample is kept for
+    trace export.
     """
 
     enabled = True
 
-    def __init__(
-        self, wall_time: bool = False, capture_requests: bool = True
-    ) -> None:
+    def __init__(self, wall_time: bool = False) -> None:
         super().__init__()
         self.wall_time = wall_time
-        self.capture_requests = capture_requests
         #: (submit, dispatch, complete, opcode, lbn, sectors, priority,
         #:  source, seek, rotation, transfer, cache_hit, status)
         self.requests: List[Tuple] = []
@@ -156,25 +147,24 @@ class Recorder(TelemetrySink):
         metrics.histogram("device.service_time_s").observe(
             request.service_time
         )
-        if self.capture_requests:
-            command = request.command
-            self.requests.append(
-                (
-                    request.submit_time,
-                    request.dispatch_time,
-                    request.complete_time,
-                    command.opcode.value,
-                    command.lbn,
-                    command.sectors,
-                    request.priority.name,
-                    request.source,
-                    breakdown.seek if breakdown is not None else 0.0,
-                    breakdown.rotation if breakdown is not None else 0.0,
-                    breakdown.transfer if breakdown is not None else 0.0,
-                    breakdown.cache_hit if breakdown is not None else False,
-                    breakdown.status.name if breakdown is not None else "GOOD",
-                )
+        command = request.command
+        self.requests.append(
+            (
+                request.submit_time,
+                request.dispatch_time,
+                request.complete_time,
+                command.opcode.value,
+                command.lbn,
+                command.sectors,
+                request.priority.name,
+                request.source,
+                breakdown.seek if breakdown is not None else 0.0,
+                breakdown.rotation if breakdown is not None else 0.0,
+                breakdown.transfer if breakdown is not None else 0.0,
+                breakdown.cache_hit if breakdown is not None else False,
+                breakdown.status.name if breakdown is not None else "GOOD",
             )
+        )
 
     # -- drive ---------------------------------------------------------------
     def drive_serviced(self, command: Any, breakdown: Any) -> None:
@@ -212,8 +202,7 @@ class Recorder(TelemetrySink):
     def scrub_progress(self, now: float, source: str, fraction: float) -> None:
         self.metrics.counter("scrub.extents").inc()
         self.metrics.gauge("scrub.progress").set(fraction)
-        if self.capture_requests:
-            self.progress_samples.append((now, source, fraction))
+        self.progress_samples.append((now, source, fraction))
 
     # -- faults ------------------------------------------------------------
     def fault_event(self, now: float, kind: str, lbn: int, **args: Any) -> None:
@@ -239,28 +228,19 @@ class Recorder(TelemetrySink):
                     metrics.counter("engine.events").value / total_wall
                 )
 
-    # -- generic ------------------------------------------------------------
-    def instant(
-        self, now: float, category: str, name: str, args: Optional[dict] = None
-    ) -> None:
-        self.metrics.counter(f"{category}.{name}").inc()
-        self.instants.append((now, category, name, args))
-
     # -- export --------------------------------------------------------------
-    def chrome_events(self, pid: int = 0, process_name: str = "sim") -> List[dict]:
-        """This recording as Chrome trace-event dicts (see
-        :mod:`repro.telemetry.trace`)."""
+    def chrome_events(self, process_name: str = "sim") -> List[dict]:
+        """This recording as Chrome trace-event dicts on process id 0
+        (see :mod:`repro.telemetry.trace`)."""
         from repro.telemetry.trace import recorder_events
 
-        return recorder_events(self, pid=pid, process_name=process_name)
+        return recorder_events(self, process_name=process_name)
 
-    def export(self, pid: int = 0) -> dict:
-        """Picklable bundle: metric snapshot plus Chrome trace events.
+    def export(self) -> dict:
+        """Picklable bundle: metric snapshot plus Chrome trace events
+        (process id 0).
 
         This is what sweep tasks attach to their results so a parallel
         run can be merged into one fleet summary / one trace file.
         """
-        return {
-            "metrics": self.metrics.snapshot(),
-            "events": self.chrome_events(pid=pid),
-        }
+        return {"metrics": self.metrics.snapshot(), "events": self.chrome_events()}

@@ -38,15 +38,14 @@ __all__ = [
 _US = 1e6  # simulation seconds -> trace microseconds
 
 
-def recorder_events(
-    recorder, pid: int = 0, process_name: str = "sim"
-) -> List[dict]:
-    """Flatten one recorder into a list of Chrome trace-event dicts."""
+def recorder_events(recorder, process_name: str = "sim") -> List[dict]:
+    """Flatten one recorder into a list of Chrome trace-event dicts on
+    process id 0 (:func:`with_pid` re-homes them)."""
     events: List[dict] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": 0,
             "tid": 0,
             "args": {"name": process_name},
         }
@@ -61,7 +60,7 @@ def recorder_events(
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": 0,
                     "tid": tid,
                     "args": {"name": source},
                 }
@@ -97,7 +96,7 @@ def recorder_events(
                 "ph": "X",
                 "ts": submit * _US,
                 "dur": (dispatch - submit) * _US,
-                "pid": pid,
+                "pid": 0,
                 "tid": tid,
                 "args": args,
             }
@@ -109,7 +108,7 @@ def recorder_events(
                 "ph": "X",
                 "ts": dispatch * _US,
                 "dur": (complete - dispatch) * _US,
-                "pid": pid,
+                "pid": 0,
                 "tid": tid,
                 "args": {
                     **args,
@@ -130,7 +129,7 @@ def recorder_events(
                 "ph": "i",
                 "s": "p",
                 "ts": ts * _US,
-                "pid": pid,
+                "pid": 0,
                 "tid": 0,
                 "args": args or {},
             }
@@ -142,7 +141,7 @@ def recorder_events(
                 "name": f"scrub progress ({source})",
                 "ph": "C",
                 "ts": ts * _US,
-                "pid": pid,
+                "pid": 0,
                 "args": {"fraction": round(fraction, 6)},
             }
         )

@@ -221,16 +221,15 @@ def generate_corpus(
     names=None,
     duration: Optional[float] = None,
     seed: int = 0,
-    rate_scale: float = 1.0,
     repetitions: int = 1,
     chunk_requests: Optional[int] = None,
 ):
     """Build an on-disk trace corpus from catalog entries.
 
     One store per entry (see :class:`repro.traces.store.TraceCorpus`),
-    each generated with :func:`generate_trace` under the shared
-    ``seed`` so the whole corpus is a pure function of
-    ``(names, duration, seed, rate_scale, repetitions)``.
+    each generated with :func:`generate_trace` at the catalog's own rate
+    under the shared ``seed``, so the whole corpus is a pure function of
+    ``(names, duration, seed, repetitions)``.
 
     ``repetitions`` tiles the generated day end-to-end (each copy's
     times offset past the previous copy's span) to reach multi-GB
@@ -251,9 +250,7 @@ def generate_corpus(
         )
     corpus = TraceCorpus.create(directory)
     for name in names:
-        base = generate_trace(
-            name, duration=duration, seed=seed, rate_scale=rate_scale
-        )
+        base = generate_trace(name, duration=duration, seed=seed)
         corpus.add(
             name,
             _tiled_chunks(base, repetitions),
@@ -265,7 +262,7 @@ def generate_corpus(
                 "spec": name,
                 "seed": seed,
                 "duration_arg": duration,
-                "rate_scale": rate_scale,
+                "rate_scale": 1.0,
                 "repetitions": repetitions,
                 "service_positioning": CATALOG[name].service_positioning,
             },
@@ -300,7 +297,7 @@ def _tiled_chunks(base: Trace, repetitions: int):
             )
 
 
-def trace_idle_intervals(name: str, trace: Trace, min_duration: float = 0.0):
+def trace_idle_intervals(name: str, trace: Trace):
     """Idle intervals of ``trace`` under catalog entry ``name``'s service model.
 
     Returns ``(starts, durations)`` numpy arrays; see
@@ -309,7 +306,5 @@ def trace_idle_intervals(name: str, trace: Trace, min_duration: float = 0.0):
     if name not in CATALOG:
         raise KeyError(f"unknown trace {name!r}")
     return idle_intervals_from_trace(
-        trace,
-        positioning=CATALOG[name].service_positioning,
-        min_duration=min_duration,
+        trace, positioning=CATALOG[name].service_positioning
     )

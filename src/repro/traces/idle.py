@@ -26,20 +26,20 @@ DEFAULT_TRANSFER_RATE = 100e6  # bytes/second
 
 
 def service_times(
-    sectors: np.ndarray,
-    positioning: float = DEFAULT_POSITIONING,
-    transfer_rate: float = DEFAULT_TRANSFER_RATE,
+    sectors: np.ndarray, positioning: float = DEFAULT_POSITIONING
 ) -> np.ndarray:
-    """Nominal service time per request: positioning + size/rate."""
-    if positioning < 0 or transfer_rate <= 0:
-        raise ValueError("invalid service model parameters")
-    return positioning + np.asarray(sectors, dtype=float) * 512.0 / transfer_rate
+    """Nominal service time per request: positioning + size/rate, at
+    :data:`DEFAULT_TRANSFER_RATE`."""
+    if positioning < 0:
+        raise ValueError(f"positioning must be non-negative: {positioning}")
+    return (
+        positioning
+        + np.asarray(sectors, dtype=float) * 512.0 / DEFAULT_TRANSFER_RATE
+    )
 
 
 def idle_intervals(
-    times: np.ndarray,
-    service: Optional[np.ndarray] = None,
-    min_duration: float = 0.0,
+    times: np.ndarray, service: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compute idle intervals from arrival times and service times.
 
@@ -50,14 +50,13 @@ def idle_intervals(
     service:
         Per-request service times; a scalar default of
         ``DEFAULT_POSITIONING`` per request if omitted.
-    min_duration:
-        Discard intervals shorter than this.
 
     Returns
     -------
     (starts, durations):
         Idle interval start times and lengths.  An interval starts when
-        the disk drains and ends at the next arrival.
+        the disk drains and ends at the next arrival; a zero-length gap
+        is no interval.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
@@ -79,15 +78,12 @@ def idle_intervals(
 
     starts = busy_until[:-1]
     durations = times[1:] - busy_until[:-1]
-    mask = durations > max(min_duration, 0.0)
+    mask = durations > 0.0
     return starts[mask], durations[mask]
 
 
 def idle_intervals_streaming(
-    chunks,
-    positioning: float = DEFAULT_POSITIONING,
-    transfer_rate: float = DEFAULT_TRANSFER_RATE,
-    min_duration: float = 0.0,
+    chunks, positioning: float = DEFAULT_POSITIONING
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Idle intervals from a stream of time-ordered trace chunks.
 
@@ -106,7 +102,6 @@ def idle_intervals_streaming(
     service prefix (the store's uniform re-chunking makes the result
     deterministic for a given chunk size).
     """
-    floor = max(min_duration, 0.0)
     starts_parts = []
     durations_parts = []
     busy_last: Optional[float] = None
@@ -114,19 +109,19 @@ def idle_intervals_streaming(
         times = np.asarray(chunk.times, dtype=float)
         if len(times) == 0:
             continue
-        service = service_times(chunk.sectors, positioning, transfer_rate)
+        service = service_times(chunk.sectors, positioning)
         prefix = np.cumsum(service)
         prior = np.concatenate(([0.0], prefix[:-1]))
         peaks = times - prior
         if busy_last is not None:
             gap = times[0] - busy_last
-            if gap > floor:
+            if gap > 0.0:
                 starts_parts.append(np.array([busy_last]))
                 durations_parts.append(np.array([gap]))
             peaks[0] = max(peaks[0], busy_last)
         busy = prefix + np.maximum.accumulate(peaks)
         durations = times[1:] - busy[:-1]
-        mask = durations > floor
+        mask = durations > 0.0
         starts_parts.append(busy[:-1][mask])
         durations_parts.append(durations[mask])
         busy_last = float(busy[-1])
@@ -136,11 +131,7 @@ def idle_intervals_streaming(
 
 
 def idle_intervals_from_trace(
-    trace: Trace,
-    positioning: float = DEFAULT_POSITIONING,
-    transfer_rate: float = DEFAULT_TRANSFER_RATE,
-    min_duration: float = 0.0,
+    trace: Trace, positioning: float = DEFAULT_POSITIONING
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Idle intervals of a :class:`Trace` under the nominal service model."""
-    service = service_times(trace.sectors, positioning, transfer_rate)
-    return idle_intervals(trace.times, service, min_duration)
+    return idle_intervals(trace.times, service_times(trace.sectors, positioning))

@@ -136,9 +136,7 @@ def write_csv_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 
 def read_csv_trace(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    max_requests: Optional[int] = None,
+    path: Union[str, Path], max_requests: Optional[int] = None
 ) -> Trace:
     """Read a canonical or MSR-dialect CSV trace (auto-detected).
 
@@ -160,8 +158,7 @@ def read_csv_trace(
     """
     if max_requests is not None and max_requests < 0:
         raise ValueError(f"max_requests must be non-negative: {max_requests}")
-    meta = {"name": name or Path(path).stem, "description": "",
-            "capacity_sectors": None}
+    meta = {"name": Path(path).stem, "description": "", "capacity_sectors": None}
     rows: List[List[str]] = []
     linenos: List[int] = []
     header: Optional[List[str]] = None
@@ -292,10 +289,7 @@ def _parse_msr(rows, linenos, meta, path, tick_base=None) -> Trace:
 
 
 def iter_trace_chunks(
-    path: Union[str, Path],
-    chunk_requests: int = 65536,
-    max_requests: Optional[int] = None,
-    name: Optional[str] = None,
+    path: Union[str, Path], chunk_requests: int = 65536
 ) -> Iterator[Trace]:
     """Stream a CSV trace as :class:`Trace` chunks in bounded memory.
 
@@ -308,23 +302,16 @@ def iter_trace_chunks(
     time.  For MSR-dialect traces, all chunks share the first chunk's
     minimum timestamp as the epoch, so a chunked parse of a sorted file
     equals :func:`read_csv_trace` column-for-column.
-
-    ``max_requests`` bounds the total rows parsed, like
-    :func:`read_csv_trace`.
     """
     if chunk_requests <= 0:
         raise ValueError(f"chunk_requests must be positive: {chunk_requests}")
-    if max_requests is not None and max_requests < 0:
-        raise ValueError(f"max_requests must be non-negative: {max_requests}")
-    meta = {"name": name or Path(path).stem, "description": "",
-            "capacity_sectors": None}
+    meta = {"name": Path(path).stem, "description": "", "capacity_sectors": None}
     rows: List[List[str]] = []
     linenos: List[int] = []
     header: Optional[List[str]] = None
     header_line = 0
     dialect: Optional[str] = None
     tick_base: Optional[int] = None
-    total = 0
 
     def flush() -> Trace:
         nonlocal tick_base
@@ -341,38 +328,33 @@ def iter_trace_chunks(
         return _parse_msr(rows, linenos, meta, path, tick_base=tick_base)
 
     with _open(path, "r") as fh:
-        if max_requests != 0:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                _parse_meta(line, meta, path, lineno)
+                continue
+            fields = line.split(",")
+            if dialect is None:
+                if header is None and _looks_like_header(fields):
+                    header = [f.strip().lower() for f in fields]
+                    header_line = lineno
+                    dialect = "canonical"
                     continue
-                if line.startswith("#"):
-                    _parse_meta(line, meta, path, lineno)
-                    continue
-                fields = line.split(",")
-                if dialect is None:
-                    if header is None and _looks_like_header(fields):
-                        header = [f.strip().lower() for f in fields]
-                        header_line = lineno
-                        dialect = "canonical"
-                        continue
-                    if header is None:
-                        if len(fields) < 6:
-                            raise TraceFormatError(
-                                path, lineno,
-                                f"unrecognised trace dialect: {len(fields)} "
-                                "columns, no header",
-                            )
-                        dialect = "msr"
-                rows.append(fields)
-                linenos.append(lineno)
-                total += 1
-                hit_cap = max_requests is not None and total >= max_requests
-                if len(rows) >= chunk_requests or hit_cap:
-                    yield flush()
-                    rows = []
-                    linenos = []
-                if hit_cap:
-                    return
+                if header is None:
+                    if len(fields) < 6:
+                        raise TraceFormatError(
+                            path, lineno,
+                            f"unrecognised trace dialect: {len(fields)} "
+                            "columns, no header",
+                        )
+                    dialect = "msr"
+            rows.append(fields)
+            linenos.append(lineno)
+            if len(rows) >= chunk_requests:
+                yield flush()
+                rows = []
+                linenos = []
     if rows:
         yield flush()

@@ -154,11 +154,6 @@ class Trace:
             return 0.0
         return float(self.times[-1] - self.times[0])
 
-    @property
-    def interarrivals(self) -> np.ndarray:
-        """Gaps between consecutive arrivals (length ``len - 1``)."""
-        return np.diff(self.times)
-
     def records(self) -> Iterator[TraceRecord]:
         """Iterate records (lazy; suitable for the replayer)."""
         for i in range(len(self.times)):
@@ -198,18 +193,6 @@ class Trace:
         edges = self.times[0] + np.arange(nbins + 1) * bin_seconds
         counts, _ = np.histogram(self.times, bins=edges)
         return counts
-
-    @classmethod
-    def from_records(cls, records, **metadata) -> "Trace":
-        """Build from an iterable of :class:`TraceRecord`-like objects."""
-        records = list(records)
-        return cls(
-            np.array([r.time for r in records], dtype=float),
-            np.array([r.lbn for r in records], dtype=np.int64),
-            np.array([r.sectors for r in records], dtype=np.int64),
-            np.array([r.is_write for r in records], dtype=bool),
-            **metadata,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -155,8 +155,6 @@ def write_trace(
     directory: Union[str, Path],
     chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
     name: Optional[str] = None,
-    description: Optional[str] = None,
-    capacity_sectors: Optional[int] = None,
 ) -> "StoredTrace":
     """Write a trace (or stream of trace chunks) as an on-disk store.
 
@@ -165,9 +163,10 @@ def write_trace(
     output); chunks are re-packed to uniform ``chunk_requests``
     boundaries so the layout — and therefore every per-chunk digest —
     depends only on the trace content, not on how the writer chunked it.
-    Metadata defaults come from the first chunk.  The header is written
-    *last*: a crashed write leaves chunk files but no header, and
-    :meth:`StoredTrace.open` refuses the directory outright.
+    Metadata comes from the first chunk (``name`` overrides its name).
+    The header is written *last*: a crashed write leaves chunk files but
+    no header, and :meth:`StoredTrace.open` refuses the directory
+    outright.
 
     Peak memory is O(``chunk_requests``): chunks stream through a
     bounded re-pack buffer, and the whole-trace digest is computed
@@ -236,14 +235,8 @@ def write_trace(
         if not meta:
             meta = {
                 "name": chunk.name if name is None else name,
-                "description": (
-                    chunk.description if description is None else description
-                ),
-                "capacity_sectors": (
-                    chunk.capacity_sectors
-                    if capacity_sectors is None
-                    else capacity_sectors
-                ),
+                "description": chunk.description,
+                "capacity_sectors": chunk.capacity_sectors,
             }
         if len(chunk) == 0:
             continue
@@ -256,11 +249,7 @@ def write_trace(
     if buffered:
         flush(buffered)
     if not meta:
-        meta = {
-            "name": name or "",
-            "description": description or "",
-            "capacity_sectors": capacity_sectors,
-        }
+        meta = {"name": name or "", "description": "", "capacity_sectors": None}
 
     # Whole-trace content digest, column-major across chunk files —
     # byte-for-byte the sequence Trace.digest() hashes, so the stored
@@ -462,28 +451,6 @@ class StoredTrace:
         """Per-record iteration for the legacy replay feed."""
         for chunk in self.iter_chunks():
             yield from chunk.records()
-
-    def as_trace(self) -> Trace:
-        """Materialise the whole trace in memory (O(n) — tests and
-        small traces only; everything hot should consume chunks)."""
-        n = len(self)
-        buf = bytearray(packed_nbytes(n))
-        views = column_views(buf, n)
-        offset = 0
-        for chunk in self.iter_chunks():
-            m = len(chunk)
-            for attr in views:
-                views[attr][offset:offset + m] = getattr(chunk, attr)
-            offset += m
-        trace = Trace(
-            views["times"], views["lbns"], views["sectors"], views["is_write"],
-            name=self.name,
-            description=self.description,
-            capacity_sectors=self.capacity_sectors,
-            validate=False,
-        )
-        trace._digest = self.digest()
-        return trace
 
     def verify(self) -> None:
         """Full audit: every chunk digest plus the whole-trace digest.

@@ -110,9 +110,9 @@ def _first_difference(a: dict, b: dict) -> str:
     return "signatures differ but no key-level difference found"
 
 
-def _clip(value, limit: int = 160) -> str:
+def _clip(value) -> str:
     text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 160 else text[:157] + "..."
 
 
 def _compare(

@@ -47,7 +47,7 @@ from repro.fleet.spec import (
     group_seed,
 )
 from repro.obs.worker import PROBE
-from repro.parallel.runner import derive_seed
+from repro.parallel.cache import derive_seed
 from repro.raid.reliability import HOURS_PER_YEAR, lse_exposure_probability
 from repro.telemetry.metrics import MetricsRegistry
 from repro.verify.invariants import InvariantViolation

@@ -121,23 +121,16 @@ class InvariantSink(TelemetrySink):
     Parameters
     ----------
     total_sectors:
-        Disk size for LBN-bound and scrub-coverage checks; ``None``
-        skips both (the other invariants still run).
-    check_coverage:
-        Validate that completed scrub passes covered the full disk.
-        Leave on unless the scenario legitimately scrubs a subset.
+        Disk size for LBN-bound and scrub-coverage checks (every
+        completed scrub pass must cover the whole disk); ``None`` skips
+        both (the other invariants still run).
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        total_sectors: Optional[int] = None,
-        check_coverage: bool = True,
-    ) -> None:
+    def __init__(self, total_sectors: Optional[int] = None) -> None:
         super().__init__()
         self.total_sectors = total_sectors
-        self.check_coverage = check_coverage
         self.last_time = float("-inf")
         self.events_seen = 0
         #: Lifecycle state by request sequence number.
@@ -267,7 +260,7 @@ class InvariantSink(TelemetrySink):
                 now,
             )
         extents = self._pass_extents.pop(source, [])
-        if not self.check_coverage or self.total_sectors is None:
+        if self.total_sectors is None:
             return
         merged = _merge_extents(extents)
         covered = sum(end - start for start, end in merged)
@@ -333,12 +326,6 @@ class InvariantSink(TelemetrySink):
         self._note(sim_time, "engine_run", f"{events} events")
         if events < 0:
             self._fail("queue-accounting", f"negative event count {events}", sim_time)
-
-    # -- generic -------------------------------------------------------------
-    def instant(
-        self, now: float, category: str, name: str, args: Optional[dict] = None
-    ) -> None:
-        self._note(now, "instant", f"{category}.{name}")
 
     # -- post-run ------------------------------------------------------------
     def finish(self, faults: Any = None) -> None:

@@ -284,17 +284,15 @@ class SelfTestResult(NamedTuple):
     clean_after: bool
 
 
-def run_selftest(names=None) -> List[SelfTestResult]:
+def run_selftest() -> List[SelfTestResult]:
     """Plant each mutation; the harness must reject every one.
 
     Returns one :class:`SelfTestResult` per mutation.  ``caught`` is
     ``True`` only when the expected exception type fired *and* the
     clean scenario passes again afterwards (no patch leakage).
     """
-    selected = list(names) if names is not None else list(MUTATIONS)
     results = []
-    for name in selected:
-        mutation = MUTATIONS[name]
+    for name, mutation in MUTATIONS.items():
         caught = False
         detail = "no violation raised — the planted bug went undetected"
         with mutation.patch():

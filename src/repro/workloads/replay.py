@@ -76,17 +76,13 @@ class _ReplayCursor(Event):
       wakeup (the generator never re-checks ``due`` after its
       ``timeout`` fires), then same-time records drain while
       ``due <= now``;
-    * exhaustion pushes the cursor itself as a completion event, and a
-      wrap violation fails the cursor, mirroring ``Process._resume``'s
-      ``StopIteration`` / exception handling.
+    * exhaustion pushes the cursor itself as a completion event,
+      mirroring ``Process._resume``'s ``StopIteration`` handling.
     """
 
     __slots__ = (
         "device",
         "time_scale",
-        "priority",
-        "source",
-        "wrap_lbn",
         "count",
         "_on_fire",
         "_fire_ev",
@@ -102,7 +98,6 @@ class _ReplayCursor(Event):
         "_lbns",
         "_secs",
         "_writes",
-        "_bad",
         "_block_len",
         "_idx",
         "_designated",
@@ -115,16 +110,10 @@ class _ReplayCursor(Event):
         device: BlockDevice,
         chunks: Iterable[Trace],
         time_scale: float,
-        priority: PriorityClass,
-        source: str,
-        wrap_lbn: bool,
     ) -> None:
         super().__init__(sim)
         self.device = device
         self.time_scale = time_scale
-        self.priority = priority
-        self.source = source
-        self.wrap_lbn = wrap_lbn
         #: Requests submitted so far (mirrors the legacy counter).
         self.count = 0
         self._on_fire = self._fire
@@ -141,7 +130,6 @@ class _ReplayCursor(Event):
         self._lbns: List[int] = []
         self._secs: List[int] = []
         self._writes: List[bool] = []
-        self._bad = -1
         self._block_len = 0
         self._idx = 0
         self._designated = False
@@ -224,8 +212,7 @@ class _ReplayCursor(Event):
             # submit it unconditionally, like the generator resuming
             # after its timeout.
             self._designated = False
-            if not self._submit(idx):
-                return
+            self._submit(idx)
             idx += 1
         dues = self._dues
         n = self._block_len
@@ -240,8 +227,7 @@ class _ReplayCursor(Event):
                 n = self._block_len
             if dues[idx] > now:
                 break
-            if not self._submit(idx):
-                return
+            self._submit(idx)
             idx += 1
         self._idx = idx
         self._designated = True
@@ -258,27 +244,15 @@ class _ReplayCursor(Event):
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (now + (dues[idx] - now), seq, ev))
 
-    def _submit(self, idx: int) -> bool:
-        if idx == self._bad:
-            self._done = True
-            self._close()
-            Event.fail(
-                self,
-                ValueError(
-                    f"record at LBN {self._lbns[idx]} exceeds device "
-                    f"size {self._total}"
-                ),
-            )
-            return False
+    def _submit(self, idx: int) -> None:
         if self._writes[idx]:
             command = DiskCommand.write(self._lbns[idx], self._secs[idx])
         else:
             command = DiskCommand.read(self._lbns[idx], self._secs[idx])
         self.device.submit(
-            IORequest(command, priority=self.priority, source=self.source)
+            IORequest(command, priority=PriorityClass.BE, source="foreground")
         )
         self.count += 1
-        return True
 
     # -- block conversion --------------------------------------------------
     def _next_block(self) -> bool:
@@ -316,26 +290,22 @@ class _ReplayCursor(Event):
         secs = np.maximum(1, chunk.sectors[a:b])
         lbns = chunk.lbns[a:b]
         total = self._total
-        bad = -1
         over = lbns + secs > total
         if over.any():
-            if self.wrap_lbn:
-                lbns = np.where(over, lbns % np.maximum(1, total - secs), lbns)
-            else:
-                # Lazy, like the generator: records before the first
-                # violation still replay; the error fires only if the
-                # cursor reaches the offending record.
-                bad = int(np.argmax(over))
+            lbns = np.where(over, lbns % np.maximum(1, total - secs), lbns)
         self._dues = dues.tolist()
         self._lbns = lbns.tolist()
         self._secs = secs.tolist()
         self._writes = chunk.is_write[a:b].tolist()
-        self._bad = bad
         self._block_len = b - a
 
 
 class TraceReplayer:
     """Replay a trace open-loop.
+
+    Requests are best-effort reads and writes from source
+    ``"foreground"``.  If the traced disk was larger than the simulated
+    one, an LBN past the end wraps modulo the simulated size.
 
     Parameters
     ----------
@@ -350,9 +320,6 @@ class TraceReplayer:
         arrival time (legacy path; sorted here).
     time_scale:
         Multiplier on inter-arrival times (e.g. 0.5 replays twice as fast).
-    wrap_lbn:
-        If the traced disk was larger than the simulated one, wrap LBNs
-        modulo the simulated size rather than failing.
     """
 
     def __init__(
@@ -361,18 +328,12 @@ class TraceReplayer:
         device: BlockDevice,
         records,
         time_scale: float = 1.0,
-        priority: PriorityClass = PriorityClass.BE,
-        source: str = "foreground",
-        wrap_lbn: bool = True,
     ) -> None:
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive: {time_scale}")
         self.sim = sim
         self.device = device
         self.time_scale = time_scale
-        self.priority = priority
-        self.source = source
-        self.wrap_lbn = wrap_lbn
         self._submitted = 0
         self._process: Optional[Process] = None
         self._cursor: Optional[_ReplayCursor] = None
@@ -416,13 +377,7 @@ class TraceReplayer:
             raise RuntimeError("replayer already started")
         if self.records is None:
             self._cursor = _ReplayCursor(
-                self.sim,
-                self.device,
-                self._chunks,
-                self.time_scale,
-                self.priority,
-                self.source,
-                self.wrap_lbn,
+                self.sim, self.device, self._chunks, self.time_scale
             )
             return self._cursor._start()
         self._process = self.sim.process(self._run())
@@ -450,10 +405,6 @@ class TraceReplayer:
                 sectors = max(1, int(record.sectors))
                 lbn = int(record.lbn)
                 if lbn + sectors > total:
-                    if not self.wrap_lbn:
-                        raise ValueError(
-                            f"record at LBN {lbn} exceeds device size {total}"
-                        )
                     lbn = lbn % max(1, total - sectors)
                 command = (
                     DiskCommand.write(lbn, sectors)
@@ -461,7 +412,7 @@ class TraceReplayer:
                     else DiskCommand.read(lbn, sectors)
                 )
                 self.device.submit(
-                    IORequest(command, priority=self.priority, source=self.source)
+                    IORequest(command, priority=PriorityClass.BE, source="foreground")
                 )
                 self._submitted += 1
         except Interrupt:

@@ -3,9 +3,9 @@
 Two generators mirror the paper's synthetic experiments:
 
 * :class:`SequentialReader` — picks a random sector, reads the
-  following ``chunk_bytes`` (default 8 MB) in ``request_bytes``
-  (default 64 KB) sequential reads, then thinks for an exponentially
-  distributed time (mean 100 ms by default) and repeats.
+  following :data:`CHUNK_BYTES` (8 MB) in ``request_bytes`` (default
+  64 KB) sequential reads, then thinks for an exponentially distributed
+  time (mean 100 ms by default) and repeats.
 * :class:`RandomReader` — reads ``request_bytes`` from a uniformly
   random location, thinking between requests.
 
@@ -25,6 +25,11 @@ from repro.disk.commands import SECTOR_SIZE, DiskCommand
 from repro.sched.device import BlockDevice
 from repro.sched.request import IORequest, PriorityClass
 from repro.sim import Interrupt, Process, Simulation
+
+#: Bytes a :class:`SequentialReader` reads from one random start before
+#: it thinks: the 8 MB chunks of the paper's sequential workload
+#: (Section IV-B).
+CHUNK_BYTES = 8 * 1024 * 1024
 
 
 class _ClosedLoopWorkload:
@@ -95,21 +100,16 @@ class _ClosedLoopWorkload:
 class SequentialReader(_ClosedLoopWorkload):
     """Random-chunk sequential reader: 8 MB chunks of 64 KB reads.
 
-    ``think_scope`` selects where the exponential think time applies:
-    ``"chunk"`` (default, between 8 MB chunks — calibrated to the
-    foreground throughput the paper reports) or ``"request"`` (between
-    every read).
+    The exponential think time falls between chunks (calibrated to the
+    foreground throughput the paper reports); reads within a chunk are
+    separated by the host ``turnaround`` only.
     """
 
-    def __init__(self, *args, chunk_bytes: int = 8 * 1024 * 1024,
-                 think_scope: str = "chunk", **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if think_scope not in ("chunk", "request"):
-            raise ValueError(f"unknown think_scope: {think_scope!r}")
-        if chunk_bytes % (self.request_sectors * SECTOR_SIZE):
-            raise ValueError("chunk_bytes must be a multiple of request_bytes")
-        self.chunk_sectors = chunk_bytes // SECTOR_SIZE
-        self.think_scope = think_scope
+        if CHUNK_BYTES % (self.request_sectors * SECTOR_SIZE):
+            raise ValueError("request_bytes must divide the 8 MB chunk")
+        self.chunk_sectors = CHUNK_BYTES // SECTOR_SIZE
         self.chunks_read = 0
 
     def _run(self):
@@ -122,13 +122,10 @@ class SequentialReader(_ClosedLoopWorkload):
                 ) * self.request_sectors
                 for offset in range(0, self.chunk_sectors, self.request_sectors):
                     yield self._do_read(start + offset)
-                    if self.think_scope == "request":
-                        yield self._think()
-                    elif self.turnaround > 0:
+                    if self.turnaround > 0:
                         yield self.sim.timeout(self.turnaround)
                 self.chunks_read += 1
-                if self.think_scope == "chunk":
-                    yield self._think()
+                yield self._think()
         except Interrupt:
             return
 

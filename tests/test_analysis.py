@@ -92,10 +92,6 @@ class TestCollisionEvaluation:
         assert rates == sorted(rates, reverse=True)
         assert utils == sorted(utils, reverse=True)
 
-    def test_dominates(self, durations):
-        points = sweep_policy_cls(WaitingPolicy, [0.05, 0.2], durations)
-        assert not points[0].dominates(points[1])
-
     def test_validation(self, durations):
         with pytest.raises(ValueError):
             evaluate_policy(WaitingPolicy(0.1), np.array([]))

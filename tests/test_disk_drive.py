@@ -85,8 +85,11 @@ class TestBasics:
         )
 
     def test_media_rate_decreases_inward(self, ultrastar):
-        outer = ultrastar.media_rate(0)
-        inner = ultrastar.media_rate(ultrastar.total_sectors - 1)
+        # One revolution sweeps one track: the rate is proportional to
+        # the sectors per track.
+        locate = ultrastar.geometry.locate
+        outer = locate(0).sectors_per_track
+        inner = locate(ultrastar.total_sectors - 1).sectors_per_track
         assert outer > inner
 
     def test_commands_counted(self, ultrastar):
@@ -198,16 +201,10 @@ class TestReadCaching:
         after = drive.service(DiskCommand.read(1000, 64), t)
         assert not after.cache_hit
 
-    def test_set_cache_enabled_drops_contents(self):
-        drive = Drive(hitachi_ultrastar_15k450(), cache_enabled=True)
-        drive.service(DiskCommand.read(0, 64), 0.0)
-        drive.set_cache_enabled(False)
-        assert len(drive.cache) == 0
-
 
 class TestMultiTrackTransfers:
     def test_large_transfer_crosses_tracks(self, ultrastar):
-        spt = ultrastar.geometry.sectors_per_track_at(0)
+        spt = ultrastar.geometry.locate(0).sectors_per_track
         br = ultrastar.service(DiskCommand.verify(0, spt * 3), 0.0)
         # Three track sweeps plus two switches: at least 3 revolutions.
         assert br.transfer >= 2.9 * ultrastar.rotation.period
@@ -215,7 +212,7 @@ class TestMultiTrackTransfers:
     def test_skew_hides_head_switch(self, ultrastar):
         """With proper skew, crossing a track costs far less than a
         revolution of re-positioning."""
-        spt = ultrastar.geometry.sectors_per_track_at(0)
+        spt = ultrastar.geometry.locate(0).sectors_per_track
         br = ultrastar.service(DiskCommand.verify(0, spt * 2), 0.0)
         # rotation component: initial positioning plus per-switch waits.
         assert br.rotation < 1.5 * ultrastar.rotation.period
@@ -377,8 +374,8 @@ class _ReferenceDrive(Drive):
     """``Drive`` with the old mechanical model and the old service path;
     the cache, the fault state and everything else are shared code."""
 
-    def __init__(self, spec, cache_enabled=True, faults=None):
-        super().__init__(spec, cache_enabled=cache_enabled, faults=faults)
+    def __init__(self, spec, cache_enabled=True):
+        super().__init__(spec, cache_enabled=cache_enabled)
         self.geometry = _ReferenceGeometry.zoned(
             heads=spec.heads,
             cylinders=spec.cylinders,
@@ -583,7 +580,8 @@ def _plan_for(stream, spec, cache_enabled, rng):
         )
 
     # When each command starts and finishes, read off the production drive.
-    drive = Drive(spec, cache_enabled=cache_enabled, faults=MediaFaults(plan()))
+    drive = Drive(spec, cache_enabled=cache_enabled)
+    drive.install_faults(MediaFaults(plan()))
     now, spans = 0.0, []
     for opcode, lbn, sectors, gap in stream:
         finish = drive.service(DiskCommand(opcode, lbn, sectors), now).finish
@@ -621,10 +619,10 @@ def _check_against_reference(preset, cache_enabled, with_faults, seed):
     rng = np.random.default_rng(seed)
     stream = _draw_stream(spec, rng, 60)
     plan = _plan_for(stream, spec, cache_enabled, rng) if with_faults else None
-    new, old = (
-        cls(spec, cache_enabled, MediaFaults(plan) if with_faults else None)
-        for cls in (Drive, _ReferenceDrive)
-    )
+    new, old = Drive(spec, cache_enabled), _ReferenceDrive(spec, cache_enabled)
+    if with_faults:
+        new.install_faults(MediaFaults(plan))
+        old.install_faults(MediaFaults(plan))
     now = 0.0
     for opcode, lbn, sectors, gap in stream:
         command = DiskCommand(opcode, lbn, sectors)

@@ -21,7 +21,7 @@ def test_capacity_bytes(simple):
 
 def test_cylinder_and_track_counts(simple):
     assert simple.cylinders == 5
-    assert simple.tracks == 10
+    assert simple.locate(simple.total_sectors - 1).track_index == 10 - 1
 
 
 def test_locate_first_sector(simple):
@@ -65,11 +65,11 @@ def test_locate_out_of_range(simple):
 
 
 def test_zone_of_cylinder(simple):
-    assert simple.zone_of_cylinder(0) == 0
-    assert simple.zone_of_cylinder(1) == 0
-    assert simple.zone_of_cylinder(2) == 1
-    with pytest.raises(ValueError):
-        simple.zone_of_cylinder(5)
+    # Cylinders 0-1 are zone 0 (10 spt), 2-4 zone 1 (6 spt); 20 sectors
+    # a cylinder in zone 0, 12 in zone 1.
+    for lbn, cylinder, spt in ((0, 0, 10), (20, 1, 10), (40, 2, 6), (64, 4, 6)):
+        loc = simple.locate(lbn)
+        assert (loc.cylinder, loc.sectors_per_track) == (cylinder, spt)
 
 
 def test_angle_without_skew(simple):
@@ -86,8 +86,9 @@ def test_angle_with_skew():
 
 
 def test_sectors_per_track_at(simple):
-    assert simple.sectors_per_track_at(0) == 10
-    assert simple.sectors_per_track_at(40) == 6
+    assert simple.locate(0).sectors_per_track == 10
+    assert simple.locate(39).sectors_per_track == 10
+    assert simple.locate(40).sectors_per_track == 6
 
 
 def test_uniform_constructor():

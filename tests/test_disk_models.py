@@ -61,7 +61,8 @@ class TestPresets:
         paper-era drives actually had."""
         for factory in PRESETS.values():
             drive = Drive(factory())
-            rate = drive.media_rate(0)
+            spt = drive.geometry.locate(0).sectors_per_track
+            rate = spt * 512 / drive.rotation.period
             assert 50e6 < rate < 250e6, factory().name
 
     def test_with_overrides_replaces_fields(self):

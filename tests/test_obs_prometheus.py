@@ -48,9 +48,8 @@ class TestLines:
         lines = prometheus_lines(
             {"counters": {"drive-0.cache/hits": 1}, "gauges": {},
              "histograms": {}},
-            prefix="",
         )
-        assert "drive_0_cache_hits 1" in lines
+        assert "repro_drive_0_cache_hits 1" in lines
 
     def test_nonfinite_values(self):
         lines = prometheus_lines(

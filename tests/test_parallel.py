@@ -82,12 +82,12 @@ class TestSerialParallelIdentical:
     def test_parallel_results_bit_identical_to_serial(
         self, param_sets, base_seed
     ):
-        serial = SweepRunner(workers=0, base_seed=base_seed).map(
-            _noisy_dot, param_sets, seed_param="seed"
-        )
-        parallel = SweepRunner(workers=2, base_seed=base_seed).map(
-            _noisy_dot, param_sets, seed_param="seed"
-        )
+        param_sets = [
+            dict(params, seed=derive_seed(base_seed, index))
+            for index, params in enumerate(param_sets)
+        ]
+        serial = SweepRunner(workers=0).map(_noisy_dot, param_sets)
+        parallel = SweepRunner(workers=2).map(_noisy_dot, param_sets)
         assert serial == parallel  # exact float equality, not approx
 
     def test_results_keep_input_order(self):
@@ -124,13 +124,6 @@ class TestSerialParallelIdentical:
     def test_task_kwarg_named_task_does_not_collide(self):
         params = [{"task": i, "scale": 3} for i in range(3)]
         assert SweepRunner(workers=2).map(_echo, params) == [0, 3, 6]
-
-    def test_explicit_seed_wins_over_derived(self):
-        params = [{"values": [1.0, 2.0], "scale": 1.0, "seed": 7}]
-        (explicit,) = SweepRunner(workers=0, base_seed=99).map(
-            _noisy_dot, params, seed_param="seed"
-        )
-        assert explicit == _noisy_dot([1.0, 2.0], 1.0, 7)
 
 
 class TestDeriveSeed:
@@ -609,73 +602,6 @@ class TestCachePoisoning:
         assert outcome_signature(recomputed[0]) == outcome_signature(clean[0])
 
 
-class TestCacheSizeBudget:
-    """max_bytes turns the cache into an LRU bounded by disk footprint."""
-
-    def _fill(self, cache, count, payload=2048):
-        keys = []
-        for i in range(count):
-            key = cache.key(_square, {"x": i, "pad": "p" * 8})
-            cache.put(key, b"\x00" * payload)
-            keys.append(key)
-        return keys
-
-    def test_unbounded_by_default(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._fill(cache, 8)
-        assert cache.lru_evictions == 0
-        assert sum(1 for _ in tmp_path.glob("*/*.pkl")) == 8
-
-    def test_put_evicts_oldest_first(self, tmp_path):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path, max_bytes=6 * 2200)
-        keys = self._fill(cache, 4)
-        # Make access order unambiguous regardless of filesystem
-        # timestamp granularity.
-        for age, key in enumerate(keys):
-            os.utime(cache._path(key), (age, age))
-        self._fill(cache, 4, payload=4096)  # push well past the budget
-        assert cache.lru_evictions > 0
-        # The oldest entry went first; the newest write always survives.
-        hit0, _ = cache.get(keys[0])
-        assert not hit0
-
-    def test_read_refreshes_lru_position(self, tmp_path):
-        import os
-
-        cache = ResultCache(tmp_path, max_bytes=1 << 20)
-        keys = self._fill(cache, 3)
-        for age, key in enumerate(keys):
-            os.utime(cache._path(key), (age, age))
-        hit, _ = cache.get(keys[0])  # refresh the oldest entry's atime
-        assert hit
-        stats = [cache._path(k).stat().st_atime for k in keys]
-        assert stats[0] > stats[1]  # no longer the eviction candidate
-
-    def test_just_written_entry_never_evicted(self, tmp_path):
-        cache = ResultCache(tmp_path, max_bytes=64)  # smaller than one entry
-        key = cache.key(_square, {"x": 1})
-        cache.put(key, b"\x00" * 4096)
-        hit, value = cache.get(key)
-        assert hit and value == b"\x00" * 4096
-
-    def test_budget_counts_in_telemetry(self, tmp_path):
-        from repro.telemetry import Recorder
-
-        recorder = Recorder(wall_time=False)
-        cache = ResultCache(tmp_path, max_bytes=4096, telemetry=recorder)
-        self._fill(cache, 6)
-        assert cache.lru_evictions > 0
-        counters = recorder.metrics.snapshot()["counters"]
-        assert counters["cache.lru_evictions"] == cache.lru_evictions
-
-    def test_invalid_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            ResultCache(tmp_path, max_bytes=0)
-
-
 # -- trace parameters: inherited by the workers, keyed by content ------------
 
 def make_trace(**meta):
@@ -689,12 +615,11 @@ def make_trace(**meta):
 
 
 def _trace_stats(trace, factor=1):
-    if not isinstance(trace, Trace):  # a StoredTrace
-        trace = trace.as_trace()
-    return (
-        len(trace), float(trace.times[-1]), trace.digest()[:12], factor,
-        os.getpid(),
-    )
+    if isinstance(trace, Trace):
+        last = trace.times[-1]
+    else:  # a StoredTrace
+        last = trace.chunk(trace.chunk_count - 1).times[-1]
+    return (len(trace), float(last), trace.digest()[:12], factor, os.getpid())
 
 
 def _flaky_trace(sentinel, trace, crash=False):

@@ -45,7 +45,7 @@ class TestGeometryProperties:
         assert 0 <= loc.cylinder < geometry.cylinders
         assert 0 <= loc.head < geometry.heads
         assert 0 <= loc.sector < loc.sectors_per_track
-        assert 0 <= loc.track_index < geometry.tracks
+        assert 0 <= loc.track_index < geometry.cylinders * geometry.heads
         assert 0.0 <= geometry.angle_of(loc) < 1.0
 
     @given(geometry=geometries)
@@ -165,7 +165,7 @@ class TestDriveProperties:
         breakdown = drive.service(
             DiskCommand.verify(drive.total_sectors // 2, sectors), 0.0
         )
-        spt = drive.geometry.sectors_per_track_at(drive.total_sectors // 2)
+        spt = drive.geometry.locate(drive.total_sectors // 2).sectors_per_track
         period = drive.rotation.period
         min_time = (sectors / spt) * period * 0.5
         tracks = sectors // spt + 2

@@ -141,23 +141,6 @@ class TestCursorParity:
 
         assert run(trace) == run(trace.records()) == 0
 
-    def test_oversized_lbn_error_parity(self):
-        bad = Trace([0.0, 1.0], [0, 10**12], [8, 8], [False, False])
-
-        def run(source):
-            sim = Simulation()
-            device = BlockDevice(
-                sim, Drive(hitachi_ultrastar_15k450()), CFQScheduler()
-            )
-            replayer = TraceReplayer(sim, device, source, wrap_lbn=False)
-            replayer.start()
-            with pytest.raises(ValueError) as excinfo:
-                sim.run(until=10.0)
-            return str(excinfo.value), replayer.submitted
-
-        assert run(bad) == run(bad.records())
-        assert "exceeds device size" in run(bad)[0]
-
 
 class TestMeanSlowdownGuards:
     def _result(self, digest="d1", horizon=HORIZON, n=100):

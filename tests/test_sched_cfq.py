@@ -17,10 +17,8 @@ def req(lbn=0, priority=PriorityClass.BE, source="fg", barrier=False, now=0.0):
     return request
 
 
-def make(idle_gate=0.010, slice_sync=0.1, slice_idle=0.008):
-    return CFQScheduler(
-        idle_gate=idle_gate, slice_sync=slice_sync, slice_idle=slice_idle
-    )
+def make(idle_gate=0.010):
+    return CFQScheduler(idle_gate=idle_gate)
 
 
 def test_empty_scheduler_sleeps():
@@ -89,7 +87,7 @@ def test_back_to_back_idle_requests_flow_once_gate_open():
 
 
 def test_be_slice_owner_keeps_disk():
-    cfq = make(slice_sync=0.1)
+    cfq = make()
     a1 = req(lbn=0, source="a")
     b1 = req(lbn=1000, source="b")
     cfq.add(a1, 0.0)
@@ -106,7 +104,7 @@ def test_be_slice_owner_keeps_disk():
 
 
 def test_be_slice_anticipation_waits_for_owner():
-    cfq = make(slice_sync=0.1, slice_idle=0.008)
+    cfq = make()
     a1 = req(lbn=0, source="a")
     cfq.add(a1, 0.0)
     first, _ = cfq.select(0.0)
@@ -123,7 +121,7 @@ def test_be_slice_anticipation_waits_for_owner():
 
 
 def test_be_slice_expires_and_rotates():
-    cfq = make(slice_sync=0.01)
+    cfq = make()
     a1 = req(lbn=0, source="a")
     a2 = req(lbn=8, source="a")
     b1 = req(lbn=1000, source="b")
@@ -132,8 +130,11 @@ def test_be_slice_expires_and_rotates():
     cfq.add(b1, 0.0)
     first, _ = cfq.select(0.0)
     assert first.source == "a"
-    # Past the slice end, the other source takes over despite "a" backlog.
-    second, _ = cfq.select(0.02)
+    # Within the 100 ms slice the owner's backlog keeps the disk...
+    assert cfq.select(0.099)[0] is a2
+    cfq.add(req(lbn=16, source="a", now=0.099), 0.099)
+    # ...past its end, the other source takes over despite "a" backlog.
+    second, _ = cfq.select(0.1)
     assert second is b1
 
 
@@ -198,5 +199,3 @@ def test_len_counts_all_queues():
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         CFQScheduler(idle_gate=-1)
-    with pytest.raises(ValueError):
-        CFQScheduler(slice_sync=0)

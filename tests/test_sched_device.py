@@ -1,6 +1,7 @@
 """Tests for BlockDevice and RequestLog (repro.sched.device) plus the
 noop/deadline schedulers."""
 
+import numpy as np
 import pytest
 
 from repro.disk import DiskCommand, Drive, hitachi_ultrastar_15k450
@@ -80,7 +81,7 @@ def test_deadline_sorts_by_lbn():
 
 
 def test_deadline_expiry_jumps_queue():
-    scheduler = DeadlineScheduler(read_expire=0.5)
+    scheduler = DeadlineScheduler()  # reads expire after 500 ms
     old = IORequest(DiskCommand.read(900_000, 8))
     old.stamp_submit(0.0)
     scheduler.add(old, 0.0)
@@ -113,7 +114,7 @@ def test_log_arrays():
         done = device.submit(IORequest(DiskCommand.read(lbn, 8)))
     sim.run(until=done)
     times = device.log.response_times()
-    waits = device.log.wait_times()
+    waits = np.array([r.wait_time for r in device.log.requests()])
     assert len(times) == 10
     assert (times >= waits).all()
     assert device.log.throughput(sim.now) == pytest.approx(

@@ -16,7 +16,6 @@ def test_empty_queue():
     queue = ElevatorQueue()
     assert len(queue) == 0
     assert not queue
-    assert queue.peek(0) is None
     assert queue.pop(0) is None
     assert queue.oldest() is None
 
@@ -41,13 +40,6 @@ def test_clook_wraps_to_lowest():
     for lbn in (100, 200):
         queue.add(req(lbn))
     assert queue.pop(500).command.lbn == 100
-
-
-def test_peek_does_not_remove():
-    queue = ElevatorQueue()
-    queue.add(req(100))
-    assert queue.peek(0).command.lbn == 100
-    assert len(queue) == 1
 
 
 def test_remove_specific_request():

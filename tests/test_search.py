@@ -105,14 +105,8 @@ class TestSearch:
         )
 
     def test_schedule_validation(self, workload):
-        with pytest.raises(ValueError, match="eta"):
-            SuccessiveHalvingSearch(**workload, eta=1)
         with pytest.raises(ValueError, match="keep_min"):
             SuccessiveHalvingSearch(**workload, keep_min=0)
-        with pytest.raises(ValueError, match="increasing"):
-            SuccessiveHalvingSearch(**workload, rung_fractions=(0.5, 0.1))
-        with pytest.raises(ValueError, match="iteration counts"):
-            SuccessiveHalvingSearch(**workload, rung_iterations=0)
 
     def test_tiny_sample_degenerates_to_exact_search(self, workload):
         """With fewer intervals than MIN_RUNG_SAMPLE every rung sees the
@@ -216,17 +210,18 @@ class TestSearchDifferential:
         )
 
     def test_violation_is_reported_as_mismatch(self, workload, monkeypatch):
-        # Sabotage the schedule the checker builds (keep only 1 arm
-        # from a 16-interval glance at the sample, no safety margin):
-        # the contract must be able to actually fail.
+        # Sabotage the schedule the checker builds (four rungs down to
+        # 1 arm, each from a 16-interval glance at the sample, no safety
+        # margin): the contract must be able to actually fail.
+        import repro.core.search as search
         import repro.verify.search as vs
 
+        monkeypatch.setattr(search, "RUNG_FRACTIONS", (1 / 512,) * 4)
+        monkeypatch.setattr(search, "MIN_RUNG_SAMPLE", 16)
+        monkeypatch.setattr(search, "RUNG_ITERATIONS", 1)
+
         def sabotaged(*args, **kwargs):
-            kwargs.update(
-                rung_fractions=(1 / 512,), keep_min=1, eta=64,
-                min_sample=16, rung_iterations=1,
-            )
-            return SuccessiveHalvingSearch(*args, **kwargs)
+            return SuccessiveHalvingSearch(*args, **kwargs, keep_min=1)
 
         monkeypatch.setattr(vs, "SuccessiveHalvingSearch", sabotaged)
         for seed in range(5):

@@ -181,14 +181,11 @@ def test_cancel_terminal_is_idempotent_noop(client):
 def test_events_bad_offset_400(client):
     _, p = client.submit(_spec(seed=105))
     job_id = p["job"]["id"]
-    status, payload = client._request(
-        "GET", f"/campaigns/{job_id}/events", query={"offset": "x"}
-    )
-    assert status == 400
-    status, payload = client._request(
-        "GET", f"/campaigns/{job_id}/events", query={"offset": -5}
-    )
-    assert status == 400
+    for offset in ("x", "-5"):
+        status, payload = client._request(
+            "GET", f"/campaigns/{job_id}/events?offset={offset}"
+        )
+        assert status == 400
 
 
 def test_submitted_metrics_bit_identical_to_direct_run(client):

@@ -6,6 +6,7 @@ live follow of a running campaign, and for any assembly of partial
 reads across disconnect/reconnect cycles.
 """
 
+import http.client
 import json
 import os
 import time
@@ -83,7 +84,9 @@ def test_follow_live_campaign_to_completion(service):
     client = ServiceClient(service.url, client="s")
     _, payload = client.submit(_spec(groups=4_800, shards=8, seed=203))
     job_id = payload["job"]["id"]
-    events = list(client.iter_events(job_id, follow=True))
+    status, raw = client.events(job_id, follow=True)
+    assert status == 200
+    events = [json.loads(line) for line in raw.splitlines() if line]
     assert events[-1]["event"] == "campaign_finished"
     shards_done = [e["shard"] for e in events if e["event"] == "shard_completed"]
     assert sorted(shards_done) == list(range(8))
@@ -102,10 +105,12 @@ def test_disconnect_reconnect_assembles_identical_bytes(service):
     assembled = b""
     # Read a little, hang up mid-stream, reconnect where we left off.
     for _round in range(64):
-        status, response, conn = client.stream_events(
-            job_id, offset=len(assembled), follow=True
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        conn.request(
+            "GET", f"/campaigns/{job_id}/events?offset={len(assembled)}&follow=1"
         )
-        assert status == 200
+        response = conn.getresponse()
+        assert response.status == 200
         chunk = response.read(97)  # deliberately ragged reads
         conn.close()  # disconnect, possibly mid-line
         assembled += chunk

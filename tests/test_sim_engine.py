@@ -149,15 +149,6 @@ def test_pending_event_value_access_raises():
         _ = ev.ok
 
 
-def test_trigger_copies_state():
-    sim = Simulation()
-    source = sim.event().succeed("payload")
-    target = sim.event()
-    target.trigger(source)
-    assert target.value == "payload"
-    sim.run()
-
-
 def test_two_simulations_are_independent():
     a, b = Simulation(), Simulation()
     a.timeout(5)

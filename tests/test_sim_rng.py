@@ -39,14 +39,3 @@ def test_stream_is_order_independent():
     draws_second_alone = s2.get("second").random(5)
     assert np.array_equal(draws_second, draws_second_alone)
 
-
-def test_spawn_derives_reproducible_family():
-    a = RandomStreams(seed=3).spawn("child").get("x").random(4)
-    b = RandomStreams(seed=3).spawn("child").get("x").random(4)
-    assert np.array_equal(a, b)
-
-
-def test_spawn_differs_from_parent():
-    parent = RandomStreams(seed=3)
-    child = parent.spawn("child")
-    assert not np.array_equal(parent.get("x").random(4), child.get("x").random(4))

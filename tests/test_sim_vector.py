@@ -282,19 +282,6 @@ class TestReusableTimeout:
         assert log_fresh == log_pooled
         assert fresh._seq == pooled._seq
 
-    def test_arm_carries_value(self):
-        sim = make_simulation("reference")
-        seen = []
-
-        def proc(sim):
-            timer = ReusableTimeout(sim)
-            seen.append((yield timer.arm(1.0, value="tick")))
-            seen.append((yield timer.arm(1.0)))
-
-        sim.process(proc(sim))
-        sim.run()
-        assert seen == ["tick", None]
-
     def test_born_processed(self):
         sim = make_simulation("reference")
         timer = ReusableTimeout(sim)

@@ -176,8 +176,7 @@ class TestSinks:
     def test_null_sink_disabled_and_silent(self):
         assert NULL_SINK.enabled is False
         assert isinstance(NULL_SINK, NullSink)
-        NULL_SINK.instant(0.0, "x", "y", {})  # all hooks are no-ops
-        NULL_SINK.engine_run(10, 1.0, 0.1)
+        NULL_SINK.engine_run(10, 1.0, 0.1)  # all hooks are no-ops
         assert len(NULL_SINK.metrics) == 0
 
     def test_base_sink_hooks_are_noops(self):

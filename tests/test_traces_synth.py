@@ -76,7 +76,7 @@ class TestGenerator:
         trace = make_generator(profile).generate()
         rate = len(trace) / trace.duration
         assert rate == pytest.approx(100.0, rel=0.1)
-        inter = trace.interarrivals
+        inter = np.diff(trace.times)
         cov = inter.std() / inter.mean()
         assert 0.9 < cov < 1.1
 
@@ -86,7 +86,7 @@ class TestGenerator:
             idle_gap_cov=20.0, burst_len_mean=10, hourly_profile=FLAT,
         )
         trace = make_generator(profile).generate()
-        inter = trace.interarrivals
+        inter = np.diff(trace.times)
         assert inter.std() / inter.mean() > 5.0
 
     def test_write_fraction_respected(self):
@@ -501,10 +501,11 @@ class TestIdleExtraction:
         assert starts[0] == pytest.approx(3.0)
 
     def test_min_duration_filter(self):
-        times = np.array([0.0, 0.2, 10.0])
-        service = np.full(3, 0.1)
-        _, durations = idle_intervals(times, service, min_duration=1.0)
-        assert len(durations) == 1
+        # The second request arrives as the first completes: no interval.
+        times = np.array([0.0, 0.125, 10.0])
+        service = np.full(3, 0.125)
+        _, durations = idle_intervals(times, service)
+        assert list(durations) == [10.0 - 0.25]
 
     def test_validation(self):
         with pytest.raises(ValueError):

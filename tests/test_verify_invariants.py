@@ -32,8 +32,8 @@ class _FakeRequest:
 
 
 class TestLifecycle:
-    def _sink(self, **kwargs):
-        return InvariantSink(total_sectors=1024, **kwargs)
+    def _sink(self):
+        return InvariantSink(total_sectors=1024)
 
     def test_clean_lifecycle_passes(self):
         sink = self._sink()

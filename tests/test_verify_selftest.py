@@ -13,9 +13,14 @@ from repro.verify import MUTATIONS, run_selftest
 from repro.verify.selftest import SelfTestResult
 
 
+@pytest.fixture(scope="module")
+def results():
+    return {result.name: result for result in run_selftest()}
+
+
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_mutation_is_caught(name):
-    (result,) = run_selftest([name])
+def test_mutation_is_caught(name, results):
+    result = results[name]
     assert isinstance(result, SelfTestResult)
     assert result.caught, (
         f"planted bug {name!r} ({MUTATIONS[name].description}) went "
