@@ -66,7 +66,9 @@ stack-budget:
 # then `repro trace` (the Waiting scrubber over injected faults and a
 # foreground reader) run twice: the request and error logs must be
 # byte-identical and the Chrome trace must parse; last the detection
-# experiment benchmark (ATA cache-bug A/B + serial/parallel identity).
+# experiment benchmark (ATA cache-bug A/B + serial/parallel identity)
+# and Table III's "Waiting vs CFQ" shape check, which runs the
+# threshold bisection on four 4 h catalog traces.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro detect --horizon 1.5 --cylinders 30
 	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
@@ -86,6 +88,7 @@ smoke:
 	cmp "$$out/P1.requests.jsonl" "$$out/P2.requests.jsonl"; \
 	cmp "$$out/P1.errors.jsonl" "$$out/P2.errors.jsonl"
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_fig_detection.py \
+		benchmarks/test_tab3_optimizer.py \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks
 

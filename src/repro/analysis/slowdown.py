@@ -31,8 +31,10 @@ class _SimMeter:
     size of the idle sample it answers for — not the number of array
     elements it touches, which is smaller (``durations > threshold``
     discards most intervals before any arithmetic, and a threshold
-    bisection hands :func:`fixed_waiting_pass` a working set that
-    shrinks as it converges).  That makes it a machine-independent
+    bisection step runs :func:`_waiting_arrays` on a working set that
+    shrinks as it converges; it charges the meter itself, 1 sim and
+    the sample's size, exactly as :func:`fixed_waiting_pass` would,
+    although it builds no result).  That makes it a machine-independent
     count of the logical work the exhaustive grid and the
     successive-halving search ask for, so their costs compare directly
     regardless of sample size; it is *not* proportional to seconds.
@@ -125,20 +127,54 @@ def fixed_waiting_pass(
     _validate(threshold, total_requests, span)
     SIM_METER.sims += 1
     SIM_METER.interval_evals += sample_size
-    usable = work[work > threshold] - threshold
+    usable = work[work > threshold]
+    usable -= threshold
+    return _fixed_result(
+        threshold, request_bytes, _waiting_arrays(usable, service),
+        total_requests, span, label,
+    )
 
-    complete = np.floor(usable / service)
-    partial = usable - complete * service
-    in_flight = partial > 0
-    delays = np.where(in_flight, service - partial, 0.0)
-    requests_done = complete + in_flight  # the in-flight one still finishes
-    scrub_bytes = float(requests_done.sum()) * request_bytes
 
+def _waiting_arrays(usable: np.ndarray, service: float):
+    """``(delays, complete, idle)`` of the intervals with ``usable``
+    seconds left after the wait threshold, ``usable`` in sample order.
+
+    Per interval: ``complete`` requests fit back to back; the one in
+    flight when the interval ends (``idle`` is False) delays the
+    arriving foreground request by its remaining service time and still
+    completes.  The one implementation of this arithmetic: a Waiting
+    pass and each threshold-bisection step call it.  ``usable``'s
+    buffer becomes ``delays``.
+    """
+    complete = np.divide(usable, service)
+    np.floor(complete, out=complete)
+    partial = np.multiply(complete, service)
+    np.subtract(usable, partial, out=partial)
+    idle = partial <= 0
+    delays = np.subtract(service, partial, out=usable)
+    np.copyto(delays, 0.0, where=idle)
+    return delays, complete, idle
+
+
+def _fixed_result(
+    threshold: float,
+    request_bytes: int,
+    arrays,
+    total_requests: int,
+    span: float,
+    label: str = "",
+) -> SlowdownResult:
+    """The :class:`SlowdownResult` of :func:`_waiting_arrays`' output."""
+    delays, complete, idle = arrays
+    # Integer-valued partial sums below 2**53: exact in any order.
+    requests_done = float(np.add.reduce(complete)) + (
+        len(idle) - int(np.count_nonzero(idle))
+    )
     return _result(
         threshold,
         label or f"fixed {request_bytes // 1024}KB",
         delays,
-        scrub_bytes,
+        requests_done * request_bytes,
         total_requests,
         span,
     )
@@ -238,8 +274,8 @@ def _result(
         label=label,
         collisions=collisions,
         total_requests=total_requests,
-        mean_slowdown=float(delays.sum()) / total_requests,
-        max_slowdown=float(delays.max()) if len(delays) else 0.0,
+        mean_slowdown=float(np.add.reduce(delays)) / total_requests,
+        max_slowdown=float(np.maximum.reduce(delays)) if len(delays) else 0.0,
         scrub_bytes=scrub_bytes,
         throughput=scrub_bytes / span,
     )

@@ -54,8 +54,10 @@ def add_trace_source(parser, corpus=False, foreground=False, seed=0) -> None:
     )
     if not foreground:
         parser.add_argument(
-            "--service-ms", type=float, default=4.0,
-            help="nominal per-request positioning time for idle extraction",
+            "--service-ms", type=float, default=None,
+            help="nominal per-request positioning time for idle extraction "
+            "(default: the catalog entry's with --synthetic, 0.2 for TPC-C "
+            "and 4.0 for the rest; 4.0 with --trace)",
         )
 
 
@@ -78,6 +80,20 @@ def load_trace(args, name=None):
         raise UsageError(str(exc)) from None
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
+
+
+def idle_positioning(args) -> float:
+    """Seconds of positioning per request that idle extraction assumes:
+    ``--service-ms`` when given, else the catalog entry's own with
+    ``--synthetic`` and 4 ms otherwise."""
+    from repro.traces.catalog import CATALOG
+    from repro.traces.idle import DEFAULT_POSITIONING
+
+    if args.service_ms is not None:
+        return args.service_ms / 1e3
+    if args.synthetic:
+        return CATALOG[args.synthetic].service_positioning
+    return DEFAULT_POSITIONING
 
 
 def open_corpus(path: str):

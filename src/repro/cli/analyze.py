@@ -4,7 +4,7 @@ from two days up, the ANOVA period)."""
 
 import numpy as np
 
-from ._shared import add_trace_source, load_trace
+from ._shared import add_trace_source, idle_positioning, load_trace
 
 
 def register(subparsers) -> None:
@@ -25,7 +25,7 @@ def run(args) -> int:
 
     trace = load_trace(args)
     _, durations = idle_intervals_from_trace(
-        trace, positioning=args.service_ms / 1e3
+        trace, positioning=idle_positioning(args)
     )
     if len(durations) == 0:
         print("no idle intervals found (trace saturated under this service model)")

@@ -10,8 +10,8 @@ import json
 
 from ._shared import (
     UsageError, add_sweep_flags, add_telemetry_flags, add_trace_source,
-    build_runner, drive_spec, load_trace, make_recorder, open_corpus,
-    print_telemetry,
+    build_runner, drive_spec, idle_positioning, load_trace, make_recorder,
+    open_corpus, print_telemetry,
 )
 
 
@@ -58,7 +58,7 @@ def _corpus_workloads(args, corpus, names):
     for name in names:
         stored = corpus.entry(name)
         positioning = corpus.describe(name).get(
-            "service_positioning", args.service_ms / 1e3
+            "service_positioning", idle_positioning(args)
         )
         _, durations = idle_intervals_streaming(
             stored.iter_chunks(), positioning=positioning
@@ -93,7 +93,7 @@ def run(args) -> int:
     else:
         trace = load_trace(args)
         _, durations = idle_intervals_from_trace(
-            trace, positioning=args.service_ms / 1e3
+            trace, positioning=idle_positioning(args)
         )
         if len(durations) == 0:
             print("no idle intervals found; nothing to optimise")

@@ -26,7 +26,10 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.service_model import ScrubServiceModel
-from repro.analysis.slowdown import SlowdownResult, fixed_waiting_pass
+from repro.analysis.slowdown import (
+    SIM_METER, SlowdownResult, _fixed_result, _waiting_arrays,
+    fixed_waiting_pass,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel import SweepRunner
@@ -179,30 +182,43 @@ class ScrubParameterOptimizer:
         The bisection owns a working set that only shrinks: a rejected
         midpoint becomes ``lo``, every later threshold is ``>= lo``, so
         an interval no longer than ``lo`` can never be usable again and
-        is dropped (order kept).  Each step's result is bit-identical
-        to simulating the whole sample, and is metered as that.
+        is dropped (order kept).  A step runs the Waiting arithmetic
+        (:func:`~repro.analysis.slowdown._waiting_arrays`) on the
+        intervals longer than its midpoint and reads one reduction, the
+        mean slowdown; the arrays of the last accepted step become the
+        one :class:`SlowdownResult` built at the end.  Each step's
+        answer is bit-identical to simulating the whole sample, and is
+        metered as that.  The service time is looked up once.
         """
         if slowdown_goal <= 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
         lo, hi = 0.0, float(self.durations.max())
-        if at_zero is None:
-            at_zero = self.simulate(0.0, request_bytes)
-        if at_zero.mean_slowdown <= slowdown_goal:
-            return at_zero
         service = self._service(request_bytes)
         work = self.durations
+        if at_zero is None:
+            at_zero = self._pass(work, 0.0, request_bytes, service)
+        if at_zero.mean_slowdown <= slowdown_goal:
+            return at_zero
         best = self._pass(work, hi, request_bytes, service)
         if best.mean_slowdown > slowdown_goal:
             return None
+        sample_size, total_requests = len(work), self.total_requests
+        accepted = None
         for _ in range(iterations):
             mid = (lo + hi) / 2.0
-            result = self._pass(work, mid, request_bytes, service)
-            if result.mean_slowdown <= slowdown_goal:
-                hi, best = mid, result
+            SIM_METER.sims += 1
+            SIM_METER.interval_evals += sample_size
+            kept = work[work > mid]
+            arrays = _waiting_arrays(kept - mid, service)
+            if np.add.reduce(arrays[0]) / total_requests <= slowdown_goal:
+                hi, accepted = mid, arrays
             else:
-                lo = mid
-                work = work[work > lo]
-        return best
+                lo, work = mid, kept
+        if accepted is None:
+            return best
+        return _fixed_result(
+            hi, request_bytes, accepted, total_requests, self.span
+        )
 
     # -- the headline call ----------------------------------------------------------
     def optimize(

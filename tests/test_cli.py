@@ -141,6 +141,34 @@ class TestOptimize:
         assert sum(row.lstrip()[:1].isdigit() for row in rows) == 3
 
 
+class TestIdlePositioning:
+    """``--service-ms`` defaults to the catalog entry's positioning time
+    with ``--synthetic``: 0.2 ms on the TPC-C entries, 4 ms elsewhere,
+    as the catalog's own ``trace_idle_intervals`` assumes."""
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_a_tpc_entry_has_idle_time_at_the_defaults(self, command, capsys):
+        goals = ["--goals-ms", "2.0"] if command == "optimize" else []
+        assert main([
+            command, "--synthetic", "TPCdisk66", "--duration", "600", *goals,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "no idle intervals" not in out
+        if command == "optimize":
+            assert "  2.00ms       3.7ms    4096KB" in out.splitlines()[2]
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    @pytest.mark.parametrize("name", ["MSRusr2", "HPc6t8d0"])
+    def test_a_4ms_entry_prints_what_4ms_prints(self, command, name, capsys):
+        argv = [command, "--synthetic", name, "--duration", "900"]
+        if command == "optimize":
+            argv += ["--goals-ms", "1.0", "4.0"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--service-ms", "4.0"]) == 0
+        assert capsys.readouterr().out == default
+
+
 @pytest.fixture
 def corpus_dir(tmp_path):
     path = tmp_path / "corpus"

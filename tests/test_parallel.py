@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.detection import detection_sweep_task
 from repro.analysis.service_model import ScrubServiceModel
+from repro.analysis.slowdown import SIM_METER
 from repro.core.optimizer import ScrubParameterOptimizer
 from repro.parallel import (
     ResultCache,
@@ -239,34 +240,23 @@ def optimizer():
 
 
 class TestOptimizerSweepCaching:
-    def test_warm_rerun_performs_zero_simulation_calls(
-        self, tmp_path, optimizer, monkeypatch
-    ):
+    def test_warm_rerun_performs_zero_simulation_calls(self, tmp_path, optimizer):
         goals = [0.001, 0.002]
         cold_runner = SweepRunner(workers=0, cache=ResultCache(tmp_path))
         cold = [optimizer.optimize(g, runner=cold_runner) for g in goals]
         assert cold_runner.executed > 0
 
-        import repro.core.optimizer as optimizer_module
-
         # Every simulation the optimizer runs (simulate and each
-        # bisection step alike) goes through this one function.
-        calls = {"n": 0}
-        real = optimizer_module.fixed_waiting_pass
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", counting)
+        # bisection step alike) charges this one meter one sim.
+        before = SIM_METER.sims
         warm_runner = SweepRunner(workers=0, cache=ResultCache(tmp_path))
         warm = [optimizer.optimize(g, runner=warm_runner) for g in goals]
 
         assert warm == cold
         assert warm_runner.executed == 0
-        assert calls["n"] == 0  # zero simulation calls on the warm rerun
+        assert SIM_METER.sims - before == 0  # zero simulations on the warm rerun
         optimizer.best_threshold(12 * 65536, 0.001, iterations=5)
-        assert calls["n"] == 7  # the spy sees threshold 0, hi and every step
+        assert SIM_METER.sims - before == 7  # threshold 0, hi and every step
 
     def test_runner_path_matches_serial_optimize(self, tmp_path, optimizer):
         runner = SweepRunner(workers=0, cache=ResultCache(tmp_path))

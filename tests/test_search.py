@@ -129,6 +129,15 @@ class TestSearchEffortIsPinned:
     bisection's working set still holds.  These literals were read off
     the search before it pruned; a silent redefinition fails here."""
 
+    #: The winner's (threshold, throughput, achieved slowdown), bit for
+    #: bit: the effort above can stay put while the arithmetic moves.
+    CHOSEN = {
+        "MSRusr2": ("0x1.e911778dc5d6ap-6", "0x1.6d11465b7d90bp+26",
+                    "0x1.059c4740a9448p-9"),
+        "TPCdisk88": ("0x1.05e456e9e505ap-8", "0x1.1481fa4e3e5b1p+27",
+                      "0x1.0623557950cfbp-9"),
+    }
+
     @pytest.mark.parametrize(
         "name, intervals, interval_evals, sims, rungs",
         [
@@ -156,7 +165,12 @@ class TestSearchEffortIsPinned:
         assert [rung.survivors for rung in outcome.rungs] == [
             _sizes(43), _sizes(57), _sizes(62)
         ]
-        assert outcome.best.request_bytes == 4 << 20
+        best = outcome.best
+        assert best.request_bytes == 4 << 20
+        assert (
+            best.threshold.hex(), best.throughput.hex(),
+            best.achieved_slowdown.hex(),
+        ) == self.CHOSEN[name]
 
 
 class TestRungSample:

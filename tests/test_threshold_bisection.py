@@ -2,9 +2,11 @@
 best-candidate rule (repro.core.optimizer).
 
 ``best_threshold`` drops every interval no longer than its rising lower
-bound.  That is an optimisation only: each step must return, bit for
-bit, what simulating the whole sample returns, and charge the effort
-meter as if it had.  The unpruned loop lives on here as the reference.
+bound, and a step computes only the mean slowdown it compares; the one
+result is built from the last accepted step's arrays.  Those are
+optimisations only: every answer must equal, bit for bit, what the
+unpruned bisection over the original Waiting arithmetic returns, and
+charge the effort meter as that did.  Both live on here as the oracle.
 """
 
 import dataclasses
@@ -27,18 +29,60 @@ SERVICE = ScrubServiceModel([65536, 4 * 1024 * 1024], [0.005, 0.045])
 SIZES = [65536, 1 << 20, 4 << 20]
 
 
-def reference_best_threshold(optimizer, request_bytes, goal, iterations):
+def _reference_pass(
+    work, sample_size, threshold, request_bytes, service, total_requests,
+    span, label="",
+):
+    """The fixed-size Waiting arithmetic as it was written first, one
+    ``where`` and one ``sum`` at a time, sharing no code with the
+    module under test."""
+    assert threshold >= 0 and total_requests > 0 and span > 0
+    SIM_METER.sims += 1
+    SIM_METER.interval_evals += sample_size
+    usable = work[work > threshold] - threshold
+
+    complete = np.floor(usable / service)
+    partial = usable - complete * service
+    in_flight = partial > 0
+    delays = np.where(in_flight, service - partial, 0.0)
+    requests_done = complete + in_flight  # the in-flight one still finishes
+    scrub_bytes = float(requests_done.sum()) * request_bytes
+
+    return SlowdownResult(
+        threshold=threshold,
+        label=label or f"fixed {request_bytes // 1024}KB",
+        collisions=int(np.count_nonzero(delays > 0)),
+        total_requests=total_requests,
+        mean_slowdown=float(delays.sum()) / total_requests,
+        max_slowdown=float(delays.max()) if len(delays) else 0.0,
+        scrub_bytes=scrub_bytes,
+        throughput=scrub_bytes / span,
+    )
+
+
+def reference_simulate(optimizer, threshold, request_bytes, pass_=_reference_pass):
+    """One whole-sample simulation through the reference arithmetic."""
+    return pass_(
+        optimizer.durations, len(optimizer.durations), threshold,
+        request_bytes, float(optimizer.service_model.time(float(request_bytes))),
+        optimizer.total_requests, optimizer.span,
+    )
+
+
+def reference_best_threshold(
+    optimizer, request_bytes, goal, iterations, pass_=_reference_pass
+):
     """The bisection as it was: every step simulates the whole sample."""
     lo, hi = 0.0, float(optimizer.durations.max())
-    at_zero = optimizer.simulate(0.0, request_bytes)
+    at_zero = reference_simulate(optimizer, 0.0, request_bytes, pass_)
     if at_zero.mean_slowdown <= goal:
         return at_zero
-    best = optimizer.simulate(hi, request_bytes)
+    best = reference_simulate(optimizer, hi, request_bytes, pass_)
     if best.mean_slowdown > goal:
         return None
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        result = optimizer.simulate(mid, request_bytes)
+        result = reference_simulate(optimizer, mid, request_bytes, pass_)
         if result.mean_slowdown <= goal:
             hi, best = mid, result
         else:
@@ -47,11 +91,12 @@ def reference_best_threshold(optimizer, request_bytes, goal, iterations):
 
 
 def exact(result):
-    """All eight fields, floats as their bit patterns."""
+    """All eight fields with their types (a cached result is pickled),
+    floats as their bit patterns."""
     if result is None:
         return None
     return tuple(
-        value.hex() if isinstance(value, float) else value
+        (type(value), value.hex() if isinstance(value, float) else value)
         for value in dataclasses.astuple(result)
     )
 
@@ -97,11 +142,12 @@ class TestBisectionMatchesUnprunedReference:
         request_bytes=st.sampled_from(SIZES),
         iterations=st.sampled_from([1, 7, 20, 40]),
         pass_at_zero=st.booleans(),
+        fraction=st.floats(0.0, 1.25),
     )
     @settings(max_examples=300, deadline=None)
     def test_same_result_and_same_metered_effort(
         self, kind, size, seed, goal_exponent, request_bytes, iterations,
-        pass_at_zero,
+        pass_at_zero, fraction,
     ):
         durations = draw_sample(kind, size, seed)
         optimizer = ScrubParameterOptimizer(
@@ -125,6 +171,16 @@ class TestBisectionMatchesUnprunedReference:
             effort = {"sims": effort["sims"] + 1,
                       "interval_evals": effort["interval_evals"] + size}
         assert effort == expected_effort
+        # One simulation at an arbitrary threshold, up to past the longest.
+        threshold = fraction * float(durations.max())
+        expected, expected_effort = metered(
+            lambda: reference_simulate(optimizer, threshold, request_bytes)
+        )
+        actual, effort = metered(
+            lambda: optimizer.simulate(threshold, request_bytes)
+        )
+        assert exact(actual) == exact(expected)
+        assert effort == expected_effort == {"sims": 1, "interval_evals": size}
 
     def test_single_interval(self):
         optimizer = ScrubParameterOptimizer(
@@ -147,26 +203,55 @@ class TestBisectionMatchesUnprunedReference:
     def test_unattainable_goal_returns_none_like_the_reference(self, monkeypatch):
         # The real arithmetic always meets a goal at the longest
         # interval (nothing is usable there), so reach the branch by
-        # making every simulation one second slower than it is.
-        real = optimizer_module.fixed_waiting_pass
+        # making every whole-result simulation one second slower than
+        # it is, on both sides.
+        def slower(real):
+            def pass_(*args, **kwargs):
+                result = real(*args, **kwargs)
+                return dataclasses.replace(
+                    result, mean_slowdown=result.mean_slowdown + 1.0
+                )
+            return pass_
 
-        def slower(*args, **kwargs):
-            result = real(*args, **kwargs)
-            return dataclasses.replace(
-                result, mean_slowdown=result.mean_slowdown + 1.0
-            )
-
-        monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", slower)
+        monkeypatch.setattr(
+            optimizer_module, "fixed_waiting_pass",
+            slower(optimizer_module.fixed_waiting_pass),
+        )
         durations = draw_sample("pareto", 200, 2)
         optimizer = ScrubParameterOptimizer(
             durations, total_requests=201, span=50.0, service_model=SERVICE
         )
         expected, expected_effort = metered(
-            lambda: reference_best_threshold(optimizer, 1 << 20, 0.5, 40)
+            lambda: reference_best_threshold(
+                optimizer, 1 << 20, 0.5, 40, pass_=slower(_reference_pass)
+            )
         )
         actual, effort = metered(lambda: optimizer.best_threshold(1 << 20, 0.5))
         assert expected is None and actual is None
         assert effort == expected_effort == {"sims": 2, "interval_evals": 400}
+
+
+class _Watched(np.ndarray):
+    """An idle sample that logs every threshold mask taken over it, or
+    over an array indexed out of it: ``(len(array), threshold, meter
+    reading)``.  Every ufunc answers with plain arrays, so only masks
+    taken over the sample and the working sets cut from it are seen."""
+
+    log = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.greater and method == "__call__" and inputs[0] is self:
+            self.log.append((len(self), inputs[1], SIM_METER.interval_evals))
+        plain = [
+            x.view(np.ndarray) if isinstance(x, _Watched) else x
+            for x in inputs
+        ]
+        if out is not None:
+            kwargs["out"] = tuple(
+                x.view(np.ndarray) if isinstance(x, _Watched) else x
+                for x in out
+            )
+        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 class TestPruningIsInEffect:
@@ -178,21 +263,22 @@ class TestPruningIsInEffect:
             service_model=SERVICE,
         )
         goal = 0.002
-        real = optimizer_module.fixed_waiting_pass
-        steps = []  # (len(work), sample_size charged, midpoint rejected)
-
-        def spy(work, sample_size, *args, **kwargs):
-            result = real(work, sample_size, *args, **kwargs)
-            steps.append((len(work), sample_size, result.mean_slowdown > goal))
-            return result
-
-        monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", spy)
+        # (len(work), threshold, meter) of every mask the bisection takes
+        steps = []
+        monkeypatch.setattr(_Watched, "log", steps)
+        optimizer.durations = optimizer.durations.view(_Watched)
+        before = SIM_METER.interval_evals
         assert optimizer.best_threshold(4 << 20, goal, iterations=40) is not None
 
         assert len(steps) == 42  # threshold 0, the longest interval, 40 midpoints
-        assert {charged for _, charged, _ in steps} == {n}  # metered as the sample
+        meter = [before] + [reading for _, _, reading in steps]
+        # each step is charged the sample before it masks its working set
+        assert {b - a for a, b in zip(meter, meter[1:])} == {n}
+        assert SIM_METER.interval_evals == before + 42 * n
         lengths = [length for length, _, _ in steps[2:]]
-        rejected = [flag for _, _, flag in steps[2:]]
+        midpoints = [threshold for _, threshold, _ in steps[2:]]
+        # a rejected midpoint becomes lo, so the next one lies above it
+        rejected = [b > a for a, b in zip(midpoints, midpoints[1:])]
         assert lengths[0] == n
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
         first = rejected.index(True)
