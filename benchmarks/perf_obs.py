@@ -3,7 +3,7 @@
 Writes ``BENCH_PR8.json`` next to the repo root.  Four rows:
 
 * ``obs_monitor_overhead`` — the same serial campaign bare and under a
-  :class:`~repro.obs.CampaignMonitor` at a 0.25s status interval (8x
+  :class:`~repro.obs.monitor.CampaignMonitor` at a 0.25s status interval (8x
   faster than the CLI default, so a deployed monitor sits well inside
   it).  **Gated**: the monitored run must stay within 5% of the bare
   run, and the results must be bit-identical (the passivity contract);
@@ -41,7 +41,8 @@ from repro.fleet import (  # noqa: E402
     FleetSpec,
     ScrubPolicySpec,
 )
-from repro.obs import CampaignMonitor, build_report  # noqa: E402
+from repro.obs.monitor import CampaignMonitor  # noqa: E402
+from repro.obs.report import build_report  # noqa: E402
 
 OVERHEAD_LIMIT = 0.05
 

@@ -6,8 +6,7 @@ the 1M-event timeout/process churn) with and without the
 
 * **baseline** — ``Simulation()`` with no telemetry: the engine runs
   the untouched fast loop, so an unattached checker costs exactly
-  nothing (structurally zero, and the ≤5% NullSink noise floor is
-  already gated by ``perf_telemetry.py``);
+  nothing (structurally zero: ``None`` is the only disabled sink);
 * **invariants** — ``Simulation(telemetry=InvariantSink())``: the
   engine selects the instrumented twin loop and every hook the churn
   emits flows through the conservation-law checks.  Budgeted at ≤ 10%

@@ -20,8 +20,9 @@ The library is organised bottom-up:
   request sizing, the (size, threshold) optimizer, and an MLET model;
 * :mod:`repro.analysis` — the experiment harnesses behind every figure
   and table;
-* :mod:`repro.telemetry` — blktrace-style tracing, a metrics registry,
-  and Chrome-trace/JSONL exports across the whole stack.
+* :mod:`repro.obs` — blktrace-style tracing, a metrics registry,
+  campaign spans and monitoring, and Chrome-trace/JSONL/Prometheus
+  exports across the whole stack.
 
 Quickstart::
 
@@ -49,7 +50,7 @@ from repro.faults import (
 )
 from repro.sched import BlockDevice, CFQScheduler, NoopScheduler
 from repro.sim import Simulation
-from repro.telemetry import Recorder, TelemetrySink
+from repro.obs.sink import Recorder, TelemetrySink
 from repro.traces import Trace, generate_trace
 
 #: Bump when any result can change (the ``ResultCache`` key hashes it);

@@ -178,7 +178,7 @@ def run_detection_experiment(
         (open-loop, LBNs wrapped onto the shrunk drive).  Mutually
         exclusive with ``foreground``.
     telemetry:
-        Optional :class:`~repro.telemetry.TelemetrySink` threaded
+        Optional :class:`~repro.obs.sink.TelemetrySink` threaded
         through the whole stack (engine, device, drive, scrubber,
         remediation).  Recording never perturbs the run.
     """
@@ -253,7 +253,7 @@ def detection_sweep_task(
     its content digest.
 
     ``collect_telemetry`` records the run with a fresh
-    :class:`~repro.telemetry.Recorder` (wall-clock stats off, so the
+    :class:`~repro.obs.sink.Recorder` (wall-clock stats off, so the
     bundle is deterministic) and attaches its export to the result;
     fleet-level summaries merge these per-task bundles in input order,
     preserving serial == parallel bit-identity.
@@ -267,7 +267,7 @@ def detection_sweep_task(
         spec = spec.with_overrides(ata_verify_cache_bug=cache_bug)
     recorder = None
     if collect_telemetry:
-        from repro.telemetry import Recorder
+        from repro.obs.sink import Recorder
 
         recorder = Recorder(wall_time=False)
     result = run_detection_experiment(

@@ -31,7 +31,7 @@ def standalone_scrub_throughput(
     """Scrub throughput (bytes/second) with no foreground workload.
 
     ``telemetry`` optionally threads a
-    :class:`~repro.telemetry.TelemetrySink` through the run; recording
+    :class:`~repro.obs.sink.TelemetrySink` through the run; recording
     does not change the measured throughput.  Like
     :meth:`ScrubStack.run() <repro.analysis.stack.ScrubStack.run>` the
     run ends by closing the simulation over the two processes it

@@ -139,15 +139,16 @@ def add_sweep_flags(parser: ArgumentParser) -> None:
     )
 
 
-def build_runner(args, telemetry=None):
-    """A SweepRunner from --workers/--cache/--cache-dir, or ``None``."""
+def build_runner(args, metrics=None):
+    """A SweepRunner from --workers/--cache/--cache-dir, or ``None``;
+    ``metrics`` meters the runner, its worker pool and its cache."""
     from repro.parallel import ResultCache, SweepRunner
 
     use_cache = args.cache or args.cache_dir
-    if not args.workers and not use_cache and telemetry is None:
+    if not args.workers and not use_cache and metrics is None:
         return None
-    cache = ResultCache(args.cache_dir or None) if use_cache else None
-    return SweepRunner(workers=args.workers, cache=cache, telemetry=telemetry)
+    cache = ResultCache(args.cache_dir or None, metrics=metrics) if use_cache else None
+    return SweepRunner(workers=args.workers, cache=cache, metrics=metrics)
 
 
 def add_telemetry_flags(parser: ArgumentParser, telemetry: str, trace_out="") -> None:
@@ -157,17 +158,11 @@ def add_telemetry_flags(parser: ArgumentParser, telemetry: str, trace_out="") ->
         parser.add_argument("--trace-out", metavar="FILE", default=None, help=trace_out)
 
 
-def make_recorder(wanted, wall_time: bool):
-    """A :class:`~repro.telemetry.Recorder` if ``wanted``, else ``None``."""
-    from repro.telemetry import Recorder
-
-    return Recorder(wall_time=wall_time) if wanted else None
-
-
 def print_telemetry(snapshot=None, title="", trace_out=None, events=None, runs=""):
     """The metrics table of ``snapshot`` (when given), then what
     ``events()`` returns as a Chrome trace in ``trace_out`` (when given)."""
-    from repro.telemetry import format_table, write_chrome_trace
+    from repro.obs.metrics import format_table
+    from repro.obs.trace import write_chrome_trace
 
     if snapshot is not None:
         print(format_table(snapshot, title=title))
@@ -297,7 +292,7 @@ def check_json_target(path) -> None:
 
 
 def write_json(path: str, payload) -> None:
-    from repro.telemetry.export import atomic_write
+    from repro.obs.export import atomic_write
 
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

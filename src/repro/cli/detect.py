@@ -63,8 +63,8 @@ def register(subparsers) -> None:
 def run(args) -> int:
     from repro.analysis.detection import detection_sweep_task
     from repro.analysis.stack import ALGORITHMS
+    from repro.obs.trace import with_pid
     from repro.parallel import SweepRunner
-    from repro.telemetry import with_pid
 
     if args.model == "bernoulli":
         model_params = {"per_sector_probability": args.error_rate}

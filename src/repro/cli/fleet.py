@@ -14,7 +14,7 @@ import numpy as np
 from ._shared import (
     UsageError, add_campaign_spec_flags, add_supervision_flags,
     add_telemetry_flags, campaign_spec_from_args, check_json_target,
-    make_recorder, print_table, print_telemetry, write_json,
+    print_table, print_telemetry, write_json,
 )
 
 
@@ -75,12 +75,15 @@ def register(subparsers) -> None:
 
 
 def _years(hours: float, unit: str = "y") -> str:
-    years = hours / 8760.0
+    from repro.raid.reliability import HOURS_PER_YEAR
+
+    years = hours / HOURS_PER_YEAR
     return f"{years:.1f}{unit}" if np.isfinite(years) else "inf"
 
 
 def run(args) -> int:
     from repro.fleet import CampaignRunner, campaign_digest
+    from repro.obs.metrics import MetricsRegistry
     from repro.parallel.supervise import RetryPolicy
     from repro.verify import InvariantViolation
 
@@ -101,10 +104,10 @@ def run(args) -> int:
     check_json_target(args.json)
 
     spec = campaign_spec_from_args(args)
-    recorder = make_recorder(args.telemetry, wall_time=False)
+    metrics = MetricsRegistry() if args.telemetry else None
     monitor = None
     if args.monitor or args.monitor_dir:
-        from repro.obs import CampaignMonitor
+        from repro.obs.monitor import CampaignMonitor
 
         obs_dir = args.monitor_dir or (
             os.path.join(args.journal, "obs") if args.journal else "fleet-obs"
@@ -118,7 +121,7 @@ def run(args) -> int:
     retry = RetryPolicy(max_attempts=args.max_attempts, seed=args.seed)
     runner = CampaignRunner(
         spec, journal_dir=args.journal, workers=args.workers,
-        task_timeout=args.task_timeout, retry=retry, telemetry=recorder,
+        task_timeout=args.task_timeout, retry=retry, metrics=metrics,
         monitor=monitor,
     )
     print(
@@ -195,7 +198,7 @@ def run(args) -> int:
             monitor.write_trace(args.trace_out)
             print(f"wrote span trace to {args.trace_out}")
     if args.prom_out:
-        from repro.obs import write_textfile
+        from repro.obs.prometheus import write_textfile
 
         write_textfile(args.prom_out, result.telemetry)
         print(f"wrote Prometheus textfile to {args.prom_out}")
@@ -207,6 +210,6 @@ def run(args) -> int:
         payload["supervision"] = result.supervision
         write_json(args.json, payload)
         print(f"wrote fleet metrics to {args.json}")
-    if recorder is not None:
-        print_telemetry(recorder.metrics.snapshot(), title="campaign telemetry")
+    if metrics is not None:
+        print_telemetry(metrics.snapshot(), title="campaign telemetry")
     return 0 if result.shards_failed == 0 else 3

@@ -10,8 +10,8 @@ import json
 
 from ._shared import (
     UsageError, add_sweep_flags, add_telemetry_flags, add_trace_source,
-    build_runner, drive_spec, idle_positioning, load_trace, make_recorder,
-    open_corpus, print_telemetry,
+    build_runner, drive_spec, idle_positioning, load_trace, open_corpus,
+    print_telemetry,
 )
 
 
@@ -70,6 +70,7 @@ def run(args) -> int:
     from repro.analysis.service_model import ScrubServiceModel
     from repro.analysis.slowdown import SIM_METER, simulate_fixed_waiting
     from repro.core.search import SuccessiveHalvingSearch
+    from repro.obs.metrics import MetricsRegistry
     from repro.traces.idle import idle_intervals_from_trace
 
     if args.budget < 1:
@@ -105,8 +106,8 @@ def run(args) -> int:
     spec = drive_spec(args.drive)
     say(f"measuring scrub service times on {spec.name}...")
     model = ScrubServiceModel.from_spec(spec)
-    recorder = make_recorder(args.telemetry, wall_time=False)
-    runner = build_runner(args, telemetry=recorder)
+    metrics = MetricsRegistry() if args.telemetry else None
+    runner = build_runner(args, metrics=metrics)
     payload = {
         "corpus": str(corpus.root) if corpus else None,
         "drive": args.drive,
@@ -179,6 +180,6 @@ def run(args) -> int:
             f"sweep cache: {runner.cache.hits} hits, "
             f"{runner.cache.misses} misses ({runner.cache.root})"
         )
-    if recorder is not None:
-        print_telemetry(recorder.metrics.snapshot(), title="sweep telemetry")
+    if metrics is not None:
+        print_telemetry(metrics.snapshot(), title="sweep telemetry")
     return 0

@@ -28,7 +28,7 @@ def register(subparsers) -> None:
 
 
 def run(args) -> int:
-    from repro.obs import build_report, load_obs_dir
+    from repro.obs.report import build_report, load_obs_dir
 
     try:
         data = load_obs_dir(args.obs_dir)

@@ -1,9 +1,7 @@
 """``repro throughput``: standalone scrub throughput (Fig. 5) for one
 algorithm and request size on an otherwise idle drive."""
 
-from ._shared import (
-    add_telemetry_flags, drive_spec, make_recorder, print_telemetry,
-)
+from ._shared import add_telemetry_flags, drive_spec, print_telemetry
 
 
 def register(subparsers) -> None:
@@ -28,13 +26,14 @@ def register(subparsers) -> None:
 def run(args) -> int:
     from repro.analysis import standalone_scrub_throughput
     from repro.core import SequentialScrub, StaggeredScrub
+    from repro.obs.sink import Recorder
 
     spec = drive_spec(args.drive)
     if args.algorithm == "sequential":
         algorithm = SequentialScrub()
     else:
         algorithm = StaggeredScrub(args.regions)
-    recorder = make_recorder(args.telemetry or args.trace_out, wall_time=True)
+    recorder = Recorder(wall_time=True) if args.telemetry or args.trace_out else None
     rate = standalone_scrub_throughput(
         spec, algorithm, request_bytes=args.request_kb * 1024,
         horizon=args.horizon, delay=args.delay_ms / 1e3,

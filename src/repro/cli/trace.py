@@ -64,10 +64,10 @@ def run(args) -> int:
     from repro.analysis.stack import ScrubberSetup, ScrubStack
     from repro.disk.drive import Drive
     from repro.faults import RemediationPolicy, build_model
-    from repro.telemetry import Recorder
-    from repro.telemetry.export import (
+    from repro.obs.export import (
         error_log_records, request_log_records, write_jsonl,
     )
+    from repro.obs.sink import Recorder
 
     spec = drive_spec(args.drive)
     if args.cylinders:

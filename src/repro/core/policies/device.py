@@ -85,8 +85,7 @@ class WaitingScrubber:
         self._activity = sim.event()
         self._process: Optional[Process] = None
         self._draining = False
-        sink = sim.telemetry
-        self._telemetry = sink if sink is not None and sink.enabled else None
+        self._telemetry = sim.telemetry
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> Process:

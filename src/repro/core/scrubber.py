@@ -137,8 +137,7 @@ class Scrubber:
         #: not yet processed, so the ``.processed`` guard falls back to
         #: a fresh allocation for that sleep.
         self._sleep = ReusableTimeout(sim)
-        sink = sim.telemetry
-        self._telemetry = sink if sink is not None and sink.enabled else None
+        self._telemetry = sim.telemetry
 
     def start(self) -> Process:
         """Activate scrubbing for this device."""

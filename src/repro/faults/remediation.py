@@ -98,8 +98,6 @@ def remediate_extent(
     a top-level scrub verify came back ``MEDIUM_ERROR``.
     """
     sink = sim.telemetry
-    if sink is not None and not sink.enabled:
-        sink = None
     # Depth-first in LBN order: (lbn, sectors, depth, known_bad); the
     # right half is pushed first so the left half pops first.  The
     # caller's failing verify already condemned the initial extent, so
@@ -137,8 +135,6 @@ def _remap_sector(sim, device, lbn, policy, submit_verify, stats):
     """Reallocate one sector, then verify the remap took."""
     faults = device.drive.faults
     sink = sim.telemetry
-    if sink is not None and not sink.enabled:
-        sink = None
     if policy.remap_time > 0:
         yield sim.timeout(policy.remap_time)
     if faults is None or not faults.reallocate(lbn, sim.now):

@@ -20,7 +20,7 @@ into fleet-level answers:
   :attr:`CampaignResult.completeness` — an explicit fraction, never a
   silent gap — while every completed shard still contributes;
 * merges per-shard telemetry with
-  :func:`repro.telemetry.metrics.merge_snapshots` (shard order, so the
+  :func:`repro.obs.metrics.merge_snapshots` (shard order, so the
   merged snapshot is independent of completion order) and estimates,
   per policy: MTTDL with a Poisson (chi-square) confidence interval,
   mission loss probability with a Wilson interval, and the matching
@@ -44,12 +44,12 @@ from repro.fleet.spec import (
     group_profiles,
     resolve_latent_windows,
 )
+from repro.obs.metrics import merge_snapshots
 from repro.raid.reliability import (
     HOURS_PER_YEAR,
     GroupReliability,
     group_reliability,
 )
-from repro.telemetry.metrics import merge_snapshots
 
 __all__ = [
     "CampaignCancelled",
@@ -249,8 +249,9 @@ class CampaignRunner:
         :class:`SupervisedRunner`.
     task_timeout, heartbeat_interval, retry, straggler_factor:
         Passed to :class:`SupervisedRunner`.
-    telemetry:
-        Optional sink for campaign/supervision/cache counters.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` for
+        campaign/supervision/cache counters.
     verify:
         Run :mod:`repro.verify.fleet` conservation checks on every
         shard result and the merged fleet (default on; failures raise
@@ -288,7 +289,7 @@ class CampaignRunner:
         heartbeat_interval: float = 1.0,
         retry=None,
         straggler_factor: Optional[float] = None,
-        telemetry=None,
+        metrics=None,
         verify: bool = True,
         task: Optional[Callable] = None,
         on_shard: Optional[Callable[[int, dict], None]] = None,
@@ -302,9 +303,7 @@ class CampaignRunner:
         self.heartbeat_interval = heartbeat_interval
         self.retry = retry
         self.straggler_factor = straggler_factor
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.metrics = metrics
         self.verify = verify
         self.task = task if task is not None else fleet_shard_task
         self.on_shard = on_shard
@@ -333,7 +332,7 @@ class CampaignRunner:
         spec = self.spec
         param_sets = self.shard_param_sets(spec)
         journal = (
-            CampaignJournal(self.journal_dir, spec, telemetry=self.telemetry)
+            CampaignJournal(self.journal_dir, spec, metrics=self.metrics)
             if self.journal_dir is not None
             else None
         )
@@ -364,8 +363,8 @@ class CampaignRunner:
                         monitor.shard_resumed(params["shard_index"], value)
                     continue
             remaining.append(params)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("fleet.shards_resumed").inc(resumed)
+        if self.metrics is not None:
+            self.metrics.counter("fleet.shards_resumed").inc(resumed)
 
         failed: List[int] = []
         supervision: Dict[str, int] = {}
@@ -414,7 +413,7 @@ class CampaignRunner:
                 heartbeat_interval=self.heartbeat_interval,
                 retry=self.retry,
                 straggler_factor=self.straggler_factor,
-                telemetry=self.telemetry,
+                metrics=self.metrics,
             )
             def on_result(outcome) -> None:
                 params = remaining[outcome.index]
@@ -568,8 +567,8 @@ class CampaignRunner:
             [shard["telemetry"]["metrics"] for shard in completed]
         )
         merged.setdefault("gauges", {})["fleet.completeness"] = completeness
-        if self.telemetry is not None:
-            self.telemetry.metrics.gauge("fleet.completeness").set(completeness)
+        if self.metrics is not None:
+            self.metrics.gauge("fleet.completeness").set(completeness)
 
         return CampaignResult(
             spec=spec,

@@ -58,16 +58,16 @@ class CampaignJournal:
         :class:`JournalError`.
     spec:
         The campaign this journal belongs to.
-    telemetry:
-        Optional sink; checkpoint evictions and journal activity are
-        counted in its metrics registry.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`;
+        checkpoint evictions are counted in it.
     """
 
     def __init__(
         self,
         root: Union[str, Path],
         spec: CampaignSpec,
-        telemetry=None,
+        metrics=None,
     ) -> None:
         self.root = Path(root)
         self.spec = spec
@@ -76,7 +76,7 @@ class CampaignJournal:
         self.cache = ResultCache(
             self.root / "checkpoints",
             version=f"fleet-journal-{_FORMAT}",
-            telemetry=telemetry,
+            metrics=metrics,
         )
         self._manifest_path = self.root / _MANIFEST
         manifest = self._load_manifest()

@@ -43,9 +43,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.fleet.spec import CampaignSpec, group_profiles, group_seed
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.worker import PROBE
 from repro.raid.reliability import HOURS_PER_YEAR, lse_exposure_probability
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["fleet_shard_task", "simulate_group"]
 

@@ -1,41 +1,23 @@
-"""Campaign-scale observability: spans, live aggregation, reports.
+"""Observability for the whole stack: one simulation from the inside,
+one fleet campaign from the outside.
 
-``repro.obs`` is the layer above :mod:`repro.telemetry`: where a
-Recorder watches one simulation from the inside, this package watches
-a whole fleet campaign from the outside — per-worker progress probes
-(:mod:`~repro.obs.worker`), deterministic hierarchical span tracing
-(:mod:`~repro.obs.spans`), the live cross-process aggregator writing
-``status.json`` / ``events.jsonl`` (:mod:`~repro.obs.monitor`), a
-Prometheus textfile exporter (:mod:`~repro.obs.prometheus`) and a
-self-contained HTML run report (:mod:`~repro.obs.report`).
+Inside a simulation, instrumented layers call the blktrace-style hooks
+of a :class:`~repro.obs.sink.TelemetrySink` (:mod:`~repro.obs.sink`);
+the :class:`~repro.obs.sink.Recorder` keeps request lifecycles, scrub
+and fault instants and a :class:`~repro.obs.metrics.MetricsRegistry`
+of counters, gauges and log-bucket histograms
+(:mod:`~repro.obs.metrics`).  Around a campaign, per-worker progress
+probes (:mod:`~repro.obs.worker`), deterministic hierarchical spans
+(:mod:`~repro.obs.spans`) and the live aggregator writing
+``status.json`` / ``events.jsonl`` (:mod:`~repro.obs.monitor`) watch
+the shards.  Both recorders export through one Chrome-trace encoder
+(:mod:`~repro.obs.trace`); snapshots render as Prometheus textfiles
+(:mod:`~repro.obs.prometheus`) or a self-contained HTML run report
+(:mod:`~repro.obs.report`); every whole-file output goes through
+:func:`~repro.obs.export.atomic_write`.
 
-Everything here is *passive*: campaign results are bit-identical with
-observability on or off.
+Everything here is *passive*: results are bit-identical with
+observability on or off.  This package re-exports nothing: import
+each name from the module that defines it, e.g.
+``from repro.obs.sink import Recorder``.
 """
-
-from repro.obs.monitor import (
-    STATUS_VERSION,
-    CampaignMonitor,
-    read_events_chunk,
-)
-from repro.obs.prometheus import prometheus_lines, write_textfile
-from repro.obs.report import build_report, load_obs_dir, render_html
-from repro.obs.spans import Span, SpanRecorder, span_id
-from repro.obs.worker import PROBE, WorkerProbe, peak_rss_kb
-
-__all__ = [
-    "CampaignMonitor",
-    "PROBE",
-    "STATUS_VERSION",
-    "Span",
-    "SpanRecorder",
-    "WorkerProbe",
-    "build_report",
-    "load_obs_dir",
-    "read_events_chunk",
-    "peak_rss_kb",
-    "prometheus_lines",
-    "render_html",
-    "span_id",
-    "write_textfile",
-]

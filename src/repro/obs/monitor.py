@@ -20,7 +20,7 @@ or failing — and the monitor folds them into four operator surfaces:
   ``--monitor`` stream).
 
 Metric snapshots from landed shards merge incrementally with
-:func:`~repro.telemetry.metrics.merge_snapshots`; every merge
+:func:`~repro.obs.metrics.merge_snapshots`; every merge
 operation is order-independent, so the monitor's live view converges
 to exactly the campaign's final merged telemetry.
 
@@ -37,8 +37,11 @@ import os
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..telemetry.export import atomic_write
-from .spans import SpanRecorder
+from repro.obs.export import atomic_write
+from repro.obs.metrics import merge_snapshots
+from repro.obs.spans import SpanRecorder
+from repro.obs.trace import write_chrome_trace
+from repro.raid.reliability import HOURS_PER_YEAR
 
 __all__ = [
     "CampaignMonitor",
@@ -47,8 +50,6 @@ __all__ = [
 ]
 
 STATUS_VERSION = 1
-
-_HOURS_PER_YEAR = 8760.0  # matches repro.raid.reliability.HOURS_PER_YEAR
 
 
 class _Shard:
@@ -347,8 +348,8 @@ class CampaignMonitor:
                     "drive_years": p.drive_years,
                     "mttdl_years": _json_num(p.mttdl_years),
                     "mttdl_ci_years": [
-                        _json_num(p.mttdl_ci_hours[0] / _HOURS_PER_YEAR),
-                        _json_num(p.mttdl_ci_hours[1] / _HOURS_PER_YEAR),
+                        _json_num(p.mttdl_ci_hours[0] / HOURS_PER_YEAR),
+                        _json_num(p.mttdl_ci_hours[1] / HOURS_PER_YEAR),
                     ],
                     "p_loss_mission": p.p_loss_mission,
                     "p_loss_ci": list(p.p_loss_ci),
@@ -445,7 +446,7 @@ class CampaignMonitor:
     def status(self) -> dict:
         """The full machine-readable status payload."""
         elapsed = self.elapsed()
-        drive_years = self._drive_hours / _HOURS_PER_YEAR
+        drive_years = self._drive_hours / HOURS_PER_YEAR
         states = {"pending": 0, "running": 0, "done": 0, "failed": 0,
                   "resumed": 0}
         for shard in self._shards.values():
@@ -551,8 +552,6 @@ class CampaignMonitor:
 
     def write_trace(self, path: Optional[str] = None) -> Optional[str]:
         """Write the span flame view as a Perfetto-loadable trace."""
-        from ..telemetry.trace import write_chrome_trace
-
         target = path or self.trace_path
         try:
             write_chrome_trace(target, self.spans.chrome_events())
@@ -568,8 +567,6 @@ class CampaignMonitor:
         return shard
 
     def _land_result(self, result: dict) -> None:
-        from ..telemetry.metrics import merge_snapshots
-
         snapshot = (result.get("telemetry") or {}).get("metrics")
         if snapshot:
             self._merged = merge_snapshots(
@@ -653,7 +650,7 @@ class CampaignMonitor:
             "utilization": round(self.utilization(), 4),
             "supervision": dict(self._counts),
             "shard_durations_s": [round(d, 6) for d in self._durations],
-            "drive_years": round(self._drive_hours / _HOURS_PER_YEAR, 3),
+            "drive_years": round(self._drive_hours / HOURS_PER_YEAR, 3),
             "final": self._final,
             "telemetry": self.merged_snapshot(),
             "phases": self._phase_summary(),

@@ -1,7 +1,7 @@
 """Prometheus textfile exporter for metrics snapshots.
 
-Serialises any :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`
-(or :func:`~repro.telemetry.metrics.merge_snapshots` result) into the
+Serialises any :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+(or :func:`~repro.obs.metrics.merge_snapshots` result) into the
 Prometheus text exposition format, suitable for the node_exporter
 textfile collector: counters become ``TYPE counter``, gauges become
 ``TYPE gauge``, and the fixed log-bucket histograms become native
@@ -11,7 +11,7 @@ Prometheus histograms with cumulative ``_bucket{le=...}`` series plus
 Metric names are sanitised (``sim.requests.completed`` →
 ``repro_sim_requests_completed``); values render with :func:`repr` so
 the round trip through text is lossless for floats.  Writing goes
-through :func:`~repro.telemetry.export.atomic_write` because
+through :func:`~repro.obs.export.atomic_write` because
 node_exporter may scrape the directory at any moment.
 """
 
@@ -21,8 +21,8 @@ import math
 import re
 from typing import List
 
-from ..telemetry.export import atomic_write
-from ..telemetry.metrics import Histogram
+from repro.obs.export import atomic_write
+from repro.obs.metrics import Histogram
 
 __all__ = ["prometheus_lines", "write_textfile"]
 

@@ -23,7 +23,7 @@ import json
 import os
 from typing import List, Optional
 
-from ..telemetry.export import atomic_write
+from repro.obs.export import atomic_write
 
 __all__ = ["build_report", "load_obs_dir", "render_html"]
 

@@ -19,8 +19,8 @@ of coordinates down the tree — no global counters, no randomness.
 Span *timing* is wall clock, which is inherently non-deterministic;
 that is fine because spans are an operator surface, never an input to
 simulation results.  :class:`SpanRecorder` collects closed spans and
-exports them as Chrome trace-event dicts compatible with
-:func:`repro.telemetry.trace.write_chrome_trace`, so a whole fleet
+exports them through :func:`repro.obs.trace.encode_events` for
+:func:`repro.obs.trace.write_chrome_trace`, so a whole fleet
 campaign loads in Perfetto as one flame view: one process row, the
 campaign on thread 0, each shard (with its attempts and kernel
 phases nested) on its own thread.
@@ -36,9 +36,9 @@ import hashlib
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["Span", "SpanRecorder", "span_id"]
+from repro.obs.trace import encode_events
 
-_US = 1e6  # seconds -> trace microseconds
+__all__ = ["Span", "SpanRecorder", "span_id"]
 
 
 def span_id(root: str, *path: Union[str, int]) -> int:
@@ -168,12 +168,6 @@ class SpanRecorder:
     def name_thread(self, tid: int, name: str) -> None:
         self._thread_names[tid] = name
 
-    def elapsed(self) -> float:
-        """Seconds since the first span opened (0.0 before any did)."""
-        if self._epoch is None:
-            return 0.0
-        return self._clock() - self._epoch
-
     # -- export -------------------------------------------------------
 
     def spans(self) -> Tuple[Span, ...]:
@@ -187,59 +181,23 @@ class SpanRecorder:
         Any still-open spans are exported as if they ended now, so a
         trace written mid-campaign (or after a crash) is still valid.
         """
-        events: List[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": 0,
-                "args": {"name": process_name},
-            }
-        ]
-        for tid, name in sorted(self._thread_names.items()):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": tid,
-                    "args": {"name": name},
-                }
-            )
         now = self._now() if self._epoch is not None else 0.0
-        live = [
-            Span(s.sid, s.name, s.category, s.tid, s.start, s.args)
-            for s in self._open.values()
-        ]
-        for span in live:
-            span.end = now
-        for span in list(self._closed) + live:
-            if span.end == span.start and span.sid == 0:
-                events.append(
-                    {
-                        "name": span.name,
-                        "cat": span.category,
-                        "ph": "i",
-                        "s": "t",
-                        "ts": span.start * _US,
-                        "pid": 0,
-                        "tid": span.tid,
-                        "args": span.args,
-                    }
+        ended = [(span, span.end) for span in self._closed]
+        ended += [(span, now) for span in self._open.values()]
+        spans, instants = [], []
+        for span, end in ended:
+            if end == span.start and span.sid == 0:
+                instants.append(
+                    (span.name, span.category, span.start, span.tid, span.args)
                 )
-                continue
-            args = dict(span.args)
-            args["span_id"] = f"{span.sid:016x}"
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.category,
-                    "ph": "X",
-                    "ts": span.start * _US,
-                    "dur": (span.end - span.start) * _US,
-                    "pid": 0,
-                    "tid": span.tid,
-                    "args": args,
-                }
-            )
-        return events
+            else:
+                spans.append(
+                    (
+                        span.name, span.category, span.start, end, span.tid,
+                        dict(span.args, span_id=f"{span.sid:016x}"),
+                    )
+                )
+        return encode_events(
+            process_name, sorted(self._thread_names.items()), spans, instants,
+            (), scope="t",
+        )

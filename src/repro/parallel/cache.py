@@ -17,7 +17,7 @@ Entries are *self-verifying*: the payload is prefixed with a header
 carrying its SHA-256, so a truncated, bit-rotted or torn entry is
 detected on read, **evicted** from disk (rather than poisoning every
 future run with a crash or a silent wrong value), and counted — in
-:attr:`ResultCache.evictions` and, when a telemetry sink is attached,
+:attr:`ResultCache.evictions` and, when a metrics registry is attached,
 in the ``cache.evictions`` counter.  A file without the header is
 evicted the same way: the key hashes the library version, so no
 release that wrote bare pickles can address an entry of this one.
@@ -138,16 +138,17 @@ class ResultCache:
         Invalidation tag mixed into every key; defaults to the library
         version, so upgrading the library abandons stale entries
         in place (they are never read again).
-    telemetry:
-        Optional telemetry sink; corrupt-entry evictions are counted in
-        its ``cache.evictions`` metric.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`;
+        corrupt-entry evictions are counted in its ``cache.evictions``
+        counters.
     """
 
     def __init__(
         self,
         root: Optional[Union[str, Path]] = None,
         version: Optional[str] = None,
-        telemetry=None,
+        metrics=None,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         if version is None:
@@ -157,9 +158,7 @@ class ResultCache:
         self.misses = 0
         #: Corrupt or truncated entries deleted from disk on read.
         self.evictions = 0
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.metrics = metrics
 
     def key(self, fn: Callable, params: dict) -> str:
         """Cache key for calling ``fn(**params)`` under this version."""
@@ -181,9 +180,9 @@ class ResultCache:
         except OSError:
             pass
         self.evictions += 1
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("cache.evictions").inc()
-            self.telemetry.metrics.counter(f"cache.evictions.{reason}").inc()
+        if self.metrics is not None:
+            self.metrics.counter("cache.evictions").inc()
+            self.metrics.counter(f"cache.evictions.{reason}").inc()
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; bad entries are evicted and miss.
@@ -191,7 +190,7 @@ class ResultCache:
         A load failure is always a miss, but it is also a *detection*:
         digest-mismatched (truncated, bit-flipped) and unpicklable
         entries are deleted on the spot and counted in
-        :attr:`evictions` / the ``cache.evictions`` telemetry counter,
+        :attr:`evictions` / the ``cache.evictions`` metrics counter,
         so corruption degrades to one recomputation instead of a crash
         or a stale read on every later run.
         """

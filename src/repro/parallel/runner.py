@@ -107,6 +107,12 @@ class SweepRunner:
         ``1`` runs serially in-process (still using the cache).
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` metering
+        the sweep itself (``parallel.*``: tasks mapped, executed,
+        cache-served) and, through the worker pool it builds,
+        ``supervise.*``.  Task-internal telemetry rides inside the
+        results — see :meth:`merge_task_telemetry`.
     retry:
         :class:`~repro.parallel.supervise.RetryPolicy` for tasks whose
         worker died.  Default: ``RetryPolicy()`` — three attempts with
@@ -117,7 +123,7 @@ class SweepRunner:
         self,
         workers: Optional[int] = None,
         cache: Optional[ResultCache] = None,
-        telemetry=None,
+        metrics=None,
         retry=None,
     ) -> None:
         if workers is None:
@@ -131,12 +137,7 @@ class SweepRunner:
         self.executed = 0
         #: Extra attempts spent re-running tasks whose worker died.
         self.retries = 0
-        #: Optional telemetry sink metering the sweep itself (tasks
-        #: mapped/executed/cache-served).  Task-internal telemetry rides
-        #: inside the results — see :meth:`merge_task_telemetry`.
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.metrics = metrics
 
     @property
     def cache_hits(self) -> int:
@@ -199,7 +200,8 @@ class SweepRunner:
                     land(*pending[outcome.index], outcome.value)
 
             outcomes = SupervisedRunner(
-                workers=self.workers, heartbeat_interval=0, retry=self.retry
+                workers=self.workers, heartbeat_interval=0, retry=self.retry,
+                metrics=self.metrics,
             ).map(
                 partial(_guard, fn),
                 [tasks[index] for index, _ in pending],
@@ -220,8 +222,8 @@ class SweepRunner:
                 raise SweepTaskError(failures, notes)
             return results
         finally:
-            if self.telemetry is not None:
-                metrics = self.telemetry.metrics
+            metrics = self.metrics
+            if metrics is not None:
                 metrics.counter("parallel.tasks").inc(len(tasks))
                 metrics.counter("parallel.executed").inc(
                     self.executed - executed_before
@@ -241,13 +243,13 @@ class SweepRunner:
 
         Each result may carry a ``telemetry`` attribute (or key) holding
         ``{"metrics": <snapshot>, ...}`` — the bundle
-        :meth:`repro.telemetry.Recorder.export` produces.  Snapshots are
+        :meth:`repro.obs.sink.Recorder.export` produces.  Snapshots are
         merged in **input order**, and
-        :func:`~repro.telemetry.metrics.merge_snapshots` is
+        :func:`~repro.obs.metrics.merge_snapshots` is
         order-independent besides, so the summary of a parallel sweep is
         bit-identical to the serial one.
         """
-        from repro.telemetry.metrics import merge_snapshots
+        from repro.obs.metrics import merge_snapshots
 
         snapshots = []
         for result in results:

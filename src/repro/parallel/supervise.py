@@ -278,9 +278,9 @@ class SupervisedRunner:
     straggler_factor:
         Speculative re-dispatch threshold as a multiple of the median
         completed duration (``None`` disables speculation).
-    telemetry:
-        Optional telemetry sink; supervision counters land in its
-        metrics registry under ``supervise.*``.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`;
+        supervision counters land in it under ``supervise.*``.
     """
 
     _POLL = 0.05  # max seconds between supervision sweeps
@@ -293,7 +293,7 @@ class SupervisedRunner:
         heartbeat_grace: float = 5.0,
         retry: Optional[RetryPolicy] = None,
         straggler_factor: Optional[float] = None,
-        telemetry=None,
+        metrics=None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -309,9 +309,7 @@ class SupervisedRunner:
                 f"straggler_factor must exceed 1: {straggler_factor}"
             )
         self.straggler_factor = straggler_factor
-        self.telemetry = (
-            telemetry if telemetry is not None and telemetry.enabled else None
-        )
+        self.metrics = metrics
         # Fork keeps task functions defined in __main__ usable, lets a
         # worker inherit the parameter sets instead of unpickling them
         # and skips re-importing the world; spawn-only platforms fall
@@ -348,8 +346,8 @@ class SupervisedRunner:
                 worker.conn.close()
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(name).inc(amount)
+        if self.metrics is not None:
+            self.metrics.counter(name).inc(amount)
 
     # -- the supervision loop ------------------------------------------------
 

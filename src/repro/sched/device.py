@@ -6,7 +6,7 @@ and fires the request's completion event.  Every completed request is
 appended to a :class:`RequestLog` for analysis — the logs are the raw
 material for all of the paper's throughput and response-time figures.
 
-When the owning simulation carries an enabled telemetry sink
+When the owning simulation carries a telemetry sink
 (``sim.telemetry``), the device reports the blktrace-style lifecycle of
 every request to it — queued at :meth:`BlockDevice.submit`, dispatched
 when the dispatcher hands it to the drive, completed with the drive's
@@ -109,10 +109,9 @@ class BlockDevice:
         self.drive = drive
         self.scheduler = scheduler
         self.log = RequestLog(max_records=max_log_records)
-        #: Enabled telemetry sink from the simulation, or ``None``; the
-        #: single ``is not None`` guard keeps disabled telemetry free.
-        sink = sim.telemetry
-        self.telemetry = sink if sink is not None and sink.enabled else None
+        #: Telemetry sink from the simulation, or ``None``; the single
+        #: ``is not None`` guard keeps recording off free.
+        self.telemetry = sim.telemetry
         if self.telemetry is not None and drive.telemetry is None:
             drive.telemetry = self.telemetry
         #: Callables ``(kind, request, now)`` invoked on "submit" and

@@ -93,11 +93,11 @@ class Simulation:
         #: ``partial`` so the hottest event factory skips one Python
         #: frame per call.
         self.timeout = partial(Timeout, self)
-        #: Optional :class:`~repro.telemetry.sink.TelemetrySink`.
+        #: Optional :class:`~repro.obs.sink.TelemetrySink`.
         #: Instrumented components (block devices, scrubbers, ...) pick
         #: it up from here, so one constructor argument threads
-        #: observability through the whole stack.  ``None`` or a
-        #: disabled sink leaves the hot event loop untouched.
+        #: observability through the whole stack.  ``None`` leaves the
+        #: hot event loop untouched.
         self.telemetry = telemetry
 
     @property
@@ -242,11 +242,9 @@ class Simulation:
         # Telemetry counts events by difference: every queue insertion
         # consumes exactly one sequence number, so the events fired by
         # this call are the sequence numbers consumed minus the growth
-        # of the pending set.  An enabled sink therefore costs three
-        # samples per run() call and nothing per event.
+        # of the pending set.  A sink therefore costs three samples per
+        # run() call and nothing per event.
         sink = self.telemetry
-        if sink is not None and not sink.enabled:
-            sink = None
         queue = self._queue
         heappop = heapq.heappop
         processed = _PROCESSED

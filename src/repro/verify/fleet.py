@@ -46,10 +46,10 @@ from repro.fleet.spec import (
     GroupProfile,
     group_seed,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.worker import PROBE
 from repro.parallel.cache import derive_seed
 from repro.raid.reliability import HOURS_PER_YEAR, lse_exposure_probability
-from repro.telemetry.metrics import MetricsRegistry
 from repro.verify.invariants import InvariantViolation
 
 __all__ = [
@@ -71,7 +71,7 @@ def _violation(invariant: str, message: str) -> InvariantViolation:
 
 def check_shard_result(spec, result: dict) -> None:
     """Audit one shard result's internal ledger."""
-    mission_hours = spec.mission_years * 8760.0
+    mission_hours = spec.mission_years * HOURS_PER_YEAR
     groups = result.get("group_count")
     start = result.get("group_start")
     if not isinstance(groups, int) or groups <= 0:

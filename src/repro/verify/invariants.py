@@ -1,9 +1,9 @@
 """Runtime invariant checking: conservation laws validated live.
 
-:class:`InvariantSink` is a :class:`~repro.telemetry.sink.TelemetrySink`
+:class:`InvariantSink` is a :class:`~repro.obs.sink.TelemetrySink`
 that *validates* instead of recording: attached to a simulation it
 watches the same blktrace-style hook stream the
-:class:`~repro.telemetry.sink.Recorder` consumes and raises a
+:class:`~repro.obs.sink.Recorder` consumes and raises a
 structured :class:`InvariantViolation` the moment an event breaks one
 of the stack's conservation laws:
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.telemetry.sink import TelemetrySink
+from repro.obs.sink import TelemetrySink
 
 __all__ = [
     "InvariantSink",
@@ -126,10 +126,7 @@ class InvariantSink(TelemetrySink):
         both (the other invariants still run).
     """
 
-    enabled = True
-
     def __init__(self, total_sectors: Optional[int] = None) -> None:
-        super().__init__()
         self.total_sectors = total_sectors
         self.last_time = float("-inf")
         self.events_seen = 0

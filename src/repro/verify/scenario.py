@@ -99,7 +99,7 @@ def _build_sink(telemetry: str, total_sectors: int):
 
         return InvariantSink(total_sectors=total_sectors)
     if telemetry == "recorder":
-        from repro.telemetry import Recorder
+        from repro.obs.sink import Recorder
 
         return Recorder(wall_time=False)
     raise ValueError(

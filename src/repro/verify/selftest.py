@@ -128,7 +128,6 @@ class _LossySink:
         self._backdate = backdate_at
         self._completed = 0
         self._queued = 0
-        self.enabled = inner.enabled
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -186,7 +185,7 @@ def _double_remap():
         if faults is not None:
             faults.reallocate(lbn, sim.now)
             sink = sim.telemetry
-            if sink is not None and sink.enabled:
+            if sink is not None:
                 sink.fault_event(sim.now, "remap", lbn)
 
     with _patched(remediation, "_remap_sector", patched):

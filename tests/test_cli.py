@@ -140,6 +140,38 @@ class TestOptimize:
         ]
         assert sum(row.lstrip()[:1].isdigit() for row in rows) == 3
 
+    @staticmethod
+    def _counters(out):
+        """``name -> value`` of the counters table ``--telemetry`` prints."""
+        lines = out.split("counters:\n", 1)[1].splitlines()
+        rows = [line.split() for line in lines if line.startswith("  ")]
+        return {name: int(value.replace(",", "")) for name, value in rows}
+
+    def test_telemetry_counts_the_worker_pool(self, capsys):
+        """One registry meters the sweep and the workers it forks."""
+        assert main([
+            "optimize", "--synthetic", "MSRusr2", "--duration", "900",
+            "--goals-ms", "1.0", "2.0", "--workers", "2", "--telemetry",
+        ]) == 0
+        counters = self._counters(capsys.readouterr().out)
+        assert counters["supervise.spawns"] >= 2  # a pair per pooled map()
+        assert counters["supervise.tasks"] > 0
+        assert counters["supervise.attempts"] == counters["parallel.attempts"]
+
+    def test_telemetry_counts_cache_evictions(self, tmp_path, capsys):
+        argv = [
+            "optimize", "--synthetic", "MSRusr2", "--duration", "900",
+            "--goals-ms", "2.0", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        entry = sorted(tmp_path.glob("*/*.pkl"))[0]
+        entry.write_bytes(entry.read_bytes()[:-1])  # a torn entry
+        capsys.readouterr()
+        assert main(argv + ["--telemetry"]) == 0
+        counters = self._counters(capsys.readouterr().out)
+        assert counters["cache.evictions"] == counters["cache.evictions.digest"] == 1
+        assert counters["parallel.executed"] == 1
+
 
 class TestIdlePositioning:
     """``--service-ms`` defaults to the catalog entry's positioning time
@@ -491,7 +523,7 @@ class TestJsonTargets:
     def test_fleet_json_is_written_atomically(self, tmp_path, capsys, monkeypatch):
         import json
 
-        from repro.telemetry import export
+        from repro.obs import export
 
         written = []
         real = export.atomic_write

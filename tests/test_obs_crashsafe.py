@@ -33,7 +33,7 @@ def _run_child(code: str, ready_token: str) -> subprocess.Popen:
 
 class TestWriteJsonl:
     def test_atomic_on_path_destination(self, tmp_path):
-        from repro.telemetry.export import write_jsonl
+        from repro.obs.export import write_jsonl
 
         dest = tmp_path / "log.jsonl"
         assert write_jsonl(str(dest), [{"a": 1}, {"b": 2}]) == 2
@@ -42,7 +42,7 @@ class TestWriteJsonl:
         assert [json.loads(line) for line in lines] == [{"a": 1}, {"b": 2}]
 
     def test_failing_record_leaves_previous_file(self, tmp_path):
-        from repro.telemetry.export import write_jsonl
+        from repro.obs.export import write_jsonl
 
         dest = tmp_path / "log.jsonl"
         write_jsonl(str(dest), [{"version": 1}])
@@ -65,7 +65,7 @@ class TestWriteJsonl:
         child = _run_child(
             f"""
             import itertools, sys
-            from repro.telemetry.export import write_jsonl
+            from repro.obs.export import write_jsonl
 
             def records():
                 for index in itertools.count():
@@ -86,7 +86,7 @@ class TestWriteJsonl:
     def test_file_object_destination_still_streams(self, tmp_path):
         import io
 
-        from repro.telemetry.export import write_jsonl
+        from repro.obs.export import write_jsonl
 
         buffer = io.StringIO()
         assert write_jsonl(buffer, [{"a": 1}]) == 1
@@ -99,7 +99,7 @@ class TestStatusJson:
         child = _run_child(
             f"""
             import itertools
-            from repro.obs import CampaignMonitor
+            from repro.obs.monitor import CampaignMonitor
 
             monitor = CampaignMonitor({str(obs)!r}, interval=0.0)
             monitor.campaign_started(
@@ -126,7 +126,7 @@ class TestStatusJson:
         assert status["version"] >= 1
         assert status["shards"]["total"] == 2
         # Torn events (if the kill split a line) must not break readers.
-        from repro.obs import load_obs_dir
+        from repro.obs.report import load_obs_dir
 
         data = load_obs_dir(str(obs))
         assert all("event" in e for e in data["events"])
@@ -134,7 +134,7 @@ class TestStatusJson:
 
 class TestChromeTrace:
     def test_atomic_on_path_destination(self, tmp_path):
-        from repro.telemetry import write_chrome_trace
+        from repro.obs.trace import write_chrome_trace
 
         dest = tmp_path / "trace.json"
         events = [{"name": "a", "ph": "i", "ts": 0, "pid": 0, "tid": 0}]
@@ -148,7 +148,7 @@ class TestChromeTrace:
         child = _run_child(
             f"""
             import itertools
-            from repro.telemetry import write_chrome_trace
+            from repro.obs.trace import write_chrome_trace
 
             class Endless(list):
                 # json.dump streams a list element by element, so the

@@ -25,7 +25,7 @@ from repro.fleet import (
     FleetSpec,
     ScrubPolicySpec,
 )
-from repro.obs import STATUS_VERSION, CampaignMonitor
+from repro.obs.monitor import STATUS_VERSION, CampaignMonitor
 from repro.parallel import RetryPolicy
 
 

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.obs import prometheus_lines, write_textfile
-from repro.telemetry.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.prometheus import prometheus_lines, write_textfile
 
 
 def _snapshot():

@@ -11,7 +11,8 @@ from repro.fleet import (
     FleetSpec,
     ScrubPolicySpec,
 )
-from repro.obs import CampaignMonitor, build_report, load_obs_dir, render_html
+from repro.obs.monitor import CampaignMonitor
+from repro.obs.report import build_report, load_obs_dir, render_html
 
 
 def _spec():

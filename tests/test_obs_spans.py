@@ -8,8 +8,8 @@ Chrome trace events even with spans still open.
 
 import json
 
-from repro.obs import Span, SpanRecorder, span_id
-from repro.telemetry.trace import write_chrome_trace
+from repro.obs.spans import Span, SpanRecorder, span_id
+from repro.obs.trace import write_chrome_trace
 
 
 class _FakeClock:

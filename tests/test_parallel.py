@@ -394,15 +394,15 @@ class TestFailedSweepKeepsFinishedResults:
     def test_second_run_executes_only_what_had_not_finished(
         self, tmp_path, workers
     ):
-        from repro.telemetry import Recorder
+        from repro.obs.metrics import MetricsRegistry
 
         flag = tmp_path / "fixed"
         params = [{"flag": str(flag), "value": i, "bad": 2} for i in range(4)]
-        recorder = Recorder(wall_time=False)
+        metrics = MetricsRegistry()
         first = SweepRunner(
             workers=workers,
             cache=ResultCache(tmp_path / "cache"),
-            telemetry=recorder,
+            metrics=metrics,
         )
         with pytest.raises(ValueError, match="not yet: 2"):
             first.map(_raise_until, params)
@@ -410,7 +410,7 @@ class TestFailedSweepKeepsFinishedResults:
         # drains, so only the raiser itself is missing.
         finished = 2 if workers == 0 else 3
         assert first.executed == finished
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["parallel.executed"] == finished
         assert counters["parallel.tasks"] == 4
 
@@ -427,10 +427,10 @@ class TestCacheEviction:
     """PR 7: corrupt entries are *deleted and counted*, not just missed."""
 
     def test_digest_mismatch_is_evicted_from_disk(self, tmp_path):
-        from repro.telemetry import Recorder
+        from repro.obs.metrics import MetricsRegistry
 
-        recorder = Recorder(wall_time=False)
-        cache = ResultCache(tmp_path, telemetry=recorder)
+        metrics = MetricsRegistry()
+        cache = ResultCache(tmp_path, metrics=metrics)
         key = cache.key(_square, {"x": 5})
         cache.put(key, 25)
         path = cache._path(key)
@@ -441,15 +441,15 @@ class TestCacheEviction:
         assert not hit
         assert not path.exists()  # evicted, not left to poison later runs
         assert cache.evictions == 1
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["cache.evictions"] == 1
         assert counters["cache.evictions.digest"] == 1
 
     def test_unpicklable_entry_is_evicted_and_counted(self, tmp_path):
-        from repro.telemetry import Recorder
+        from repro.obs.metrics import MetricsRegistry
 
-        recorder = Recorder(wall_time=False)
-        cache = ResultCache(tmp_path, telemetry=recorder)
+        metrics = MetricsRegistry()
+        cache = ResultCache(tmp_path, metrics=metrics)
         key = cache.key(_square, {"x": 8})
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -458,16 +458,16 @@ class TestCacheEviction:
         path.write_bytes(_ENTRY_MAGIC + digest + b"\n" + payload)
         hit, _ = cache.get(key)
         assert not hit and not path.exists()
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["cache.evictions.unpicklable"] == 1
 
     def test_headerless_entry_is_evicted_and_recomputed(self, tmp_path):
         import pickle
 
-        from repro.telemetry import Recorder
+        from repro.obs.metrics import MetricsRegistry
 
-        recorder = Recorder(wall_time=False)
-        cache = ResultCache(tmp_path, telemetry=recorder)
+        metrics = MetricsRegistry()
+        cache = ResultCache(tmp_path, metrics=metrics)
         key = cache.key(_square, {"x": 6})
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -475,7 +475,7 @@ class TestCacheEviction:
         runner = SweepRunner(workers=0, cache=cache)
         assert runner.map(_square, [{"x": 6}]) == [36]
         assert (runner.executed, cache.evictions, cache.hits) == (1, 1, 0)
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["cache.evictions.digest"] == 1
         # The recomputed value replaced it under a verifying header.
         assert cache.get(key) == (True, 36)
@@ -536,22 +536,25 @@ class TestConfigurableRetry:
         assert runner.retries == 2
 
     def test_attempts_and_retries_land_in_telemetry(self, tmp_path):
-        from repro.telemetry import Recorder
+        from repro.obs.metrics import MetricsRegistry
 
-        recorder = Recorder(wall_time=False)
+        metrics = MetricsRegistry()
         sentinel = str(tmp_path / "counted-crash")
         policy = RetryPolicy(
             max_attempts=3, backoff_base=0.0, backoff_max=0.0, jitter=0.0
         )
-        runner = SweepRunner(workers=2, retry=policy, telemetry=recorder)
+        runner = SweepRunner(workers=2, retry=policy, metrics=metrics)
         params = [
             {"sentinel": sentinel, "value": 2, "times": 1},
             {"sentinel": str(tmp_path / "unused"), "value": 5, "times": 0},
         ]
         assert runner.map(_die_n_times, params) == [6, 15]
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["parallel.retries"] == runner.retries == 1
         assert counters["parallel.attempts"] == 3
+        # The worker pool counts into the runner's registry too.
+        assert counters["supervise.attempts"] == 3
+        assert counters["supervise.worker_deaths"] == 1
 
 
 class TestCachePoisoning:

@@ -175,15 +175,15 @@ class TestSupervisedRunner:
         assert all(isinstance(o, TaskOutcome) for o in outcomes)
 
     def test_telemetry_counters(self, tmp_path):
-        from repro.telemetry import Recorder
+        from repro.obs.metrics import MetricsRegistry
 
-        recorder = Recorder(wall_time=False)
+        metrics = MetricsRegistry()
         runner = SupervisedRunner(
-            workers=2, retry=_FAST, heartbeat_interval=0.2, telemetry=recorder,
+            workers=2, retry=_FAST, heartbeat_interval=0.2, metrics=metrics,
         )
         sentinel = str(tmp_path / "counted")
         runner.map(_kill_once, [{"sentinel": sentinel, "value": 1}])
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["supervise.tasks"] == 1
         assert counters["supervise.attempts"] == 2
         assert counters["supervise.worker_deaths"] == 1
@@ -353,15 +353,15 @@ class _Events:
         return [pid for _, _, pid in self.started()]
 
 
-def _recorded(**kwargs):
-    from repro.telemetry import Recorder
+def _metered(**kwargs):
+    from repro.obs.metrics import MetricsRegistry
 
-    recorder = Recorder(wall_time=False)
-    return SupervisedRunner(telemetry=recorder, **kwargs), recorder
+    metrics = MetricsRegistry()
+    return SupervisedRunner(metrics=metrics, **kwargs), metrics
 
 
-def _counters(recorder):
-    return recorder.metrics.snapshot()["counters"]
+def _counters(metrics):
+    return metrics.snapshot()["counters"]
 
 
 def _heap_in_sight(value):
@@ -400,7 +400,7 @@ class TestPersistentWorkers:
             assert collectable < tracked - 100_000
 
     def test_clean_map_forks_one_process_per_slot(self):
-        runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        runner, metrics = _metered(workers=2, retry=_FAST, heartbeat_interval=0.2)
         events = _Events()
         outcomes = runner.map(
             _slow_square, [{"x": i} for i in range(16)], on_event=events
@@ -410,12 +410,12 @@ class TestPersistentWorkers:
         assert len(set(events.pids())) <= 2
         # Launch order is queue order: first ready entry first.
         assert [index for index, _, _ in events.started()] == list(range(16))
-        counters = _counters(recorder)
+        counters = _counters(metrics)
         assert counters["supervise.spawns"] == 2
         assert counters["supervise.attempts"] == 16
 
     def test_sigkill_replaces_only_the_dead_worker(self, tmp_path):
-        runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        runner, metrics = _metered(workers=2, retry=_FAST, heartbeat_interval=0.2)
         events = _Events()
         params = [{"x": i} for i in range(16)]
         params[5]["sentinel"] = str(tmp_path / "victim")
@@ -439,10 +439,10 @@ class TestPersistentWorkers:
         assert victim not in after
         assert survivor in after  # the other worker was not disturbed
         assert len(after - before) == 1  # exactly one replacement
-        assert _counters(recorder)["supervise.spawns"] == 3
+        assert _counters(metrics)["supervise.spawns"] == 3
 
     def test_deadline_kill_retries_on_a_fresh_worker(self, tmp_path):
-        runner, recorder = _recorded(
+        runner, metrics = _metered(
             workers=1, task_timeout=0.5, heartbeat_interval=0.1, retry=_FAST
         )
         events = _Events()
@@ -455,10 +455,10 @@ class TestPersistentWorkers:
         first, second = events.pids()
         assert first != second
         assert not os.path.exists(f"/proc/{first}")  # killed and reaped
-        assert _counters(recorder)["supervise.spawns"] == 2
+        assert _counters(metrics)["supervise.spawns"] == 2
 
     def test_stall_kill_retries_on_a_fresh_worker(self, tmp_path):
-        runner, recorder = _recorded(
+        runner, metrics = _metered(
             workers=1, heartbeat_interval=0.05, heartbeat_grace=4.0, retry=_FAST
         )
         events = _Events()
@@ -471,10 +471,10 @@ class TestPersistentWorkers:
         first, second = events.pids()
         assert first != second
         assert not os.path.exists(f"/proc/{first}")  # SIGKILL reaches a stopped process
-        assert _counters(recorder)["supervise.spawns"] == 2
+        assert _counters(metrics)["supervise.spawns"] == 2
 
     def test_raising_task_keeps_its_worker(self):
-        runner, recorder = _recorded(
+        runner, metrics = _metered(
             workers=1, heartbeat_interval=0.2,
             retry=RetryPolicy(max_attempts=1),
         )
@@ -486,12 +486,12 @@ class TestPersistentWorkers:
         assert returned.ok and returned.value == 2
         first, second = events.pids()
         assert first == second
-        counters = _counters(recorder)
+        counters = _counters(metrics)
         assert counters["supervise.spawns"] == 1
         assert counters["supervise.errors"] == 1
 
     def test_idle_worker_death_charges_no_task(self):
-        runner, recorder = _recorded(workers=1, retry=_FAST, heartbeat_interval=0.2)
+        runner, metrics = _metered(workers=1, retry=_FAST, heartbeat_interval=0.2)
         events = _Events()
 
         def kill_idle_worker(outcome):
@@ -508,7 +508,7 @@ class TestPersistentWorkers:
         assert all(o.attempts == 1 and o.worker_deaths == 0 for o in outcomes)
         first, second = events.pids()
         assert first != second
-        counters = _counters(recorder)
+        counters = _counters(metrics)
         assert counters["supervise.spawns"] == 2
         assert counters["supervise.attempts"] == 2
         assert "supervise.worker_deaths" not in counters
@@ -588,7 +588,7 @@ class TestPersistentWorkers:
     def test_concurrent_maps_on_one_runner_share_no_worker(self):
         import threading
 
-        runner, recorder = _recorded(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        runner, metrics = _metered(workers=2, retry=_FAST, heartbeat_interval=0.2)
         collectors = [_Events(), _Events()]
         results = [None, None]
 
@@ -611,7 +611,7 @@ class TestPersistentWorkers:
         pids = [set(collector.pids()) for collector in collectors]
         assert all(1 <= len(group) <= 2 for group in pids)
         assert not pids[0] & pids[1]
-        assert _counters(recorder)["supervise.spawns"] == len(pids[0] | pids[1])
+        assert _counters(metrics)["supervise.spawns"] == len(pids[0] | pids[1])
 
     def test_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
         import subprocess

@@ -11,7 +11,7 @@ from repro.analysis.replay_cdf import ReplayResult, replay_with_scrubber
 from repro.disk import Drive, hitachi_ultrastar_15k450
 from repro.sched import BlockDevice, CFQScheduler
 from repro.sim import Simulation
-from repro.telemetry import Recorder
+from repro.obs.sink import Recorder
 from repro.traces import Trace, generate_trace
 from repro.workloads.replay import TraceReplayer
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.obs import read_events_chunk
+from repro.obs.monitor import read_events_chunk
 from repro.service import CampaignService, ServiceClient
 
 pytestmark = pytest.mark.service

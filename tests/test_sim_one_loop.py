@@ -13,8 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.sim import KERNELS, Event, Simulation, StopSimulation, make_simulation
-from repro.telemetry import Recorder
-from repro.telemetry.sink import TelemetrySink
+from repro.obs.sink import Recorder, TelemetrySink
 
 
 # -- (a) events counted by difference ----------------------------------------
@@ -158,8 +157,6 @@ def test_recorded_event_count_equals_step_count(scenario, kernel):
 
 
 class _RunLog(TelemetrySink):
-    enabled = True
-
     def __init__(self):
         self.runs = []
 

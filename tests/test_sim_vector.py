@@ -11,12 +11,10 @@ from repro.sim import (
     VectorSimulation,
     make_simulation,
 )
-from repro.telemetry.sink import TelemetrySink
+from repro.obs.sink import TelemetrySink
 
 
 class CountingSink(TelemetrySink):
-    enabled = True
-
     def __init__(self):
         self.events = 0
         self.runs = 0

@@ -1,9 +1,10 @@
-"""Tests for the telemetry subsystem (repro.telemetry).
+"""Tests for the simulation side of :mod:`repro.obs`: the metrics
+registry, the sink protocol, the recorder and its exports.
 
 Three properties matter most and get the heaviest coverage:
 
 * telemetry is *passive* — experiment results are bit-identical with a
-  :class:`Recorder` attached, with the :data:`NULL_SINK`, and with no
+  :class:`Recorder` attached, with the no-op base sink, and with no
   sink at all;
 * per-task telemetry survives the process pool and merges to the same
   fleet summary serially and in parallel;
@@ -25,24 +26,19 @@ from repro.analysis.detection import (
 )
 from repro.core import SequentialScrub, Scrubber
 from repro.disk import DiskCommand, Drive, hitachi_ultrastar_15k450
+from repro.obs.export import error_log_records, request_log_records, write_jsonl
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    _snapshot_percentile,
+    format_table,
+    merge_snapshots,
+)
+from repro.obs.sink import Recorder, TelemetrySink
+from repro.obs.trace import with_pid, write_chrome_trace
 from repro.parallel import SweepRunner
 from repro.sched import BlockDevice, IORequest, NoopScheduler
 from repro.sim import Simulation
-from repro.telemetry import (
-    NULL_SINK,
-    Histogram,
-    MetricsRegistry,
-    NullSink,
-    Recorder,
-    TelemetrySink,
-    error_log_records,
-    format_table,
-    merge_snapshots,
-    request_log_records,
-    with_pid,
-    write_chrome_trace,
-    write_jsonl,
-)
 
 
 def small_spec():
@@ -79,32 +75,36 @@ class TestMetrics:
         registry.gauge("b").set(2.5)
         assert registry.counter("a").value == 5
         assert registry.gauge("b").value == 2.5
-        assert len(registry) == 2
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"a": 5}
+        assert snapshot["gauges"] == {"b": 2.5}
+        assert snapshot["histograms"] == {}
 
     def test_histogram_stats(self):
-        hist = Histogram("t")
+        registry = MetricsRegistry()
+        hist = registry.histogram("t")
         for value in (0.001, 0.002, 0.004, 0.1):
             hist.observe(value)
         assert hist.count == 4
         assert hist.min == 0.001
         assert hist.max == 0.1
-        assert hist.mean == pytest.approx(0.02675)
+        snap = registry.snapshot()["histograms"]["t"]
+        assert snap["sum"] / snap["count"] == pytest.approx(0.02675)
         # Percentiles are bucket upper bounds clamped to the true max.
-        assert 0.001 <= hist.percentile(0.25) <= 0.0018
-        assert hist.percentile(1.0) == 0.1
-        assert hist.percentile(0.0) >= hist.min / 1.78
+        assert 0.001 <= _snapshot_percentile(snap, 0.25) <= 0.0018
+        assert _snapshot_percentile(snap, 1.0) == 0.1
+        assert _snapshot_percentile(snap, 0.0) >= hist.min / 1.78
 
     def test_histogram_under_and_overflow(self):
-        hist = Histogram("t")
+        registry = MetricsRegistry()
+        hist = registry.histogram("t")
         hist.observe(1e-9)
         hist.observe(1e9)
         assert hist.counts[0] == 1
         assert hist.counts[-1] == 1
-        assert hist.percentile(1.0) == 1e9
-
-    def test_histogram_percentile_validates(self):
-        with pytest.raises(ValueError):
-            Histogram("t").percentile(1.5)
+        snap = registry.snapshot()["histograms"]["t"]
+        assert _snapshot_percentile(snap, 1.0) == 1e9
+        assert _snapshot_percentile(snap, 0.5) == Histogram.bucket_bound(0)
 
     def test_empty_histogram_snapshot_is_finite(self):
         registry = MetricsRegistry()
@@ -173,22 +173,17 @@ class TestMetrics:
 
 
 class TestSinks:
-    def test_null_sink_disabled_and_silent(self):
-        assert NULL_SINK.enabled is False
-        assert isinstance(NULL_SINK, NullSink)
-        NULL_SINK.engine_run(10, 1.0, 0.1)  # all hooks are no-ops
-        assert len(NULL_SINK.metrics) == 0
-
     def test_base_sink_hooks_are_noops(self):
         sink = TelemetrySink()
         sink.scrub_progress(0.0, "scrubber", 0.5)
         sink.fault_event(0.0, "remap", 7)
-        assert sink.enabled is False
+        sink.engine_run(10, 1.0, 0.1)
+        # A pure protocol: no switch to test, no registry to carry.
+        assert vars(sink) == {}
 
     def test_recorder_captures_lifecycle(self):
         recorder = Recorder()
         device, _ = run_traced_scrub(telemetry=recorder)
-        assert recorder.enabled is True
         counters = recorder.metrics.snapshot()["counters"]
         assert counters["device.completed"] == len(device.log)
         assert counters["device.completed"] == len(recorder.requests)
@@ -219,13 +214,13 @@ class TestDeterminism:
         kwargs = dict(algorithm="staggered", horizon=2.0, seed=5,
                       foreground=True)
         bare = run_detection_experiment(small_spec(), **kwargs)
-        null = run_detection_experiment(
-            small_spec(), telemetry=NULL_SINK, **kwargs
+        noop = run_detection_experiment(
+            small_spec(), telemetry=TelemetrySink(), **kwargs
         )
         recorded = run_detection_experiment(
             small_spec(), telemetry=Recorder(), **kwargs
         )
-        assert bare == null == recorded
+        assert bare == noop == recorded
 
     def test_recorder_snapshot_reproducible(self):
         snaps = []

@@ -54,8 +54,8 @@ from repro.fleet import (  # noqa: E402
     ScrubPolicySpec,
     fleet_shard_task,
 )
+from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.parallel import RetryPolicy  # noqa: E402
-from repro.telemetry import Recorder  # noqa: E402
 from repro.verify import check_campaign_journal  # noqa: E402
 
 
@@ -182,14 +182,14 @@ def main() -> int:
         sentinels = os.path.join(tmp, "sentinels")
         os.makedirs(sentinels)
         workers = 2
-        recorder = Recorder(wall_time=False)
+        metrics = MetricsRegistry()
         survived = CampaignRunner(
             spec,
             journal_dir=os.path.join(tmp, "worker-killed"),
             workers=workers,
             retry=_FAST,
             task=functools.partial(_kill_shard_once, sentinels),
-            telemetry=recorder,
+            metrics=metrics,
         ).run()
         failures += not check(
             "worker death detected and retried",
@@ -197,7 +197,7 @@ def main() -> int:
             and survived.supervision.get("retries", 0) >= 1,
             f"supervision {survived.supervision}",
         )
-        spawns = recorder.metrics.snapshot()["counters"].get("supervise.spawns")
+        spawns = metrics.snapshot()["counters"].get("supervise.spawns")
         failures += not check(
             "only the dead worker was replaced",
             spawns == workers + 1,
@@ -244,7 +244,7 @@ def main() -> int:
         )
 
         print("act 5: monitored campaign, interrupted and resumed")
-        from repro.obs import CampaignMonitor
+        from repro.obs.monitor import CampaignMonitor
 
         obs_dir = os.path.join(tmp, "obs")
         monitored_journal = os.path.join(tmp, "monitored")
