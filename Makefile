@@ -59,7 +59,10 @@ trace-budget:
 stack-budget:
 	$(PYTHON) tools/stack_budget.py
 
-# End-to-end smoke of the fault-injection lifecycle on a tiny fault
+# First the fleet shard kernel, whose generators are seeded in one
+# batch, against its reference loop seeded by numpy itself (20 configs,
+# about a second).  Then an end-to-end smoke of the fault-injection
+# lifecycle on a tiny fault
 # plan: the detect CLI across all three policies, the same sweep over a
 # replayed trace in process and on two forked workers (a Trace parameter
 # through the one process pool; the two outputs must be byte-identical),
@@ -70,6 +73,7 @@ stack-budget:
 # and Table III's "Waiting vs CFQ" shape check, which runs the
 # threshold bisection on four 4 h catalog traces.
 smoke:
+	PYTHONPATH=src $(PYTHON) -m repro verify --axes fleet-kernel --configs 20 --seed 1
 	PYTHONPATH=src $(PYTHON) -m repro detect --horizon 1.5 --cylinders 30
 	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	for workers in 0 2; do \

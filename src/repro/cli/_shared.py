@@ -250,7 +250,9 @@ def campaign_spec_from_args(args):
 
 
 def add_supervision_flags(parser: ArgumentParser) -> None:
-    """How a campaign's shards are run and watched (fleet, serve)."""
+    """How a campaign's shards are run and watched (fleet, serve); the
+    handler refuses values no runner can use with
+    :func:`check_supervision_flags` before it starts anything."""
     parser.add_argument(
         "--workers", type=int, default=0,
         help="supervised worker processes per campaign (0/1 = serial)",
@@ -269,6 +271,20 @@ def add_supervision_flags(parser: ArgumentParser) -> None:
         help="seconds between status.json rewrites / progress lines "
         "(default %(default)s)",
     )
+
+
+def check_supervision_flags(args) -> None:
+    """Refuse the :func:`add_supervision_flags` values no runner can use."""
+    if args.max_attempts < 1:
+        raise UsageError(f"--max-attempts must be >= 1: {args.max_attempts}")
+    if args.workers < 0:
+        raise UsageError(f"--workers must be >= 0: {args.workers}")
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        raise UsageError(f"--task-timeout must be > 0: {args.task_timeout:g}")
+    if args.status_interval < 0:
+        raise UsageError(
+            f"--status-interval must be >= 0: {args.status_interval:g}"
+        )
 
 
 def print_table(columns, rows) -> None:

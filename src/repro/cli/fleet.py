@@ -14,7 +14,7 @@ import numpy as np
 from ._shared import (
     UsageError, add_campaign_spec_flags, add_supervision_flags,
     add_telemetry_flags, campaign_spec_from_args, check_json_target,
-    print_table, print_telemetry, write_json,
+    check_supervision_flags, print_table, print_telemetry, write_json,
 )
 
 
@@ -87,6 +87,7 @@ def run(args) -> int:
     from repro.parallel.supervise import RetryPolicy
     from repro.verify import InvariantViolation
 
+    check_supervision_flags(args)
     if args.resume and not args.journal:
         raise UsageError("--resume needs --journal DIR to resume from")
     if args.trace_out and not (args.monitor or args.monitor_dir):

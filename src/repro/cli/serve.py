@@ -8,7 +8,7 @@ re-queue and resume from their shard checkpoints bit-identically."""
 
 import time
 
-from ._shared import add_supervision_flags
+from ._shared import add_supervision_flags, check_supervision_flags
 
 
 def register(subparsers) -> None:
@@ -43,6 +43,7 @@ def register(subparsers) -> None:
 def run(args) -> int:
     from repro.service import CampaignService
 
+    check_supervision_flags(args)
     service = CampaignService(
         args.data_dir, host=args.host, port=args.port,
         max_jobs=args.max_jobs, workers=args.workers,

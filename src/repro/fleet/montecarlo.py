@@ -42,7 +42,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fleet.spec import CampaignSpec, group_profiles, group_seed
+from repro.fleet.spec import (
+    _GROUP_STREAM,
+    CampaignSpec,
+    _group_generators,
+    group_profiles,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.worker import PROBE
 from repro.raid.reliability import HOURS_PER_YEAR, lse_exposure_probability
@@ -177,10 +182,12 @@ def fleet_shard_task(
     merging.
 
     Each group is walked once and every policy settles against that
-    walk.  Observability keeps its per-(policy, group) shape: the probe
-    total is ``group_count * len(policies)`` and advances by
-    ``len(policies)`` per group, and ``phases`` has one entry per policy
-    with the shared walk's wall time split evenly between them.
+    walk, drawing from ``default_rng(group_seed(spec.seed, group))``
+    as built for the whole shard in one batch.  Observability keeps its
+    per-(policy, group) shape: the probe total is ``group_count *
+    len(policies)`` and advances by ``len(policies)`` per group, and
+    ``phases`` has one entry per policy with the shared walk's wall
+    time split evenly between them.
     """
     if group_count <= 0:
         raise ValueError(f"group_count must be positive: {group_count}")
@@ -210,7 +217,8 @@ def fleet_shard_task(
     PROBE.reset(group_count * policy_count)
     started = time.perf_counter()
     profiles = group_profiles(fleet, spec.seed, group_start, group_count)
-    for group_index, profile in enumerate(profiles, group_start):
+    rngs = _group_generators(spec.seed, _GROUP_STREAM, group_start, group_count)
+    for profile, rng in zip(profiles, rngs):
         rate = profile.lse_burst_rate_per_hour
         p_lses = p_lse_by_rate.get(rate)
         if p_lses is None:
@@ -219,7 +227,7 @@ def fleet_shard_task(
                 for window in latent_windows
             )
         checkpoints, end = _walk_group(
-            np.random.default_rng(group_seed(spec.seed, group_index)),
+            rng,
             fleet.disks_per_group,
             fleet.redundancy,
             profile.mttf_hours,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import hashlib
 
@@ -55,6 +55,22 @@ __all__ = [
 _PROFILE_STREAM = 0x50524F46  # "PROF"
 _GROUP_STREAM = 0x47525550  # "GRUP"
 _POLICY_STREAM = 0x504F4C00  # "POL\0" + policy index (MLET burst draws)
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> Tuple[int, ...]:
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return tuple(constants)
+
+
+#: numpy's ``SeedSequence`` hash multipliers in the order its ``hashmix``
+#: advances them: call k xors with entry k and multiplies by entry k+1.
+#: Mixing a four-word pool makes 16 calls (INIT_A / MULT_A: 4 to fill
+#: it, 12 to cross-mix it); ``generate_state(4, np.uint64)`` makes 8
+#: (INIT_B / MULT_B).  None depends on the seed.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
 @dataclass(frozen=True)
@@ -247,6 +263,76 @@ def group_seed(campaign_seed: int, group_index: int) -> int:
     return derive_seed(derive_seed(campaign_seed, _GROUP_STREAM), group_index)
 
 
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)``, one row per seed.
+
+    numpy's pool mix and state hash, run as ``uint32`` array arithmetic
+    over the whole batch (arrays wrap on overflow as numpy's C does).
+    A seed must lie in [0, 2**64) — a :func:`derive_seed` value is below
+    2**63 — so its entropy is its two little-endian 32-bit words, or one
+    below 2**32, where the pool hashes a 0 in place of the missing high
+    word: the same thing.
+    """
+    steps = iter(zip(_POOL_HASH, _POOL_HASH[1:]))
+
+    def hashmix(value):
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    low = np.array([seed & 0xFFFFFFFF for seed in seeds], dtype=np.uint32)
+    high = np.array([seed >> 32 for seed in seeds], dtype=np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                # mix(x, y) = MIX_MULT_L * x - MIX_MULT_R * y, folded.
+                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+                pool[dst] = mixed ^ mixed >> 16
+    halves = []
+    for index, (xor, mult) in enumerate(zip(_STATE_HASH, _STATE_HASH[1:])):
+        value = (pool[index % 4] ^ xor) * mult
+        halves.append((value ^ value >> 16).astype(np.uint64))
+    # generate_state reads its 32-bit words as little-endian uint64s.
+    return np.stack(
+        [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)], axis=1
+    )
+
+
+def _generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(s)`` for each seed, bit for bit.
+
+    The seed hash runs once for the batch (:func:`_seed_words`); each
+    ``PCG64`` then seeds itself from its row exactly as from the words
+    a ``SeedSequence`` generates.
+    """
+    # Here, not at module level: importing repro.fleet loads no
+    # numpy.random (make import-budget).
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):  # PCG64 asks for 4 x uint64, once
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    for row in _seed_words(seeds):
+        yield np.random.Generator(np.random.PCG64(StateWords(row)))
+
+
+def _group_generators(
+    campaign_seed: int, salt: int, start: int, count: int
+) -> Iterator[np.random.Generator]:
+    """The generators of groups ``[start, start+count)`` in seed stream
+    ``salt``: with ``_GROUP_STREAM``, ``default_rng(group_seed(...))``'s."""
+    stream = derive_seed(campaign_seed, salt)
+    return _generators(
+        [derive_seed(stream, index) for index in range(start, start + count)]
+    )
+
+
 @dataclass(frozen=True)
 class GroupProfile:
     """Resolved per-group parameters (deterministic per seed+index)."""
@@ -278,11 +364,9 @@ def group_profiles(
     weights = np.array([cls.weight for cls in classes])
     total = float(weights.sum())
     cumulative = np.cumsum(weights).tolist()
-    stream = derive_seed(campaign_seed, _PROFILE_STREAM)
     last = len(classes) - 1
     profiles = []
-    for group_index in range(start, start + count):
-        rng = np.random.default_rng(derive_seed(stream, group_index))
+    for rng in _group_generators(campaign_seed, _PROFILE_STREAM, start, count):
         class_index = min(bisect_right(cumulative, rng.random() * total), last)
         age = classes[class_index].age_years + rng.random() * spread
         profiles.append(_profile(classes, class_index, age))

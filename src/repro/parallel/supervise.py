@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.obs.worker import PROBE
+from repro.obs.worker import PROBE, peak_rss_kb
 from repro.parallel.cache import derive_seed
 
 __all__ = ["RetryPolicy", "SupervisedRunner", "TaskOutcome"]
@@ -154,11 +154,11 @@ class TaskOutcome:
     #: not merely beat — so a degraded campaign can say when a shard
     #: actually wedged, not when supervision gave up on it.
     last_progress_time: Optional[float] = None
-    #: Highest ``ru_maxrss`` shipped with this task's heartbeats, if the
-    #: worker platform reports it.  That is a process-lifetime
-    #: high-water mark and workers are reused: it reads "peak of the
-    #: worker up to that beat", earlier tasks included, not "peak of
-    #: this attempt".
+    #: Highest ``ru_maxrss`` shipped with this task's heartbeats and
+    #: replies, if the worker platform reports it.  That is a
+    #: process-lifetime high-water mark and workers are reused: it reads
+    #: "peak of the worker up to that message", earlier tasks included,
+    #: not "peak of this attempt".
     peak_rss_kb: Optional[int] = None
 
 
@@ -184,9 +184,11 @@ def _supervised_worker(conn, fn, param_sets, heartbeat_interval, supervisor) -> 
 
     Each index received runs ``fn(**param_sets[index])`` with a fresh
     heartbeat thread (so the beat interval restarts with the task) and
-    a reset :data:`PROBE`, and answers ``("ok", value)`` or ``("err",
-    message)``.  An ``Exception`` is an answer and the worker carries
-    on; ``SystemExit`` / ``KeyboardInterrupt`` and a result that cannot
+    a reset :data:`PROBE`, and answers ``("ok", value, rss_kb)`` or
+    ``("err", message, rss_kb)``, ``rss_kb`` being the worker's peak
+    RSS so far (a task shorter than one beat sends no other).  An
+    ``Exception`` is an answer and the worker carries on;
+    ``SystemExit`` / ``KeyboardInterrupt`` and a result that cannot
     be sent end the process, which the supervisor reads as a death.
 
     The heartbeat thread and the result send share ``lock`` because
@@ -225,7 +227,7 @@ def _supervised_worker(conn, fn, param_sets, heartbeat_interval, supervisor) -> 
             finally:
                 done.set()
             with lock:
-                conn.send(message)
+                conn.send(message + (peak_rss_kb(),))
     except (EOFError, OSError):
         pass  # supervisor gone
     finally:
@@ -445,6 +447,10 @@ class SupervisedRunner:
                 },
             )
 
+        def book_rss(outcome: TaskOutcome, rss: Optional[int]) -> None:
+            if rss is not None:
+                outcome.peak_rss_kb = max(outcome.peak_rss_kb or 0, int(rss))
+
         def finish(outcome: TaskOutcome) -> None:
             done.add(outcome.index)
             if not outcome.ok:
@@ -578,7 +584,7 @@ class SupervisedRunner:
                         continue
                     now = time.monotonic()
                     try:
-                        kind, payload = conn.recv()
+                        kind, payload, *reply = conn.recv()
                     except (EOFError, OSError):
                         retire(
                             worker, now, "death",
@@ -596,16 +602,16 @@ class SupervisedRunner:
                             if payload.get("done", 0) > previous:
                                 outcome.last_progress_time = time.time()
                             outcome.last_progress = payload
-                            rss = payload.get("rss_kb")
-                            if rss is not None:
-                                outcome.peak_rss_kb = max(
-                                    outcome.peak_rss_kb or 0, int(rss)
-                                )
+                            book_rss(outcome, payload.get("rss_kb"))
                         emit(
                             "heartbeat", worker.index,
                             {"attempt": worker.attempt, "payload": payload},
                         )
-                    elif kind == "ok":
+                        continue
+                    # A reply carries the worker's peak RSS too: a task
+                    # shorter than one heartbeat ships it nowhere else.
+                    book_rss(outcomes[worker.index], *reply)
+                    if kind == "ok":
                         succeed(worker, now, payload)
                     else:
                         retire(worker, now, "error", str(payload))

@@ -31,6 +31,11 @@ The planted bugs (one per conservation law / differential axis):
     The batched replay cursor drifts its due times by one part in
     10^12 — far below anything a summary statistic would notice.
     Caught by the differential oracle's *feed* axis.
+``fleet-seed-words``
+    The fleet's batch seeding swaps the 32-bit halves of every PCG64
+    state word, so each group draws from a generator that is not
+    ``default_rng(group_seed(...))``'s.  Caught by the *fleet-kernel*
+    axis, whose reference loop seeds through numpy itself.
 
 Used by ``tests/test_verify_selftest.py`` and ``repro verify
 --self-test``.
@@ -206,12 +211,30 @@ def _cursor_drift():
         yield
 
 
+@contextmanager
+def _swap_seed_words():
+    from repro.fleet import spec
+
+    original = spec._seed_words
+
+    def patched(seeds):
+        words = original(seeds)
+        return words >> 32 | words << 32
+
+    with _patched(spec, "_seed_words", patched):
+        yield
+
+
 def _check_invariants(params: dict) -> None:
     run_scenario(**params, telemetry="invariants")
 
 
 def _check_feed_axis(params: dict) -> None:
     run_axes(params, axes=("feed",))
+
+
+def _check_fleet_kernel_axis(params: dict) -> None:
+    run_axes(params, axes=("fleet-kernel",))
 
 
 class Mutation(NamedTuple):
@@ -267,6 +290,14 @@ MUTATIONS: Dict[str, Mutation] = {
         # drift to land on (the sparse Cello trace has too few).
         {"family": "synthetic", "algorithm": "sequential", "seed": 11},
         _check_feed_axis,
+        (DifferentialMismatch,),
+    ),
+    "fleet-seed-words": Mutation(
+        "batch seeding swaps the halves of each PCG64 state word",
+        _swap_seed_words,
+        # The axis runs its own small campaign; only the seed is read.
+        {"seed": 11},
+        _check_fleet_kernel_axis,
         (DifferentialMismatch,),
     ),
 }

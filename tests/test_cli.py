@@ -291,8 +291,8 @@ class TestVerify:
         code = main(["verify", "--self-test", "--configs", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "self-test: 6/6 planted bugs caught" in out
-        assert "cursor-drift" in out
+        assert "self-test: 7/7 planted bugs caught" in out
+        assert "cursor-drift" in out and "fleet-seed-words" in out
 
     def test_bad_axis_rejected(self):
         with pytest.raises(SystemExit):
@@ -427,6 +427,16 @@ class TestExitCodes:
          "--entries selects entries of a --corpus"),
         (["optimize", "--synthetic", "MSRusr2", "--json", "--telemetry"],
          "--json and --telemetry both write stdout"),
+        (["fleet", "--max-attempts", "0"], "--max-attempts must be >= 1: 0"),
+        (["fleet", "--workers", "-1"], "--workers must be >= 0: -1"),
+        (["fleet", "--task-timeout", "0"], "--task-timeout must be > 0: 0"),
+        (["fleet", "--status-interval", "-1"],
+         "--status-interval must be >= 0: -1"),
+        (["serve", "--max-attempts", "0"], "--max-attempts must be >= 1: 0"),
+        (["serve", "--workers", "-2"], "--workers must be >= 0: -2"),
+        (["serve", "--task-timeout", "-5"], "--task-timeout must be > 0: -5"),
+        (["serve", "--status-interval", "-0.5"],
+         "--status-interval must be >= 0: -0.5"),
     ])
     def test_a_handler_s_usage_error(self, argv, message, capsys):
         assert main(argv) == 2

@@ -36,7 +36,6 @@ from repro.fleet import (
     ScrubPolicySpec,
     campaign_digest,
     fleet_shard_task,
-    group_seed,
     loss_rate_interval,
     wilson_interval,
 )
@@ -101,14 +100,10 @@ class TestSpec:
 
     def test_digest_ignores_shard_count_only_via_spec(self):
         # Shard layout IS part of the spec (it names the checkpoints),
-        # so a resharded campaign gets a fresh journal…
+        # so a resharded campaign gets a fresh journal; the simulation
+        # seeds don't know shards exist (test_fleet_kernel.py::
+        # TestSeeding::test_a_group_s_generator_does_not_depend_on_its_batch).
         assert campaign_digest(_spec(shards=6)) != campaign_digest(_spec(shards=4))
-
-    def test_group_seed_independent_of_shards(self):
-        # …but the simulation seeds don't know shards exist.
-        assert group_seed(3, 17) == group_seed(3, 17)
-        assert group_seed(3, 17) != group_seed(3, 18)
-        assert group_seed(3, 17) != group_seed(4, 17)
 
     def test_shard_ranges_partition_the_fleet(self):
         spec = _spec(groups=10, shards=4)
@@ -153,6 +148,14 @@ class TestDeterminism:
         # window, so the shorter window can never lose MORE groups.
         assert staggered.losses_by_mode["double"] == weekly.losses_by_mode["double"]
         assert staggered.losses_by_mode["lse"] <= weekly.losses_by_mode["lse"]
+
+
+class TestSupervisionReport:
+    def test_sub_second_shards_report_the_workers_peak_rss(self):
+        # Every shard ends inside one heartbeat interval (1 s), so no
+        # heartbeat carries RSS: the workers' replies must.
+        result = CampaignRunner(_spec(), workers=2, retry=_FAST).run()
+        assert result.supervision["peak_rss_kb"] > 0
 
 
 class TestCheckpointResume:

@@ -5,7 +5,8 @@ every policy settle against that walk; ``repro.verify.fleet`` keeps the
 per-(policy, group) loop it replaced.  Everything here is an equality
 with that reference — shard results, group profiles, the closed form,
 journals — on seeded drawn specs, so a divergence reproduces from the
-spec index alone.
+spec index alone.  The kernel seeds a shard's generators in one batch;
+numpy's ``default_rng`` is the reference for that (``TestSeeding``).
 """
 
 import math
@@ -23,7 +24,14 @@ from repro.fleet import (
     fleet_shard_task,
     group_profile,
     group_profiles,
+    group_seed,
     simulate_group,
+)
+from repro.fleet.spec import (
+    _GROUP_STREAM,
+    _generators,
+    _group_generators,
+    _seed_words,
 )
 from repro.parallel.cache import canonicalize
 from repro.raid.reliability import HOURS_PER_YEAR, group_reliability
@@ -32,6 +40,12 @@ from repro.verify.fleet import (
     reference_shard_task,
     reference_simulate_group,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - the container ships hypothesis
+    given = None
 
 _PRESETS = ("ultrastar", "caviar", "deskstar")
 
@@ -150,6 +164,58 @@ class TestShardKernel:
                 policy.name for policy in spec.policies
             ]
             assert all(p["wall_s"] >= 0 for p in result["phases"])
+
+
+def _assert_numpy_seeded(generators, seeds):
+    """Each generator is ``np.random.default_rng(seed)``: state and draws."""
+    generators = list(generators)
+    assert len(generators) == len(seeds)
+    for rng, seed in zip(generators, seeds):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state, seed
+        assert rng.random(8).tolist() == want.random(8).tolist(), seed
+
+
+@pytest.mark.filterwarnings("error")
+class TestSeeding:
+    """The batch seeding is numpy's ``SeedSequence`` -> ``PCG64``, word
+    for word, and a group's generator does not depend on its batch."""
+
+    EDGES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+
+    def test_edge_seeds(self):
+        for seed, words in zip(self.EDGES, _seed_words(self.EDGES)):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert words.tolist() == want.tolist(), seed
+        _assert_numpy_seeded(_generators(self.EDGES), self.EDGES)
+
+    def test_every_group_of_the_bench_campaign(self):
+        seeds = [group_seed(7, group) for group in range(4000)]
+        _assert_numpy_seeded(_group_generators(7, _GROUP_STREAM, 0, 4000), seeds)
+
+    @pytest.mark.skipif(given is None, reason="needs hypothesis")
+    def test_drawn_seeds(self):
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16))
+        def check(seeds):
+            _assert_numpy_seeded(_generators(seeds), seeds)
+
+        check()
+
+    def test_a_group_s_generator_does_not_depend_on_its_batch(self):
+        states = [
+            list(_group_generators(3, _GROUP_STREAM, start, count))[13 - start]
+            .bit_generator.state
+            for start, count in ((13, 1), (13, 250), (0, 4000))
+        ]
+        assert states[0] == states[1] == states[2]
+        _assert_numpy_seeded(
+            _group_generators(3, _GROUP_STREAM, 13, 1), [group_seed(3, 13)]
+        )
+        (neighbour,) = _group_generators(3, _GROUP_STREAM, 14, 1)
+        (other_campaign,) = _group_generators(4, _GROUP_STREAM, 13, 1)
+        assert neighbour.bit_generator.state != states[0]
+        assert other_campaign.bit_generator.state != states[0]
 
 
 def _bits(profile):

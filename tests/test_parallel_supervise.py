@@ -221,13 +221,15 @@ class TestProgressProbe:
         assert outcome.peak_rss_kb and outcome.peak_rss_kb > 0
 
     def test_fast_task_without_heartbeat_has_none(self):
-        # A task finishing inside one heartbeat never ships a payload;
-        # the fields stay None rather than inventing a zero sample.
+        # A task finishing inside one heartbeat never ships a progress
+        # payload; those fields stay None rather than inventing a zero
+        # sample.  Its reply still carries the worker's peak RSS.
         runner = SupervisedRunner(workers=1, heartbeat_interval=30.0)
         (outcome,) = runner.map(_square, [{"x": 5}])
         assert outcome.ok and outcome.value == 25
         assert outcome.last_progress is None
         assert outcome.last_progress_time is None
+        assert outcome.peak_rss_kb and outcome.peak_rss_kb > 0
 
     def test_on_event_stream(self):
         events = []
