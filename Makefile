@@ -69,9 +69,12 @@ stack-budget:
 # then `repro trace` (the Waiting scrubber over injected faults and a
 # foreground reader) run twice: the Chrome trace must parse, and it and
 # the request and error logs must be byte-identical; last the detection
-# experiment benchmark (ATA cache-bug A/B + serial/parallel identity)
-# and Table III's "Waiting vs CFQ" shape check, which runs the
-# threshold bisection on four 4 h catalog traces.
+# experiment benchmark (ATA cache-bug A/B + serial/parallel identity),
+# Table III's "Waiting vs CFQ" shape check, which runs the threshold
+# bisection on four 4 h catalog traces, and the two benchmarks that
+# reach the block-device dispatcher's waits: Fig. 3's user-level vs
+# kernel scrubber (soft barriers, both delay modes) and the CFQ
+# idle-gate ablation (the timed re-check).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro verify --axes fleet-kernel --configs 20 --seed 1
 	PYTHONPATH=src $(PYTHON) -m repro detect --horizon 1.5 --cylinders 30
@@ -93,7 +96,8 @@ smoke:
 	cmp "$$out/P1.requests.jsonl" "$$out/P2.requests.jsonl"; \
 	cmp "$$out/P1.errors.jsonl" "$$out/P2.errors.jsonl"
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_fig_detection.py \
-		benchmarks/test_tab3_optimizer.py \
+		benchmarks/test_tab3_optimizer.py benchmarks/test_fig03_user_vs_kernel.py \
+		benchmarks/test_abl_idle_gate.py \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks
 

@@ -287,6 +287,21 @@ def check_supervision_flags(args) -> None:
         )
 
 
+def check_sizes(args, positive=(), non_negative=()) -> None:
+    """Refuse a size no stack can be built with: each flag named in
+    ``positive`` must be > 0, each in ``non_negative`` >= 0 (names are
+    ``args`` attributes; an optional flag left unset passes)."""
+    for names, rule, bad in (
+        (positive, "> 0", lambda value: value <= 0),
+        (non_negative, ">= 0", lambda value: value < 0),
+    ):
+        for name in names:
+            value = getattr(args, name)
+            if value is not None and bad(value):
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"{flag} must be {rule}: {value:g}")
+
+
 def print_table(columns, rows) -> None:
     """A header and one line per row: ``columns`` is ``(header, width)``
     pairs, each row one cell per column; the first column is flush left,

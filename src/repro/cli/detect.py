@@ -6,7 +6,8 @@ import argparse
 
 from ._shared import (
     UsageError, add_sweep_flags, add_telemetry_flags, add_trace_source,
-    build_runner, bursts_params, drive_spec, load_trace, print_telemetry,
+    build_runner, bursts_params, check_sizes, drive_spec, load_trace,
+    print_telemetry,
 )
 
 
@@ -75,6 +76,8 @@ def run(args) -> int:
             raise UsageError(
                 f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
             )
+    staggered = ("regions",) if "staggered" in args.algorithms else ()
+    check_sizes(args, positive=("horizon",) + staggered)
     # Loaded once here; SweepRunner's forked workers inherit it and the
     # cache is keyed on its content digest.
     fg_trace = load_trace(args) if args.trace or args.synthetic else None

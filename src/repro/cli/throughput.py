@@ -1,7 +1,9 @@
 """``repro throughput``: standalone scrub throughput (Fig. 5) for one
 algorithm and request size on an otherwise idle drive."""
 
-from ._shared import add_telemetry_flags, drive_spec, print_telemetry
+from ._shared import (
+    add_telemetry_flags, check_sizes, drive_spec, print_telemetry,
+)
 
 
 def register(subparsers) -> None:
@@ -28,6 +30,11 @@ def run(args) -> int:
     from repro.core import SequentialScrub, StaggeredScrub
     from repro.obs.sink import Recorder
 
+    staggered = ("regions",) if args.algorithm == "staggered" else ()
+    check_sizes(
+        args, positive=("request_kb", "horizon") + staggered,
+        non_negative=("delay_ms",),
+    )
     spec = drive_spec(args.drive)
     if args.algorithm == "sequential":
         algorithm = SequentialScrub()

@@ -4,7 +4,8 @@ the telemetry recorder on, export a Chrome trace-event JSON (Perfetto /
 the request and error logs."""
 
 from ._shared import (
-    add_trace_source, bursts_params, drive_spec, load_trace, print_telemetry,
+    add_trace_source, bursts_params, check_sizes, drive_spec, load_trace,
+    print_telemetry,
 )
 
 
@@ -69,6 +70,11 @@ def run(args) -> int:
     )
     from repro.obs.sink import Recorder
 
+    staggered = ("regions",) if args.algorithm == "staggered" else ()
+    check_sizes(
+        args, positive=("request_kb", "max_log_records") + staggered,
+        non_negative=("horizon",),
+    )
     spec = drive_spec(args.drive)
     if args.cylinders:
         spec = shrunk_spec(spec, cylinders=args.cylinders)

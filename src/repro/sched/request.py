@@ -12,8 +12,10 @@ import enum
 import itertools
 from typing import Optional
 
-from repro.disk.commands import DiskCommand
+from repro.disk.commands import CommandStatus, DiskCommand
 
+#: Submission sequence numbers, one stream for every device in the
+#: process.
 _sequence = itertools.count()
 
 
@@ -41,7 +43,17 @@ class IORequest:
     soft_barrier:
         ``True`` for user-level pass-through commands: never sorted or
         merged, and no request submitted after it may overtake it.
+
+    :meth:`BlockDevice.submit <repro.sched.device.BlockDevice.submit>`
+    sets ``seq`` (from :data:`_sequence`), ``submit_time`` and
+    ``completion``; its dispatcher sets the rest.
     """
+
+    __slots__ = (
+        "command", "priority", "source", "soft_barrier", "seq",
+        "submit_time", "dispatch_time", "complete_time", "completion",
+        "breakdown",
+    )
 
     def __init__(
         self,
@@ -65,10 +77,6 @@ class IORequest:
         self.completion = None
         #: Drive-level timing breakdown, set at completion.
         self.breakdown = None
-
-    def stamp_submit(self, now: float) -> None:
-        self.seq = next(_sequence)
-        self.submit_time = now
 
     # -- derived timings ------------------------------------------------------
     @property
@@ -106,8 +114,6 @@ class IORequest:
     @property
     def failed(self) -> bool:
         """``True`` when the drive failed the request (``MEDIUM_ERROR``)."""
-        from repro.disk.commands import CommandStatus
-
         return self.breakdown is not None and (
             self.breakdown.status is not CommandStatus.GOOD
         )

@@ -445,6 +445,25 @@ class TestExitCodes:
         assert message in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "--max-log-records", "0"], "--max-log-records must be > 0: 0"),
+        (["trace", "--request-kb", "0"], "--request-kb must be > 0: 0"),
+        (["trace", "--horizon", "-1"], "--horizon must be >= 0: -1"),
+        (["trace", "--algorithm", "staggered", "--regions", "0"],
+         "--regions must be > 0: 0"),
+        (["throughput", "--request-kb", "0"], "--request-kb must be > 0: 0"),
+        (["throughput", "--horizon", "-1"], "--horizon must be > 0: -1"),
+        (["throughput", "--delay-ms", "-1"], "--delay-ms must be >= 0: -1"),
+        (["detect", "--horizon", "-1"], "--horizon must be > 0: -1"),
+        (["detect", "--regions", "0", "--algorithm", "staggered"],
+         "--regions must be > 0: 0"),
+    ])
+    def test_a_full_stack_size_no_stack_can_run(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {argv[0]}: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["detect", "trace"])
     @pytest.mark.parametrize("pair", [
         ["--foreground", "--synthetic", "MSRsrc11"],

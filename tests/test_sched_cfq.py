@@ -1,19 +1,25 @@
 """Tests for the CFQ scheduler model (repro.sched.cfq)."""
 
+import itertools
+
 import pytest
 
 from repro.disk.commands import DiskCommand
 from repro.sched import CFQScheduler, IORequest, PriorityClass
 
+_seq = itertools.count()
+
 
 def req(lbn=0, priority=PriorityClass.BE, source="fg", barrier=False, now=0.0):
+    """A request stamped as ``BlockDevice.submit`` stamps it."""
     request = IORequest(
         DiskCommand.read(lbn, 8),
         priority=priority,
         source=source,
         soft_barrier=barrier,
     )
-    request.stamp_submit(now)
+    request.seq = next(_seq)
+    request.submit_time = now
     return request
 
 

@@ -1,14 +1,20 @@
 """Tests for the C-LOOK elevator (repro.sched.elevator)."""
 
+import itertools
+
 import pytest
 
 from repro.disk.commands import DiskCommand
 from repro.sched import ElevatorQueue, IORequest
 
+_seq = itertools.count()
+
 
 def req(lbn, sectors=8):
+    """A request stamped as ``BlockDevice.submit`` stamps it."""
     request = IORequest(DiskCommand.read(lbn, sectors))
-    request.stamp_submit(0.0)
+    request.seq = next(_seq)
+    request.submit_time = 0.0
     return request
 
 
