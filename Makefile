@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 import-budget surface examples trace-budget stack-budget smoke bench bench-quick bench-telemetry bench-verify bench-fleet bench-service bench-obs bench-corpus verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget surface examples trace-budget stack-budget hook-budget smoke bench bench-quick bench-fleet bench-service verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -25,11 +25,12 @@ import-budget:
 # The surface contract (tools/surface.py): every public class or
 # function, every method and every defaulted parameter under src/repro
 # is reached (a parameter: passed) from an entry point -- the CLI,
-# bench/, benchmarks/, tools/, examples/ or a README python block -- by a
-# name-based walk in which an __init__ re-export is not a use.  Prints
-# three tables of what nothing reaches, what only tests/ reach and what
-# only examples/ reach; exit 1 unless each table's first two are
-# exactly its allow-list in the tool.
+# bench/, the figure modules in benchmarks/, tools/, examples/ or a
+# README python block -- by a name-based walk in which an __init__
+# re-export is not a use.  Prints three tables of what nothing reaches,
+# what only tests/ reach (the golden oracles among it) and what only
+# examples/ reach; exit 1 unless each table's first two are exactly its
+# allow-list in the tool, one reason per entry.
 surface:
 	$(PYTHON) tools/surface.py
 
@@ -45,7 +46,10 @@ examples:
 # entry at the CLI's default 4 h, MSRsrc11 at 6 h and one day, a fresh
 # interpreter each; prints kept / drawn, seconds, RSS and whether the
 # trace reached its duration; exit 1 when a call grows the process by
-# more than 3x the trace's bytes + 32 MB.  Seconds are never judged.
+# more than 3x the trace's bytes + 32 MB.  Then a >= 1 GiB stored corpus,
+# written by one fresh interpreter and streamed through the idle-interval
+# scan by another: exit 1 when the scan grows its process by more than
+# 16 chunks or a quarter of the corpus.  Seconds are never judged.
 trace-budget:
 	$(PYTHON) tools/trace_budget.py
 
@@ -58,6 +62,14 @@ trace-budget:
 # call 2.  Seconds are never judged.
 stack-budget:
 	$(PYTHON) tools/stack_budget.py
+
+# What an attached observer costs (tools/hook_budget.py): a 3000-group,
+# 16-shard serial fleet campaign bare and under a CampaignMonitor at a
+# 0.25 s status interval, ten interleaved pairs; exit 1 when the median
+# monitored / bare wall-time ratio exceeds 1.05 or a monitored result
+# differs from the bare one in any bit.
+hook-budget:
+	$(PYTHON) tools/hook_budget.py
 
 # First the fleet shard kernel, whose generators are seeded in one
 # batch, against its reference loop seeded by numpy itself (20 configs,
@@ -98,25 +110,6 @@ smoke:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_fig_detection.py \
 		benchmarks/test_tab3_optimizer.py benchmarks/test_fig03_user_vs_kernel.py \
 		benchmarks/test_abl_idle_gate.py \
-		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
-		-p no:cacheprovider --override-ini testpaths=benchmarks
-
-# Telemetry overhead: what a recording sink costs over the bare kernel
-# (no sink -- the only disabled case) on the 1M-event churn workload
-# (writes BENCH_PR3.json), plus a scaled-down pytest pass under the
-# lite-timeout plugin that bounds it.
-bench-telemetry:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_telemetry.py
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_perf_telemetry.py \
-		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
-		-p no:cacheprovider --override-ini testpaths=benchmarks
-
-# Invariant-checker overhead gate: the live InvariantSink must stay
-# within 10% of the bare kernel on the 1M-event churn workload (writes
-# BENCH_PR5.json), plus a scaled-down pytest pass.
-bench-verify:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_verify.py
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q benchmarks/test_perf_verify.py \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT) \
 		-p no:cacheprovider --override-ini testpaths=benchmarks
 
@@ -164,22 +157,8 @@ bench-fleet:
 bench-service:
 	$(PYTHON) bench/run.py --workload service_mix --trace 1
 
-# Observability gate (writes BENCH_PR8.json): campaign monitoring must
-# stay within 5% of a bare run with bit-identical results, and the
-# final status.json / Perfetto trace must pass the schema checks.
-bench-obs:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_obs.py
-
-# Corpus-scale tuning gate (writes BENCH_PR9.json): the successive-
-# halving search must spend >=5x fewer interval-evaluations than the
-# exhaustive grid with throughput within 1% on every seeded catalog
-# workload, and streaming a >=1GB on-disk corpus must keep RSS bounded
-# by the 25MiB chunk size.
-bench-corpus:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_corpus.py
-
 # Full experiment benchmarks (slow; regenerates the paper's figures).
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 import-budget surface examples trace-budget stack-budget smoke
+check: tier1 import-budget surface examples trace-budget stack-budget hook-budget smoke

@@ -30,8 +30,9 @@ optimum might be instead:
 Cost: ≈220–340 interval-evaluations per idle interval
 against the exhaustive grid's ≈2700 — an 8–12x reduction on the
 seeded catalog suite, measured by
-:data:`repro.analysis.slowdown.SIM_METER` and gated (≥5x per
-workload) by ``make bench-corpus``.  The safety contract is
+:data:`repro.analysis.slowdown.SIM_METER`; ``tests/test_search.py``
+holds it at ≥5x the grid's effort and pins the effort of two catalog
+days as literals.  The safety contract is
 :func:`repro.verify.search.check_search_vs_grid`: on the seeded suite
 the searched optimum's throughput must be within a documented
 tolerance (default 1%) of the exhaustive grid's, with the slowdown

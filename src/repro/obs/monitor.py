@@ -125,6 +125,9 @@ class CampaignMonitor:
         self._mission_years = 0.0
         self._disks_per_group = 1
         self._merged: Optional[dict] = None
+        #: Landed shards' snapshots not yet folded into ``_merged``:
+        #: the fold waits for a reader (a status write, the summary).
+        self._landed: List[dict] = []
         self._drive_hours = 0.0
         self._busy_seconds = 0.0
         self._durations: List[float] = []
@@ -360,6 +363,7 @@ class CampaignMonitor:
             ],
         }
         self._merged = result.telemetry
+        self._landed = []
         self.spans.end("campaign", args={"state": self._state})
         self._event("campaign_finished", state=self._state,
                     progress=round(self.progress(), 6))
@@ -451,9 +455,7 @@ class CampaignMonitor:
                   "resumed": 0}
         for shard in self._shards.values():
             states[shard.state] += 1
-        counters = {}
-        if self._merged is not None:
-            counters = dict(self._merged.get("counters", {}))
+        counters = dict(self.merged_snapshot().get("counters", {}))
         now = self._clock()
         per_shard = []
         for index in sorted(self._shards):
@@ -521,6 +523,9 @@ class CampaignMonitor:
 
     def merged_snapshot(self) -> dict:
         """The live merged telemetry snapshot (landed shards so far)."""
+        if self._landed:
+            self._merged = merge_snapshots([self._merged, *self._landed])
+            self._landed = []
         return self._merged if self._merged is not None else {
             "counters": {}, "gauges": {}, "histograms": {},
         }
@@ -569,9 +574,7 @@ class CampaignMonitor:
     def _land_result(self, result: dict) -> None:
         snapshot = (result.get("telemetry") or {}).get("metrics")
         if snapshot:
-            self._merged = merge_snapshots(
-                [self._merged, snapshot] if self._merged else [snapshot]
-            )
+            self._landed.append(snapshot)
         for block in result.get("policies", []):
             self._drive_hours += block.get("drive_hours", 0.0)
 
@@ -632,9 +635,10 @@ class CampaignMonitor:
     def _write_json(self, path: str, payload: dict) -> None:
         """Replace ``path`` atomically; an unwritable directory degrades
         monitoring (``io_errors``), never the campaign."""
+        text = json.dumps(payload, indent=2, sort_keys=True)
         try:
             with atomic_write(path) as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write(text)
         except OSError:
             self.io_errors += 1
 

@@ -125,10 +125,12 @@ def write_chrome_trace(
     round-trips through ``json.load``.  A path destination is written
     through :func:`~repro.obs.export.atomic_write`.
     """
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
+    # One ``dumps`` and one write: ``json.dump`` never takes the C
+    # encoder and writes every token separately, for the same bytes.
+    text = json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
     if hasattr(destination, "write"):
-        json.dump(payload, destination)
+        destination.write(text)
     else:
         with atomic_write(destination) as handle:
-            json.dump(payload, handle)
+            handle.write(text)
     return len(events)

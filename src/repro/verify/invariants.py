@@ -31,8 +31,10 @@ led up to it, so a failure inside a million-event run pinpoints its
 context without a debugger.  The sink only observes — attaching it
 never changes what a simulation does — and when it is *not* attached
 the engine runs the untouched fast loop, so the checker costs nothing
-unless asked for (``benchmarks/perf_verify.py`` gates the enabled
-overhead on the PR 1 churn workload).
+unless asked for.  Attached, it hears the kernel once per
+``Simulation.run`` call, never per event
+(``tests/test_sim_one_loop.py``); what it costs on a stack whose hooks
+fire per request is not budgeted.
 
 Post-run checks that need whole-run state (:func:`check_error_log`,
 :func:`check_media_faults`) live here too; :meth:`InvariantSink.finish`

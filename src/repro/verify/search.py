@@ -11,9 +11,9 @@ The contract, checked per workload:
   (default 1%, relative) of the exhaustive grid's optimum — the slack
   admits a subsample mis-ranking two near-tied sizes, nothing more;
 * with the default schedule the chosen parameters are *identical* to
-  the grid's on the seeded catalog suite (asserted by
-  ``make bench-corpus``; the tolerance is the documented contract, the
-  identity is the observed reality).
+  the grid's on seeded catalog workloads (asserted by
+  ``tests/test_search.py``; the tolerance is the documented contract,
+  the identity is the observed reality).
 
 A violation raises
 :class:`~repro.verify.differential.DifferentialMismatch` with

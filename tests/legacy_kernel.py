@@ -1,9 +1,9 @@
 """Frozen snapshot of the seed (pre-PR-1) simulation kernel.
 
 This is the verbatim pure-Python kernel as it shipped in the growth
-seed, kept as a single module so ``perf_kernel.py`` can measure the
-optimised kernel's speedup against a stable baseline.  Do not optimise
-this file -- it *is* the "before" measurement.
+seed, kept as a single module so ``tests/test_sim_determinism.py`` can
+hold the current kernel's event order to it.  Do not optimise this
+file -- it *is* the golden oracle.
 """
 
 import heapq

@@ -253,7 +253,10 @@ class TestCampaignIntegration:
         status = json.loads((obs / "status.json").read_text())
         assert status["state"] == "done"
         assert status["progress"] == 1.0
+        assert status["progress"] <= status["progress_live"]
         assert status["shards"]["done"] == spec.shards
+        assert len(status["per_shard"]) == spec.shards
+        assert all(row["state"] == "done" for row in status["per_shard"])
         assert status["final"]["completeness"] == 1.0
         assert [p["name"] for p in status["final"]["policies"]] == [
             "weekly", "staggered",
@@ -267,10 +270,10 @@ class TestCampaignIntegration:
             "policy weekly", "policy staggered",
         }
         trace = json.loads((obs / "trace.json").read_text())
-        phases = [
-            e for e in trace["traceEvents"]
-            if e.get("ph") == "X" and e.get("cat") == "phase"
-        ]
+        spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+        assert len(spans) >= spec.shards
+        assert all(len(e["args"]["span_id"]) == 16 for e in spans)
+        phases = [e for e in spans if e.get("cat") == "phase"]
         assert len(phases) == spec.shards * 2  # two policies per shard
 
     def test_monitor_merged_telemetry_matches_campaign(self, tmp_path):

@@ -217,6 +217,13 @@ def _start_serve(data_dir, extra=()):
     return proc, url
 
 
+def _landed_checkpoints(checkpoints) -> int:
+    """Checkpoint entries renamed into place, as ``tools/serve_smoke.py``
+    counts them: ``ResultCache.put`` makes ``<key[:2]>/`` and a ``.tmp``
+    file before the ``.pkl`` lands, so directory entries overcount."""
+    return sum(1 for _ in checkpoints.glob("*/*.pkl"))
+
+
 def test_sigkill_service_resumes_bit_identical(tmp_path):
     """Kill -9 mid-campaign; restart; resume; metrics bit-identical."""
     data_dir = tmp_path / "data"
@@ -230,7 +237,7 @@ def test_sigkill_service_resumes_bit_identical(tmp_path):
         checkpoints = data_dir / "campaigns" / job_id / "journal" / "checkpoints"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if checkpoints.is_dir() and len(os.listdir(checkpoints)) >= 2:
+            if _landed_checkpoints(checkpoints) >= 2:
                 break
             time.sleep(0.02)
         else:
@@ -288,7 +295,7 @@ def test_drain_requeues_running_job(tmp_path):
         checkpoints = data_dir / "campaigns" / job_id / "journal" / "checkpoints"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if checkpoints.is_dir() and len(os.listdir(checkpoints)) >= 1:
+            if _landed_checkpoints(checkpoints) >= 1:
                 break
             time.sleep(0.02)
     finally:

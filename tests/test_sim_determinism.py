@@ -10,23 +10,18 @@ Two lines of defence:
 
 * golden comparison — a scenario exercising timeouts, callbacks,
   processes, interrupts, and ``AnyOf``/``AllOf`` runs on both the
-  frozen seed kernel (``benchmarks/legacy_kernel.py``) and the current
+  frozen seed kernel (``tests/legacy_kernel.py``) and the current
   kernel; the full ``(time, label)`` logs must match exactly;
 * direct ordering assertions on the current kernel, reusing the
   scenario shapes from ``tests/test_sim_engine.py``.
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro.sim as current_kernel
 from repro.sim import AllOf, AnyOf, Interrupt, Simulation
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-
-import legacy_kernel  # noqa: E402
+from . import legacy_kernel
 
 
 def run_scenario(kernel):

@@ -3,6 +3,8 @@
 * Telemetry counts events by difference (sequence numbers consumed
   minus growth of the pending set).  The ground truth is the number of
   ``step()`` calls that drain the same scenario on the reference kernel.
+  So a sink hears the loop once per ``run()`` call, however many events
+  the call pops.
 * The vector kernel's timer store hides behind a proxy heap entry.  The
   ground truth is a reference :class:`Simulation` issuing one
   ``sim.timeout(d)`` per stored delay.
@@ -12,8 +14,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import collections
+
 from repro.sim import KERNELS, Event, Simulation, StopSimulation, make_simulation
 from repro.obs.sink import Recorder, TelemetrySink
+from repro.verify.invariants import InvariantSink
 
 
 # -- (a) events counted by difference ----------------------------------------
@@ -151,6 +156,53 @@ def test_recorded_event_count_equals_step_count(scenario, kernel):
         counted.append(counter.value - before)
     assert counted == expected
     assert (sim.now, sim._seq) == (stepped.now, stepped._seq)
+
+
+def _churn(sim, runs, processes=1000, steps=100):
+    """``processes`` x ``steps`` timeouts over 25 s of simulated time,
+    drained by ``runs`` calls of ``run()``."""
+
+    def worker(sim, index):
+        for step in range(steps):
+            yield sim.timeout(((index + step) % 7 + 1) * 0.0625)
+
+    for index in range(processes):
+        sim.process(worker(sim, index))
+    for index in range(1, runs):
+        sim.run(until=25.0 * index / runs)
+    sim.run()
+
+
+@pytest.mark.parametrize("runs", [1, 5])
+@pytest.mark.parametrize("sink_class", [Recorder, InvariantSink])
+def test_a_sink_hears_the_churn_once_per_run(sink_class, runs):
+    heard = collections.Counter()
+
+    def counted(name):
+        def hook(self, *args, **kwargs):
+            heard[name] += 1
+            return getattr(sink_class, name)(self, *args, **kwargs)
+        return hook
+
+    hooks = {
+        name: counted(name)
+        for name, value in vars(TelemetrySink).items()
+        if callable(value) and not name.startswith("_")
+    }
+    sink = type("Counting", (sink_class,), hooks)()
+    sim = Simulation(telemetry=sink)
+    _churn(sim, runs)
+    bare = Simulation()
+    assert bare.telemetry is None  # the only disabled sink
+    _churn(bare, runs)
+    assert not sim._queue
+    assert (sim.now, sim._seq) == (bare.now, bare._seq) and sim._seq >= 100_000
+    assert heard == {"engine_run": runs}
+    if sink_class is Recorder:
+        assert sink.metrics.counter("engine.runs").value == runs
+        assert sink.metrics.counter("engine.events").value == sim._seq
+    else:
+        assert sink.events_seen == runs
 
 
 # -- (b) the timer store behind its proxy -------------------------------------

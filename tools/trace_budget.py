@@ -1,9 +1,10 @@
-"""Trace budget: what synthesising a catalog trace costs beyond the trace.
+"""Trace budget: what synthesising a catalog trace costs beyond the trace,
+and what streaming a stored corpus costs beyond one chunk.
 
-``make trace-budget`` runs this.  For every catalog entry at the CLI's
-default ``--duration`` (4 h, seed 0), then for MSRsrc11 at the
-benchmark's 6 h and at one day (seed 7), a fresh interpreter calls
-``generate_trace`` and reports
+``make trace-budget`` runs this.  Synthesis rows: for every catalog
+entry at the CLI's default ``--duration`` (4 h, seed 0), then for
+MSRsrc11 at the benchmark's 6 h and at one day (seed 7), a fresh
+interpreter calls ``generate_trace`` and reports
 
 * requests kept and kept / drawn -- the burst estimate ignores the hour
   profile, so a trace that starts in quiet hours draws 5-8x what it
@@ -12,13 +13,25 @@ benchmark's 6 h and at one day (seed 7), a fresh interpreter calls
 * RSS growth during the call over the bytes of the trace's four columns;
 * whether the trace reached its duration (no run-dry ``RuntimeWarning``).
 
-Exit status 1 when a row's RSS growth exceeds ``3 x trace bytes +
+A synthesis row fails when its RSS growth exceeds ``3 x trace bytes +
 32 MB``: block-wise synthesis holds the columns, the untouched output
 buffer and a few megabyte-sized blocks, where one pass over the whole
-draw read 11x at 6 h.  The seconds are printed for the reader and never
-judged here (this box runs the same work 0.8-1.5x from minute to
-minute); a run-dry row is reported, not failed -- fixing the estimate
-changes traces and is ROADMAP's to schedule.
+draw read 11x at 6 h.  A run-dry row is reported, not failed -- fixing
+the estimate changes traces and is ROADMAP's to schedule.
+
+The corpus row: one fresh interpreter writes a corpus of MSRusr2's 4 h
+day (seed 0) tiled to at least 1 GiB of packed columns
+(``generate_corpus(repetitions=)``), and a second one opens it and runs
+``idle_intervals_streaming`` over every chunk.  The row fails when the
+scan grows its process by more than 16 chunks of packed columns or by
+more than a quarter of the corpus, or when the corpus is under 1 GiB.
+Growth is the scan child's own: ``ru_maxrss`` is a high-water mark an
+exec'd child starts from its parent's peak, so this process imports
+nothing but the standard library and never holds the corpus.
+
+Exit status 1 when any row fails.  The seconds are printed for the
+reader and never judged here (this box runs the same work 0.8-1.5x from
+minute to minute).
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from typing import List, Tuple
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -34,6 +48,11 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 CLI_DEFAULT_DURATION = 4 * 3600.0
 GROWTH_FACTOR = 3.0
 GROWTH_SLACK_MB = 32.0
+
+CORPUS_ENTRY = "MSRusr2"
+CORPUS_MIN_BYTES = 1 << 30
+SCAN_CHUNKS = 16
+SCAN_SHARE = 0.25
 
 _PROBE = """
 import json, resource, sys, time, warnings
@@ -79,25 +98,61 @@ print(json.dumps({
 """
 
 
-def rows() -> List[Tuple[str, float, int]]:
-    """(catalog entry, duration, seed) for every judged call."""
-    sys.path.insert(0, SRC)
-    from repro.traces import CATALOG
+_NAMES = """
+import json
+from repro.traces import CATALOG
+print(json.dumps(sorted(CATALOG)))
+"""
 
-    return [(name, CLI_DEFAULT_DURATION, 0) for name in sorted(CATALOG)] + [
-        ("MSRsrc11", 6 * 3600.0, 7),
-        ("MSRsrc11", 24 * 3600.0, 7),
-    ]
+_BUILD = """
+import json, sys, time
+from repro.traces import generate_trace
+from repro.traces.catalog import generate_corpus
+from repro.traces.store import DEFAULT_CHUNK_REQUESTS, packed_nbytes
+
+directory, name, minimum = sys.argv[1], sys.argv[2], int(sys.argv[3])
+start = time.perf_counter()
+repetitions = -(-minimum // packed_nbytes(len(generate_trace(name, seed=0))))
+corpus = generate_corpus(directory, names=[name], seed=0, repetitions=repetitions)
+row = corpus.describe(name)
+print(json.dumps({
+    "seconds": time.perf_counter() - start,
+    "chunks": row["chunks"],
+    "data_mb": packed_nbytes(row["requests"]) / 2.0**20,
+    "chunk_mb": packed_nbytes(DEFAULT_CHUNK_REQUESTS) / 2.0**20,
+}))
+"""
+
+_SCAN = """
+import json, resource, sys, time
+from repro.traces.idle import idle_intervals_streaming
+from repro.traces.store import TraceCorpus
+
+def max_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+before = max_rss_mb()
+start = time.perf_counter()
+stored = TraceCorpus.open(sys.argv[1]).entry(sys.argv[2])
+_, durations = idle_intervals_streaming(stored.iter_chunks())
+seconds, after = time.perf_counter() - start, max_rss_mb()
+print(json.dumps({
+    "seconds": seconds,
+    "rss_mb": after,
+    "growth_mb": after - before,
+    "intervals": len(durations),
+}))
+"""
 
 
-def measure(name: str, duration: float, seed: int) -> dict:
-    """One ``generate_trace`` call in a fresh interpreter."""
+def probe(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter; its last line of output is JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH")))
     )
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, name, str(duration), str(seed)],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True,
     )
     if done.returncode:
@@ -105,9 +160,37 @@ def measure(name: str, duration: float, seed: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def rows() -> List[Tuple[str, float, int]]:
+    """(catalog entry, duration, seed) for every judged synthesis call."""
+    return [(name, CLI_DEFAULT_DURATION, 0) for name in probe(_NAMES)] + [
+        ("MSRsrc11", 6 * 3600.0, 7),
+        ("MSRsrc11", 24 * 3600.0, 7),
+    ]
+
+
+def measure(name: str, duration: float, seed: int) -> dict:
+    """One ``generate_trace`` call in a fresh interpreter."""
+    return probe(_PROBE, name, str(duration), str(seed))
+
+
+def measure_corpus(directory: str) -> dict:
+    """Build the corpus in one fresh interpreter, scan it in another."""
+    build = probe(_BUILD, directory, CORPUS_ENTRY, str(CORPUS_MIN_BYTES))
+    return {"build": build, "scan": probe(_SCAN, directory, CORPUS_ENTRY)}
+
+
 def over_budget(report: dict) -> bool:
     allowed = GROWTH_FACTOR * report["trace_mb"] + GROWTH_SLACK_MB
     return report["growth_mb"] > allowed
+
+
+def corpus_over_budget(report: dict) -> bool:
+    build, growth = report["build"], report["scan"]["growth_mb"]
+    return (
+        build["data_mb"] * 2.0**20 < CORPUS_MIN_BYTES
+        or growth > SCAN_CHUNKS * build["chunk_mb"]
+        or growth > SCAN_SHARE * build["data_mb"]
+    )
 
 
 def main() -> int:
@@ -129,6 +212,22 @@ def main() -> int:
             + ("yes" if report["reached"] else "NO (ran dry)")
             + (f"   OVER BUDGET: grew {report['growth_mb']:.1f} MB" if bad else "")
         )
+    with tempfile.TemporaryDirectory() as tmp:
+        report = measure_corpus(os.path.join(tmp, "corpus"))
+    build, scan = report["build"], report["scan"]
+    bad = corpus_over_budget(report)
+    failed = failed or bad
+    print(
+        f"\n{'corpus':<10} {'MB':>6} {'chunks':>6} {'build s':>8} "
+        f"{'scan s':>7} {'rss MB':>7} {'growth MB':>9} {'limit MB':>9}"
+    )
+    limit = min(SCAN_CHUNKS * build["chunk_mb"], SCAN_SHARE * build["data_mb"])
+    print(
+        f"{CORPUS_ENTRY:<10} {build['data_mb']:>6.0f} {build['chunks']:>6d} "
+        f"{build['seconds']:>8.1f} {scan['seconds']:>7.1f} "
+        f"{scan['rss_mb']:>7.1f} {scan['growth_mb']:>9.1f} {limit:>9.1f}"
+        + ("   OVER BUDGET" if bad else "")
+    )
     print("trace budget [FAIL]" if failed else "trace budget [OK]")
     return 1 if failed else 0
 
