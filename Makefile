@@ -59,7 +59,9 @@ trace-budget:
 # and of a fault-injected detect run with remediation, no gc.collect()
 # anywhere; prints max RSS and tracked objects after every call; exit 1
 # when call 12 stands more than 2 MB or 1000 tracked objects above
-# call 2.  Seconds are never judged.
+# call 2, or when the replay's Python-level calls per request (one more
+# call under sys.setprofile) exceed the tool's CALLS_PER_REQUEST.
+# Seconds are never judged.
 stack-budget:
 	$(PYTHON) tools/stack_budget.py
 

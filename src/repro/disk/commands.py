@@ -69,10 +69,8 @@ class DiskCommand(_Fields):
     __slots__ = ()
 
     def __new__(cls, opcode: Opcode, lbn: int, sectors: int) -> "DiskCommand":
-        if lbn < 0:
-            raise ValueError(f"negative LBN: {lbn}")
-        if sectors <= 0:
-            raise ValueError(f"sector count must be positive: {sectors}")
+        if lbn < 0 or sectors <= 0:
+            raise _bad_range(lbn, sectors)
         return tuple.__new__(cls, (opcode, lbn, sectors))
 
     @property
@@ -85,14 +83,29 @@ class DiskCommand(_Fields):
         """One past the last LBN touched."""
         return self.lbn + self.sectors
 
+    # The three constructors repeat ``__new__``'s check and build the
+    # tuple themselves: one frame per command instead of two.
     @classmethod
     def read(cls, lbn: int, sectors: int) -> "DiskCommand":
-        return cls(Opcode.READ, lbn, sectors)
+        if lbn < 0 or sectors <= 0:
+            raise _bad_range(lbn, sectors)
+        return tuple.__new__(cls, (Opcode.READ, lbn, sectors))
 
     @classmethod
     def write(cls, lbn: int, sectors: int) -> "DiskCommand":
-        return cls(Opcode.WRITE, lbn, sectors)
+        if lbn < 0 or sectors <= 0:
+            raise _bad_range(lbn, sectors)
+        return tuple.__new__(cls, (Opcode.WRITE, lbn, sectors))
 
     @classmethod
     def verify(cls, lbn: int, sectors: int) -> "DiskCommand":
-        return cls(Opcode.VERIFY, lbn, sectors)
+        if lbn < 0 or sectors <= 0:
+            raise _bad_range(lbn, sectors)
+        return tuple.__new__(cls, (Opcode.VERIFY, lbn, sectors))
+
+
+def _bad_range(lbn: int, sectors: int) -> ValueError:
+    """The error for a command with ``lbn < 0`` or ``sectors <= 0``."""
+    if lbn < 0:
+        return ValueError(f"negative LBN: {lbn}")
+    return ValueError(f"sector count must be positive: {sectors}")

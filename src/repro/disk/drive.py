@@ -40,7 +40,8 @@ class ServiceBreakdown(NamedTuple):
 
     A ``NamedTuple`` rather than a frozen dataclass: one is built per
     command, and a tuple built from positional arguments costs about a
-    quarter as much.
+    quarter as much.  The drive builds it with ``tuple.__new__``, all
+    nine fields given, which skips the generated ``__new__`` frame.
     """
 
     start: float
@@ -106,6 +107,9 @@ class Drive:
             read_ahead_sectors=spec.read_ahead_sectors,
         )
         self.cache_enabled = cache_enabled
+        #: The geometry's sector count, stored: ``service`` checks every
+        #: command's range against it.
+        self.total_sectors = self.geometry.total_sectors
         #: Latent-sector-error state (:meth:`install_faults`); ``None``
         #: means a fault-free drive (the fault checks then cost one
         #: attribute test per command).
@@ -119,10 +123,6 @@ class Drive:
         self.telemetry = None
 
     # -- properties ----------------------------------------------------------
-    @property
-    def total_sectors(self) -> int:
-        return self.geometry.total_sectors
-
     @property
     def capacity_bytes(self) -> int:
         return self.geometry.capacity_bytes
@@ -154,7 +154,7 @@ class Drive:
         ``now`` must not precede the previous command's issue time — the
         caller owns serialisation.
         """
-        if command.end_lbn > self.total_sectors:
+        if command.lbn + command.sectors > self.total_sectors:
             raise ValueError(
                 f"command {command} exceeds disk size {self.total_sectors}"
             )
@@ -167,7 +167,7 @@ class Drive:
         self.commands_serviced += 1
 
         breakdown = None
-        cache_path = self._uses_cache_path(command)
+        cache_path = self.cache_enabled and self._uses_cache_path(command)
         if cache_path:
             breakdown = self._try_cache(command, now)
         if breakdown is None:
@@ -178,9 +178,8 @@ class Drive:
 
     # -- internals -------------------------------------------------------------
     def _uses_cache_path(self, command: DiskCommand) -> bool:
-        """Whether this command may be satisfied from / populate the cache."""
-        if not self.cache_enabled:
-            return False
+        """Whether this command may be satisfied from / populate the
+        cache, on a drive whose cache is enabled."""
         if command.opcode is Opcode.READ:
             return True
         if command.opcode is Opcode.VERIFY:
@@ -216,8 +215,8 @@ class Drive:
                     finish, bad, command.opcode.value
                 )
         # Fields in declaration order: start, finish, overhead, seek,
-        # rotation, transfer, cache_hit.
-        return ServiceBreakdown(
+        # rotation, transfer, cache_hit, status, error_lbn.
+        return tuple.__new__(ServiceBreakdown, (
             now,
             finish,
             spec.command_overhead + spec.completion_overhead,
@@ -225,7 +224,9 @@ class Drive:
             max(0.0, ready - issued),
             transfer,
             True,
-        )
+            CommandStatus.GOOD,
+            None,
+        ))
 
     def _media_access(
         self, command: DiskCommand, now: float, cache_path: bool
@@ -322,7 +323,7 @@ class Drive:
 
         # Fields in declaration order: start, finish, overhead, seek,
         # rotation, transfer, cache_hit, status, error_lbn.
-        return ServiceBreakdown(
+        return tuple.__new__(ServiceBreakdown, (
             now,
             finish,
             spec.command_overhead + spec.completion_overhead,
@@ -332,7 +333,7 @@ class Drive:
             False,
             status,
             error_lbn,
-        )
+        ))
 
     def __repr__(self) -> str:
         return f"<Drive {self.spec.name!r} head@{self.head_cylinder}>"

@@ -41,7 +41,9 @@ class Location(NamedTuple):
 
     A ``NamedTuple`` rather than a frozen dataclass: the drive builds
     one per track it touches, and a tuple built from positional
-    arguments costs under a third as much.
+    arguments costs under a third as much.  :meth:`DiskGeometry.locate`
+    builds it with ``tuple.__new__``, which skips the generated
+    ``__new__`` frame.
     """
 
     cylinder: int
@@ -130,13 +132,13 @@ class DiskGeometry:
         # zone splits into (cylinder, head) by the head count.
         track_in_zone, sector = divmod(lbn - self._zone_first_lbn[zi], spt)
         cyl_in_zone, head = divmod(track_in_zone, self.heads)
-        return Location(
+        return tuple.__new__(Location, (
             self._zone_first_cyl[zi] + cyl_in_zone,
             head,
             sector,
             spt,
             self._zone_first_track[zi] + track_in_zone,
-        )
+        ))
 
     def angle_of(self, location: Location) -> float:
         """Angular position (fraction of a revolution) of a sector's start.

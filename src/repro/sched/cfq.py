@@ -64,6 +64,9 @@ class CFQScheduler(IOSchedulerBase):
 
         self._rt = ElevatorQueue()
         self._be: Dict[str, ElevatorQueue] = {}
+        #: Requests queued over all of ``_be`` (the sum of their
+        #: lengths), so ``select`` sees a BE backlog without a scan.
+        self._be_count = 0
         self._be_rr: Deque[str] = deque()
         self._idle = ElevatorQueue()
         self._barriers: Deque[IORequest] = deque()
@@ -89,6 +92,7 @@ class CFQScheduler(IOSchedulerBase):
             if request.source not in self._be_rr:
                 self._be_rr.append(request.source)
             queue.add(request)
+            self._be_count += 1
             if request.source == self._be_owner:
                 self._be_owner_last_activity = now
         else:
@@ -100,11 +104,11 @@ class CFQScheduler(IOSchedulerBase):
     def select(self, now: float) -> Selection:
         if self._barriers:
             return self._select_with_barrier(now)
-        if self._rt:
+        if self._rt._requests:
             return self._rt.pop(self._position), None
-        if self._pending_be():
+        if self._be_count:
             return self._select_be(now)
-        if self._idle:
+        if self._idle._requests:
             gate_open_at = self._last_fg_activity + self.idle_gate
             if now >= gate_open_at:
                 return self._idle.pop(self._position), None
@@ -119,23 +123,25 @@ class CFQScheduler(IOSchedulerBase):
         the barrier itself.  Requests submitted after the barrier wait.
         """
         barrier = self._barriers[0]
-        candidates = [barrier]
+        choice, home = barrier, None
         for queue in self._all_queues():
             oldest = queue.oldest()
-            if oldest is not None and oldest.seq < barrier.seq:
-                candidates.append(oldest)
-        choice = min(candidates, key=lambda r: r.seq)
-        if choice is barrier:
+            if oldest is not None and oldest.seq < choice.seq:
+                choice, home = oldest, queue
+        if home is None:
             self._barriers.popleft()
         else:
-            self._remove(choice)
+            home.remove(choice)
+            if choice.priority is PriorityClass.BE:
+                self._be_count -= 1
         return choice, None
 
     def _select_be(self, now: float) -> Selection:
         owner_queue = self._be.get(self._be_owner) if self._be_owner else None
         slice_live = self._be_owner is not None and now < self._be_slice_end
-        if slice_live and owner_queue:
+        if slice_live and owner_queue is not None and owner_queue._requests:
             self._be_owner_last_activity = now
+            self._be_count -= 1
             return owner_queue.pop(self._position), None
         if slice_live and owner_queue is not None:
             # Owner queue empty: anticipate its next request briefly.
@@ -146,17 +152,19 @@ class CFQScheduler(IOSchedulerBase):
         for _ in range(len(self._be_rr)):
             source = self._be_rr[0]
             self._be_rr.rotate(-1)
-            queue = self._be.get(source)
-            if queue:
+            queue = self._be[source]
+            if queue._requests:
                 self._be_owner = source
                 self._be_slice_end = now + SLICE_SYNC
                 self._be_owner_last_activity = now
+                self._be_count -= 1
                 return queue.pop(self._position), None
-        return None, None  # unreachable while _pending_be() held
+        return None, None  # unreachable while _be_count > 0
 
     # -- notifications --------------------------------------------------------------
     def on_dispatch(self, request: IORequest, now: float) -> None:
-        self._position = request.command.end_lbn
+        command = request.command
+        self._position = command.lbn + command.sectors
         if request.soft_barrier or request.priority is not PriorityClass.IDLE:
             self._last_fg_activity = max(self._last_fg_activity, now)
         if (
@@ -177,30 +185,12 @@ class CFQScheduler(IOSchedulerBase):
             self._be_owner_last_activity = now
 
     # -- helpers -----------------------------------------------------------------------
-    def _pending_be(self) -> bool:
-        for queue in self._be.values():
-            if queue:
-                return True
-        return False
-
     def _all_queues(self):
         yield self._rt
         yield from self._be.values()
         yield self._idle
 
-    def _remove(self, request: IORequest) -> None:
-        for queue in self._all_queues():
-            try:
-                queue.remove(request)
-                return
-            except ValueError:
-                continue
-        raise ValueError(f"{request!r} not found in any queue")
-
     def __len__(self) -> int:
         return (
-            len(self._rt)
-            + sum(len(q) for q in self._be.values())
-            + len(self._idle)
-            + len(self._barriers)
+            len(self._rt) + self._be_count + len(self._idle) + len(self._barriers)
         )

@@ -39,7 +39,7 @@ class DeadlineScheduler(IOSchedulerBase):
         self._elevator.add(request)
 
     def select(self, now: float) -> Selection:
-        if not self._elevator:
+        if not self._elevator._requests:
             return None, None
         oldest = self._elevator.oldest()
         if self._deadlines[oldest] <= now:
@@ -51,7 +51,8 @@ class DeadlineScheduler(IOSchedulerBase):
         return choice, None
 
     def on_dispatch(self, request: IORequest, now: float) -> None:
-        self._position = request.command.end_lbn
+        command = request.command
+        self._position = command.lbn + command.sectors
 
     def __len__(self) -> int:
         return len(self._elevator)

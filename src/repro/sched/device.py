@@ -50,6 +50,9 @@ class RequestLog:
         )
         #: Requests evicted by the ring buffer (0 in unbounded mode).
         self.dropped = 0
+        if max_records is None:
+            # Nothing to count: ``add`` is the list's own ``append``.
+            self.add = self._records.append
 
     def add(self, request: IORequest) -> None:
         if self.max_records is not None and len(self._records) == self.max_records:

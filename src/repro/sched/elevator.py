@@ -25,9 +25,6 @@ class ElevatorQueue:
     def __len__(self) -> int:
         return len(self._requests)
 
-    def __bool__(self) -> bool:
-        return bool(self._requests)
-
     def add(self, request: IORequest) -> None:
         """Insert ``request`` in LBN order (stable for equal LBNs)."""
         index = bisect.bisect_right(self._lbns, request.command.lbn)

@@ -120,10 +120,11 @@ class Simulation:
         return Process(self, generator)
 
     # -- scheduling ----------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        """Insert a triggered event into the queue (engine-internal)."""
+    def _enqueue(self, event: Event) -> None:
+        """Insert a triggered event into the queue at the current time
+        (engine-internal)."""
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, event))
+        heapq.heappush(self._queue, (self._now, seq, event))
 
     def schedule_interrupt(self, event: Event) -> None:
         """Queue ``event`` ahead of same-time normal events."""

@@ -161,7 +161,10 @@ class Process(Event):
                 sim._active_process = None
                 self.fail(exc)
                 return
-            if target.__class__ is not Timeout and not isinstance(target, Event):
+            cls = target.__class__
+            if cls is not Timeout and cls is not Event and not isinstance(
+                target, Event
+            ):
                 exc = RuntimeError(
                     f"process yielded a non-event: {target!r}"
                 )

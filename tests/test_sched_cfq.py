@@ -1,6 +1,7 @@
 """Tests for the CFQ scheduler model (repro.sched.cfq)."""
 
 import itertools
+import random
 
 import pytest
 
@@ -205,3 +206,59 @@ def test_len_counts_all_queues():
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         CFQScheduler(idle_gate=-1)
+
+
+# -- the BE backlog counter ------------------------------------------------------
+
+
+def _check_counts(cfq, queued):
+    assert cfq._be_count == sum(len(q) for q in cfq._be.values())
+    assert len(cfq) == len(queued)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_be_count_is_the_sum_of_the_be_queues(seed):
+    """Seeded random hook sequences over every class, three BE sources
+    and soft barriers: after every hook the counter ``select`` tests is
+    the scan it replaced, and ``len()`` counts what is queued."""
+    rng = random.Random(seed)
+    cfq = make(idle_gate=rng.choice([0.0, 0.002, 0.010]))
+    classes = [PriorityClass.RT, PriorityClass.BE, PriorityClass.IDLE]
+    queued = set()
+    in_flight = None
+    now = 0.0
+    be_behind_barrier = 0
+    for _ in range(400):
+        now += rng.choice([0.0, 0.0005, 0.003, 0.02])
+        action = rng.random()
+        if action < 0.45:
+            request = req(
+                lbn=rng.randrange(0, 1 << 20, 8),
+                priority=rng.choices(classes, weights=[1, 4, 2])[0],
+                source=rng.choice(["a", "b", "c"]),
+                barrier=rng.random() < 0.15,
+                now=now,
+            )
+            cfq.add(request, now)
+            queued.add(request)
+        elif in_flight is None:
+            barriers = bool(cfq._barriers)
+            chosen, _ = cfq.select(now)
+            if chosen is not None:
+                assert chosen in queued
+                queued.remove(chosen)
+                if (
+                    barriers
+                    and not chosen.soft_barrier
+                    and chosen.priority is PriorityClass.BE
+                ):
+                    be_behind_barrier += 1
+                _check_counts(cfq, queued)
+                cfq.on_dispatch(chosen, now)
+                in_flight = chosen
+        else:
+            cfq.on_complete(in_flight, now)
+            in_flight = None
+        _check_counts(cfq, queued)
+    # The barrier path took BE requests out of their queues too.
+    assert be_behind_barrier > 0

@@ -1,6 +1,7 @@
 """Tests for BlockDevice and RequestLog (repro.sched.device) plus the
-noop/deadline schedulers, the two records a request is made of, and the
-golden oracle for the dispatcher (:class:`_ReferenceDevice`)."""
+noop/deadline schedulers, the records a request is made of and those
+the drive builds for it, and the golden oracle for the dispatcher
+(:class:`_ReferenceDevice`)."""
 
 import pickle
 from typing import List, Optional
@@ -13,7 +14,9 @@ from repro.analysis import stack as stack_module
 from repro.analysis.detection import shrunk_spec
 from repro.analysis.stack import ScrubberSetup, ScrubStack
 from repro.disk import DiskCommand, Drive, hitachi_ultrastar_15k450
-from repro.disk.commands import Opcode
+from repro.disk.commands import CommandStatus, Opcode
+from repro.disk.drive import ServiceBreakdown
+from repro.disk.geometry import Location
 from repro.disk.models import PRESETS
 from repro.faults import RemediationPolicy, build_model
 from repro.obs.sink import Recorder
@@ -181,7 +184,7 @@ def test_dispatcher_wakes_on_late_submission():
     assert request.complete_time is not None
 
 
-# -- the two records a request is made of ----------------------------------------
+# -- the records a request is made of and the drive builds ---------------------
 
 
 class TestTheRecordsAreValues:
@@ -210,6 +213,63 @@ class TestTheRecordsAreValues:
         assert not hasattr(request, "__dict__")
         with pytest.raises(AttributeError):
             request.tag = "x"
+
+    @pytest.mark.parametrize(
+        "build, opcode",
+        [
+            (DiskCommand.read, Opcode.READ),
+            (DiskCommand.write, Opcode.WRITE),
+            (DiskCommand.verify, Opcode.VERIFY),
+            (lambda lbn, sectors: DiskCommand(Opcode.READ, lbn, sectors), Opcode.READ),
+        ],
+        ids=["read", "write", "verify", "named"],
+    )
+    def test_every_constructor_checks_the_range_and_builds_the_value(
+        self, build, opcode
+    ):
+        for lbn, sectors, message in (
+            (-1, 8, "negative LBN: -1"),
+            (-5, 0, "negative LBN: -5"),
+            (0, 0, "sector count must be positive: 0"),
+            (64, -8, "sector count must be positive: -8"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(lbn, sectors)
+        command = build(4096, 16)
+        assert type(command) is DiskCommand
+        assert command == DiskCommand(opcode, 4096, 16)
+        assert command._asdict() == {"opcode": opcode, "lbn": 4096, "sectors": 16}
+
+    def test_the_drive_checks_range_and_time_order(self):
+        drive = Drive(hitachi_ultrastar_15k450(), cache_enabled=False)
+        total = drive.total_sectors
+        assert total == drive.geometry.total_sectors
+        with pytest.raises(ValueError, match="exceeds disk size"):
+            drive.service(DiskCommand.read(total - 4, 8), 0.0)
+        with pytest.raises(ValueError, match="exceeds disk size"):
+            drive.service(DiskCommand.verify(total, 1), 0.0)
+        drive.service(DiskCommand.verify(total - 8, 8), 1.0)  # the last sectors
+        with pytest.raises(ValueError, match="must be issued in time order"):
+            drive.service(DiskCommand.read(0, 8), 0.5)
+
+    def test_the_drive_builds_the_named_records(self):
+        drive = Drive(hitachi_ultrastar_15k450(), cache_enabled=True)
+        media = drive.service(DiskCommand.read(1000, 8), 0.0)
+        hit = drive.service(DiskCommand.read(1000, 8), 0.1)
+        assert not media.cache_hit and hit.cache_hit
+        for breakdown in (media, hit):
+            assert type(breakdown) is ServiceBreakdown
+            assert len(breakdown) == len(ServiceBreakdown._fields)
+            assert ServiceBreakdown(**breakdown._asdict()) == breakdown
+        # The buffer-hit path spells out the two defaulted fields.
+        assert hit == ServiceBreakdown(*hit[:7])
+        assert hit.status is CommandStatus.GOOD and hit.error_lbn is None
+        geometry = drive.geometry
+        for lbn in (0, 1000, geometry.total_sectors // 2, geometry.total_sectors - 1):
+            location = geometry.locate(lbn)
+            assert type(location) is Location
+            assert len(location) == len(Location._fields)
+            assert Location(**location._asdict()) == location
 
 
 # -- the golden oracle -------------------------------------------------------------

@@ -105,10 +105,6 @@ ALLOWED_PARAMS: Dict[str, str] = {
         "and test_search compare the search with",
     "core.search.SuccessiveHalvingSearch.__init__(sizes=)":
         "oracle: check_search_vs_grid searches the grid's own size list",
-    "sim.engine.Simulation._enqueue(delay=)":
-        "dead since the seed kernel moved to tests/ (its own _enqueue "
-        "passes delay=, which the name walk matched); ROADMAP item 1 "
-        "deletes it with the next sim/ edit",
     "sim.vector.make_simulation(start=)": _ITEM_1F,
     "sim.vector.make_simulation(telemetry=)": _ITEM_1F,
     "raid.array.RaidArray.__init__(strict=)": _ITEM_12,
