@@ -135,7 +135,7 @@ def fixed_waiting_pass(
     )
 
 
-def _waiting_arrays(usable: np.ndarray, service: float):
+def _waiting_arrays(usable: np.ndarray, service: float | np.ndarray):
     """``(delays, complete, idle)`` of the intervals with ``usable``
     seconds left after the wait threshold, ``usable`` in sample order.
 
@@ -143,16 +143,17 @@ def _waiting_arrays(usable: np.ndarray, service: float):
     flight when the interval ends (``idle`` is False) delays the
     arriving foreground request by its remaining service time and still
     completes.  The one implementation of this arithmetic: a Waiting
-    pass and each threshold-bisection step call it.  ``usable``'s
-    buffer becomes ``delays``.
+    pass and each threshold-bisection step call it.  ``service`` is one
+    service time or, for a step that bisects several request sizes at
+    once, one per interval.  ``usable``'s buffer becomes ``delays``.
     """
     complete = np.divide(usable, service)
     np.floor(complete, out=complete)
     partial = np.multiply(complete, service)
     np.subtract(usable, partial, out=partial)
-    idle = partial <= 0
+    idle = partial <= 0.0
     delays = np.subtract(service, partial, out=usable)
-    np.copyto(delays, 0.0, where=idle)
+    delays[idle] = 0.0
     return delays, complete, idle
 
 

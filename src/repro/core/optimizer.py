@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +67,10 @@ def _pick_best(
 
     The one tie-break rule of every tuning entry point: highest scrub
     throughput, an exact tie going to the smaller request size; a
-    ``None`` result marks a size that cannot meet the goal.  Raises
-    :class:`ValueError` when no size can.
+    ``None`` result marks a size whose threshold search found none
+    meeting the goal, which only a substituted pass produces (see
+    :meth:`ScrubParameterOptimizer.best_threshold`).  Raises
+    :class:`ValueError` when no size meets it.
     """
     feasible = [(size, result) for size, result in candidates if result is not None]
     if not feasible:
@@ -172,53 +174,112 @@ class ScrubParameterOptimizer:
     ) -> Optional[SlowdownResult]:
         """Smallest threshold meeting ``slowdown_goal`` for one size.
 
-        Returns ``None`` when even the largest sensible threshold cannot
-        meet the goal (the size is too big for this workload).  The
-        result returned is the simulation of the last *accepted*
-        bisection midpoint, so convergence costs exactly one simulation
-        per iteration — no final re-simulation of ``hi``.  Pass
-        ``at_zero`` (the threshold-0 result) when already computed.
+        The one-size call of :meth:`_best_thresholds`, whose docstring
+        says how the bisection runs.  Pass ``at_zero`` (the threshold-0
+        result) when already computed.  ``None`` means the threshold-max
+        pass missed the goal; the real pass cannot, because at the
+        longest interval nothing is usable, so its mean slowdown is 0
+        and any positive goal is met.  Only a substituted pass reaches
+        ``None``.
+        """
+        return self._best_thresholds(
+            [request_bytes], slowdown_goal, iterations, [at_zero]
+        )[0]
 
-        The bisection owns a working set that only shrinks: a rejected
+    def _best_thresholds(
+        self,
+        sizes: Sequence[int],
+        slowdown_goal: float,
+        iterations: int,
+        at_zero: Sequence[Optional[SlowdownResult]],
+    ) -> List[Optional[SlowdownResult]]:
+        """:meth:`best_threshold` for each of ``sizes``, bisected in lockstep.
+
+        Per size, first the threshold-0 pass (skipped where ``at_zero``
+        holds it) and, unless that meets the goal, the threshold-max
+        pass; a size that misses there gets ``None``.  The sizes left
+        then bisect together, ``iterations`` steps, each with its own
+        ``lo``, ``hi`` and working set that only shrinks: a rejected
         midpoint becomes ``lo``, every later threshold is ``>= lo``, so
         an interval no longer than ``lo`` can never be usable again and
-        is dropped (order kept).  A step runs the Waiting arithmetic
-        (:func:`~repro.analysis.slowdown._waiting_arrays`) on the
-        intervals longer than its midpoint and reads one reduction, the
-        mean slowdown; the arrays of the last accepted step become the
-        one :class:`SlowdownResult` built at the end.  Each step's
-        answer is bit-identical to simulating the whole sample, and is
-        metered as that.  The service time is looked up once.
+        is dropped (order kept).  A step cuts each size's intervals
+        longer than its midpoint, runs the Waiting arithmetic
+        (:func:`~repro.analysis.slowdown._waiting_arrays`) once over
+        their concatenation, with a per-element midpoint and service
+        time, and reads each size's mean slowdown as one
+        ``np.add.reduce`` over its own slice -- the reduction a whole
+        pass makes, so the sums agree bit for bit, which
+        ``np.add.reduceat`` does not.  A size keeps the intervals of its
+        last accepted step and builds its one :class:`SlowdownResult`
+        from them at the end, so no step's shared arrays stay pinned; a
+        lone size's step arrays are its own and are kept as they are.
+        Each step's answer is bit-identical to simulating the whole
+        sample, and is metered as that.
         """
         if slowdown_goal <= 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
-        lo, hi = 0.0, float(self.durations.max())
-        service = self._service(request_bytes)
-        work = self.durations
-        if at_zero is None:
-            at_zero = self._pass(work, 0.0, request_bytes, service)
-        if at_zero.mean_slowdown <= slowdown_goal:
-            return at_zero
-        best = self._pass(work, hi, request_bytes, service)
-        if best.mean_slowdown > slowdown_goal:
-            return None
-        sample_size, total_requests = len(work), self.total_requests
-        accepted = None
-        for _ in range(iterations):
-            mid = (lo + hi) / 2.0
-            SIM_METER.sims += 1
-            SIM_METER.interval_evals += sample_size
-            kept = work[work > mid]
-            arrays = _waiting_arrays(kept - mid, service)
-            if np.add.reduce(arrays[0]) / total_requests <= slowdown_goal:
-                hi, accepted = mid, arrays
-            else:
-                lo, work = mid, kept
-        if accepted is None:
-            return best
-        return _fixed_result(
-            hi, request_bytes, accepted, total_requests, self.span
-        )
+        top = float(self.durations.max())
+        results: List[Optional[SlowdownResult]] = []
+        arms, services = [], []  # (result index, size) of each size that bisects
+        for size, zero in zip(sizes, at_zero):
+            service = self._service(size)
+            if zero is None:
+                zero = self._pass(self.durations, 0.0, size, service)
+            if zero.mean_slowdown <= slowdown_goal:
+                results.append(zero)
+                continue
+            best = self._pass(self.durations, top, size, service)
+            if best.mean_slowdown > slowdown_goal:
+                results.append(None)
+                continue
+            arms.append((len(results), size))
+            services.append(service)
+            results.append(best)
+        n = len(arms)
+        lo, hi = [0.0] * n, [top] * n
+        work, mids = [self.durations] * n, [0.0] * n
+        accepted: list = [None] * n
+        evals, total_requests = n * len(self.durations), self.total_requests
+        reduce = np.add.reduce
+        for _ in range(iterations if n else 0):
+            SIM_METER.sims += n
+            SIM_METER.interval_evals += evals
+            kept = []
+            for arm in range(n):
+                mid = mids[arm] = (lo[arm] + hi[arm]) / 2.0
+                w = work[arm]
+                kept.append(w[w > mid])
+            # A lone size (every best_threshold call, the final rung's
+            # among them) skips the concatenation and keeps its own arrays.
+            if n == 1:
+                arrays = _waiting_arrays(kept[0] - mid, services[0])
+                if reduce(arrays[0]) / total_requests <= slowdown_goal:
+                    hi[0], accepted[0] = mid, arrays
+                else:
+                    lo[0], work[0] = mid, kept[0]
+                continue
+            lengths = [len(k) for k in kept]
+            usable = np.concatenate(kept)
+            usable -= np.repeat(mids, lengths)
+            delays = _waiting_arrays(usable, np.repeat(services, lengths))[0]
+            end = 0
+            for arm in range(n):
+                start = end
+                end += lengths[arm]
+                if reduce(delays[start:end]) / total_requests <= slowdown_goal:
+                    hi[arm], accepted[arm] = mids[arm], kept[arm]
+                else:
+                    lo[arm], work[arm] = mids[arm], kept[arm]
+        for arm, (index, size) in enumerate(arms):
+            if accepted[arm] is None:
+                continue  # no midpoint met the goal: the threshold-max pass stands
+            arrays = accepted[arm] if n == 1 else _waiting_arrays(
+                accepted[arm] - hi[arm], services[arm]
+            )
+            results[index] = _fixed_result(
+                hi[arm], size, arrays, total_requests, self.span
+            )
+        return results
 
     # -- the headline call ----------------------------------------------------------
     def optimize(

@@ -158,8 +158,25 @@ class SuccessiveHalvingSearch:
 
         Every rung of every goal strides the same order: a subsample
         depends on the seed, the rung and its fraction, not on the goal.
+        It is the stable order, equal durations by index, computed as
+        numpy's default (SIMD, unstable) argsort with its ties repaired:
+        the positions in runs of equal durations are re-sorted by one
+        sort of ``run * n + index``, which keeps the runs in place and
+        orders each by index.  The key stays below ``n**2 < 2**63``.
         """
-        return np.argsort(self._full.durations, kind="stable")
+        durations = self._full.durations
+        order = np.argsort(durations)
+        ordered = durations[order]
+        tie = ordered[1:] == ordered[:-1]
+        if tie.any():
+            n = len(order)
+            run = np.concatenate(([0], np.cumsum(~tie)))
+            in_run = np.zeros(n, dtype=bool)
+            in_run[1:] = tie
+            in_run[:-1] |= tie
+            key = np.sort(run[in_run] * n + order[in_run])
+            order[in_run] = key % n
+        return order
 
     def _rung_sample(self, rung: int, fraction: float) -> np.ndarray:
         """The seeded idle-duration subsample for one rung.
@@ -208,13 +225,16 @@ class SuccessiveHalvingSearch:
             max_slowdown=full.max_slowdown,
         )
         before = SIM_METER.snapshot()
-        scores: Dict[int, float] = {}
-        for size in arms:
-            result = rung_opt.best_threshold(
-                size, slowdown_goal, iterations=RUNG_ITERATIONS
-            )
-            scores[size] = -math.inf if result is None else result.throughput
+        results = rung_opt._best_thresholds(
+            arms, slowdown_goal, RUNG_ITERATIONS, [None] * len(arms)
+        )
         after = SIM_METER.snapshot()
+        # A None (no threshold meets the goal) needs a substituted pass;
+        # the real one meets any positive goal at the longest interval.
+        scores: Dict[int, float] = {
+            size: -math.inf if result is None else result.throughput
+            for size, result in zip(arms, results)
+        }
         ranked = sorted(arms, key=lambda s: (-scores[s], s))
         if len(set(scores.values())) <= 1:
             # The rung produced no signal (e.g. an extreme goal drives

@@ -11,11 +11,15 @@ same seed.
 import numpy as np
 import pytest
 
+import repro.analysis.slowdown as slowdown_module
+import repro.core.optimizer as optimizer_module
 from repro.analysis.service_model import ScrubServiceModel
 from repro.analysis.slowdown import SIM_METER
 from repro.core.optimizer import ScrubParameterOptimizer
 from repro.core.search import (
     MIN_RUNG_SAMPLE,
+    RUNG_FRACTIONS,
+    RUNG_ITERATIONS,
     SearchOutcome,
     SuccessiveHalvingSearch,
 )
@@ -192,6 +196,39 @@ class TestRungSample:
         # Reusing the order changes nothing: a new object agrees.
         assert fresh.search(GOAL / 2) == second
 
+    def test_order_is_the_stable_order_on_tied_samples(self, workload):
+        rng = np.random.default_rng(5)
+        for case in range(300):
+            n = int(rng.integers(1, 3000))
+            kind = case % 3
+            if kind == 0:  # rounded lognormals: runs of every length
+                durations = np.round(rng.lognormal(-4.0, 2.0, n), 3)
+            elif kind == 1:
+                durations = np.full(n, rng.uniform(0.01, 1.0))
+            else:  # a handful of distinct values, many copies
+                durations = rng.choice(rng.lognormal(-3.0, 1.5, 5), n)
+            search = SuccessiveHalvingSearch(**{**workload, "durations": durations})
+            expected = np.argsort(durations, kind="stable")
+            assert np.array_equal(search._order, expected)
+
+    def test_rung_samples_equal_those_of_the_stable_order(self, workload):
+        """On the TPCdisk66 day (2 tied pairs among 312,598 intervals)
+        every rung strides the stable order, byte for byte."""
+        trace = generate_trace("TPCdisk66", duration=600.0, seed=0)
+        _, durations = trace_idle_intervals("TPCdisk66", trace)
+        inputs = {**workload, "durations": durations}
+        search = SuccessiveHalvingSearch(**inputs)
+        stable = SuccessiveHalvingSearch(**inputs)
+        stable._order = np.argsort(durations, kind="stable")
+        ordered = durations[stable._order]
+        assert np.count_nonzero(ordered[1:] == ordered[:-1]) == 2
+        assert np.array_equal(search._order, stable._order)
+        for rung, fraction in enumerate(RUNG_FRACTIONS):
+            assert (
+                search._rung_sample(rung, fraction).tobytes()
+                == stable._rung_sample(rung, fraction).tobytes()
+            )
+
     def test_last_position_stays_in_range_at_the_largest_offset(
         self, workload, monkeypatch
     ):
@@ -213,6 +250,38 @@ class TestRungSample:
         assert len(sample) == 49_995
         assert sample.max() == float(n)  # clipped onto the longest interval
         assert np.all(np.diff(sample) < 0)  # still in original time order
+
+
+class TestRungBisectsInLockstep:
+    def test_one_waiting_pass_per_step_serves_every_arm(
+        self, workload, monkeypatch
+    ):
+        """A rung of A arms runs the Waiting arithmetic 2A times for the
+        threshold-0 and threshold-max passes, once per lockstep step and
+        at most once per arm for its result: a per-arm bisection would
+        run it 2A + RUNG_ITERATIONS * A times."""
+        calls, passes = [], []
+        real_arrays = slowdown_module._waiting_arrays
+        real_pass = optimizer_module.fixed_waiting_pass
+
+        def counting_arrays(*args):
+            calls.append(len(args[0]))
+            return real_arrays(*args)
+
+        def counting_pass(*args):
+            passes.append(args[2])
+            return real_pass(*args)
+
+        monkeypatch.setattr(slowdown_module, "_waiting_arrays", counting_arrays)
+        monkeypatch.setattr(optimizer_module, "_waiting_arrays", counting_arrays)
+        monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", counting_pass)
+        search = SuccessiveHalvingSearch(**workload)
+        arms = list(search._full.admissible_sizes())
+        report = search._run_rung(0, RUNG_FRACTIONS[0], arms, GOAL / 2)
+        a = len(arms)
+        assert a == 64 and report.sims == a * (2 + RUNG_ITERATIONS)
+        assert len(passes) == 2 * a  # every arm bisects
+        assert 2 * a + RUNG_ITERATIONS <= len(calls) <= 3 * a + RUNG_ITERATIONS
 
 
 class TestSearchDifferential:

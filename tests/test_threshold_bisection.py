@@ -346,3 +346,71 @@ class TestOneTieBreakRule:
         assert {best.request_bytes for best in chosen.values()} == {65536}
         assert len(set(chosen.values())) == 1
         assert math.isclose(chosen["serial"].throughput, 5.0)
+
+
+class TestLockstepMatchesPerSizeReference:
+    """Several sizes bisected in lockstep answer, bit for bit, what each
+    size's unpruned bisection answers alone, and charge their sum."""
+
+    def test_every_size_equals_its_reference(self):
+        sizes = [k * 65536 for k in range(1, 65)]
+        rng = np.random.default_rng(33)
+        seen = set()
+        for kind in KINDS:
+            for seed in range(3):
+                n = int(rng.integers(1, 400))
+                durations = draw_sample(kind, n, seed)
+                optimizer = ScrubParameterOptimizer(
+                    durations, total_requests=n + 1,
+                    span=float(durations.sum()) + 1.0, service_model=SERVICE,
+                )
+                top = float(durations.max())
+                count = int(rng.integers(5, 21))
+                arms = sorted(
+                    int(size) for size in rng.choice(sizes, count, replace=False)
+                )
+                iterations = 40 if seed == 0 else 20
+                goals = [1e-7, 1e-5, 1e-4, 1e-3, 1e-2]
+                # A goal equal to a slowdown some step computes: a sum
+                # one ulp off flips that step's decision.
+                references = [
+                    reference_best_threshold(optimizer, size, 1e-4, iterations)
+                    for size in arms
+                ]
+                goals += [
+                    result.mean_slowdown for result in references
+                    if result is not None and 0.0 < result.threshold < top
+                ][:3]
+                for goal in goals:
+                    expected, expected_effort = [], {"sims": 0, "interval_evals": 0}
+                    for size in arms:
+                        result, effort = metered(
+                            lambda: reference_best_threshold(
+                                optimizer, size, goal, iterations
+                            )
+                        )
+                        expected.append(exact(result))
+                        for key in effort:
+                            expected_effort[key] += effort[key]
+                    actual, effort = metered(
+                        lambda: optimizer._best_thresholds(
+                            arms, goal, iterations, [None] * len(arms)
+                        )
+                    )
+                    assert [exact(result) for result in actual] == expected
+                    assert effort == expected_effort
+                    bisected = {
+                        result.threshold for result in actual
+                        if result is not None and 0.0 < result.threshold < top
+                    }
+                    for result in actual:
+                        if result.threshold == 0.0:
+                            seen.add("exits at threshold 0")
+                        elif result.threshold == top:
+                            seen.add("never accepts a midpoint")
+                    if len(bisected) > 1:
+                        seen.add("working sets diverge")
+        assert seen == {
+            "exits at threshold 0", "never accepts a midpoint",
+            "working sets diverge",
+        }
