@@ -14,7 +14,7 @@ from ._shared import add_supervision_flags, check_supervision_flags
 def register(subparsers) -> None:
     parser = subparsers.add_parser(
         "serve",
-        help="campaign orchestration service: async job API over the "
+        help="campaign orchestration service: HTTP job API over the "
         "fleet runner",
         description=__doc__,
     )

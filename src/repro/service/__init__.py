@@ -1,4 +1,4 @@
-"""Campaign orchestration service (PR 10).
+"""Campaign orchestration service.
 
 ``repro fleet`` runs one campaign in one process; operators queue
 *many* campaigns from many clients and want them deduplicated,
@@ -12,15 +12,16 @@ crashes.  This package is that layer, stdlib-only:
   (woken by the queue, never polling; claims rate-limited) feeding
   :class:`~repro.fleet.campaign.CampaignRunner` slots, with the queue's
   cancel flag wired into cooperative cancellation;
-* :mod:`repro.service.api` — minimal asyncio HTTP API (submit, status,
-  NDJSON event streaming, HTML reports, cancel);
-* :mod:`repro.service.client` — stdlib client used by ``repro submit``
-  and the contract tests.
+* :mod:`repro.service.api` — HTTP/1.1 API on the stdlib's threading
+  server, with keep-alive (submit, status, NDJSON event streaming,
+  HTML reports, cancel);
+* :mod:`repro.service.client` — stdlib client keeping one connection,
+  used by ``repro submit`` and the contract tests.
 
 Durability composes instead of duplicating: the queue journal decides
-*which* campaign runs, the PR 7 campaign journal makes *resuming* it
-bit-identical, and the PR 8 monitor's ``events.jsonl`` is what the API
-streams — byte for byte.
+*which* campaign runs, the campaign journal makes *resuming* it
+bit-identical, and the campaign monitor's ``events.jsonl`` is what the
+API streams — byte for byte.
 
 CLI entry points: ``repro serve`` and ``repro submit``.
 """

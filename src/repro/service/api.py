@@ -1,11 +1,12 @@
-"""Async HTTP API over the job queue and scheduler.
+"""HTTP API over the job queue and scheduler.
 
-A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
-framework, no new dependencies, every response ``Connection: close``.
-The event loop runs in its own daemon thread so the service embeds in
-tests and the CLI alike; campaign execution never touches the loop
-(the scheduler owns its thread pool), and the one blocking endpoint
-(report generation) is pushed to an executor.
+The standard library's :class:`~http.server.ThreadingHTTPServer` -- no
+framework, no new dependencies -- speaking HTTP/1.1 with keep-alive:
+one thread per connection, which answers that connection's requests in
+turn and may block (report generation does); campaign execution runs in
+the scheduler's own threads.  A connection idle for :data:`_IDLE_TIMEOUT`
+seconds is closed.  The server runs in a daemon thread so the service
+embeds in tests and the CLI alike.
 
 Routes::
 
@@ -18,24 +19,29 @@ Routes::
     DELETE /campaigns/{id}           cancel (idempotent)
 
 The events endpoint relays the monitor's ``events.jsonl`` *bytes*
-verbatim from a client-supplied offset, so what a client assembles —
-across any number of disconnect/reconnect cycles — is byte-identical
-to the file on disk.
+verbatim from a client-supplied offset, so what a client assembles --
+across any number of disconnect/reconnect cycles -- is byte-identical
+to the file on disk.  It is the one response without a length: it ends
+by closing its connection.
 
 Errors are JSON, ``{"error": "<message>"}``, with conventional status
-codes: 400 malformed JSON or spec, 404 unknown job or route, 405
-wrong method.  ``/healthz`` answers 503 with ``"ok": false`` when the
-dispatcher thread is gone (nothing would ever be claimed again), and
-otherwise carries the last dispatch round's error, if any, as
-``dispatch_error``.
+codes: 400 malformed request, JSON or spec, 404 unknown job or route,
+405 wrong method, 411 a POST without a length, 413 a body over 8 MiB,
+414 / 431 an oversized request line / header, 500 an endpoint that
+raised.  A request whose body is not read closes its connection.
+``/healthz`` answers 503 with ``"ok": false`` when the dispatcher
+thread is gone (nothing would ever be claimed again), and otherwise
+carries the last dispatch round's error, if any, as ``dispatch_error``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
+import socket
 import threading
+import traceback
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -47,24 +53,12 @@ from repro.service.scheduler import CampaignScheduler
 __all__ = ["CampaignService"]
 
 _MAX_BODY = 8 * 1024 * 1024
-_MAX_HEAD = 64 * 1024
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    411: "Length Required",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-#: Poll cadence for the follow-mode event stream, seconds.
+#: Seconds a kept-alive connection may sit idle before the server
+#: closes it, so it cannot hold a server thread forever.
+_IDLE_TIMEOUT = 30.0
+#: Poll cadence for the follow-mode event stream, and for the accept
+#: loop's check for ``stop``, seconds.
 _STREAM_POLL = 0.05
-
-
-def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
 class CampaignService:
@@ -104,66 +98,40 @@ class CampaignService:
             max_attempts=max_attempts,
             status_interval=status_interval,
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-
-    # -- lifecycle -----------------------------------------------------------
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "CampaignService":
-        if self._thread is not None:
+        if self._httpd is not None:
             raise RuntimeError("service already started")
+        self._httpd = _Server(self, (self.host, self.port))
+        self.port = self._httpd.server_address[1]
         self.scheduler.start()
         self._thread = threading.Thread(
-            target=self._serve_forever, name="repro-serve", daemon=True
+            target=self._httpd.serve_forever,
+            args=(_STREAM_POLL,),
+            name="repro-serve",
+            daemon=True,
         )
         self._thread.start()
-        if not self._started.wait(timeout=10.0):  # pragma: no cover
-            raise RuntimeError("service failed to start listening")
         return self
 
-    def _serve_forever(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        async def boot():
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-            self._started.set()
-
-        loop.run_until_complete(boot())
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
     def stop(self) -> None:
-        """Stop accepting, drain the scheduler, stop the loop."""
-        if self._loop is not None:
+        """Stop accepting, end every connection, drain the scheduler.
 
-            async def teardown():
-                if self._server is not None:
-                    self._server.close()
-                    await self._server.wait_closed()
-
-            asyncio.run_coroutine_threadsafe(teardown(), self._loop).result(10.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        Once this returns no request is answered, kept-alive
+        connections included.
+        """
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            self._thread.join()
+            self._httpd = self._thread = None
         self.scheduler.stop()
-        self._loop = None
-        self._server = None
-        self._started.clear()
 
     def __enter__(self) -> "CampaignService":
         return self.start()
@@ -171,236 +139,242 @@ class CampaignService:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- HTTP plumbing -------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            await self._handle_request(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except Exception as exc:  # pragma: no cover - last-ditch 500
-            try:
-                await self._respond(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            except Exception:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+def _hang_up(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
-    async def _handle_request(self, reader, writer) -> None:
+
+class _Server(ThreadingHTTPServer):
+    """Knows its open connections, so that closing it ends them."""
+
+    # The listen backlog; the stdlib's 5 drops connects from a burst of
+    # clients, which then retry a second later.
+    request_queue_size = 100
+
+    def __init__(self, service: CampaignService, address) -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        self.stopping = threading.Event()
+        self.lock = threading.Lock()
+        self.connections: set = set()
+
+    def server_close(self) -> None:
+        """Close the listener, end every connection, join their threads."""
+        with self.lock:
+            self.stopping.set()
+            for connection in self.connections:
+                _hang_up(connection)
+        super().server_close()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: its requests, answered in turn."""
+
+    protocol_version = "HTTP/1.1"
+    # A one-word request line is answered with a status line, not as HTTP/0.9.
+    default_request_version = "HTTP/1.1"
+    # Headers and body are two writes; Nagle would hold the second
+    # back for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        self.timeout = _IDLE_TIMEOUT
+        super().setup()
+        with self.server.lock:
+            self.server.connections.add(self.connection)
+            if self.server.stopping.is_set():
+                _hang_up(self.connection)
+
+    def finish(self) -> None:
+        with self.server.lock:
+            self.server.connections.discard(self.connection)
+        super().finish()
+
+    def handle(self) -> None:
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            await self._respond(writer, 413, {"error": "request head too large"})
+            super().handle()
+        except ConnectionError:
+            pass  # the client went away
+
+    def send_error(self, code, message=None, *_explain) -> None:
+        """Every error reply, the stdlib's own included, as JSON; the
+        connection closes after it."""
+        self.close_connection = True
+        self._respond(code, {"error": message or self.responses[code][0]})
+
+    def _respond(self, status: int, payload, content_type="application/json") -> None:
+        if not isinstance(payload, bytes):
+            payload = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self.send_response_only(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def _answer(self) -> None:
+        body = self._read_body()
+        if body is None:
             return
-        if len(head) > _MAX_HEAD:
-            await self._respond(writer, 413, {"error": "request head too large"})
-            return
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ")
-        if len(parts) != 3:
-            await self._respond(writer, 400, {"error": "malformed request line"})
-            return
-        method, target, _version = parts
-        headers = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, sep, value = line.partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        body = b""
-        if method in ("POST", "PUT"):
-            try:
-                length = int(headers.get("content-length", ""))
-            except ValueError:
-                await self._respond(writer, 411, {"error": "Content-Length required"})
-                return
-            if length > _MAX_BODY:
-                await self._respond(writer, 413, {"error": "body too large"})
-                return
-            body = await reader.readexactly(length)
-        split = urlsplit(target)
+        split = urlsplit(self.path)
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        await self._route(writer, method, split.path, query, headers, body)
+        try:
+            answer = self._route(self.server.service, split.path, query, body)
+            if answer is not None:
+                self._respond(*answer)
+        except (ConnectionError, TimeoutError):  # the client went away
+            self.close_connection = True
+        except Exception as exc:  # last-ditch 500
+            self.log_error("%s", traceback.format_exc())
+            self.send_error(500, f"{type(exc).__name__}: {exc}")
 
-    async def _respond(
-        self,
-        writer,
-        status: int,
-        payload,
-        content_type: str = "application/json",
-    ) -> None:
-        data = payload if isinstance(payload, bytes) else _json_bytes(payload)
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(data)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-        )
-        writer.write(data)
-        await writer.drain()
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _answer
 
-    # -- routing -------------------------------------------------------------
+    def _read_body(self) -> Optional[bytes]:
+        """The request body; ``None`` once an error has been answered."""
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True  # a body this server never reads
+        length = self.headers.get("Content-Length")
+        if length is None and self.command not in ("POST", "PUT"):
+            return b""
+        try:
+            length = int(length)
+        except (TypeError, ValueError):
+            self.send_error(411, "Content-Length required")
+            return None
+        if length < 0:
+            self.send_error(400, "Content-Length must be >= 0")
+            return None
+        if length > _MAX_BODY:
+            self.send_error(413, "body too large")
+            return None
+        return self.rfile.read(length)
 
-    async def _route(self, writer, method, path, query, headers, body) -> None:
+    # -- routing: each returns the response's arguments, or None once
+    # -- it has answered itself -------------------------------------------
+
+    def _route(self, svc: CampaignService, path, query, body):
+        method = self.command
         parts = [p for p in path.split("/") if p]
         if path == "/healthz":
             if method != "GET":
-                await self._respond(writer, 405, {"error": "use GET"})
-                return
-            await self._health(writer)
-            return
+                return 405, {"error": "use GET"}
+            return self._health(svc)
         if not parts or parts[0] != "campaigns":
-            await self._respond(writer, 404, {"error": f"no such route: {path}"})
-            return
+            return 404, {"error": f"no such route: {path}"}
         if len(parts) == 1:
             if method == "POST":
-                await self._submit(writer, headers, body)
-            elif method == "GET":
-                await self._respond(
-                    writer, 200, {"jobs": [j.to_dict() for j in self.queue.jobs()]}
-                )
-            else:
-                await self._respond(writer, 405, {"error": "use GET or POST"})
-            return
+                return self._submit(svc, body)
+            if method == "GET":
+                return 200, {"jobs": [j.to_dict() for j in svc.queue.jobs()]}
+            return 405, {"error": "use GET or POST"}
         job_id = parts[1]
         try:
-            job = self.queue.get(job_id)
+            job = svc.queue.get(job_id)
         except KeyError:
-            await self._respond(writer, 404, {"error": f"unknown campaign: {job_id}"})
-            return
+            return 404, {"error": f"unknown campaign: {job_id}"}
         if len(parts) == 2:
             if method == "GET":
-                await self._job_detail(writer, job)
-            elif method == "DELETE":
-                cancelled = self.queue.request_cancel(job_id)
-                await self._respond(writer, 200, {"job": cancelled.to_dict()})
-            else:
-                await self._respond(writer, 405, {"error": "use GET or DELETE"})
-            return
+                return self._job_detail(svc, job)
+            if method == "DELETE":
+                return 200, {"job": svc.queue.request_cancel(job_id).to_dict()}
+            return 405, {"error": "use GET or DELETE"}
         if len(parts) == 3 and method == "GET":
             if parts[2] == "events":
-                await self._stream_events(writer, job_id, query)
-                return
+                return self._stream_events(svc, job_id, query)
             if parts[2] == "report":
-                await self._report(writer, job_id)
-                return
-        await self._respond(writer, 404, {"error": f"no such route: {path}"})
+                return self._report(svc, job_id)
+        return 404, {"error": f"no such route: {path}"}
 
     # -- endpoints -----------------------------------------------------------
 
-    async def _health(self, writer) -> None:
-        alive = self.scheduler.alive
+    def _health(self, svc: CampaignService):
+        alive = svc.scheduler.alive
         payload = {
             "ok": alive,
-            "counts": self.queue.counts(),
-            "dispatch_error": self.scheduler.last_error,
+            "counts": svc.queue.counts(),
+            "dispatch_error": svc.scheduler.last_error,
         }
         if not alive:
             payload["error"] = "dispatcher thread is not running"
-        await self._respond(writer, 200 if alive else 503, payload)
+        return 200 if alive else 503, payload
 
-    async def _submit(self, writer, headers, body) -> None:
+    def _submit(self, svc: CampaignService, body):
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            await self._respond(writer, 400, {"error": "body is not valid JSON"})
-            return
+            return 400, {"error": "body is not valid JSON"}
         if not isinstance(payload, dict):
-            await self._respond(writer, 400, {"error": "body must be a JSON object"})
-            return
+            return 400, {"error": "body must be a JSON object"}
         # Either a bare CampaignSpec or {"spec": ..., "client": ...}.
+        client = self.headers.get("X-Client", "anonymous")
         if "spec" in payload:
             spec = payload.get("spec")
-            client = payload.get("client") or headers.get("x-client", "anonymous")
+            client = payload.get("client") or client
         else:
             spec = payload
-            client = headers.get("x-client", "anonymous")
         if not isinstance(client, str) or not client:
-            await self._respond(writer, 400, {"error": "client must be a string"})
-            return
+            return 400, {"error": "client must be a string"}
         try:
-            job, created = self.queue.submit(spec, client=client)
+            job, created = svc.queue.submit(spec, client=client)
         except QueueError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        await self._respond(
-            writer,
-            201 if created else 200,
-            {"job": job.to_dict(), "created": created},
-        )
+            return 400, {"error": str(exc)}
+        return 201 if created else 200, {"job": job.to_dict(), "created": created}
 
-    async def _job_detail(self, writer, job) -> None:
+    def _job_detail(self, svc: CampaignService, job):
         detail = {"job": job.to_dict()}
-        status_path = os.path.join(self.scheduler.obs_dir(job.id), "status.json")
+        status_path = os.path.join(svc.scheduler.obs_dir(job.id), "status.json")
         try:
             with open(status_path, encoding="utf-8") as handle:
                 detail["status"] = json.load(handle)
         except (OSError, ValueError):
             detail["status"] = None
         detail["paths"] = {
-            "journal": os.path.join(self.scheduler.job_dir(job.id), "journal"),
-            "events": self.scheduler.events_path(job.id),
+            "journal": os.path.join(svc.scheduler.job_dir(job.id), "journal"),
+            "events": svc.scheduler.events_path(job.id),
         }
-        await self._respond(writer, 200, detail)
+        return 200, detail
 
-    async def _stream_events(self, writer, job_id: str, query) -> None:
+    def _stream_events(self, svc: CampaignService, job_id: str, query):
         try:
             offset = int(query.get("offset", "0"))
         except ValueError:
-            await self._respond(writer, 400, {"error": "offset must be an integer"})
-            return
+            return 400, {"error": "offset must be an integer"}
         if offset < 0:
-            await self._respond(writer, 400, {"error": "offset must be >= 0"})
-            return
+            return 400, {"error": "offset must be >= 0"}
         follow = query.get("follow", "0") not in ("0", "false", "")
-        path = self.scheduler.events_path(job_id)
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n\r\n"
-        )
+        path = svc.scheduler.events_path(job_id)
+        self.send_response_only(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        stopping = self.server.stopping
         while True:
             chunk, offset = read_events_chunk(path, offset)
             if chunk:
-                writer.write(chunk)
-                await writer.drain()
+                self.wfile.write(chunk)
                 continue
             if not follow:
                 break
             # Follow until the job is terminal *and* the file is drained.
             try:
-                state = self.queue.get(job_id).state
+                terminal = svc.queue.get(job_id).state in TERMINAL_STATES
             except KeyError:  # pragma: no cover - job deleted mid-stream
                 break
-            if state in TERMINAL_STATES:
-                chunk, offset = read_events_chunk(path, offset)
-                if chunk:
-                    writer.write(chunk)
-                    await writer.drain()
-                    continue
+            if terminal:
+                follow = False  # read on until what the job wrote last is sent
+            elif stopping.wait(_STREAM_POLL):
                 break
-            await asyncio.sleep(_STREAM_POLL)
-        await writer.drain()
+        return None
 
-    async def _report(self, writer, job_id: str) -> None:
-        obs_dir = self.scheduler.obs_dir(job_id)
-        loop = asyncio.get_running_loop()
+    def _report(self, svc: CampaignService, job_id: str):
         try:
-            path = await loop.run_in_executor(None, build_report, obs_dir)
+            path = build_report(svc.scheduler.obs_dir(job_id))
         except FileNotFoundError:
-            await self._respond(
-                writer, 404, {"error": "no observability data for this campaign yet"}
-            )
-            return
+            return 404, {"error": "no observability data for this campaign yet"}
         with open(path, "rb") as handle:
-            html = handle.read()
-        await self._respond(writer, 200, html, content_type="text/html; charset=utf-8")
+            return 200, handle.read(), "text/html; charset=utf-8"

@@ -1,6 +1,12 @@
 """Thin stdlib HTTP client for the campaign service.
 
 ``http.client`` only — the same zero-dependency rule as the server.
+A client keeps one connection alive across its calls (use one client
+per thread); when the server has closed that connection, a call is sent
+once more on a fresh one, which is safe because every route is
+idempotent: submissions are content-addressed and ``DELETE`` is an
+idempotent cancel.
+
 Every JSON method returns ``(status, payload)`` and never raises on
 HTTP error codes, so contract tests can assert on 400/404/405 bodies
 directly.
@@ -32,9 +38,10 @@ class ServiceClient:
             raise ValueError(f"base_url must be http://host:port, got {base_url!r}")
         self.host = split.hostname
         self.port = split.port or 80
-        self.timeout = timeout
         #: Sent as ``X-Client`` on submissions; server quota key.
         self.client = client
+        #: The one connection every call reuses while the server keeps it.
+        self._conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -56,24 +63,8 @@ class ServiceClient:
         body: Optional[dict] = None,
         query: Optional[dict] = None,
     ) -> Tuple[int, bytes, str]:
-        conn = self._connect(method, path, body, query)
-        try:
-            response = conn.getresponse()
-            data = response.read()
-            return response.status, data, response.headers.get("Content-Type", "")
-        finally:
-            conn.close()
-
-    def _connect(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict] = None,
-        query: Optional[dict] = None,
-    ) -> http.client.HTTPConnection:
         if query:
             path = f"{path}?{urlencode(query)}"
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
         headers = {}
         if self.client:
             headers["X-Client"] = self.client
@@ -81,8 +72,22 @@ class ServiceClient:
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        conn.request(method, path, body=payload, headers=headers)
-        return conn
+        while True:
+            # http.client reopens a connection the last response closed.
+            fresh = self._conn.sock is None
+            try:
+                self._conn.request(method, path, body=payload, headers=headers)
+                response = self._conn.getresponse()
+                data = response.read()
+            except ConnectionError:
+                self._conn.close()
+                if fresh:
+                    raise
+                continue  # the server closed a kept-alive connection: once more
+            except BaseException:
+                self._conn.close()
+                raise
+            return response.status, data, response.headers.get("Content-Type", "")
 
     # -- API -----------------------------------------------------------------
 

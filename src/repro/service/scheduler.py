@@ -135,7 +135,7 @@ class CampaignScheduler:
         )
         self._dispatcher.start()
 
-    def stop(self, wait: bool = True) -> None:
+    def stop(self) -> None:
         """Drain: stop claiming, ask running campaigns to pause.
 
         In-flight campaigns see ``should_stop`` fire, checkpoint what
@@ -148,7 +148,7 @@ class CampaignScheduler:
             self._dispatcher.join()
             self._dispatcher = None
         if self._pool is not None:
-            self._pool.shutdown(wait=wait)
+            self._pool.shutdown()
             self._pool = None
 
     @property
