@@ -82,7 +82,7 @@ def _years(hours: float, unit: str = "y") -> str:
 
 
 def run(args) -> int:
-    from repro.fleet import CampaignRunner, campaign_digest
+    from repro.fleet import CampaignRunner, JournalError, campaign_digest
     from repro.obs.metrics import MetricsRegistry
     from repro.parallel.supervise import RetryPolicy
     from repro.verify import InvariantViolation
@@ -137,6 +137,8 @@ def run(args) -> int:
     except InvariantViolation as exc:
         print(f"fleet: invariant violation: {exc}", file=sys.stderr)
         return 1
+    except JournalError as exc:  # a foreign or torn --journal is a bad file
+        raise UsageError(str(exc)) from None
 
     if result.shards_resumed:
         print(

@@ -16,14 +16,23 @@ non-event:
   records the campaign digest and the shard->key map.  Opening a
   journal whose digest does not match the offered spec raises
   :class:`JournalError`: a resume can never silently mix shards from
-  two different campaigns.
+  two different campaigns.  The manifest is written when the journal
+  is created and again when the campaign's run ends — done, cancelled
+  or raising — by :meth:`CampaignJournal.flush`, which the journal
+  calls on leaving its ``with`` block.  In between, the map grows in
+  memory only: no result depends on it.
 * **Resume is just cache hits.**  The runner recomputes every shard's
   key from the spec — deterministically — and asks the journal; hits
-  are completed shards, misses are remaining work.  Because shard
-  results are pure functions of the spec, a resumed campaign finishes
-  bit-identical to an uninterrupted one, and
+  are completed shards, misses are remaining work.  Hits are noted in
+  the map too (:meth:`~CampaignJournal.note`), so the manifest after
+  any run that ends names every checkpointed shard.  A SIGKILLed run
+  leaves its checkpoints but the map of its last flush; the next run's
+  hits restore the rest.  Because shard results are pure functions of
+  the spec, a resumed campaign finishes bit-identical to an
+  uninterrupted one, and
   :func:`repro.verify.fleet.check_campaign_journal` can audit the
-  digest chain end to end.
+  digest chain end to end (of a killed, not yet resumed journal: the
+  shards its map names).
 """
 
 from __future__ import annotations
@@ -61,6 +70,10 @@ class CampaignJournal:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`;
         checkpoint evictions are counted in it.
+
+    Used as a context manager, the journal flushes its shard map on
+    exit; a flush that fails while another exception propagates leaves
+    that exception the one raised.
     """
 
     def __init__(
@@ -79,6 +92,8 @@ class CampaignJournal:
             metrics=metrics,
         )
         self._manifest_path = self.root / _MANIFEST
+        #: The in-memory shard map differs from the manifest on disk.
+        self._dirty = False
         manifest = self._load_manifest()
         if manifest is None:
             self._manifest = {
@@ -126,6 +141,23 @@ class CampaignJournal:
             except OSError:
                 pass
             raise
+        self._dirty = False
+
+    def flush(self) -> None:
+        """Write the manifest if the shard map changed since it was last written."""
+        if self._dirty:
+            self._write_manifest()
+
+    def __enter__(self) -> "CampaignJournal":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.flush()
+        except Exception:
+            if exc_type is None:
+                raise
+            # The campaign's own exception is the one worth reporting.
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -153,16 +185,25 @@ class CampaignJournal:
 
         ``key`` is ``key_for(params)`` when the caller already holds it
         (canonicalising the whole spec is the costly part of a record).
-        The checkpoint entry lands before the manifest references it,
-        so a crash between the two writes leaves a resumable (if
-        slightly under-reported) journal, never a dangling reference.
+        The checkpoint lands on disk now; the shard enters the map in
+        memory and reaches the manifest at the next :meth:`flush`, so
+        the manifest never names a checkpoint that is not there.  A
+        SIGKILL before that flush leaves the checkpoint unnamed until
+        a resume hits it and notes it.
         """
         if key is None:
             key = self.key_for(params)
         self.cache.put(key, result)
-        self._manifest["shards"][str(int(shard_index))] = key
-        self._write_manifest()
+        self.note(shard_index, key)
         return key
+
+    def note(self, shard_index: int, key: str) -> None:
+        """Name a checkpointed shard in the map (written at :meth:`flush`)."""
+        shards = self._manifest["shards"]
+        index = str(int(shard_index))
+        if shards.get(index) != key:
+            shards[index] = key
+            self._dirty = True
 
     def completed(self) -> Dict[int, str]:
         """Shard index -> checkpoint key for every recorded shard."""

@@ -72,8 +72,18 @@ def _walk_group(
     and the failure count at that moment — and the walk runs on to its
     own end ``(state, loss_mode, t, failures)``.  A policy only decides
     which checkpoint, if any, is a latent-error loss (:func:`_settle`).
+
+    An exponential draw is ``standard_exponential() * scale``: numpy's
+    ``exponential(scale)`` computes exactly that product, so the stream
+    and every float are those of ``rng.exponential``.
     """
     lam = 1.0 / mttf_hours
+    scale = 1.0 / (disks * lam)
+    # A group without redundancy never draws a second failure (and a
+    # one-disk group would divide by zero here).
+    second_scale = 1.0 / ((disks - 1) * lam) if redundancy else 0.0
+    exponential = rng.standard_exponential
+    uniform = rng.random
     window = spare_delay_hours + mttr_hours
     t = 0.0
     failures = 0
@@ -81,7 +91,7 @@ def _walk_group(
     state = "ok"
     loss_mode = None
     while True:
-        wait = rng.exponential(1.0 / (disks * lam))
+        wait = exponential() * scale
         if t + wait >= mission_hours:
             t = mission_hours
             break
@@ -92,7 +102,7 @@ def _walk_group(
             loss_mode = "unprotected"
             break
         # Exposure window: degraded (spare attach) then rebuilding.
-        second = rng.exponential(1.0 / ((disks - 1) * lam))
+        second = exponential() * second_scale
         if second < window:
             if t + second >= mission_hours:
                 # Mission ended while exposed, before the second failure.
@@ -118,7 +128,7 @@ def _walk_group(
         t += window
         # The rebuild read sweeps the survivors; an unrepaired latent
         # error there is unrecoverable (the paper's Section I scenario).
-        checkpoints.append((rng.random(), t, failures))
+        checkpoints.append((uniform(), t, failures))
     return checkpoints, (state, loss_mode, t, failures)
 
 
@@ -197,24 +207,20 @@ def fleet_shard_task(
             f"{len(spec.policies)} policies"
         )
     fleet = spec.fleet
+    disks = fleet.disks_per_group
+    redundancy = fleet.redundancy
+    mttr_hours = fleet.mttr_hours
+    spare_delay_hours = fleet.spare_delay_hours
     mission_hours = spec.mission_years * HOURS_PER_YEAR
     policy_count = len(spec.policies)
-    tallies = [
-        {
-            "states": {"ok": 0, "degraded": 0, "rebuilding": 0, "lost": 0},
-            "losses": {"double": 0, "lse": 0, "unprotected": 0},
-            "drive_failures": 0,
-            "rebuilds_completed": 0,
-            "group_hours": [],
-            "loss_hours": [],
-        }
-        for _ in spec.policies
-    ]
+    #: Per policy, one settled ledger row per group, in group order.
+    settled: List[list] = [[] for _ in spec.policies]
     #: lse burst rate -> p_lse per policy; one entry per drive class.
     p_lse_by_rate: Dict[float, Tuple[float, ...]] = {}
     # The heartbeat thread samples the probe's two integers, nothing
     # here ever blocks on observability.
     PROBE.reset(group_count * policy_count)
+    advance = PROBE.advance
     started = time.perf_counter()
     profiles = group_profiles(fleet, spec.seed, group_start, group_count)
     rngs = _group_generators(spec.seed, _GROUP_STREAM, group_start, group_count)
@@ -223,30 +229,16 @@ def fleet_shard_task(
         p_lses = p_lse_by_rate.get(rate)
         if p_lses is None:
             p_lses = p_lse_by_rate[rate] = tuple(
-                lse_exposure_probability(fleet.disks_per_group - 1, rate, window)
+                lse_exposure_probability(disks - 1, rate, window)
                 for window in latent_windows
             )
         checkpoints, end = _walk_group(
-            rng,
-            fleet.disks_per_group,
-            fleet.redundancy,
-            profile.mttf_hours,
-            fleet.mttr_hours,
-            fleet.spare_delay_hours,
-            mission_hours,
+            rng, disks, redundancy, profile.mttf_hours, mttr_hours,
+            spare_delay_hours, mission_hours,
         )
-        for tally, p_lse in zip(tallies, p_lses):
-            state, loss_mode, hours, failures, rebuilds = _settle(
-                checkpoints, end, p_lse
-            )
-            tally["states"][state] += 1
-            if loss_mode is not None:
-                tally["losses"][loss_mode] += 1
-                tally["loss_hours"].append(hours)
-            tally["drive_failures"] += failures
-            tally["rebuilds_completed"] += rebuilds
-            tally["group_hours"].append(hours)
-        PROBE.advance(policy_count)
+        for rows, p_lse in zip(settled, p_lses):
+            rows.append(_settle(checkpoints, end, p_lse))
+        advance(policy_count)
     phase_wall = (time.perf_counter() - started) / policy_count
 
     # Registry calls stay policy-major (every loss of policy 0, then its
@@ -254,23 +246,32 @@ def fleet_shard_task(
     # observation order, and the snapshot must not move.
     registry = MetricsRegistry()
     policies = []
-    for policy, window, tally in zip(spec.policies, latent_windows, tallies):
-        losses = tally["losses"]
-        group_hours = tally["group_hours"]
-        for hours in tally["loss_hours"]:
-            registry.histogram("fleet.time_to_loss_years").observe(
-                hours / HOURS_PER_YEAR
-            )
+    for policy, window, rows in zip(spec.policies, latent_windows, settled):
+        state_col, mode_col, hours_col, failures_col, rebuilds_col = zip(*rows)
+        states = {
+            state: state_col.count(state)
+            for state in ("ok", "degraded", "rebuilding", "lost")
+        }
+        losses = {
+            mode: mode_col.count(mode)
+            for mode in ("double", "lse", "unprotected")
+        }
+        group_hours = list(hours_col)
+        drive_failures = sum(failures_col)
+        rebuilds_completed = sum(rebuilds_col)
+        for mode, hours in zip(mode_col, hours_col):
+            if mode is not None:
+                registry.histogram("fleet.time_to_loss_years").observe(
+                    hours / HOURS_PER_YEAR
+                )
         # fsum is exactly rounded, so the shard sum — and the campaign
         # merge re-summing the per-group hours — is independent of how
         # the fleet happens to be partitioned into shards.
         observed_group_hours = math.fsum(group_hours)
         total_losses = sum(losses.values())
         registry.counter("fleet.groups").inc(group_count)
-        registry.counter("fleet.drive_failures").inc(tally["drive_failures"])
-        registry.counter("fleet.rebuilds_completed").inc(
-            tally["rebuilds_completed"]
-        )
+        registry.counter("fleet.drive_failures").inc(drive_failures)
+        registry.counter("fleet.rebuilds_completed").inc(rebuilds_completed)
         registry.counter("fleet.losses").inc(total_losses)
         registry.counter("fleet.losses.double").inc(losses["double"])
         registry.counter("fleet.losses.lse").inc(losses["lse"])
@@ -279,13 +280,13 @@ def fleet_shard_task(
                 "name": policy.name,
                 "groups": group_count,
                 "losses": total_losses,
-                "losses_by_mode": dict(losses),
-                "drive_failures": tally["drive_failures"],
-                "rebuilds_completed": tally["rebuilds_completed"],
+                "losses_by_mode": losses,
+                "drive_failures": drive_failures,
+                "rebuilds_completed": rebuilds_completed,
                 "observed_group_hours": observed_group_hours,
-                "drive_hours": observed_group_hours * fleet.disks_per_group,
+                "drive_hours": observed_group_hours * disks,
                 "group_hours": group_hours,
-                "states": dict(tally["states"]),
+                "states": states,
                 "latent_window_hours": float(window),
             }
         )

@@ -445,6 +445,26 @@ class TestExitCodes:
         assert message in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("damage, message", [
+        ("foreign", "refusing to mix campaigns"),
+        ("torn", "unreadable manifest"),
+    ])
+    def test_a_bad_journal_is_a_usage_error(
+        self, damage, message, tmp_path, capsys
+    ):
+        journal = tmp_path / "J"
+        base = ["fleet", "--shards", "4", "--journal", str(journal)]
+        assert main(base + ["--groups", "40"]) == 0
+        if damage == "torn":
+            manifest = journal / "manifest.json"
+            manifest.write_bytes(manifest.read_bytes()[:20])
+        capsys.readouterr()
+        groups = "41" if damage == "foreign" else "40"
+        assert main(base + ["--groups", groups, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro fleet: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (["trace", "--max-log-records", "0"], "--max-log-records must be > 0: 0"),
         (["trace", "--request-kb", "0"], "--request-kb must be > 0: 0"),

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
+    CampaignCancelled,
     CampaignJournal,
     CampaignRunner,
     CampaignSpec,
@@ -222,6 +223,141 @@ class TestCheckpointResume:
         second = CampaignRunner(_spec(), journal_dir=journal_dir).run()
         assert second.shards_resumed == 5
         assert second.metrics_dict() == first.metrics_dict()
+
+
+class TestManifestSchedule:
+    """The shard map reaches ``manifest.json`` when the journal is
+    created and once more when the run ends, however it ends."""
+
+    @pytest.fixture
+    def manifest_writes(self, monkeypatch):
+        writes = []
+        real_replace = os.replace
+
+        def spy(src, dst, *args, **kwargs):
+            if os.path.basename(dst) == "manifest.json":
+                writes.append(dst)
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", spy)
+        return writes
+
+    @staticmethod
+    def _named(journal_dir, spec):
+        return sorted(CampaignJournal(journal_dir, spec).completed())
+
+    @staticmethod
+    def _cancel_after(count):
+        landed = []
+        return (
+            lambda shard_index, result: landed.append(shard_index),
+            lambda: len(landed) >= count,
+        )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_fresh_run_writes_the_manifest_at_most_twice(
+        self, workers, manifest_writes, tmp_path
+    ):
+        spec = _spec(groups=64, shards=16)
+        result = CampaignRunner(
+            spec, journal_dir=tmp_path / "journal", workers=workers
+        ).run()
+        assert result.shards_completed == 16
+        assert 1 <= len(manifest_writes) <= 2
+
+    def test_a_full_resume_writes_nothing(self, manifest_writes, tmp_path):
+        spec = _spec(groups=64, shards=16)
+        journal_dir = tmp_path / "journal"
+        CampaignRunner(spec, journal_dir=journal_dir).run()
+        manifest = (journal_dir / "manifest.json").read_bytes()
+        del manifest_writes[:]
+        resumed = CampaignRunner(spec, journal_dir=journal_dir).run()
+        assert resumed.shards_resumed == 16
+        assert manifest_writes == []
+        assert (journal_dir / "manifest.json").read_bytes() == manifest
+
+    def test_a_completed_run_leaves_the_full_map_in_format_2(self, tmp_path):
+        import json
+
+        spec = _spec(groups=64, shards=16)
+        journal_dir = tmp_path / "journal"
+        CampaignRunner(spec, journal_dir=journal_dir).run()
+        journal = CampaignJournal(journal_dir, spec)
+        keys = {
+            str(params["shard_index"]): journal.key_for(params)
+            for params in CampaignRunner.shard_param_sets(spec)
+        }
+        expected = json.dumps(
+            {
+                "format": 2,
+                "campaign_digest": campaign_digest(spec),
+                "shards_total": 16,
+                "shards": keys,
+            },
+            indent=1,
+            sort_keys=True,
+        )
+        assert (journal_dir / "manifest.json").read_text() == expected
+
+    def test_a_cancelled_run_names_exactly_its_landed_shards(self, tmp_path):
+        spec = _spec()
+        on_shard, should_stop = self._cancel_after(4)
+        with pytest.raises(CampaignCancelled):
+            CampaignRunner(
+                spec, journal_dir=tmp_path, on_shard=on_shard,
+                should_stop=should_stop,
+            ).run()
+        assert self._named(tmp_path, spec) == [0, 1, 2, 3]
+
+    def test_a_raising_shard_leaves_the_earlier_shards_named(self, tmp_path):
+        def fail_at_3(**params):
+            if params["shard_index"] == 3:
+                raise RuntimeError("shard 3 failed")
+            return fleet_shard_task(**params)
+
+        spec = _spec()
+        with pytest.raises(RuntimeError, match="shard 3 failed"):
+            CampaignRunner(spec, journal_dir=tmp_path, task=fail_at_3).run()
+        assert self._named(tmp_path, spec) == [0, 1, 2]
+
+    def test_a_resume_names_checkpoints_a_killed_run_left_unnamed(
+        self, tmp_path
+    ):
+        import json
+
+        spec = _spec()
+        CampaignRunner(spec, journal_dir=tmp_path).run()
+        # What a SIGKILL before the end-of-run flush leaves: every
+        # checkpoint on disk, none of them in the map.
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shards"] = {}
+        manifest_path.write_text(json.dumps(manifest))
+        assert self._named(tmp_path, spec) == []
+
+        def forbidden(**params):
+            raise AssertionError("resume must not recompute shards")
+
+        resumed = CampaignRunner(spec, journal_dir=tmp_path, task=forbidden).run()
+        assert resumed.shards_resumed == 6
+        assert self._named(tmp_path, spec) == list(range(6))
+
+    def test_a_failed_flush_does_not_hide_the_cancellation(
+        self, monkeypatch, tmp_path
+    ):
+        def broken_flush(journal):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(CampaignJournal, "flush", broken_flush)
+        on_shard, should_stop = self._cancel_after(2)
+        with pytest.raises(CampaignCancelled):
+            CampaignRunner(
+                _spec(), journal_dir=tmp_path / "cancelled",
+                on_shard=on_shard, should_stop=should_stop,
+            ).run()
+        # With nothing else to report, the flush's own error surfaces.
+        with pytest.raises(OSError, match="no space left"):
+            CampaignRunner(_spec(), journal_dir=tmp_path / "done").run()
 
 
 class TestGracefulDegradation:

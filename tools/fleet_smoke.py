@@ -177,6 +177,14 @@ def main() -> int:
             "resumed run bit-identical to baseline",
             resumed.metrics_dict() == baseline.metrics_dict(),
         )
+        # The killed driver never flushed its map; the resume's hits
+        # must have put every checkpoint back in it.
+        verified = check_campaign_journal(journal, spec)
+        failures += not check(
+            "resumed journal names every shard",
+            verified == resumed.shards_total,
+            f"{verified}/{resumed.shards_total} checkpoints verified",
+        )
 
         print("act 3: SIGKILLed shard worker is retried")
         sentinels = os.path.join(tmp, "sentinels")
