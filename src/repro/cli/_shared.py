@@ -268,8 +268,8 @@ def add_supervision_flags(parser: ArgumentParser) -> None:
     )
     parser.add_argument(
         "--status-interval", type=float, default=2.0,
-        help="seconds between status.json rewrites / progress lines "
-        "(default %(default)s)",
+        help="seconds between progress lines of 'repro fleet --monitor' "
+        "(default %(default)s); 'repro serve' accepts and ignores it",
     )
 
 

@@ -48,7 +48,7 @@ def run(args) -> int:
         args.data_dir, host=args.host, port=args.port,
         max_jobs=args.max_jobs, workers=args.workers,
         client_quota=args.client_quota, task_timeout=args.task_timeout,
-        max_attempts=args.max_attempts, status_interval=args.status_interval,
+        max_attempts=args.max_attempts,
     )
     recovered = service.queue.recovered
     if recovered:

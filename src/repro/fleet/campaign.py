@@ -328,20 +328,13 @@ class CampaignRunner:
     # -- execution -----------------------------------------------------------
 
     def run(self) -> CampaignResult:
-        """Execute (or resume) the campaign and estimate fleet metrics.
-
-        A journal's shard map reaches its manifest once, as the run
-        ends: done, cancelled or raising.
-        """
-        if self.journal_dir is None:
-            return self._run(None)
-        with CampaignJournal(
-            self.journal_dir, self.spec, metrics=self.metrics
-        ) as journal:
-            return self._run(journal)
-
-    def _run(self, journal: Optional[CampaignJournal]) -> CampaignResult:
+        """Execute (or resume) the campaign and estimate fleet metrics."""
         spec = self.spec
+        journal = None
+        if self.journal_dir is not None:
+            journal = CampaignJournal(
+                self.journal_dir, spec, metrics=self.metrics
+            )
         param_sets = self.shard_param_sets(spec)
         monitor = self.monitor
         if monitor is not None:
@@ -364,7 +357,6 @@ class CampaignRunner:
                 key = keys[params["shard_index"]] = journal.key_for(params)
                 hit, value = journal.load(params, key)
                 if hit:
-                    journal.note(params["shard_index"], key)
                     results[params["shard_index"]] = value
                     resumed += 1
                     if monitor is not None:

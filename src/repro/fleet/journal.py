@@ -12,27 +12,22 @@ non-event:
   leaves the previous state, never a torn checkpoint; and entries are
   self-verifying, so a corrupt checkpoint is *evicted* and recomputed
   rather than trusted or fatal.
-* **The manifest** (``manifest.json``, also atomically replaced)
-  records the campaign digest and the shard->key map.  Opening a
-  journal whose digest does not match the offered spec raises
-  :class:`JournalError`: a resume can never silently mix shards from
-  two different campaigns.  The manifest is written when the journal
-  is created and again when the campaign's run ends — done, cancelled
-  or raising — by :meth:`CampaignJournal.flush`, which the journal
-  calls on leaving its ``with`` block.  In between, the map grows in
-  memory only: no result depends on it.
+* **The manifest** (``manifest.json``) is a write-once header: the
+  manifest format, the campaign digest and the shard count, published
+  whole with ``os.link`` when the journal is created and never
+  rewritten.  Opening a journal whose digest does not match the
+  offered spec raises :class:`JournalError`: a resume can never
+  silently mix shards from two different campaigns.  A format-2
+  manifest, which also carried a shard->key map, opens the same way;
+  its map is ignored.
 * **Resume is just cache hits.**  The runner recomputes every shard's
   key from the spec — deterministically — and asks the journal; hits
-  are completed shards, misses are remaining work.  Hits are noted in
-  the map too (:meth:`~CampaignJournal.note`), so the manifest after
-  any run that ends names every checkpointed shard.  A SIGKILLed run
-  leaves its checkpoints but the map of its last flush; the next run's
-  hits restore the rest.  Because shard results are pure functions of
-  the spec, a resumed campaign finishes bit-identical to an
-  uninterrupted one, and
-  :func:`repro.verify.fleet.check_campaign_journal` can audit the
-  digest chain end to end (of a killed, not yet resumed journal: the
-  shards its map names).
+  are completed shards, misses are remaining work.  Because shard
+  results are pure functions of the spec, a resumed campaign finishes
+  bit-identical to an uninterrupted one, and
+  :func:`repro.verify.fleet.check_campaign_journal` audits a journal
+  the same way: every spec-derived key it holds, and no checkpoint
+  beyond them.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 from repro.fleet.spec import CampaignSpec, campaign_digest
 from repro.parallel.cache import ResultCache
@@ -49,7 +44,10 @@ from repro.parallel.cache import ResultCache
 __all__ = ["CampaignJournal", "JournalError"]
 
 _MANIFEST = "manifest.json"
-_FORMAT = 2
+_FORMAT = 3
+#: Mixed into every checkpoint key, so it must not follow ``_FORMAT``:
+#: a new value would orphan every checkpoint already on disk.
+_CACHE_VERSION = "fleet-journal-2"
 
 
 class JournalError(RuntimeError):
@@ -70,10 +68,6 @@ class CampaignJournal:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`;
         checkpoint evictions are counted in it.
-
-    Used as a context manager, the journal flushes its shard map on
-    exit; a flush that fails while another exception propagates leaves
-    that exception the one raised.
     """
 
     def __init__(
@@ -87,30 +81,16 @@ class CampaignJournal:
         self.digest = campaign_digest(spec)
         self.root.mkdir(parents=True, exist_ok=True)
         self.cache = ResultCache(
-            self.root / "checkpoints",
-            version=f"fleet-journal-{_FORMAT}",
-            metrics=metrics,
+            self.root / "checkpoints", version=_CACHE_VERSION, metrics=metrics
         )
         self._manifest_path = self.root / _MANIFEST
-        #: The in-memory shard map differs from the manifest on disk.
-        self._dirty = False
-        manifest = self._load_manifest()
-        if manifest is None:
-            self._manifest = {
-                "format": _FORMAT,
-                "campaign_digest": self.digest,
-                "shards_total": len(spec.shard_ranges()),
-                "shards": {},
-            }
-            self._write_manifest()
-        else:
-            if manifest.get("campaign_digest") != self.digest:
-                raise JournalError(
-                    f"journal at {self.root} belongs to campaign "
-                    f"{manifest.get('campaign_digest', '?')[:12]}..., not "
-                    f"{self.digest[:12]}...; refusing to mix campaigns"
-                )
-            self._manifest = manifest
+        manifest = self._load_manifest() or self._create_manifest()
+        if manifest.get("campaign_digest") != self.digest:
+            raise JournalError(
+                f"journal at {self.root} belongs to campaign "
+                f"{manifest.get('campaign_digest', '?')[:12]}..., not "
+                f"{self.digest[:12]}...; refusing to mix campaigns"
+            )
 
     # -- manifest ------------------------------------------------------------
 
@@ -121,43 +101,31 @@ class CampaignJournal:
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError) as exc:
-            # A torn manifest is recoverable: checkpoints are still
-            # content-addressed, so rebuilding the map is safe — but it
-            # must be an explicit decision, not a silent one.
+            # Checkpoints are content-addressed, so a new header is
+            # safe — but it must be an explicit decision, not a silent one.
             raise JournalError(
                 f"unreadable manifest at {self._manifest_path}: {exc}; "
                 "delete it to rebuild from checkpoints"
             )
 
-    def _write_manifest(self) -> None:
+    def _create_manifest(self) -> dict:
+        """Publish the header: ``os.link`` lands it whole and never
+        over an existing file (whose header then wins)."""
+        header = {
+            "format": _FORMAT,
+            "campaign_digest": self.digest,
+            "shards_total": len(self.spec.shard_ranges()),
+        }
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(self._manifest, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self._manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
-
-    def flush(self) -> None:
-        """Write the manifest if the shard map changed since it was last written."""
-        if self._dirty:
-            self._write_manifest()
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            self.flush()
-        except Exception:
-            if exc_type is None:
-                raise
-            # The campaign's own exception is the one worth reporting.
+                json.dump(header, fh, indent=1, sort_keys=True)
+            os.link(tmp, self._manifest_path)
+        except FileExistsError:
+            return self._load_manifest()
+        finally:
+            os.unlink(tmp)
+        return header
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -185,33 +153,11 @@ class CampaignJournal:
 
         ``key`` is ``key_for(params)`` when the caller already holds it
         (canonicalising the whole spec is the costly part of a record).
-        The checkpoint lands on disk now; the shard enters the map in
-        memory and reaches the manifest at the next :meth:`flush`, so
-        the manifest never names a checkpoint that is not there.  A
-        SIGKILL before that flush leaves the checkpoint unnamed until
-        a resume hits it and notes it.
+        The checkpoint is found by its key alone: ``shard_index`` names
+        the shard for the caller's benefit (``bench/wl_fleet.py`` passes
+        it) and is not stored.
         """
         if key is None:
             key = self.key_for(params)
         self.cache.put(key, result)
-        self.note(shard_index, key)
         return key
-
-    def note(self, shard_index: int, key: str) -> None:
-        """Name a checkpointed shard in the map (written at :meth:`flush`)."""
-        shards = self._manifest["shards"]
-        index = str(int(shard_index))
-        if shards.get(index) != key:
-            shards[index] = key
-            self._dirty = True
-
-    def completed(self) -> Dict[int, str]:
-        """Shard index -> checkpoint key for every recorded shard."""
-        return {
-            int(index): key
-            for index, key in self._manifest["shards"].items()
-        }
-
-    @property
-    def shards_total(self) -> int:
-        return int(self._manifest["shards_total"])

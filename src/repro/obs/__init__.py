@@ -8,9 +8,8 @@ and fault instants and a :class:`~repro.obs.metrics.MetricsRegistry`
 of counters, gauges and log-bucket histograms
 (:mod:`~repro.obs.metrics`).  Around a campaign, per-worker progress
 probes (:mod:`~repro.obs.worker`), deterministic hierarchical spans
-(:mod:`~repro.obs.spans`) and the live aggregator writing
-``status.json`` / ``events.jsonl`` (:mod:`~repro.obs.monitor`) watch
-the shards.  Both recorders export through one Chrome-trace encoder
+(:mod:`~repro.obs.spans`) and the live aggregator appending
+``events.jsonl`` (:mod:`~repro.obs.monitor`) watch the shards.  Both recorders export through one Chrome-trace encoder
 (:mod:`~repro.obs.trace`); snapshots render as Prometheus textfiles
 (:mod:`~repro.obs.prometheus`) or a self-contained HTML run report
 (:mod:`~repro.obs.report`); every whole-file output goes through

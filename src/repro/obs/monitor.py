@@ -1,4 +1,4 @@
-"""Live campaign aggregation: status.json, events, spans, progress.
+"""Live campaign aggregation: status, events, spans, progress.
 
 :class:`CampaignMonitor` is the supervisor-side half of campaign
 observability.  The :class:`~repro.fleet.campaign.CampaignRunner`
@@ -6,13 +6,13 @@ feeds it lifecycle events — shard attempts starting, heartbeat
 progress samples shipped over the supervision pipes, shards landing
 or failing — and the monitor folds them into four operator surfaces:
 
-* ``status.json`` — an atomically replaced machine-readable summary
-  (the future HTTP endpoint's payload): progress fraction, per-shard
-  states, worker utilization, straggler lag, retry counters and
-  drive-years/s throughput;
-* ``events.jsonl`` — an append-only event log that *persists across
-  resume* (the file is opened in append mode), so a campaign killed
-  and resumed leaves one continuous, monotone progress record;
+* :meth:`CampaignMonitor.status` — the machine-readable live view
+  (progress, per-shard states, worker utilization, straggler lag,
+  retry counters, drive-years/s), which the service answers while the
+  campaign runs; written once, as ``status.json``, when it finishes;
+* ``events.jsonl`` — an append-only event log, one flushed line per
+  event, that *persists across resume*, so a campaign killed and
+  resumed leaves one continuous, monotone progress record;
 * a :class:`~repro.obs.spans.SpanRecorder` — the campaign → shard →
   attempt → kernel-phase flame view, written as ``trace.json`` for
   Perfetto;
@@ -22,7 +22,9 @@ or failing — and the monitor folds them into four operator surfaces:
 Metric snapshots from landed shards merge incrementally with
 :func:`~repro.obs.metrics.merge_snapshots`; every merge
 operation is order-independent, so the monitor's live view converges
-to exactly the campaign's final merged telemetry.
+to exactly the campaign's final merged telemetry.  One lock orders the
+lifecycle methods and :meth:`~CampaignMonitor.status`, so a reader on
+another thread never loses a landed shard to a concurrent fold.
 
 **Passivity is the contract.**  The monitor only *observes*: it never
 touches a result dict, and every filesystem write is wrapped so an
@@ -32,9 +34,13 @@ Simulation results are bit-identical with a monitor attached or not.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
+import threading
 import time
+from collections import Counter
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.export import atomic_write
@@ -43,13 +49,23 @@ from repro.obs.spans import SpanRecorder
 from repro.obs.trace import write_chrome_trace
 from repro.raid.reliability import HOURS_PER_YEAR
 
-__all__ = [
-    "CampaignMonitor",
-    "STATUS_VERSION",
-    "read_events_chunk",
-]
+__all__ = ["CampaignMonitor", "STATUS_VERSION", "read_events_chunk"]
 
 STATUS_VERSION = 1
+
+#: ``shard_attempt_failed`` kinds that have their own supervision counter.
+_FAILURE_COUNTERS = {
+    "timeout": "timeouts", "stall": "stalls", "death": "worker_deaths",
+}
+
+
+def _locked(method):
+    """Run ``method`` under its monitor's lock."""
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+    return locked
 
 
 class _Shard:
@@ -90,14 +106,15 @@ class CampaignMonitor:
     Parameters
     ----------
     out_dir:
-        Directory for ``status.json`` / ``events.jsonl`` /
-        ``trace.json`` / ``summary.json``; created if missing.
+        Directory for ``events.jsonl`` and, once the campaign
+        finishes, ``status.json`` / ``trace.json`` / ``summary.json``;
+        created if missing.
     interval:
-        Minimum seconds between status rewrites and progress lines
-        (events always log; pass ``0`` to rewrite on every event).
+        Minimum seconds between progress lines (events always log;
+        pass ``0`` for a line on every event).
     on_progress:
         Optional ``(line: str) -> None`` callback for rendered
-        progress lines.
+        progress lines; it runs under the monitor's lock.
     clock / wall_clock:
         Injectable monotonic and wall clocks, for tests.
     """
@@ -111,12 +128,17 @@ class CampaignMonitor:
         wall_clock=time.time,
     ) -> None:
         self.out_dir = out_dir
+        self.status_path = os.path.join(out_dir, "status.json")
+        self.events_path = os.path.join(out_dir, "events.jsonl")
+        self.trace_path = os.path.join(out_dir, "trace.json")
+        self.summary_path = os.path.join(out_dir, "summary.json")
         self.interval = float(interval)
         self.on_progress = on_progress
         self._clock = clock
         self._wall = wall_clock
         self._started: Optional[float] = None
-        self._last_status = -float("inf")
+        self._last_line = -float("inf")
+        self._lock = threading.Lock()
         self._shards: Dict[int, _Shard] = {}
         self._workers = 1
         self._digest = ""
@@ -126,7 +148,7 @@ class CampaignMonitor:
         self._disks_per_group = 1
         self._merged: Optional[dict] = None
         #: Landed shards' snapshots not yet folded into ``_merged``:
-        #: the fold waits for a reader (a status write, the summary).
+        #: the fold waits for a reader (a status, the summary).
         self._landed: List[dict] = []
         self._drive_hours = 0.0
         self._busy_seconds = 0.0
@@ -142,26 +164,9 @@ class CampaignMonitor:
         self._events_handle = None
         os.makedirs(out_dir, exist_ok=True)
 
-    # -- paths ---------------------------------------------------------
-
-    @property
-    def status_path(self) -> str:
-        return os.path.join(self.out_dir, "status.json")
-
-    @property
-    def events_path(self) -> str:
-        return os.path.join(self.out_dir, "events.jsonl")
-
-    @property
-    def trace_path(self) -> str:
-        return os.path.join(self.out_dir, "trace.json")
-
-    @property
-    def summary_path(self) -> str:
-        return os.path.join(self.out_dir, "summary.json")
-
     # -- campaign lifecycle (called by CampaignRunner) ----------------
 
+    @_locked
     def campaign_started(
         self,
         digest: str,
@@ -193,16 +198,18 @@ class CampaignMonitor:
         )
         self._event("campaign_started", shards=len(self._shards),
                     groups=self._groups_total, workers=self._workers)
-        self._write_status(force=True)
+        self._maybe_progress(force=True)
 
+    @_locked
     def shard_resumed(self, shard_index: int, result: dict) -> None:
         shard = self._shard(shard_index)
         shard.state = "resumed"
         shard.duration = 0.0
         self._land_result(result)
         self._event("shard_resumed", shard=shard_index)
-        self._maybe_status()
+        self._maybe_progress()
 
+    @_locked
     def shard_started(
         self, shard_index: int, attempt: int, speculative: bool = False
     ) -> None:
@@ -229,8 +236,9 @@ class CampaignMonitor:
         )
         self._event("attempt_started", shard=shard_index, attempt=attempt,
                     speculative=speculative)
-        self._maybe_status()
+        self._maybe_progress()
 
+    @_locked
     def shard_heartbeat(
         self, shard_index: int, attempt: int, payload: Optional[dict]
     ) -> None:
@@ -252,8 +260,9 @@ class CampaignMonitor:
             progress=round(self.progress(), 6),
             live=round(self.live_progress(), 6),
         )
-        self._maybe_status()
+        self._maybe_progress()
 
+    @_locked
     def shard_attempt_failed(
         self,
         shard_index: int,
@@ -264,13 +273,8 @@ class CampaignMonitor:
     ) -> None:
         shard = self._shard(shard_index)
         shard.error = error
-        if kind in ("timeout", "stall", "death"):
-            key = {
-                "timeout": "timeouts",
-                "stall": "stalls",
-                "death": "worker_deaths",
-            }[kind]
-            self._counts[key] += 1
+        if kind in _FAILURE_COUNTERS:
+            self._counts[_FAILURE_COUNTERS[kind]] += 1
         self._busy_seconds += max(0.0, duration)
         self.spans.end(
             "shard", shard_index, "attempt", attempt,
@@ -283,8 +287,9 @@ class CampaignMonitor:
         )
         self._event("attempt_failed", shard=shard_index, attempt=attempt,
                     kind=kind, error=error, duration_s=round(duration, 6))
-        self._maybe_status()
+        self._maybe_progress()
 
+    @_locked
     def shard_completed(
         self,
         shard_index: int,
@@ -314,15 +319,17 @@ class CampaignMonitor:
             groups=result.get("group_count"),
             progress=round(self.progress(), 6),
         )
-        self._maybe_status()
+        self._maybe_progress()
 
+    @_locked
     def shard_failed(self, shard_index: int, error: str) -> None:
         shard = self._shard(shard_index)
         shard.state = "failed"
         shard.error = error
         self._event("shard_failed", shard=shard_index, error=error)
-        self._maybe_status()
+        self._maybe_progress()
 
+    @_locked
     def campaign_finished(self, result) -> None:
         """Final fold: close the campaign span, write every surface.
 
@@ -367,7 +374,8 @@ class CampaignMonitor:
         self.spans.end("campaign", args={"state": self._state})
         self._event("campaign_finished", state=self._state,
                     progress=round(self.progress(), 6))
-        self._write_status(force=True)
+        self._write_json(self.status_path, self._status())
+        self._maybe_progress(force=True)
         self._write_summary()
         self.write_trace()
         if self._events_handle is not None:
@@ -390,12 +398,14 @@ class CampaignMonitor:
         """
         if not self._groups_total:
             return 0.0
-        done = sum(
+        return min(1.0, self._groups_done() / self._groups_total)
+
+    def _groups_done(self) -> int:
+        return sum(
             shard.group_count
             for shard in self._shards.values()
             if shard.state in ("done", "resumed")
         )
-        return min(1.0, done / self._groups_total)
 
     def live_progress(self) -> float:
         """Progress including in-flight shards' heartbeat fractions."""
@@ -408,9 +418,7 @@ class CampaignMonitor:
         return min(1.0, done / self._groups_total)
 
     def elapsed(self) -> float:
-        if self._started is None:
-            return 0.0
-        return self._clock() - self._started
+        return 0.0 if self._started is None else self._clock() - self._started
 
     def utilization(self) -> float:
         """Busy worker-seconds over available worker-seconds."""
@@ -449,12 +457,13 @@ class CampaignMonitor:
 
     def status(self) -> dict:
         """The full machine-readable status payload."""
+        with self._lock:
+            return self._status()
+
+    def _status(self) -> dict:
         elapsed = self.elapsed()
         drive_years = self._drive_hours / HOURS_PER_YEAR
-        states = {"pending": 0, "running": 0, "done": 0, "failed": 0,
-                  "resumed": 0}
-        for shard in self._shards.values():
-            states[shard.state] += 1
+        states = Counter(shard.state for shard in self._shards.values())
         counters = dict(self.merged_snapshot().get("counters", {}))
         now = self._clock()
         per_shard = []
@@ -480,11 +489,6 @@ class CampaignMonitor:
                     "error": shard.error,
                 }
             )
-        groups_done = sum(
-            shard.group_count
-            for shard in self._shards.values()
-            if shard.state in ("done", "resumed")
-        )
         payload = {
             "version": STATUS_VERSION,
             "campaign": self._digest,
@@ -500,7 +504,7 @@ class CampaignMonitor:
                 "resumed": states["resumed"],
                 "running": states["running"],
             },
-            "groups": {"total": self._groups_total, "done": groups_done},
+            "groups": {"total": self._groups_total, "done": self._groups_done()},
             "throughput": {
                 "drive_years": round(drive_years, 3),
                 "drive_years_per_s": (
@@ -532,7 +536,7 @@ class CampaignMonitor:
 
     def progress_line(self) -> str:
         """One human progress line for streaming output."""
-        status = self.status()
+        status = self._status()
         shards = status["shards"]
         parts = [
             f"[{status['elapsed_s']:8.1f}s]",
@@ -599,10 +603,8 @@ class CampaignMonitor:
     def _event(self, event: str, **fields) -> None:
         record = {"t": round(self._wall(), 6), "event": event}
         record.update(fields)
-        # The append handle stays open across events (open/close per
-        # line dominates monitoring cost otherwise) but every line is
-        # flushed, so the on-disk log is complete up to the last event
-        # even through a SIGKILL.
+        # One handle for every event, each line flushed: the log is
+        # complete up to the last event even through a SIGKILL.
         try:
             if self._events_handle is None:
                 self._events_handle = open(
@@ -614,23 +616,18 @@ class CampaignMonitor:
             self.io_errors += 1
             self._events_handle = None
 
-    def _maybe_status(self) -> None:
-        now = self._clock()
-        if now - self._last_status < self.interval:
+    def _maybe_progress(self, force: bool = False) -> None:
+        """Hand ``on_progress`` a line, ``interval`` apart unless forced."""
+        if self.on_progress is None:
             return
-        self._write_status(force=True)
-
-    def _write_status(self, force: bool = False) -> None:
         now = self._clock()
-        if not force and now - self._last_status < self.interval:
+        if not force and now - self._last_line < self.interval:
             return
-        self._last_status = now
-        self._write_json(self.status_path, self.status())
-        if self.on_progress is not None:
-            try:
-                self.on_progress(self.progress_line())
-            except Exception:
-                pass
+        self._last_line = now
+        try:
+            self.on_progress(self.progress_line())
+        except Exception:
+            pass
 
     def _write_json(self, path: str, payload: dict) -> None:
         """Replace ``path`` atomically; an unwritable directory degrades
@@ -665,10 +662,8 @@ class CampaignMonitor:
         """Aggregate kernel-phase wall time across shards, by phase."""
         totals: Dict[str, List[float]] = {}
         for span in self.spans.spans():
-            if span.category != "phase":
-                continue
-            name = span.name
-            totals.setdefault(name, []).append(span.duration)
+            if span.category == "phase":
+                totals.setdefault(span.name, []).append(span.duration)
         return [
             {
                 "name": name,
@@ -684,13 +679,10 @@ class CampaignMonitor:
 def read_events_chunk(path: str, offset: int = 0) -> "tuple[bytes, int]":
     """Read new raw bytes of an ``events.jsonl`` from ``offset``.
 
-    Returns ``(chunk, new_offset)``; a missing file (the monitor has
-    not written its first event yet) is simply an empty chunk.  The
-    bytes are returned verbatim — the orchestration service's
-    ``GET /campaigns/{id}/events`` endpoint relays them unmodified,
-    which is what makes the streamed NDJSON *byte-identical* to the
-    on-disk log and lets a disconnected client resume from the offset
-    it already has.
+    Returns ``(chunk, new_offset)``; a missing file (no event yet) is an
+    empty chunk.  The service's ``GET /campaigns/{id}/events`` relays
+    the bytes verbatim, so the streamed NDJSON is *byte-identical* to
+    the on-disk log and a disconnected client resumes from its offset.
     """
     try:
         with open(path, "rb") as handle:
@@ -703,8 +695,6 @@ def read_events_chunk(path: str, offset: int = 0) -> "tuple[bytes, int]":
 
 def _json_num(value: float):
     """JSON-safe number: infinities become None (null)."""
-    import math
-
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value

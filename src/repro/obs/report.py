@@ -1,8 +1,8 @@
 """Self-contained HTML run reports from campaign observability output.
 
 :func:`build_report` reads the files a :class:`CampaignMonitor` left
-behind (``summary.json`` primarily, ``status.json`` and
-``events.jsonl`` as fallback / enrichment) and renders one static HTML
+behind (``summary.json`` and ``status.json`` when the campaign
+finished, ``events.jsonl`` always) and renders one static HTML
 page — inline CSS, inline SVG, zero external assets — that answers the
 operator's post-run questions:
 
@@ -33,12 +33,18 @@ def load_obs_dir(obs_dir: str) -> dict:
 
     Returns ``{"summary": ..., "status": ..., "events": [...]}`` with
     ``None`` / ``[]`` for missing pieces; raises ``FileNotFoundError``
-    only when *nothing* usable is present.
+    only when none of the three files exists.  A running, killed or
+    cancelled campaign has written only ``events.jsonl``.
     """
     data = {"summary": None, "status": None, "events": []}
     summary_path = os.path.join(obs_dir, "summary.json")
     status_path = os.path.join(obs_dir, "status.json")
     events_path = os.path.join(obs_dir, "events.jsonl")
+    if not any(map(os.path.exists, (summary_path, status_path, events_path))):
+        raise FileNotFoundError(
+            f"no summary.json, status.json or events.jsonl under {obs_dir!r} "
+            "(run the campaign with --monitor first)"
+        )
     if os.path.exists(summary_path):
         with open(summary_path, encoding="utf-8") as handle:
             data["summary"] = json.load(handle)
@@ -55,11 +61,6 @@ def load_obs_dir(obs_dir: str) -> dict:
                     data["events"].append(json.loads(line))
                 except ValueError:
                     continue  # torn tail line from a crash: skip
-    if data["summary"] is None and data["status"] is None:
-        raise FileNotFoundError(
-            f"no summary.json or status.json under {obs_dir!r} "
-            "(run the campaign with --monitor first)"
-        )
     return data
 
 

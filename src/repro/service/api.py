@@ -13,7 +13,7 @@ Routes::
     GET    /healthz                  dispatcher liveness + queue state counts
     POST   /campaigns                submit (201 created / 200 duplicate)
     GET    /campaigns                list jobs
-    GET    /campaigns/{id}           job record + live progress
+    GET    /campaigns/{id}           job record + status (live, or status.json)
     GET    /campaigns/{id}/events    NDJSON event stream (?offset=&follow=)
     GET    /campaigns/{id}/report    self-contained HTML run report
     DELETE /campaigns/{id}           cancel (idempotent)
@@ -81,7 +81,6 @@ class CampaignService:
         client_quota: int = 0,
         task_timeout: Optional[float] = None,
         max_attempts: int = 3,
-        status_interval: float = 0.0,
     ) -> None:
         self.data_dir = str(data_dir)
         self.host = host
@@ -96,7 +95,6 @@ class CampaignService:
             client_quota=client_quota,
             task_timeout=task_timeout,
             max_attempts=max_attempts,
-            status_interval=status_interval,
         )
         self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
@@ -326,13 +324,16 @@ class _Handler(BaseHTTPRequestHandler):
         return 201 if created else 200, {"job": job.to_dict(), "created": created}
 
     def _job_detail(self, svc: CampaignService, job):
-        detail = {"job": job.to_dict()}
-        status_path = os.path.join(svc.scheduler.obs_dir(job.id), "status.json")
-        try:
-            with open(status_path, encoding="utf-8") as handle:
-                detail["status"] = json.load(handle)
-        except (OSError, ValueError):
-            detail["status"] = None
+        # Live while the job runs; afterwards what its monitor wrote last.
+        status = svc.scheduler.live_status(job.id)
+        if status is None:
+            status_path = os.path.join(svc.scheduler.obs_dir(job.id), "status.json")
+            try:
+                with open(status_path, encoding="utf-8") as handle:
+                    status = json.load(handle)
+            except (OSError, ValueError):
+                pass
+        detail = {"job": job.to_dict(), "status": status}
         detail["paths"] = {
             "journal": os.path.join(svc.scheduler.job_dir(job.id), "journal"),
             "events": svc.scheduler.events_path(job.id),

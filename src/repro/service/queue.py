@@ -2,7 +2,7 @@
 
 The orchestration service's source of truth.  Every job is one file,
 ``jobs/<id>.json``, written with the same atomic temp-file +
-``os.replace`` pattern the campaign journal uses for its manifest: a
+``os.replace`` pattern the result cache uses for its entries: a
 crash can lose at most the *latest* transition, never corrupt a
 record.  The job id is :func:`~repro.fleet.spec.campaign_digest` of
 the submitted spec, so identical campaigns are identical jobs —

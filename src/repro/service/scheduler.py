@@ -5,8 +5,10 @@ dispatcher thread claims jobs from the :class:`~repro.service.queue.
 JobQueue` (fair-share, quota-capped) and hands each to a slot in a
 thread pool.  Each slot runs one campaign end to end — journal under
 ``campaigns/<job id>``, a :class:`~repro.obs.monitor.CampaignMonitor`
-writing ``events.jsonl`` for the API's streaming endpoint, and the
-queue's cancel flag wired into the runner's ``should_stop`` poll.
+that answers the API's live status (:meth:`CampaignScheduler.
+live_status`) and appends the ``events.jsonl`` its streaming endpoint
+relays, and the queue's cancel flag wired into the runner's
+``should_stop`` poll.
 
 Outcome mapping::
 
@@ -81,8 +83,6 @@ class CampaignScheduler:
         Max running jobs per client (``0`` = unlimited).
     task_timeout, max_attempts:
         Per-shard supervision knobs, forwarded to the runner.
-    status_interval:
-        Seconds between ``status.json`` rewrites (0 = every event).
     """
 
     #: Seconds in which at most ``max_jobs`` claims start (see the
@@ -99,7 +99,6 @@ class CampaignScheduler:
         client_quota: int = 0,
         task_timeout: Optional[float] = None,
         max_attempts: int = 3,
-        status_interval: float = 0.0,
     ) -> None:
         self.queue = queue
         self.campaigns_dir = str(campaigns_dir)
@@ -109,11 +108,12 @@ class CampaignScheduler:
         self.client_quota = client_quota
         self.task_timeout = task_timeout
         self.max_attempts = max(1, int(max_attempts))
-        self.status_interval = status_interval
         self._stop = threading.Event()
         self._dispatcher: Optional[threading.Thread] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._inflight: Dict[str, object] = {}
+        #: Running jobs' monitors, by job id (under ``_inflight_lock``).
+        self._monitors: Dict[str, CampaignMonitor] = {}
         self._inflight_lock = threading.Lock()
         #: ``"Type: message"`` of the last exception a dispatch round
         #: raised (the round's jobs stay ``queued``); ``None`` so far.
@@ -165,6 +165,13 @@ class CampaignScheduler:
     def events_path(self, job_id: str) -> str:
         return os.path.join(self.obs_dir(job_id), "events.jsonl")
 
+    def live_status(self, job_id: str) -> Optional[dict]:
+        """A running job's :meth:`CampaignMonitor.status`; ``None`` once
+        it has ended (its ``status.json`` then holds the last one)."""
+        with self._inflight_lock:
+            monitor = self._monitors.get(job_id)
+        return None if monitor is None else monitor.status()
+
     # -- dispatch ------------------------------------------------------------
 
     def _slots_free(self) -> bool:
@@ -213,15 +220,16 @@ class CampaignScheduler:
         finally:
             with self._inflight_lock:
                 self._inflight.pop(job.id, None)
+                self._monitors.pop(job.id, None)
             self.queue.wakeup.set()
 
     def _run_job(self, job: Job) -> None:
         spec = spec_from_dict(job.spec)
         jdir = self.job_dir(job.id)
         os.makedirs(jdir, exist_ok=True)
-        monitor = CampaignMonitor(
-            self.obs_dir(job.id), interval=self.status_interval
-        )
+        monitor = CampaignMonitor(self.obs_dir(job.id))
+        with self._inflight_lock:
+            self._monitors[job.id] = monitor
 
         def should_stop() -> bool:
             if self._stop.is_set():

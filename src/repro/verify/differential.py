@@ -175,10 +175,11 @@ def check_monitor(seed: int = 0) -> str:
     """The ``monitor`` axis: campaign observability must be passive.
 
     Runs one small seeded fleet campaign twice — bare, then under a
-    live :class:`~repro.obs.monitor.CampaignMonitor` writing every
-    surface (status.json on each event, events JSONL, spans) into a
-    temp directory — and requires the canonical campaign metrics and
-    the merged telemetry snapshot to be bit-identical.  Latent windows
+    live :class:`~repro.obs.monitor.CampaignMonitor` exercising every
+    surface (a status fold and progress line on each event, events
+    JSONL, spans, the final files) in a temp directory — and requires
+    the canonical campaign metrics and the merged telemetry snapshot
+    to be bit-identical.  Latent windows
     are given explicitly so the check stays milliseconds-fast (no MLET
     schedule replay).
     """
@@ -215,7 +216,10 @@ def check_monitor(seed: int = 0) -> str:
     bare = CampaignRunner(spec).run()
     with tempfile.TemporaryDirectory() as tmp:
         monitored = CampaignRunner(
-            spec, monitor=CampaignMonitor(tmp, interval=0.0)
+            spec,
+            monitor=CampaignMonitor(
+                tmp, interval=0.0, on_progress=lambda line: None
+            ),
         ).run()
     off = {"metrics": bare.metrics_dict(), "telemetry": bare.telemetry}
     on = {"metrics": monitored.metrics_dict(), "telemetry": monitored.telemetry}

@@ -16,9 +16,9 @@ matching conservation laws:
   on its shard's group count, and a complete campaign covers exactly
   the fleet;
 * **checkpoint-digest consistency** (:func:`check_campaign_journal`) —
-  the journal's manifest digest matches the spec, every recorded shard
-  key equals the key recomputed from the spec today, and every
-  checkpoint still loads (corrupt ones having been evicted, not
+  the journal's manifest digest matches the spec, every checkpoint on
+  disk is named by a shard key recomputed from the spec today, and
+  every one of them still loads (corrupt ones having been evicted, not
   trusted).
 
 All violations raise the same structured
@@ -199,12 +199,12 @@ def check_fleet_conservation(
 def check_campaign_journal(journal_dir, spec) -> int:
     """Audit a journal directory against its campaign spec.
 
-    Returns the number of verified checkpoints.  Raises
-    :class:`InvariantViolation` on digest drift: a manifest belonging
-    to a different campaign, a recorded key that no longer matches the
-    key recomputed from the spec, an out-of-range shard index, or a
-    referenced checkpoint that fails to load (missing or evicted as
-    corrupt).
+    Returns the number of verified checkpoints: the shards whose key,
+    recomputed from the spec, the journal holds (a missing one is
+    remaining work).  Raises :class:`InvariantViolation` on digest
+    drift: a manifest belonging to a different campaign, a checkpoint
+    that no spec-derived key names, or a checkpoint that fails to load
+    (evicted as corrupt).
     """
     from repro.fleet.campaign import CampaignRunner
     from repro.fleet.journal import CampaignJournal, JournalError
@@ -213,34 +213,31 @@ def check_campaign_journal(journal_dir, spec) -> int:
         journal = CampaignJournal(journal_dir, spec)
     except JournalError as exc:
         raise _violation("checkpoint-digest", str(exc))
-    param_sets = CampaignRunner.shard_param_sets(spec)
-    expected = {
-        params["shard_index"]: journal.key_for(params) for params in param_sets
+    cache = journal.cache
+    keys = {
+        journal.key_for(params): params["shard_index"]
+        for params in CampaignRunner.shard_param_sets(spec)
     }
+    for path in sorted(cache.root.glob("*/*.pkl")):
+        if path.stem not in keys:
+            raise _violation(
+                "checkpoint-digest",
+                f"checkpoint {path.stem[:12]}... matches no shard key "
+                f"derived from the spec",
+            )
     verified = 0
-    for shard_index, recorded_key in journal.completed().items():
-        if shard_index not in expected:
+    for key, shard_index in keys.items():
+        evictions = cache.evictions
+        hit, result = cache.get(key)
+        if cache.evictions != evictions:
             raise _violation(
                 "checkpoint-digest",
-                f"journal records shard {shard_index}, campaign has "
-                f"{len(expected)} shards",
+                f"shard {shard_index} checkpoint {key[:12]}... is corrupt "
+                "(evicted)",
             )
-        if recorded_key != expected[shard_index]:
-            raise _violation(
-                "checkpoint-digest",
-                f"shard {shard_index} checkpoint key {recorded_key[:12]}... "
-                f"does not match the spec-derived key "
-                f"{expected[shard_index][:12]}...",
-            )
-        hit, result = journal.cache.get(recorded_key)
-        if not hit:
-            raise _violation(
-                "checkpoint-digest",
-                f"shard {shard_index} checkpoint {recorded_key[:12]}... "
-                "is missing or corrupt (evicted)",
-            )
-        check_shard_result(spec, result)
-        verified += 1
+        if hit:
+            check_shard_result(spec, result)
+            verified += 1
     return verified
 
 

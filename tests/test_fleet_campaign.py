@@ -19,6 +19,7 @@ importing it.
 """
 
 import functools
+import json
 import os
 import signal
 import sys
@@ -42,6 +43,7 @@ from repro.fleet import (
 )
 from repro.fleet.campaign import _z_for
 from repro.parallel import RetryPolicy
+from repro.verify import check_campaign_journal
 
 
 def _spec(groups=60, shards=6, seed=3, mttf=2.0e4):
@@ -217,34 +219,37 @@ class TestCheckpointResume:
         journal = CampaignJournal(journal_dir, _spec())
         # Truncate one checkpoint on disk; the resume must evict it,
         # recompute that shard, and still merge identically.
-        key = journal.completed()[2]
-        path = journal.cache._path(key)
+        params = CampaignRunner.shard_param_sets(_spec())[2]
+        path = journal.cache._path(journal.key_for(params))
         path.write_bytes(path.read_bytes()[:10])
         second = CampaignRunner(_spec(), journal_dir=journal_dir).run()
         assert second.shards_resumed == 5
         assert second.metrics_dict() == first.metrics_dict()
 
 
+#: The checkpoint key of ``_spec()``'s shard 0, as every release since
+#: the journal's keys last moved computes it.  A new value orphans every
+#: checkpoint on disk: each old journal would resume as all misses.
+_GOLDEN_KEY = "2e1f8ac223291dde1dd7a8ad675989067ca7eedeefb7e2450906185ac7f23133"
+
+
 class TestManifestSchedule:
-    """The shard map reaches ``manifest.json`` when the journal is
-    created and once more when the run ends, however it ends."""
+    """``manifest.json`` is a header the journal creates once and never
+    rewrites; the checkpoints are the journal's only other state."""
 
     @pytest.fixture
     def manifest_writes(self, monkeypatch):
         writes = []
-        real_replace = os.replace
+        for name in ("replace", "link"):
+            real = getattr(os, name)
 
-        def spy(src, dst, *args, **kwargs):
-            if os.path.basename(dst) == "manifest.json":
-                writes.append(dst)
-            return real_replace(src, dst, *args, **kwargs)
+            def spy(src, dst, *args, _name=name, _real=real, **kwargs):
+                if os.path.basename(dst) == "manifest.json":
+                    writes.append(_name)
+                return _real(src, dst, *args, **kwargs)
 
-        monkeypatch.setattr(os, "replace", spy)
+            monkeypatch.setattr(os, name, spy)
         return writes
-
-    @staticmethod
-    def _named(journal_dir, spec):
-        return sorted(CampaignJournal(journal_dir, spec).completed())
 
     @staticmethod
     def _cancel_after(count):
@@ -253,6 +258,10 @@ class TestManifestSchedule:
             lambda shard_index, result: landed.append(shard_index),
             lambda: len(landed) >= count,
         )
+
+    @staticmethod
+    def _forbidden(**params):
+        raise AssertionError("resume must not recompute shards")
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_a_fresh_run_writes_the_manifest_at_most_twice(
@@ -263,7 +272,7 @@ class TestManifestSchedule:
             spec, journal_dir=tmp_path / "journal", workers=workers
         ).run()
         assert result.shards_completed == 16
-        assert 1 <= len(manifest_writes) <= 2
+        assert manifest_writes == ["link"]  # created once, never replaced
 
     def test_a_full_resume_writes_nothing(self, manifest_writes, tmp_path):
         spec = _spec(groups=64, shards=16)
@@ -276,28 +285,24 @@ class TestManifestSchedule:
         assert manifest_writes == []
         assert (journal_dir / "manifest.json").read_bytes() == manifest
 
-    def test_a_completed_run_leaves_the_full_map_in_format_2(self, tmp_path):
-        import json
-
+    def test_the_manifest_is_a_format_3_header(self, tmp_path):
         spec = _spec(groups=64, shards=16)
         journal_dir = tmp_path / "journal"
         CampaignRunner(spec, journal_dir=journal_dir).run()
-        journal = CampaignJournal(journal_dir, spec)
-        keys = {
-            str(params["shard_index"]): journal.key_for(params)
-            for params in CampaignRunner.shard_param_sets(spec)
-        }
         expected = json.dumps(
             {
-                "format": 2,
+                "format": 3,
                 "campaign_digest": campaign_digest(spec),
                 "shards_total": 16,
-                "shards": keys,
             },
             indent=1,
             sort_keys=True,
         )
         assert (journal_dir / "manifest.json").read_text() == expected
+
+    def test_the_checkpoint_key_is_the_golden_one(self, tmp_path):
+        params = CampaignRunner.shard_param_sets(_spec())[0]
+        assert CampaignJournal(tmp_path, _spec()).key_for(params) == _GOLDEN_KEY
 
     def test_a_cancelled_run_names_exactly_its_landed_shards(self, tmp_path):
         spec = _spec()
@@ -307,7 +312,7 @@ class TestManifestSchedule:
                 spec, journal_dir=tmp_path, on_shard=on_shard,
                 should_stop=should_stop,
             ).run()
-        assert self._named(tmp_path, spec) == [0, 1, 2, 3]
+        assert check_campaign_journal(tmp_path, spec) == 4
 
     def test_a_raising_shard_leaves_the_earlier_shards_named(self, tmp_path):
         def fail_at_3(**params):
@@ -318,46 +323,51 @@ class TestManifestSchedule:
         spec = _spec()
         with pytest.raises(RuntimeError, match="shard 3 failed"):
             CampaignRunner(spec, journal_dir=tmp_path, task=fail_at_3).run()
-        assert self._named(tmp_path, spec) == [0, 1, 2]
+        assert check_campaign_journal(tmp_path, spec) == 3
+
+    @staticmethod
+    def _format_2_journal(journal_dir, spec, shards):
+        """What an older release left: a format-2 manifest carrying the
+        shard map ``shards``, and every shard's checkpoint."""
+        CampaignRunner(spec, journal_dir=journal_dir).run()
+        (journal_dir / "manifest.json").write_text(json.dumps(
+            {
+                "format": 2,
+                "campaign_digest": campaign_digest(spec),
+                "shards_total": spec.shards,
+                "shards": shards,
+            },
+            indent=1,
+            sort_keys=True,
+        ))
+
+    def test_a_format_2_journal_resumes_as_all_hits(self, tmp_path):
+        spec = _spec(groups=64, shards=16)
+        journal = CampaignJournal(tmp_path / "keys", spec)
+        keys = {
+            str(params["shard_index"]): journal.key_for(params)
+            for params in CampaignRunner.shard_param_sets(spec)
+        }
+        journal_dir = tmp_path / "journal"
+        self._format_2_journal(journal_dir, spec, keys)
+        resumed = CampaignRunner(
+            spec, journal_dir=journal_dir, task=self._forbidden
+        ).run()
+        assert resumed.shards_resumed == 16
+        assert check_campaign_journal(journal_dir, spec) == 16
 
     def test_a_resume_names_checkpoints_a_killed_run_left_unnamed(
         self, tmp_path
     ):
-        import json
-
+        # A format-2 driver SIGKILLed before its end-of-run flush left
+        # every checkpoint on disk and none of them in its map.
         spec = _spec()
-        CampaignRunner(spec, journal_dir=tmp_path).run()
-        # What a SIGKILL before the end-of-run flush leaves: every
-        # checkpoint on disk, none of them in the map.
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["shards"] = {}
-        manifest_path.write_text(json.dumps(manifest))
-        assert self._named(tmp_path, spec) == []
-
-        def forbidden(**params):
-            raise AssertionError("resume must not recompute shards")
-
-        resumed = CampaignRunner(spec, journal_dir=tmp_path, task=forbidden).run()
+        self._format_2_journal(tmp_path, spec, {})
+        resumed = CampaignRunner(
+            spec, journal_dir=tmp_path, task=self._forbidden
+        ).run()
         assert resumed.shards_resumed == 6
-        assert self._named(tmp_path, spec) == list(range(6))
-
-    def test_a_failed_flush_does_not_hide_the_cancellation(
-        self, monkeypatch, tmp_path
-    ):
-        def broken_flush(journal):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(CampaignJournal, "flush", broken_flush)
-        on_shard, should_stop = self._cancel_after(2)
-        with pytest.raises(CampaignCancelled):
-            CampaignRunner(
-                _spec(), journal_dir=tmp_path / "cancelled",
-                on_shard=on_shard, should_stop=should_stop,
-            ).run()
-        # With nothing else to report, the flush's own error surfaces.
-        with pytest.raises(OSError, match="no space left"):
-            CampaignRunner(_spec(), journal_dir=tmp_path / "done").run()
+        assert check_campaign_journal(tmp_path, spec) == 6
 
 
 class TestGracefulDegradation:

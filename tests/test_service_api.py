@@ -43,7 +43,7 @@ def _spec(groups=48, shards=4, seed=13, policy="weekly", window=84.0):
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     with CampaignService(
-        tmp_path_factory.mktemp("service"), port=0, status_interval=0.0
+        tmp_path_factory.mktemp("service"), port=0
     ) as svc:
         yield svc
 

@@ -37,7 +37,7 @@ def test_racing_clients_one_job_one_execution(tmp_path):
     """Eight threads submit the same spec; exactly one job executes."""
     spec = _spec(seed=31)
     results = []
-    with CampaignService(tmp_path, port=0, status_interval=0.0) as svc:
+    with CampaignService(tmp_path, port=0) as svc:
 
         def submit(name):
             client = ServiceClient(svc.url, client=name)
@@ -66,7 +66,7 @@ def test_racing_clients_one_job_one_execution(tmp_path):
 def test_distinct_specs_all_complete(tmp_path):
     """Six different campaigns from three clients all run to done."""
     with CampaignService(
-        tmp_path, port=0, max_jobs=2, status_interval=0.0
+        tmp_path, port=0, max_jobs=2
     ) as svc:
         ids = []
         for i in range(6):
@@ -84,7 +84,7 @@ def test_distinct_specs_all_complete(tmp_path):
 def test_client_quota_serializes_a_client(tmp_path):
     """quota=1: a client's second job cannot start before its first ends."""
     with CampaignService(
-        tmp_path, port=0, max_jobs=4, client_quota=1, status_interval=0.0
+        tmp_path, port=0, max_jobs=4, client_quota=1
     ) as svc:
         client = ServiceClient(svc.url, client="greedy")
         _, p1 = client.submit(_spec(seed=50))
@@ -105,7 +105,7 @@ def test_fair_share_lets_small_client_jump_backlog(tmp_path):
     beat alice's queued third job even though it was submitted first.
     """
     with CampaignService(
-        tmp_path, port=0, max_jobs=2, status_interval=0.0
+        tmp_path, port=0, max_jobs=2
     ) as svc:
         alice = ServiceClient(svc.url, client="alice")
         bob = ServiceClient(svc.url, client="bob")
@@ -126,7 +126,7 @@ def test_cancel_running_job_keeps_journal_consistent(tmp_path):
     """DELETE a running job: state cancelled, journal resumable, queue clean."""
     spec = _spec(groups=12_000, shards=16, seed=80)
     data_dir = tmp_path / "data"
-    with CampaignService(data_dir, port=0, status_interval=0.0) as svc:
+    with CampaignService(data_dir, port=0) as svc:
         client = ServiceClient(svc.url, client="cx")
         _, payload = client.submit(spec)
         job_id = payload["job"]["id"]
@@ -149,7 +149,7 @@ def test_cancel_running_job_keeps_journal_consistent(tmp_path):
     assert queue.recovered == ()
     assert queue.get(job_id).state == "cancelled"
     # ...and resubmission resumes from the cancelled job's checkpoints.
-    with CampaignService(data_dir, port=0, status_interval=0.0) as svc2:
+    with CampaignService(data_dir, port=0) as svc2:
         client2 = ServiceClient(svc2.url, client="cx")
         status, payload = client2.submit(spec)
         assert status == 200 and payload["job"]["state"] == "queued"
@@ -169,7 +169,7 @@ def test_cancel_running_job_keeps_journal_consistent(tmp_path):
 def test_cancel_queued_job_never_runs(tmp_path):
     """Cancelling a queued job prevents any execution at all."""
     with CampaignService(
-        tmp_path, port=0, max_jobs=1, status_interval=0.0
+        tmp_path, port=0, max_jobs=1
     ) as svc:
         client = ServiceClient(svc.url, client="q")
         # Occupy the single slot, then queue and immediately cancel.
@@ -183,3 +183,38 @@ def test_cancel_queued_job_never_runs(tmp_path):
     assert final2["attempts"] == 0  # never claimed
     journal = tmp_path / "campaigns" / p2["job"]["id"]
     assert not journal.exists()  # no execution artefacts either
+
+
+def test_a_running_job_answers_from_its_live_monitor(tmp_path):
+    """A thread hammers GET /campaigns/{id} while a medium job runs: the
+    status is the monitor's live one, and status.json appears only once
+    the job has ended."""
+    from repro.fleet import CampaignRunner, spec_from_dict
+
+    spec = _spec(groups=4_800, shards=8, seed=95)
+    answers = []
+    with CampaignService(tmp_path, port=0) as svc:
+        _, payload = ServiceClient(svc.url, client="watched").submit(spec)
+        job_id = payload["job"]["id"]
+        status_path = tmp_path / "campaigns" / job_id / "obs" / "status.json"
+
+        def hammer():
+            watcher = ServiceClient(svc.url)
+            while True:
+                code, detail = watcher.job(job_id)
+                answers.append((code, detail, status_path.exists()))
+                if code != 200 or detail["job"]["state"] in ("done", "failed"):
+                    return
+
+        thread = threading.Thread(target=hammer)
+        thread.start()
+        final = ServiceClient(svc.url).wait(job_id, timeout=120)
+        thread.join(timeout=60)
+    assert final["state"] == "done"
+    assert all(code == 200 for code, _, _ in answers)
+    statuses = [(d["status"], on_disk) for _, d, on_disk in answers if d["status"]]
+    assert any(s["state"] == "running" and not on_disk for s, on_disk in statuses)
+    done = [s["groups"]["done"] for s, _ in statuses]
+    assert done == sorted(done) and done[-1] == 4_800
+    direct = CampaignRunner(spec_from_dict(spec)).run().metrics_dict()
+    assert final["result"]["metrics"] == json.loads(json.dumps(direct))

@@ -253,7 +253,7 @@ def test_sigkill_service_resumes_bit_identical(tmp_path):
         (data_dir / "jobs" / f"{job_id}.json").read_text()
     )
     assert record["state"] == "running"
-    with CampaignService(data_dir, port=0, status_interval=0.0) as svc:
+    with CampaignService(data_dir, port=0) as svc:
         assert svc.queue.recovered == (job_id,)
         final = ServiceClient(svc.url).wait(job_id, timeout=120)
     assert final["state"] == "done"
@@ -286,7 +286,7 @@ def test_drain_requeues_running_job(tmp_path):
     """service.stop() mid-campaign releases the job back to queued."""
     spec = _spec(groups=12_000, shards=16, seed=22)
     data_dir = tmp_path / "data"
-    service = CampaignService(data_dir, port=0, status_interval=0.0)
+    service = CampaignService(data_dir, port=0)
     service.start()
     try:
         client = ServiceClient(service.url, client="drain")
@@ -304,7 +304,7 @@ def test_drain_requeues_running_job(tmp_path):
     assert job.state == "queued"  # released, not failed/cancelled
     assert not job.cancel_requested
     # Second service finishes it; resumed shards prove no redo.
-    with CampaignService(data_dir, port=0, status_interval=0.0) as svc2:
+    with CampaignService(data_dir, port=0) as svc2:
         final = ServiceClient(svc2.url).wait(job_id, timeout=120)
     assert final["state"] == "done"
     assert final["result"]["shards_resumed"] >= 1

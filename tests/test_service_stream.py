@@ -44,7 +44,7 @@ def _events_file(service, job_id):
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     with CampaignService(
-        tmp_path_factory.mktemp("stream"), port=0, status_interval=0.0
+        tmp_path_factory.mktemp("stream"), port=0
     ) as svc:
         yield svc
 

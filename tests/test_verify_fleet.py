@@ -3,7 +3,7 @@
 Every check is exercised both ways: a genuine campaign artifact passes
 untouched, and each class of tampering — a group counted in two
 states, loss modes that don't sum, shard ranges that overlap, a
-checkpoint key that stopped matching its spec — raises a structured
+checkpoint that no key derived from its spec names — raises a structured
 :class:`InvariantViolation` naming the broken invariant.
 """
 
@@ -157,28 +157,40 @@ class TestJournalAudit:
             check_campaign_journal, tmp_path, _spec(groups=44),
         )
 
-    def test_tampered_manifest_key_is_caught(self, tmp_path):
+    @staticmethod
+    def _checkpoint(tmp_path, spec, shard_index):
+        journal = CampaignJournal(tmp_path, spec)
+        params = CampaignRunner.shard_param_sets(spec)[shard_index]
+        return journal.cache._path(journal.key_for(params))
+
+    def test_forged_checkpoint_key_is_caught(self, tmp_path):
         spec = _spec()
         CampaignRunner(spec, journal_dir=tmp_path).run()
-        journal = CampaignJournal(tmp_path, spec)
-        key = journal.completed()[1]
-        forged = ("0" * 8) + key[8:]
-        journal._manifest["shards"]["1"] = forged
-        journal._write_manifest()
+        path = self._checkpoint(tmp_path, spec, 1)
+        forged = path.with_name(("0" * 8) + path.name[8:])
+        path.rename(forged)
         _expect("checkpoint-digest", check_campaign_journal, tmp_path, spec)
 
     def test_missing_checkpoint_file_is_caught(self, tmp_path):
         spec = _spec()
-        CampaignRunner(spec, journal_dir=tmp_path).run()
-        journal = CampaignJournal(tmp_path, spec)
-        journal.cache._path(journal.completed()[2]).unlink()
-        _expect("checkpoint-digest", check_campaign_journal, tmp_path, spec)
+        first = CampaignRunner(spec, journal_dir=tmp_path).run()
+        self._checkpoint(tmp_path, spec, 2).unlink()
+        # A missing checkpoint is remaining work: the audit counts the
+        # other three, and a resume recomputes exactly that shard.
+        assert check_campaign_journal(tmp_path, spec) == 3
+        landed = []
+        resumed = CampaignRunner(
+            spec, journal_dir=tmp_path,
+            on_shard=lambda shard_index, result: landed.append(shard_index),
+        ).run()
+        assert landed == [2]
+        assert resumed.shards_resumed == 3
+        assert resumed.metrics_dict() == first.metrics_dict()
 
     def test_corrupt_checkpoint_is_caught_not_trusted(self, tmp_path):
         spec = _spec()
         CampaignRunner(spec, journal_dir=tmp_path).run()
-        journal = CampaignJournal(tmp_path, spec)
-        path = journal.cache._path(journal.completed()[0])
+        path = self._checkpoint(tmp_path, spec, 0)
         blob = bytearray(path.read_bytes())
         blob[-3] ^= 0xFF
         path.write_bytes(bytes(blob))

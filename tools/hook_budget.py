@@ -4,11 +4,12 @@
 
 * ``monitor`` -- a serial fleet campaign (3000 RAID-5 groups of 8
   drives, two scrub policies, 10 mission years, 16 shards) run bare and
-  under a :class:`~repro.obs.monitor.CampaignMonitor` at a 0.25 s status
-  interval, 8x the CLI's default rate, so a deployed monitor sits well
-  inside the budget.  The monitored runs share one directory: each
-  replaces ``status.json``, ``trace.json`` and ``summary.json`` and
-  appends to ``events.jsonl``, as a resumed campaign does.
+  under a :class:`~repro.obs.monitor.CampaignMonitor` at a 0.25 s
+  interval, 8x the CLI's default rate.  The monitored runs share one
+  directory: each appends to ``events.jsonl``, as a resumed campaign
+  does, and writes ``status.json``, ``trace.json`` and ``summary.json``
+  once as it finishes.  With no ``on_progress`` callback the interval
+  paces nothing, so no status is folded mid-run.
 
 The two sides run as ten back-to-back pairs, the order alternating from
 pair to pair, and the row reads the median of the ten monitored / bare

@@ -147,7 +147,7 @@ def main() -> int:
 
     # Act 3: restart in-process on the same data dir; resume must be
     # a journal replay, then Act 2's bit-identity check.
-    with CampaignService(data_dir, port=0, status_interval=0.0) as svc:
+    with CampaignService(data_dir, port=0) as svc:
         if svc.queue.recovered != (job_id,):
             fail(f"recovery missed the orphan: {svc.queue.recovered}")
         client = ServiceClient(svc.url, client="smoke")
