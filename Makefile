@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 import-budget surface examples trace-budget stack-budget hook-budget smoke bench bench-quick bench-fleet bench-service verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget surface doc-budget examples trace-budget stack-budget hook-budget smoke bench bench-quick bench-fleet bench-service verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -34,9 +34,16 @@ import-budget:
 surface:
 	$(PYTHON) tools/surface.py
 
+# The doc budget (tools/doc_budget.py): exit 1 when a DESIGN citation in
+# src/, tests/, tools/, this Makefile, README.md or the verify skill has
+# no heading in DESIGN.md, when a DESIGN.md heading names a PR, or when
+# DESIGN.md grows past the tool's LINE_BUDGET.
+doc-budget:
+	$(PYTHON) tools/doc_budget.py
+
 # The five examples are entry points of the surface walk (they alone
-# keep RaidArray, raid/geometry.py and raid/errors.py alive), so they
-# have to run: exit status only, ~11 s in all.
+# keep RaidArray and raid/geometry.py alive), so they have to run: exit
+# status only, ~11 s in all.
 examples:
 	set -e; for example in examples/*.py; do \
 		PYTHONPATH=src $(PYTHON) $$example > /dev/null; \
@@ -163,4 +170,4 @@ bench-service:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 import-budget surface examples trace-budget stack-budget hook-budget smoke
+check: tier1 import-budget surface doc-budget examples trace-budget stack-budget hook-budget smoke

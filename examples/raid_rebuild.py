@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Why scrub at all: a RAID-5 rebuild with and without scrubbing.
 
-Builds a 3-disk RAID-5 array of simulated drives, seeds latent sector
-errors on the members, optionally lets a scrubber repair them, then
-fails a disk and rebuilds — counting the unrecoverable sectors the
-rebuild encounters.  This is the data-loss mechanism from the paper's
+Builds a 3-disk RAID-5 array of simulated drives, plants latent sector
+errors in the members' fault plans, optionally lets a scrubber find
+them (the array repairs each failed VERIFY from redundancy), then fails
+a disk and rebuilds — counting the unrecoverable sectors the rebuild
+encounters.  This is the data-loss mechanism from the paper's
 introduction, demonstrated on the full stack.
 
 Run:  python examples/raid_rebuild.py
@@ -14,6 +15,7 @@ import numpy as np
 
 from repro.core import Scrubber, SequentialScrub
 from repro.disk import Drive, hitachi_ultrastar_15k450
+from repro.faults import FaultPlan, MediaFaults, SectorError
 from repro.raid import RaidArray, RaidGeometry, RaidLevel
 from repro.sched import BlockDevice, NoopScheduler
 from repro.sim import Simulation
@@ -45,18 +47,28 @@ def build_array(sim):
 
 
 def inject_errors(array, rng):
-    """Bursty LSEs on the surviving members (disks 0 and 2)."""
+    """Bursty LSEs on the surviving members (disks 0 and 2), all present
+    from time zero; returns how many sectors went bad."""
+    bad = {0: set(), 2: set()}
     for _ in range(ERROR_BURSTS):
         disk = int(rng.choice([0, 2]))
         start = int(rng.integers(0, array.geometry.disk_sectors - 64))
-        array.errors.inject(disk, start, int(rng.integers(1, 32)))
+        bad[disk].update(range(start, start + int(rng.integers(1, 32))))
+    for disk, lbns in bad.items():
+        drive = array.devices[disk].drive
+        plan = FaultPlan(
+            total_sectors=drive.total_sectors,
+            horizon=1.0,
+            errors=tuple(SectorError(time=0.0, lbn=lbn) for lbn in sorted(lbns)),
+        )
+        drive.install_faults(MediaFaults(plan))
+    return sum(len(lbns) for lbns in bad.values())
 
 
 def run(scrub_first):
     sim = Simulation()
     array = build_array(sim)
-    inject_errors(array, np.random.default_rng(42))
-    injected = array.errors.bad_count()
+    injected = inject_errors(array, np.random.default_rng(42))
 
     if scrub_first:
         for disk in (0, 2):

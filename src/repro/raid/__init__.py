@@ -12,16 +12,17 @@ This package provides:
 * :class:`~repro.raid.geometry.RaidGeometry` — logical-to-physical
   striping for RAID-0/1/5;
 * :class:`~repro.raid.array.RaidArray` — a simulated array over
-  multiple :class:`~repro.sched.device.BlockDevice`\\ s with per-disk
-  latent-error maps, scrub-repair hooks, degraded reads and rebuilds;
+  multiple :class:`~repro.sched.device.BlockDevice`\\ s whose drives
+  carry the latent errors (:class:`~repro.faults.state.MediaFaults`):
+  it repairs what a member's ``MEDIUM_ERROR`` reveals, reads degraded
+  and rebuilds;
 * :mod:`repro.raid.reliability` — Monte-Carlo estimation of the
   probability a rebuild encounters an unrepaired LSE, as a function of
   the scrub order and rate (connecting the paper's MLET argument to
   data loss).
 """
 
-from repro.raid.array import DataLossError, RaidArray
-from repro.raid.errors import ErrorMap
+from repro.raid.array import RaidArray
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.raid.reliability import (
     HOURS_PER_YEAR,
@@ -32,8 +33,6 @@ from repro.raid.reliability import (
 )
 
 __all__ = [
-    "DataLossError",
-    "ErrorMap",
     "GroupReliability",
     "HOURS_PER_YEAR",
     "RaidArray",

@@ -1,34 +1,33 @@
 """A simulated RAID array over multiple block devices.
 
 :class:`RaidArray` stripes logical I/O over member
-:class:`~repro.sched.device.BlockDevice`\\ s, keeps an
-:class:`~repro.raid.errors.ErrorMap` of latent sector errors, and —
-via device observers — makes *any* scrubber attached to a member
-device detect and repair the LSEs its ``VERIFY`` requests cover (as
-long as redundancy is available).  A disk failure puts the array in
-degraded mode; :meth:`rebuild` reconstructs the failed member and
-counts the unrecoverable errors it trips over, which is exactly the
-data-loss mechanism the paper's introduction describes.
+:class:`~repro.sched.device.BlockDevice`\\ s whose drives carry the
+latent sector errors (:class:`~repro.faults.state.MediaFaults`).  The
+array learns of an error the way a host does: a member command comes
+back ``MEDIUM_ERROR``.  A device observer then reconstructs the
+extent's bad sectors from redundancy (or counts them lost) and rewrites
+them to the drive's spare pool, so *any* scrubber attached to a member
+repairs the errors its ``VERIFY`` requests detect — and an ATA
+``VERIFY`` served from the drive cache detects nothing (paper Fig. 1).
+A disk failure puts the array in degraded mode; :meth:`rebuild`
+reconstructs the failed member and counts the latent errors it trips
+over on the survivors, which is exactly the data-loss mechanism the
+paper's introduction describes.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.disk.commands import DiskCommand, Opcode
-from repro.raid.errors import ErrorMap
+from repro.disk.commands import CommandStatus, DiskCommand, Opcode
 from repro.raid.geometry import RaidGeometry, RaidLevel
 from repro.sched.device import BlockDevice
 from repro.sched.request import IORequest, PriorityClass
 from repro.sim import AllOf, Simulation
 
 
-class DataLossError(Exception):
-    """Raised when data is lost with no redundancy left to recover it."""
-
-
 class RaidArray:
-    """A RAID-0/1/5 array with latent-error tracking.
+    """A RAID-0/1/5 array over members that hold their own latent errors.
 
     Parameters
     ----------
@@ -36,12 +35,13 @@ class RaidArray:
         Owning simulation.
     devices:
         Member block devices (all the same size, >= geometry.disk_sectors).
+        Plant latent errors with
+        ``device.drive.install_faults(MediaFaults(plan))``.
     geometry:
         Striping layout.
-    strict:
-        If ``True``, unrecoverable reads raise :class:`DataLossError`;
-        otherwise they are counted in :attr:`data_loss_events` (the mode
-        reliability studies use).
+
+    Sectors lost with no redundancy left to rebuild them are counted in
+    :attr:`data_loss_events`.
     """
 
     def __init__(
@@ -49,7 +49,6 @@ class RaidArray:
         sim: Simulation,
         devices: List[BlockDevice],
         geometry: RaidGeometry,
-        strict: bool = False,
     ) -> None:
         if len(devices) != geometry.disks:
             raise ValueError(
@@ -63,8 +62,6 @@ class RaidArray:
         self.sim = sim
         self.devices = devices
         self.geometry = geometry
-        self.errors = ErrorMap(geometry.disks)
-        self.strict = strict
         self.failed: Optional[int] = None
 
         self.errors_detected_by_scrub = 0
@@ -77,37 +74,31 @@ class RaidArray:
 
     # -- error plumbing ---------------------------------------------------------
     def _make_observer(self, disk: int):
+        drive = self.devices[disk].drive
+
         def observe(kind: str, request: IORequest, now: float) -> None:
-            if kind != "complete":
-                return
-            if request.source == "rebuild":
+            if kind != "complete" or request.source == "rebuild":
                 return  # the rebuild process does its own error handling
-            if request.command.opcode not in (Opcode.READ, Opcode.VERIFY):
-                return
-            bad = self.errors.scan(
-                disk, request.command.lbn, request.command.sectors
-            )
-            if not bad:
-                return
-            if request.command.opcode is Opcode.VERIFY:
-                self.errors_detected_by_scrub += len(bad)
-            else:
-                self.errors_detected_by_read += len(bad)
-            self._handle_detected(disk, bad)
+            faults = drive.faults
+            if faults is None or request.status is not CommandStatus.MEDIUM_ERROR:
+                return  # the slot's drive was replaced since, or all is well
+            command = request.command
+            bad = faults.bad_in_range(command.lbn, command.sectors, now)
+            if command.opcode is not Opcode.WRITE:
+                if command.opcode is Opcode.VERIFY:
+                    self.errors_detected_by_scrub += len(bad)
+                else:
+                    self.errors_detected_by_read += len(bad)
+                if self._redundancy_available(disk):
+                    self.errors_repaired += len(bad)
+                else:
+                    self.data_loss_events += len(bad)
+            # Reconstruct, then rewrite: the drive remaps each sector to
+            # a spare.  A failed WRITE carries new data, so it loses none.
+            for lbn in bad:
+                drive.reallocate(lbn, now)
 
         return observe
-
-    def _handle_detected(self, disk: int, sectors: List[int]) -> None:
-        """Repair from redundancy, or record/raise data loss."""
-        if self._redundancy_available(disk):
-            self.errors.repair(disk, sectors)
-            self.errors_repaired += len(sectors)
-        else:
-            self.data_loss_events += len(sectors)
-            if self.strict:
-                raise DataLossError(
-                    f"unrecoverable sectors {sectors[:4]}... on disk {disk}"
-                )
 
     def _redundancy_available(self, disk: int) -> bool:
         if self.geometry.level is RaidLevel.RAID0:
@@ -116,7 +107,7 @@ class RaidArray:
 
     # -- failure / rebuild -----------------------------------------------------------
     def fail_disk(self, disk: int) -> None:
-        """Take a member out of service (its contents are gone)."""
+        """Take a member out of service and give its slot a clean drive."""
         if not 0 <= disk < self.geometry.disks:
             raise ValueError(f"disk index out of range: {disk}")
         if self.failed is not None:
@@ -124,7 +115,7 @@ class RaidArray:
         if self.geometry.level is RaidLevel.RAID0:
             raise RuntimeError("RAID-0 cannot survive a disk failure")
         self.failed = disk
-        self.errors.clear_disk(disk)
+        self.devices[disk].drive.faults = None
 
     def rebuild(self, request_sectors: int = 256):
         """Reconstruct the failed disk onto itself (hot spare model).
@@ -155,56 +146,51 @@ class RaidArray:
                 )
             yield AllOf(self.sim, reads)
             # Any latent error on a survivor in this range is fatal for
-            # the corresponding reconstructed sectors.
+            # the corresponding reconstructed sectors; the survivor then
+            # remaps it.
+            now = self.sim.now
             for disk in survivors:
-                bad = self.errors.scan(disk, start, sectors)
-                if bad:
-                    unrecoverable += len(bad)
-                    self.data_loss_events += len(bad)
-                    self.errors.repair(disk, bad)  # remapped afterwards
+                drive = self.devices[disk].drive
+                if drive.faults is None:
+                    continue
+                bad = drive.faults.bad_in_range(start, sectors, now)
+                unrecoverable += len(bad)
+                for lbn in bad:
+                    drive.reallocate(lbn, now)
             yield self._submit(
                 failed, DiskCommand.write(start, sectors), "rebuild"
             )
+        self.data_loss_events += unrecoverable
         self.failed = None
         return unrecoverable
 
     # -- logical I/O -------------------------------------------------------------------
-    def read(self, lbn: int, sectors: int, source: str = "array"):
+    def read(self, lbn: int, sectors: int):
         """Logical read; returns a process completing when data is ready."""
-        return self.sim.process(self._read(lbn, sectors, source))
+        return self.sim.process(self._read(lbn, sectors))
 
-    def write(self, lbn: int, sectors: int, source: str = "array"):
+    def write(self, lbn: int, sectors: int):
         """Logical write (data + parity/mirror chunks)."""
-        return self.sim.process(self._write(lbn, sectors, source))
+        return self.sim.process(self._write(lbn, sectors))
 
-    def _read(self, lbn: int, sectors: int, source: str):
+    def _read(self, lbn: int, sectors: int):
         pending = []
         for chunk in self.geometry.map_read(lbn, sectors):
+            command = DiskCommand.read(chunk.lbn, chunk.sectors)
             if chunk.disk == self.failed:
                 # Degraded read: reconstruct from the other members.
                 stripe = chunk.lbn // self.geometry.chunk_sectors
                 for member in self.geometry.stripe_members(stripe):
-                    if member.disk == self.failed:
-                        continue
-                    pending.append(
-                        self._submit(
-                            member.disk,
-                            DiskCommand.read(chunk.lbn, chunk.sectors),
-                            source,
+                    if member.disk != self.failed:
+                        pending.append(
+                            self._submit(member.disk, command, "array")
                         )
-                    )
             else:
-                pending.append(
-                    self._submit(
-                        chunk.disk,
-                        DiskCommand.read(chunk.lbn, chunk.sectors),
-                        source,
-                    )
-                )
+                pending.append(self._submit(chunk.disk, command, "array"))
         if pending:
             yield AllOf(self.sim, pending)
 
-    def _write(self, lbn: int, sectors: int, source: str):
+    def _write(self, lbn: int, sectors: int):
         pending = []
         for chunk in self.geometry.map_write(lbn, sectors):
             if chunk.disk == self.failed:
@@ -213,13 +199,8 @@ class RaidArray:
                 self._submit(
                     chunk.disk,
                     DiskCommand.write(chunk.lbn, chunk.sectors),
-                    source,
+                    "array",
                 )
-            )
-            # A write refreshes the sectors it covers: any latent error
-            # underneath is overwritten.
-            self.errors.repair(
-                chunk.disk, range(chunk.lbn, chunk.lbn + chunk.sectors)
             )
         if pending:
             yield AllOf(self.sim, pending)

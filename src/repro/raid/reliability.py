@@ -93,7 +93,6 @@ class RebuildRiskModel:
         rng: np.random.Generator,
         trials: int = 500,
         horizon: float = None,
-        burst_repair: bool = True,
     ) -> RebuildRisk:
         """Monte-Carlo over failure times and LSE arrivals.
 
@@ -101,12 +100,11 @@ class RebuildRiskModel:
         scrub passes), a failure hits at a uniform time, and every bad
         sector not yet repaired is exposed.
 
-        ``burst_repair=True`` (default) models what real systems do on
-        detection: the first verified bad sector of a burst triggers
-        reconstruction of the whole neighbourhood, so a burst is
-        repaired at its *earliest-visited* sector — this is where
-        staggered scrubbing's early-probing pays off.  With
-        ``burst_repair=False`` each sector waits for its own visit.
+        A burst is repaired at its *earliest-visited* sector, which is
+        what real systems do on detection: the first verified bad
+        sector of a burst triggers reconstruction of the whole
+        neighbourhood — this is where staggered scrubbing's
+        early-probing pays off.
         """
         if trials <= 0:
             raise ValueError(f"trials must be positive: {trials}")
@@ -138,15 +136,9 @@ class RebuildRiskModel:
                 ]
                 phase = burst.time % self.pass_duration
                 repair_delay = (visits - phase) % self.pass_duration
-                if burst_repair:
-                    detection = burst.time + float(repair_delay.min())
-                    if detection > failure_time:
-                        exposed += burst.length
-                else:
-                    repair_times = burst.time + repair_delay
-                    exposed += int(
-                        np.count_nonzero(repair_times > failure_time)
-                    )
+                detection = burst.time + float(repair_delay.min())
+                if detection > failure_time:
+                    exposed += burst.length
             exposed_counts[trial] = exposed
         return RebuildRisk(
             expected_exposed_sectors=float(exposed_counts.mean()),

@@ -14,6 +14,7 @@ from repro.core import Scrubber, SequentialScrub, StaggeredScrub
 from repro.core.optimizer import ScrubParameterOptimizer
 from repro.core.policies import WaitingScrubber
 from repro.disk import Drive, hitachi_ultrastar_15k450
+from repro.faults import FaultPlan, MediaFaults, SectorError
 from repro.raid import RaidArray, RaidGeometry, RaidLevel
 from repro.sched import BlockDevice, CFQScheduler, NoopScheduler, PriorityClass
 from repro.sim import RandomStreams, Simulation
@@ -114,12 +115,17 @@ class TestScrubProtectsRebuild:
         sim = Simulation()
         array = self._make_array(sim)
         rng = np.random.default_rng(11)
+        bad = {0: set(), 2: set()}
         for _ in range(10):
             disk = int(rng.choice([0, 2]))
-            array.errors.inject(
-                disk, int(rng.integers(0, array.geometry.disk_sectors - 8)),
-                int(rng.integers(1, 8)),
-            )
+            start = int(rng.integers(0, array.geometry.disk_sectors - 8))
+            bad[disk].update(range(start, start + int(rng.integers(1, 8))))
+        for disk, lbns in bad.items():
+            drive = array.devices[disk].drive
+            drive.install_faults(MediaFaults(FaultPlan(
+                total_sectors=drive.total_sectors, horizon=1.0,
+                errors=tuple(SectorError(0.0, lbn) for lbn in sorted(lbns)),
+            )))
         if scrub:
             for disk in (0, 2):
                 scrubber = Scrubber(

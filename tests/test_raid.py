@@ -5,17 +5,17 @@ import pytest
 
 from repro.core import SequentialScrub, Scrubber
 from repro.core.mlet import sector_visit_times
-from repro.disk import Drive, hitachi_ultrastar_15k450
-from repro.disk.models import DriveSpec
-from repro.raid import (
-    DataLossError,
-    ErrorMap,
-    RaidArray,
-    RaidGeometry,
-    RaidLevel,
-    RebuildRiskModel,
+from repro.disk import (
+    CommandStatus,
+    DiskCommand,
+    Drive,
+    hitachi_ultrastar_15k450,
+    wd_caviar_blue,
 )
-from repro.sched import BlockDevice, NoopScheduler
+from repro.disk.models import DriveSpec
+from repro.faults import ErrorEventKind, FaultPlan, MediaFaults, SectorError
+from repro.raid import RaidArray, RaidGeometry, RaidLevel, RebuildRiskModel
+from repro.sched import BlockDevice, IORequest, NoopScheduler
 from repro.sim import Simulation
 
 
@@ -26,17 +26,37 @@ def tiny_spec() -> DriveSpec:
     )
 
 
-def make_array(level=RaidLevel.RAID5, disks=3, chunk=16, strict=False):
+def make_array(level=RaidLevel.RAID5, disks=3, chunk=16, spec=None,
+               cache_enabled=False):
     sim = Simulation()
     devices = [
-        BlockDevice(sim, Drive(tiny_spec(), cache_enabled=False), NoopScheduler())
+        BlockDevice(
+            sim, Drive(spec or tiny_spec(), cache_enabled=cache_enabled),
+            NoopScheduler(),
+        )
         for _ in range(disks)
     ]
     disk_sectors = devices[0].drive.total_sectors
     disk_sectors -= disk_sectors % chunk
     geometry = RaidGeometry(level, disks, chunk, disk_sectors)
-    array = RaidArray(sim, devices, geometry, strict=strict)
+    array = RaidArray(sim, devices, geometry)
     return sim, array
+
+
+def plant(array, disk, lbn, sectors=1, time=0.0):
+    """Give member ``disk`` latent errors on ``[lbn, lbn + sectors)``,
+    all setting in at ``time``; returns the drive's fault state."""
+    drive = array.devices[disk].drive
+    plan = FaultPlan(
+        total_sectors=drive.total_sectors,
+        horizon=time + 1.0,
+        errors=tuple(
+            SectorError(time=time, lbn=bad) for bad in range(lbn, lbn + sectors)
+        ),
+    )
+    faults = MediaFaults(plan)
+    drive.install_faults(faults)
+    return faults
 
 
 class TestGeometry:
@@ -115,37 +135,6 @@ class TestGeometry:
             geo.stripe_members(geo.stripes)
 
 
-class TestErrorMap:
-    def test_inject_and_scan(self):
-        errors = ErrorMap(2)
-        errors.inject(0, 100, 3)
-        assert errors.scan(0, 99, 10) == [100, 101, 102]
-        assert errors.scan(1, 99, 10) == []
-        assert errors.bad_count() == 3
-
-    def test_repair(self):
-        errors = ErrorMap(1)
-        errors.inject(0, 10, 2)
-        errors.repair(0, [10])
-        assert errors.scan(0, 0, 100) == [11]
-        assert errors.repaired == 1
-
-    def test_clear_disk(self):
-        errors = ErrorMap(2)
-        errors.inject(1, 5)
-        errors.clear_disk(1)
-        assert errors.bad_count(1) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ErrorMap(0)
-        errors = ErrorMap(1)
-        with pytest.raises(ValueError):
-            errors.inject(2, 0)
-        with pytest.raises(ValueError):
-            errors.inject(0, -1)
-
-
 class TestRaidArray:
     def test_read_completes(self):
         sim, array = make_array()
@@ -167,45 +156,44 @@ class TestRaidArray:
 
     def test_read_detects_and_repairs_lse(self):
         sim, array = make_array()
-        array.errors.inject(0, 4, 2)
+        # Logical [0, 16) is disk 0's chunk [0, 16) (parity is on disk 2).
+        faults = plant(array, 0, 4, 2)
         done = array.read(0, 64)
         sim.run(until=done)
-        # Whichever chunk read covered disk 0's sectors repaired them.
-        if array.errors_detected_by_read:
-            assert array.errors.bad_count(0) == 0
-            assert array.errors_repaired >= 1
+        assert array.errors_detected_by_read == 2
+        assert array.errors_repaired == 2
+        assert array.data_loss_events == 0
+        assert faults.active_count == 0
+        assert faults.remapped_count == 2
 
     def test_write_overwrites_lse(self):
         sim, array = make_array()
-        array.errors.inject(0, 0, 4)
+        faults = plant(array, 0, 0, 4)
         done = array.write(0, 16)
         sim.run(until=done)
-        assert array.errors.bad_count() == 0
+        assert faults.active_count == 0
+        # New data needs no reconstruction: nothing detected, nothing lost.
+        assert array.errors_repaired == 0
+        assert array.data_loss_events == 0
 
     def test_raid0_read_of_bad_sector_is_data_loss(self):
         sim, array = make_array(level=RaidLevel.RAID0, disks=2)
-        array.errors.inject(0, 0, 1)
+        plant(array, 0, 0, 1)
         done = array.read(0, 16)
         sim.run(until=done)
-        assert array.data_loss_events >= 1
-
-    def test_strict_mode_raises(self):
-        sim, array = make_array(level=RaidLevel.RAID0, disks=2, strict=True)
-        array.errors.inject(0, 0, 1)
-        array.read(0, 16)
-        with pytest.raises(DataLossError):
-            sim.run()
+        assert array.data_loss_events == 1
 
     def test_scrubber_on_member_repairs_errors(self):
         sim, array = make_array()
-        array.errors.inject(1, 100, 5)
+        faults = plant(array, 1, 100, 5)
         scrubber = Scrubber(
             sim, array.devices[1], SequentialScrub(), max_passes=1
         )
         process = scrubber.start()
         sim.run(until=process)
         assert array.errors_detected_by_scrub == 5
-        assert array.errors.bad_count() == 0
+        assert array.errors_repaired == 5
+        assert faults.active_count == 0
 
     def test_fail_and_rebuild_clean(self):
         sim, array = make_array()
@@ -217,12 +205,49 @@ class TestRaidArray:
 
     def test_rebuild_counts_unrecoverable_sectors(self):
         sim, array = make_array()
+        faults = plant(array, 0, 50, 3)  # latent errors on a survivor
         array.fail_disk(1)
-        array.errors.inject(0, 50, 3)  # latent errors on a survivor
         done = array.rebuild(request_sectors=256)
         lost = sim.run(until=done)
         assert lost == 3
         assert array.data_loss_events == 3
+        assert faults.active_count == 0  # remapped after the loss
+
+    def test_a_failed_disk_comes_back_clean(self):
+        sim, array = make_array()
+        plant(array, 1, 50, 3)
+        array.fail_disk(1)
+        assert array.devices[1].drive.faults is None
+        lost = sim.run(until=array.rebuild())
+        assert lost == 0
+        done = array.read(0, array.geometry.total_data_sectors)
+        sim.run(until=done)
+        assert array.errors_detected_by_read == 0
+
+    def test_an_ata_verify_served_from_cache_detects_nothing(self):
+        """Paper Fig. 1 on the array: a VERIFY the drive answers from its
+        cache masks a real latent error, which the rebuild then loses."""
+        spec = wd_caviar_blue().with_overrides(
+            cylinders=30, outer_spt=64, inner_spt=64, num_zones=1, heads=2,
+            average_seek=1e-3, full_stroke_seek=2e-3,
+        )
+        sim, array = make_array(spec=spec, cache_enabled=True)
+        faults = plant(array, 0, 10, time=0.5)
+        device = array.devices[0]
+        # A READ caches [0, 64) on disk 0 while the sector is healthy.
+        sim.run(until=device.submit(IORequest(DiskCommand.read(0, 64))))
+        sim.run(until=0.6)
+        verify = IORequest(DiskCommand.verify(0, 64), source="scrubber")
+        sim.run(until=device.submit(verify))
+        assert verify.breakdown.cache_hit
+        assert verify.status is CommandStatus.GOOD
+        masked = faults.log.by_kind(ErrorEventKind.CACHE_MASKED)
+        assert [record.lbn for record in masked] == [10]
+        assert array.errors_detected_by_scrub == 0
+        assert faults.active_count == 1
+        array.fail_disk(1)
+        assert sim.run(until=array.rebuild()) == 1
+        assert array.data_loss_events == 1
 
     def test_degraded_read_uses_survivors(self):
         sim, array = make_array()

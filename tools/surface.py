@@ -84,7 +84,6 @@ ALLOWED_METHODS: Dict[str, str] = {
 }
 
 _ITEM_1F = "item 1(f): sim/vector.py goes with the frozen bench kernel"
-_ITEM_12 = "item 12: raid/ is scheduled for its own deletion"
 
 #: Defaulted parameters only tests pass (or nothing does) that stay,
 #: each with its reason as for :data:`ALLOWED_METHODS`; a key is
@@ -107,11 +106,6 @@ ALLOWED_PARAMS: Dict[str, str] = {
         "oracle: check_search_vs_grid searches the grid's own size list",
     "sim.vector.make_simulation(start=)": _ITEM_1F,
     "sim.vector.make_simulation(telemetry=)": _ITEM_1F,
-    "raid.array.RaidArray.__init__(strict=)": _ITEM_12,
-    "raid.array.RaidArray.read(source=)": _ITEM_12,
-    "raid.array.RaidArray.write(source=)": _ITEM_12,
-    "raid.errors.ErrorMap.bad_count(disk=)": _ITEM_12,
-    "raid.reliability.RebuildRiskModel.simulate(burst_repair=)": _ITEM_12,
 }
 
 #: Directories and files whose every identifier is a use, one tuple per
