@@ -9,9 +9,10 @@ TIMEOUT ?= 120
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
 # Service tests (marker 'service': real HTTP servers, SIGKILL drills)
-# run separately via test-service to keep this loop fast.
+# run separately via test-service to keep this loop fast.  The log ends
+# with the ten slowest tests.
 tier1:
-	PYTHONPATH=src:. $(PYTHON) -m pytest -x -q -m "not service" \
+	PYTHONPATH=src:. $(PYTHON) -m pytest -x -q -m "not service" --durations=10 \
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT)
 
 # The import contract (DESIGN section 17): importing any package of

@@ -34,10 +34,12 @@ class _SimMeter:
     bisection step runs :func:`_waiting_arrays` on a working set that
     shrinks as it converges; it charges the meter itself, 1 sim and
     the sample's size, exactly as :func:`fixed_waiting_pass` would,
-    although it builds no result).  That makes it a machine-independent
-    count of the logical work the exhaustive grid and the
-    successive-halving search ask for, so their costs compare directly
-    regardless of sample size; it is *not* proportional to seconds.
+    although it builds no result, and so do a halving rung's decided
+    threshold-0 pass and its unrun threshold-max pass).  That makes it
+    a machine-independent count of the logical work the exhaustive grid
+    and the successive-halving search ask for, so their costs compare
+    directly regardless of sample size; it is *not* proportional to
+    seconds.
     Purely additive bookkeeping (two integer adds per simulation);
     workers meter their own process, so cross-process totals must be
     summed by the caller or measured serially.
@@ -143,9 +145,10 @@ def _waiting_arrays(usable: np.ndarray, service: float | np.ndarray):
     flight when the interval ends (``idle`` is False) delays the
     arriving foreground request by its remaining service time and still
     completes.  The one implementation of this arithmetic: a Waiting
-    pass and each threshold-bisection step call it.  ``service`` is one
-    service time or, for a step that bisects several request sizes at
-    once, one per interval.  ``usable``'s buffer becomes ``delays``.
+    pass, a rung's threshold-0 decision and each threshold-bisection
+    step call it.  ``service`` is one service time or, for a step that
+    bisects several request sizes at once, one per interval.
+    ``usable``'s buffer becomes ``delays``.
     """
     complete = np.divide(usable, service)
     np.floor(complete, out=complete)
@@ -190,66 +193,110 @@ def simulate_adaptive_waiting(
     span: float,
     label: str = "",
 ) -> SlowdownResult:
-    """Per-interval simulation for adaptive size schedules.
+    """Waiting simulation for adaptive size schedules.
 
-    Sizes grow per the schedule until they reach its cap; once capped,
-    the remainder of the interval is handled in closed form, so even
-    hour-long intervals cost a handful of iterations.
+    A schedule's request sizes depend only on (request index, elapsed
+    firing time), so every interval fires the same requests from its
+    start: one ramp table (:func:`_ramp`) of their end times serves
+    them all.  An interval ends during the first ramp request whose end
+    reaches its usable time (one ``searchsorted``), or after the ramp,
+    once sizes reach the schedule's cap, where the rest of the interval
+    is handled in closed form.  Per interval this is the arithmetic of
+    a request-by-request walk, bit for bit.
     """
     durations = np.asarray(durations, dtype=float)
     _validate(threshold, total_requests, span)
-    if not isinstance(schedule, FixedSchedule):
-        SIM_METER.sims += 1
-        SIM_METER.interval_evals += len(durations)
     if isinstance(schedule, FixedSchedule):
         return simulate_fixed_waiting(
             durations, threshold, schedule.size, service_model,
             total_requests, span, label=label or schedule.name,
         )
+    SIM_METER.sims += 1
+    SIM_METER.interval_evals += len(durations)
 
-    cap = schedule.max_size
-    cap_service = float(service_model.time(float(cap)))
-    delays = []
+    usable = durations - threshold
+    usable = usable[usable > 0]
+    delays = np.empty_like(usable)
     scrub_bytes = 0.0
-    for duration in durations:
-        usable = duration - threshold
-        if usable <= 0:
-            continue
-        elapsed = 0.0
-        index = 0
-        delay = None
-        while True:
-            size = schedule.size_at(index, elapsed)
-            if size >= cap:
-                # Steady state: finish the interval arithmetically.
-                remaining = usable - elapsed
-                complete = int(remaining // cap_service)
-                partial = remaining - complete * cap_service
-                scrub_bytes += complete * cap
-                if partial > 0:
-                    delay = cap_service - partial
-                    scrub_bytes += cap
-                else:
-                    delay = 0.0
-                break
-            service = float(service_model.time(float(size)))
-            if elapsed + service >= usable:
-                delay = elapsed + service - usable
-                scrub_bytes += size  # in-flight request completes
-                break
-            elapsed += service
-            scrub_bytes += size
-            index += 1
-        delays.append(delay)
+    if len(usable):
+        ends, done = _ramp(schedule, service_model, float(usable.max()))
+        # The ramp request in flight when each interval ends.
+        last = np.searchsorted(ends, usable)
+        ramp = last < len(ends)
+        delays[ramp] = ends[last[ramp]] - usable[ramp]
+        # Integer byte sums below 2**53: exact in any order.
+        scrub_bytes = float(np.add.reduce(done[last[ramp]]))
+        if not ramp.all():  # the ramp reached the cap before these ended
+            cap = schedule.max_size
+            cap_service = float(service_model.time(float(cap)))
+            elapsed, before = (ends[-1], done[-1]) if len(ends) else (0.0, 0.0)
+            remaining = usable[~ramp] - elapsed
+            complete = np.floor_divide(remaining, cap_service)
+            partial = remaining - complete * cap_service
+            in_flight = partial > 0  # it still completes
+            delays[~ramp] = np.where(in_flight, cap_service - partial, 0.0)
+            scrub_bytes += (
+                len(remaining) * float(before)
+                + float(np.add.reduce(complete)) * cap
+                + int(np.count_nonzero(in_flight)) * cap
+            )
 
     return _result(
         threshold,
         label or schedule.name,
-        np.asarray(delays, dtype=float),
+        delays,
         scrub_bytes,
         total_requests,
         span,
     )
+
+
+#: The most requests one constant-size stretch of a ramp adds at once.
+_RAMP_CHUNK = 1 << 16
+
+
+def _ramp(schedule: SizeSchedule, service_model: ScrubServiceModel, longest: float):
+    """``(ends, done)``: the requests every interval fires, in order.
+
+    ``ends[k]`` is the firing time at which request ``k`` completes and
+    ``done[k]`` the bytes scrubbed once it has.  The table stops before
+    the first request of the schedule's cap or after the first request
+    that ends at or past ``longest``.  Elapsed time adds one service
+    time per request, in request order, through ``np.add.accumulate``:
+    a stretch that :meth:`~repro.core.adaptive.SizeSchedule.constant_until`
+    says keeps one size is added as one array, any other request as an
+    array of one.
+    """
+    cap = schedule.max_size
+    ends, sizes, counts = [], [], []
+    index, elapsed = 0, 0.0
+    while True:
+        size = schedule.size_at(index, elapsed)
+        if size >= cap:
+            break
+        service = float(service_model.time(float(size)))
+        until = schedule.constant_until(index, elapsed)
+        count = 1
+        if until > elapsed:
+            count = min(_RAMP_CHUNK, int((min(until, longest) - elapsed) / service) + 1)
+        run = np.full(count + 1, service)
+        run[0] = elapsed
+        np.add.accumulate(run, out=run)
+        # run[:-1] are the requests' start times and run[1:] their ends;
+        # the first starts at ``elapsed`` and keeps ``size`` in any case.
+        count = max(1, int(np.searchsorted(run[:-1], until)))
+        run = run[1:count + 1]
+        reached = int(np.searchsorted(run, longest)) + 1
+        ends.append(run[:reached])
+        sizes.append(size)
+        counts.append(min(count, reached))
+        if reached <= count:
+            break  # that request ends at or past every interval
+        index += count
+        elapsed = float(run[-1])
+    ends = np.concatenate(ends) if ends else np.empty(0)
+    done = np.add.accumulate(np.repeat(np.asarray(sizes, dtype=float), counts))
+    return ends, done
 
 
 def _validate(threshold: float, total_requests: int, span: float) -> None:

@@ -45,6 +45,16 @@ class SizeSchedule:
         """Largest size the schedule can ever emit."""
         raise NotImplementedError
 
+    def constant_until(self, index: int, elapsed: float) -> float:
+        """Firing time before which every request from ``index`` on has
+        the size of request ``index`` after ``elapsed`` seconds.
+
+        The slowdown simulator adds such a stretch's service times as
+        one array.  The default, ``elapsed``, promises nothing past
+        request ``index``.
+        """
+        return elapsed
+
 
 @dataclass(frozen=True)
 class FixedSchedule(SizeSchedule):
@@ -143,6 +153,9 @@ class SwappingSchedule(SizeSchedule):
         if elapsed >= self.switch_after:
             return _round_sectors(self.cap)
         return _round_sectors(self.start)
+
+    def constant_until(self, index: int, elapsed: float) -> float:
+        return self.switch_after
 
     @property
     def max_size(self) -> int:

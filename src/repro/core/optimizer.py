@@ -144,12 +144,8 @@ class ScrubParameterOptimizer:
         return admissible
 
     def simulate(self, threshold: float, request_bytes: int) -> SlowdownResult:
-        return self._pass(
-            self.durations, threshold, request_bytes, self._service(request_bytes)
-        )
-
-    def _service(self, request_bytes: int) -> float:
-        return float(self.service_model.time(float(request_bytes)))
+        service = float(self.service_model.time(float(request_bytes)))
+        return self._pass(self.durations, threshold, request_bytes, service)
 
     def _pass(
         self, work: np.ndarray, threshold: float, request_bytes: int, service: float
@@ -197,50 +193,76 @@ class ScrubParameterOptimizer:
 
         Per size, first the threshold-0 pass (skipped where ``at_zero``
         holds it) and, unless that meets the goal, the threshold-max
-        pass; a size that misses there gets ``None``.  The sizes left
-        then bisect together, ``iterations`` steps, each with its own
-        ``lo``, ``hi`` and working set that only shrinks: a rejected
+        pass; a size that misses there gets ``None``.  Several sizes at
+        once (a halving rung) only decide the threshold-0 pass, with one
+        :func:`~repro.analysis.slowdown._waiting_arrays` call over the
+        sample's positive intervals, and build its result only when it
+        meets the goal; they do not run the threshold-max pass at all,
+        whose mean slowdown is exactly 0 (nothing is usable past the
+        longest interval).  Both passes are metered as run.  The sizes
+        left then bisect together, ``iterations`` steps, each with its
+        own ``lo``, ``hi`` and working set that only shrinks: a rejected
         midpoint becomes ``lo``, every later threshold is ``>= lo``, so
         an interval no longer than ``lo`` can never be usable again and
         is dropped (order kept).  A step cuts each size's intervals
-        longer than its midpoint, runs the Waiting arithmetic
-        (:func:`~repro.analysis.slowdown._waiting_arrays`) once over
+        longer than its midpoint, runs the Waiting arithmetic once over
         their concatenation, with a per-element midpoint and service
         time, and reads each size's mean slowdown as one
         ``np.add.reduce`` over its own slice -- the reduction a whole
         pass makes, so the sums agree bit for bit, which
         ``np.add.reduceat`` does not.  A size keeps the intervals of its
-        last accepted step and builds its one :class:`SlowdownResult`
-        from them at the end, so no step's shared arrays stay pinned; a
-        lone size's step arrays are its own and are kept as they are.
-        Each step's answer is bit-identical to simulating the whole
-        sample, and is metered as that.
+        last accepted step (at first none: the threshold-max pass's) and
+        builds its one :class:`SlowdownResult` from them at the end, so
+        no step's shared arrays stay pinned; the one-size call keeps its
+        step arrays as they are and its threshold-max result.  Each
+        step's answer is bit-identical to simulating the whole sample,
+        and is metered as that.
         """
         if slowdown_goal <= 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
-        top = float(self.durations.max())
+        durations, total_requests = self.durations, self.total_requests
+        top, sample = float(durations.max()), len(durations)
+        lone = len(sizes) == 1
+        reduce = np.add.reduce
+        positive = None if lone else durations[durations > 0.0]
+        # One lookup for every size: np.interp gives each element the
+        # bits a lookup of that size alone would.
+        lookup = self.service_model.time(np.asarray(sizes, dtype=float)).tolist()
         results: List[Optional[SlowdownResult]] = []
-        arms, services = [], []  # (result index, size) of each size that bisects
-        for size, zero in zip(sizes, at_zero):
-            service = self._service(size)
-            if zero is None:
-                zero = self._pass(self.durations, 0.0, size, service)
-            if zero.mean_slowdown <= slowdown_goal:
+        arms, services, accepted = [], [], []  # of each size that bisects
+        for size, zero, service in zip(sizes, at_zero, lookup):
+            if lone or zero is not None:
+                if zero is None:
+                    zero = self._pass(durations, 0.0, size, service)
+                met = zero.mean_slowdown <= slowdown_goal
+            else:  # decide the threshold-0 pass, build its result if kept
+                SIM_METER.sims += 1
+                SIM_METER.interval_evals += sample
+                arrays = _waiting_arrays(positive.copy(), service)
+                met = reduce(arrays[0]) / total_requests <= slowdown_goal
+                if met:
+                    zero = _fixed_result(0.0, size, arrays, total_requests, self.span)
+            if met:
                 results.append(zero)
                 continue
-            best = self._pass(self.durations, top, size, service)
-            if best.mean_slowdown > slowdown_goal:
-                results.append(None)
-                continue
+            if lone:
+                best = self._pass(durations, top, size, service)
+                if best.mean_slowdown > slowdown_goal:
+                    results.append(None)
+                    continue
+                accepted.append(None)
+            else:  # the threshold-max pass, metered but not run
+                SIM_METER.sims += 1
+                SIM_METER.interval_evals += sample
+                best = None
+                accepted.append(durations[:0])
             arms.append((len(results), size))
             services.append(service)
             results.append(best)
         n = len(arms)
         lo, hi = [0.0] * n, [top] * n
-        work, mids = [self.durations] * n, [0.0] * n
-        accepted: list = [None] * n
-        evals, total_requests = n * len(self.durations), self.total_requests
-        reduce = np.add.reduce
+        work, mids = [durations] * n, [0.0] * n
+        evals, per_arm = n * sample, np.array(services)
         for _ in range(iterations if n else 0):
             SIM_METER.sims += n
             SIM_METER.interval_evals += evals
@@ -249,9 +271,10 @@ class ScrubParameterOptimizer:
                 mid = mids[arm] = (lo[arm] + hi[arm]) / 2.0
                 w = work[arm]
                 kept.append(w[w > mid])
-            # A lone size (every best_threshold call, the final rung's
-            # among them) skips the concatenation and keeps its own arrays.
-            if n == 1:
+            # The one-size call (every best_threshold call, the final
+            # rung's among them) skips the concatenation and keeps its
+            # own arrays.
+            if lone:
                 arrays = _waiting_arrays(kept[0] - mid, services[0])
                 if reduce(arrays[0]) / total_requests <= slowdown_goal:
                     hi[0], accepted[0] = mid, arrays
@@ -260,8 +283,8 @@ class ScrubParameterOptimizer:
                 continue
             lengths = [len(k) for k in kept]
             usable = np.concatenate(kept)
-            usable -= np.repeat(mids, lengths)
-            delays = _waiting_arrays(usable, np.repeat(services, lengths))[0]
+            usable -= np.array(mids).repeat(lengths)
+            delays = _waiting_arrays(usable, per_arm.repeat(lengths))[0]
             end = 0
             for arm in range(n):
                 start = end
@@ -272,8 +295,8 @@ class ScrubParameterOptimizer:
                     lo[arm], work[arm] = mids[arm], kept[arm]
         for arm, (index, size) in enumerate(arms):
             if accepted[arm] is None:
-                continue  # no midpoint met the goal: the threshold-max pass stands
-            arrays = accepted[arm] if n == 1 else _waiting_arrays(
+                continue  # one size, never accepted: its threshold-max result stands
+            arrays = accepted[arm] if lone else _waiting_arrays(
                 accepted[arm] - hi[arm], services[arm]
             )
             results[index] = _fixed_result(

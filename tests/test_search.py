@@ -256,13 +256,16 @@ class TestRungBisectsInLockstep:
     def test_one_waiting_pass_per_step_serves_every_arm(
         self, workload, monkeypatch
     ):
-        """A rung of A arms runs the Waiting arithmetic 2A times for the
-        threshold-0 and threshold-max passes, once per lockstep step and
-        at most once per arm for its result: a per-arm bisection would
-        run it 2A + RUNG_ITERATIONS * A times."""
-        calls, passes = [], []
+        """A rung of A arms that all bisect runs no whole Waiting pass:
+        the Waiting arithmetic runs once per arm to decide its
+        threshold 0, once per lockstep step and once per arm for its
+        result, and each arm builds one result; the threshold-max pass
+        is metered but not run.  A per-arm bisection would run the
+        arithmetic 2A + RUNG_ITERATIONS * A times and build 3A results."""
+        calls, passes, built = [], [], []
         real_arrays = slowdown_module._waiting_arrays
         real_pass = optimizer_module.fixed_waiting_pass
+        real_result = slowdown_module.SlowdownResult
 
         def counting_arrays(*args):
             calls.append(len(args[0]))
@@ -272,16 +275,22 @@ class TestRungBisectsInLockstep:
             passes.append(args[2])
             return real_pass(*args)
 
+        def counting_result(**fields):
+            built.append(fields["threshold"])
+            return real_result(**fields)
+
         monkeypatch.setattr(slowdown_module, "_waiting_arrays", counting_arrays)
         monkeypatch.setattr(optimizer_module, "_waiting_arrays", counting_arrays)
         monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", counting_pass)
+        monkeypatch.setattr(slowdown_module, "SlowdownResult", counting_result)
         search = SuccessiveHalvingSearch(**workload)
         arms = list(search._full.admissible_sizes())
         report = search._run_rung(0, RUNG_FRACTIONS[0], arms, GOAL / 2)
         a = len(arms)
         assert a == 64 and report.sims == a * (2 + RUNG_ITERATIONS)
-        assert len(passes) == 2 * a  # every arm bisects
-        assert 2 * a + RUNG_ITERATIONS <= len(calls) <= 3 * a + RUNG_ITERATIONS
+        assert passes == []
+        assert len(calls) == 2 * a + RUNG_ITERATIONS
+        assert len(built) == a and 0.0 not in built  # every arm bisects
 
 
 class TestSearchDifferential:

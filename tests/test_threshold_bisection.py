@@ -414,3 +414,51 @@ class TestLockstepMatchesPerSizeReference:
             "exits at threshold 0", "never accepts a midpoint",
             "working sets diverge",
         }
+
+    def test_goals_on_the_threshold_zero_boundary(self):
+        """A rung decides each arm's threshold-0 pass without building
+        it: a goal equal to that pass's mean slowdown sits on the
+        ``<=`` boundary (the arm exits at 0) and one ulp below it does
+        not."""
+        sizes = [k * 65536 for k in range(1, 65)]
+        rng = np.random.default_rng(34)
+        exits = 0
+        for kind in KINDS:
+            for seed in range(3):
+                n = int(rng.integers(1, 400))
+                durations = draw_sample(kind, n, seed)
+                optimizer = ScrubParameterOptimizer(
+                    durations, total_requests=n + 1,
+                    span=float(durations.sum()) + 1.0, service_model=SERVICE,
+                )
+                arms = sorted(
+                    int(size) for size in rng.choice(sizes, 8, replace=False)
+                )
+                boundaries = sorted({
+                    reference_simulate(optimizer, 0.0, size).mean_slowdown
+                    for size in arms
+                } - {0.0})[:3]
+                goals = boundaries + [math.nextafter(b, 0.0) for b in boundaries]
+                for goal in goals:
+                    expected, expected_effort = [], {"sims": 0, "interval_evals": 0}
+                    for size in arms:
+                        result, effort = metered(
+                            lambda: reference_best_threshold(
+                                optimizer, size, goal, 20
+                            )
+                        )
+                        expected.append(exact(result))
+                        for key in effort:
+                            expected_effort[key] += effort[key]
+                    actual, effort = metered(
+                        lambda: optimizer._best_thresholds(
+                            arms, goal, 20, [None] * len(arms)
+                        )
+                    )
+                    assert [exact(result) for result in actual] == expected
+                    assert effort == expected_effort
+                    exits += goal in boundaries and any(
+                        result.threshold == 0.0
+                        and result.mean_slowdown == goal for result in actual
+                    )
+        assert exits >= 10
