@@ -8,15 +8,15 @@ non-event:
   shard's result is stored in a :class:`~repro.parallel.cache.ResultCache`
   under the key of ``fleet_shard_task`` + its canonicalized parameters
   (which embed the whole :class:`~repro.fleet.spec.CampaignSpec`).
-  Writes are atomic (temp file + ``os.replace``), so a kill mid-write
-  leaves the previous state, never a torn checkpoint; and entries are
-  self-verifying, so a corrupt checkpoint is *evicted* and recomputed
-  rather than trusted or fatal.
+  Checkpoints land whole through :func:`~repro.obs.export.atomic_write`,
+  so a kill mid-write leaves the previous state, never a torn
+  checkpoint; and entries are self-verifying, so a corrupt checkpoint
+  is *evicted* and recomputed rather than trusted or fatal.
 * **The manifest** (``manifest.json``) is a write-once header: the
   manifest format, the campaign digest and the shard count, published
-  whole with ``os.link`` when the journal is created and never
-  rewritten.  Opening a journal whose digest does not match the
-  offered spec raises :class:`JournalError`: a resume can never
+  whole by an exclusive ``atomic_write`` when the journal is created
+  and never rewritten.  Opening a journal whose digest does not match
+  the offered spec raises :class:`JournalError`: a resume can never
   silently mix shards from two different campaigns.  A format-2
   manifest, which also carried a shard->key map, opens the same way;
   its map is ignored.
@@ -33,12 +33,11 @@ non-event:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Optional, Tuple, Union
 
 from repro.fleet.spec import CampaignSpec, campaign_digest
+from repro.obs.export import atomic_write
 from repro.parallel.cache import ResultCache
 
 __all__ = ["CampaignJournal", "JournalError"]
@@ -109,22 +108,18 @@ class CampaignJournal:
             )
 
     def _create_manifest(self) -> dict:
-        """Publish the header: ``os.link`` lands it whole and never
-        over an existing file (whose header then wins)."""
+        """Publish the header whole and never over an existing file
+        (whose header then wins): an exclusive ``atomic_write``."""
         header = {
             "format": _FORMAT,
             "campaign_digest": self.digest,
             "shards_total": len(self.spec.shard_ranges()),
         }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with atomic_write(self._manifest_path, exclusive=True) as fh:
                 json.dump(header, fh, indent=1, sort_keys=True)
-            os.link(tmp, self._manifest_path)
         except FileExistsError:
             return self._load_manifest()
-        finally:
-            os.unlink(tmp)
         return header
 
     # -- checkpoints ---------------------------------------------------------

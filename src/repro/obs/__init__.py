@@ -12,7 +12,9 @@ probes (:mod:`~repro.obs.worker`), deterministic hierarchical spans
 ``events.jsonl`` (:mod:`~repro.obs.monitor`) watch the shards.  Both recorders export through one Chrome-trace encoder
 (:mod:`~repro.obs.trace`); snapshots render as Prometheus textfiles
 (:mod:`~repro.obs.prometheus`) or a self-contained HTML run report
-(:mod:`~repro.obs.report`); every whole-file output goes through
+(:mod:`~repro.obs.report`).  Every whole file the stack writes, these
+outputs and its durable state alike (cache entries, the journal
+header, job records, trace-store headers and catalogs), lands through
 :func:`~repro.obs.export.atomic_write`.
 
 Everything here is *passive*: results are bit-identical with

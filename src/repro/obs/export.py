@@ -1,4 +1,7 @@
-"""Offline export: request and error logs as JSON Lines.
+"""Whole-file writes, and request and error logs as JSON Lines.
+
+:func:`atomic_write` is how every whole file of durable state and every
+operator-facing output lands on disk, its policy stated per call.
 
 One JSON object per line, so detection runs can be post-processed with
 standard streaming tools (``jq``, pandas ``read_json(lines=True)``,
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from typing import IO, Dict, Iterable, Iterator, Union
 
@@ -30,29 +32,52 @@ __all__ = [
 
 
 @contextmanager
-def atomic_write(path: str) -> Iterator[IO[str]]:
-    """Open a text file that replaces ``path`` only if the block completes.
+def atomic_write(
+    path: Union[str, "os.PathLike[str]"],
+    *,
+    binary: bool = False,
+    fsync: bool = False,
+    exclusive: bool = False,
+) -> Iterator[IO]:
+    """Open a file that lands at ``path`` whole, only if the block completes.
 
-    The handle is a temp file in ``path``'s directory (so the rename
-    never crosses a filesystem) whose name does not end in ``path``'s
-    suffix (so a directory scraper — the Prometheus textfile collector
-    — never picks it up).  A clean exit renames it over ``path``; an
-    exception unlinks it and propagates; a SIGKILL leaves the previous
-    file, or no file, never a torn one.  The one writer behind every
-    operator-facing observability file.
+    The handle is a temp file in ``path``'s directory, named with a
+    leading dot and not ``path``'s suffix (so a directory scraper -- the
+    Prometheus textfile collector -- never picks it up) and created
+    ``0o666`` less the umask, as ``open(path, "w")`` would.  A clean exit
+    publishes it; an exception in the block or the publish unlinks it
+    and propagates; a SIGKILL leaves the previous file, or none, never a
+    torn one.  Each caller states its policy (DESIGN §9 has the table):
+
+    * ``binary`` -- a bytes handle instead of UTF-8 text;
+    * ``fsync`` -- ``os.fsync`` the file before publishing it (never the
+      directory);
+    * ``exclusive`` -- publish with ``os.link``, which raises
+      :class:`FileExistsError` when ``path`` exists, not ``os.replace``.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}-", suffix=".tmp")
+    # 64 random bits; O_EXCL turns a collision into an error, never a clobber.
+    tmp = os.path.join(directory, f".{name}-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
             yield handle
-        os.replace(tmp, path)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        if exclusive:
+            os.link(tmp, path)
+        else:
+            os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+    if exclusive:
+        os.unlink(tmp)
 
 
 def write_jsonl(
@@ -69,11 +94,8 @@ def write_jsonl(
     """
     if hasattr(destination, "write"):
         return _write_lines(destination, records)
-    with atomic_write(destination) as handle:
-        count = _write_lines(handle, records)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return count
+    with atomic_write(destination, fsync=True) as handle:
+        return _write_lines(handle, records)
 
 
 def _write_lines(handle: IO[str], records: Iterable[Dict]) -> int:

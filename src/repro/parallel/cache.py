@@ -10,8 +10,9 @@ cache key is a SHA-256 over three components:
   may change simulation semantics — invalidates every prior entry.
 
 Entries are pickle files under ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro/sweeps``), written atomically via a temp file and
-``os.replace`` so concurrent writers can never leave a torn entry.
+``~/.cache/repro/sweeps``), written through
+:func:`~repro.obs.export.atomic_write` (binary, no fsync, replace) so
+concurrent writers can never leave a torn entry.
 
 Entries are *self-verifying*: the payload is prefixed with a header
 carrying its SHA-256, so a truncated, bit-rotted or torn entry is
@@ -31,12 +32,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.obs.export import atomic_write
 from repro.traces.record import Trace
 from repro.traces.store import StoredTrace
 
@@ -223,22 +224,13 @@ class ResultCache:
         return True, value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` atomically (temp file + ``os.replace``)."""
+        """Store ``value`` whole (:func:`~repro.obs.export.atomic_write`)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode()
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_ENTRY_MAGIC + digest + b"\n" + payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path, binary=True) as fh:
+            fh.write(_ENTRY_MAGIC + digest + b"\n" + payload)
 
     def clear(self) -> int:
         """Delete every entry; returns the number of entries removed."""

@@ -1,13 +1,12 @@
 """Persistent, content-addressed campaign job queue.
 
 The orchestration service's source of truth.  Every job is one file,
-``jobs/<id>.json``, written with the same atomic temp-file +
-``os.replace`` pattern the result cache uses for its entries: a
-crash can lose at most the *latest* transition, never corrupt a
-record.  The job id is :func:`~repro.fleet.spec.campaign_digest` of
-the submitted spec, so identical campaigns are identical jobs —
-resubmission is answered from the existing record and never schedules
-duplicate work.
+``jobs/<id>.json``, replaced whole and fsynced through
+:func:`~repro.obs.export.atomic_write`: a crash can lose at most the
+*latest* transition, never corrupt a record.  The job id is
+:func:`~repro.fleet.spec.campaign_digest` of the submitted spec, so
+identical campaigns are identical jobs — resubmission is answered from
+the existing record and never schedules duplicate work.
 
 States and transitions::
 
@@ -31,9 +30,9 @@ check "B's first job started before A's second" as a total order
 instead of sampling timings.
 
 A transition is durable before it is visible: each one builds the next
-record as a copy, writes it, and only after ``os.replace`` returned
-swaps it into memory and advances the sequence counters.  A write that
-fails (``ENOSPC``) therefore leaves memory, disk and a reopened queue
+record as a copy, writes it, and only after ``atomic_write`` published
+it swaps it into memory and advances the sequence counters.  A write
+that fails (``ENOSPC``) therefore leaves memory, disk and a reopened queue
 agreeing on the *old* record, and the retried transition gets the
 sequence number the failed one would have had.
 
@@ -55,6 +54,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.fleet.spec import campaign_digest, spec_from_dict, spec_to_dict
+from repro.obs.export import atomic_write
 
 __all__ = [
     "ACTIVE_STATES",
@@ -167,21 +167,9 @@ class JobQueue:
         return os.path.join(self.jobs_dir, f"{job_id}.json")
 
     def _persist(self, job: Job) -> None:
-        path = self._path(job.id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(job.to_dict(), handle, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self._path(job.id), fsync=True) as handle:
+            json.dump(job.to_dict(), handle, sort_keys=True)
+            handle.write("\n")
 
     def _commit(self, job: Job, **changes) -> Job:
         """Persist ``job`` with ``changes`` applied, then make it visible.

@@ -36,12 +36,12 @@ import hashlib
 import json
 import mmap
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.obs.export import atomic_write
 from repro.traces.record import (
     Trace,
     TraceRecord,
@@ -279,19 +279,8 @@ def write_trace(
         "dtypes": {attr: str(dtype) for attr, dtype in _COLUMNS},
         "chunks": chunk_infos,
     }
-    tmp_fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix="header-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(tmp_fd, "w") as f:
-            json.dump(header, f, indent=1, sort_keys=True)
-        os.replace(tmp_path, directory / "header.json")
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    with atomic_write(directory / "header.json") as f:
+        json.dump(header, f, indent=1, sort_keys=True)
     return StoredTrace.open(directory)
 
 
@@ -550,19 +539,8 @@ class TraceCorpus:
         return cls(root, index)
 
     def _write_index(self) -> None:
-        tmp_fd, tmp_path = tempfile.mkstemp(
-            dir=self._root, prefix="catalog-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(tmp_fd, "w") as f:
-                json.dump(self._index, f, indent=1, sort_keys=True)
-            os.replace(tmp_path, self._root / self.CATALOG_NAME)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self._root / self.CATALOG_NAME) as f:
+            json.dump(self._index, f, indent=1, sort_keys=True)
 
     @property
     def root(self) -> Path:

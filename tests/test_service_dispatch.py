@@ -10,7 +10,8 @@ spacing after an earlier one, and ``stop()`` cuts it short.
 The fault half injects ``ENOSPC`` into ``JobQueue._persist``: a failed
 transition must leave memory, disk and a reopened queue agreeing, the
 dispatcher thread must outlive it, and ``/healthz`` must say so when it
-does not.
+does not.  A failed publish or write in ``atomic_write`` leaves no temp
+file and every durable-state caller's target as it was.
 
 No wall-clock thresholds: every wait below is a deadline that fails the
 test, never a delay the behaviour under test depends on.
@@ -18,6 +19,7 @@ test, never a delay the behaviour under test depends on.
 
 import errno
 import json
+import os
 import shutil
 import sys
 import threading
@@ -32,6 +34,7 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service.scheduler import CampaignScheduler
+from tests.test_replace_once import CALLERS
 
 pytestmark = pytest.mark.service
 
@@ -390,18 +393,69 @@ def test_failed_persist_of_a_new_submission_leaves_no_job(tmp_path):
     assert created and job.seq == first.seq + 1
 
 
-def test_failed_replace_removes_the_temp_file(tmp_path, monkeypatch):
-    queue = JobQueue(tmp_path)
+class _FullDisk:
+    """A file handle whose every write fails with ``ENOSPC``."""
 
-    def no_space(src, dst):
+    def __init__(self, handle, fired):
+        self._handle = handle
+        self._fired = fired
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        self._fired.append("write")
         raise OSError(errno.ENOSPC, "No space left on device")
 
+
+def _fail_the_publish(patch, fired):
+    def no_space(src, dst):
+        fired.append("publish")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    patch.setattr("repro.obs.export.os.replace", no_space)
+    patch.setattr("repro.obs.export.os.link", no_space)
+
+
+def _fail_the_write(patch, fired):
+    real_fdopen = os.fdopen
+    patch.setattr(
+        "repro.obs.export.os.fdopen",
+        lambda *args, **kwargs: _FullDisk(real_fdopen(*args, **kwargs), fired),
+    )
+
+
+def _contents(path):
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("fault", [_fail_the_publish, _fail_the_write],
+                         ids=["publish", "write"])
+@pytest.mark.parametrize("factory", CALLERS.values(), ids=CALLERS)
+def test_failed_replace_removes_the_temp_file(
+    tmp_path, monkeypatch, factory, fault
+):
+    """A failed publish, or a write failing inside ``atomic_write``'s
+    block, leaves every caller's target as it was and no temp file;
+    the retried write lands."""
+    target, write = factory(tmp_path)
+    before = _contents(target)
+    fired = []
     with monkeypatch.context() as patch:
-        patch.setattr("repro.service.queue.os.replace", no_space)
-        with pytest.raises(OSError):
-            queue.submit(_spec(1), client="a")
-    assert list((tmp_path / "jobs").iterdir()) == []
-    assert queue.submit(_spec(1), client="a")[1]
+        fault(patch, fired)
+        if factory is CALLERS["monitor_trace"]:
+            write()  # the monitor counts the failure in ``io_errors``
+        else:
+            with pytest.raises(OSError):
+                write()
+    assert fired
+    assert _contents(target) == before
+    assert [p.name for p in tmp_path.rglob("*") if ".tmp" in p.name] == []
+    write()
+    assert target.exists()
 
 
 # -- a failing disk: the dispatcher outlives it, /healthz tells the truth -------
