@@ -124,13 +124,22 @@ class WaitingScrubber:
 
     # -- observation ---------------------------------------------------------------
     def _observe(self, kind: str, request: IORequest, now: float) -> None:
+        """Count the foreground requests outstanding, and wake the
+        process only when the count leaves or reaches 0 (or is
+        negative): woken while the disk stays busy, it would find
+        ``_fg_outstanding > 0`` and sleep again (DESIGN §18)."""
         if request.source == self.source:
             return
+        outstanding = self._fg_outstanding
         if kind == "submit":
-            self._fg_outstanding += 1
+            self._fg_outstanding = outstanding + 1
+            if outstanding > 0:
+                return
         elif kind == "complete":
-            self._fg_outstanding -= 1
-            if self._fg_outstanding == 0:
+            self._fg_outstanding = outstanding = outstanding - 1
+            if outstanding > 0:
+                return
+            if outstanding == 0:
                 self._last_fg_completion = now
         if not self._activity.triggered:
             self._activity.succeed()

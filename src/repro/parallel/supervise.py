@@ -12,14 +12,17 @@ tasks to a fixed set of supervised worker processes — forked per slot,
 not per attempt — and supervises every attempt end to end.
 
 Worker lifecycle: ``map()`` forks a worker the first time a slot is
-needed, at most ``workers`` of them.  A worker loops *receive a task
-index → run ``fn(**param_sets[index])`` → answer ``ok`` or ``err``*
-over one duplex pipe; under fork it inherits ``fn`` and the parameter
-sets, so only the index crosses the pipe and parameters need not be
-picklable (spawn-only platforms pickle the list once per worker).  A
-worker that answers — a task that *raises* included — goes back to the
-idle list and takes the next ready attempt.  **Kill and refill:** a
-worker is never repaired; on pipe EOF, a missed deadline, missed
+needed, at most ``workers`` of them.  The worker of slot *k* first moves
+itself onto the *k*-th CPU of the supervisor's allowed set (round-robin)
+and then takes the whole set back, so workers start spread out even
+where the kernel does not balance forked children.  A worker loops
+*receive a task index → run ``fn(**param_sets[index])`` → answer ``ok``
+or ``err``* over one duplex pipe; under fork it inherits ``fn`` and the
+parameter sets, so only the index crosses the pipe and parameters need
+not be picklable (spawn-only platforms pickle the list once per
+worker).  A worker that answers — a task that *raises* included — goes
+back to the idle list and takes the next ready attempt.  **Kill and
+refill:** a worker is never repaired; on pipe EOF, a missed deadline, missed
 heartbeats, or when a speculative twin wins, the *worker* is
 SIGTERM→SIGKILLed and joined, and the slot is refilled by a fresh fork
 at the next launch.  An idle worker found dead at hand-over is replaced
@@ -179,7 +182,37 @@ def _beat(conn, lock, done, interval) -> None:
                 return
 
 
-def _supervised_worker(conn, fn, param_sets, heartbeat_interval, supervisor) -> None:
+def _slot_cpu(slot: int, allowed) -> Optional[int]:
+    """The CPU worker slot ``slot`` starts on: the CPUs of ``allowed`` in
+    ascending order, round-robin; ``None`` when there is no choice to
+    make (one CPU, or a platform without affinity calls)."""
+    if len(allowed) < 2:
+        return None
+    return sorted(allowed)[slot % len(allowed)]
+
+
+def _place(cpu: Optional[int]) -> None:
+    """Move this process onto ``cpu``, then hand it back its whole mask.
+
+    A scheduler that does not balance load across CPUs
+    (``cpuset.sched_load_balance = 0``) leaves a forked child on its
+    parent's CPU, so every worker would share the supervisor's.  The
+    one-CPU mask migrates the process; restoring the inherited mask
+    leaves it free to move again, so nothing is pinned.
+    """
+    if cpu is None:
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass  # a CPU gone offline: stay where the fork put us
+
+
+def _supervised_worker(
+    conn, fn, param_sets, heartbeat_interval, supervisor, cpu
+) -> None:
     """Worker entry point: serve task indices until the supervisor is gone.
 
     Each index received runs ``fn(**param_sets[index])`` with a fresh
@@ -193,8 +226,10 @@ def _supervised_worker(conn, fn, param_sets, heartbeat_interval, supervisor) -> 
 
     The heartbeat thread and the result send share ``lock`` because
     ``Connection.send`` is not thread-safe.  ``supervisor`` is the pid
-    this worker must stay a child of.
+    this worker must stay a child of; ``cpu`` is where it starts
+    (:func:`_place`).
     """
+    _place(cpu)
     # Everything alive here was inherited from the supervisor (fork) or
     # made by importing this module (spawn) and lives as long as the
     # worker: move it out of the collector's sight, so that a task's
@@ -238,13 +273,14 @@ class _Worker:
     """One worker process and, while it is busy, the attempt it runs."""
 
     __slots__ = (
-        "process", "conn",
+        "process", "conn", "slot",
         "index", "attempt", "started", "last_beat", "speculative",
     )
 
-    def __init__(self, process, conn):
+    def __init__(self, process, conn, slot):
         self.process = process
         self.conn = conn
+        self.slot = slot
 
 
 @dataclass
@@ -321,17 +357,25 @@ class SupervisedRunner:
 
     # -- internals -----------------------------------------------------------
 
-    def _spawn(self, fn, param_sets) -> _Worker:
+    def _spawn(self, fn, param_sets, slot: int) -> _Worker:
+        """Fork the worker of ``slot``; it starts on :func:`_slot_cpu`'s
+        CPU of the supervisor's allowed set."""
+        allowed = (
+            os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
+        )
         parent, child = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_supervised_worker,
-            args=(child, fn, param_sets, self.heartbeat_interval, os.getpid()),
+            args=(
+                child, fn, param_sets, self.heartbeat_interval, os.getpid(),
+                _slot_cpu(slot, allowed),
+            ),
             daemon=True,
         )
         process.start()
         child.close()
         self._count("supervise.spawns")
-        return _Worker(process, parent)
+        return _Worker(process, parent, slot)
 
     @staticmethod
     def _reap(workers: Sequence[_Worker]) -> None:
@@ -414,7 +458,8 @@ class SupervisedRunner:
             return None
 
         def engage(index: int) -> _Worker:
-            """Hand task ``index`` to an idle worker, else to a fresh one."""
+            """Hand task ``index`` to an idle worker, else to a fresh one
+            in the lowest slot no running worker holds."""
             while idle:
                 worker = idle.pop()
                 try:
@@ -423,7 +468,9 @@ class SupervisedRunner:
                 except OSError:
                     # Died while idle: replaced, and no task is charged.
                     self._reap([worker])
-            worker = self._spawn(fn, param_sets)
+            taken = {w.slot for w in running.values()}
+            slot = next(s for s in range(self.workers) if s not in taken)
+            worker = self._spawn(fn, param_sets, slot)
             try:
                 worker.conn.send(index)
             except OSError:

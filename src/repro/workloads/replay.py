@@ -14,10 +14,11 @@ Two feeds, one contract
   path, kept verbatim;
 * a :class:`~repro.traces.record.Trace` — the batched fast path: a
   :class:`_ReplayCursor` pre-computes due times, clipped sector counts
-  and wrapped LBNs block-wise with numpy (``_BLOCK`` records at a
-  time) and feeds the engine from an array cursor that reuses a single
-  scheduling event (a freelist of one) instead of allocating a record
-  object, a generator frame and a ``Timeout`` per request;
+  and wrapped LBNs block-wise with numpy (blocks of ``_FIRST_BLOCK``
+  records, doubling up to ``_BLOCK``) and feeds the engine from an
+  array cursor that reuses a single scheduling event (a freelist of
+  one) instead of allocating a record object, a generator frame and a
+  ``Timeout`` per request;
 * an iterable of :class:`Trace` chunks — the same cursor streaming
   over chunks (e.g. :func:`repro.traces.io.iter_trace_chunks`), so a
   multi-GB trace replays in bounded memory.
@@ -48,10 +49,14 @@ from repro.sim import Interrupt, Process, Simulation
 from repro.sim.events import _PENDING, Event
 from repro.traces.record import Trace
 
-#: Records converted from numpy to Python scalars per batch.  Bounds
-#: the Python-object footprint of a replay regardless of trace size,
-#: and bounds wasted conversion when a horizon cuts the replay short.
+#: Records converted from numpy to Python scalars per batch, at most.
+#: Bounds the Python-object footprint of a replay regardless of trace
+#: size.
 _BLOCK = 32768
+#: The first batch: each later one doubles, up to :data:`_BLOCK`, so a
+#: horizon that stops the replay after N records has converted fewer
+#: than 2N + ``_FIRST_BLOCK`` of them.
+_FIRST_BLOCK = 1024
 
 
 class _ReplayCursor(Event):
@@ -99,6 +104,7 @@ class _ReplayCursor(Event):
         "_secs",
         "_writes",
         "_block_len",
+        "_block_size",
         "_idx",
         "_designated",
         "_done",
@@ -131,6 +137,7 @@ class _ReplayCursor(Event):
         self._secs: List[int] = []
         self._writes: List[bool] = []
         self._block_len = 0
+        self._block_size = _FIRST_BLOCK
         self._idx = 0
         self._designated = False
         self._done = False
@@ -276,7 +283,9 @@ class _ReplayCursor(Event):
                 self._origin = t0
             self._chunk = chunk
             pos = 0
-        end = min(pos + _BLOCK, len(chunk))
+        size = self._block_size
+        self._block_size = min(2 * size, _BLOCK)
+        end = min(pos + size, len(chunk))
         self._chunk_pos = end
         self._convert(chunk, pos, end)
         self._last_time = float(chunk.times[end - 1])

@@ -652,3 +652,56 @@ class TestPersistentWorkers:
             for pid in workers:  # a failing run must not leave them behind
                 if _alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+def _mask(x):
+    return x, sorted(os.sched_getaffinity(0))
+
+
+class TestWorkerPlacement:
+    """A fresh worker starts on its slot's CPU and keeps the whole mask.
+
+    Which CPU the kernel then runs it on is the kernel's business and is
+    not tested."""
+
+    def test_slots_take_the_allowed_cpus_round_robin(self):
+        from repro.parallel.supervise import _slot_cpu
+
+        assert [_slot_cpu(s, {0, 1}) for s in range(4)] == [0, 1, 0, 1]
+        assert [_slot_cpu(s, {7, 2, 5}) for s in range(4)] == [2, 5, 7, 2]
+        assert _slot_cpu(3, {4}) is None  # nothing to choose
+        assert _slot_cpu(0, ()) is None  # no affinity calls
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no affinity calls"
+    )
+    def test_a_worker_ends_with_the_supervisors_mask(self):
+        outcomes = SupervisedRunner(workers=2, retry=_FAST).map(
+            _mask, [{"x": i} for i in range(6)]
+        )
+        supervisor = sorted(os.sched_getaffinity(0))
+        assert [o.value for o in outcomes] == [(i, supervisor) for i in range(6)]
+
+    def test_a_replacement_takes_the_dead_workers_slot(self, tmp_path, monkeypatch):
+        slots = []
+        spawn = SupervisedRunner._spawn
+
+        def spy(self, fn, param_sets, slot):
+            slots.append(slot)
+            return spawn(self, fn, param_sets, slot)
+
+        monkeypatch.setattr(SupervisedRunner, "_spawn", spy)
+        events = _Events()
+        params = [{"x": i} for i in range(16)]
+        params[5]["sentinel"] = str(tmp_path / "victim")
+        outcomes = SupervisedRunner(
+            workers=2, retry=_FAST, heartbeat_interval=0.2
+        ).map(_slow_square, params, on_event=events)
+        assert [o.value for o in outcomes] == [i * i for i in range(16)]
+        assert slots[:2] == [0, 1] and len(slots) == 3
+        (victim,) = [
+            pid for index, attempt, pid in events.started()
+            if (index, attempt) == (5, 1)
+        ]
+        first_two = list(dict.fromkeys(events.pids()))[:2]
+        assert slots[2] == first_two.index(victim)

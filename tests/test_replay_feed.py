@@ -197,3 +197,66 @@ class TestMeanSlowdownGuards:
             replay_with_scrubber(
                 trace, hitachi_ultrastar_15k450(), horizon=1.0, feed="records"
             )
+
+
+class TestCursorBlocks:
+    """The cursor converts records block-wise, 1024 first and doubling
+    (DESIGN §10): a horizon pays for about what it replays."""
+
+    @pytest.fixture(scope="class")
+    def long_trace(self):
+        # 100k requests, one every 20 ms, a few seconds' worth reached.
+        n = 100_000
+        rng = np.random.default_rng(5)
+        return Trace(
+            np.arange(n) * 0.02,
+            rng.integers(0, 1 << 20, size=n),
+            rng.choice([8, 64], size=n),
+            rng.random(n) < 0.3,
+            name="long",
+        )
+
+    @pytest.mark.parametrize("submitted", [1, 1000, 1024, 1025, 3071, 7000])
+    def test_a_horizon_converts_fewer_than_twice_what_it_reaches(
+        self, long_trace, monkeypatch, submitted
+    ):
+        from repro.workloads.replay import _ReplayCursor
+
+        converted = []
+        convert = _ReplayCursor._convert
+
+        def spy(self, chunk, a, b):
+            converted.append(b - a)
+            convert(self, chunk, a, b)
+
+        monkeypatch.setattr(_ReplayCursor, "_convert", spy)
+        # Record k is due at k * 20 ms: stop just after the last one.
+        result = _replay(long_trace, until=(submitted - 1) * 0.02 + 0.01)
+        assert result["submitted"] == submitted
+        # The cursor has read one record more: the one it waits for.
+        reached = submitted + 1
+        assert sum(converted) < 2 * reached + 1024
+        assert converted[:3] == [1024, 2048, 4096][: len(converted)]
+
+    @pytest.fixture(scope="class")
+    def csv_replay(self, tmp_path_factory):
+        """A 300 s trace written to CSV, and its replay read back whole."""
+        from repro.traces.io import read_csv_trace, write_csv_trace
+
+        path = tmp_path_factory.mktemp("feed") / "trace.csv"
+        write_csv_trace(generate_trace("MSRsrc11", duration=300.0, seed=11), path)
+        parsed = read_csv_trace(path)  # times rounded to the file's µs
+        until = parsed.duration + 5.0
+        whole = _replay(parsed, until=until)
+        # Blocks of 1024, 2048 and 4096 records, and part of a fourth.
+        assert whole["submitted"] == len(parsed) > 1024 + 2048 + 4096
+        _assert_same(_replay(parsed.records(), until=until), whole)
+        return path, until, whole
+
+    @pytest.mark.parametrize("chunk_requests", [1, 700, 1024, 2500])
+    def test_a_streamed_csv_replays_bit_identically(self, csv_replay, chunk_requests):
+        from repro.traces.io import iter_trace_chunks
+
+        path, until, whole = csv_replay
+        chunks = iter_trace_chunks(path, chunk_requests=chunk_requests)
+        _assert_same(_replay(chunks, until=until), whole)

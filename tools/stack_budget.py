@@ -16,26 +16,31 @@ and the number of objects the cycle collector tracks:
   staggered scrubber alone on the drive for 2 s, the second assembly
   site (a point of Figs. 4, 5a, 5b);
 * ``detect`` -- ``run_detection_experiment`` with a fault plan,
-  remediation, a trace foreground and the drain.
+  remediation, a trace foreground and the drain;
+* ``waiting`` -- ``replay_with_scrubber`` of the Waiting scrubber
+  (100 ms, 64 KiB) on its FIFO device over the benchmark's dense
+  stretch: the first 12 s of a 600 s TPCdisk66 trace (seed 7).
 
 Nothing in the probe calls ``gc.collect()``: between runs a driver
 allocates almost nothing with the collector on, so what reference
 counting does not free stays (DESIGN sections 6.1 and 18).
 
-The ``replay`` row then makes one more call under ``sys.setprofile`` and
-prints the Python-level calls (``"call"`` events: function frames and
-generator resumptions) per request, foreground completed plus scrub
-issued as the benchmark counts them.  The count repeats exactly for a
-seed on one interpreter version; on CPython 3.11 it reads 31.62
-(324 830 calls over 10 272 requests, DESIGN section 6.3), and a frame
-the per-request path pays for nothing, such as a scan of every CFQ BE
-queue per ``select``, shows as a whole call or more.
+The ``replay`` and ``waiting`` rows then make one more call under
+``sys.setprofile`` and print the Python-level calls (``"call"`` events:
+function frames and generator resumptions) per request, foreground
+completed plus scrub issued as the benchmark counts them.  The count
+repeats exactly for a seed on one interpreter version.  On CPython 3.11
+``replay`` reads 31.62 (324 830 calls over 10 272 requests, DESIGN
+section 6.3): a frame the per-request path pays for nothing, such as a
+scan of every CFQ BE queue per ``select``, shows as a whole call or
+more.  ``waiting`` reads 36.86 (limit 36.94, the same slack): a Waiting
+scrubber woken by every foreground submit and completion again (DESIGN
+section 18) reads 68.43.
 
 Exit status 1 when call 12 stands more than 2 MB or 1000 tracked
 objects above call 2 (call 1 pays for imports and first-use caches), or
-when the ``replay`` row's calls per request exceed
-:data:`CALLS_PER_REQUEST`.  The seconds are printed for the reader and
-never judged.
+when a row's calls per request exceed its :data:`CALLS_PER_REQUEST`.
+The seconds are printed for the reader and never judged.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 CALLS = 12
 GROWTH_MB = 2.0
 GROWTH_OBJECTS = 1000
-#: The ``replay`` row's limit on Python-level calls per request.
-CALLS_PER_REQUEST = 31.7
+#: Limits on Python-level calls per request, by row.
+CALLS_PER_REQUEST = {"replay": 31.7, "waiting": 36.94}
 
 _PROBE = """
 import gc, json, resource, sys, time
@@ -65,7 +70,7 @@ from repro.core.staggered import StaggeredScrub
 from repro.disk.models import PRESETS
 from repro.traces import generate_trace
 
-row, calls = sys.argv[1], int(sys.argv[2])
+row, calls, per_request = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
 spec = PRESETS["ultrastar"]()
 if row == "replay":
     # bench/wl_replay.py's window: the 40 s stretch of a 6 h MSRsrc11
@@ -77,6 +82,12 @@ if row == "replay":
     setup = ScrubberSetup(algorithm="staggered", regions=128)
     def call():
         return replay_with_scrubber(trace, spec, scrubber=setup, horizon=40.0)
+elif row == "waiting":
+    # bench/wl_replay.py's replay_dense stretch and Waiting setup.
+    trace = generate_trace("TPCdisk66", duration=600.0, seed=7)
+    waiting = {"threshold": 0.1, "request_bytes": 64 * 1024}
+    def call():
+        return replay_with_scrubber(trace, spec, waiting=waiting, horizon=12.0)
 elif row == "throughput":
     def call():
         assert standalone_scrub_throughput(spec, StaggeredScrub(128), horizon=2.0) > 0
@@ -104,7 +115,7 @@ for _ in range(calls):
         "objects": len(gc.get_objects()),
     })
 calls_per_request = None
-if row == "replay":
+if per_request:
     frames = 0
     def count(frame, event, arg):
         global frames
@@ -117,18 +128,21 @@ if row == "replay":
 print(json.dumps({"samples": samples, "calls_per_request": calls_per_request}))
 """
 
-ROWS = ("replay", "throughput", "detect")
+ROWS = ("replay", "throughput", "detect", "waiting")
 
 
 def measure(row: str) -> dict:
     """Twelve serial calls of ``row`` in a fresh interpreter: their
-    ``samples`` and, for ``replay``, ``calls_per_request``."""
+    ``samples`` and, for a row with a limit, ``calls_per_request``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH")))
     )
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, row, str(CALLS)],
+        [
+            sys.executable, "-c", _PROBE, row, str(CALLS),
+            "1" if row in CALLS_PER_REQUEST else "0",
+        ],
         env=env, capture_output=True, text=True,
     )
     if done.returncode:
@@ -166,12 +180,13 @@ def main() -> int:
             )
         calls = probe["calls_per_request"]
         if calls is not None:
-            verdict = "OK" if calls <= CALLS_PER_REQUEST else "OVER BUDGET"
+            limit = CALLS_PER_REQUEST[row]
+            verdict = "OK" if calls <= limit else "OVER BUDGET"
             print(
                 f"{row:<17} {calls:.2f} Python-level calls per request "
-                f"(limit {CALLS_PER_REQUEST}): {verdict}"
+                f"(limit {limit}): {verdict}"
             )
-            failed = failed or calls > CALLS_PER_REQUEST
+            failed = failed or calls > limit
     print("stack budget [FAIL]" if failed else "stack budget [OK]")
     return 1 if failed else 0
 
