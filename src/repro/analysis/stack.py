@@ -180,11 +180,11 @@ class ScrubStack:
         self.foreground = workload
         started.append(workload.start())
 
-    def replay(self, records, time_scale: float = 1.0) -> None:
-        """Start an open-loop replay of ``records`` as the foreground
+    def replay(self, trace, time_scale: float = 1.0) -> None:
+        """Start an open-loop replay of ``trace`` as the foreground
         (anything :class:`TraceReplayer` accepts; LBNs wrap onto the drive)."""
         self._start_foreground(
-            TraceReplayer(self.sim, self.device, records, time_scale=time_scale)
+            TraceReplayer(self.sim, self.device, trace, time_scale=time_scale)
         )
 
     def reader(self, pattern: str, seed: int, think_mean: float) -> None:

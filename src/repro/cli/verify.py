@@ -10,9 +10,7 @@ import sys
 #: ``repro.verify.AXES``, spelled out: importing ``repro.verify`` to
 #: build the parser would cost every command ~50 modules
 #: (tests/test_cli_contract.py holds the two equal).
-AXES = (
-    "kernel-twin", "feed", "telemetry", "parallel", "monitor", "fleet-kernel",
-)
+AXES = ("kernel-twin", "telemetry", "parallel", "monitor", "fleet-kernel")
 
 
 def register(subparsers) -> None:
@@ -22,11 +20,11 @@ def register(subparsers) -> None:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "Each fuzzed configuration runs under the runtime invariant\n"
-            "checker and through the differential oracle's axes (no sink\n"
-            "vs a live invariant sink, array vs record replay feed,\n"
-            "telemetry on vs off, serial vs forked-worker sweep, campaign\n"
-            "monitor on vs off, fleet shard kernel vs its reference\n"
-            "ledger).\n"
+            "checker (which holds every replayed request to the trace's\n"
+            "schedule) and through the differential oracle's axes (no\n"
+            "sink vs a live invariant sink, telemetry on vs off, serial\n"
+            "vs forked-worker sweep, campaign monitor on vs off, fleet\n"
+            "shard kernel vs its reference ledger).\n"
             "Any failing configuration is minimised and reprinted as a\n"
             "copy-pasteable repro snippet.  The same --seed always draws\n"
             "the same configurations."

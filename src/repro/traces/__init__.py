@@ -1,11 +1,11 @@
-"""Block I/O traces: records, parsing, synthesis and idle analysis.
+"""Block I/O traces: the container, parsing, synthesis and idle analysis.
 
 The paper analyses 77 disk traces from the SNIA IOTTA repository (HP
 Cello 1999, MSR Cambridge 2008, MS TPC-C 2009 — Table I).  Those traces
 are not redistributable, so this package provides:
 
-* :class:`~repro.traces.record.Trace` / :class:`~repro.traces.record.TraceRecord`
-  — an efficient array-backed trace container;
+* :class:`~repro.traces.record.Trace` — an efficient array-backed
+  trace container;
 * :mod:`repro.traces.io` — a parser/writer for SNIA-style CSV block
   traces, so users with access to the real traces can load them;
 * :mod:`repro.traces.synth` — synthetic arrival/address generators
@@ -30,7 +30,7 @@ from repro.traces.io import (
     read_csv_trace,
     write_csv_trace,
 )
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.record import Trace
 from repro.traces.store import (
     StoredTrace,
     StoreIntegrityError,
@@ -49,7 +49,6 @@ __all__ = [
     "TraceCorpus",
     "TraceFormatError",
     "TraceProfile",
-    "TraceRecord",
     "TraceSpec",
     "TraceStoreError",
     "generate_corpus",

@@ -2,16 +2,16 @@
 
 A :class:`Trace` stores a block I/O trace as parallel numpy arrays —
 the only representation that stays workable at the paper's scale
-(tens of millions of requests per disk-week).  Individual records are
-materialised lazily as :class:`TraceRecord` objects for consumers that
-want them (e.g. the replayer).
+(tens of millions of requests per disk-week).  No layer materialises a
+per-request object: the replayer (:mod:`repro.workloads.replay`)
+converts the columns block-wise, and the analyses work on the columns
+themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,16 +49,6 @@ def update_digest_bytes(h, column: np.ndarray) -> None:
     view = memoryview(column).cast("B")
     for start in range(0, len(view), _DIGEST_BLOCK):
         h.update(view[start:start + _DIGEST_BLOCK])
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry (times in seconds from trace start)."""
-
-    time: float
-    lbn: int
-    sectors: int
-    is_write: bool
 
 
 class Trace:
@@ -153,16 +143,6 @@ class Trace:
         if len(self.times) == 0:
             return 0.0
         return float(self.times[-1] - self.times[0])
-
-    def records(self) -> Iterator[TraceRecord]:
-        """Iterate records (lazy; suitable for the replayer)."""
-        for i in range(len(self.times)):
-            yield TraceRecord(
-                time=float(self.times[i]),
-                lbn=int(self.lbns[i]),
-                sectors=int(self.sectors[i]),
-                is_write=bool(self.is_write[i]),
-            )
 
     def window(self, start: float, end: float) -> "Trace":
         """Sub-trace with arrivals in ``[start, end)`` (times re-based)."""

@@ -42,11 +42,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.obs.export import atomic_write
-from repro.traces.record import (
-    Trace,
-    TraceRecord,
-    update_digest_bytes,
-)
+from repro.traces.record import Trace, update_digest_bytes
 
 #: On-disk format tag / version for a single stored trace.
 STORE_FORMAT = "repro-trace-store"
@@ -289,10 +285,9 @@ class StoredTrace:
 
     Duck-types the :class:`Trace` surface the replay and analysis
     layers consume — ``digest()``, ``duration``, ``len()``, iteration
-    as time-ordered :class:`Trace` chunks (which is exactly the
-    chunk-iterable input :class:`~repro.workloads.replay.TraceReplayer`
-    already accepts), and ``records()`` for the legacy per-record feed
-    — while never holding more than one chunk's pages resident.
+    as time-ordered :class:`Trace` chunks (which
+    :class:`~repro.workloads.replay.TraceReplayer` replays) — while
+    never holding more than one chunk's pages resident.
     """
 
     def __init__(self, directory: Path, header: dict) -> None:
@@ -435,11 +430,6 @@ class StoredTrace:
         # TraceReplayer's chunk-iterable input path consumes, so
         # ``TraceReplayer(stored_trace)`` streams from disk natively.
         return self.iter_chunks()
-
-    def records(self) -> Iterator[TraceRecord]:
-        """Per-record iteration for the legacy replay feed."""
-        for chunk in self.iter_chunks():
-            yield from chunk.records()
 
     def verify(self) -> None:
         """Full audit: every chunk digest plus the whole-trace digest.

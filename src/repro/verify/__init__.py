@@ -1,17 +1,17 @@
 """Correctness harness: invariants, differential oracle, config fuzzer.
 
-Four PRs of optimisation (fast kernel, parallel sweeps, telemetry,
-zero-copy replay) left the stack with pairs of code paths that
-promise bit-identical behaviour and a web of conservation laws the
-simulation must respect.  This package checks both, three ways:
+The stack has pairs of code paths that promise bit-identical behaviour
+and a web of conservation laws the simulation must respect.  This
+package checks both, three ways:
 
 * :mod:`repro.verify.invariants` — :class:`InvariantSink`, a telemetry
   sink that validates conservation laws *live* during any run and
   raises :class:`InvariantViolation` with the offending event window;
 * :mod:`repro.verify.differential` — :func:`run_axes` /
   :func:`check_parallel`, flipping one implementation switch at a time
-  (no sink vs a live invariant checker, record vs batched replay feed,
-  telemetry on vs off, serial vs forked workers) and requiring
+  (no sink vs a live invariant checker, telemetry on vs off, serial vs
+  forked workers, campaign monitor on vs off, fleet kernel vs its
+  reference ledger) and requiring
   bit-identical outcomes;
 * :mod:`repro.verify.fuzzer` — :func:`fuzz`, deterministic random
   configurations driven through both of the above, with failures

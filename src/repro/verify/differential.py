@@ -1,8 +1,8 @@
 """Differential oracle: independent code paths must agree bit-for-bit.
 
-Four PRs of optimisation left the stack with pairs of code paths that
-promise identical observable behaviour.  Each promise is an *axis* the
-oracle can flip while holding the seeded scenario fixed:
+The stack has pairs of code paths that promise identical observable
+behaviour.  Each promise is an *axis* the oracle can flip while holding
+the seeded scenario fixed:
 
 ==================  ====================================================
 axis                paths compared
@@ -11,10 +11,6 @@ axis                paths compared
                     engine has one loop, so this is sink passivity
                     under the invariant checker; the name (a public
                     ``--axes`` value) predates the single loop
-``feed``            legacy record-generator replay vs the PR 4 batched
-                    ``_ReplayCursor`` array feed — compared *with* a
-                    recorder attached, so the full event stream and
-                    metric snapshot participate in the signature
 ``telemetry``       telemetry off vs a recording :class:`Recorder` —
                     the sink-passivity contract (observation never
                     perturbs)
@@ -61,9 +57,7 @@ __all__ = [
 #: is batch-level (one pool spawn amortised over many configs) and
 #: lives in :func:`check_parallel`; ``monitor`` and ``fleet-kernel``
 #: run a small seeded fleet campaign rather than the scenario itself.
-AXES = (
-    "kernel-twin", "feed", "telemetry", "parallel", "monitor", "fleet-kernel",
-)
+AXES = ("kernel-twin", "telemetry", "parallel", "monitor", "fleet-kernel")
 
 
 class DifferentialMismatch(AssertionError):
@@ -130,8 +124,8 @@ def run_axes(
 ) -> Dict[str, str]:
     """Exercise the per-scenario differential axes on one configuration.
 
-    ``params`` are :func:`run_scenario` kwargs *without* ``feed`` /
-    ``telemetry`` (the oracle owns those switches).  Returns the agreed
+    ``params`` are :func:`run_scenario` kwargs *without* ``telemetry``
+    (the oracle owns that switch).  Returns the agreed
     signature per axis; raises :class:`DifferentialMismatch` on the
     first divergence.  The ``parallel`` axis is intentionally absent —
     it compares whole batches (:func:`check_parallel`) so the process
@@ -141,7 +135,7 @@ def run_axes(
     unknown = set(selected) - set(AXES)
     if unknown:
         raise ValueError(f"unknown axes {sorted(unknown)}; choose from {AXES}")
-    base = {k: v for k, v in params.items() if k not in ("feed", "telemetry")}
+    base = {k: v for k, v in params.items() if k != "telemetry"}
     signatures: Dict[str, str] = {}
 
     if "kernel-twin" in selected:
@@ -149,12 +143,6 @@ def run_axes(
         checked = run_scenario(**base, telemetry="invariants")
         signatures["kernel-twin"] = _compare(
             "kernel-twin", base, bare, checked, include_telemetry=False
-        )
-    if "feed" in selected:
-        arrays = run_scenario(**base, feed="arrays", telemetry="recorder")
-        records = run_scenario(**base, feed="records", telemetry="recorder")
-        signatures["feed"] = _compare(
-            "feed", base, arrays, records, include_telemetry=True
         )
     if "telemetry" in selected:
         off = run_scenario(**base, telemetry="none")

@@ -24,7 +24,12 @@ of the stack's conservation laws:
   disk, for sequential and staggered orders alike;
 * **fault lifecycle** — detection implies a prior onset, no sector is
   reallocated twice, the spare pool never over-drains, and a
-  ``verify_after_remap`` implies a prior remap.
+  ``verify_after_remap`` implies a prior remap;
+* **replay schedule** — once told the replayed trace
+  (:meth:`InvariantSink.expect_replay`), foreground request *i* is
+  trace record *i* (LBN wrapped, sectors clipped, read or write)
+  submitted at exactly the time the replay cursor promises, and no
+  record due before the run ended goes unsubmitted.
 
 Violations carry the offending event plus a window of the events that
 led up to it, so a failure inside a million-event run pinpoints its
@@ -130,6 +135,11 @@ class InvariantSink(TelemetrySink):
 
     def __init__(self, total_sectors: Optional[int] = None) -> None:
         self.total_sectors = total_sectors
+        #: ``(trace, time_scale, start)`` once :meth:`expect_replay`
+        #: is called; the next record's index and the last submit time.
+        self._replay: Optional[Tuple[Any, float, float]] = None
+        self._replayed = 0
+        self._replayed_at = 0.0
         self.last_time = float("-inf")
         self.events_seen = 0
         #: Lifecycle state by request sequence number.
@@ -176,9 +186,72 @@ class InvariantSink(TelemetrySink):
                 now,
             )
 
+    # -- replay schedule -----------------------------------------------------
+    def expect_replay(self, trace: Any, time_scale: float, start: float) -> None:
+        """Hold every ``"foreground"`` request to the replay of ``trace``
+        started at ``start`` with ``time_scale``.
+
+        Record *i* is due at ``due_i = (t_i - t_0) * time_scale + start``
+        and must be submitted at ``s_i``, with ``s_{-1} = start``,
+        ``s_i = s_{i-1}`` if ``due_i <= s_{i-1}`` and
+        ``s_{i-1} + (due_i - s_{i-1})`` otherwise: a late record goes at
+        once, an early one waits ``due_i - now``.  Times compare with
+        ``==``.  ``start`` is the replay's start time, passed in and not
+        read off the first submit: a uniform shift of every submit is
+        consistent with itself.
+        """
+        if self.total_sectors is None:
+            raise ValueError("expect_replay needs total_sectors to wrap LBNs")
+        self._replay = (trace, time_scale, start)
+        self._replayed = 0
+        self._replayed_at = start
+
+    def _record(self, index: int) -> Tuple[float, str, int, int]:
+        """``(submit time, opcode, lbn, sectors)`` replay record
+        ``index`` must arrive as, if it is the next one."""
+        trace, time_scale, start = self._replay
+        origin = float(trace.times[0])
+        due = (float(trace.times[index]) - origin) * time_scale + start
+        at = self._replayed_at
+        if due > at:
+            at = at + (due - at)
+        sectors = max(1, int(trace.sectors[index]))
+        lbn = int(trace.lbns[index])
+        if lbn + sectors > self.total_sectors:
+            lbn = lbn % max(1, self.total_sectors - sectors)
+        opcode = "write" if trace.is_write[index] else "read"
+        return at, opcode, lbn, sectors
+
+    def _check_replayed(self, now: float, request: Any) -> None:
+        index = self._replayed
+        if index >= len(self._replay[0]):
+            self._fail(
+                "replay-schedule",
+                f"foreground submit {index} past the trace's last record "
+                f"{index - 1}: {request!r}",
+                now,
+            )
+        command = request.command
+        got = (
+            request.submit_time, command.opcode.value, command.lbn,
+            command.sectors,
+        )
+        expected = self._record(index)
+        if got != expected:
+            self._fail(
+                "replay-schedule",
+                f"foreground submit {index} is not trace record {index}: "
+                f"got {_replayed(got)}, expected {_replayed(expected)}",
+                now,
+            )
+        self._replayed = index + 1
+        self._replayed_at = expected[0]
+
     # -- request lifecycle ---------------------------------------------------
     def request_queued(self, now: float, request: Any) -> None:
         self._note(now, "request_queued", repr(request))
+        if self._replay is not None and request.source == "foreground":
+            self._check_replayed(now, request)
         self._check_bounds(now, request.command)
         seq = request.seq
         if seq in self._queued or seq in self._dispatched or seq in self._done:
@@ -340,7 +413,10 @@ class InvariantSink(TelemetrySink):
         legal (an open-loop replay can end mid-burst), and so is the
         single request the non-preemptive drive was servicing when the
         clock stopped — but never more than one, and the totals must
-        balance: ``queued == completed + waiting + in-flight``.
+        balance: ``queued == completed + waiting + in-flight``.  Under
+        :meth:`expect_replay`, the first unsubmitted record must not be
+        due before the last time the sink heard: call ``finish`` at a
+        replayer's ``stop()`` to check the replay up to the stop.
         """
         at = self.last_time if self.last_time > float("-inf") else None
         in_flight = len(self._dispatched)
@@ -360,8 +436,22 @@ class InvariantSink(TelemetrySink):
                 f"{in_flight}",
                 at,
             )
+        if self._replay is not None and self._replayed < len(self._replay[0]):
+            due = self._record(self._replayed)[0]
+            if due < self.last_time:
+                self._fail(
+                    "replay-schedule",
+                    f"trace record {self._replayed} due at t={due!r} was "
+                    f"never submitted (the run ended at t={self.last_time!r})",
+                    due,
+                )
         if faults is not None:
             check_media_faults(faults, total_sectors=self.total_sectors)
+
+
+def _replayed(submit: Tuple[float, str, int, int]) -> str:
+    at, opcode, lbn, sectors = submit
+    return f"{opcode} [{lbn}, {lbn + sectors}) at t={at!r}"
 
 
 def check_error_log(log: Any) -> None:

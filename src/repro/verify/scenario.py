@@ -7,9 +7,9 @@ that primitive.  It runs the same assembly as ``repro detect``,
 ``repro trace`` and the figure experiments —
 :class:`repro.analysis.stack.ScrubStack` — so what the fuzzer, the
 differential axes and the planted-bug self-test validate is the code
-those ship.  On top it exposes the switches the oracle flips —
-telemetry mode, replay feed — as first-class parameters, and distils
-the run into a plain ``dict`` that
+those ship.  On top it exposes the switch the oracle flips — the
+telemetry mode — as a first-class parameter, and distils the run into
+a plain ``dict`` that
 :func:`repro.parallel.cache.canonicalize` can hash, so two runs agree
 iff their outcome signatures agree.
 
@@ -19,16 +19,17 @@ Three scenario families cover the stack's behavioural envelope:
     A generated catalog trace replayed open-loop against the drive
     while a scrubber walks it.  No faults: the pure scheduling core.
 ``trace-replay``
-    The same trace but *pre-chunked* before feeding, exercising the
-    streamed-chunk reassembly path of :class:`TraceReplayer` on top of
-    the feed axis.
+    The same trace but *pre-chunked* before replaying, exercising the
+    streamed-chunk path of :class:`TraceReplayer`.
 ``fault-injected``
     Adds a seeded fault plan, media-error detection and the full
     split/remap/verify remediation lifecycle.
 
-All three accept ``feed="arrays" | "records"`` (the batched cursor vs
-the legacy record-generator replayer path) and
-``telemetry="none" | "invariants" | "recorder"``.  Outcomes are split
+All three accept ``telemetry="none" | "invariants" | "recorder"``;
+under ``"invariants"`` the sink also holds every replayed request to
+the trace's schedule
+(:meth:`~repro.verify.invariants.InvariantSink.expect_replay`).
+Outcomes are split
 into *core* keys — which must be bit-identical across every axis the
 oracle flips — and the ``"telemetry"`` key, which only exists when a
 recorder was attached.
@@ -48,12 +49,10 @@ from repro.faults import RemediationPolicy, build_model
 from repro.traces.catalog import generate_trace
 from repro.traces.record import Trace
 
-__all__ = ["FAMILIES", "FEEDS", "TELEMETRY_MODES", "run_scenario"]
+__all__ = ["FAMILIES", "TELEMETRY_MODES", "run_scenario"]
 
 #: Scenario families the harness understands.
 FAMILIES = ("synthetic", "trace-replay", "fault-injected")
-#: Replay feeds (the PR 4 differential axis).
-FEEDS = ("arrays", "records")
 #: Telemetry modes (the PR 3 differential axis plus the checker).
 TELEMETRY_MODES = ("none", "invariants", "recorder")
 
@@ -119,7 +118,6 @@ def run_scenario(
     trace_name: str = "TPCdisk66",
     rate_scale: float = 1.0,
     time_scale: float = 1.0,
-    feed: str = "arrays",
     chunk_requests: int = 64,
     model: str = "bursts",
     model_params: Optional[dict] = None,
@@ -149,8 +147,6 @@ def run_scenario(
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}: {family!r}")
-    if feed not in FEEDS:
-        raise ValueError(f"feed must be one of {FEEDS}: {feed!r}")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
     if drive not in PRESETS:
@@ -196,15 +192,12 @@ def run_scenario(
     trace = generate_trace(
         trace_name, duration=horizon, seed=seed, rate_scale=rate_scale
     )
-    if family == "trace-replay":
-        source = _chunked(trace, chunk_requests)
-        if feed == "records":
-            # Chunk-then-reassemble through the record path: same
-            # requests, radically different plumbing.
-            source = (r for chunk in source for r in chunk.records())
-    else:
-        source = trace if feed == "arrays" else trace.records()
-    stack.replay(source, time_scale)
+    if telemetry == "invariants":
+        sink.expect_replay(trace, time_scale, sim.now)
+    stack.replay(
+        _chunked(trace, chunk_requests) if family == "trace-replay" else trace,
+        time_scale,
+    )
     stack.run(horizon, drain=True)
 
     if telemetry == "invariants":

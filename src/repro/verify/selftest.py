@@ -28,9 +28,9 @@ The planted bugs (one per conservation law / differential axis):
     A component reports a stale timestamp.  Caught by *clock
     monotonicity*.
 ``cursor-drift``
-    The batched replay cursor drifts its due times by one part in
-    10^12 — far below anything a summary statistic would notice.
-    Caught by the differential oracle's *feed* axis.
+    The replay cursor drifts its due times by one part in 10^12 — far
+    below anything a summary statistic would notice.  Caught by the
+    *replay-schedule* invariant at the first record.
 ``fleet-seed-words``
     The fleet's batch seeding swaps the 32-bit halves of every PCG64
     state word, so each group draws from a generator that is not
@@ -229,10 +229,6 @@ def _check_invariants(params: dict) -> None:
     run_scenario(**params, telemetry="invariants")
 
 
-def _check_feed_axis(params: dict) -> None:
-    run_axes(params, axes=("feed",))
-
-
 def _check_fleet_kernel_axis(params: dict) -> None:
     run_axes(params, axes=("fleet-kernel",))
 
@@ -284,13 +280,13 @@ MUTATIONS: Dict[str, Mutation] = {
         (InvariantViolation,),
     ),
     "cursor-drift": Mutation(
-        "batched replay cursor drifts due times by 0.5 ns",
+        "replay cursor drifts due times by 0.5 ns",
         _cursor_drift,
         # The dense TPC trace: hundreds of replayed arrivals for the
         # drift to land on (the sparse Cello trace has too few).
         {"family": "synthetic", "algorithm": "sequential", "seed": 11},
-        _check_feed_axis,
-        (DifferentialMismatch,),
+        _check_invariants,
+        (InvariantViolation,),
     ),
     "fleet-seed-words": Mutation(
         "batch seeding swaps the halves of each PCG64 state word",

@@ -4,34 +4,25 @@ Replays a block I/O trace against a :class:`~repro.sched.device.BlockDevice`
 preserving the original arrival times (open loop: arrivals do not slow
 down when the device is overloaded, exactly like the paper's replayer).
 
-Two feeds, one contract
------------------------
-:class:`TraceReplayer` accepts three input shapes:
+:class:`TraceReplayer` accepts a :class:`~repro.traces.record.Trace`, a
+:class:`~repro.traces.store.StoredTrace` or an iterable of time-sorted
+``Trace`` chunks (e.g. :func:`repro.traces.io.iter_trace_chunks`), and
+feeds all three through one :class:`_ReplayCursor`: due times, clipped
+sector counts and wrapped LBNs are computed block-wise with numpy
+(blocks of ``_FIRST_BLOCK`` records, doubling up to ``_BLOCK``), and the
+engine is fed from an array cursor that reuses a single scheduling
+event (a freelist of one) instead of allocating a record object, a
+generator frame and a ``Timeout`` per request.  A chunked trace
+replays in bounded memory.
 
-* an iterable of duck-typed records (anything with ``time``, ``lbn``,
-  ``sectors`` and ``is_write`` attributes, in particular
-  :class:`repro.traces.TraceRecord`) — the original generator-based
-  path, kept verbatim;
-* a :class:`~repro.traces.record.Trace` — the batched fast path: a
-  :class:`_ReplayCursor` pre-computes due times, clipped sector counts
-  and wrapped LBNs block-wise with numpy (blocks of ``_FIRST_BLOCK``
-  records, doubling up to ``_BLOCK``) and feeds the engine from an
-  array cursor that reuses a single scheduling event (a freelist of
-  one) instead of allocating a record object, a generator frame and a
-  ``Timeout`` per request;
-* an iterable of :class:`Trace` chunks — the same cursor streaming
-  over chunks (e.g. :func:`repro.traces.io.iter_trace_chunks`), so a
-  multi-GB trace replays in bounded memory.
-
-The two paths are **bit-identical**, including telemetry: the cursor
-consumes exactly the sequence numbers the generator path would — one
-for its init event, one per scheduled wait, one for the completion
-event — computes due times with the same float expression, and
-replicates the generator's submit-on-wakeup semantics (a record whose
-wait was scheduled is submitted unconditionally on wakeup, even when
-float rounding wakes the clock marginally before the nominal due
-time).  A trace replayed through either feed produces the same request
-stream, the same event count, and the same final state.
+The schedule the cursor keeps is a checked contract: record *i* is
+submitted at ``s_i``, where ``due_i = (t_i - t_0) * time_scale + start``,
+``s_0 = start`` and ``s_i = s_{i-1}`` if ``due_i <= s_{i-1}``, else
+``s_{i-1} + (due_i - s_{i-1})`` (a wait is scheduled as ``now + delay``,
+and the record it waits for is submitted when it fires, even if float
+rounding lands marginally before ``due_i``).
+:meth:`repro.verify.invariants.InvariantSink.expect_replay` holds every
+foreground submit to it, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +36,7 @@ import numpy as np
 from repro.disk.commands import DiskCommand
 from repro.sched.device import BlockDevice
 from repro.sched.request import IORequest, PriorityClass
-from repro.sim import Interrupt, Process, Simulation
+from repro.sim import Interrupt, Simulation
 from repro.sim.events import _PENDING, Event
 from repro.traces.record import Trace
 
@@ -60,29 +51,22 @@ _FIRST_BLOCK = 1024
 
 
 class _ReplayCursor(Event):
-    """Array-fed replay driver: the batched :class:`TraceReplayer` path.
+    """The array-fed cursor behind every :class:`TraceReplayer`.
 
     The cursor is itself an :class:`Event` that succeeds when the trace
-    is exhausted — exactly as a :class:`Process` does when its
-    generator returns — so ``sim.run(until=replayer.start())`` behaves
-    identically on both feeds.
+    is exhausted, as a :class:`Process` does when its generator
+    returns, so ``sim.run(until=replayer.start())`` waits for the whole
+    replay.  The ``(time, key, event)`` entries it pushes are what the
+    request logs, the event counts and the benchmark digests are made
+    of:
 
-    Event-for-event parity with the generator path is a hard
-    invariant, relied on by the determinism tests and the benchmark's
-    bit-identity gate:
-
-    * ``_start`` pushes one init event, mirroring ``Process.__init__``;
+    * ``_start`` pushes one init event at the current time;
     * each wait reschedules one reused event object (``_fire_ev``, a
-      freelist of size one) through the same ``seq``/``heappush``
-      sequence a ``Timeout`` would consume, at the same float time
-      (``now + (due - now)``, *not* ``due`` — the generator path's
-      rounding is part of the contract);
-    * a record whose wait was scheduled is submitted unconditionally on
-      wakeup (the generator never re-checks ``due`` after its
-      ``timeout`` fires), then same-time records drain while
-      ``due <= now``;
-    * exhaustion pushes the cursor itself as a completion event,
-      mirroring ``Process._resume``'s ``StopIteration`` handling.
+      freelist of size one) at ``now + (due - now)``, *not* ``due``;
+    * a record whose wait was scheduled is submitted unconditionally
+      when it fires, then same-time records drain while ``due <= now``;
+    * exhaustion pushes the cursor itself as a completion event;
+    * ``_stop`` pushes one urgent interrupt event.
     """
 
     __slots__ = (
@@ -120,7 +104,7 @@ class _ReplayCursor(Event):
         super().__init__(sim)
         self.device = device
         self.time_scale = time_scale
-        #: Requests submitted so far (mirrors the legacy counter).
+        #: Requests submitted so far.
         self.count = 0
         self._on_fire = self._fire
         self._fire_ev: Optional[Event] = None
@@ -178,8 +162,8 @@ class _ReplayCursor(Event):
             return
         self._done = True
         if self._start_at is None:
-            # Interrupted before the init event fired: the generator
-            # path fails the process with the interrupt (pre-defused).
+            # Interrupted before the init event fired: fail with the
+            # interrupt (pre-defused), as an interrupted process does.
             self._close()
             self._defused = True
             Event.fail(self, Interrupt("stop"))
@@ -216,8 +200,7 @@ class _ReplayCursor(Event):
         idx = self._idx
         if self._designated:
             # This firing was scheduled for the record at ``idx``:
-            # submit it unconditionally, like the generator resuming
-            # after its timeout.
+            # submit it unconditionally.
             self._designated = False
             self._submit(idx)
             idx += 1
@@ -292,9 +275,8 @@ class _ReplayCursor(Event):
         return True
 
     def _convert(self, chunk: Trace, a: int, b: int) -> None:
-        # The exact float expression of the generator path —
-        # due = start_at + (time - origin) * time_scale — elementwise
-        # IEEE double either way, so dues are bit-identical.
+        # due = (time - origin) * time_scale + start_at, elementwise
+        # IEEE double, so block size moves no bit.
         dues = (chunk.times[a:b] - self._origin) * self.time_scale + self._start_at
         secs = np.maximum(1, chunk.sectors[a:b])
         lbns = chunk.lbns[a:b]
@@ -320,13 +302,11 @@ class TraceReplayer:
     ----------
     sim, device:
         Simulation context and target device.
-    records:
-        A :class:`Trace` (batched fast path), a
-        :class:`~repro.traces.store.StoredTrace` (streamed zero-copy
-        from its memory-mapped chunk files — one chunk resident at a
-        time), an iterable of :class:`Trace` chunks (streamed batched
-        path), or an iterable of record-like objects sorted-or-not by
-        arrival time (legacy path; sorted here).
+    trace:
+        A :class:`Trace`, a :class:`~repro.traces.store.StoredTrace`
+        (streamed zero-copy from its memory-mapped chunk files, one
+        chunk resident at a time) or an iterable of time-sorted
+        :class:`Trace` chunks.
     time_scale:
         Multiplier on inter-arrival times (e.g. 0.5 replays twice as fast).
     """
@@ -335,94 +315,52 @@ class TraceReplayer:
         self,
         sim: Simulation,
         device: BlockDevice,
-        records,
+        trace,
         time_scale: float = 1.0,
     ) -> None:
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive: {time_scale}")
+        from repro.traces.store import StoredTrace
+
+        accepts = (
+            "TraceReplayer replays a Trace, a StoredTrace or an iterable "
+            "of Trace chunks"
+        )
+        if isinstance(trace, Trace):
+            chunks = (trace,)
+        elif isinstance(trace, StoredTrace):
+            # No chunk is mapped (or digest-checked) until the replay
+            # actually starts.
+            chunks = trace.iter_chunks()
+        elif isinstance(trace, Iterable):
+            iterator = iter(trace)
+            first = next(iterator, None)
+            if first is not None and not isinstance(first, Trace):
+                raise TypeError(f"{accepts}, not {type(first).__name__} items")
+            chunks = () if first is None else chain((first,), iterator)
+        else:
+            raise TypeError(f"{accepts}, not {type(trace).__name__}")
         self.sim = sim
         self.device = device
         self.time_scale = time_scale
-        self._submitted = 0
-        self._process: Optional[Process] = None
+        self._chunks: Iterable[Trace] = chunks
         self._cursor: Optional[_ReplayCursor] = None
-        self.records: Optional[List] = None
-        self._chunks: Optional[Iterable[Trace]] = None
-        from repro.traces.store import StoredTrace
-
-        if isinstance(records, Trace):
-            self._chunks = (records,)
-        elif isinstance(records, StoredTrace):
-            # Explicit branch so no chunk is mapped (or digest-checked)
-            # until the replay actually starts.
-            self._chunks = records.iter_chunks()
-        else:
-            iterator = iter(records)
-            first = next(iterator, None)
-            if first is None:
-                self.records = []
-            elif isinstance(first, Trace):
-                self._chunks = chain((first,), iterator)
-            else:
-                self.records = sorted(
-                    chain((first,), iterator), key=lambda r: r.time
-                )
 
     @property
     def submitted(self) -> int:
-        """Requests submitted so far (either feed)."""
+        """Requests submitted so far."""
+        return 0 if self._cursor is None else self._cursor.count
+
+    def start(self) -> _ReplayCursor:
+        """Begin replaying; returns the cursor, an event that fires when
+        the trace is exhausted."""
         if self._cursor is not None:
-            return self._cursor.count
-        return self._submitted
-
-    def start(self):
-        """Begin replaying; returns an event that fires on completion.
-
-        The legacy feed returns the driving :class:`Process`; the
-        batched feed returns the :class:`_ReplayCursor` (also an
-        :class:`~repro.sim.events.Event`).  Both can be waited on.
-        """
-        if self._process is not None or self._cursor is not None:
             raise RuntimeError("replayer already started")
-        if self.records is None:
-            self._cursor = _ReplayCursor(
-                self.sim, self.device, self._chunks, self.time_scale
-            )
-            return self._cursor._start()
-        self._process = self.sim.process(self._run())
-        return self._process
+        self._cursor = _ReplayCursor(
+            self.sim, self.device, self._chunks, self.time_scale
+        )
+        return self._cursor._start()
 
     def stop(self) -> None:
         if self._cursor is not None:
             self._cursor._stop()
-            return
-        if self._process is None or not self._process.is_alive:
-            return
-        self._process.interrupt("stop")
-
-    def _run(self):
-        if not self.records:
-            return
-        total = self.device.drive.total_sectors
-        origin = self.records[0].time
-        start_at = self.sim.now
-        try:
-            for record in self.records:
-                due = start_at + (record.time - origin) * self.time_scale
-                if due > self.sim.now:
-                    yield self.sim.timeout(due - self.sim.now)
-                sectors = max(1, int(record.sectors))
-                lbn = int(record.lbn)
-                if lbn + sectors > total:
-                    lbn = lbn % max(1, total - sectors)
-                command = (
-                    DiskCommand.write(lbn, sectors)
-                    if record.is_write
-                    else DiskCommand.read(lbn, sectors)
-                )
-                self.device.submit(
-                    IORequest(command, priority=PriorityClass.BE, source="foreground")
-                )
-                self._submitted += 1
-        except Interrupt:
-            return

@@ -5,7 +5,8 @@
   became a package (``python tests/test_cli_contract.py > tests/
   cli_flags.jsonl`` rewrites it from the tree on ``PYTHONPATH``), less
   the five ``--kernel`` rows and the ``kernel-backend`` choice of
-  ``--axes`` that went with the kernel knob: 17 parsers, 148 flags.
+  ``--axes`` that went with the kernel knob, and the ``feed`` choice
+  of ``--axes`` that went with the record feed: 17 parsers, 148 flags.
   The package's parser equals it except for :data:`REGROUPED`.
 * Choices the parser spells out equal the library's own tuples.
 * Each shared flag set is written once, and no command module imports

@@ -155,7 +155,7 @@ class TestForegroundPlusScrubberPlusReplayer:
         SequentialReader(sim, device, streams.get("reader")).start()
         # Flat (non-diurnal) arrivals so a 20 s window has traffic.
         trace = generate_trace("TPCdisk66", duration=20.0, rate_scale=0.01)
-        replayer = TraceReplayer(sim, device, trace.records())
+        replayer = TraceReplayer(sim, device, trace)
         replayer.start()
         scrubber = Scrubber(
             sim, device, SequentialScrub(), priority=PriorityClass.IDLE

@@ -1,6 +1,6 @@
-"""Batched array-cursor replay vs the legacy record feed: bit-identity,
-chunked streaming, stop()/error parity, and the mean_slowdown_vs
-comparison guards."""
+"""The replay cursor against the replay-schedule invariant: a horizon
+cut, a drain past the end, stop(), chunked and CSV-streamed input, and
+the mean_slowdown_vs comparison guards."""
 
 import inspect
 
@@ -13,6 +13,7 @@ from repro.sched import BlockDevice, CFQScheduler
 from repro.sim import Simulation
 from repro.obs.sink import Recorder
 from repro.traces import Trace, generate_trace
+from repro.verify import InvariantSink, InvariantViolation
 from repro.workloads.replay import TraceReplayer
 
 HORIZON = 15.0
@@ -23,14 +24,26 @@ def trace():
     return generate_trace("MSRsrc11", duration=60.0, seed=11)
 
 
-def _replay(trace_or_records, telemetry=None, until=HORIZON, **kwargs):
+def _stack(telemetry=None):
+    drive = Drive(hitachi_ultrastar_15k450())
+    if telemetry == "invariants":
+        telemetry = InvariantSink(total_sectors=drive.total_sectors)
     sim = Simulation(telemetry=telemetry) if telemetry is not None else Simulation()
-    device = BlockDevice(
-        sim, Drive(hitachi_ultrastar_15k450()), CFQScheduler()
-    )
-    replayer = TraceReplayer(sim, device, trace_or_records, **kwargs)
+    return sim, BlockDevice(sim, drive, CFQScheduler()), telemetry
+
+
+def _replay(source, expected=None, telemetry=None, until=HORIZON):
+    """Replay ``source``; with ``expected`` (the whole trace ``source``
+    replays) every submit is held to its schedule and the run ends in
+    :meth:`InvariantSink.finish`."""
+    sim, device, sink = _stack("invariants" if expected is not None else telemetry)
+    if expected is not None:
+        sink.expect_replay(expected, 1.0, sim.now)
+    replayer = TraceReplayer(sim, device, source)
     replayer.start()
     sim.run(until=until)
+    if expected is not None:
+        sink.finish()
     return {
         "response_times": device.log.response_times("foreground"),
         "requests": device.log.count("foreground"),
@@ -47,99 +60,91 @@ def _assert_same(a, b):
 
 
 class TestFeedDeterminism:
-    def test_arrays_match_records_feed(self, trace):
-        _assert_same(_replay(trace), _replay(trace.records()))
+    def test_a_horizon_cut_replay_keeps_the_schedule(self, trace):
+        result = _replay(trace, expected=trace)
+        assert 0 < result["submitted"] < len(trace)
+        _assert_same(result, _replay(trace))
 
-    def test_arrays_match_records_feed_under_telemetry(self, trace):
-        rec_a, rec_b = Recorder(wall_time=False), Recorder(wall_time=False)
-        a = _replay(trace, telemetry=rec_a)
-        b = _replay(trace.records(), telemetry=rec_b)
-        _assert_same(a, b)
-        assert rec_a.export() == rec_b.export()
+    def test_a_recorder_sees_the_checked_replay(self, trace):
+        recorder = Recorder(wall_time=False)
+        recorded = _replay(trace, telemetry=recorder)
+        _assert_same(recorded, _replay(trace, expected=trace))
+        assert recorder.metrics.counter("device.submitted").value == (
+            recorded["submitted"]
+        )
 
     def test_full_trace_drains_identically(self, trace):
-        _assert_same(
-            _replay(trace, until=trace.duration + 5.0),
-            _replay(trace.records(), until=trace.duration + 5.0),
-        )
+        until = trace.duration + 5.0
+        drained = _replay(trace, expected=trace, until=until)
+        assert drained["submitted"] == len(trace)
+        _assert_same(drained, _replay(trace, until=until))
 
     def test_empty_trace(self):
         empty = Trace(
             np.zeros(0), np.zeros(0, int), np.ones(0, int), np.zeros(0, bool)
         )
-        result = _replay(empty)
+        result = _replay(empty, expected=empty)
         assert result["submitted"] == 0
         assert result["requests"] == 0
+
+
+def _chunks(trace, *bounds):
+    return [
+        Trace(
+            trace.times[a:b],
+            trace.lbns[a:b],
+            trace.sectors[a:b],
+            trace.is_write[a:b],
+            name=trace.name,
+            capacity_sectors=trace.capacity_sectors,
+        )
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 class TestChunkedReplay:
     def test_chunk_sequence_matches_whole_trace(self, trace):
         third = len(trace) // 3
-        chunks = [
-            Trace(
-                trace.times[a:b],
-                trace.lbns[a:b],
-                trace.sectors[a:b],
-                trace.is_write[a:b],
-                name=trace.name,
-                capacity_sectors=trace.capacity_sectors,
-            )
-            for a, b in ((0, third), (third, 2 * third), (2 * third, len(trace)))
-        ]
-        _assert_same(_replay(iter(chunks)), _replay(trace))
+        chunks = _chunks(trace, 0, third, 2 * third, len(trace))
+        _assert_same(_replay(iter(chunks), expected=trace), _replay(trace))
 
     def test_unsorted_chunk_sequence_rejected(self, trace):
-        half = len(trace) // 2
-        first = Trace(
-            trace.times[:half], trace.lbns[:half],
-            trace.sectors[:half], trace.is_write[:half],
-        )
-        second = Trace(
-            trace.times[half:], trace.lbns[half:],
-            trace.sectors[half:], trace.is_write[half:],
-        )
+        first, second = _chunks(trace, 0, len(trace) // 2, len(trace))
         with pytest.raises(ValueError, match="time-sorted"):
             _replay(iter([second, first]), until=trace.duration + 5.0)
 
+    def test_a_non_iterable_is_refused(self):
+        sim, device, _ = _stack()
+        with pytest.raises(TypeError, match="chunks, not int"):
+            TraceReplayer(sim, device, 42)
 
-class TestCursorParity:
-    def _tiny(self, lbn=100):
-        return Trace([0.0, 0.5, 1.0], [lbn, lbn, lbn], [8, 8, 8],
-                     [False, True, False])
 
-    def test_stop_mid_replay_matches_records_feed(self, trace):
-        def run(source):
-            sim = Simulation()
-            device = BlockDevice(
-                sim, Drive(hitachi_ultrastar_15k450()), CFQScheduler()
-            )
-            replayer = TraceReplayer(sim, device, source)
-            replayer.start()
-            sim.run(until=5.0)
-            replayer.stop()
-            sim.run(until=HORIZON)
-            return {
-                "response_times": device.log.response_times("foreground"),
-                "requests": device.log.count("foreground"),
-                "submitted": replayer.submitted,
-                "now": sim.now,
-            }
+class TestStop:
+    def test_a_stop_mid_replay_ends_the_schedule_there(self, trace):
+        sim, device, sink = _stack("invariants")
+        sink.expect_replay(trace, 1.0, sim.now)
+        replayer = TraceReplayer(sim, device, trace)
+        replayer.start()
+        sim.run(until=5.0)
+        sink.finish()  # every record due before the stop went out on time
+        at_stop = replayer.submitted
+        replayer.stop()
+        sim.run(until=HORIZON)
+        assert 0 < at_stop == replayer.submitted
+        # The first record the stop withheld, due inside the run.
+        with pytest.raises(InvariantViolation, match=f"trace record {at_stop} "):
+            sink.finish()
 
-        _assert_same(run(trace), run(trace.records()))
-
-    def test_stop_before_start_matches_records_feed(self, trace):
-        def run(source):
-            sim = Simulation()
-            device = BlockDevice(
-                sim, Drive(hitachi_ultrastar_15k450()), CFQScheduler()
-            )
-            replayer = TraceReplayer(sim, device, source)
-            replayer.start()
-            replayer.stop()  # before the init event ever fires
-            sim.run(until=1.0)
-            return replayer.submitted
-
-        assert run(trace) == run(trace.records()) == 0
+    def test_a_stop_before_start_submits_nothing(self, trace):
+        sim, device, sink = _stack("invariants")
+        sink.expect_replay(trace, 1.0, sim.now)
+        replayer = TraceReplayer(sim, device, trace)
+        replayer.start()
+        replayer.stop()  # before the init event ever fires
+        sim.run(until=1.0)
+        assert replayer.submitted == 0
+        with pytest.raises(InvariantViolation, match="trace record 0 "):
+            sink.finish()
 
 
 class TestMeanSlowdownGuards:
@@ -182,8 +187,7 @@ class TestMeanSlowdownGuards:
         assert isinstance(slowdown, float)
 
     def test_feed_validation(self, trace):
-        # The feed is no longer a public switch: the record feed is
-        # reached through TraceReplayer (above) and the verify harness.
+        # One replay feed: no entry point takes a ``feed`` switch.
         from repro.analysis.detection import (
             detection_sweep_task,
             run_detection_experiment,
@@ -250,13 +254,13 @@ class TestCursorBlocks:
         whole = _replay(parsed, until=until)
         # Blocks of 1024, 2048 and 4096 records, and part of a fourth.
         assert whole["submitted"] == len(parsed) > 1024 + 2048 + 4096
-        _assert_same(_replay(parsed.records(), until=until), whole)
-        return path, until, whole
+        _assert_same(_replay(parsed, expected=parsed, until=until), whole)
+        return path, until, whole, parsed
 
     @pytest.mark.parametrize("chunk_requests", [1, 700, 1024, 2500])
     def test_a_streamed_csv_replays_bit_identically(self, csv_replay, chunk_requests):
         from repro.traces.io import iter_trace_chunks
 
-        path, until, whole = csv_replay
+        path, until, whole, parsed = csv_replay
         chunks = iter_trace_chunks(path, chunk_requests=chunk_requests)
-        _assert_same(_replay(chunks, until=until), whole)
+        _assert_same(_replay(chunks, expected=parsed, until=until), whole)

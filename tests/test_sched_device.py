@@ -273,6 +273,11 @@ class TestTheRecordsAreValues:
 
 
 # -- the golden oracle -------------------------------------------------------------
+#
+# The class below is kept verbatim, docstring included.  What the tests
+# hold it to is narrower than its docstring says: ``_signature`` compares
+# outcomes (request log, clock, busy time, metrics), not the heap entries
+# or event counts it took to reach them.
 
 
 class _ReferenceDevice:
@@ -397,10 +402,15 @@ ORACLE_TRACE = generate_trace("TPCdisk66", duration=0.6, seed=0, rate_scale=0.1)
 
 
 def _signature(sim, device, recorder, base_seq):
-    """What the oracle compares: every logged request (order, ``seq``,
-    source, status and the three times by ``float.hex``), the kernel's
-    sequence counter, the engine's event count, the clock, the busy
-    accounting and the rest of the recorder's metrics."""
+    """What the oracle compares, outcomes and not heap entries: every
+    logged request (order, ``seq``, source, status and the three times
+    by ``float.hex``), the clock, the busy accounting and the
+    recorder's metrics but its ``engine.events*`` rows.  How many
+    events the kernel pushed to get there is not compared."""
+    snapshot = recorder.metrics.snapshot()
+    for table in snapshot.values():
+        for name in [n for n in table if n.startswith("engine.events")]:
+            del table[name]
     return {
         "requests": [
             (
@@ -410,11 +420,9 @@ def _signature(sim, device, recorder, base_seq):
             )
             for r in device.log.requests()
         ],
-        "sim_seq": sim._seq,
-        "events": recorder.metrics.counter("engine.events").value,
         "now": sim.now.hex(),
         "busy": (device.busy, device.total_busy_time.hex()),
-        "metrics": recorder.metrics.snapshot(),
+        "metrics": snapshot,
     }
 
 

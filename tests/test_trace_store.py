@@ -98,11 +98,6 @@ class TestRoundTrip:
             np.concatenate([c.times for c in chunks]), trace.times
         )
 
-    def test_records_match_legacy_feed(self, tmp_path):
-        trace = small_trace(n=64)
-        stored = write_trace(trace, tmp_path / "s", chunk_requests=16)
-        assert list(stored.records()) == list(trace.records())
-
     def test_unsorted_source_refused(self, tmp_path):
         trace = small_trace(n=32)
         backwards = Trace(

@@ -6,7 +6,6 @@ import pytest
 from repro.traces import (
     Trace,
     TraceFormatError,
-    TraceRecord,
     iter_trace_chunks,
     read_csv_trace,
     write_csv_trace,
@@ -47,12 +46,6 @@ class TestTrace:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Trace([0.0, 1.0], [0], [8], [False])
-
-    def test_records_iteration(self):
-        trace = make_trace()
-        records = list(trace.records())
-        assert len(records) == 5
-        assert records[1] == TraceRecord(time=1.0, lbn=200, sectors=16, is_write=True)
 
     def test_window_rebases_times(self):
         trace = make_trace()

@@ -71,7 +71,7 @@ class TestRunAxes:
         signatures = run_axes(SCENARIOS[family])
         # Every axis but the batch-level ``parallel``.
         assert set(signatures) == {
-            "kernel-twin", "feed", "telemetry", "monitor", "fleet-kernel",
+            "kernel-twin", "telemetry", "monitor", "fleet-kernel",
         }
         assert all(len(s) == 64 for s in signatures.values())
         # kernel-twin and telemetry both compare core-only outcomes of
@@ -87,9 +87,8 @@ class TestRunAxes:
             run_axes(SCENARIOS["synthetic"], axes=("chaos",))
 
     def test_oracle_owns_the_switches(self):
-        # feed/telemetry in params are stripped, not honoured.
-        params = dict(SCENARIOS["synthetic"], feed="records",
-                      telemetry="recorder")
+        # telemetry in params is stripped, not honoured.
+        params = dict(SCENARIOS["synthetic"], telemetry="recorder")
         signatures = run_axes(params, axes=("kernel-twin",))
         assert "kernel-twin" in signatures
 
@@ -160,7 +159,7 @@ class TestFleetKernelAxis:
         assert set(signatures) == {"fleet-kernel"}
 
 
-def test_axes_constant_covers_all_six():
+def test_axes_constant_covers_all_five():
     assert AXES == (
-        "kernel-twin", "feed", "telemetry", "parallel", "monitor", "fleet-kernel",
+        "kernel-twin", "telemetry", "parallel", "monitor", "fleet-kernel",
     )

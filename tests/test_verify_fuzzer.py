@@ -62,7 +62,7 @@ class TestMinimise:
 
     def test_snippet_prints_only_interesting_keys(self):
         params = dict(DEFAULTS, family="fault-injected", seed=4111)
-        snippet = repro_snippet(params, axes=("kernel-twin", "feed"))
+        snippet = repro_snippet(params, axes=("kernel-twin", "telemetry"))
         assert "from repro.verify import run_axes" in snippet
         assert "fault-injected" in snippet
         assert "4111" in snippet
@@ -99,15 +99,16 @@ class TestFuzz:
             assert set(per_axis) == {"kernel-twin", "telemetry"}
 
     def test_failure_collected_not_raised(self):
-        # Plant the cursor-drift bug for the whole fleet: every config
-        # exercising the feed axis on a dense trace must fail, and fuzz
-        # must report rather than raise.
+        # Plant the cursor-drift bug for the whole fleet: the invariant
+        # checker (the kernel-twin axis's checked side) must fail every
+        # config that replays a record, and fuzz must report rather
+        # than raise.
         from repro.verify.selftest import MUTATIONS
 
         with MUTATIONS["cursor-drift"].patch():
-            report = fuzz(seed=0, n=2, axes=("feed",))
+            report = fuzz(seed=0, n=2, axes=("kernel-twin",))
         assert not report.ok
         assert report.passed + len(report.failures) == 2
         failure = report.failures[0]
-        assert "DifferentialMismatch" in failure.describe()
+        assert "InvariantViolation" in failure.describe()
         assert "run_axes" in failure.snippet

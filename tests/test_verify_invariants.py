@@ -1,5 +1,6 @@
 """Tests for the runtime invariant checker (repro.verify.invariants)."""
 
+import numpy as np
 import pytest
 
 from repro.faults.log import ErrorLog
@@ -232,3 +233,144 @@ class TestEndToEnd:
         assert outcome["faults"]["injected"] > 0
         check_media_faults_args = outcome["faults"]
         assert check_media_faults_args["remapped"] >= 0
+
+
+class TestReplaySchedule:
+    """One fault planted in the replay cursor per test; the sink must
+    name the trace record where the submits leave the schedule."""
+
+    #: A mid-trace record.
+    K = 17
+
+    @pytest.fixture
+    def stack(self):
+        from repro.disk import Drive, hitachi_ultrastar_15k450
+        from repro.sched import BlockDevice, NoopScheduler
+        from repro.sim import Simulation
+        from repro.traces import Trace
+
+        drive = Drive(hitachi_ultrastar_15k450(), cache_enabled=False)
+        total = drive.total_sectors
+        n = 40
+        # Every third record lies past the end of the drive and wraps.
+        lbns = np.arange(n) * 4096 + np.where(np.arange(n) % 3 == 0, total, 0)
+        trace = Trace(
+            0.5 + np.arange(n) * 0.003,
+            lbns,
+            np.full(n, 64),
+            np.arange(n) % 4 == 1,
+        )
+        sink = InvariantSink(total_sectors=total)
+        sim = Simulation(telemetry=sink)
+        return sim, BlockDevice(sim, drive, NoopScheduler()), sink, trace
+
+    def _replay(self, stack, source=None, time_scale=1.0):
+        from repro.workloads.replay import TraceReplayer
+
+        sim, device, sink, trace = stack
+        sink.expect_replay(trace, time_scale, sim.now)
+        replayer = TraceReplayer(
+            sim, device, trace if source is None else source, time_scale
+        )
+        replayer.start()
+        sim.run()
+        sink.finish()
+        return replayer
+
+    def _violation(self, stack, **kwargs):
+        with pytest.raises(InvariantViolation) as exc:
+            self._replay(stack, **kwargs)
+        assert exc.value.invariant == "replay-schedule"
+        return exc.value.message
+
+    @pytest.mark.parametrize("time_scale", [0.5, 1.0, 3.0])
+    def test_a_clean_replay_passes(self, stack, time_scale):
+        replayer = self._replay(stack, time_scale=time_scale)
+        assert replayer.submitted == len(stack[3]) == stack[2]._replayed
+
+    def test_a_uniform_shift_of_every_due_time(self, stack):
+        from repro.verify.selftest import MUTATIONS
+
+        with MUTATIONS["cursor-drift"].patch():  # every due + 5e-10
+            message = self._violation(stack)
+        assert "trace record 0:" in message
+
+    def test_a_drift_on_one_mid_trace_record(self, stack, monkeypatch):
+        from repro.workloads.replay import _ReplayCursor
+
+        convert = _ReplayCursor._convert
+
+        def drift(cursor, chunk, a, b):
+            convert(cursor, chunk, a, b)
+            if a <= self.K < b:
+                cursor._dues[self.K - a] += 5e-10
+
+        monkeypatch.setattr(_ReplayCursor, "_convert", drift)
+        assert f"trace record {self.K}:" in self._violation(stack)
+
+    def test_a_wrong_lbn_wrap(self, stack, monkeypatch):
+        from repro.workloads.replay import _ReplayCursor
+
+        convert = _ReplayCursor._convert
+
+        def wrap_short(cursor, chunk, a, b):
+            # Wraps modulo one sector less than the cursor promises.
+            convert(cursor, chunk, a, b)
+            for j, secs in enumerate(cursor._secs):
+                lbn = int(chunk.lbns[a + j])
+                if lbn + secs > cursor._total:
+                    cursor._lbns[j] = lbn % (cursor._total - secs - 1)
+
+        monkeypatch.setattr(_ReplayCursor, "_convert", wrap_short)
+        # Record 0 is the first that lies past the end.
+        assert "trace record 0:" in self._violation(stack)
+
+    def test_a_skipped_record(self, stack, monkeypatch):
+        from repro.workloads.replay import _ReplayCursor
+
+        submit = _ReplayCursor._submit
+        skipped = []
+
+        def skip(cursor, idx):
+            if cursor.count == self.K and not skipped:
+                skipped.append(idx)
+                return
+            submit(cursor, idx)
+
+        monkeypatch.setattr(_ReplayCursor, "_submit", skip)
+        assert f"trace record {self.K}:" in self._violation(stack)
+
+    def test_a_record_submitted_twice(self, stack, monkeypatch):
+        from repro.workloads.replay import _ReplayCursor
+
+        submit = _ReplayCursor._submit
+
+        def twice(cursor, idx):
+            submit(cursor, idx)
+            if cursor.count == self.K + 1:
+                submit(cursor, idx)
+
+        monkeypatch.setattr(_ReplayCursor, "_submit", twice)
+        # Record K goes out a second time where record K + 1 is due.
+        assert f"trace record {self.K + 1}:" in self._violation(stack)
+
+    def test_a_replay_that_ends_early(self, stack):
+        trace = stack[3]
+        half = trace.window(0.0, float(trace.times[self.K]))
+        assert len(half) == self.K
+        message = self._violation(stack, source=half)
+        assert f"trace record {self.K} due at" in message
+
+    def test_a_submit_past_the_last_record(self, stack):
+        from repro.workloads.replay import TraceReplayer
+
+        sim, device, sink, trace = stack
+        # The sink is told of a shorter trace than the one replayed.
+        sink.expect_replay(trace.window(0.0, float(trace.times[3])), 1.0, 0.0)
+        TraceReplayer(sim, device, trace).start()
+        with pytest.raises(InvariantViolation, match="past the trace's last record 2"):
+            sim.run()
+
+    def test_it_needs_the_disk_size(self):
+        with pytest.raises(ValueError, match="total_sectors"):
+            InvariantSink().expect_replay(None, 1.0, 0.0)

@@ -7,6 +7,7 @@ import pytest
 from repro.disk import Drive, hitachi_ultrastar_15k450
 from repro.sched import BlockDevice, CFQScheduler, NoopScheduler
 from repro.sim import RandomStreams, Simulation
+from repro.traces import Trace
 from repro.workloads import RandomReader, SequentialReader, TraceReplayer
 
 
@@ -127,6 +128,16 @@ class TestRandomReader:
         assert dev_b.log.bytes_completed() < dev_a.log.bytes_completed()
 
 
+def _trace(records):
+    """A :class:`Trace` of ``FakeRecord`` s, in the order given."""
+    return Trace(
+        [r.time for r in records],
+        [r.lbn for r in records],
+        [r.sectors for r in records],
+        [r.is_write for r in records],
+    )
+
+
 class TestTraceReplayer:
     def test_preserves_arrival_times(self):
         sim, device, _ = make_stack()
@@ -135,7 +146,7 @@ class TestTraceReplayer:
             FakeRecord(time=10.5, lbn=1000, sectors=8, is_write=False),
             FakeRecord(time=12.0, lbn=2000, sectors=8, is_write=True),
         ]
-        replayer = TraceReplayer(sim, device, records)
+        replayer = TraceReplayer(sim, device, _trace(records))
         replayer.start()
         sim.run()
         requests = device.log.requests("foreground")
@@ -150,33 +161,36 @@ class TestTraceReplayer:
             FakeRecord(time=0.0, lbn=0, sectors=8, is_write=False),
             FakeRecord(time=10.0, lbn=1000, sectors=8, is_write=False),
         ]
-        TraceReplayer(sim, device, records, time_scale=0.1).start()
+        TraceReplayer(sim, device, _trace(records), time_scale=0.1).start()
         sim.run()
         submits = sorted(r.submit_time for r in device.log.requests())
         assert submits[1] - submits[0] == pytest.approx(1.0)
 
-    def test_records_sorted_if_unordered(self):
+    def test_a_record_list_is_refused(self):
+        # One feed: records replay as a Trace, whose times are sorted
+        # when it is built.
         sim, device, _ = make_stack()
         records = [
             FakeRecord(time=5.0, lbn=1000, sectors=8, is_write=False),
             FakeRecord(time=1.0, lbn=0, sectors=8, is_write=False),
         ]
-        TraceReplayer(sim, device, records).start()
-        sim.run()
-        assert device.log.count() == 2
+        with pytest.raises(TypeError, match="not FakeRecord items"):
+            TraceReplayer(sim, device, records)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            _trace(records)
 
     def test_lbn_wrapping(self):
         sim, device, _ = make_stack()
         huge = device.drive.total_sectors * 2
         records = [FakeRecord(time=0.0, lbn=huge, sectors=8, is_write=False)]
-        TraceReplayer(sim, device, records).start()
+        TraceReplayer(sim, device, _trace(records)).start()
         sim.run()
         assert device.log.count() == 1
 
     def test_write_records_become_writes(self):
         sim, device, _ = make_stack()
         records = [FakeRecord(time=0.0, lbn=0, sectors=8, is_write=True)]
-        TraceReplayer(sim, device, records).start()
+        TraceReplayer(sim, device, _trace(records)).start()
         sim.run()
         from repro.disk.commands import Opcode
 
@@ -193,6 +207,6 @@ class TestTraceReplayer:
             FakeRecord(time=0.001 * i, lbn=8 * i, sectors=8, is_write=False)
             for i in range(100)
         ]
-        TraceReplayer(sim, device, records).start()
+        TraceReplayer(sim, device, _trace(records)).start()
         sim.run()
         assert device.log.count() == 100
