@@ -68,9 +68,10 @@ trace-budget:
 # (100 ms) replay of the dense TPCdisk66 stretch, no gc.collect()
 # anywhere; prints max RSS and tracked objects after every call; exit 1
 # when call 12 stands more than 2 MB or 1000 tracked objects above
-# call 2, or when the Python-level calls per request (one more call
-# under sys.setprofile) of the replay or the Waiting row exceed that
-# row's limit in the tool's CALLS_PER_REQUEST.  Seconds are never judged.
+# call 2, or when the Python-level calls or kernel events per request
+# (one more call under sys.setprofile) of the replay or the Waiting row
+# exceed that row's limit in the tool's CALLS_PER_REQUEST or
+# EVENTS_PER_REQUEST.  Seconds are never judged.
 stack-budget:
 	$(PYTHON) tools/stack_budget.py
 

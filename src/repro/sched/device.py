@@ -6,9 +6,14 @@ and fires the request's completion event.  Every completed request is
 appended to a :class:`RequestLog` for analysis — the logs are the raw
 material for all of the paper's throughput and response-time figures.
 
+A request enters through :meth:`BlockDevice.submit`, which returns the
+completion event its submitter waits on, or :meth:`BlockDevice.post`,
+which builds none: the open-loop replay cursor never waits on its
+requests, so their completions push nothing onto the event heap.
+
 When the owning simulation carries a telemetry sink
 (``sim.telemetry``), the device reports the blktrace-style lifecycle of
-every request to it — queued at :meth:`BlockDevice.submit`, dispatched
+every request to it — queued at :meth:`BlockDevice.post`, dispatched
 when the dispatcher hands it to the drive, completed with the drive's
 service breakdown — and installs the sink on the drive so per-command
 mechanics are metered too.
@@ -126,7 +131,7 @@ class BlockDevice:
         self.busy = False
         self.busy_since: Optional[float] = None
         self.total_busy_time = 0.0
-        #: Triggered by the first :meth:`submit` after the dispatcher
+        #: Triggered by the first :meth:`post` after the dispatcher
         #: last went idle; the dispatcher swaps in a fresh one when it
         #: wakes from an idle wait.
         self._wakeup: Event = sim.event()
@@ -137,13 +142,27 @@ class BlockDevice:
     # -- public API ------------------------------------------------------------
     def submit(self, request: IORequest) -> Event:
         """Queue ``request``; returns its completion event."""
+        self.post(request)
+        # ``Event(sim)``, inlined: ``post``'s frame takes the place of
+        # ``Event.__init__``'s.
+        request.completion = completion = Event.__new__(Event)
+        completion.sim = self.sim
+        completion._callbacks = None
+        completion._value = _PENDING
+        completion._ok = None
+        completion._defused = False
+        return completion
+
+    def post(self, request: IORequest) -> None:
+        """Queue ``request`` with no completion event, for a submitter
+        that never waits on it (the open-loop replay cursor): its
+        completion pushes nothing onto the heap."""
         if request.submit_time is not None:
             raise ValueError(f"{request!r} was already submitted")
         sim = self.sim
         now = sim._now
         request.seq = next(_sequence)
         request.submit_time = now
-        request.completion = completion = Event(sim)
         self.scheduler.add(request, now)
         if self.telemetry is not None:
             self.telemetry.request_queued(now, request)
@@ -156,7 +175,6 @@ class BlockDevice:
             wakeup._value = None
             sim._seq = seq = sim._seq + 1
             heappush(sim._queue, (now, seq, wakeup))
-        return completion
 
     @property
     def queued(self) -> int:
@@ -176,15 +194,17 @@ class BlockDevice:
 class _Dispatcher:
     """The device's dispatcher as a callback state machine.
 
-    It replaces a generator process and pushes exactly the
-    ``(time, key, event)`` heap entries that process pushed, in the same
-    order, so sequence numbers, event counts and every result bit stay
-    where they were (``tests/test_sched_device.py::_ReferenceDevice``
-    keeps the generator as the oracle):
+    It replaces a generator process and pushes the ``(time, key,
+    event)`` heap entries that process pushed, in the same order,
+    except a posted request's completion, which nobody waits on.  Every
+    outcome (request log, clock, busy time, metrics) stays where it
+    was, and the event count falls by the posted requests completed
+    (``tests/test_sched_device.py::_ReferenceDevice`` keeps the
+    generator as the oracle):
 
     * construction pushes one init event;
     * idle with no re-check, it waits on ``device._wakeup`` (no push;
-      :meth:`BlockDevice.submit` pushes it once); when it pops, a fresh
+      :meth:`BlockDevice.post` pushes it once); when it pops, a fresh
       ``_wakeup`` is swapped in.  A ``_wakeup`` already processed wakes
       it at once, with no push;
     * idle with a re-check, it pushes one timer (the pooled ``_recheck``
@@ -194,7 +214,8 @@ class _Dispatcher:
       ``_wakeup`` is already processed, else at ``now`` by whichever of
       the two pops first — the other is detached and pops as a no-op;
     * dispatching, it arms the pooled ``_service`` timer (one push) and
-      runs the completion bookkeeping when it pops.
+      runs the completion bookkeeping when it pops, which pushes the
+      request's completion event if it was submitted, not posted.
 
     Callbacks are bound once; :meth:`_close` drops them and the events
     carrying them, which breaks the device ↔ dispatcher cycles.
@@ -374,16 +395,18 @@ class _Dispatcher:
                 device.telemetry.request_completed(now, request)
             for observer in device.observers:
                 observer("complete", request, now)
-            # ``completion.succeed(request)``, inlined.  The event then
+            # ``completion.succeed(request)``, inlined, for a submitted
+            # request (a posted one has no event).  The event then
             # carries the request to whoever waits on it; the request
             # pointing back at the event would make every completed
             # request a reference cycle.
             completion = request.completion
-            request.completion = None
-            completion._ok = True
-            completion._value = request
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._queue, (now, seq, completion))
+            if completion is not None:
+                request.completion = None
+                completion._ok = True
+                completion._value = request
+                sim._seq = seq = sim._seq + 1
+                heappush(sim._queue, (now, seq, completion))
         except BaseException:
             self.is_alive = False
             raise

@@ -44,9 +44,10 @@ class IORequest:
         ``True`` for user-level pass-through commands: never sorted or
         merged, and no request submitted after it may overtake it.
 
-    :meth:`BlockDevice.submit <repro.sched.device.BlockDevice.submit>`
-    sets ``seq`` (from :data:`_sequence`), ``submit_time`` and
-    ``completion``; its dispatcher sets the rest.
+    :meth:`BlockDevice.post <repro.sched.device.BlockDevice.post>`
+    sets ``seq`` (from :data:`_sequence`) and ``submit_time``;
+    :meth:`~repro.sched.device.BlockDevice.submit` posts and then sets
+    ``completion``; the dispatcher sets the rest.
     """
 
     __slots__ = (
@@ -71,9 +72,10 @@ class IORequest:
         self.submit_time: Optional[float] = None
         self.dispatch_time: Optional[float] = None
         self.complete_time: Optional[float] = None
-        #: Completion event, set by the owning BlockDevice at submit and
-        #: dropped again when it is triggered (the event's value is this
-        #: request; keeping both directions would be a reference cycle).
+        #: Completion event, set by the owning BlockDevice at submit (a
+        #: posted request never has one) and dropped again when it is
+        #: triggered (the event's value is this request; keeping both
+        #: directions would be a reference cycle).
         self.completion = None
         #: Drive-level timing breakdown, set at completion.
         self.breakdown = None

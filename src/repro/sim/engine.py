@@ -217,7 +217,8 @@ class Simulation:
         lets go of its constituents, a finished process of its bound
         resume callback, and a completed request (see
         :class:`~repro.sched.device.BlockDevice`) of its completion
-        event — so reference counting reclaims them, and the cycle
+        event; a posted request never had one — so reference counting
+        reclaims them, and the cycle
         collector would only rescan the pending-event heap over and
         over, which can double the cost of allocation-heavy
         simulations.  What is still *pending* when ``run`` returns is

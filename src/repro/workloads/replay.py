@@ -66,7 +66,9 @@ class _ReplayCursor(Event):
     * a record whose wait was scheduled is submitted unconditionally
       when it fires, then same-time records drain while ``due <= now``;
     * exhaustion pushes the cursor itself as a completion event;
-    * ``_stop`` pushes one urgent interrupt event.
+    * ``_stop`` pushes one urgent interrupt event;
+    * its requests are posted (:meth:`BlockDevice.post`): open loop, it
+      never waits on one, so their completions push nothing.
     """
 
     __slots__ = (
@@ -239,7 +241,7 @@ class _ReplayCursor(Event):
             command = DiskCommand.write(self._lbns[idx], self._secs[idx])
         else:
             command = DiskCommand.read(self._lbns[idx], self._secs[idx])
-        self.device.submit(
+        self.device.post(
             IORequest(command, priority=PriorityClass.BE, source="foreground")
         )
         self.count += 1

@@ -4,6 +4,7 @@ the drive builds for it, and the golden oracle for the dispatcher
 (:class:`_ReferenceDevice`)."""
 
 import pickle
+import re
 from typing import List, Optional
 from unittest import mock
 
@@ -33,6 +34,10 @@ from repro.sched.base import IOSchedulerBase
 from repro.sched.device import RequestLog
 from repro.sim import AnyOf, Event, ReusableTimeout, Simulation
 from repro.traces import generate_trace
+from repro.verify.differential import outcome_signature
+from repro.verify.fuzzer import generate_configs
+from repro.verify.invariants import InvariantSink
+from repro.verify.scenario import run_scenario
 from repro.workloads.replay import TraceReplayer
 
 
@@ -274,10 +279,13 @@ class TestTheRecordsAreValues:
 
 # -- the golden oracle -------------------------------------------------------------
 #
-# The class below is kept verbatim, docstring included.  What the tests
-# hold it to is narrower than its docstring says: ``_signature`` compares
-# outcomes (request log, clock, busy time, metrics), not the heap entries
-# or event counts it took to reach them.
+# The class below is kept verbatim, docstring included, but for ``post``:
+# it submits and drops the event, so a posted request's completion is
+# still pushed and popped with no callback, the path ``BlockDevice.post``
+# cuts.  What the tests hold it to is narrower than its docstring says:
+# ``_signature`` compares outcomes (request log, clock, busy time,
+# metrics), not the heap entries it took to reach them; ``_both`` holds
+# the event count to the reference's minus the foreground completions.
 
 
 class _ReferenceDevice:
@@ -326,6 +334,9 @@ class _ReferenceDevice:
             observer("submit", request, now)
         self._kick()
         return request.completion
+
+    def post(self, request: IORequest) -> None:
+        self.submit(request)
 
     def _kick(self) -> None:
         if not self._wakeup.triggered:
@@ -395,6 +406,10 @@ class _ReferenceDevice:
             request.completion = None
 
 
+#: Fuzzed configs the reference runs on: ``make verify-fuzz``'s 200
+#: (seed 0), about 2 s of tier-1 over both devices.
+FUZZED = 200
+
 ORACLE_SPEC = shrunk_spec(PRESETS["ultrastar"](), cylinders=30)
 #: A foreground light enough that Idle-class scrubbing gets the disk
 #: between its requests, so the idle gate opens and closes all the time.
@@ -406,7 +421,9 @@ def _signature(sim, device, recorder, base_seq):
     logged request (order, ``seq``, source, status and the three times
     by ``float.hex``), the clock, the busy accounting and the
     recorder's metrics but its ``engine.events*`` rows.  How many
-    events the kernel pushed to get there is not compared."""
+    events the kernel pushed to get there rides along as ``"events"``,
+    which ``_both`` compares on its own."""
+    events = recorder.metrics.counter("engine.events").value
     snapshot = recorder.metrics.snapshot()
     for table in snapshot.values():
         for name in [n for n in table if n.startswith("engine.events")]:
@@ -423,6 +440,7 @@ def _signature(sim, device, recorder, base_seq):
         "now": sim.now.hex(),
         "busy": (device.busy, device.total_busy_time.hex()),
         "metrics": snapshot,
+        "events": events,
     }
 
 
@@ -461,12 +479,20 @@ def _stack_run(device_cls, setup, horizon=0.5, drain=False, **kwargs):
 
 
 def _both(run):
+    """Run ``run`` over both devices: equal outcomes and ``select``
+    calls, and one event fewer per completed foreground request (the
+    replay cursor posts them; nobody waits on their completion)."""
     (new, new_calls, new_stack), (old, old_calls, _) = (
         run(BlockDevice), run(_ReferenceDevice)
     )
     assert new["requests"], "the scenario completed no request"
+    new_events, old_events = new.pop("events"), old.pop("events")
     assert new == old
     assert new_calls == old_calls
+    # ``device.log.count("foreground")``, read off the signature.
+    foreground = sum(source == "foreground" for _, source, *_ in new["requests"])
+    assert foreground > 0
+    assert new_events == old_events - foreground
     return new_calls, new_stack
 
 
@@ -565,3 +591,162 @@ def test_a_recheck_not_in_the_future_reaches_the_caller(device_cls):
     with pytest.raises(RuntimeError, match="which is not in the future"):
         sim.run()
     assert not device.dispatcher.is_alive
+
+
+# -- the waiter rule: only a submitter that waits gets an event ------------------
+
+
+def _resumptions(device_cls):
+    """Four processes on one device, the open-loop one posting: what each
+    sees and when (``(label, time)`` in order), and the request log."""
+    sim = Simulation()
+    device = device_cls(sim, Drive(ORACLE_SPEC, cache_enabled=False), NoopScheduler())
+    seen = []
+
+    def note(label):
+        seen.append((label, sim.now.hex()))
+
+    def open_loop():
+        for i in range(8):
+            device.post(IORequest(DiskCommand.read(400 * i, 8)))
+            note("posted")
+            yield sim.timeout(0.002)
+
+    def waits_after_same_instant_work():
+        yield sim.timeout(0.003)
+        done = device.submit(IORequest(DiskCommand.read(2000, 8)))
+        yield sim.timeout(0)
+        note("same instant")
+        device.post(IORequest(DiskCommand.write(3200, 16)))
+        request = yield done
+        note(f"completed {request.command.lbn}")
+
+    def waits_after_it_fired():
+        done = device.submit(IORequest(DiskCommand.read(1000, 8)))
+        yield sim.timeout(0.05)
+        assert done.processed
+        request = yield done
+        note(f"late {request.command.lbn}")
+
+    def a_callback_and_a_condition():
+        yield sim.timeout(0.001)
+        done = device.submit(
+            IORequest(DiskCommand.verify(3500, 64), source="scrubber")
+        )
+        done.callbacks.append(lambda event: note("callback"))
+        yield done | sim.timeout(1.0)
+        note("any of")
+
+    for body in (
+        open_loop, waits_after_same_instant_work, waits_after_it_fired,
+        a_callback_and_a_condition,
+    ):
+        sim.process(body())
+    sim.run(until=0.1)
+    log = [
+        (r.source, r.command.lbn, r.complete_time.hex())
+        for r in device.log.requests()
+    ]
+    return seen, log
+
+
+def test_a_waiter_resumes_when_and_where_it_did():
+    seen, log = _resumptions(BlockDevice)
+    assert (seen, log) == _resumptions(_ReferenceDevice)
+    labels = [label for label, _ in seen]
+    assert labels.count("posted") == 8 and len(log) == 12
+    for label in ("same instant", "completed 2000", "late 1000",
+                  "callback", "any of"):
+        assert label in labels
+    # The waiters' completions interleave with the posted ones.
+    assert 0 < labels.index("completed 2000") < len(labels) - 1
+
+
+@pytest.mark.parametrize("device_cls", [BlockDevice, _ReferenceDevice])
+def test_a_second_post_or_submit_raises_the_same_error(device_cls):
+    sim = Simulation()
+    device = device_cls(sim, Drive(ORACLE_SPEC), NoopScheduler())
+    submitted = IORequest(DiskCommand.read(0, 8))
+    done = device.submit(submitted)
+    posted = IORequest(DiskCommand.read(800, 8))
+    device.post(posted)
+    for request in (submitted, posted):
+        message = re.escape(f"{request!r} was already submitted")
+        for again in (device.submit, device.post):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                again(request)
+    # The refused submit left the waiter's event where it was.
+    assert submitted.completion is done
+    assert sim.run(until=done) is submitted
+    sim.run()
+    assert device.log.count() == 2
+
+
+def test_a_posted_request_has_no_event_and_keeps_the_invariants():
+    drive = Drive(ORACLE_SPEC, cache_enabled=False)
+    sink = InvariantSink(total_sectors=drive.total_sectors)
+    sim = Simulation(telemetry=sink)
+    device = BlockDevice(sim, drive, CFQScheduler(idle_gate=0.010))
+    completed = []
+    device.observers.append(
+        lambda kind, request, now: kind == "complete" and completed.append(
+            (request.source, request.completion is None)
+        )
+    )
+    sink.expect_replay(ORACLE_TRACE, 1.0, sim.now)
+    replay = TraceReplayer(sim, device, ORACLE_TRACE).start()
+    scrub = ScrubberSetup("staggered", regions=4).build(sim, device).start()
+    sim.run(until=0.5)
+    sim.close([device.dispatcher, replay, scrub])
+    sink.finish()
+    # Every replayed record was checked against the schedule, and every
+    # completed request against its lifecycle.
+    assert sink._replayed == replay.count > 0
+    assert sink.completed_total == device.log.count()
+    # The cursor's requests never carry an event; a scrub request still
+    # carries its own when the observers hear it complete.
+    assert set(completed) == {("foreground", True), ("scrubber", False)}
+    assert all(r.completion is None for r in device.log.requests())
+
+
+# -- the reference on fuzzed stacks ------------------------------------------------
+
+
+def _engine_events(outcome):
+    """Drop the ``engine.events*`` rows from a recorded outcome's
+    metrics; return the ``engine.events`` count."""
+    events = None
+    for table in outcome["telemetry"]["metrics"].values():
+        for name in [n for n in table if n.startswith("engine.events")]:
+            value = table.pop(name)
+            if name == "engine.events":
+                events = value
+    assert events is not None
+    return events
+
+
+def test_fuzzed_scenarios_agree_with_the_reference(monkeypatch):
+    """``run_scenario`` over fuzzed configs (all three families and
+    scrubbers, drain, remediation) with a recorder attached: the
+    outcome, the recorded request stream and the metrics are equal over
+    both devices, and the sequence numbers and events differ by exactly
+    the foreground completions the reference pushes."""
+    configs = generate_configs(seed=0, n=FUZZED)
+    assert {c["family"] for c in configs} == {
+        "synthetic", "trace-replay", "fault-injected"
+    }
+    assert {c["algorithm"] for c in configs} == {
+        "sequential", "staggered", "waiting"
+    }
+    completed = 0
+    for params in configs:
+        new = run_scenario(**params, telemetry="recorder")
+        with monkeypatch.context() as patch:
+            patch.setattr(stack_module, "BlockDevice", _ReferenceDevice)
+            old = run_scenario(**params, telemetry="recorder")
+        foreground = new["foreground_completed"]
+        assert new.pop("event_seq") == old.pop("event_seq") - foreground
+        assert _engine_events(new) == _engine_events(old) - foreground
+        assert outcome_signature(new) == outcome_signature(old), params
+        completed += foreground
+    assert completed > 100
