@@ -8,9 +8,10 @@ oracle, ``repro trace``) choose a foreground, a fault plan and what to
 read off the logs afterwards.  Five decisions live here and nowhere
 else (DESIGN §18):
 
-* name → scrubber: ``"sequential"`` / ``"staggered"`` are the framework
-  :class:`Scrubber` walking that order, ``"waiting"`` the self-scheduling
-  :class:`WaitingScrubber` walking sequentially;
+* name → scrubber: every name builds a :class:`Scrubber` (DESIGN §6.4);
+  ``"sequential"`` / ``"staggered"`` pace it by delays and walk that
+  order, ``"waiting"`` is its idle-paced :class:`WaitingScrubber`
+  subclass walking sequentially;
 * the scheduler under it: Waiting schedules itself, so its device is
   FIFO; everything else runs under CFQ, whose idle gate is then part of
   the policy;
@@ -32,7 +33,7 @@ move one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.policies.device import WaitingScrubber
 from repro.core.scrubber import ScrubAlgorithm, Scrubber
@@ -89,7 +90,7 @@ class ScrubberSetup:
         sim: Simulation,
         device: BlockDevice,
         remediation: Optional[RemediationPolicy] = None,
-    ) -> Union[Scrubber, WaitingScrubber]:
+    ) -> Scrubber:
         """The configured scrubber bound to ``device`` (not started)."""
         algorithm = self.build_algorithm()
         if self.algorithm == "waiting":

@@ -15,8 +15,10 @@ interval samples by :mod:`repro.analysis.collision` (Fig. 14):
   use exactly the longest intervals (the upper bound).
 
 :class:`~repro.core.policies.device.WaitingScrubber` is the full-stack
-implementation of the Waiting policy: a scrubber that watches a
-:class:`~repro.sched.device.BlockDevice` and self-schedules.
+implementation of the Waiting policy: the framework
+:class:`~repro.core.scrubber.Scrubber` paced by idleness instead of
+delays — it watches a :class:`~repro.sched.device.BlockDevice` and
+self-schedules.
 """
 
 from repro.core.policies.ar import ARPolicy

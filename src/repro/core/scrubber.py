@@ -22,6 +22,10 @@ request *completes* (the kernel scrubber), while
 measured issue-to-issue (the user-level scrubber's timer loop), which
 is why a delayed user scrubber sustains the full ``size/delay``
 throughput while the kernel scrubber pays ``size/(delay + service)``.
+
+The Waiting scrubber is this class with its own pacing (``_run``); the
+verify, detection, remediation, progress and pass boundaries live here
+once, for both pacings (DESIGN §6.4).
 """
 
 from __future__ import annotations
@@ -172,16 +176,10 @@ class Scrubber:
 
     # -- the scrubber thread ----------------------------------------------------
     def _run(self):
-        total = self.device.drive.total_sectors
         sink = self._telemetry
-        pass_bytes = total * SECTOR_SIZE
         try:
             while self.max_passes is None or self.passes_completed < self.max_passes:
-                self.algorithm.reset(total, self.request_sectors)
-                if sink is not None:
-                    sink.scrub_pass_started(
-                        self.sim.now, self.source, self.passes_completed
-                    )
+                self._begin_pass()
                 while True:
                     if self._draining:
                         return
@@ -189,35 +187,12 @@ class Scrubber:
                     if extent is None:
                         break
                     issue_time = self.sim.now
-                    request = yield self._verify(*extent)
+                    lbn, sectors = extent
+                    request = yield self._verify(lbn, sectors)
                     if sink is not None:
-                        within = self.bytes_scrubbed - (
-                            self.passes_completed * pass_bytes
-                        )
-                        sink.scrub_progress(
-                            self.sim.now,
-                            self.source,
-                            min(1.0, within / pass_bytes) if pass_bytes else 1.0,
-                        )
+                        self._report_progress()
                     if request.breakdown.status is CommandStatus.MEDIUM_ERROR:
-                        self.errors_seen += 1
-                        if sink is not None:
-                            sink.fault_event(
-                                self.sim.now,
-                                "scrub_detection",
-                                request.breakdown.error_lbn,
-                                source=self.source,
-                            )
-                        if self.remediation is not None:
-                            yield from remediate_extent(
-                                self.sim,
-                                self.device,
-                                extent[0],
-                                extent[1],
-                                self.remediation,
-                                self._verify,
-                                self.remediation_stats,
-                            )
+                        yield from self._detected(request, lbn, sectors)
                     if self.delay > 0:
                         if self.delay_mode == "gap":
                             wait = self.delay
@@ -231,16 +206,65 @@ class Scrubber:
                                 if sleep.processed
                                 else self.sim.timeout(wait)
                             )
-                self.passes_completed += 1
-                if sink is not None:
-                    sink.scrub_pass_completed(
-                        self.sim.now,
-                        self.source,
-                        self.passes_completed - 1,
-                        self.bytes_scrubbed,
-                    )
+                self._end_pass()
         except Interrupt:
             return
+
+    # -- one pass, one verify: the same under every pacing ------------------------
+    def _begin_pass(self) -> None:
+        """Reset the algorithm for a new pass and report its start."""
+        self.algorithm.reset(self.device.drive.total_sectors, self.request_sectors)
+        self._pass_issued = self.requests_issued
+        if self._telemetry is not None:
+            self._telemetry.scrub_pass_started(
+                self.sim.now, self.source, self.passes_completed
+            )
+
+    def _end_pass(self) -> None:
+        """Count and report the pass just finished.  A pass that issued
+        no request would repeat forever without yielding to the clock."""
+        if self.requests_issued == self._pass_issued:
+            raise RuntimeError("scrub algorithm yielded an empty pass")
+        self.passes_completed += 1
+        if self._telemetry is not None:
+            self._telemetry.scrub_pass_completed(
+                self.sim.now,
+                self.source,
+                self.passes_completed - 1,
+                self.bytes_scrubbed,
+            )
+
+    def _report_progress(self) -> None:
+        """Tell the sink how far into the current pass the scrub is."""
+        pass_bytes = self.device.drive.total_sectors * SECTOR_SIZE
+        within = self.bytes_scrubbed - self.passes_completed * pass_bytes
+        self._telemetry.scrub_progress(
+            self.sim.now,
+            self.source,
+            min(1.0, within / pass_bytes) if pass_bytes else 1.0,
+        )
+
+    def _detected(self, request: IORequest, lbn: int, sectors: int):
+        """Process generator for a scrub ``VERIFY`` that came back
+        ``MEDIUM_ERROR``: report the detection, then remediate."""
+        self.errors_seen += 1
+        if self._telemetry is not None:
+            self._telemetry.fault_event(
+                self.sim.now,
+                "scrub_detection",
+                request.breakdown.error_lbn,
+                source=self.source,
+            )
+        if self.remediation is not None:
+            yield from remediate_extent(
+                self.sim,
+                self.device,
+                lbn,
+                sectors,
+                self.remediation,
+                self._verify,
+                self.remediation_stats,
+            )
 
     def _verify(self, lbn: int, sectors: int):
         request = IORequest(

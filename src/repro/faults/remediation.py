@@ -12,10 +12,12 @@ remap**, so the lifecycle of every scrub-detected error ends with a
 ``REALLOCATED`` + ``VERIFY_AFTER_REMAP(ok)`` pair in the
 :class:`~repro.faults.log.ErrorLog`.
 
-The generator is shared by :class:`~repro.core.scrubber.Scrubber` and
-:class:`~repro.core.policies.device.WaitingScrubber`; it is written in
-the simulation's process style (``yield`` events) and driven with
-``yield from``.
+One caller runs the generator: the scrubber's detection step
+(``Scrubber._detected``), which both pacings share — the delay-paced
+:class:`~repro.core.scrubber.Scrubber` and its idle-paced subclass
+:class:`~repro.core.policies.device.WaitingScrubber` (DESIGN §6.4).
+It is written in the simulation's process style (``yield`` events) and
+driven with ``yield from``.
 """
 
 from __future__ import annotations
@@ -93,8 +95,7 @@ def remediate_extent(
     """Process generator: localise and repair bad sectors in an extent.
 
     ``submit_verify(lbn, sectors)`` must submit a scrub ``VERIFY`` and
-    return its completion event (both scrubbers already have exactly
-    that primitive).  The caller invokes this with ``yield from`` after
+    return its completion event (the scrubber passes its ``_verify``).  The caller invokes this with ``yield from`` after
     a top-level scrub verify came back ``MEDIUM_ERROR``.
     """
     sink = sim.telemetry

@@ -138,17 +138,19 @@ def run_axes(
     base = {k: v for k, v in params.items() if k != "telemetry"}
     signatures: Dict[str, str] = {}
 
-    if "kernel-twin" in selected:
+    # Both sink axes compare against the same no-sink run: it is a pure
+    # function of ``base``, so one run serves both.
+    if "kernel-twin" in selected or "telemetry" in selected:
         bare = run_scenario(**base, telemetry="none")
+    if "kernel-twin" in selected:
         checked = run_scenario(**base, telemetry="invariants")
         signatures["kernel-twin"] = _compare(
             "kernel-twin", base, bare, checked, include_telemetry=False
         )
     if "telemetry" in selected:
-        off = run_scenario(**base, telemetry="none")
         on = run_scenario(**base, telemetry="recorder")
         signatures["telemetry"] = _compare(
-            "telemetry", base, off, on, include_telemetry=False
+            "telemetry", base, bare, on, include_telemetry=False
         )
     if "monitor" in selected:
         signatures["monitor"] = check_monitor(int(base.get("seed", 0) or 0))

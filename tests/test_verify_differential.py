@@ -86,6 +86,26 @@ class TestRunAxes:
         with pytest.raises(ValueError, match="unknown axes"):
             run_axes(SCENARIOS["synthetic"], axes=("chaos",))
 
+    @pytest.mark.parametrize("axes, sinks", [
+        (("kernel-twin", "telemetry"), ["none", "invariants", "recorder"]),
+        (("telemetry", "kernel-twin"), ["none", "invariants", "recorder"]),
+        (("kernel-twin",), ["none", "invariants"]),
+        (("telemetry",), ["none", "recorder"]),
+    ])
+    def test_the_sink_axes_share_one_bare_run(self, axes, sinks, monkeypatch):
+        from repro.verify import differential
+
+        ran = []
+
+        def counted(**params):
+            ran.append(params["telemetry"])
+            return run_scenario(**params)
+
+        monkeypatch.setattr(differential, "run_scenario", counted)
+        signatures = run_axes(SCENARIOS["synthetic"], axes=axes)
+        assert ran == sinks
+        assert set(signatures) == set(axes)
+
     def test_oracle_owns_the_switches(self):
         # telemetry in params is stripped, not honoured.
         params = dict(SCENARIOS["synthetic"], telemetry="recorder")

@@ -12,6 +12,7 @@ from repro.disk import DiskCommand, Drive, hitachi_ultrastar_15k450
 from repro.sched import BlockDevice, IORequest, NoopScheduler
 from repro.sim import Simulation
 from repro.traces import Trace
+from tests.test_core_scrubber import ScrubberContract
 
 
 def make_stack():
@@ -36,7 +37,13 @@ def make_trace(times, lbn_step=1000, sectors=8):
     )
 
 
-class TestWaitingScrubber:
+class TestWaitingScrubber(ScrubberContract):
+    invalid = ({"threshold": -1},)
+
+    def build(self, sim, device, algorithm=None, **kwargs):
+        kwargs.setdefault("threshold", 0.01)
+        return WaitingScrubber(sim, device, algorithm or SequentialScrub(), **kwargs)
+
     def test_fires_after_threshold_on_idle_disk(self):
         sim, device = make_stack()
         scrubber = WaitingScrubber(
@@ -104,37 +111,6 @@ class TestWaitingScrubber:
         before = scrubber.requests_issued
         sim.run(until=1.0)
         assert scrubber.requests_issued > before
-
-    def test_stop_detaches(self):
-        sim, device = make_stack()
-        scrubber = WaitingScrubber(sim, device, SequentialScrub(), threshold=0.01)
-        scrubber.start()
-        sim.run(until=0.2)
-        scrubber.stop()
-        count = scrubber.requests_issued
-        sim.run(until=0.5)
-        assert scrubber.requests_issued == count
-        assert scrubber._observe not in device.observers
-
-    def test_double_start_rejected(self):
-        sim, device = make_stack()
-        scrubber = WaitingScrubber(sim, device, SequentialScrub())
-        scrubber.start()
-        with pytest.raises(RuntimeError):
-            scrubber.start()
-
-    def test_validation(self):
-        sim, device = make_stack()
-        with pytest.raises(ValueError):
-            WaitingScrubber(sim, device, SequentialScrub(), threshold=-1)
-        with pytest.raises(ValueError):
-            WaitingScrubber(sim, device, SequentialScrub(), request_bytes=100)
-
-    def test_throughput_validation(self):
-        sim, device = make_stack()
-        scrubber = WaitingScrubber(sim, device, SequentialScrub())
-        with pytest.raises(ValueError):
-            scrubber.throughput(0)
 
 
 class TestReplayWithScrubber:
