@@ -12,16 +12,19 @@ tasks to a fixed set of supervised worker processes — forked per slot,
 not per attempt — and supervises every attempt end to end.
 
 Worker lifecycle: ``map()`` forks a worker the first time a slot is
-needed, at most ``workers`` of them.  The worker of slot *k* first moves
-itself onto the *k*-th CPU of the supervisor's allowed set (round-robin)
-and then takes the whole set back, so workers start spread out even
-where the kernel does not balance forked children.  A worker loops
+needed, at most ``workers`` of them.  Right after the fork the
+supervisor moves the worker of slot *k* onto the (*k*+1)-th allowed CPU
+after its own and then hands it the whole set back, so the first worker
+runs at once on a CPU the supervisor is not using, even where the
+kernel does not balance forked children.  A worker loops
 *receive a task index → run ``fn(**param_sets[index])`` → answer ``ok``
 or ``err``* over one duplex pipe; under fork it inherits ``fn`` and the
 parameter sets, so only the index crosses the pipe and parameters need
 not be picklable (spawn-only platforms pickle the list once per
 worker).  A worker that answers — a task that *raises* included — goes
-back to the idle list and takes the next ready attempt.  **Kill and
+back to the idle list and is handed the next ready attempt *before*
+``on_result`` runs for the task it finished, so a checkpoint never
+holds a slot idle.  **Kill and
 refill:** a worker is never repaired; on pipe EOF, a missed deadline, missed
 heartbeats, or when a speculative twin wins, the *worker* is
 SIGTERM→SIGKILLed and joined, and the slot is refilled by a fresh fork
@@ -35,12 +38,13 @@ its child, and exits.
 * **worker-death detection** — each worker holds a pipe to the
   supervisor; a killed worker closes it, and the EOF is observed on
   the next poll, not after a batch barrier;
-* **heartbeats** — a daemon thread in the worker beats every
-  ``heartbeat_interval`` seconds from the start of each task, so a
-  worker that is alive-but-frozen (SIGSTOP, D-state) is distinguished
-  from one that is merely slow and is declared lost after
-  ``heartbeat_grace`` missed beats; the progress probe is reset before
-  each task, so no beat carries the previous task's progress;
+* **heartbeats** — one daemon thread per worker, for its whole life,
+  beats every ``heartbeat_interval`` seconds from the start of each
+  task and never while the worker is idle, so a worker that is
+  alive-but-frozen (SIGSTOP, D-state) is distinguished from one that
+  is merely slow and is declared lost after ``heartbeat_grace`` missed
+  beats; the progress probe is reset before each task, so no beat
+  carries the previous task's progress;
 * **hung-task deadline** — a task that exceeds ``task_timeout``
   wall-clock seconds (e.g. an accidental sleep-forever) is terminated
   and treated like any other failed attempt;
@@ -165,78 +169,140 @@ class TaskOutcome:
     peak_rss_kb: Optional[int] = None
 
 
-def _beat(conn, lock, done, interval) -> None:
-    """Heartbeat thread of one task: beat until ``done`` or a broken pipe.
+class _Heartbeat:
+    """One worker's beat thread, and the result sends that share its pipe
+    (``Connection.send`` is not thread-safe).
 
-    ``done`` is re-checked under ``lock`` so that no beat can follow the
-    task's own result onto the pipe — the supervisor would book it, and
-    the progress it carries, on the worker's *next* task.
+    The thread lives as long as the worker.  While a task runs it beats
+    at ``start + k * interval`` of that task; while the worker is idle
+    it only naps, one interval at a time, so whenever a task begins the
+    thread wakes no later than the task's first beat is due and no wake
+    is needed.  :meth:`reply` marks the task over under the same lock
+    the beats are sent under: no beat follows a task's result onto the
+    pipe, where the supervisor would book it, and the progress it
+    carries, on the worker's *next* task.  With ``interval <= 0`` there
+    is no thread.
     """
-    while not done.wait(interval):
-        with lock:
-            if done.is_set():
-                return
-            try:
-                conn.send(("hb", PROBE.payload()))
-            except Exception:
-                return
+
+    def __init__(self, conn, interval: float) -> None:
+        self._conn = conn
+        self._interval = interval
+        self._lock = threading.Lock()
+        self._busy = False
+        self._closed = False
+        self._due = 0.0
+        if interval > 0:
+            threading.Thread(target=self._run, daemon=True).start()
+
+    def begin(self) -> None:
+        """A task starts now: its first beat is due one interval on."""
+        with self._lock:
+            self._busy = True
+            self._due = time.monotonic() + self._interval
+
+    def reply(self, message) -> None:
+        """End the running task with ``message``, its result."""
+        with self._lock:
+            self._busy = False
+            self._conn.send(message)
+
+    def close(self) -> None:
+        """The worker is exiting: no beat from here on."""
+        with self._lock:
+            self._busy = False
+            self._closed = True
+
+    def _run(self) -> None:
+        interval = self._interval
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                now = time.monotonic()
+                nap = interval
+                if self._busy:
+                    if self._due <= now:
+                        try:
+                            self._conn.send(("hb", PROBE.payload()))
+                        except Exception:
+                            return
+                        while self._due <= now:  # skip beats a stall missed
+                            self._due += interval
+                    nap = self._due - now
+            time.sleep(nap)
 
 
-def _slot_cpu(slot: int, allowed) -> Optional[int]:
+def _current_cpu() -> Optional[int]:
+    """The CPU the calling thread last ran on (field 39 of its
+    ``/proc`` ``stat`` line), or ``None`` where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as handle:
+            return int(handle.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _slot_cpu(
+    slot: int, allowed, current: Optional[int] = None
+) -> Optional[int]:
     """The CPU worker slot ``slot`` starts on: the CPUs of ``allowed`` in
-    ascending order, round-robin; ``None`` when there is no choice to
+    ascending order, round-robin, slot 0 taking the first one after
+    ``current`` (the supervisor's CPU) — or, with ``current`` unknown or
+    outside the set, the lowest.  ``None`` when there is no choice to
     make (one CPU, or a platform without affinity calls)."""
     if len(allowed) < 2:
         return None
-    return sorted(allowed)[slot % len(allowed)]
+    cpus = sorted(allowed)
+    first = cpus.index(current) + 1 if current in allowed else 0
+    return cpus[(first + slot) % len(cpus)]
 
 
-def _place(cpu: Optional[int]) -> None:
-    """Move this process onto ``cpu``, then hand it back its whole mask.
+def _place(pid: int, slot: int) -> None:
+    """Move the freshly forked worker ``pid`` onto its slot's CPU, then
+    hand it back the supervisor's whole mask.
 
     A scheduler that does not balance load across CPUs
     (``cpuset.sched_load_balance = 0``) leaves a forked child on its
-    parent's CPU, so every worker would share the supervisor's.  The
-    one-CPU mask migrates the process; restoring the inherited mask
-    leaves it free to move again, so nothing is pinned.
+    parent's CPU, where it cannot run until the supervisor yields — after
+    forking every other worker.  The one-CPU mask migrates the waiting
+    child at once; restoring the whole mask leaves it free to move
+    again, so nothing is pinned.
     """
-    if cpu is None:
+    if not hasattr(os, "sched_setaffinity"):
         return
     try:
         allowed = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, allowed)
+        cpu = _slot_cpu(slot, allowed, _current_cpu())
+        if cpu is None:
+            return
+        os.sched_setaffinity(pid, {cpu})
+        os.sched_setaffinity(pid, allowed)
     except OSError:
-        pass  # a CPU gone offline: stay where the fork put us
+        pass  # the worker already died, or a CPU went offline
 
 
 def _supervised_worker(
-    conn, fn, param_sets, heartbeat_interval, supervisor, cpu
+    conn, fn, param_sets, heartbeat_interval, supervisor
 ) -> None:
     """Worker entry point: serve task indices until the supervisor is gone.
 
-    Each index received runs ``fn(**param_sets[index])`` with a fresh
-    heartbeat thread (so the beat interval restarts with the task) and
-    a reset :data:`PROBE`, and answers ``("ok", value, rss_kb)`` or
-    ``("err", message, rss_kb)``, ``rss_kb`` being the worker's peak
-    RSS so far (a task shorter than one beat sends no other).  An
-    ``Exception`` is an answer and the worker carries on;
-    ``SystemExit`` / ``KeyboardInterrupt`` and a result that cannot
-    be sent end the process, which the supervisor reads as a death.
-
-    The heartbeat thread and the result send share ``lock`` because
-    ``Connection.send`` is not thread-safe.  ``supervisor`` is the pid
-    this worker must stay a child of; ``cpu`` is where it starts
-    (:func:`_place`).
+    Each index received runs ``fn(**param_sets[index])`` with a reset
+    :data:`PROBE` under the worker's one :class:`_Heartbeat` (so the
+    beat interval restarts with the task), and answers ``("ok", value,
+    rss_kb)`` or ``("err", message, rss_kb)``, ``rss_kb`` being the
+    worker's peak RSS so far (a task shorter than one beat sends no
+    other).  An ``Exception`` is an answer and the worker carries on;
+    ``SystemExit`` / ``KeyboardInterrupt`` and a result that cannot be
+    sent end the process, which the supervisor reads as a death.
+    ``supervisor`` is the pid this worker must stay a child of.
     """
-    _place(cpu)
     # Everything alive here was inherited from the supervisor (fork) or
     # made by importing this module (spawn) and lives as long as the
     # worker: move it out of the collector's sight, so that a task's
     # full collection neither traverses the driver's heap nor
     # copy-on-write-faults every page of it.
     gc.freeze()
-    lock = threading.Lock()
+    beat = _Heartbeat(conn, heartbeat_interval)
     try:
         while True:
             # A forked worker holds a copy of the supervisor's end of its
@@ -248,24 +314,16 @@ def _supervised_worker(
                     return
             index = conn.recv()
             PROBE.reset()
-            done = threading.Event()
-            if heartbeat_interval > 0:
-                threading.Thread(
-                    target=_beat,
-                    args=(conn, lock, done, heartbeat_interval),
-                    daemon=True,
-                ).start()
+            beat.begin()
             try:
                 message = ("ok", fn(**param_sets[index]))
             except Exception as exc:
                 message = ("err", f"{type(exc).__name__}: {exc}")
-            finally:
-                done.set()
-            with lock:
-                conn.send(message + (peak_rss_kb(),))
+            beat.reply(message + (peak_rss_kb(),))
     except (EOFError, OSError):
         pass  # supervisor gone
     finally:
+        beat.close()
         conn.close()
 
 
@@ -358,21 +416,15 @@ class SupervisedRunner:
     # -- internals -----------------------------------------------------------
 
     def _spawn(self, fn, param_sets, slot: int) -> _Worker:
-        """Fork the worker of ``slot``; it starts on :func:`_slot_cpu`'s
-        CPU of the supervisor's allowed set."""
-        allowed = (
-            os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else ()
-        )
+        """Fork the worker of ``slot`` and :func:`_place` it."""
         parent, child = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_supervised_worker,
-            args=(
-                child, fn, param_sets, self.heartbeat_interval, os.getpid(),
-                _slot_cpu(slot, allowed),
-            ),
+            args=(child, fn, param_sets, self.heartbeat_interval, os.getpid()),
             daemon=True,
         )
         process.start()
+        _place(process.pid, slot)
         child.close()
         self._count("supervise.spawns")
         return _Worker(process, parent, slot)
@@ -412,7 +464,9 @@ class SupervisedRunner:
         rather than raising, so a batch always completes.  ``on_result``
         fires once per task the moment its outcome is final (completion
         order, not input order) — campaigns use it to checkpoint shards
-        as they land rather than after a barrier.
+        as they land rather than after a barrier.  It runs after the
+        sweep that booked the outcome has handed the freed worker its
+        next ready attempt, never while a slot waits on it.
 
         ``on_event`` is a purely observational stream for monitors:
         ``(kind, task_index, info)`` with kinds ``attempt_started``,
@@ -426,7 +480,8 @@ class SupervisedRunner:
         queue is abandoned, and each unfinished task's outcome comes
         back ``ok=False`` with ``error="cancelled"`` — ``on_result`` is
         *not* fired for them, so checkpointing callers never journal a
-        cancelled task.  Already-finished tasks keep their results.
+        cancelled task.  Already-finished tasks keep their results, and
+        ``on_result`` still fires for each of them.
 
         The worker processes belong to this call: they are forked as
         slots are first needed and all reaped before it returns or
@@ -446,6 +501,7 @@ class SupervisedRunner:
         running: Dict[Any, _Worker] = {}  # conn -> busy worker
         idle: List[_Worker] = []
         done: set = set()
+        landed: deque = deque()  # final outcomes on_result has not seen
         durations: List[float] = []
         self._count("supervise.tasks", len(param_sets))
 
@@ -503,7 +559,13 @@ class SupervisedRunner:
             if not outcome.ok:
                 self._count("supervise.failed")
             if on_result is not None:
-                on_result(outcome)
+                landed.append(outcome)
+
+        def report() -> None:
+            """``on_result`` for every outcome finished since the last
+            call, in completion order."""
+            while landed:
+                on_result(landed.popleft())
 
         def retire(worker: _Worker, now: float, kind: str, error: str) -> None:
             """An attempt failed; retry with backoff or finalise.
@@ -620,6 +682,8 @@ class SupervisedRunner:
                         launch(worker.index, worker.attempt, now, True)
                         outcomes[worker.index].speculated += 1
                         self._count("supervise.speculative")
+                # Every freed slot has its next attempt: now checkpoint.
+                report()
                 if not running:
                     if queue:
                         wake = min(p.ready_at for p in queue)
@@ -692,6 +756,7 @@ class SupervisedRunner:
                             f"{now - worker.last_beat:.3g}s "
                             f"(attempt {worker.attempt}{note})",
                         )
+            report()  # the last results, or those landed before a stop
         finally:
             # Normal return, should_stop, KeyboardInterrupt or a raising
             # on_result: no worker outlives the call.

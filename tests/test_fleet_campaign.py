@@ -19,8 +19,10 @@ importing it.
 """
 
 import functools
+import hashlib
 import json
 import os
+import pickle
 import signal
 import sys
 
@@ -193,6 +195,49 @@ class TestCheckpointResume:
         assert survived.supervision["retries"] == 1
         assert survived.completeness == 1.0
         assert survived.metrics_dict() == baseline.metrics_dict()
+
+    def test_one_and_two_workers_leave_the_same_journal(self, tmp_path):
+        # A shard times its own policy phases ("phases" / "wall_s"), so
+        # no two runs write the same checkpoint bytes; with those clock
+        # readings zeroed, every byte must agree.
+        def unclocked(result):
+            return dict(
+                result,
+                phases=[dict(p, wall_s=0.0) for p in result["phases"]],
+            )
+
+        def entry(path):
+            data = path.read_bytes()
+            if path.suffix != ".pkl":
+                return data
+            header, payload = data[:71], data[71:]  # magic, digest, newline
+            digest = hashlib.sha256(payload).hexdigest().encode()
+            assert header == b"RPRC1\n" + digest + b"\n"
+            return pickle.dumps(
+                unclocked(pickle.loads(payload)), protocol=pickle.HIGHEST_PROTOCOL
+            )
+
+        spec = _spec(groups=64, shards=16)
+        journals, landed = [], []
+        for workers in (1, 2):
+            journal_dir = tmp_path / f"journal-{workers}"
+            shards = []
+            CampaignRunner(
+                spec, journal_dir=journal_dir, workers=workers,
+                on_shard=lambda index, result: shards.append(
+                    (index, pickle.dumps(unclocked(result)))
+                ),
+            ).run()
+            journals.append({
+                path.relative_to(journal_dir).as_posix(): entry(path)
+                for path in sorted(journal_dir.rglob("*")) if path.is_file()
+            })
+            landed.append(shards)
+        serial, supervised = journals
+        assert len(serial) == 17  # the manifest and one checkpoint a shard
+        assert supervised == serial
+        assert sorted(landed[1]) == sorted(landed[0])
+        assert sorted(index for index, _ in landed[1]) == list(range(16))
 
     def test_full_resume_does_zero_new_work(self, tmp_path):
         journal_dir = tmp_path / "journal"

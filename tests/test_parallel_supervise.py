@@ -288,6 +288,20 @@ def _stop_once(sentinel, value):
     return value * 7
 
 
+def _raise_once(sentinel, x):
+    """Raises on its first attempt only (no sentinel: never)."""
+    if sentinel is not None and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        raise ValueError(f"first attempt at {x}")
+    return x * x
+
+
+def _return_or_hang(value):
+    if value:
+        time.sleep(600)
+    return value
+
+
 def _raise_odd(value):
     if value % 2:
         raise ValueError(f"odd {value}")
@@ -300,6 +314,18 @@ def _probe_or_wait(steps, pause):
         return _probed_task(steps, pause)
     time.sleep(pause)
     return 0
+
+
+def _threads(pause):
+    """This worker's thread count and the names of its other threads."""
+    import threading
+
+    time.sleep(pause)
+    others = tuple(
+        thread.name for thread in threading.enumerate()
+        if thread is not threading.current_thread()
+    )
+    return threading.active_count(), others
 
 
 def _apply(x, hook):
@@ -492,28 +518,103 @@ class TestPersistentWorkers:
         assert counters["supervise.spawns"] == 1
         assert counters["supervise.errors"] == 1
 
-    def test_idle_worker_death_charges_no_task(self):
-        runner, metrics = _metered(workers=1, retry=_FAST, heartbeat_interval=0.2)
+    def test_idle_worker_death_charges_no_task(self, tmp_path):
+        # The first task raises once and its retry waits out a backoff;
+        # the worker that answered is idle when the failure is reported,
+        # and is killed then.  The next hand-out finds it dead.
+        runner, metrics = _metered(
+            workers=1, heartbeat_interval=0.2,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.05, jitter=0.0),
+        )
         events = _Events()
 
-        def kill_idle_worker(outcome):
-            if outcome.index == 0:
+        def kill_idle_worker(kind, index, info):
+            events(kind, index, info)
+            if kind == "attempt_failed":
                 pid = events.pids()[-1]
                 os.kill(pid, signal.SIGKILL)
                 _wait_dead(pid)
 
         outcomes = runner.map(
-            _square, [{"x": 3}, {"x": 4}],
-            on_result=kill_idle_worker, on_event=events,
+            _raise_once,
+            [{"sentinel": str(tmp_path / "raised"), "x": 3},
+             {"sentinel": None, "x": 4}],
+            on_event=kill_idle_worker,
         )
         assert [o.value for o in outcomes] == [9, 16]
-        assert all(o.attempts == 1 and o.worker_deaths == 0 for o in outcomes)
-        first, second = events.pids()
-        assert first != second
+        assert [o.attempts for o in outcomes] == [2, 1]  # the raise, not the death
+        assert all(o.worker_deaths == 0 for o in outcomes)
+        first, second, third = events.pids()
+        assert first != second == third
         counters = _counters(metrics)
         assert counters["supervise.spawns"] == 2
-        assert counters["supervise.attempts"] == 2
+        assert counters["supervise.attempts"] == 3
+        assert counters["supervise.errors"] == 1
         assert "supervise.worker_deaths" not in counters
+
+    def test_a_freed_worker_is_handed_out_before_on_result(self):
+        runner = SupervisedRunner(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        log = []
+        outcomes = runner.map(
+            _slow_square, [{"x": i} for i in range(12)],
+            on_event=lambda kind, index, info: log.append((kind, index)),
+            on_result=lambda outcome: log.append(("on_result", outcome.index)),
+        )
+        assert [o.value for o in outcomes] == [i * i for i in range(12)]
+        kinds = [kind for kind, _ in log]
+        finished = [index for kind, index in log if kind == "attempt_ok"]
+        reported = [index for kind, index in log if kind == "on_result"]
+        assert reported == finished  # once per task, in completion order
+        assert sorted(reported) == list(range(12))
+        for index in finished:
+            freed = log.index(("attempt_ok", index))
+            checkpoint = log.index(("on_result", index))
+            if kinds[:freed].count("attempt_started") < 12:
+                # Work was queued when the slot came free: it went out first.
+                assert "attempt_started" in kinds[freed:checkpoint], log
+
+    def test_a_result_landed_before_a_stop_is_still_reported(self):
+        runner = SupervisedRunner(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        events, reported = _Events(), []
+
+        def landed():
+            return any(kind == "attempt_ok" for kind, _, _ in events.rows)
+
+        outcomes = runner.map(
+            _return_or_hang, [{"value": i} for i in range(4)],
+            on_event=events, should_stop=landed,
+            on_result=lambda outcome: reported.append(outcome.index),
+        )
+        assert reported == [0]
+        assert outcomes[0].ok and outcomes[0].value == 0
+        assert [o.error for o in outcomes[1:]] == ["cancelled"] * 3
+
+    def test_a_raising_on_result_after_the_hand_out_leaves_no_worker(self):
+        import multiprocessing as mp
+
+        runner = SupervisedRunner(workers=2, retry=_FAST, heartbeat_interval=0.2)
+        log = []
+
+        def boom(outcome):
+            log.append("on_result")
+            raise RuntimeError("checkpoint failed")
+
+        def observe(kind, index, info):
+            if kind != "heartbeat":
+                log.append(kind)
+
+        with pytest.raises(RuntimeError, match="checkpoint failed"):
+            runner.map(
+                _return_or_hang, [{"value": i} for i in range(4)],
+                on_event=observe, on_result=boom,
+            )
+        # Task 0 freed its slot for task 2, which was hanging when the
+        # checkpoint raised: the hand-out came first, and was reaped.
+        assert log == [
+            "attempt_started", "attempt_started", "attempt_ok",
+            "attempt_started", "on_result",
+        ]
+        assert mp.active_children() == []
 
     def test_beats_never_carry_the_previous_tasks_progress(self):
         runner = SupervisedRunner(workers=1, heartbeat_interval=0.02)
@@ -552,6 +653,18 @@ class TestPersistentWorkers:
         assert fast.ok
         assert fast.last_progress is None
         assert fast.last_progress_time is None
+
+    def test_a_worker_runs_one_heartbeat_thread_for_all_its_tasks(self):
+        runner = SupervisedRunner(workers=1, heartbeat_interval=0.01)
+        events = _Events()
+        outcomes = runner.map(
+            _threads, [{"pause": 0.02 * (i % 2)} for i in range(8)],
+            on_event=events,
+        )
+        assert len(set(events.pids())) == 1
+        assert all(o.ok and o.value[0] <= 2 for o in outcomes)
+        (beat,) = {o.value[1] for o in outcomes}  # the same thread every task
+        assert len(beat) == 1
 
     def test_params_need_not_be_picklable_under_fork(self):
         import multiprocessing as mp
@@ -659,7 +772,8 @@ def _mask(x):
 
 
 class TestWorkerPlacement:
-    """A fresh worker starts on its slot's CPU and keeps the whole mask.
+    """The supervisor moves a fresh worker onto its slot's CPU and hands
+    it back the whole mask.
 
     Which CPU the kernel then runs it on is the kernel's business and is
     not tested."""
@@ -671,6 +785,58 @@ class TestWorkerPlacement:
         assert [_slot_cpu(s, {7, 2, 5}) for s in range(4)] == [2, 5, 7, 2]
         assert _slot_cpu(3, {4}) is None  # nothing to choose
         assert _slot_cpu(0, ()) is None  # no affinity calls
+
+    def test_slot_0_takes_the_cpu_after_the_supervisors(self):
+        from repro.parallel.supervise import _slot_cpu
+
+        assert [_slot_cpu(s, {0, 1}, 0) for s in range(4)] == [1, 0, 1, 0]
+        assert [_slot_cpu(s, {0, 1}, 1) for s in range(4)] == [0, 1, 0, 1]
+        assert [_slot_cpu(s, {7, 2, 5}, 5) for s in range(4)] == [7, 2, 5, 7]
+        assert [_slot_cpu(s, {7, 2, 5}, 7) for s in range(4)] == [2, 5, 7, 2]
+        # An unknown CPU, or one outside the set: the lowest first.
+        for current in (None, 3):
+            assert [_slot_cpu(s, {7, 2, 5}, current) for s in range(4)] == [
+                2, 5, 7, 2,
+            ]
+        assert _slot_cpu(1, {4}, 4) is None
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/thread-self/stat"), reason="no /proc"
+    )
+    def test_the_supervisor_reads_the_cpu_it_runs_on(self):
+        from repro.parallel.supervise import _current_cpu
+
+        cpu = _current_cpu()
+        assert isinstance(cpu, int)
+        if hasattr(os, "sched_getaffinity"):
+            assert cpu in os.sched_getaffinity(0)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no affinity calls"
+    )
+    def test_the_supervisor_places_each_fork(self, monkeypatch):
+        from repro.parallel import supervise
+
+        calls = []
+        real = os.sched_setaffinity
+
+        def spy(pid, mask):
+            calls.append((pid, set(mask)))
+            return real(pid, mask)
+
+        monkeypatch.setattr(supervise.os, "sched_setaffinity", spy)
+        events = _Events()
+        SupervisedRunner(workers=2, retry=_FAST).map(
+            _slow_square, [{"x": i} for i in range(6)], on_event=events
+        )
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            assert calls == []
+            return
+        pids = list(dict.fromkeys(events.pids()))
+        assert [pid for pid, _ in calls] == [pids[0], pids[0], pids[1], pids[1]]
+        for (_, one), (_, whole) in zip(calls[::2], calls[1::2]):
+            assert len(one) == 1 and one <= allowed and whole == allowed
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no affinity calls"

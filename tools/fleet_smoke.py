@@ -11,8 +11,9 @@ are acceptance criteria from PR 7, the fifth from PR 8:
    journalled shard (``shards_resumed`` > 0, all checkpoint hits) and
    finish bit-identical to the baseline.
 3. **SIGKILL a worker** — run under supervision with a shard task that
-   kills its own worker once; the campaign must retry it, replace that
-   one worker only (``supervise.spawns == workers + 1``) and still
+   kills its own worker once; the campaign must retry it, book exactly
+   one worker death and one attempt more than there are shards, replace
+   that one worker only (``supervise.spawns == workers + 1``) and still
    match the baseline exactly.
 4. **Wedge a worker** — a shard task that sleeps forever on every
    attempt must trip the hung-task deadline, exhaust its retries, and
@@ -204,6 +205,12 @@ def main() -> int:
             survived.supervision.get("worker_deaths", 0) == 1
             and survived.supervision.get("retries", 0) >= 1,
             f"supervision {survived.supervision}",
+        )
+        failures += not check(
+            "only the killed shard was charged a second attempt",
+            survived.supervision.get("attempts") == survived.shards_total + 1,
+            f"{survived.supervision.get('attempts')} attempts for "
+            f"{survived.shards_total} shards",
         )
         spawns = metrics.snapshot()["counters"].get("supervise.spawns")
         failures += not check(
