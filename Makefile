@@ -16,10 +16,13 @@ tier1:
 		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT)
 
 # The import contract (DESIGN section 17): importing any package of
-# repro, tuning a trace and replaying one load no scipy module at all; a
-# fleet campaign ends holding scipy.special and nothing heavier.  Prints
-# seconds / modules / RSS per row (fresh interpreter each); exit 1 on a
-# forbidden module only -- the seconds are bench/run.py's to judge.
+# repro loads no module of it but package inits, and no scipy; tuning a
+# trace and replaying one load no scipy module at all; a fleet campaign
+# ends holding scipy.special and nothing heavier; tuning, a campaign and
+# repro serve's start-up load none of the simulator they do not run.
+# Prints seconds / modules / repro modules / RSS per row (fresh
+# interpreter each); exit 1 on a forbidden module only -- the seconds
+# are bench/run.py's to judge.
 import-budget:
 	$(PYTHON) tools/import_budget.py
 

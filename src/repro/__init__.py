@@ -30,62 +30,68 @@ Quickstart::
     print(quickstart_scrub_throughput())  # sequential vs staggered, MB/s
 """
 
-from repro.core import Scrubber, SequentialScrub, StaggeredScrub
-from repro.core.optimizer import OptimalParameters, ScrubParameterOptimizer
-from repro.core.policies import (
-    ARPolicy,
-    ARWaitingPolicy,
-    LosslessWaitingPolicy,
-    OraclePolicy,
-    WaitingPolicy,
-    WaitingScrubber,
-)
-from repro.disk import Drive, hitachi_ultrastar_15k450
-from repro.faults import (
-    BernoulliFaultModel,
-    ClusteredBurstFaultModel,
-    FaultPlan,
-    MediaFaults,
-    RemediationPolicy,
-)
-from repro.sched import BlockDevice, CFQScheduler, NoopScheduler
-from repro.sim import Simulation
-from repro.obs.sink import Recorder, TelemetrySink
-from repro.traces import Trace, generate_trace
+import sys
+from importlib import import_module
 
 #: Bump when any result can change (the ``ResultCache`` key hashes it);
 #: an exact change of implementation does not (PRs 11-20 moved no result).
 __version__ = "1.10.0"
 
-__all__ = [
-    "ARPolicy",
-    "ARWaitingPolicy",
-    "BernoulliFaultModel",
-    "BlockDevice",
-    "CFQScheduler",
-    "ClusteredBurstFaultModel",
-    "Drive",
-    "FaultPlan",
-    "LosslessWaitingPolicy",
-    "MediaFaults",
-    "NoopScheduler",
-    "OptimalParameters",
-    "OraclePolicy",
-    "Recorder",
-    "RemediationPolicy",
-    "ScrubParameterOptimizer",
-    "Scrubber",
-    "SequentialScrub",
-    "Simulation",
-    "StaggeredScrub",
-    "TelemetrySink",
-    "Trace",
-    "WaitingPolicy",
-    "WaitingScrubber",
-    "generate_trace",
-    "hitachi_ultrastar_15k450",
-    "quickstart_scrub_throughput",
-]
+
+def _lazy(package: str, exports: dict):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a re-exporting package.
+
+    ``exports`` maps each public name to the module that defines it,
+    relative to ``package``.  Nothing is imported until a name is first
+    read; then its module is, and the name is cached in the package's
+    globals, so a second read never reaches ``__getattr__``.  A name not
+    in ``exports`` is an ``AttributeError`` (DESIGN section 17).
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(exports[name], package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "ARPolicy": ".core.policies.ar",
+    "ARWaitingPolicy": ".core.policies.combined",
+    "BernoulliFaultModel": ".faults.plan",
+    "BlockDevice": ".sched.device",
+    "CFQScheduler": ".sched.cfq",
+    "ClusteredBurstFaultModel": ".faults.plan",
+    "Drive": ".disk.drive",
+    "FaultPlan": ".faults.plan",
+    "LosslessWaitingPolicy": ".core.policies.waiting",
+    "MediaFaults": ".faults.state",
+    "NoopScheduler": ".sched.noop",
+    "OptimalParameters": ".core.optimizer",
+    "OraclePolicy": ".core.policies.oracle",
+    "Recorder": ".obs.sink",
+    "RemediationPolicy": ".faults.remediation",
+    "ScrubParameterOptimizer": ".core.optimizer",
+    "Scrubber": ".core.scrubber",
+    "SequentialScrub": ".core.sequential",
+    "Simulation": ".sim.engine",
+    "StaggeredScrub": ".core.staggered",
+    "TelemetrySink": ".obs.sink",
+    "Trace": ".traces.record",
+    "WaitingPolicy": ".core.policies.waiting",
+    "WaitingScrubber": ".core.policies.device",
+    "generate_trace": ".traces.catalog",
+    "hitachi_ultrastar_15k450": ".disk.models",
+}
+__all__ = [*_EXPORTS, "quickstart_scrub_throughput"]
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)
 
 
 def quickstart_scrub_throughput() -> dict:
@@ -95,6 +101,9 @@ def quickstart_scrub_throughput() -> dict:
     scrubber running alone on the paper's main drive.
     """
     from repro.analysis.throughput import standalone_scrub_throughput
+    from repro.core.sequential import SequentialScrub
+    from repro.core.staggered import StaggeredScrub
+    from repro.disk.models import hitachi_ultrastar_15k450
 
     spec = hitachi_ultrastar_15k450()
     return {

@@ -23,52 +23,29 @@
   Table III).
 """
 
-from repro.analysis.collision import (
-    PolicyPoint,
-    evaluate_policy,
-    sweep_policy_cls,
-)
-from repro.analysis.detection import (
-    DetectionMetrics,
-    DetectionResult,
-    compute_detection_metrics,
-    detection_sweep_task,
-    run_detection_experiment,
-    shrunk_spec,
-)
-from repro.analysis.impact import ImpactResult, run_impact_experiment
-from repro.analysis.replay_cdf import (
-    ReplayResult,
-    replay_with_scrubber,
-)
-from repro.analysis.service_model import ScrubServiceModel
-from repro.analysis.slowdown import (
-    SlowdownResult,
-    simulate_adaptive_waiting,
-    simulate_fixed_waiting,
-)
-from repro.analysis.stack import ScrubberSetup, ScrubStack
-from repro.analysis.throughput import standalone_scrub_throughput
+from repro import _lazy
 
-__all__ = [
-    "DetectionMetrics",
-    "DetectionResult",
-    "ImpactResult",
-    "PolicyPoint",
-    "ReplayResult",
-    "ScrubServiceModel",
-    "ScrubStack",
-    "ScrubberSetup",
-    "SlowdownResult",
-    "compute_detection_metrics",
-    "detection_sweep_task",
-    "evaluate_policy",
-    "replay_with_scrubber",
-    "run_detection_experiment",
-    "run_impact_experiment",
-    "shrunk_spec",
-    "simulate_adaptive_waiting",
-    "simulate_fixed_waiting",
-    "standalone_scrub_throughput",
-    "sweep_policy_cls",
-]
+_EXPORTS = {
+    "DetectionMetrics": ".detection",
+    "DetectionResult": ".detection",
+    "ImpactResult": ".impact",
+    "PolicyPoint": ".collision",
+    "ReplayResult": ".replay_cdf",
+    "ScrubServiceModel": ".service_model",
+    "ScrubStack": ".stack",
+    "ScrubberSetup": ".stack",
+    "SlowdownResult": ".slowdown",
+    "compute_detection_metrics": ".detection",
+    "detection_sweep_task": ".detection",
+    "evaluate_policy": ".collision",
+    "replay_with_scrubber": ".replay_cdf",
+    "run_detection_experiment": ".detection",
+    "run_impact_experiment": ".impact",
+    "shrunk_spec": ".detection",
+    "simulate_adaptive_waiting": ".slowdown",
+    "simulate_fixed_waiting": ".slowdown",
+    "standalone_scrub_throughput": ".throughput",
+    "sweep_policy_cls": ".collision",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -28,8 +28,6 @@ import argparse
 import sys
 from importlib import import_module
 
-from ._shared import UsageError
-
 #: Top-level commands in ``--help`` order, one module each.
 COMMANDS = (
     "generate", "corpus", "analyze", "optimize", "throughput", "detect",
@@ -60,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from ._shared import UsageError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -2,8 +2,6 @@
 summary, autocorrelation, tail share, expected remaining idle time and,
 from two days up, the ANOVA period)."""
 
-import numpy as np
-
 from ._shared import add_trace_source, idle_positioning, load_trace
 
 
@@ -16,6 +14,8 @@ def register(subparsers) -> None:
 
 
 def run(args) -> int:
+    import numpy as np
+
     from repro.stats import (
         anova_period, expected_remaining, has_significant_autocorrelation,
         summarize_idle, usable_fraction,

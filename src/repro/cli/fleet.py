@@ -6,10 +6,9 @@ observability (``--monitor``: progress lines, ``status.json``, event
 log, span trace, Prometheus textfile)."""
 
 import argparse
+import math
 import os
 import sys
-
-import numpy as np
 
 from ._shared import (
     UsageError, add_campaign_spec_flags, add_supervision_flags,
@@ -78,7 +77,7 @@ def _years(hours: float, unit: str = "y") -> str:
     from repro.raid.reliability import HOURS_PER_YEAR
 
     years = hours / HOURS_PER_YEAR
-    return f"{years:.1f}{unit}" if np.isfinite(years) else "inf"
+    return f"{years:.1f}{unit}" if math.isfinite(years) else "inf"
 
 
 def run(args) -> int:

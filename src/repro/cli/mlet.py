@@ -1,8 +1,6 @@
 """``repro mlet``: mean latent error time by scrub order (sequential vs
 staggered at several region counts) under bursty latent sector errors."""
 
-import numpy as np
-
 from ._shared import drive_spec
 
 
@@ -19,6 +17,8 @@ def register(subparsers) -> None:
 
 
 def run(args) -> int:
+    import numpy as np
+
     from repro.analysis import standalone_scrub_throughput
     from repro.core import SequentialScrub, StaggeredScrub
     from repro.core.mlet import (

@@ -21,19 +21,15 @@
   scrubbing).
 """
 
-from repro.core.scrubber import ScrubAlgorithm, Scrubber
-from repro.core.search import (
-    SearchOutcome,
-    SuccessiveHalvingSearch,
-)
-from repro.core.sequential import SequentialScrub
-from repro.core.staggered import StaggeredScrub
+from repro import _lazy
 
-__all__ = [
-    "ScrubAlgorithm",
-    "Scrubber",
-    "SearchOutcome",
-    "SequentialScrub",
-    "StaggeredScrub",
-    "SuccessiveHalvingSearch",
-]
+_EXPORTS = {
+    "ScrubAlgorithm": ".algorithm",
+    "Scrubber": ".scrubber",
+    "SearchOutcome": ".search",
+    "SequentialScrub": ".sequential",
+    "StaggeredScrub": ".staggered",
+    "SuccessiveHalvingSearch": ".search",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

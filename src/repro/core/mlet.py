@@ -22,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.scrubber import ScrubAlgorithm
+from repro.core.algorithm import ScrubAlgorithm
 from repro.disk.commands import SECTOR_SIZE
 
 

@@ -21,19 +21,16 @@ delays — it watches a :class:`~repro.sched.device.BlockDevice` and
 self-schedules.
 """
 
-from repro.core.policies.ar import ARPolicy
-from repro.core.policies.base import IdlePolicy
-from repro.core.policies.combined import ARWaitingPolicy
-from repro.core.policies.device import WaitingScrubber
-from repro.core.policies.oracle import OraclePolicy
-from repro.core.policies.waiting import LosslessWaitingPolicy, WaitingPolicy
+from repro import _lazy
 
-__all__ = [
-    "ARPolicy",
-    "ARWaitingPolicy",
-    "IdlePolicy",
-    "LosslessWaitingPolicy",
-    "OraclePolicy",
-    "WaitingPolicy",
-    "WaitingScrubber",
-]
+_EXPORTS = {
+    "ARPolicy": ".ar",
+    "ARWaitingPolicy": ".combined",
+    "IdlePolicy": ".base",
+    "LosslessWaitingPolicy": ".waiting",
+    "OraclePolicy": ".oracle",
+    "WaitingPolicy": ".waiting",
+    "WaitingScrubber": ".device",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

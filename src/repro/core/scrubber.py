@@ -30,8 +30,9 @@ once, for both pacings (DESIGN §6.4).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
+from repro.core.algorithm import ScrubAlgorithm
 from repro.disk.commands import SECTOR_SIZE, CommandStatus, DiskCommand
 from repro.faults.remediation import (
     RemediationPolicy,
@@ -41,25 +42,6 @@ from repro.faults.remediation import (
 from repro.sched.device import BlockDevice
 from repro.sched.request import IORequest, PriorityClass
 from repro.sim import Interrupt, Process, ReusableTimeout, Simulation
-
-#: One scrub extent: starting LBN and sector count.
-Extent = Tuple[int, int]
-
-
-class ScrubAlgorithm:
-    """Order in which a full disk pass visits its sectors.
-
-    Subclasses implement :meth:`reset` and :meth:`next_extent`; the
-    framework calls ``reset`` at the start of every pass.
-    """
-
-    def reset(self, total_sectors: int, request_sectors: int) -> None:
-        raise NotImplementedError
-
-    def next_extent(self) -> Optional[Extent]:
-        """The next extent to verify, or ``None`` when the pass is done."""
-        raise NotImplementedError
-
 
 class Scrubber:
     """A per-device background scrubbing thread.

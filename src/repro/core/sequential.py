@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.scrubber import Extent, ScrubAlgorithm
+from repro.core.algorithm import Extent, ScrubAlgorithm
 
 
 class SequentialScrub(ScrubAlgorithm):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.scrubber import Extent, ScrubAlgorithm
+from repro.core.algorithm import Extent, ScrubAlgorithm
 
 
 class StaggeredScrub(ScrubAlgorithm):

@@ -23,37 +23,27 @@ Public surface:
 * :mod:`repro.disk.models` — parameter presets for the paper's drives
 """
 
-from repro.disk.cache import DiskCache
-from repro.disk.commands import CommandStatus, DiskCommand, Interface, Opcode
-from repro.disk.drive import Drive, ServiceBreakdown
-from repro.disk.geometry import DiskGeometry, Location, Zone
-from repro.disk.mechanics import RotationModel, SeekModel
-from repro.disk.models import (
-    DriveSpec,
-    fujitsu_map3367np,
-    fujitsu_max3073rc,
-    hitachi_deskstar_7k1000,
-    hitachi_ultrastar_15k450,
-    wd_caviar_blue,
-)
+from repro import _lazy
 
-__all__ = [
-    "CommandStatus",
-    "DiskCache",
-    "DiskCommand",
-    "DiskGeometry",
-    "Drive",
-    "DriveSpec",
-    "Interface",
-    "Location",
-    "Opcode",
-    "RotationModel",
-    "SeekModel",
-    "ServiceBreakdown",
-    "Zone",
-    "fujitsu_map3367np",
-    "fujitsu_max3073rc",
-    "hitachi_deskstar_7k1000",
-    "hitachi_ultrastar_15k450",
-    "wd_caviar_blue",
-]
+_EXPORTS = {
+    "CommandStatus": ".commands",
+    "DiskCache": ".cache",
+    "DiskCommand": ".commands",
+    "DiskGeometry": ".geometry",
+    "Drive": ".drive",
+    "DriveSpec": ".models",
+    "Interface": ".commands",
+    "Location": ".geometry",
+    "Opcode": ".commands",
+    "RotationModel": ".mechanics",
+    "SeekModel": ".mechanics",
+    "ServiceBreakdown": ".drive",
+    "Zone": ".geometry",
+    "fujitsu_map3367np": ".models",
+    "fujitsu_max3073rc": ".models",
+    "hitachi_deskstar_7k1000": ".models",
+    "hitachi_ultrastar_15k450": ".models",
+    "wd_caviar_blue": ".models",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

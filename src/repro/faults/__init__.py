@@ -27,34 +27,22 @@ Quickstart::
     drive.install_faults(MediaFaults(plan))
 """
 
-from repro.faults.log import ErrorEventKind, ErrorLog, ErrorRecord
-from repro.faults.plan import (
-    MODELS,
-    BernoulliFaultModel,
-    ClusteredBurstFaultModel,
-    FaultPlan,
-    SectorError,
-    build_model,
-)
-from repro.faults.remediation import (
-    RemediationPolicy,
-    RemediationStats,
-    remediate_extent,
-)
-from repro.faults.state import MediaFaults
+from repro import _lazy
 
-__all__ = [
-    "MODELS",
-    "BernoulliFaultModel",
-    "ClusteredBurstFaultModel",
-    "ErrorEventKind",
-    "ErrorLog",
-    "ErrorRecord",
-    "FaultPlan",
-    "MediaFaults",
-    "RemediationPolicy",
-    "RemediationStats",
-    "SectorError",
-    "build_model",
-    "remediate_extent",
-]
+_EXPORTS = {
+    "MODELS": ".plan",
+    "BernoulliFaultModel": ".plan",
+    "ClusteredBurstFaultModel": ".plan",
+    "ErrorEventKind": ".log",
+    "ErrorLog": ".log",
+    "ErrorRecord": ".log",
+    "FaultPlan": ".plan",
+    "MediaFaults": ".state",
+    "RemediationPolicy": ".remediation",
+    "RemediationStats": ".remediation",
+    "SectorError": ".plan",
+    "build_model": ".plan",
+    "remediate_extent": ".remediation",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -25,52 +25,31 @@ CLI entry point: ``repro fleet`` (``--resume`` just points at the same
 journal directory).
 """
 
-from repro.fleet.campaign import (
-    CampaignCancelled,
-    CampaignResult,
-    CampaignRunner,
-    PolicyEstimate,
-    closed_form_policy,
-    loss_rate_interval,
-    wilson_interval,
-)
-from repro.fleet.journal import CampaignJournal, JournalError
-from repro.fleet.montecarlo import fleet_shard_task, simulate_group
-from repro.fleet.spec import (
-    CampaignSpec,
-    DriveClass,
-    FleetSpec,
-    ScrubPolicySpec,
-    campaign_digest,
-    group_profile,
-    group_profiles,
-    group_seed,
-    resolve_latent_windows,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro import _lazy
 
-__all__ = [
-    "CampaignCancelled",
-    "CampaignJournal",
-    "CampaignResult",
-    "CampaignRunner",
-    "CampaignSpec",
-    "DriveClass",
-    "FleetSpec",
-    "JournalError",
-    "PolicyEstimate",
-    "ScrubPolicySpec",
-    "campaign_digest",
-    "closed_form_policy",
-    "fleet_shard_task",
-    "group_profile",
-    "group_profiles",
-    "group_seed",
-    "loss_rate_interval",
-    "resolve_latent_windows",
-    "simulate_group",
-    "spec_from_dict",
-    "spec_to_dict",
-    "wilson_interval",
-]
+_EXPORTS = {
+    "CampaignCancelled": ".campaign",
+    "CampaignJournal": ".journal",
+    "CampaignResult": ".campaign",
+    "CampaignRunner": ".campaign",
+    "CampaignSpec": ".spec",
+    "DriveClass": ".spec",
+    "FleetSpec": ".spec",
+    "JournalError": ".journal",
+    "PolicyEstimate": ".campaign",
+    "ScrubPolicySpec": ".spec",
+    "campaign_digest": ".spec",
+    "closed_form_policy": ".campaign",
+    "fleet_shard_task": ".montecarlo",
+    "group_profile": ".spec",
+    "group_profiles": ".spec",
+    "group_seed": ".spec",
+    "loss_rate_interval": ".campaign",
+    "resolve_latent_windows": ".spec",
+    "simulate_group": ".montecarlo",
+    "spec_from_dict": ".spec",
+    "spec_to_dict": ".spec",
+    "wilson_interval": ".campaign",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

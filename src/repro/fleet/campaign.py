@@ -270,7 +270,8 @@ class CampaignRunner:
         typed).  Purely observational: it receives lifecycle events and
         worker heartbeat samples, and can never change a result — the
         differential oracle's ``monitor`` axis asserts campaign metrics
-        are bit-identical with a monitor attached or not.
+        are bit-identical with a monitor attached or not.  :meth:`run`
+        closes it however it ends.
     should_stop:
         Optional zero-argument callable polled between shards (serial)
         and by the supervision loop (parallel).  Returning ``True``
@@ -329,6 +330,13 @@ class CampaignRunner:
 
     def run(self) -> CampaignResult:
         """Execute (or resume) the campaign and estimate fleet metrics."""
+        try:
+            return self._run()
+        finally:
+            if self.monitor is not None:
+                self.monitor.close()
+
+    def _run(self) -> CampaignResult:
         spec = self.spec
         journal = None
         if self.journal_dir is not None:

@@ -378,12 +378,17 @@ class CampaignMonitor:
         self._maybe_progress(force=True)
         self._write_summary()
         self.write_trace()
-        if self._events_handle is not None:
-            try:
-                self._events_handle.close()
-            except OSError:
-                pass
-            self._events_handle = None
+        self._close_events()
+
+    @_locked
+    def close(self) -> None:
+        """Close ``events.jsonl``; an event after this reopens it.
+
+        :class:`~repro.fleet.campaign.CampaignRunner` calls this however
+        its run ends, so a campaign that raises or is cancelled before
+        :meth:`campaign_finished` leaves no handle open.
+        """
+        self._close_events()
 
     # -- derived views -------------------------------------------------
 
@@ -614,7 +619,15 @@ class CampaignMonitor:
             self._events_handle.flush()
         except (OSError, ValueError):
             self.io_errors += 1
-            self._events_handle = None
+            self._close_events()
+
+    def _close_events(self) -> None:
+        handle, self._events_handle = self._events_handle, None
+        if handle is not None:
+            try:
+                handle.close()  # a failed flush fails again, but closes
+            except OSError:
+                pass
 
     def _maybe_progress(self, force: bool = False) -> None:
         """Hand ``on_progress`` a line, ``interval`` apart unless forced."""

@@ -23,25 +23,19 @@ Fig. 15 sizing curves.  This package provides:
   building blocks, exported for tests and custom sweeps.
 """
 
-from repro.parallel.cache import (
-    CACHE_DIR_ENV,
-    ResultCache,
-    canonicalize,
-    default_cache_dir,
-    derive_seed,
-)
-from repro.parallel.runner import SweepRunner, SweepTaskError
-from repro.parallel.supervise import RetryPolicy, SupervisedRunner, TaskOutcome
+from repro import _lazy
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "ResultCache",
-    "RetryPolicy",
-    "SupervisedRunner",
-    "SweepRunner",
-    "SweepTaskError",
-    "TaskOutcome",
-    "canonicalize",
-    "default_cache_dir",
-    "derive_seed",
-]
+_EXPORTS = {
+    "CACHE_DIR_ENV": ".cache",
+    "ResultCache": ".cache",
+    "RetryPolicy": ".supervise",
+    "SupervisedRunner": ".supervise",
+    "SweepRunner": ".runner",
+    "SweepTaskError": ".runner",
+    "TaskOutcome": ".supervise",
+    "canonicalize": ".cache",
+    "default_cache_dir": ".cache",
+    "derive_seed": ".cache",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

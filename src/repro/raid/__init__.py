@@ -22,23 +22,17 @@ This package provides:
   data loss).
 """
 
-from repro.raid.array import RaidArray
-from repro.raid.geometry import RaidGeometry, RaidLevel
-from repro.raid.reliability import (
-    HOURS_PER_YEAR,
-    GroupReliability,
-    RebuildRiskModel,
-    group_reliability,
-    lse_exposure_probability,
-)
+from repro import _lazy
 
-__all__ = [
-    "GroupReliability",
-    "HOURS_PER_YEAR",
-    "RaidArray",
-    "RaidGeometry",
-    "RaidLevel",
-    "RebuildRiskModel",
-    "group_reliability",
-    "lse_exposure_probability",
-]
+_EXPORTS = {
+    "GroupReliability": ".reliability",
+    "HOURS_PER_YEAR": ".reliability",
+    "RaidArray": ".array",
+    "RaidGeometry": ".geometry",
+    "RaidLevel": ".geometry",
+    "RebuildRiskModel": ".reliability",
+    "group_reliability": ".reliability",
+    "lse_exposure_probability": ".reliability",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -19,20 +19,17 @@ Models the Linux 2.6.35 block layer pieces the paper depends on:
   drive and a scheduler; collects a complete request log.
 """
 
-from repro.sched.cfq import CFQScheduler
-from repro.sched.deadline import DeadlineScheduler
-from repro.sched.device import BlockDevice, RequestLog
-from repro.sched.elevator import ElevatorQueue
-from repro.sched.noop import NoopScheduler
-from repro.sched.request import IORequest, PriorityClass
+from repro import _lazy
 
-__all__ = [
-    "BlockDevice",
-    "CFQScheduler",
-    "DeadlineScheduler",
-    "ElevatorQueue",
-    "IORequest",
-    "NoopScheduler",
-    "PriorityClass",
-    "RequestLog",
-]
+_EXPORTS = {
+    "BlockDevice": ".device",
+    "CFQScheduler": ".cfq",
+    "DeadlineScheduler": ".deadline",
+    "ElevatorQueue": ".elevator",
+    "IORequest": ".request",
+    "NoopScheduler": ".noop",
+    "PriorityClass": ".request",
+    "RequestLog": ".device",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -26,25 +26,18 @@ API streams — byte for byte.
 CLI entry points: ``repro serve`` and ``repro submit``.
 """
 
-from repro.service.api import CampaignService
-from repro.service.client import ServiceClient, ServiceTimeout
-from repro.service.queue import (
-    ACTIVE_STATES,
-    TERMINAL_STATES,
-    Job,
-    JobQueue,
-    QueueError,
-)
-from repro.service.scheduler import CampaignScheduler
+from repro import _lazy
 
-__all__ = [
-    "ACTIVE_STATES",
-    "CampaignScheduler",
-    "CampaignService",
-    "Job",
-    "JobQueue",
-    "QueueError",
-    "ServiceClient",
-    "ServiceTimeout",
-    "TERMINAL_STATES",
-]
+_EXPORTS = {
+    "ACTIVE_STATES": ".queue",
+    "CampaignScheduler": ".scheduler",
+    "CampaignService": ".api",
+    "Job": ".queue",
+    "JobQueue": ".queue",
+    "QueueError": ".queue",
+    "ServiceClient": ".client",
+    "ServiceTimeout": ".client",
+    "TERMINAL_STATES": ".queue",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -21,8 +21,10 @@ Routes::
 The events endpoint relays the monitor's ``events.jsonl`` *bytes*
 verbatim from a client-supplied offset, so what a client assembles --
 across any number of disconnect/reconnect cycles -- is byte-identical
-to the file on disk.  It is the one response without a length: it ends
-by closing its connection.
+to the file on disk.  A snapshot (``follow=0``) is one read to the end
+of the file, sent with its length on a kept-alive connection; a follow
+is the one response without a length: it ends by closing its
+connection.
 
 Errors are JSON, ``{"error": "<message>"}``, with conventional status
 codes: 400 malformed request, JSON or spec, 404 unknown job or route,
@@ -349,6 +351,8 @@ class _Handler(BaseHTTPRequestHandler):
             return 400, {"error": "offset must be >= 0"}
         follow = query.get("follow", "0") not in ("0", "false", "")
         path = svc.scheduler.events_path(job_id)
+        if not follow:
+            return 200, read_events_chunk(path, offset)[0], "application/x-ndjson"
         self.send_response_only(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")

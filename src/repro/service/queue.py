@@ -167,9 +167,11 @@ class JobQueue:
         return os.path.join(self.jobs_dir, f"{job_id}.json")
 
     def _persist(self, job: Job) -> None:
+        # One ``dumps`` and one write (see obs/trace.py): the same bytes
+        # ``json.dump`` wrote, through the C encoder.
+        text = json.dumps(job.to_dict(), sort_keys=True) + "\n"
         with atomic_write(self._path(job.id), fsync=True) as handle:
-            json.dump(job.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
 
     def _commit(self, job: Job, **changes) -> Job:
         """Persist ``job`` with ``changes`` applied, then make it visible.

@@ -26,30 +26,23 @@ Example
 [(5.0, 'a')]
 """
 
-from repro.sim.engine import Simulation, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, ReusableTimeout, Timeout
-from repro.sim.process import Interrupt, Process
-from repro.sim.rng import RandomStreams
-from repro.sim.vector import (
-    KERNELS,
-    UnsupportedKernelFeature,
-    VectorSimulation,
-    make_simulation,
-)
+from repro import _lazy
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "Interrupt",
-    "KERNELS",
-    "Process",
-    "RandomStreams",
-    "ReusableTimeout",
-    "Simulation",
-    "StopSimulation",
-    "Timeout",
-    "UnsupportedKernelFeature",
-    "VectorSimulation",
-    "make_simulation",
-]
+_EXPORTS = {
+    "AllOf": ".events",
+    "AnyOf": ".events",
+    "Event": ".events",
+    "Interrupt": ".process",
+    "KERNELS": ".vector",
+    "Process": ".process",
+    "RandomStreams": ".rng",
+    "ReusableTimeout": ".events",
+    "Simulation": ".engine",
+    "StopSimulation": ".engine",
+    "Timeout": ".events",
+    "UnsupportedKernelFeature": ".vector",
+    "VectorSimulation": ".vector",
+    "make_simulation": ".vector",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

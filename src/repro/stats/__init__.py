@@ -16,31 +16,23 @@ importing this package loads none of it (DESIGN section 17):
 * :mod:`repro.stats.tails` — idle-time tail concentration (Fig. 10).
 """
 
-from repro.stats.ar import ARModel, fit_ar, select_ar_order
-from repro.stats.autocorr import acf, has_significant_autocorrelation
-from repro.stats.hazard import (
-    expected_remaining,
-    fraction_intervals_longer,
-    percentile_remaining,
-    usable_fraction,
-)
-from repro.stats.idle import IdleStats, summarize_idle
-from repro.stats.periodicity import PeriodResult, anova_period
-from repro.stats.tails import tail_concentration
+from repro import _lazy
 
-__all__ = [
-    "ARModel",
-    "IdleStats",
-    "PeriodResult",
-    "acf",
-    "anova_period",
-    "expected_remaining",
-    "fit_ar",
-    "fraction_intervals_longer",
-    "has_significant_autocorrelation",
-    "percentile_remaining",
-    "select_ar_order",
-    "summarize_idle",
-    "tail_concentration",
-    "usable_fraction",
-]
+_EXPORTS = {
+    "ARModel": ".ar",
+    "IdleStats": ".idle",
+    "PeriodResult": ".periodicity",
+    "acf": ".autocorr",
+    "anova_period": ".periodicity",
+    "expected_remaining": ".hazard",
+    "fit_ar": ".ar",
+    "fraction_intervals_longer": ".hazard",
+    "has_significant_autocorrelation": ".autocorr",
+    "percentile_remaining": ".hazard",
+    "select_ar_order": ".ar",
+    "summarize_idle": ".idle",
+    "tail_concentration": ".tails",
+    "usable_fraction": ".hazard",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -17,45 +17,27 @@ are not redistributable, so this package provides:
 * :mod:`repro.traces.idle` — idle-interval extraction.
 """
 
-from repro.traces.catalog import (
-    CATALOG,
-    TraceSpec,
-    generate_corpus,
-    generate_trace,
-)
-from repro.traces.idle import idle_intervals, idle_intervals_streaming
-from repro.traces.io import (
-    TraceFormatError,
-    iter_trace_chunks,
-    read_csv_trace,
-    write_csv_trace,
-)
-from repro.traces.record import Trace
-from repro.traces.store import (
-    StoredTrace,
-    StoreIntegrityError,
-    TraceCorpus,
-    TraceStoreError,
-    write_trace,
-)
-from repro.traces.synth import SyntheticTraceGenerator, TraceProfile
+from repro import _lazy
 
-__all__ = [
-    "CATALOG",
-    "StoreIntegrityError",
-    "StoredTrace",
-    "SyntheticTraceGenerator",
-    "Trace",
-    "TraceCorpus",
-    "TraceFormatError",
-    "TraceProfile",
-    "TraceSpec",
-    "TraceStoreError",
-    "generate_corpus",
-    "generate_trace",
-    "idle_intervals",
-    "idle_intervals_streaming",
-    "iter_trace_chunks",
-    "read_csv_trace",
-    "write_csv_trace",
-]
+_EXPORTS = {
+    "CATALOG": ".catalog",
+    "StoreIntegrityError": ".store",
+    "StoredTrace": ".store",
+    "SyntheticTraceGenerator": ".synth",
+    "Trace": ".record",
+    "TraceCorpus": ".store",
+    "TraceFormatError": ".io",
+    "TraceProfile": ".synth",
+    "TraceSpec": ".catalog",
+    "TraceStoreError": ".store",
+    "generate_corpus": ".catalog",
+    "generate_trace": ".catalog",
+    "idle_intervals": ".idle",
+    "idle_intervals_streaming": ".idle",
+    "iter_trace_chunks": ".io",
+    "read_csv_trace": ".io",
+    "write_csv_trace": ".io",
+    "write_trace": ".store",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

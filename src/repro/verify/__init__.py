@@ -28,53 +28,32 @@ campaign journal — and holds the fleet shard kernel's reference ledger
 the kernel with.
 """
 
-from repro.verify.differential import (
-    AXES,
-    DifferentialMismatch,
-    check_fleet_kernel,
-    check_monitor,
-    check_parallel,
-    outcome_signature,
-    run_axes,
-)
-from repro.verify.fleet import (
-    check_campaign_journal,
-    check_fleet_conservation,
-    check_shard_result,
-)
-from repro.verify.fuzzer import FuzzReport, fuzz, generate_configs, minimise
-from repro.verify.invariants import (
-    InvariantSink,
-    InvariantViolation,
-    check_error_log,
-    check_media_faults,
-)
-from repro.verify.scenario import FAMILIES, run_scenario
-from repro.verify.search import check_search_vs_grid
-from repro.verify.selftest import MUTATIONS, run_selftest
+from repro import _lazy
 
-__all__ = [
-    "AXES",
-    "FAMILIES",
-    "MUTATIONS",
-    "DifferentialMismatch",
-    "FuzzReport",
-    "InvariantSink",
-    "InvariantViolation",
-    "check_error_log",
-    "check_campaign_journal",
-    "check_fleet_conservation",
-    "check_fleet_kernel",
-    "check_media_faults",
-    "check_monitor",
-    "check_parallel",
-    "check_search_vs_grid",
-    "check_shard_result",
-    "fuzz",
-    "generate_configs",
-    "minimise",
-    "outcome_signature",
-    "run_axes",
-    "run_scenario",
-    "run_selftest",
-]
+_EXPORTS = {
+    "AXES": ".differential",
+    "FAMILIES": ".scenario",
+    "MUTATIONS": ".selftest",
+    "DifferentialMismatch": ".differential",
+    "FuzzReport": ".fuzzer",
+    "InvariantSink": ".invariants",
+    "InvariantViolation": ".invariants",
+    "check_error_log": ".invariants",
+    "check_campaign_journal": ".fleet",
+    "check_fleet_conservation": ".fleet",
+    "check_fleet_kernel": ".differential",
+    "check_media_faults": ".invariants",
+    "check_monitor": ".differential",
+    "check_parallel": ".differential",
+    "check_search_vs_grid": ".search",
+    "check_shard_result": ".fleet",
+    "fuzz": ".fuzzer",
+    "generate_configs": ".fuzzer",
+    "minimise": ".fuzzer",
+    "outcome_signature": ".differential",
+    "run_axes": ".differential",
+    "run_scenario": ".scenario",
+    "run_selftest": ".selftest",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -7,7 +7,12 @@ open-loop trace replayer (Section IV-C).  All workloads submit
 processes.
 """
 
-from repro.workloads.replay import TraceReplayer
-from repro.workloads.synthetic import RandomReader, SequentialReader
+from repro import _lazy
 
-__all__ = ["RandomReader", "SequentialReader", "TraceReplayer"]
+_EXPORTS = {
+    "RandomReader": ".synthetic",
+    "SequentialReader": ".synthetic",
+    "TraceReplayer": ".replay",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -1,11 +1,14 @@
 """The import contract: no scipy on any import path (DESIGN section 17).
 
-Importing any package of ``repro`` loads no scipy module; neither do
-the tuning and replay paths; a fleet campaign ends holding
-``scipy.special`` and nothing heavier.  The pytest process imported
-scipy long ago, so every dynamic case runs in a fresh interpreter
-through ``tools/import_budget.py`` -- whose ``forbidden`` is the one
-statement of what a row may hold, shared with ``make import-budget``.
+Importing any package of ``repro`` loads no scipy module and no module
+of ``repro`` but package ``__init__`` modules; neither do the tuning and
+replay paths load scipy; a fleet campaign ends holding
+``scipy.special`` and nothing heavier; tuning, a campaign and ``repro
+serve``'s start-up load none of the simulator they do not run.  The
+pytest process imported all of it long ago, so every dynamic case runs
+in a fresh interpreter through ``tools/import_budget.py`` -- whose
+``forbidden``, ``strays`` and ``OFF_LIMITS`` are the one statement of what
+a row may hold, shared with ``make import-budget``.
 
 Nothing here asserts a wall-clock: seconds are the bench's job.
 """
@@ -15,7 +18,9 @@ import pathlib
 
 import pytest
 
-from tools.import_budget import PACKAGES, SCENARIOS, forbidden, measure
+from tools.import_budget import (
+    OFF_LIMITS, PACKAGES, SCENARIOS, SIMULATOR, forbidden, measure, strays,
+)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -122,11 +127,54 @@ class TestFreshInterpreter:
         assert allowed == frozenset()
         assert forbidden(measure(body)["scipy"], allowed) == []
 
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_importing_a_package_loads_only_package_inits(self, package):
+        assert OFF_LIMITS[f"import {package}"] == (("repro",), frozenset())
+        assert measure(f"import {package}")["repro"] == []
+
+    @pytest.mark.parametrize("scenario", ["tune", "campaign", "serve"])
+    def test_a_path_loads_none_of_the_simulator_it_does_not_run(self, scenario):
+        body, allowed = SCENARIOS[scenario]
+        report = measure(body)
+        assert strays(report["repro"], *OFF_LIMITS[scenario]) == []
+        assert forbidden(report["scipy"], allowed) == []
+        if scenario == "tune":  # what it does load of the simulator
+            assert "repro.sim.rng" in report["repro"]
+            assert "repro.disk.drive" in report["repro"]
+        else:
+            assert OFF_LIMITS[scenario] == (SIMULATOR, frozenset())
+            assert "repro.fleet.campaign" in report["repro"]
+
+    def test_the_parser_loads_the_cli_and_not_numpy(self):
+        """``repro --help``: the handlers import what they run."""
+        report = measure(
+            "from repro.cli import build_parser\n"
+            "build_parser().format_help()\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        assert strays(report["repro"], ("repro",)) == [
+            name for name in report["repro"] if name.startswith("repro.cli.")
+        ]
+        assert "repro.cli.fleet" in report["repro"]
+
     def test_a_campaign_holds_scipy_special_and_nothing_heavier(self):
         body, allowed = SCENARIOS["campaign"]
         loaded = measure(body)["scipy"]
         assert "scipy.special" in loaded  # the interval is the exact one
         assert forbidden(loaded, allowed) == []  # no stats, signal, linalg, ...
+
+
+class TestStrays:
+    def test_a_banned_name_is_a_module_or_a_whole_package(self):
+        loaded = ["repro.sim.engine", "repro.sim.rng", "repro.simulate",
+                  "repro.disk.drive", "repro.disk.drives", "repro.core.mlet"]
+        assert strays(loaded, ("repro.sim", "repro.disk.drive")) == [
+            "repro.sim.engine", "repro.sim.rng", "repro.disk.drive",
+        ]
+        assert strays(loaded, ("repro.sim",), frozenset({"repro.sim.rng"})) == [
+            "repro.sim.engine",
+        ]
+        assert strays(loaded, ("repro",)) == loaded
 
 
 class TestForbidden:

@@ -14,7 +14,10 @@ status.json once at the end, the append-only event log,
 utilization/straggler math, and the fold into summary.json.
 """
 
+import gc
 import json
+import os
+import warnings
 
 import pytest
 
@@ -64,9 +67,32 @@ def _spec(groups=48, shards=4, seed=11):
     )
 
 
+#: Monitors driven by hand, closed at the end of their test as
+#: ``CampaignRunner.run`` closes the monitor of a campaign.
+_OPEN = []
+
+
+@pytest.fixture(autouse=True)
+def _close_monitors():
+    yield
+    while _OPEN:
+        _OPEN.pop().close()
+
+
 def _monitor(tmp_path, **kwargs):
     kwargs.setdefault("interval", 0.0)
-    return CampaignMonitor(str(tmp_path), **kwargs)
+    monitor = CampaignMonitor(str(tmp_path), **kwargs)
+    _OPEN.append(monitor)
+    return monitor
+
+
+def _unclosed_files(action):
+    """Unclosed-file warnings from ``action()`` and a collection after it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 _FAST = RetryPolicy(max_attempts=3, backoff_base=0.0, backoff_max=0.0, jitter=0.0)
@@ -213,6 +239,19 @@ class TestLifecycleUnit:
         assert monitor.io_errors > 0
         assert monitor.progress() == pytest.approx(0.25)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_event_write_closes_its_handle(self, tmp_path):
+        # events.jsonl on a full disk: the open succeeds, the flush fails.
+        os.symlink("/dev/full", tmp_path / "events.jsonl")
+
+        def run():
+            monitor = CampaignMonitor(str(tmp_path), interval=0.0)
+            _started(monitor)
+            monitor.shard_started(0, attempt=1)
+            assert monitor.io_errors == 2
+
+        assert _unclosed_files(run) == []
+
     def test_progress_callback_failure_is_swallowed(self, tmp_path):
         def boom(line):
             raise RuntimeError("operator display died")
@@ -320,6 +359,23 @@ class TestCampaignIntegration:
         assert progress[-1] == 1.0
         baseline = CampaignRunner(spec).run()
         assert resumed.metrics_dict() == baseline.metrics_dict()
+
+    def test_a_campaign_that_raises_closes_its_monitor(self, tmp_path):
+        def bail(shard_index, result):
+            raise KeyboardInterrupt
+
+        def run():
+            with pytest.raises(KeyboardInterrupt):
+                CampaignRunner(
+                    _spec(), on_shard=bail,
+                    monitor=CampaignMonitor(str(tmp_path), interval=0.0),
+                ).run()
+
+        assert _unclosed_files(run) == []
+        events = (tmp_path / "events.jsonl").read_text().splitlines()
+        assert [json.loads(line)["event"] for line in events] == [
+            "campaign_started", "attempt_started",
+        ]
 
     def test_degraded_campaign_reports_failed_state(self, tmp_path):
         from repro.fleet import fleet_shard_task

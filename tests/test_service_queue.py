@@ -10,6 +10,7 @@ metrics bit-identical to an uninterrupted run — with no shard executed
 twice.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -75,6 +76,24 @@ def test_claim_finish_release_cycle(tmp_path):
         queue.finish(job.id, "queued")
     with pytest.raises(KeyError):
         queue.get("missing")
+
+
+def test_a_finished_record_is_the_bytes_json_dump_wrote(tmp_path):
+    queue = JobQueue(tmp_path)
+    job, _ = queue.submit(_spec(), client="caf\u00e9")
+    queue.claim_next()
+    result = {
+        "policies": [{"name": "weekly", "mttdl_years": 1234.5678901234567,
+                      "p_loss_ci": [0.0, 1e-300], "losses": 3}],
+        "completeness": 1.0, "degraded": False, "note": None,
+        "mttdl_ci_years": [float("inf"), -0.1], "text": "\u00b5s \u2713",
+    }
+    done = queue.finish(job.id, "done", result=result)
+    expected = io.StringIO()
+    json.dump(done.to_dict(), expected, sort_keys=True)
+    expected.write("\n")
+    with open(os.path.join(queue.jobs_dir, f"{job.id}.json"), "rb") as handle:
+        assert handle.read() == expected.getvalue().encode("utf-8")
 
 
 def test_failed_and_cancelled_resubmit_requeues(tmp_path):

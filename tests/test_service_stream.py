@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.obs.monitor import read_events_chunk
-from repro.service import CampaignService, ServiceClient
+from repro.service import CampaignService, ServiceClient, api
 
 pytestmark = pytest.mark.service
 
@@ -123,6 +123,31 @@ def test_disconnect_reconnect_assembles_identical_bytes(service):
     # Drain whatever remains in one final snapshot fetch.
     assembled += client.events(job_id, offset=len(assembled))[1]
     assert assembled == _events_file(service, job_id)
+
+
+def test_snapshots_and_a_status_poll_share_one_connection(service, monkeypatch):
+    """A snapshot carries its length, so the client keeps its connection."""
+    client = ServiceClient(service.url, client="s")
+    _, payload = client.submit(_spec(seed=205))
+    job_id = payload["job"]["id"]
+    client.wait(job_id, timeout=60)
+    opened = []
+    setup = api._Handler.setup
+
+    def counting_setup(handler):
+        opened.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(api._Handler, "setup", counting_setup)
+    reader = ServiceClient(service.url, client="s")
+    disk = _events_file(service, job_id)
+    assert reader.events(job_id) == (200, disk)
+    assert reader.events(job_id, offset=len(disk) // 2) == (
+        200, disk[len(disk) // 2:],
+    )
+    status, detail = reader.job(job_id)
+    assert status == 200 and detail["job"]["state"] == "done"
+    assert len(opened) == 1
 
 
 def test_read_events_chunk_helper(tmp_path):

@@ -1,25 +1,32 @@
 """Import budget: what each entry point of the stack loads before it works.
 
 ``make import-budget`` runs this.  For every public package, and then
-for three short scenarios, a fresh interpreter imports / runs it and
-reports wall seconds, ``len(sys.modules)``, max RSS and the scipy
-modules it ended up holding.  The contract (DESIGN section 17):
+for four short scenarios, a fresh interpreter imports / runs it and
+reports wall seconds, ``len(sys.modules)``, max RSS, the scipy modules
+it ended up holding and how many modules of ``repro`` other than
+package ``__init__`` modules it loaded.  The contract (DESIGN section 17):
 
-* importing any package of ``repro`` loads no scipy module at all;
+* importing any package of ``repro`` loads no scipy module at all, and
+  no module of ``repro`` but package ``__init__`` modules: every package
+  resolves its re-exported names on first use;
 * neither does the tuning path (``generate_trace`` ->
   ``trace_idle_intervals`` -> ``SuccessiveHalvingSearch.search``) nor a
-  trace replay (``replay_with_scrubber``);
+  trace replay (``replay_with_scrubber``) load scipy, and tuning loads
+  neither the event kernel nor the block layer (the seeded streams of
+  ``repro.sim.rng``, which trace synthesis draws from, excepted);
 * a fleet campaign ends holding ``scipy.special`` (the Poisson interval
   of its merge) and scipy's private helpers, never ``stats``,
   ``signal``, ``optimize``, ``sparse``, ``interpolate``, ``integrate``
-  or ``linalg``.
+  or ``linalg``;
+* a fleet campaign and ``repro serve``'s start-up load none of the
+  simulator (:data:`SIMULATOR`).
 
 Exit status 1 when a row holds a module it may not.  The seconds and
 megabytes are printed for the reader and never judged here (this box
 runs the same work 0.8-1.5x from minute to minute; ``bench/run.py``'s
 ``setup_s`` and ``peak_rss_mb`` are the judged numbers).
-``tests/test_import_contract.py`` calls :func:`measure` and
-:func:`forbidden` for the same rows.
+``tests/test_import_contract.py`` calls :func:`measure`,
+:func:`forbidden` and :func:`strays` for the same rows.
 """
 
 from __future__ import annotations
@@ -42,6 +49,15 @@ PACKAGES = (
     "repro.traces",
     "repro.verify",
     "repro.obs",
+    "repro.sim",
+    "repro.disk",
+    "repro.sched",
+    "repro.workloads",
+    "repro.stats",
+    "repro.core",
+    "repro.core.policies",
+    "repro.faults",
+    "repro.raid",
 )
 
 _TUNE = """
@@ -85,12 +101,35 @@ result = CampaignRunner(CampaignSpec(
 assert result.policies[0].mttdl_ci_hours[0] > 0  # the merge computed its interval
 """
 
+_SERVE = """
+import repro.cli.serve, repro.service.api
+"""
+
 #: name -> (source run in the fresh interpreter, public scipy
 #: subpackages it may end up holding).
 SCENARIOS: Dict[str, Tuple[str, FrozenSet[str]]] = {
     "tune": (_TUNE, frozenset()),
     "replay": (_REPLAY, frozenset()),
     "campaign": (_CAMPAIGN, frozenset({"special"})),
+    "serve": (_SERVE, frozenset()),
+}
+
+#: The simulator: event kernel, block layer, drive model, scrubbing
+#: framework and the experiment harnesses -- a module, or a package and
+#: everything under it.
+SIMULATOR = (
+    "repro.sim", "repro.sched", "repro.disk.drive", "repro.core.scrubber",
+    "repro.analysis",
+)
+
+#: Row -> (modules of ``repro`` it may not load, given as for
+#: :data:`SIMULATOR`; the modules among them it may load nonetheless).
+#: A package row may load none but package ``__init__`` modules.
+OFF_LIMITS: Dict[str, Tuple[Tuple[str, ...], FrozenSet[str]]] = {
+    "tune": (("repro.sim", "repro.sched"), frozenset({"repro.sim.rng"})),
+    "campaign": (SIMULATOR, frozenset()),
+    "serve": (SIMULATOR, frozenset()),
+    **{f"import {name}": (("repro",), frozenset()) for name in PACKAGES},
 }
 
 _PROLOGUE = """
@@ -108,6 +147,10 @@ print(json.dumps({
         ".".join(name.split(".")[:2]) for name in sys.modules
         if name.split(".")[0] == "scipy"
     }),
+    "repro": sorted(
+        name for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "repro" and not hasattr(module, "__path__")
+    ),
 }))
 """
 
@@ -116,7 +159,8 @@ def measure(body: str) -> dict:
     """Run ``body`` in a fresh interpreter; what it cost and what it holds.
 
     ``scipy`` lists the loaded scipy modules cut to two levels
-    (``scipy``, ``scipy.special``, ``scipy._lib``, ...).
+    (``scipy``, ``scipy.special``, ``scipy._lib``, ...); ``repro`` the
+    loaded modules of ``repro`` that are not packages.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -150,19 +194,36 @@ def forbidden(
     )
 
 
+def strays(
+    loaded: Sequence[str],
+    banned: Tuple[str, ...],
+    spared: FrozenSet[str] = frozenset(),
+) -> List[str]:
+    """The modules of ``loaded`` (``repro`` of :func:`measure`) under a
+    name in ``banned`` -- that module, or anything in that package --
+    and not in ``spared``."""
+    return [
+        name for name in loaded
+        if name not in spared
+        and any(name == b or name.startswith(b + ".") for b in banned)
+    ]
+
+
 def main() -> int:
     rows = [(f"import {name}", f"import {name}", frozenset()) for name in PACKAGES]
     rows += [(name, body, allowed) for name, (body, allowed) in SCENARIOS.items()]
-    print(f"{'row':<24} {'seconds':>8} {'modules':>8} {'rss MB':>8}  scipy")
+    print(f"{'row':<24} {'seconds':>8} {'modules':>8} {'repro':>6} "
+          f"{'rss MB':>8}  scipy")
     failed = False
     for label, body, allowed in rows:
         report = measure(body)
         bad = forbidden(report["scipy"], allowed)
+        bad += strays(report["repro"], *OFF_LIMITS.get(label, ((), frozenset())))
         failed = failed or bool(bad)
         held = ", ".join(report["scipy"]) or "-"
         print(
             f"{label:<24} {report['seconds']:>8.3f} {report['modules']:>8d} "
-            f"{report['rss_mb']:>8.1f}  {held}"
+            f"{len(report['repro']):>6d} {report['rss_mb']:>8.1f}  {held}"
             + (f"   FORBIDDEN: {', '.join(bad)}" if bad else "")
         )
     print("import budget [FAIL]" if failed else "import budget [OK]")
