@@ -31,11 +31,15 @@ class _SimMeter:
     size of the idle sample it answers for — not the number of array
     elements it touches, which is smaller (``durations > threshold``
     discards most intervals before any arithmetic, and a threshold
-    bisection step runs :func:`_waiting_arrays` on a working set that
-    shrinks as it converges; it charges the meter itself, 1 sim and
-    the sample's size, exactly as :func:`fixed_waiting_pass` would,
-    although it builds no result, and so do a halving rung's decided
-    threshold-0 pass and its unrun threshold-max pass).  That makes it
+    bisection step runs :func:`_waiting_arrays` only on the intervals
+    longer than its midpoint: a working set that shrinks as one size
+    converges, or a suffix of the sorted sample for each arm of a
+    halving rung).  A step charges the meter itself, 1 sim and the
+    sample's size for each size it decides, exactly as
+    :func:`fixed_waiting_pass` would, although it builds no result; an
+    arm whose certified sum cannot decide re-runs its pass within that
+    charge.  A rung's decided threshold-0 pass and its unrun
+    threshold-max pass are charged the same way.  That makes the meter
     a machine-independent count of the logical work the exhaustive grid
     and the successive-halving search ask for, so their costs compare
     directly regardless of sample size; it is *not* proportional to

@@ -87,6 +87,48 @@ def _pick_best(
     )
 
 
+def _certify(
+    sums: np.ndarray, lengths: np.ndarray, slowdown_goal: float, total_requests: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(accept, reject)``: where a whole pass certainly meets, or
+    certainly misses, the goal, given each arm's sum of its delays.
+
+    A pass meets the goal when ``fl(E / N) <= goal``, ``E`` the pairwise
+    ``np.add.reduce``, in sample order, of the arm's ``k = lengths``
+    delays and ``N = total_requests``; ``F = sums`` adds the same
+    non-negative delays in some other order.
+
+    *Proof.*  Let ``u = 2**-53`` and ``T`` the exact sum.  Any order of
+    adding ``k`` non-negative terms, each addition rounded, lies within
+    ``γ = (k-1)u / (1-(k-1)u)`` of ``T`` relatively (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, §4.2), so ``|F - E| <= 2γT``
+    and ``T <= F / (1-γ)``, hence
+    ``|F - E| <= 2γ/(1-γ) F = 2(k-1)u / (1-2(k-1)u) F <= 4ku F`` while
+    ``(k-1)u <= 1/4``, as for any array in memory.  Let
+    ``G = fl(goal N)``, so ``|G - goal N| <= u goal N``; ``s = 4ku`` is
+    exact, ``1 + 8u`` and ``1 - 8u`` are floats, and each rounded
+    operation below adds a relative error ``<= u``.  *Accept* when
+    ``fl(F fl(1+s)) <= fl(G (1-8u))``: then
+    ``E <= F(1+s) <= goal N (1+u)**2 (1-8u) / (1-u)**2 < goal N``, so
+    ``E/N < goal`` and rounding, monotone, keeps ``fl(E/N) <= goal``.
+    *Reject* when ``fl(F fl(1-s)) >= fl(G (1+8u))``: then
+    ``E >= F(1-s) >= goal N (1-u)**2 (1+8u) / (1+u)**2 >= goal N (1+2u)``,
+    and ``E/N > goal (1+u) >= goal + ulp(goal)/2`` rounds above ``goal``.
+    A goal below ``2**-1000`` certifies nothing, which keeps ``goal`` and
+    ``G`` normal and an underflowing ``F fl(1+s)`` far below ``G``; an
+    infinite ``G`` accepts, rightly, every finite ``F``.
+    """
+    if not slowdown_goal >= 2.0 ** -1000:
+        nothing = np.zeros(len(sums), dtype=bool)
+        return nothing, nothing.copy()
+    u = 2.0 ** -53
+    goal = slowdown_goal * total_requests
+    slack = lengths * (4.0 * u)
+    accept = sums * (1.0 + slack) <= goal * (1.0 - 8.0 * u)
+    reject = sums * (1.0 - slack) >= goal * (1.0 + 8.0 * u)
+    return accept, reject
+
+
 class ScrubParameterOptimizer:
     """Optimises Waiting-policy parameters for one workload.
 
@@ -200,23 +242,21 @@ class ScrubParameterOptimizer:
         meets the goal; they do not run the threshold-max pass at all,
         whose mean slowdown is exactly 0 (nothing is usable past the
         longest interval).  Both passes are metered as run.  The sizes
-        left then bisect together, ``iterations`` steps, each with its
-        own ``lo``, ``hi`` and working set that only shrinks: a rejected
-        midpoint becomes ``lo``, every later threshold is ``>= lo``, so
-        an interval no longer than ``lo`` can never be usable again and
-        is dropped (order kept).  A step cuts each size's intervals
-        longer than its midpoint, runs the Waiting arithmetic once over
-        their concatenation, with a per-element midpoint and service
-        time, and reads each size's mean slowdown as one
-        ``np.add.reduce`` over its own slice -- the reduction a whole
-        pass makes, so the sums agree bit for bit, which
-        ``np.add.reduceat`` does not.  A size keeps the intervals of its
-        last accepted step (at first none: the threshold-max pass's) and
-        builds its one :class:`SlowdownResult` from them at the end, so
-        no step's shared arrays stay pinned; the one-size call keeps its
-        step arrays as they are and its threshold-max result.  Each
-        step's answer is bit-identical to simulating the whole sample,
-        and is metered as that.
+        left then bisect ``iterations`` steps, each with its own ``lo``
+        and ``hi``.  One size alone keeps a working set that only
+        shrinks: a rejected midpoint becomes ``lo``, every later
+        threshold is ``>= lo``, so an interval no longer than ``lo`` can
+        never be usable again and is dropped (order kept); its step
+        reads the mean slowdown as one ``np.add.reduce`` -- the
+        reduction a whole pass makes -- and it keeps the arrays of its
+        last accepted step, or else its threshold-max result.  Several
+        sizes step together on the sorted sample
+        (:meth:`_lockstep_highs`) and each builds its one
+        :class:`SlowdownResult` at the end from the intervals longer
+        than its last accepted midpoint, in sample order: those of that
+        step, so no step's shared arrays stay pinned.  Each step's
+        decision is the one simulating the whole sample makes, and is
+        metered as that, so every answer is bit-identical to it.
         """
         if slowdown_goal <= 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
@@ -229,7 +269,7 @@ class ScrubParameterOptimizer:
         # bits a lookup of that size alone would.
         lookup = self.service_model.time(np.asarray(sizes, dtype=float)).tolist()
         results: List[Optional[SlowdownResult]] = []
-        arms, services, accepted = [], [], []  # of each size that bisects
+        arms, services = [], []  # of each size that bisects
         for size, zero, service in zip(sizes, at_zero, lookup):
             if lone or zero is not None:
                 if zero is None:
@@ -250,59 +290,92 @@ class ScrubParameterOptimizer:
                 if best.mean_slowdown > slowdown_goal:
                     results.append(None)
                     continue
-                accepted.append(None)
             else:  # the threshold-max pass, metered but not run
                 SIM_METER.sims += 1
                 SIM_METER.interval_evals += sample
                 best = None
-                accepted.append(durations[:0])
             arms.append((len(results), size))
             services.append(service)
             results.append(best)
-        n = len(arms)
-        lo, hi = [0.0] * n, [top] * n
-        work, mids = [durations] * n, [0.0] * n
-        evals, per_arm = n * sample, np.array(services)
-        for _ in range(iterations if n else 0):
-            SIM_METER.sims += n
-            SIM_METER.interval_evals += evals
-            kept = []
-            for arm in range(n):
-                mid = mids[arm] = (lo[arm] + hi[arm]) / 2.0
-                w = work[arm]
-                kept.append(w[w > mid])
-            # The one-size call (every best_threshold call, the final
-            # rung's among them) skips the concatenation and keeps its
-            # own arrays.
-            if lone:
-                arrays = _waiting_arrays(kept[0] - mid, services[0])
-                if reduce(arrays[0]) / total_requests <= slowdown_goal:
-                    hi[0], accepted[0] = mid, arrays
-                else:
-                    lo[0], work[0] = mid, kept[0]
-                continue
-            lengths = [len(k) for k in kept]
-            usable = np.concatenate(kept)
-            usable -= np.array(mids).repeat(lengths)
-            delays = _waiting_arrays(usable, per_arm.repeat(lengths))[0]
-            end = 0
-            for arm in range(n):
-                start = end
-                end += lengths[arm]
-                if reduce(delays[start:end]) / total_requests <= slowdown_goal:
-                    hi[arm], accepted[arm] = mids[arm], kept[arm]
-                else:
-                    lo[arm], work[arm] = mids[arm], kept[arm]
-        for arm, (index, size) in enumerate(arms):
-            if accepted[arm] is None:
-                continue  # one size, never accepted: its threshold-max result stands
-            arrays = accepted[arm] if lone else _waiting_arrays(
-                accepted[arm] - hi[arm], services[arm]
-            )
+        if not arms:
+            return results
+        if not lone:
+            highs = self._lockstep_highs(services, slowdown_goal, iterations)
+            for (index, size), hi, service in zip(arms, highs, services):
+                usable = durations[durations > hi]
+                usable -= hi
+                results[index] = _fixed_result(
+                    hi, size, _waiting_arrays(usable, service),
+                    total_requests, self.span,
+                )
+            return results
+        (index, size), service = arms[0], services[0]
+        lo, hi, work, accepted = 0.0, top, durations, None
+        for _ in range(iterations):
+            SIM_METER.sims += 1
+            SIM_METER.interval_evals += sample
+            mid = (lo + hi) / 2.0
+            kept = work[work > mid]
+            arrays = _waiting_arrays(kept - mid, service)
+            if reduce(arrays[0]) / total_requests <= slowdown_goal:
+                hi, accepted = mid, arrays
+            else:
+                lo, work = mid, kept
+        if accepted is not None:  # else the threshold-max result stands
             results[index] = _fixed_result(
-                hi[arm], size, arrays, total_requests, self.span
+                hi, size, accepted, total_requests, self.span
             )
         return results
+
+    def _lockstep_highs(
+        self, services: Sequence[float], slowdown_goal: float, iterations: int
+    ) -> List[float]:
+        """Each arm's ``hi`` after ``iterations`` bisection steps in lockstep.
+
+        Arm ``a`` (service time ``services[a]``) starts at ``lo = 0`` and
+        ``hi`` = the longest interval, and each step accepts its
+        midpoint, the new ``hi``, when a whole pass at it meets the
+        goal.  The sample is sorted once, so the intervals longer than a
+        midpoint are a suffix of it: a step concatenates every arm's
+        suffix, subtracts per-element midpoints, runs the Waiting
+        arithmetic once with per-element service times (each delay gets
+        the bits it gets in sample order) and reads each arm's sum off
+        one ``np.add.reduceat`` over the non-empty suffixes (an empty
+        one sums to 0).  That sum adds the delays in another order than
+        a pass does, so a decision taken on it is certified
+        (:func:`_certify`); an arm it leaves undecided takes the exact
+        path, :meth:`_meets`.  Every decision is the whole pass's, bit
+        for bit.
+        """
+        n, sample = len(services), len(self.durations)
+        ordered = np.sort(self.durations)
+        lo, hi = np.zeros(n), np.full(n, float(ordered[-1]))
+        service = np.asarray(services)
+        for _ in range(iterations):
+            SIM_METER.sims += n
+            SIM_METER.interval_evals += n * sample
+            mids = (lo + hi) / 2.0
+            cuts = ordered.searchsorted(mids, "right")
+            lengths = sample - cuts
+            usable = np.concatenate([ordered[cut:] for cut in cuts.tolist()])
+            usable -= mids.repeat(lengths)
+            delays = _waiting_arrays(usable, service.repeat(lengths))[0]
+            sums, some = np.zeros(n), lengths > 0
+            sums[some] = np.add.reduceat(delays, (lengths.cumsum() - lengths)[some])
+            accept, reject = _certify(sums, lengths, slowdown_goal, self.total_requests)
+            for arm in np.flatnonzero(~(accept | reject)):
+                accept[arm] = self._meets(mids[arm], services[arm], slowdown_goal)
+            hi = np.where(accept, mids, hi)
+            lo = np.where(accept, lo, mids)
+        return hi.tolist()
+
+    def _meets(self, threshold: float, service: float, slowdown_goal: float) -> bool:
+        """Whether a whole pass at ``threshold`` meets the goal, computed
+        as the pass computes it: the exact path of :meth:`_lockstep_highs`."""
+        usable = self.durations[self.durations > threshold]
+        usable -= threshold
+        delays = _waiting_arrays(usable, service)[0]
+        return np.add.reduce(delays) / self.total_requests <= slowdown_goal
 
     # -- the headline call ----------------------------------------------------------
     def optimize(

@@ -32,14 +32,20 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import sys
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs.export import atomic_write
-from repro.traces.record import Trace
-from repro.traces.store import StoredTrace
+
+#: ``(module, class)`` of each trace representation :func:`canonicalize`
+#: keys by content digest.
+_TRACE_CLASSES = (
+    ("repro.traces.record", "Trace"),
+    ("repro.traces.store", "StoredTrace"),
+)
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -92,20 +98,18 @@ def canonicalize(obj: Any) -> Any:
     """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
-    if isinstance(obj, Trace):
-        return ("trace", obj.digest())
-    if isinstance(obj, StoredTrace):
-        # Same form as an in-memory Trace with the same content: a task
-        # keyed on a trace gets cache hits regardless of which
-        # representation it was invoked with — and the stored digest
-        # comes from the header, so no data is read at all.
-        return ("trace", obj.digest())
     if isinstance(obj, float):
         return ("f", obj.hex())
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
         return ("f", float(obj).hex())
+    if isinstance(obj, _trace_classes()):
+        # One form for a Trace and a StoredTrace with the same content:
+        # a task keyed on a trace gets cache hits regardless of which
+        # representation it was invoked with — and the stored digest
+        # comes from the header, so no data is read at all.
+        return ("trace", obj.digest())
     if isinstance(obj, (list, tuple)):
         return ("seq", tuple(canonicalize(item) for item in obj))
     if isinstance(obj, dict):
@@ -126,6 +130,21 @@ def canonicalize(obj: Any) -> Any:
         cls = type(obj)
         return ("obj", f"{cls.__module__}.{cls.__qualname__}", canonicalize(state))
     return ("repr", repr(obj))
+
+
+def _trace_classes() -> tuple:
+    """The trace classes of :data:`_TRACE_CLASSES` whose modules are loaded.
+
+    No object can be an instance of a class whose module was never
+    imported, so a process that holds no trace never imports the trace
+    modules to find that out.
+    """
+    classes = []
+    for module, name in _TRACE_CLASSES:
+        cls = getattr(sys.modules.get(module), name, None)
+        if cls is not None:
+            classes.append(cls)
+    return tuple(classes)
 
 
 class ResultCache:

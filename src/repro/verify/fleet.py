@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.worker import PROBE
 from repro.parallel.cache import derive_seed
 from repro.raid.reliability import HOURS_PER_YEAR, lse_exposure_probability
-from repro.verify.invariants import InvariantViolation
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.verify.invariants import InvariantViolation
 
 __all__ = [
     "check_campaign_journal",
@@ -66,6 +68,10 @@ _MODES = ("double", "lse", "unprotected")
 
 
 def _violation(invariant: str, message: str) -> InvariantViolation:
+    # Imported here: a campaign that breaks no law never loads the
+    # per-request checker.
+    from repro.verify.invariants import InvariantViolation
+
     return InvariantViolation(invariant, message)
 
 

@@ -19,7 +19,8 @@ import pathlib
 import pytest
 
 from tools.import_budget import (
-    OFF_LIMITS, PACKAGES, SCENARIOS, SIMULATOR, forbidden, measure, strays,
+    OFF_LIMITS, PACKAGES, SCENARIOS, SIMULATOR, SIMULATOR_AIDS, forbidden,
+    measure, strays,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -142,7 +143,9 @@ class TestFreshInterpreter:
             assert "repro.sim.rng" in report["repro"]
             assert "repro.disk.drive" in report["repro"]
         else:
-            assert OFF_LIMITS[scenario] == (SIMULATOR, frozenset())
+            assert OFF_LIMITS[scenario] == (
+                SIMULATOR + SIMULATOR_AIDS, frozenset()
+            )
             assert "repro.fleet.campaign" in report["repro"]
 
     def test_the_parser_loads_the_cli_and_not_numpy(self):

@@ -20,9 +20,14 @@ from hypothesis import given, settings
 import repro.core.optimizer as optimizer_module
 from repro.analysis.service_model import ScrubServiceModel
 from repro.analysis.slowdown import SIM_METER, SlowdownResult
-from repro.core.optimizer import ScrubParameterOptimizer, _pick_best
-from repro.core.search import SuccessiveHalvingSearch
+from repro.core.optimizer import ScrubParameterOptimizer, _certify, _pick_best
+from repro.core.search import (
+    MIN_RUNG_SAMPLE, RUNG_FRACTIONS, RUNG_ITERATIONS, SuccessiveHalvingSearch,
+)
+from repro.disk.models import PRESETS
 from repro.parallel import SweepRunner
+from repro.traces import generate_trace
+from repro.traces.catalog import trace_idle_intervals
 
 #: A cheap linear service model (no drive measurement needed).
 SERVICE = ScrubServiceModel([65536, 4 * 1024 * 1024], [0.005, 0.045])
@@ -106,6 +111,20 @@ def metered(call):
     result = call()
     after = SIM_METER.snapshot()
     return result, {key: after[key] - before[key] for key in before}
+
+
+def per_size_references(optimizer, sizes, goal, iterations):
+    """Each size's unpruned bisection alone, ``exact``, and their
+    summed meter charge: what a lockstep call must answer."""
+    expected, total = [], {"sims": 0, "interval_evals": 0}
+    for size in sizes:
+        result, effort = metered(
+            lambda: reference_best_threshold(optimizer, size, goal, iterations)
+        )
+        expected.append(exact(result))
+        for key in effort:
+            total[key] += effort[key]
+    return expected, total
 
 
 def draw_sample(kind, size, seed):
@@ -382,16 +401,9 @@ class TestLockstepMatchesPerSizeReference:
                     if result is not None and 0.0 < result.threshold < top
                 ][:3]
                 for goal in goals:
-                    expected, expected_effort = [], {"sims": 0, "interval_evals": 0}
-                    for size in arms:
-                        result, effort = metered(
-                            lambda: reference_best_threshold(
-                                optimizer, size, goal, iterations
-                            )
-                        )
-                        expected.append(exact(result))
-                        for key in effort:
-                            expected_effort[key] += effort[key]
+                    expected, expected_effort = per_size_references(
+                        optimizer, arms, goal, iterations
+                    )
                     actual, effort = metered(
                         lambda: optimizer._best_thresholds(
                             arms, goal, iterations, [None] * len(arms)
@@ -440,16 +452,9 @@ class TestLockstepMatchesPerSizeReference:
                 } - {0.0})[:3]
                 goals = boundaries + [math.nextafter(b, 0.0) for b in boundaries]
                 for goal in goals:
-                    expected, expected_effort = [], {"sims": 0, "interval_evals": 0}
-                    for size in arms:
-                        result, effort = metered(
-                            lambda: reference_best_threshold(
-                                optimizer, size, goal, 20
-                            )
-                        )
-                        expected.append(exact(result))
-                        for key in effort:
-                            expected_effort[key] += effort[key]
+                    expected, expected_effort = per_size_references(
+                        optimizer, arms, goal, 20
+                    )
                     actual, effort = metered(
                         lambda: optimizer._best_thresholds(
                             arms, goal, 20, [None] * len(arms)
@@ -462,3 +467,126 @@ class TestLockstepMatchesPerSizeReference:
                         and result.mean_slowdown == goal for result in actual
                     )
         assert exits >= 10
+
+    def test_catalog_sized_rung_equals_its_reference(self):
+        """Rung 0 of a 600 s ``TPCdisk66`` search, all 64 arms, on the
+        drive model the benchmark tunes for."""
+        trace = generate_trace("TPCdisk66", duration=600.0, seed=7)
+        _, durations = trace_idle_intervals("TPCdisk66", trace)
+        search = SuccessiveHalvingSearch(
+            durations, len(trace), trace.duration,
+            ScrubServiceModel.from_spec(PRESETS["ultrastar"]()),
+        )
+        sample = search._rung_sample(0, RUNG_FRACTIONS[0])
+        scale = len(sample) / len(durations)
+        rung = ScrubParameterOptimizer(
+            sample, total_requests=max(1, round(len(trace) * scale)),
+            span=trace.duration * scale, service_model=search._full.service_model,
+        )
+        arms = list(search._full.admissible_sizes())
+        assert len(arms) == 64 and len(sample) > MIN_RUNG_SAMPLE
+        bisected = 0
+        for goal in (0.002, 0.0005):
+            expected, expected_effort = per_size_references(
+                rung, arms, goal, RUNG_ITERATIONS
+            )
+            actual, effort = metered(
+                lambda: rung._best_thresholds(
+                    arms, goal, RUNG_ITERATIONS, [None] * len(arms)
+                )
+            )
+            assert [exact(result) for result in actual] == expected
+            assert effort == expected_effort
+            bisected += sum(result.threshold > 0.0 for result in actual)
+        assert bisected >= 64
+
+
+class TestCertifiedLockstepSums:
+    """A lockstep step sums each arm's delays in duration order, not in
+    sample order, and decides on that sum only where its error bound
+    certifies the sample-order decision.  Goals placed exactly on sums
+    that steps compute, and one ulp either side, are where a bound too
+    tight would decide wrongly; there the exact path must run."""
+
+    def test_goals_on_step_sums_take_the_exact_path(self, monkeypatch):
+        exact_steps = []
+        real_meets = ScrubParameterOptimizer._meets
+
+        def counting_meets(self, threshold, service, goal):
+            exact_steps.append(threshold)
+            return real_meets(self, threshold, service, goal)
+
+        monkeypatch.setattr(ScrubParameterOptimizer, "_meets", counting_meets)
+        sizes = [k * 65536 for k in range(1, 65)]
+        rng = np.random.default_rng(35)
+        for kind in ("lognormal", "pareto", "duplicated", "midpoints"):
+            for seed in range(2):
+                n = 3000
+                durations = draw_sample(kind, n, seed)
+                optimizer = ScrubParameterOptimizer(
+                    durations, total_requests=n // 4,
+                    span=float(durations.sum()) + 1.0, service_model=SERVICE,
+                )
+                arms = sorted(
+                    int(size) for size in rng.choice(sizes, 8, replace=False)
+                )
+                # The mean slowdown of every step of three arms' bisections
+                # at a base goal: the later steps, with their long suffixes,
+                # carry the widest rounding differences.
+                steps = []
+
+                def recording(*args):
+                    result = _reference_pass(*args)
+                    steps.append(result.mean_slowdown)
+                    return result
+
+                for size in arms[::3]:
+                    before = len(steps)
+                    reference_best_threshold(optimizer, size, 2e-3, 20, recording)
+                    steps[before:before + 2] = []  # the two opening passes
+                sums = sorted(set(steps) - {0.0})
+                boundaries = sums[-3:] + sums[:: max(1, len(sums) // 6)]
+                goals = sorted({
+                    nudged for goal in boundaries for nudged in (
+                        goal, math.nextafter(goal, 0.0),
+                        math.nextafter(goal, math.inf),
+                    )
+                })
+                for goal in goals:
+                    expected, expected_effort = per_size_references(
+                        optimizer, arms, goal, 20
+                    )
+                    actual, effort = metered(
+                        lambda: optimizer._best_thresholds(
+                            arms, goal, 20, [None] * len(arms)
+                        )
+                    )
+                    assert [exact(result) for result in actual] == expected
+                    assert effort == expected_effort
+        assert len(exact_steps) >= 10
+
+    def test_certificate_holds_for_every_sum_its_bound_allows(self):
+        """``_certify`` accepts only where the pass's own division meets
+        the goal and rejects only where it misses, for any sum ``F``
+        within ``4ku F`` of the pass's sum ``E`` (the docstring's
+        bound), with ``E`` placed all around ``goal * N``."""
+        u = 2.0 ** -53
+        rng = np.random.default_rng(36)
+        decided = 0
+        for k in (1, 3, 100, 10_000, 10**7):
+            for total in (1, 7, 1000, 123_457):
+                for goal in 10.0 ** rng.uniform(-7.0, -1.0, 4):
+                    width = 16.0 * k * u + 32.0 * u
+                    sums = goal * total * (1.0 + np.linspace(-width, width, 401))
+                    reach = 0.5 * 4.0 * k * u / (1.0 + 4.0 * k * u)
+                    for drift in (-reach, -reach / 3, 0.0, reach / 3, reach):
+                        fast = sums * (1.0 + drift)
+                        lengths = np.full(len(sums), k)
+                        accept, reject = _certify(fast, lengths, goal, total)
+                        met = sums / total <= goal
+                        assert not (accept & ~met).any()
+                        assert not (reject & met).any()
+                        decided += int(accept.sum() + reject.sum())
+        assert decided > 0.5 * 5 * 4 * 4 * 5 * 401
+        nothing = _certify(np.zeros(3), np.full(3, 5), 1e-310, 10)
+        assert not nothing[0].any() and not nothing[1].any()

@@ -19,7 +19,8 @@ package ``__init__`` modules it loaded.  The contract (DESIGN section 17):
   ``signal``, ``optimize``, ``sparse``, ``interpolate``, ``integrate``
   or ``linalg``;
 * a fleet campaign and ``repro serve``'s start-up load none of the
-  simulator (:data:`SIMULATOR`).
+  simulator (:data:`SIMULATOR`) and none of what runs beside it
+  (:data:`SIMULATOR_AIDS`).
 
 Exit status 1 when a row holds a module it may not.  The seconds and
 megabytes are printed for the reader and never judged here (this box
@@ -122,13 +123,20 @@ SIMULATOR = (
     "repro.analysis",
 )
 
+#: What runs beside the simulator and not in a campaign or a service:
+#: the per-request invariant checker, the telemetry sink it implements
+#: and the on-disk trace store.
+SIMULATOR_AIDS = (
+    "repro.verify.invariants", "repro.obs.sink", "repro.traces.store",
+)
+
 #: Row -> (modules of ``repro`` it may not load, given as for
 #: :data:`SIMULATOR`; the modules among them it may load nonetheless).
 #: A package row may load none but package ``__init__`` modules.
 OFF_LIMITS: Dict[str, Tuple[Tuple[str, ...], FrozenSet[str]]] = {
     "tune": (("repro.sim", "repro.sched"), frozenset({"repro.sim.rng"})),
-    "campaign": (SIMULATOR, frozenset()),
-    "serve": (SIMULATOR, frozenset()),
+    "campaign": (SIMULATOR + SIMULATOR_AIDS, frozenset()),
+    "serve": (SIMULATOR + SIMULATOR_AIDS, frozenset()),
     **{f"import {name}": (("repro",), frozenset()) for name in PACKAGES},
 }
 
