@@ -4,7 +4,7 @@
 PYTHON ?= python
 TIMEOUT ?= 120
 
-.PHONY: tier1 import-budget surface doc-budget examples trace-budget stack-budget hook-budget smoke bench bench-quick bench-fleet bench-service verify-fuzz fleet-smoke serve-smoke test-service check
+.PHONY: tier1 import-budget surface doc-budget examples trace-budget stack-budget hook-budget obs-dev smoke bench bench-quick bench-fleet bench-service verify-fuzz fleet-smoke serve-smoke test-service check
 
 # The ROADMAP tier-1 verify, with a per-test wall-clock limit so a
 # wedged test fails fast instead of hanging CI (tools/pytest_timeout_lite).
@@ -80,11 +80,22 @@ stack-budget:
 
 # What an attached observer costs (tools/hook_budget.py): a 3000-group,
 # 16-shard serial fleet campaign bare and under a CampaignMonitor at a
-# 0.25 s status interval, ten interleaved pairs; exit 1 when the median
-# monitored / bare wall-time ratio exceeds 1.05 or a monitored result
-# differs from the bare one in any bit.
+# 0.25 s status interval, ten interleaved pairs; the monitor appends its
+# events.jsonl and writes nothing else (status, summary and span trace
+# are folds of the log, paid for by their readers).  Exit 1 when the
+# median monitored / bare wall-time ratio exceeds 1.05 or a monitored
+# result differs from the bare one in any bit.
 hook-budget:
 	$(PYTHON) tools/hook_budget.py
+
+# The observability tests under python -X dev, where a file, pipe or
+# socket left open is a ResourceWarning: exit 1 on any, raised in a
+# test or in a finalizer pytest reports.
+obs-dev:
+	PYTHONPATH=src:. $(PYTHON) -X dev -m pytest -q -p no:cacheprovider \
+		tests/test_obs_*.py -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning \
+		-p tools.pytest_timeout_lite --lite-timeout $(TIMEOUT)
 
 # First the fleet shard kernel, whose generators are seeded in one
 # batch, against its reference loop seeded by numpy itself (20 configs,
@@ -176,4 +187,4 @@ bench-service:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 import-budget surface doc-budget examples trace-budget stack-budget hook-budget smoke
+check: tier1 import-budget surface doc-budget examples trace-budget stack-budget hook-budget obs-dev smoke

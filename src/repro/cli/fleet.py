@@ -2,8 +2,8 @@
 P(data loss) per scrub policy over tens of thousands of drives, with
 durable per-shard checkpoints (``--journal``), bit-identical resume
 (``--resume``), fault-tolerant supervised workers and live
-observability (``--monitor``: progress lines, ``status.json``, event
-log, span trace, Prometheus textfile)."""
+observability (``--monitor``: progress lines, the ``events.jsonl``
+log that ``repro report`` folds, span trace, Prometheus textfile)."""
 
 import argparse
 import math
@@ -52,8 +52,8 @@ def register(subparsers) -> None:
     )
     parser.add_argument(
         "--monitor", action="store_true",
-        help="attach a CampaignMonitor: live progress lines, status.json, "
-        "events.jsonl, span trace and run summary in the obs directory",
+        help="attach a CampaignMonitor: live progress lines and the "
+        "events.jsonl log (repro report folds it) in the obs directory",
     )
     parser.add_argument(
         "--monitor-dir", metavar="DIR", default=None,
@@ -91,8 +91,8 @@ def run(args) -> int:
         raise UsageError("--resume needs --journal DIR to resume from")
     if args.trace_out and not (args.monitor or args.monitor_dir):
         raise UsageError(
-            "--trace-out needs --monitor (the span recorder lives "
-            "in the campaign monitor)"
+            "--trace-out needs --monitor (the span trace is folded "
+            "from the campaign monitor's event log)"
         )
     if args.resume and not os.path.isfile(
         os.path.join(args.journal, "manifest.json")
@@ -192,12 +192,18 @@ def run(args) -> int:
                 f"{row['index']:>6}{row['state']:>10}"
                 f"{row['attempts']:>5}{wall:>9}{rss_txt:>10}"
             )
-        print(
-            f"monitor: wrote {monitor.status_path}, {monitor.events_path}, "
-            f"{monitor.trace_path}, {monitor.summary_path}"
-        )
+        if monitor.io_errors:
+            print(
+                f"monitor: degraded, {monitor.io_errors} failed writes of "
+                f"{monitor.events_path}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"monitor: wrote {monitor.events_path}")
         if args.trace_out:
-            monitor.write_trace(args.trace_out)
+            from repro.obs.trace import write_chrome_trace
+
+            write_chrome_trace(args.trace_out, monitor.fold.chrome_events())
             print(f"wrote span trace to {args.trace_out}")
     if args.prom_out:
         from repro.obs.prometheus import write_textfile

@@ -1,9 +1,9 @@
 """Render a campaign monitor's observability directory -- the
-status.json / summary.json / events.jsonl written by 'repro fleet
---monitor' (or a CampaignMonitor) -- as a single-file HTML run report
-with KPIs, the per-policy reliability table, shard-duration histogram
-and kernel-phase breakdown.  Works on live and finished campaigns
-alike."""
+events.jsonl that 'repro fleet --monitor' (or a CampaignMonitor)
+appends, folded into status and summary -- as a single-file HTML run
+report with KPIs, the per-policy reliability table, shard-duration
+histogram and kernel-phase breakdown.  Works on live, killed and
+finished campaigns alike."""
 
 import os
 

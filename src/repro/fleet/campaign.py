@@ -349,10 +349,8 @@ class CampaignRunner:
             monitor.campaign_started(
                 digest=campaign_digest(spec),
                 shard_ranges=spec.shard_ranges(),
-                policy_names=[policy.name for policy in spec.policies],
                 workers=self.workers,
                 mission_years=spec.mission_years,
-                disks_per_group=spec.fleet.disks_per_group,
             )
 
         results: Dict[int, dict] = {}

@@ -7,9 +7,11 @@ the :class:`~repro.obs.sink.Recorder` keeps request lifecycles, scrub
 and fault instants and a :class:`~repro.obs.metrics.MetricsRegistry`
 of counters, gauges and log-bucket histograms
 (:mod:`~repro.obs.metrics`).  Around a campaign, per-worker progress
-probes (:mod:`~repro.obs.worker`), deterministic hierarchical spans
-(:mod:`~repro.obs.spans`) and the live aggregator appending
-``events.jsonl`` (:mod:`~repro.obs.monitor`) watch the shards.  Both recorders export through one Chrome-trace encoder
+probes (:mod:`~repro.obs.worker`) and the monitor appending
+``events.jsonl`` (:mod:`~repro.obs.monitor`) watch the shards; one fold
+of that log (:mod:`~repro.obs.report`) gives the status, the summary
+and the deterministic span tree (:mod:`~repro.obs.spans`) to every
+reader.  Both span sources export through one Chrome-trace encoder
 (:mod:`~repro.obs.trace`); snapshots render as Prometheus textfiles
 (:mod:`~repro.obs.prometheus`) or a self-contained HTML run report
 (:mod:`~repro.obs.report`).  Every whole file the stack writes, these

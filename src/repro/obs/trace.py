@@ -13,9 +13,10 @@ timestamps, all on process id 0 (:func:`with_pid` re-homes them).
   the drive's seek/rotation/transfer breakdown in ``args``), scrub pass
   boundaries and fault steps become process-scoped instant ("i")
   events, and scrub progress becomes a counter ("C") track.
-* :meth:`~repro.obs.spans.SpanRecorder.chrome_events` maps the
-  campaign → shard → attempt → phase tree: closed and still-open spans
-  become "X" events, markers become thread-scoped "i" events.
+* :meth:`~repro.obs.report.CampaignFold.chrome_events` maps the
+  campaign → shard → attempt → phase tree replayed from a monitor's
+  event log: closed and still-open spans become "X" events, markers
+  become thread-scoped "i" events.
 
 Named processes and threads are metadata ("M") events.  Seconds map to
 trace microseconds 1:1 in value (``ts = seconds * 1e6``), so one viewer

@@ -13,7 +13,7 @@ Routes::
     GET    /healthz                  dispatcher liveness + queue state counts
     POST   /campaigns                submit (201 created / 200 duplicate)
     GET    /campaigns                list jobs
-    GET    /campaigns/{id}           job record + status (live, or status.json)
+    GET    /campaigns/{id}           job record + status (live, or its log's fold)
     GET    /campaigns/{id}/events    NDJSON event stream (?offset=&follow=)
     GET    /campaigns/{id}/report    self-contained HTML run report
     DELETE /campaigns/{id}           cancel (idempotent)
@@ -48,7 +48,7 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.monitor import read_events_chunk
-from repro.obs.report import build_report
+from repro.obs.report import CampaignFold, build_report, read_events
 from repro.service.queue import JobQueue, QueueError, TERMINAL_STATES
 from repro.service.scheduler import CampaignScheduler
 
@@ -326,15 +326,15 @@ class _Handler(BaseHTTPRequestHandler):
         return 201 if created else 200, {"job": job.to_dict(), "created": created}
 
     def _job_detail(self, svc: CampaignService, job):
-        # Live while the job runs; afterwards what its monitor wrote last.
+        # Live while the job runs; afterwards the fold of its event log.
         status = svc.scheduler.live_status(job.id)
         if status is None:
-            status_path = os.path.join(svc.scheduler.obs_dir(job.id), "status.json")
             try:
-                with open(status_path, encoding="utf-8") as handle:
-                    status = json.load(handle)
-            except (OSError, ValueError):
-                pass
+                events = read_events(svc.scheduler.events_path(job.id))
+            except OSError:
+                events = []
+            if events:
+                status = CampaignFold(events).status()
         detail = {"job": job.to_dict(), "status": status}
         detail["paths"] = {
             "journal": os.path.join(svc.scheduler.job_dir(job.id), "journal"),

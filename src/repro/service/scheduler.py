@@ -167,7 +167,8 @@ class CampaignScheduler:
 
     def live_status(self, job_id: str) -> Optional[dict]:
         """A running job's :meth:`CampaignMonitor.status`; ``None`` once
-        it has ended (its ``status.json`` then holds the last one)."""
+        it has ended (the fold of its ``events.jsonl`` then gives the last
+        one)."""
         with self._inflight_lock:
             monitor = self._monitors.get(job_id)
         return None if monitor is None else monitor.status()

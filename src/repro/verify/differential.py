@@ -166,8 +166,8 @@ def check_monitor(seed: int = 0) -> str:
 
     Runs one small seeded fleet campaign twice — bare, then under a
     live :class:`~repro.obs.monitor.CampaignMonitor` exercising every
-    surface (a status fold and progress line on each event, events
-    JSONL, spans, the final files) in a temp directory — and requires
+    surface (the fold and a progress line on each event, the events
+    JSONL it appends) in a temp directory — and requires
     the canonical campaign metrics and the merged telemetry snapshot
     to be bit-identical.  Latent windows
     are given explicitly so the check stays milliseconds-fast (no MLET

@@ -317,9 +317,7 @@ class TestFleetMonitor:
         assert code == 0
         out = capsys.readouterr().out
         assert "monitor: utilization" in out
-        for name in ("status.json", "events.jsonl", "trace.json",
-                     "summary.json"):
-            assert (obs / name).exists()
+        assert [p.name for p in obs.iterdir()] == ["events.jsonl"]
         assert "repro_" in (tmp_path / "m.prom").read_text()
 
     def test_monitor_is_passive_on_results(self, tmp_path, capsys):
@@ -335,6 +333,31 @@ class TestFleetMonitor:
         ]) == 0
         assert json.loads(bare_json.read_text()) == \
             json.loads(mon_json.read_text())
+
+    def test_an_unwritable_monitor_dir_degrades_monitoring_only(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        bare_json = tmp_path / "bare.json"
+        mon_json = tmp_path / "mon.json"
+        trace = tmp_path / "t.json"
+        assert main(self._BASE + ["--json", str(bare_json)]) == 0
+        capsys.readouterr()
+        assert main(self._BASE + [
+            "--json", str(mon_json), "--monitor-dir", "/dev/null/obs",
+            "--trace-out", str(trace),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(bare_json.read_text()) == \
+            json.loads(mon_json.read_text())
+        degraded = [
+            line for line in captured.err.splitlines()
+            if line.startswith("monitor: degraded")
+        ]
+        assert len(degraded) == 1 and "/dev/null/obs" in degraded[0]
+        assert "Traceback" not in captured.err
+        assert json.loads(trace.read_text())["traceEvents"]
 
     def test_trace_out_requires_monitor(self, tmp_path, capsys):
         assert main(self._BASE + ["--trace-out", str(tmp_path / "t.json")]) == 2

@@ -4,9 +4,9 @@ A SIGKILL can land between any two instructions, so every whole-file
 output (exported JSONL logs, Chrome traces) goes temp-file +
 ``os.replace``: the path either holds the previous complete version or
 the new complete version, never a torn one; a campaign monitor killed
-mid-run leaves its append-only event log, and a report can be built
-from it.  These tests actually SIGKILL child processes mid-write and
-inspect what survives.
+mid-run leaves its append-only event log, which folds to the status the
+monitor last showed and renders as a report.  These tests actually
+SIGKILL child processes mid-write and inspect what survives.
 """
 
 import json
@@ -31,6 +31,13 @@ def _run_child(code: str, ready_token: str) -> subprocess.Popen:
         if ready_token in line:
             return child
     raise AssertionError("child exited before becoming ready")
+
+
+def _kill(child: subprocess.Popen) -> None:
+    """SIGKILL ``child``, reap it and close its pipe."""
+    os.kill(child.pid, signal.SIGKILL)
+    child.wait()
+    child.stdout.close()
 
 
 class TestWriteJsonl:
@@ -79,8 +86,7 @@ class TestWriteJsonl:
             """,
             ready_token="READY",
         )
-        os.kill(child.pid, signal.SIGKILL)
-        child.wait()
+        _kill(child)
         # The infinite export can never have completed, so the rename
         # never happened: the previous complete file must be intact.
         assert dest.read_text() == '{"version": 1}\n'
@@ -107,13 +113,12 @@ class TestStatusJson:
             monitor.campaign_started(
                 digest="d" * 64,
                 shard_ranges=[(0, 10), (10, 10)],
-                policy_names=["weekly"],
                 workers=2,
                 mission_years=5.0,
-                disks_per_group=4,
             )
-            print("READY", flush=True)
             for index in itertools.count():
+                if index == 100:
+                    print("READY", flush=True)
                 monitor.shard_heartbeat(
                     0, 1, {{"done": index, "total": 10 ** 9}}
                 )
@@ -122,17 +127,25 @@ class TestStatusJson:
         )
         # Let it churn through heartbeats, then kill mid-flight.
         child.stdout.read(0)
-        os.kill(child.pid, signal.SIGKILL)
-        child.wait()
-        # status.json is written when a campaign finishes, never mid-run.
-        assert not (obs / "status.json").exists()
+        _kill(child)
+        # The monitor writes no status file; its log is the record.
+        assert [p.name for p in obs.iterdir()] == ["events.jsonl"]
         # Torn events (if the kill split a line) must not break readers,
-        # and the event log alone is enough for a report.
-        from repro.obs.report import build_report, load_obs_dir
+        # and the log folds to the last heartbeat it holds whole.
+        from repro.obs.report import CampaignFold, build_report, load_obs_dir
 
         data = load_obs_dir(str(obs))
-        assert data["events"][0]["event"] == "campaign_started"
-        assert all("event" in e for e in data["events"])
+        events = data["events"]
+        assert events[0]["event"] == "campaign_started"
+        assert all("event" in e for e in events)
+        last = events[-1]
+        assert last["event"] == "heartbeat" and last["done"] >= 99
+        fold = CampaignFold(events)
+        assert fold.shards[0].done == last["done"]
+        assert data["status"] == fold.status()
+        assert data["status"]["state"] == "running"
+        assert data["status"]["updated_unix"] == last["t"]
+        assert data["status"]["progress_live"] == last["live"]
         assert os.path.getsize(build_report(str(obs))) > 0
 
 
@@ -167,8 +180,7 @@ class TestChromeTrace:
             """,
             ready_token="READY",
         )
-        os.kill(child.pid, signal.SIGKILL)
-        child.wait()
+        _kill(child)
         assert json.loads(dest.read_text()) == {
             "traceEvents": [], "displayTimeUnit": "ms",
         }

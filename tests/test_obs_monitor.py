@@ -9,9 +9,10 @@ Two contracts dominate:
   checkpoint-durable shards, so it never decreases across a kill +
   resume, while ``progress_live`` may.
 
-Plus the operator surfaces themselves: the status schema, written to
-status.json once at the end, the append-only event log,
-utilization/straggler math, and the fold into summary.json.
+Plus the operator surfaces themselves: the status schema, the
+append-only event log (the only file the monitor writes),
+utilization/straggler math, and the summary and spans folded from the
+log.
 """
 
 import gc
@@ -29,6 +30,7 @@ from repro.fleet import (
     ScrubPolicySpec,
 )
 from repro.obs.monitor import STATUS_VERSION, CampaignMonitor
+from repro.obs.report import load_obs_dir
 from repro.parallel import RetryPolicy
 
 
@@ -104,10 +106,8 @@ def _started(monitor, workers=2, ranges=_RANGES):
     monitor.campaign_started(
         digest="d" * 64,
         shard_ranges=ranges,
-        policy_names=["weekly", "staggered"],
         workers=workers,
         mission_years=5.0,
-        disks_per_group=4,
     )
 
 
@@ -119,7 +119,7 @@ class TestLifecycleUnit:
         monitor = _monitor(tmp_path, clock=clock, wall_clock=lambda: 7.0)
         _started(monitor)
         status = monitor.status()
-        assert not (tmp_path / "status.json").exists()  # written at the end
+        assert not (tmp_path / "status.json").exists()  # never written
         assert status["version"] == STATUS_VERSION
         assert status["state"] == "running"
         assert status["progress"] == 0.0
@@ -137,12 +137,12 @@ class TestLifecycleUnit:
         monitor.shard_started(0, attempt=1)
         monitor.shard_heartbeat(0, 1, {"done": 10, "total": 20, "rss_kb": 9000})
         # Half of one of four equal shards is live-visible but not durable.
-        assert monitor.progress() == 0.0
-        assert monitor.live_progress() == pytest.approx(0.125)
+        assert monitor.fold.progress() == 0.0
+        assert monitor.fold.live_progress() == pytest.approx(0.125)
         clock.tick(1.0)
         monitor.shard_completed(0, {"group_count": 10}, attempt=1)
-        assert monitor.progress() == pytest.approx(0.25)
-        assert monitor.live_progress() == pytest.approx(0.25)
+        assert monitor.fold.progress() == pytest.approx(0.25)
+        assert monitor.fold.live_progress() == pytest.approx(0.25)
 
     def test_heartbeat_tracks_rss_and_never_regresses_done(self, tmp_path):
         monitor = _monitor(tmp_path, clock=_FakeClock())
@@ -177,12 +177,12 @@ class TestLifecycleUnit:
         monitor.shard_started(1, attempt=1)
         clock.tick(4.0)
         # Two workers both busy for the whole elapsed window.
-        assert monitor.utilization() == pytest.approx(1.0)
+        assert monitor.status()["workers"]["utilization"] == pytest.approx(1.0)
         monitor.shard_completed(0, {"group_count": 10})
         monitor.shard_completed(1, {"group_count": 10})
         clock.tick(4.0)
         # ...then idle for as long again.
-        assert monitor.utilization() == pytest.approx(0.5)
+        assert monitor.status()["workers"]["utilization"] == pytest.approx(0.5)
 
     def test_stragglers_lag_behind_median(self, tmp_path):
         clock = _FakeClock()
@@ -194,7 +194,7 @@ class TestLifecycleUnit:
         monitor.shard_completed(0, {"group_count": 10})
         monitor.shard_completed(1, {"group_count": 10})
         clock.tick(5.0)
-        (lagger,) = monitor.stragglers()
+        (lagger,) = monitor.status()["stragglers"]
         assert lagger["shard"] == 2
         assert lagger["lag_s"] == pytest.approx(5.0)
         assert "straggling" in monitor.progress_line()
@@ -208,7 +208,7 @@ class TestLifecycleUnit:
         assert monitor.status()["supervision"]["speculated"] == 1
         # The primary attempt span closed; the speculative twin stayed
         # open under its own ID (exported as-if-ended-now).
-        closed = [s.name for s in monitor.spans.spans()]
+        closed = [s.name for s in monitor.fold.spans()[1] if "outcome" in s.args]
         assert "shard 0 attempt 1" in closed
         assert "shard 0 attempt 1 (speculative)" not in closed
 
@@ -223,21 +223,21 @@ class TestLifecycleUnit:
         assert [e["event"] for e in events].count("campaign_started") == 2
 
     def test_unwritable_dir_degrades_not_raises(self, tmp_path):
-        import shutil
-
         obs = tmp_path / "obs"
         monitor = _monitor(obs, clock=_FakeClock())
+        # Take the output directory away before the first event, for
+        # good: a file where it should be (chmod tricks don't bite when
+        # tests run as root).  Every write, the directory's creation
+        # included, must degrade to an io_errors count, never raise.
+        obs.write_text("not a directory")
         _started(monitor)
-        # Yank the output directory out from under the monitor (chmod
-        # tricks don't bite when tests run as root): every subsequent
-        # write must degrade to an io_errors count, never an exception.
-        shutil.rmtree(obs)
         monitor.shard_started(0, attempt=1)
         monitor.shard_completed(0, {"group_count": 10})
-        # The files land as the campaign finishes (any result will do).
         monitor.campaign_finished(CampaignRunner(_spec(shards=1)).run())
-        assert monitor.io_errors > 0
-        assert monitor.progress() == pytest.approx(0.25)
+        assert monitor.io_errors == 4  # one a lifecycle event
+        assert monitor.fold.progress() == pytest.approx(0.25)
+        assert monitor.status()["state"] == "done"
+        assert obs.read_text() == "not a directory"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_a_failed_event_write_closes_its_handle(self, tmp_path):
@@ -292,7 +292,8 @@ class TestCampaignIntegration:
         obs = tmp_path / "obs"
         monitor = CampaignMonitor(str(obs), interval=0.0)
         CampaignRunner(spec, monitor=monitor).run()
-        status = json.loads((obs / "status.json").read_text())
+        data = load_obs_dir(str(obs))
+        status = data["status"]
         assert status["state"] == "done"
         assert status["progress"] == 1.0
         assert status["progress"] <= status["progress_live"]
@@ -304,15 +305,15 @@ class TestCampaignIntegration:
             "weekly", "staggered",
         ]
         assert status["throughput"]["drive_years"] > 0
-        summary = json.loads((obs / "summary.json").read_text())
+        summary = data["summary"]
         assert summary["state"] == "done"
         assert len(summary["shard_durations_s"]) == spec.shards
         # Per-policy kernel phases were folded into the summary.
         assert {p["name"] for p in summary["phases"]} == {
             "policy weekly", "policy staggered",
         }
-        trace = json.loads((obs / "trace.json").read_text())
-        spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+        trace = monitor.fold.chrome_events()
+        spans = [e for e in trace if e.get("ph") == "X"]
         assert len(spans) >= spec.shards
         assert all(len(e["args"]["span_id"]) == 16 for e in spans)
         phases = [e for e in spans if e.get("cat") == "phase"]
@@ -322,7 +323,9 @@ class TestCampaignIntegration:
         spec = _spec()
         monitor = CampaignMonitor(str(tmp_path / "obs"), interval=0.0)
         result = CampaignRunner(spec, monitor=monitor).run()
-        assert monitor.merged_snapshot() == result.telemetry
+        summary = load_obs_dir(str(tmp_path / "obs"))["summary"]
+        assert summary["telemetry"] == json.loads(json.dumps(result.telemetry))
+        assert monitor.status()["counters"] == result.telemetry["counters"]
 
     def test_resume_keeps_progress_monotone(self, tmp_path):
         spec = _spec()
@@ -396,7 +399,7 @@ class TestCampaignIntegration:
             monitor=CampaignMonitor(str(obs), interval=0.0),
         ).run()
         assert result.shards_failed == 1
-        status = json.loads((obs / "status.json").read_text())
+        status = load_obs_dir(str(obs))["status"]
         assert status["state"] == "degraded"
         assert status["shards"]["failed"] == 1
         assert status["per_shard"][2]["state"] == "failed"

@@ -1,7 +1,5 @@
 """Tests for the self-contained HTML run report (PR 8)."""
 
-import json
-
 import pytest
 
 from repro.fleet import (
@@ -60,10 +58,15 @@ class TestLoad:
             load_obs_dir(str(tmp_path / "nope"))
 
     def test_status_only_is_enough(self, obs_dir):
-        (obs_dir / "summary.json").unlink()
+        # The log is the only file, and a run cut short still folds.
+        assert [p.name for p in obs_dir.iterdir()] == ["events.jsonl"]
+        log = obs_dir / "events.jsonl"
+        log.write_text("".join(log.read_text().splitlines(keepends=True)[:-1]))
         data = load_obs_dir(str(obs_dir))
-        assert data["summary"] is None
-        assert data["status"]["state"] == "done"
+        assert data["summary"]["final"] is None
+        assert data["status"]["state"] == "running"
+        assert data["status"]["progress"] == 1.0
+        assert "<svg" in render_html(data)
 
 
 class TestRender:
@@ -93,11 +96,11 @@ class TestRender:
         assert out.exists()
 
     def test_degraded_run_is_flagged(self, obs_dir):
-        status = json.loads((obs_dir / "status.json").read_text())
+        data = load_obs_dir(str(obs_dir))
+        status, summary = data["status"], data["summary"]
         status["state"] = "degraded"
         status["per_shard"][1]["state"] = "failed"
         status["per_shard"][1]["error"] = "worker died"
-        summary = json.loads((obs_dir / "summary.json").read_text())
         summary["state"] = "degraded"
         html = render_html(
             {"summary": summary, "status": status, "events": []}

@@ -3,13 +3,15 @@
 The simulation recorder and the campaign span recorder each used to
 carry their own encoder.  Both are kept below, verbatim, as the golden
 oracle: ``_reference_recorder_events`` (the recorder's flattening) and
-``_reference_span_events`` (the span recorder's).  Each export through
-the one encoder must hold the same events as its oracle, compared as a
+``_reference_span_events`` (the span recorder's, now fed the spans the
+campaign fold replays from an event log).  Each export through the one
+encoder must hold the same events as its oracle, compared as a
 multiset of canonical JSON lines (the one encoder writes metadata
 first, then spans, instants and counters, where the old ones
-interleaved them).  Inputs: a recorded fault-injected scrub run, a span
-recorder on a fake clock with every kind of span, and a small campaign
-under a monitor.
+interleaved them).  Inputs: a recorded fault-injected scrub run, a
+hand-written log with every kind of span, a small campaign under a
+monitor, and the golden campaign, whose span IDs must be the ones its
+``trace.json`` fixture holds.
 
 The last class is the ``ast`` contract that the old telemetry package
 and its null sink stay deleted.
@@ -19,6 +21,7 @@ import ast
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -33,8 +36,11 @@ from repro.fleet import (
     ScrubPolicySpec,
 )
 from repro.obs.monitor import CampaignMonitor
+from repro.obs.report import CampaignFold, read_events
 from repro.obs.sink import Recorder
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import Span
+from repro.obs.trace import write_chrome_trace
+from tests.obs_golden import drive
 from tools.surface import readme_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -276,42 +282,54 @@ class TestTheRecorderEncodesAsBefore:
         assert recorder.chrome_events() == _reference_recorder_events(recorder)
 
 
+def _as_recorder(fold):
+    """The fold's spans in the shape the oracle reads: every span
+    closed (the fold ends the open ones at its last record)."""
+    threads, spans = fold.spans()
+    return SimpleNamespace(
+        _thread_names=threads, _open={}, _closed=spans,
+        _epoch=fold.started, _now=lambda: 0.0,
+    )
+
+
+def _folded(*records):
+    """Fold ``(mono, event, fields)`` records."""
+    fold = CampaignFold()
+    for mono, event, fields in records:
+        fold.add(dict(fields, t=mono, mono=mono, event=event))
+    return fold
+
+
 class TestTheSpanRecorderEncodesAsBefore:
     def test_every_kind_of_span_on_a_fake_clock(self):
-        clock = _Clock(step=0.0)
-        spans = SpanRecorder("digest", clock=clock)
-        spans.name_thread(0, "campaign")
-        spans.name_thread(2, "shard 1")
-        spans.begin("campaign", "campaign", tid=0, args={"shards": 2})
-        clock.now += 0.5
-        spans.begin(
-            "shard 1 attempt 1", "shard", 1, "attempt", 1,
-            category="attempt", tid=2, args={"attempt": 1},
-        )
-        clock.now += 0.25
-        spans.end("shard", 1, "attempt", 1, args={"outcome": "timeout"})
-        spans.instant(
-            "shard 1 timeout", category="failure", tid=2, args={"attempt": 1}
-        )
-        spans.add_timed(
-            "policy weekly", 0.5, 0.2, "shard", 1, "attempt", 1, "phase",
-            "weekly", category="phase", tid=2, args={"wall_s": 0.2},
-        )
-        spans.add_timed("marker", 0.6, 0.0)  # no path, no width: an instant
-        spans.begin(
-            "shard 1 attempt 2", "shard", 1, "attempt", 2,
-            category="attempt", tid=2,
-        )
-        spans.end("never", "opened")  # ignored
-        clock.now += 1.0  # the campaign and attempt 2 stay open
-        events = spans.chrome_events(process_name="fleet")
-        assert _lines(events) == _lines(_reference_span_events(spans, "fleet"))
-        assert sorted(e["ph"] for e in events) == ["M"] * 3 + ["X"] * 4 + ["i"] * 2
+        fold = _folded(
+            (100.0, "campaign_started", {
+                "campaign": "digest", "shards": 2, "groups": 20,
+                "shard_groups": [10, 10],
+            }),
+            (100.5, "attempt_started", {"shard": 1, "attempt": 1}),
+            (100.75, "attempt_failed", {
+                "shard": 1, "attempt": 1, "kind": "timeout", "error": "late",
+            }),
+            (100.75, "attempt_started", {"shard": 1, "attempt": 2}),
+            (101.0, "shard_completed", {
+                "shard": 1, "attempt": 2, "groups": 10,
+                "phases": [{"policy": "weekly", "wall_s": 0.2},
+                           {"policy": "idle", "wall_s": 0.0}],
+            }),
+            (101.0, "attempt_started", {
+                "shard": 0, "attempt": 1, "speculative": True,
+            }),
+            (102.0, "heartbeat", {"shard": 0, "done": 1, "total": 4}),
+        )  # the campaign and shard 0's attempt stay open
+        events = fold.chrome_events()
+        assert _lines(events) == _lines(_reference_span_events(_as_recorder(fold)))
+        assert sorted(e["ph"] for e in events) == ["M"] * 4 + ["X"] * 6 + ["i"]
         assert {e["s"] for e in events if e["ph"] == "i"} == {"t"}
 
     def test_before_any_span(self):
-        spans = SpanRecorder("digest", clock=_Clock())
-        assert spans.chrome_events() == _reference_span_events(spans)
+        fold = CampaignFold()
+        assert fold.chrome_events() == _reference_span_events(_as_recorder(fold))
 
     def test_a_monitored_campaign(self, tmp_path):
         spec = CampaignSpec(
@@ -327,18 +345,36 @@ class TestTheSpanRecorderEncodesAsBefore:
             ),
             mission_years=3.0, seed=5, shards=3,
         )
-        clock = _Clock()
-        monitor = CampaignMonitor(str(tmp_path), interval=0, clock=clock)
+        monitor = CampaignMonitor(str(tmp_path / "obs"), interval=0, clock=_Clock())
         CampaignRunner(spec, monitor=monitor).run()
-        clock.step = 0.0
-        events = monitor.spans.chrome_events()
-        assert _lines(events) == _lines(_reference_span_events(monitor.spans))
+        fold = CampaignFold(read_events(monitor.events_path))
+        events = fold.chrome_events()
+        assert _lines(events) == _lines(_reference_span_events(_as_recorder(fold)))
         assert {e["cat"] for e in events if e["ph"] == "X"} == {
             "campaign", "attempt", "phase",
         }
-        with open(monitor.trace_path) as handle:
+        path = tmp_path / "trace.json"
+        write_chrome_trace(str(path), events)
+        with open(path) as handle:
             written = json.load(handle)["traceEvents"]
         assert len(written) == len(events)
+
+    def test_the_golden_campaign_keeps_its_span_ids(self, tmp_path):
+        for _ in drive(tmp_path):
+            pass
+        fold = CampaignFold(read_events(str(tmp_path / "events.jsonl")))
+        fixture = ROOT / "tests" / "fixtures" / "obs_golden" / "trace.json"
+        want = json.loads(fixture.read_text())["traceEvents"]
+        got = _reference_span_events(_as_recorder(fold))
+
+        def ids(events):
+            return sorted(
+                (e["name"], e["tid"], e["args"]["span_id"])
+                for e in events if e["ph"] == "X"
+            )
+
+        assert ids(got) == ids(want)
+        assert len(ids(want)) == 13
 
 
 #: What went with the fold of the old telemetry package into ``repro.obs``.

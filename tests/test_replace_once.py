@@ -1,8 +1,8 @@
 """Durable state lands through one primitive, once or appended.
 
 Every whole file the stack writes -- checkpoints, the journal header,
-job records, trace-store headers and catalogs, the monitor's final
-files and every operator-facing output -- goes through
+job records, trace-store headers and catalogs, the span trace folded
+from a monitor's log and every operator-facing output -- goes through
 :func:`repro.obs.export.atomic_write`, the only code under
 ``src/repro`` that creates a temp file and publishes it with
 ``os.replace`` or ``os.link`` (the ``ast`` contract below).  A trace
@@ -12,8 +12,8 @@ record, and a store without one does not open.  The monitor's
 
 Every publish is a crash point a recovery has to reason about, so a run
 replaces each destination at most once: checkpoints as their shards
-land, the monitor's ``status.json`` / ``summary.json`` / ``trace.json``
-as the campaign finishes.  The journal's ``manifest.json`` is linked
+land, and nothing else -- the monitor only appends, and a full resume
+publishes nothing at all.  The journal's ``manifest.json`` is linked
 exactly once, when the journal is created, and never replaced.  The
 service's job records (``jobs/<id>.json``) are the one exception: each
 state transition of a job replaces its record.
@@ -46,7 +46,7 @@ from repro.fleet.spec import campaign_digest, spec_from_dict
 from repro.obs.export import write_jsonl
 from repro.obs.monitor import CampaignMonitor
 from repro.obs.prometheus import write_textfile
-from repro.obs.report import build_report
+from repro.obs.report import CampaignFold, build_report, read_events
 from repro.obs.trace import write_chrome_trace
 from repro.parallel.cache import ResultCache
 from repro.service import CampaignService, JobQueue, ServiceClient
@@ -125,34 +125,31 @@ def test_a_monitored_journalled_run_and_its_resume(replaced, linked, tmp_path):
     assert links == [str(tmp_path / "journal" / "manifest.json")]
     resumed, names, links = run()
     assert resumed.shards_resumed == 4
-    assert names == ["status.json", "summary.json", "trace.json"]
+    assert names == []
     assert links == []
 
 
 @pytest.mark.service
-def test_a_service_job_writes_its_status_once(replaced, monkeypatch, tmp_path):
-    finished_first = []
-    real_replace = os.replace
-
-    def spy(src, dst, *args, **kwargs):
-        if os.path.basename(dst) == "status.json":
-            events = os.path.join(os.path.dirname(dst), "events.jsonl")
-            with open(events, encoding="utf-8") as handle:
-                last = json.loads(handle.read().splitlines()[-1])
-            finished_first.append(last["event"] == "campaign_finished")
-        return real_replace(src, dst, *args, **kwargs)
-
-    monkeypatch.setattr(os, "replace", spy)  # on top of the fixture's spy
+def test_a_service_job_writes_its_status_once(replaced, tmp_path):
+    """Its status is written once: as the log's last record."""
     with CampaignService(tmp_path, port=0) as svc:
         client = ServiceClient(svc.url)
         _, payload = client.submit(SERVICE_SPEC)
-        final = client.wait(payload["job"]["id"], timeout=60)
+        job_id = payload["job"]["id"]
+        final = client.wait(job_id, timeout=60)
+        _, detail = client.job(job_id)
     assert final["state"] == "done"
     jobs = os.path.join(str(tmp_path), "jobs") + os.sep
     _assert_replaced_at_most_once(
         [dst for dst in replaced if not dst.startswith(jobs)]
     )
-    assert finished_first == [True]
+    obs = tmp_path / "campaigns" / job_id / "obs"
+    assert not [dst for dst in replaced if dst.startswith(str(obs))]
+    assert [p.name for p in obs.iterdir()] == ["events.jsonl"]
+    events = read_events(str(obs / "events.jsonl"))
+    assert events[-1]["event"] == "campaign_finished"
+    assert detail["status"] == json.loads(json.dumps(CampaignFold(events).status()))
+    assert detail["status"]["state"] == "done"
 
 
 # -- one write per caller -------------------------------------------------------
@@ -208,10 +205,8 @@ def _finished_monitor(obs):
     monitor.campaign_started(
         digest="d" * 64,
         shard_ranges=[(0, 4)],
-        policy_names=[],
         workers=1,
         mission_years=1.0,
-        disks_per_group=4,
     )
     monitor.campaign_finished(SimpleNamespace(
         shards_failed=0, supervision={}, completeness=1.0, shards_total=1,
@@ -222,8 +217,12 @@ def _finished_monitor(obs):
 
 
 def _monitor_trace(tmp_path):
+    """The span trace a reader folds from a monitor's log."""
     monitor = _finished_monitor(tmp_path / "obs")
-    return Path(monitor.trace_path), monitor.write_trace
+    target = tmp_path / "obs" / "trace.json"
+    return target, lambda: write_chrome_trace(
+        str(target), monitor.fold.chrome_events()
+    )
 
 
 #: One write of each durable-state caller: ``factory(tmp_path)`` returns

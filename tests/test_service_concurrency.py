@@ -187,8 +187,9 @@ def test_cancel_queued_job_never_runs(tmp_path):
 
 def test_a_running_job_answers_from_its_live_monitor(tmp_path):
     """A thread hammers GET /campaigns/{id} while a medium job runs: the
-    status is the monitor's live one, and status.json appears only once
-    the job has ended."""
+    status is the monitor's live one while the job runs and the fold of
+    its event log once it has ended; the monitor writes no status
+    file."""
     from repro.fleet import CampaignRunner, spec_from_dict
 
     spec = _spec(groups=4_800, shards=8, seed=95)
@@ -196,13 +197,13 @@ def test_a_running_job_answers_from_its_live_monitor(tmp_path):
     with CampaignService(tmp_path, port=0) as svc:
         _, payload = ServiceClient(svc.url, client="watched").submit(spec)
         job_id = payload["job"]["id"]
-        status_path = tmp_path / "campaigns" / job_id / "obs" / "status.json"
+        obs = tmp_path / "campaigns" / job_id / "obs"
 
         def hammer():
             watcher = ServiceClient(svc.url)
             while True:
                 code, detail = watcher.job(job_id)
-                answers.append((code, detail, status_path.exists()))
+                answers.append((code, detail))
                 if code != 200 or detail["job"]["state"] in ("done", "failed"):
                     return
 
@@ -211,10 +212,12 @@ def test_a_running_job_answers_from_its_live_monitor(tmp_path):
         final = ServiceClient(svc.url).wait(job_id, timeout=120)
         thread.join(timeout=60)
     assert final["state"] == "done"
-    assert all(code == 200 for code, _, _ in answers)
-    statuses = [(d["status"], on_disk) for _, d, on_disk in answers if d["status"]]
-    assert any(s["state"] == "running" and not on_disk for s, on_disk in statuses)
-    done = [s["groups"]["done"] for s, _ in statuses]
+    assert all(code == 200 for code, _ in answers)
+    statuses = [d["status"] for _, d in answers if d["status"]]
+    assert any(s["state"] == "running" for s in statuses)
+    assert statuses[-1]["state"] == "done"
+    assert [p.name for p in obs.iterdir()] == ["events.jsonl"]
+    done = [s["groups"]["done"] for s in statuses]
     assert done == sorted(done) and done[-1] == 4_800
     direct = CampaignRunner(spec_from_dict(spec)).run().metrics_dict()
     assert final["result"]["metrics"] == json.loads(json.dumps(direct))

@@ -446,11 +446,8 @@ def test_failed_replace_removes_the_temp_file(
     fired = []
     with monkeypatch.context() as patch:
         fault(patch, fired)
-        if factory is CALLERS["monitor_trace"]:
-            write()  # the monitor counts the failure in ``io_errors``
-        else:
-            with pytest.raises(OSError):
-                write()
+        with pytest.raises(OSError):
+            write()
     assert fired
     assert _contents(target) == before
     assert [p.name for p in tmp_path.rglob("*") if ".tmp" in p.name] == []

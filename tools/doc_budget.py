@@ -27,7 +27,7 @@ from typing import Iterator, List, Tuple
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 #: The most lines DESIGN.md may have.
-LINE_BUDGET = 1659
+LINE_BUDGET = 1658
 
 #: Where citations are looked for: directories (every ``.py`` and
 #: ``.md`` file under them) and single files, relative to the root.

@@ -23,10 +23,12 @@ are acceptance criteria from PR 7, the fifth from PR 8:
 5. **Watch it die and come back** — run the campaign under a
    :class:`~repro.obs.CampaignMonitor`, interrupt it mid-flight, then
    resume with a *fresh* monitor on the same observability directory:
-   the ``progress`` values in the continuous ``events.jsonl`` must be
+   the interrupted log must fold to a non-terminal status whose
+   ``progress`` is the last durable ``progress`` it logged, the
+   ``progress`` values in the continuous ``events.jsonl`` must be
    monotone non-decreasing across the interruption (durable progress
-   only counts journalled shards), the final ``status.json`` must
-   reach progress 1.0, and the resumed metrics must stay bit-identical
+   only counts journalled shards), the log must fold to a final status
+   at progress 1.0, and the resumed metrics must stay bit-identical
    to the baseline — monitoring is passive.
 
 Everything is deterministic (fixed spec seed), so a failure here is
@@ -260,6 +262,7 @@ def main() -> int:
 
         print("act 5: monitored campaign, interrupted and resumed")
         from repro.obs.monitor import CampaignMonitor
+        from repro.obs.report import CampaignFold, read_events
 
         obs_dir = os.path.join(tmp, "obs")
         monitored_journal = os.path.join(tmp, "monitored")
@@ -281,6 +284,17 @@ def main() -> int:
             failures += not check("campaign was interrupted", False)
         except _Interrupt:
             pass
+        events_path = os.path.join(obs_dir, "events.jsonl")
+        events = read_events(events_path)
+        status = CampaignFold(events).status()
+        durable = [e["progress"] for e in events if "progress" in e]
+        failures += not check(
+            "interrupted log folds to its last durable progress",
+            status["state"] == "running" and bool(durable)
+            and status["progress"] == durable[-1],
+            f"state {status['state']}, progress {status['progress']}, "
+            f"last logged {durable[-1] if durable else '-'}",
+        )
         resumed_monitored = CampaignRunner(
             spec,
             journal_dir=monitored_journal,
@@ -291,8 +305,7 @@ def main() -> int:
             resumed_monitored.shards_resumed >= 1,
             f"{resumed_monitored.shards_resumed} resumed",
         )
-        with open(os.path.join(obs_dir, "events.jsonl")) as fh:
-            events = [json.loads(line) for line in fh if line.strip()]
+        events = read_events(events_path)
         progress = [e["progress"] for e in events if "progress" in e]
         failures += not check(
             "progress monotone across interruption + resume",
@@ -301,8 +314,7 @@ def main() -> int:
             f"{progress[0] if progress else '-'} -> "
             f"{progress[-1] if progress else '-'}",
         )
-        with open(os.path.join(obs_dir, "status.json")) as fh:
-            status = json.load(fh)
+        status = CampaignFold(events).status()
         failures += not check(
             "final status complete",
             status["state"] == "done" and status["progress"] == 1.0,

@@ -7,9 +7,10 @@
   under a :class:`~repro.obs.monitor.CampaignMonitor` at a 0.25 s
   interval, 8x the CLI's default rate.  The monitored runs share one
   directory: each appends to ``events.jsonl``, as a resumed campaign
-  does, and writes ``status.json``, ``trace.json`` and ``summary.json``
-  once as it finishes.  With no ``on_progress`` callback the interval
-  paces nothing, so no status is folded mid-run.
+  does, and writes no other file -- the status, summary and span trace
+  are folds of that log (:class:`~repro.obs.report.CampaignFold`), paid
+  for by whoever reads them, not by the run.  With no ``on_progress``
+  callback the interval paces nothing, so no status is rendered mid-run.
 
 The two sides run as ten back-to-back pairs, the order alternating from
 pair to pair, and the row reads the median of the ten monitored / bare
@@ -21,7 +22,7 @@ budget).
 Exit status 1 when the median ratio exceeds 1.05, or when a monitored
 run's results differ from the bare run's in any bit (the monitor's
 passivity contract).  What the monitor writes is held by
-``tests/test_obs_monitor.py`` and ``tests/test_obs_spans.py``.
+``tests/test_obs_monitor.py`` and ``tests/test_obs_fold.py``.
 
 The engine-level sinks (``Recorder``, ``InvariantSink``) have no row:
 ``Simulation.run`` calls a sink once per ``run()``, which

@@ -92,7 +92,7 @@ ALLOWED_PARAMS: Dict[str, str] = {
     "obs.monitor.CampaignMonitor.__init__(clock=)":
         "seam: test_obs_monitor steps progress and ETA on a fake clock",
     "obs.monitor.CampaignMonitor.__init__(wall_clock=)":
-        "seam: test_obs_monitor pins the status file's wall timestamp",
+        "seam: test_obs_monitor pins the status's wall timestamp",
     "parallel.runner.SweepRunner.__init__(retry=)":
         "seam: test_parallel's worker-death drills retry with no backoff",
     "parallel.supervise.SupervisedRunner.__init__(heartbeat_grace=)":
