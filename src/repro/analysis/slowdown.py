@@ -32,18 +32,18 @@ class _SimMeter:
     elements it touches, which is smaller (``durations > threshold``
     discards most intervals before any arithmetic, and a threshold
     bisection step runs :func:`_waiting_arrays` only on the intervals
-    longer than its midpoint: a working set that shrinks as one size
-    converges, or a suffix of the sorted sample for each arm of a
-    halving rung).  A step charges the meter itself, 1 sim and the
-    sample's size for each size it decides, exactly as
-    :func:`fixed_waiting_pass` would, although it builds no result; an
-    arm whose certified sum cannot decide re-runs its pass within that
-    charge.  A rung's decided threshold-0 pass and its unrun
-    threshold-max pass are charged the same way.  That makes the meter
-    a machine-independent count of the logical work the exhaustive grid
-    and the successive-halving search ask for, so their costs compare
-    directly regardless of sample size; it is *not* proportional to
-    seconds.
+    longer than its midpoint -- a working set that shrinks as one size
+    converges -- or, for each arm of a halving rung, only on the tail
+    of the sorted sample that a prefix sum cannot answer).  A step
+    charges the meter itself, 1 sim and the sample's size for each size
+    it decides, exactly as :func:`fixed_waiting_pass` would, although
+    it builds no result; an arm whose certified estimate cannot decide
+    re-runs its pass within that charge.  A rung's decided threshold-0
+    pass and its unrun threshold-max pass are charged the same way.
+    That makes the meter a machine-independent count of the logical
+    work the exhaustive grid and the successive-halving search ask for,
+    so their costs compare directly regardless of sample size; it is
+    *not* proportional to seconds.
     Purely additive bookkeeping (two integer adds per simulation);
     workers meter their own process, so cross-process totals must be
     summed by the caller or measured serially.
@@ -149,8 +149,8 @@ def _waiting_arrays(usable: np.ndarray, service: float | np.ndarray):
     flight when the interval ends (``idle`` is False) delays the
     arriving foreground request by its remaining service time and still
     completes.  The one implementation of this arithmetic: a Waiting
-    pass, a rung's threshold-0 decision and each threshold-bisection
-    step call it.  ``service`` is one service time or, for a step that
+    pass, each threshold-bisection step and a halving rung's tails call
+    it.  ``service`` is one service time or, for a step that
     bisects several request sizes at once, one per interval.
     ``usable``'s buffer becomes ``delays``.
     """

@@ -34,7 +34,7 @@ def run(args) -> int:
         data = load_obs_dir(args.obs_dir)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from None
-    path = build_report(args.obs_dir, out_path=args.out)
+    path = build_report(args.obs_dir, out_path=args.out, data=data)
     status = data.get("status") or {}
     state = (data.get("summary") or {}).get("state") or status.get("state")
     progress = status.get("progress_live", status.get("progress"))

@@ -88,35 +88,71 @@ def _pick_best(
 
 
 def _certify(
-    sums: np.ndarray, lengths: np.ndarray, slowdown_goal: float, total_requests: int
+    sums: np.ndarray,
+    lengths: np.ndarray,
+    spread: np.ndarray,
+    slowdown_goal: float,
+    total_requests: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(accept, reject)``: where a whole pass certainly meets, or
-    certainly misses, the goal, given each arm's sum of its delays.
+    certainly misses, the goal, given each arm's estimate of the sum of
+    its delays.
 
-    A pass meets the goal when ``fl(E / N) <= goal``, ``E`` the pairwise
-    ``np.add.reduce``, in sample order, of the arm's ``k = lengths``
-    delays and ``N = total_requests``; ``F = sums`` adds the same
-    non-negative delays in some other order.
+    A pass at threshold ``m`` meets the goal when ``fl(E / N) <= goal``,
+    ``E`` the pairwise ``np.add.reduce``, in sample order, of the arm's
+    ``k = lengths`` delays ``δ = fl(s - fl(d - m))`` (``d > m``, those
+    with no request in flight 0) and ``N = total_requests``.  A lockstep
+    step (:func:`_estimate`) estimates ``E`` by ``F = sums =
+    fl(B + Ft)``: ``Ft`` adds the tail's delays (``d >= fl(m + s/2)``,
+    the pass's bits each) in another order, and
+    ``B = fl(fl(kb fl(s + m)) - fl(P[t] - P[c]))`` stands for the
+    ``kb`` bulk delays, ``P`` the sequential ``np.cumsum`` of the sorted
+    sample with ``P[0] = 0`` and ``c``, ``t`` the first bulk and the
+    first tail position.  ``spread`` must be
+    ``fl(10u A + 4(n+2)u fl(P[t] + P[c]))``, ``A = fl(kb fl(s + m))``
+    and ``n`` the sample's size; with no bulk it may be 0.
 
-    *Proof.*  Let ``u = 2**-53`` and ``T`` the exact sum.  Any order of
-    adding ``k`` non-negative terms, each addition rounded, lies within
-    ``γ = (k-1)u / (1-(k-1)u)`` of ``T`` relatively (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, §4.2), so ``|F - E| <= 2γT``
-    and ``T <= F / (1-γ)``, hence
-    ``|F - E| <= 2γ/(1-γ) F = 2(k-1)u / (1-2(k-1)u) F <= 4ku F`` while
-    ``(k-1)u <= 1/4``, as for any array in memory.  Let
-    ``G = fl(goal N)``, so ``|G - goal N| <= u goal N``; ``s = 4ku`` is
-    exact, ``1 + 8u`` and ``1 - 8u`` are floats, and each rounded
-    operation below adds a relative error ``<= u``.  *Accept* when
-    ``fl(F fl(1+s)) <= fl(G (1-8u))``: then
-    ``E <= F(1+s) <= goal N (1+u)**2 (1-8u) / (1-u)**2 < goal N``, so
-    ``E/N < goal`` and rounding, monotone, keeps ``fl(E/N) <= goal``.
-    *Reject* when ``fl(F fl(1-s)) >= fl(G (1+8u))``: then
-    ``E >= F(1-s) >= goal N (1-u)**2 (1+8u) / (1+u)**2 >= goal N (1+2u)``,
-    and ``E/N > goal (1+u) >= goal + ulp(goal)/2`` rounds above ``goal``.
-    A goal below ``2**-1000`` certifies nothing, which keeps ``goal`` and
-    ``G`` normal and an underflowing ``F fl(1+s)`` far below ``G``; an
-    infinite ``G`` accepts, rightly, every finite ``F``.
+    *Proof.*  Let ``u = 2**-53``, ``γ_j = ju / (1-ju)`` and ``T`` the
+    exact sum of the ``δ``; ``k, n <= 2**50``, as for any array in
+    memory.  Any order of adding ``j`` non-negative terms lies within
+    ``γ_(j-1)`` of their exact sum relatively (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §4.2): so ``|E - T| <= γT`` and
+    ``|Ft - Tt| <= γTt``, ``γ = γ_(k-1)``.  Three terms bound the bulk.
+    (i) Its delays: a bulk interval has ``m < d < m + s/2`` exactly
+    (``d`` is a float below ``fl(m + s/2)``), so ``fl(d - m) <= s/2``
+    (``s`` normal), no request completes and ``δ`` is within
+    ``u(d - m) + us <= 1.5us`` of ``s + m - d``.  (ii) The prefix sums:
+    ``P[j]`` adds ``j`` non-negative terms, so it is within
+    ``γ_(n-1) / (1-γ_(n-1)) P[j] <= 1.5(n-1)u P[j]`` of their exact
+    sum.  (iii) The bulk formula's four roundings: ``A`` is within
+    ``(2u+u²) kb(s+m)`` of ``kb(s+m)``, and the two subtractions add
+    ``u P[t]`` and ``u(A + P[t])``.  With
+    ``kb s <= kb(s+m) <= A / (1-u)²`` the bulk's exact sum ``Tb`` is
+    within ``ρ = 4.6u A + 1.5(n+1)u (P[t] + P[c])`` of ``B``, and
+    ``spread >= 2ρ``: its constants keep room for its own three
+    roundings.  The last addition rounds by ``u|B + Ft|``, so
+    ``|F - T| <= (γ + u(1+γ)) T + (1+u)ρ``, which gives
+    ``T <= (|F| + (1+u)ρ) / (1 - γ - u(1+γ))`` and, while
+    ``(k-1)u <= 1/8``,
+    ``|F - E| <= (2γ + u(1+γ)) T + (1+u)ρ <= 4ku|F| + 2ρ``.  (With no
+    bulk ``F`` adds the same delays in another order and the bound is
+    ``4ku F``.)  Let ``S = spread``, ``G = fl(goal N)``, so
+    ``|G - goal N| <= u goal N``; ``σ = 4ku`` is exact, ``1 + 8u`` and
+    ``1 - 8u`` are floats, and each rounded operation below adds a
+    relative error ``<= u``.  *Accept* when
+    ``fl(fl(F + S) fl(1+σ)) <= fl(G (1-8u))``:
+    ``E <= (1+u)(F + S)(1+σ)``, also where ``F < 0`` (then
+    ``|F| <= (1+u)ρ``, as ``B >= -ρ`` and ``Ft >= 0``), so
+    ``E (1-u)**3 <= goal N (1+u)**3 (1-8u)``, ``E < goal N`` and
+    rounding, monotone, keeps ``fl(E/N) <= goal``.  *Reject* when
+    ``fl(fl(F - S) fl(1-σ)) >= fl(G (1+8u))``: then ``F > S``,
+    ``E >= (F - S)(1-σ)``, so
+    ``E (1+u)**3 >= goal N (1-u)**2 (1+8u) >= goal N (1+2u)(1+u)**3``
+    and ``E/N >= goal (1+2u) >= goal + ulp(goal)`` rounds above
+    ``goal``.  A goal below ``2**-1000`` certifies nothing, which keeps
+    ``goal`` and ``G`` normal and the few ``2**-1074`` an underflowing
+    product may lose far below the ``2u G`` of room left; an infinite
+    ``G`` accepts, rightly, every finite ``F``.
     """
     if not slowdown_goal >= 2.0 ** -1000:
         nothing = np.zeros(len(sums), dtype=bool)
@@ -124,9 +160,47 @@ def _certify(
     u = 2.0 ** -53
     goal = slowdown_goal * total_requests
     slack = lengths * (4.0 * u)
-    accept = sums * (1.0 + slack) <= goal * (1.0 - 8.0 * u)
-    reject = sums * (1.0 - slack) >= goal * (1.0 + 8.0 * u)
+    accept = (sums + spread) * (1.0 + slack) <= goal * (1.0 - 8.0 * u)
+    reject = (sums - spread) * (1.0 - slack) >= goal * (1.0 + 8.0 * u)
     return accept, reject
+
+
+def _split(ordered: np.ndarray, mids: np.ndarray, service: np.ndarray):
+    """``(cuts, edges, arm, arrays)`` of one lockstep step.
+
+    Arm ``a`` is at threshold ``mids[a]`` with service time
+    ``service[a]``; ``ordered`` is the sample sorted ascending.  Its
+    usable intervals (``d > m``) start at ``cuts[a]``, its tail
+    (``d >= fl(m + s/2)``) at ``edges[a]``; between them lies its bulk.
+    ``arrays`` are :func:`~repro.analysis.slowdown._waiting_arrays` of
+    every arm's tail, arm after arm, ``arm`` naming each element's arm.
+    """
+    n = len(ordered)
+    cuts = ordered.searchsorted(mids, "right")
+    edges = ordered.searchsorted(mids + service / 2.0, "left")
+    np.maximum(edges, cuts, out=edges)  # fl(m + s/2) may be m
+    arm = np.arange(len(mids)).repeat(n - edges)
+    tail = np.concatenate([ordered[edge:] for edge in edges.tolist()])
+    tail -= mids[arm]
+    return cuts, edges, arm, _waiting_arrays(tail, service[arm])
+
+
+def _estimate(
+    ordered: np.ndarray, prefix: np.ndarray, mids: np.ndarray, service: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sums, lengths, spread)`` of one lockstep step, as
+    :func:`_certify` takes them: each arm's estimate ``F`` of its delay
+    sum, its usable count ``k`` and the bound on how far the bulk's
+    formula may stray.  ``prefix`` is ``ordered``'s ``np.cumsum`` after
+    a 0."""
+    u, n = 2.0 ** -53, len(ordered)
+    cuts, edges, arm, (delays, _, _) = _split(ordered, mids, service)
+    scaled = (edges - cuts) * (service + mids)
+    low, high = prefix[cuts], prefix[edges]
+    # np.bincount adds each arm's tail delays in an order of its own.
+    sums = scaled - (high - low) + np.bincount(arm, delays, len(mids))
+    spread = (10.0 * u) * scaled + (4.0 * (n + 2) * u) * (high + low)
+    return sums, n - cuts, spread
 
 
 class ScrubParameterOptimizer:
@@ -212,104 +286,37 @@ class ScrubParameterOptimizer:
     ) -> Optional[SlowdownResult]:
         """Smallest threshold meeting ``slowdown_goal`` for one size.
 
-        The one-size call of :meth:`_best_thresholds`, whose docstring
-        says how the bisection runs.  Pass ``at_zero`` (the threshold-0
-        result) when already computed.  ``None`` means the threshold-max
-        pass missed the goal; the real pass cannot, because at the
-        longest interval nothing is usable, so its mean slowdown is 0
-        and any positive goal is met.  Only a substituted pass reaches
-        ``None``.
-        """
-        return self._best_thresholds(
-            [request_bytes], slowdown_goal, iterations, [at_zero]
-        )[0]
+        First the threshold-0 pass (skipped when ``at_zero`` holds it)
+        and, unless that meets the goal, the threshold-max pass; then
+        ``iterations`` bisection steps between 0 and the longest
+        interval.  ``None`` means the threshold-max pass missed the
+        goal; the real pass cannot, because at the longest interval
+        nothing is usable, so its mean slowdown is 0 and any positive
+        goal is met.  Only a substituted pass reaches ``None``.
 
-    def _best_thresholds(
-        self,
-        sizes: Sequence[int],
-        slowdown_goal: float,
-        iterations: int,
-        at_zero: Sequence[Optional[SlowdownResult]],
-    ) -> List[Optional[SlowdownResult]]:
-        """:meth:`best_threshold` for each of ``sizes``, bisected in lockstep.
-
-        Per size, first the threshold-0 pass (skipped where ``at_zero``
-        holds it) and, unless that meets the goal, the threshold-max
-        pass; a size that misses there gets ``None``.  Several sizes at
-        once (a halving rung) only decide the threshold-0 pass, with one
-        :func:`~repro.analysis.slowdown._waiting_arrays` call over the
-        sample's positive intervals, and build its result only when it
-        meets the goal; they do not run the threshold-max pass at all,
-        whose mean slowdown is exactly 0 (nothing is usable past the
-        longest interval).  Both passes are metered as run.  The sizes
-        left then bisect ``iterations`` steps, each with its own ``lo``
-        and ``hi``.  One size alone keeps a working set that only
-        shrinks: a rejected midpoint becomes ``lo``, every later
-        threshold is ``>= lo``, so an interval no longer than ``lo`` can
-        never be usable again and is dropped (order kept); its step
-        reads the mean slowdown as one ``np.add.reduce`` -- the
-        reduction a whole pass makes -- and it keeps the arrays of its
-        last accepted step, or else its threshold-max result.  Several
-        sizes step together on the sorted sample
-        (:meth:`_lockstep_highs`) and each builds its one
-        :class:`SlowdownResult` at the end from the intervals longer
-        than its last accepted midpoint, in sample order: those of that
-        step, so no step's shared arrays stay pinned.  Each step's
-        decision is the one simulating the whole sample makes, and is
-        metered as that, so every answer is bit-identical to it.
+        The working set only shrinks: a rejected midpoint becomes
+        ``lo``, every later threshold is ``>= lo``, so an interval no
+        longer than ``lo`` can never be usable again and is dropped
+        (order kept).  A step reads the mean slowdown as one
+        ``np.add.reduce`` -- the reduction a whole pass makes -- and the
+        search keeps the arrays of its last accepted step, or else its
+        threshold-max result.  Each step's decision is the one
+        simulating the whole sample makes, and is metered as that, so
+        the answer is bit-identical to it.
         """
         if slowdown_goal <= 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
         durations, total_requests = self.durations, self.total_requests
-        top, sample = float(durations.max()), len(durations)
-        lone = len(sizes) == 1
-        reduce = np.add.reduce
-        positive = None if lone else durations[durations > 0.0]
-        # One lookup for every size: np.interp gives each element the
-        # bits a lookup of that size alone would.
-        lookup = self.service_model.time(np.asarray(sizes, dtype=float)).tolist()
-        results: List[Optional[SlowdownResult]] = []
-        arms, services = [], []  # of each size that bisects
-        for size, zero, service in zip(sizes, at_zero, lookup):
-            if lone or zero is not None:
-                if zero is None:
-                    zero = self._pass(durations, 0.0, size, service)
-                met = zero.mean_slowdown <= slowdown_goal
-            else:  # decide the threshold-0 pass, build its result if kept
-                SIM_METER.sims += 1
-                SIM_METER.interval_evals += sample
-                arrays = _waiting_arrays(positive.copy(), service)
-                met = reduce(arrays[0]) / total_requests <= slowdown_goal
-                if met:
-                    zero = _fixed_result(0.0, size, arrays, total_requests, self.span)
-            if met:
-                results.append(zero)
-                continue
-            if lone:
-                best = self._pass(durations, top, size, service)
-                if best.mean_slowdown > slowdown_goal:
-                    results.append(None)
-                    continue
-            else:  # the threshold-max pass, metered but not run
-                SIM_METER.sims += 1
-                SIM_METER.interval_evals += sample
-                best = None
-            arms.append((len(results), size))
-            services.append(service)
-            results.append(best)
-        if not arms:
-            return results
-        if not lone:
-            highs = self._lockstep_highs(services, slowdown_goal, iterations)
-            for (index, size), hi, service in zip(arms, highs, services):
-                usable = durations[durations > hi]
-                usable -= hi
-                results[index] = _fixed_result(
-                    hi, size, _waiting_arrays(usable, service),
-                    total_requests, self.span,
-                )
-            return results
-        (index, size), service = arms[0], services[0]
+        top = float(durations.max())
+        service = float(self.service_model.time(float(request_bytes)))
+        if at_zero is None:
+            at_zero = self._pass(durations, 0.0, request_bytes, service)
+        if at_zero.mean_slowdown <= slowdown_goal:
+            return at_zero
+        best = self._pass(durations, top, request_bytes, service)
+        if best.mean_slowdown > slowdown_goal:
+            return None
+        reduce, sample = np.add.reduce, len(durations)
         lo, hi, work, accepted = 0.0, top, durations, None
         for _ in range(iterations):
             SIM_METER.sims += 1
@@ -321,57 +328,88 @@ class ScrubParameterOptimizer:
                 hi, accepted = mid, arrays
             else:
                 lo, work = mid, kept
-        if accepted is not None:  # else the threshold-max result stands
-            results[index] = _fixed_result(
-                hi, size, accepted, total_requests, self.span
-            )
-        return results
+        if accepted is None:  # the threshold-max result stands
+            return best
+        return _fixed_result(hi, request_bytes, accepted, total_requests, self.span)
 
-    def _lockstep_highs(
-        self, services: Sequence[float], slowdown_goal: float, iterations: int
-    ) -> List[float]:
-        """Each arm's ``hi`` after ``iterations`` bisection steps in lockstep.
+    def _rung_scores(
+        self,
+        sizes: Sequence[int],
+        slowdown_goal: float,
+        iterations: int,
+        ordered: np.ndarray,
+    ) -> List[Tuple[float, float]]:
+        """Each size's ``(threshold, throughput)``: those of
+        :meth:`best_threshold`'s answer, bit for bit, every size
+        bisected at once, and the meter charged as it charges.
 
-        Arm ``a`` (service time ``services[a]``) starts at ``lo = 0`` and
-        ``hi`` = the longest interval, and each step accepts its
-        midpoint, the new ``hi``, when a whole pass at it meets the
-        goal.  The sample is sorted once, so the intervals longer than a
-        midpoint are a suffix of it: a step concatenates every arm's
-        suffix, subtracts per-element midpoints, runs the Waiting
-        arithmetic once with per-element service times (each delay gets
-        the bits it gets in sample order) and reads each arm's sum off
-        one ``np.add.reduceat`` over the non-empty suffixes (an empty
-        one sums to 0).  That sum adds the delays in another order than
-        a pass does, so a decision taken on it is certified
-        (:func:`_certify`); an arm it leaves undecided takes the exact
-        path, :meth:`_meets`.  Every decision is the whole pass's, bit
-        for bit.
+        ``ordered`` is ``self.durations`` sorted ascending, so the
+        intervals longer than a threshold ``m`` are a suffix of it.  For
+        a size of service time ``s``, those shorter than ``fl(m + s/2)``
+        -- the bulk -- complete no request, so each delays its
+        foreground request by ``fl(s - fl(d - m))`` and scrubs one: the
+        bulk's delay sum is about ``kb (s + m) - (P[t] - P[c])``, read
+        off one prefix sum ``P`` of ``ordered``, and its request count
+        is ``kb``.  Only the rest -- the tail -- runs the Waiting
+        arithmetic, every size's tail in one
+        :func:`~repro.analysis.slowdown._waiting_arrays` call with
+        per-element service times (each delay gets the bits it gets in
+        sample order).  One such step decides every size's threshold-0
+        pass, one each of the ``iterations`` lockstep steps decides the
+        midpoints of the sizes left bisecting (threshold max is met,
+        and metered unrun: nothing is usable past the longest
+        interval), and one more counts the requests each size scrubs at
+        its answer, in integer-valued sums exact in any order.  A
+        decision stands only where :func:`_certify` proves the
+        sample-order pass decides alike; an arm it leaves undecided
+        takes the exact path, :meth:`_meets`.
         """
-        n, sample = len(services), len(self.durations)
-        ordered = np.sort(self.durations)
-        lo, hi = np.zeros(n), np.full(n, float(ordered[-1]))
-        service = np.asarray(services)
-        for _ in range(iterations):
-            SIM_METER.sims += n
-            SIM_METER.interval_evals += n * sample
+        if slowdown_goal <= 0:
+            raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
+        n, total_requests = len(ordered), self.total_requests
+        prefix = np.zeros(n + 1)
+        np.cumsum(ordered, out=prefix[1:])
+        services = self.service_model.time(np.asarray(sizes, dtype=float))
+
+        def meets(mids, service):
+            sums, lengths, spread = _estimate(ordered, prefix, mids, service)
+            accept, reject = _certify(
+                sums, lengths, spread, slowdown_goal, total_requests
+            )
+            undecided = accept == reject  # never both
+            if undecided.any():
+                for arm in np.flatnonzero(undecided).tolist():
+                    accept[arm] = self._meets(
+                        float(mids[arm]), float(service[arm]), slowdown_goal
+                    )
+            return accept
+
+        arms = len(sizes)
+        SIM_METER.sims += arms
+        SIM_METER.interval_evals += arms * n
+        thresholds = np.zeros(arms)
+        bisect = np.flatnonzero(~meets(thresholds, services))
+        SIM_METER.sims += len(bisect) * (1 + iterations)
+        SIM_METER.interval_evals += len(bisect) * (1 + iterations) * n
+        service = services[bisect]
+        lo, hi = np.zeros(len(bisect)), np.full(len(bisect), float(ordered[-1]))
+        # With no arm left to bisect there is nothing to concatenate.
+        for _ in range(iterations if len(bisect) else 0):
             mids = (lo + hi) / 2.0
-            cuts = ordered.searchsorted(mids, "right")
-            lengths = sample - cuts
-            usable = np.concatenate([ordered[cut:] for cut in cuts.tolist()])
-            usable -= mids.repeat(lengths)
-            delays = _waiting_arrays(usable, service.repeat(lengths))[0]
-            sums, some = np.zeros(n), lengths > 0
-            sums[some] = np.add.reduceat(delays, (lengths.cumsum() - lengths)[some])
-            accept, reject = _certify(sums, lengths, slowdown_goal, self.total_requests)
-            for arm in np.flatnonzero(~(accept | reject)):
-                accept[arm] = self._meets(mids[arm], services[arm], slowdown_goal)
+            accept = meets(mids, service)
             hi = np.where(accept, mids, hi)
             lo = np.where(accept, lo, mids)
-        return hi.tolist()
+        thresholds[bisect] = hi
+        cuts, edges, arm, (_, complete, idle) = _split(ordered, thresholds, services)
+        complete += ~idle  # the request in flight still completes
+        # Integer-valued sums below 2**53: exact in any order.
+        requests = (edges - cuts) + np.bincount(arm, complete, arms)
+        throughput = requests * np.asarray(sizes, dtype=float) / self.span
+        return list(zip(thresholds.tolist(), throughput.tolist()))
 
     def _meets(self, threshold: float, service: float, slowdown_goal: float) -> bool:
         """Whether a whole pass at ``threshold`` meets the goal, computed
-        as the pass computes it: the exact path of :meth:`_lockstep_highs`."""
+        as the pass computes it: the exact path of :meth:`_rung_scores`."""
         usable = self.durations[self.durations > threshold]
         usable -= threshold
         delays = _waiting_arrays(usable, service)[0]

@@ -32,11 +32,19 @@ against the exhaustive grid's ≈2700 — an 8–12x reduction on the
 seeded catalog suite, measured by
 :data:`repro.analysis.slowdown.SIM_METER`; ``tests/test_search.py``
 holds it at ≥5x the grid's effort and pins the effort of two catalog
-days as literals.  The safety contract is
-:func:`repro.verify.search.check_search_vs_grid`: on the seeded suite
-the searched optimum's throughput must be within a documented
-tolerance (default 1%) of the exhaustive grid's, with the slowdown
-goal still met exactly (the final rung simulates on the full sample).
+days as literals.  The meter counts questions, not work: an
+elimination rung answers those of intervals with less than half a
+service time past the threshold from prefix sums of its
+duration-ordered subsample
+(:meth:`~repro.core.optimizer.ScrubParameterOptimizer._rung_scores`),
+so the Waiting arithmetic sees a fraction of the evaluations it is
+charged: 0.2% on the dense 600 s TPCdisk66 day, 7–26% on the sparser
+MSR and HP days, whose long intervals fit several requests.  The
+safety contract is :func:`repro.verify.search.check_search_vs_grid`:
+on the seeded suite the searched optimum's throughput must be within
+a documented tolerance (default 1%) of the exhaustive grid's, with
+the slowdown goal still met exactly (the final rung simulates on the
+full sample).
 """
 
 from __future__ import annotations
@@ -178,8 +186,11 @@ class SuccessiveHalvingSearch:
             order[in_run] = key % n
         return order
 
-    def _rung_sample(self, rung: int, fraction: float) -> np.ndarray:
-        """The seeded idle-duration subsample for one rung.
+    def _rung_sample(
+        self, rung: int, fraction: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The seeded idle-duration subsample for one rung, in original
+        time order and in duration order.
 
         Stratified, not uniform: indices stride the *duration-sorted*
         sample at a seeded offset, so every quantile of the idle
@@ -190,12 +201,14 @@ class SuccessiveHalvingSearch:
         of tail intervals mis-ranks big arms wholesale; a stratified
         draw cannot.  The seed only moves the stride offset, keeping
         reruns bit-identical and distinct seeds honestly different.
+        The stride already reads the sample in duration order; the time
+        order sorts its indices, never the durations.
         """
         durations = self._full.durations
         n = len(durations)
         m = min(n, max(MIN_RUNG_SAMPLE, math.ceil(n * fraction)))
         if m >= n:
-            return durations
+            return durations, durations[self._order]
         rng = np.random.default_rng([self.seed, rung])
         # m evenly spaced positions in [0, n), phase-shifted by the
         # seed.  An offset of 1 - 2**-53 rounds (m - 1) + offset up to
@@ -203,8 +216,9 @@ class SuccessiveHalvingSearch:
         offset = float(rng.random())
         positions = ((np.arange(m) + offset) * (n / m)).astype(np.intp)
         indices = self._order[np.minimum(positions, n - 1)]
+        ordered = durations[indices]
         indices.sort()  # original time order: stable float summation
-        return durations[indices]
+        return durations[indices], ordered
 
     def _run_rung(
         self,
@@ -213,7 +227,7 @@ class SuccessiveHalvingSearch:
         arms: Sequence[int],
         slowdown_goal: float,
     ) -> RungReport:
-        sample = self._rung_sample(rung, fraction)
+        sample, ordered = self._rung_sample(rung, fraction)
         full = self._full
         scale = len(sample) / len(full.durations)
         rung_opt = ScrubParameterOptimizer(
@@ -225,18 +239,13 @@ class SuccessiveHalvingSearch:
             max_slowdown=full.max_slowdown,
         )
         before = SIM_METER.snapshot()
-        results = rung_opt._best_thresholds(
-            arms, slowdown_goal, RUNG_ITERATIONS, [None] * len(arms)
-        )
+        scores = rung_opt._rung_scores(arms, slowdown_goal, RUNG_ITERATIONS, ordered)
         after = SIM_METER.snapshot()
-        # A None (no threshold meets the goal) needs a substituted pass;
-        # the real one meets any positive goal at the longest interval.
-        scores: Dict[int, float] = {
-            size: -math.inf if result is None else result.throughput
-            for size, result in zip(arms, results)
+        throughput: Dict[int, float] = {
+            size: score for size, (_, score) in zip(arms, scores)
         }
-        ranked = sorted(arms, key=lambda s: (-scores[s], s))
-        if len(set(scores.values())) <= 1:
+        ranked = sorted(arms, key=lambda s: (-throughput[s], s))
+        if len(set(throughput.values())) <= 1:
             # The rung produced no signal (e.g. an extreme goal drives
             # every arm's subsample throughput to the same value):
             # eliminating on the tie-break alone would be arbitrary, so

@@ -768,13 +768,18 @@ logged events · repro.obs report</footer>
 """
 
 
-def build_report(obs_dir: str, out_path: Optional[str] = None) -> str:
+def build_report(
+    obs_dir: str, out_path: Optional[str] = None, data: Optional[dict] = None
+) -> str:
     """Build the HTML report for ``obs_dir``; returns the output path.
 
-    Writes atomically (temp + rename) so a half-generated report never
+    ``data`` is ``load_obs_dir(obs_dir)`` when the caller has folded the
+    log already; it is read and folded here otherwise.  Writes
+    atomically (temp + rename) so a half-generated report never
     replaces a good one.
     """
-    data = load_obs_dir(obs_dir)
+    if data is None:
+        data = load_obs_dir(obs_dir)
     target = out_path or os.path.join(obs_dir, "report.html")
     text = render_html(data)
     with atomic_write(target) as handle:

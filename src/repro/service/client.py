@@ -5,7 +5,8 @@ A client keeps one connection alive across its calls (use one client
 per thread); when the server has closed that connection, a call is sent
 once more on a fresh one, which is safe because every route is
 idempotent: submissions are content-addressed and ``DELETE`` is an
-idempotent cancel.
+idempotent cancel.  A response the server cuts off mid-body raises
+``ConnectionError`` and is not sent again.
 
 Every JSON method returns ``(status, payload)`` and never raises on
 HTTP error codes, so contract tests can assert on 400/404/405 bodies
@@ -79,6 +80,13 @@ class ServiceClient:
                 self._conn.request(method, path, body=payload, headers=headers)
                 response = self._conn.getresponse()
                 data = response.read()
+            except http.client.IncompleteRead as exc:
+                # The server answered, then hung up mid-body: not sent again.
+                self._conn.close()
+                raise ConnectionError(
+                    f"{method} {path}: the server closed the connection "
+                    f"after {len(exc.partial)} bytes of the body"
+                ) from exc
             except ConnectionError:
                 self._conn.close()
                 if fresh:

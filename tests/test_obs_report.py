@@ -107,3 +107,25 @@ class TestRender:
         )
         assert "degraded" in html
         assert "worker died" in html
+
+
+class TestReportCommand:
+    def test_repro_report_reads_and_folds_the_log_once(
+        self, obs_dir, monkeypatch, capsys
+    ):
+        import repro.obs.report as report_module
+        from repro.cli import main
+
+        reads = []
+        real = report_module.read_events
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(report_module, "read_events", counting)
+        assert main(["report", str(obs_dir)]) == 0
+        assert reads == [str(obs_dir / "events.jsonl")]
+        out = capsys.readouterr().out
+        assert "report.html" in out and "state done" in out
+        assert "</html>" in (obs_dir / "report.html").read_text()

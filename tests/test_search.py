@@ -29,6 +29,7 @@ from repro.traces.catalog import trace_idle_intervals
 from repro.traces.idle import idle_intervals_from_trace
 from repro.verify import DifferentialMismatch, check_search_vs_grid
 from repro.verify.search import DEFAULT_SEARCH_TOLERANCE
+from tools import search_golden
 
 
 @pytest.fixture(scope="module")
@@ -224,10 +225,12 @@ class TestRungSample:
         assert np.count_nonzero(ordered[1:] == ordered[:-1]) == 2
         assert np.array_equal(search._order, stable._order)
         for rung, fraction in enumerate(RUNG_FRACTIONS):
-            assert (
-                search._rung_sample(rung, fraction).tobytes()
-                == stable._rung_sample(rung, fraction).tobytes()
-            )
+            sample, ordered = search._rung_sample(rung, fraction)
+            expected = stable._rung_sample(rung, fraction)
+            assert sample.tobytes() == expected[0].tobytes()
+            assert ordered.tobytes() == expected[1].tobytes()
+            # the duration order is the time-order sample, sorted
+            assert ordered.tobytes() == np.sort(sample).tobytes()
 
     def test_last_position_stays_in_range_at_the_largest_offset(
         self, workload, monkeypatch
@@ -246,26 +249,28 @@ class TestRungSample:
         n = 199_980
         durations = np.arange(1.0, n + 1.0)[::-1].copy()
         search = SuccessiveHalvingSearch(**{**workload, "durations": durations})
-        sample = search._rung_sample(2, 1 / 4)
-        assert len(sample) == 49_995
-        assert sample.max() == float(n)  # clipped onto the longest interval
+        sample, ordered = search._rung_sample(2, 1 / 4)
+        assert len(sample) == len(ordered) == 49_995
+        assert sample.max() == ordered[-1] == float(n)  # clipped onto the longest
         assert np.all(np.diff(sample) < 0)  # still in original time order
+        assert np.all(np.diff(ordered) > 0)
 
 
 class TestRungBisectsInLockstep:
     def test_one_waiting_pass_per_step_serves_every_arm(
         self, workload, monkeypatch
     ):
-        """A rung of A arms that all bisect runs no whole Waiting pass:
-        the Waiting arithmetic runs once per arm to decide its
-        threshold 0, once per lockstep step and once per arm for its
-        result, and each arm builds one result; the threshold-max pass
-        is metered but not run.  A per-arm bisection would run the
+        """A rung of A arms that all bisect runs no whole Waiting pass,
+        builds no result and sorts nothing: the Waiting arithmetic runs
+        once to decide every arm's threshold 0, once per lockstep step
+        and once to score every arm, whatever A is; the threshold-max
+        pass is metered but not run.  A per-arm bisection would run the
         arithmetic 2A + RUNG_ITERATIONS * A times and build 3A results."""
-        calls, passes, built = [], [], []
+        calls, passes, built, sorts = [], [], [], []
         real_arrays = slowdown_module._waiting_arrays
         real_pass = optimizer_module.fixed_waiting_pass
         real_result = slowdown_module.SlowdownResult
+        real_sort = np.sort
 
         def counting_arrays(*args):
             calls.append(len(args[0]))
@@ -279,18 +284,62 @@ class TestRungBisectsInLockstep:
             built.append(fields["threshold"])
             return real_result(**fields)
 
+        def counting_sort(*args, **kwargs):
+            sorts.append(len(args[0]))
+            return real_sort(*args, **kwargs)
+
+        search = SuccessiveHalvingSearch(**workload)
+        arms = list(search._full.admissible_sizes())
+        search._order  # the search object's one sort, before the rung
         monkeypatch.setattr(slowdown_module, "_waiting_arrays", counting_arrays)
         monkeypatch.setattr(optimizer_module, "_waiting_arrays", counting_arrays)
         monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", counting_pass)
         monkeypatch.setattr(slowdown_module, "SlowdownResult", counting_result)
-        search = SuccessiveHalvingSearch(**workload)
-        arms = list(search._full.admissible_sizes())
+        monkeypatch.setattr(np, "sort", counting_sort)
         report = search._run_rung(0, RUNG_FRACTIONS[0], arms, GOAL / 2)
-        a = len(arms)
+        a = len(arms)  # each bisects: threshold 0, threshold max, the steps
         assert a == 64 and report.sims == a * (2 + RUNG_ITERATIONS)
-        assert passes == []
-        assert len(calls) == 2 * a + RUNG_ITERATIONS
-        assert len(built) == a and 0.0 not in built  # every arm bisects
+        assert passes == [] and built == [] and sorts == []
+        assert len(calls) == 2 + RUNG_ITERATIONS
+
+    def test_rungs_touch_a_sliver_of_what_they_meter(self, monkeypatch):
+        """On the TPCdisk66 day the three rungs hand ``_waiting_arrays``
+        at most 1% of the interval evaluations they are charged: the
+        bulk of every step is read off the prefix sums.  (Bisecting
+        every arm on every step's whole suffix handed it 14.8%.)"""
+        elements = []
+        real_arrays = optimizer_module._waiting_arrays
+
+        def counting_arrays(usable, service):
+            elements.append(len(usable))
+            return real_arrays(usable, service)
+
+        trace = generate_trace("TPCdisk66", duration=600.0, seed=7)
+        _, durations = trace_idle_intervals("TPCdisk66", trace)
+        search = SuccessiveHalvingSearch(
+            durations, len(trace), trace.duration,
+            ScrubServiceModel.from_spec(PRESETS["ultrastar"]()),
+        )
+        monkeypatch.setattr(optimizer_module, "_waiting_arrays", counting_arrays)
+        arms, metered = list(search._full.admissible_sizes()), 0
+        for rung, fraction in enumerate(RUNG_FRACTIONS):
+            report = search._run_rung(rung, fraction, arms, GOAL)
+            arms, metered = list(report.survivors), metered + report.interval_evals
+        assert metered == 30_021_288
+        assert sum(elements) <= 0.01 * metered
+
+
+class TestGoldenCatalogSearch:
+    """Every catalog day at seed 7 searched for 2 ms and 0.5 ms answers
+    what the search answered before its rungs read prefix sums: best,
+    rung reports and effort, by the digest ``make search-golden``
+    checks (which also runs seeds 3 and 11)."""
+
+    def test_seed_7_matches_the_recorded_digests(self):
+        expected = search_golden.load_fixture()
+        actual = search_golden.digests([7])
+        assert len(actual) == 22
+        assert actual == {key: expected[key] for key in actual}
 
 
 class TestSearchDifferential:

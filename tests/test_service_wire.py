@@ -225,6 +225,48 @@ def test_stopped_service_answers_no_kept_alive_client(tmp_path):
         client.health()
 
 
+def test_a_body_cut_short_raises_connection_error_unretried():
+    """A server that sends its head and part of a ``Content-Length``
+    body, then closes: the client closes its connection and raises
+    ``ConnectionError`` (not ``http.client.IncompleteRead``), and sends
+    the call once only."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+    requests = []
+
+    def one_shot():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            requests.append(conn.recv(65536))
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n{\"ok\": tr"
+            )
+        try:  # a second connection would be a retry
+            listener.settimeout(0.3)
+            extra, _ = listener.accept()
+            extra.close()
+            requests.append(b"retry")
+        except OSError:
+            pass
+
+    server = threading.Thread(target=one_shot)
+    server.start()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{listener.getsockname()[1]}")
+        with pytest.raises(ConnectionError, match="after 9 bytes"):
+            client.health()
+        assert client._conn.sock is None
+    finally:
+        server.join(timeout=10)
+        listener.close()
+    assert len(requests) == 1 and requests[0].startswith(b"GET /healthz ")
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 def test_stop_under_load_answers_nothing_begun_after_it(tmp_path):
     """Clients on kept-alive and fresh connections race ``stop()``: it
     returns promptly, and no request begun after it is answered."""

@@ -11,6 +11,7 @@ charge the effort meter as that did.  Both live on here as the oracle.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -367,9 +368,28 @@ class TestOneTieBreakRule:
         assert math.isclose(chosen["serial"].throughput, 5.0)
 
 
+def scores(results):
+    """The ``(threshold, throughput)`` a rung reads off each ``exact``
+    result, with their types: what :meth:`_rung_scores` must answer."""
+    return [(result[0], result[7]) for result in results]
+
+
+def exact_scores(pairs):
+    return [
+        tuple((type(value), value.hex()) for value in pair) for pair in pairs
+    ]
+
+
+def rung_scores(optimizer, sizes, goal, iterations):
+    return optimizer._rung_scores(
+        sizes, goal, iterations, np.sort(optimizer.durations)
+    )
+
+
 class TestLockstepMatchesPerSizeReference:
-    """Several sizes bisected in lockstep answer, bit for bit, what each
-    size's unpruned bisection answers alone, and charge their sum."""
+    """Several sizes bisected in lockstep answer, bit for bit, the
+    threshold and throughput each size's unpruned bisection answers
+    alone, and charge their sum."""
 
     def test_every_size_equals_its_reference(self):
         sizes = [k * 65536 for k in range(1, 65)]
@@ -405,20 +425,16 @@ class TestLockstepMatchesPerSizeReference:
                         optimizer, arms, goal, iterations
                     )
                     actual, effort = metered(
-                        lambda: optimizer._best_thresholds(
-                            arms, goal, iterations, [None] * len(arms)
-                        )
+                        lambda: rung_scores(optimizer, arms, goal, iterations)
                     )
-                    assert [exact(result) for result in actual] == expected
+                    assert exact_scores(actual) == scores(expected)
                     assert effort == expected_effort
-                    bisected = {
-                        result.threshold for result in actual
-                        if result is not None and 0.0 < result.threshold < top
-                    }
-                    for result in actual:
-                        if result.threshold == 0.0:
+                    thresholds = [threshold for threshold, _ in actual]
+                    bisected = {t for t in thresholds if 0.0 < t < top}
+                    for threshold in thresholds:
+                        if threshold == 0.0:
                             seen.add("exits at threshold 0")
-                        elif result.threshold == top:
+                        elif threshold == top:
                             seen.add("never accepts a midpoint")
                     if len(bisected) > 1:
                         seen.add("working sets diverge")
@@ -456,15 +472,13 @@ class TestLockstepMatchesPerSizeReference:
                         optimizer, arms, goal, 20
                     )
                     actual, effort = metered(
-                        lambda: optimizer._best_thresholds(
-                            arms, goal, 20, [None] * len(arms)
-                        )
+                        lambda: rung_scores(optimizer, arms, goal, 20)
                     )
-                    assert [exact(result) for result in actual] == expected
+                    assert exact_scores(actual) == scores(expected)
                     assert effort == expected_effort
                     exits += goal in boundaries and any(
-                        result.threshold == 0.0
-                        and result.mean_slowdown == goal for result in actual
+                        result[0][1] == (0.0).hex() and result[4][1] == goal.hex()
+                        for result in expected
                     )
         assert exits >= 10
 
@@ -477,7 +491,7 @@ class TestLockstepMatchesPerSizeReference:
             durations, len(trace), trace.duration,
             ScrubServiceModel.from_spec(PRESETS["ultrastar"]()),
         )
-        sample = search._rung_sample(0, RUNG_FRACTIONS[0])
+        sample, ordered = search._rung_sample(0, RUNG_FRACTIONS[0])
         scale = len(sample) / len(durations)
         rung = ScrubParameterOptimizer(
             sample, total_requests=max(1, round(len(trace) * scale)),
@@ -491,32 +505,69 @@ class TestLockstepMatchesPerSizeReference:
                 rung, arms, goal, RUNG_ITERATIONS
             )
             actual, effort = metered(
-                lambda: rung._best_thresholds(
-                    arms, goal, RUNG_ITERATIONS, [None] * len(arms)
-                )
+                lambda: rung._rung_scores(arms, goal, RUNG_ITERATIONS, ordered)
             )
-            assert [exact(result) for result in actual] == expected
+            assert exact_scores(actual) == scores(expected)
             assert effort == expected_effort
-            bisected += sum(result.threshold > 0.0 for result in actual)
+            bisected += sum(threshold > 0.0 for threshold, _ in actual)
         assert bisected >= 64
 
 
+def clustered(n, seed):
+    """Long intervals packed into 10 ms around 1000 s: near the answer
+    a step's bulk is most of the sample, and its formula subtracts
+    prefix sums near 10**6 n whose rounding dwarfs the delays' own."""
+    return 1000.0 + np.random.default_rng(seed).uniform(0.0, 0.01, n)
+
+
+def counting_meets(monkeypatch):
+    """Record the threshold of every exact-path pass."""
+    entries = []
+    real_meets = ScrubParameterOptimizer._meets
+
+    def meets(self, threshold, service, goal):
+        entries.append(threshold)
+        return real_meets(self, threshold, service, goal)
+
+    monkeypatch.setattr(ScrubParameterOptimizer, "_meets", meets)
+    return entries
+
+
+def step_goals(optimizer, sizes, goal, monkeypatch):
+    """Each lockstep step's estimate ``F / N`` of the bisection of
+    ``sizes`` at ``goal`` (the threshold-0 step and the scoring aside),
+    and one ulp either side, for a few of them: goals where a bound too
+    tight would decide wrongly."""
+    estimates = []
+    real_certify = optimizer_module._certify
+
+    def recording(sums, lengths, spread, slowdown_goal, total_requests):
+        estimates.append((sums / total_requests).tolist())
+        return real_certify(sums, lengths, spread, slowdown_goal, total_requests)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer_module, "_certify", recording)
+        rung_scores(optimizer, sizes, goal, 20)
+    sums = sorted({value for step in estimates[1:] for value in step} - {0.0})
+    boundaries = sums[-3:] + sums[:: max(1, len(sums) // 6)]
+    return sorted({
+        nudged for goal in boundaries for nudged in (
+            goal, math.nextafter(goal, 0.0), math.nextafter(goal, math.inf),
+        )
+    })
+
+
 class TestCertifiedLockstepSums:
-    """A lockstep step sums each arm's delays in duration order, not in
-    sample order, and decides on that sum only where its error bound
-    certifies the sample-order decision.  Goals placed exactly on sums
-    that steps compute, and one ulp either side, are where a bound too
-    tight would decide wrongly; there the exact path must run."""
+    """A lockstep step estimates each arm's delay sum from prefix sums
+    of the sorted sample and the tail's delays in duration order, not
+    from the pass's sum in sample order, and decides on that estimate
+    only where its error bound certifies the sample-order decision.
+    Goals placed exactly on estimates that steps compute, and one ulp
+    either side, are where a bound too tight would decide wrongly;
+    there the exact path must run."""
 
     def test_goals_on_step_sums_take_the_exact_path(self, monkeypatch):
-        exact_steps = []
-        real_meets = ScrubParameterOptimizer._meets
-
-        def counting_meets(self, threshold, service, goal):
-            exact_steps.append(threshold)
-            return real_meets(self, threshold, service, goal)
-
-        monkeypatch.setattr(ScrubParameterOptimizer, "_meets", counting_meets)
+        exact_steps = counting_meets(monkeypatch)
         sizes = [k * 65536 for k in range(1, 65)]
         rng = np.random.default_rng(35)
         for kind in ("lognormal", "pareto", "duplicated", "midpoints"):
@@ -530,46 +581,105 @@ class TestCertifiedLockstepSums:
                 arms = sorted(
                     int(size) for size in rng.choice(sizes, 8, replace=False)
                 )
-                # The mean slowdown of every step of three arms' bisections
-                # at a base goal: the later steps, with their long suffixes,
-                # carry the widest rounding differences.
-                steps = []
-
-                def recording(*args):
-                    result = _reference_pass(*args)
-                    steps.append(result.mean_slowdown)
-                    return result
-
-                for size in arms[::3]:
-                    before = len(steps)
-                    reference_best_threshold(optimizer, size, 2e-3, 20, recording)
-                    steps[before:before + 2] = []  # the two opening passes
-                sums = sorted(set(steps) - {0.0})
-                boundaries = sums[-3:] + sums[:: max(1, len(sums) // 6)]
-                goals = sorted({
-                    nudged for goal in boundaries for nudged in (
-                        goal, math.nextafter(goal, 0.0),
-                        math.nextafter(goal, math.inf),
-                    )
-                })
+                # The estimates of every step of three arms' bisections
+                # at a base goal: the later steps, with their long
+                # suffixes, carry the widest rounding differences.
+                goals = step_goals(optimizer, arms[::3], 2e-3, monkeypatch)
                 for goal in goals:
                     expected, expected_effort = per_size_references(
                         optimizer, arms, goal, 20
                     )
                     actual, effort = metered(
-                        lambda: optimizer._best_thresholds(
-                            arms, goal, 20, [None] * len(arms)
-                        )
+                        lambda: rung_scores(optimizer, arms, goal, 20)
                     )
-                    assert [exact(result) for result in actual] == expected
+                    assert exact_scores(actual) == scores(expected)
                     assert effort == expected_effort
         assert len(exact_steps) >= 10
 
+    def test_cancelling_bulk_formulas_take_the_exact_path(self, monkeypatch):
+        """On :func:`clustered` samples the prefix sums' rounding, not
+        the delays', decides how far an estimate strays: a bound
+        without it decides wrongly here."""
+        exact_steps = counting_meets(monkeypatch)
+        for seed in range(5):
+            n = 20_000
+            durations = clustered(n, seed)
+            optimizer = ScrubParameterOptimizer(
+                durations, total_requests=4 * n,
+                span=float(durations.sum()), service_model=SERVICE,
+            )
+            arms = [65536, 1 << 20, 4 << 20]
+            goals = step_goals(optimizer, arms, 2e-4, monkeypatch)
+            goals += [
+                result.mean_slowdown for result in (
+                    reference_best_threshold(optimizer, size, 2e-4, 20)
+                    for size in arms
+                ) if result.mean_slowdown > 0.0
+            ]
+            for goal in goals:
+                expected, expected_effort = per_size_references(
+                    optimizer, arms, goal, 20
+                )
+                actual, effort = metered(
+                    lambda: rung_scores(optimizer, arms, goal, 20)
+                )
+                assert exact_scores(actual) == scores(expected)
+                assert effort == expected_effort
+        assert len(exact_steps) >= 10
+
+    def test_estimates_lie_within_their_bound(self):
+        """``|F - E| <= 4ku|F| + spread`` (``_certify``'s proof), in
+        exact rational arithmetic, for every step estimate of samples
+        with ties, zeros, heavy tails and cancelling bulks, at
+        thresholds on, between and past their intervals."""
+        u = Fraction(2) ** -53
+        rng = np.random.default_rng(37)
+        samples = [
+            draw_sample("duplicated", 5000, 1),
+            draw_sample("all_equal", 300, 2),
+            np.where(rng.random(4000) < 0.3, 0.0, rng.lognormal(-5.0, 1.0, 4000)),
+            draw_sample("pareto", 20_000, 3),
+            draw_sample("lognormal", 20_000, 4),
+            clustered(20_000, 5),
+            np.array([0.0]),
+        ]
+        services = SERVICE.time(np.asarray(SIZES, dtype=float))
+        checked = bulky = 0
+        for durations in samples:
+            ordered = np.sort(durations)
+            prefix = np.zeros(len(ordered) + 1)
+            np.cumsum(ordered, out=prefix[1:])
+            picks = rng.choice(ordered, 40)
+            thresholds = np.unique(np.concatenate([
+                [0.0, ordered[-1], 2 * ordered[-1]], picks,
+                np.nextafter(picks, np.inf), picks - services[0] / 2,
+                rng.uniform(0.0, ordered[-1], 40),
+            ]).clip(min=0.0))
+            for service in services:
+                mids = thresholds
+                sums, lengths, spread = optimizer_module._estimate(
+                    ordered, prefix, mids, np.full(len(mids), service)
+                )
+                for mid, f, k, bound in zip(
+                    mids.tolist(), sums.tolist(), lengths.tolist(), spread.tolist()
+                ):
+                    usable = durations[durations > mid] - mid
+                    assert k == len(usable)
+                    complete = np.floor(usable / service)
+                    partial = usable - complete * service
+                    e = np.add.reduce(np.where(partial > 0, service - partial, 0.0))
+                    gap = abs(Fraction(f) - Fraction(float(e)))
+                    assert gap <= 4 * k * u * abs(Fraction(f)) + Fraction(bound)
+                    checked += 1
+                    bulky += gap > 4 * k * u * abs(Fraction(f))
+        assert checked > 1000 and bulky > 0
+
     def test_certificate_holds_for_every_sum_its_bound_allows(self):
         """``_certify`` accepts only where the pass's own division meets
-        the goal and rejects only where it misses, for any sum ``F``
-        within ``4ku F`` of the pass's sum ``E`` (the docstring's
-        bound), with ``E`` placed all around ``goal * N``."""
+        the goal and rejects only where it misses, for any estimate
+        ``F`` within ``4ku|F| + spread`` of the pass's sum ``E`` (the
+        docstring's bound), with ``E`` placed all around ``goal * N``,
+        ``k`` from 1 to 10**7 and spreads from 0 to far past the gap."""
         u = 2.0 ** -53
         rng = np.random.default_rng(36)
         decided = 0
@@ -578,15 +688,24 @@ class TestCertifiedLockstepSums:
                 for goal in 10.0 ** rng.uniform(-7.0, -1.0, 4):
                     width = 16.0 * k * u + 32.0 * u
                     sums = goal * total * (1.0 + np.linspace(-width, width, 401))
-                    reach = 0.5 * 4.0 * k * u / (1.0 + 4.0 * k * u)
-                    for drift in (-reach, -reach / 3, 0.0, reach / 3, reach):
-                        fast = sums * (1.0 + drift)
-                        lengths = np.full(len(sums), k)
-                        accept, reject = _certify(fast, lengths, goal, total)
-                        met = sums / total <= goal
-                        assert not (accept & ~met).any()
-                        assert not (reject & met).any()
-                        decided += int(accept.sum() + reject.sum())
-        assert decided > 0.5 * 5 * 4 * 4 * 5 * 401
-        nothing = _certify(np.zeros(3), np.full(3, 5), 1e-310, 10)
+                    lengths = np.full(len(sums), k)
+                    for scale in (0.0, 4.0 * u, 8.0 * k * u, 1e-6):
+                        spread = np.full(len(sums), goal * total * scale)
+                        # The farthest the bound lets F stray from E,
+                        # less a little for the float arithmetic here.
+                        reach = 0.5 * (4.0 * k * u * sums + spread) / (
+                            1.0 + 4.0 * k * u
+                        )
+                        for drift in (-1.0, -1 / 3, 0.0, 1 / 3, 1.0):
+                            fast = sums + drift * reach
+                            accept, reject = _certify(
+                                fast, lengths, spread, goal, total
+                            )
+                            met = sums / total <= goal
+                            assert not (accept & ~met).any()
+                            assert not (reject & met).any()
+                            decided += int(accept.sum() + reject.sum())
+        assert decided > 0.4 * 5 * 4 * 4 * 4 * 5 * 401
+        zeros = np.zeros(3)
+        nothing = _certify(zeros, np.full(3, 5), zeros, 1e-310, 10)
         assert not nothing[0].any() and not nothing[1].any()
