@@ -77,7 +77,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little") >> 1  # non-negative int64
 
 
-def canonicalize(obj: Any) -> Any:
+def canonicalize(obj: Any, memo: Optional[dict] = None) -> Any:
     """Reduce ``obj`` to a stable, repr-hashable canonical form.
 
     The form must be identical for semantically identical parameters
@@ -95,6 +95,13 @@ def canonicalize(obj: Any) -> Any:
       a 64-task sweep hashes its columns once, not 64 times;
     * objects are ``(qualified class name, canonicalized attributes)``,
       covering dataclasses like ``ScrubServiceModel`` and schedules.
+
+    ``memo`` (a dict the caller owns) remembers each array's form by
+    identity, so a batch of keys whose parameters share one array
+    hashes its bytes once.  An entry holds the array itself: while the
+    memo lives, no other object can take its id.  It must not outlive
+    the parameters' contents: an array written to after its form was
+    memoised would keep the stale digest.
     """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
@@ -111,24 +118,33 @@ def canonicalize(obj: Any) -> Any:
         # comes from the header, so no data is read at all.
         return ("trace", obj.digest())
     if isinstance(obj, (list, tuple)):
-        return ("seq", tuple(canonicalize(item) for item in obj))
+        return ("seq", tuple(canonicalize(item, memo) for item in obj))
     if isinstance(obj, dict):
         return (
             "map",
-            tuple(sorted((str(k), canonicalize(v)) for k, v in obj.items())),
+            tuple(sorted((str(k), canonicalize(v, memo)) for k, v in obj.items())),
         )
     if isinstance(obj, np.ndarray):
+        if memo is not None and id(obj) in memo:
+            return memo[id(obj)][1]
         data = np.ascontiguousarray(obj)
         digest = hashlib.sha256(data.tobytes()).hexdigest()
-        return ("ndarray", str(data.dtype), data.shape, digest)
+        form = ("ndarray", str(data.dtype), data.shape, digest)
+        if memo is not None:
+            memo[id(obj)] = (obj, form)
+        return form
     if isinstance(obj, (set, frozenset)):
-        return ("set", tuple(sorted(repr(canonicalize(item)) for item in obj)))
+        return (
+            "set", tuple(sorted(repr(canonicalize(item, memo)) for item in obj))
+        )
     if callable(obj) and hasattr(obj, "__qualname__"):
         return ("fn", getattr(obj, "__module__", ""), obj.__qualname__)
     state = getattr(obj, "__dict__", None)
     if state is not None:
         cls = type(obj)
-        return ("obj", f"{cls.__module__}.{cls.__qualname__}", canonicalize(state))
+        return (
+            "obj", f"{cls.__module__}.{cls.__qualname__}", canonicalize(state, memo)
+        )
     return ("repr", repr(obj))
 
 
@@ -180,13 +196,14 @@ class ResultCache:
         self.evictions = 0
         self.metrics = metrics
 
-    def key(self, fn: Callable, params: dict) -> str:
-        """Cache key for calling ``fn(**params)`` under this version."""
+    def key(self, fn: Callable, params: dict, memo: Optional[dict] = None) -> str:
+        """Cache key for calling ``fn(**params)`` under this version
+        (``memo``: see :func:`canonicalize`)."""
         identity = (
             getattr(fn, "__module__", ""),
             getattr(fn, "__qualname__", repr(fn)),
             self.version,
-            canonicalize(params),
+            canonicalize(params, memo),
         )
         return hashlib.sha256(repr(identity).encode()).hexdigest()
 

@@ -164,10 +164,11 @@ class SweepRunner:
 
         results: List[Any] = [None] * len(tasks)
         pending: List[Tuple[int, Optional[str]]] = []  # (index, cache key)
+        forms: dict = {}  # an array shared by many tasks is hashed once
         for index, params in enumerate(tasks):
             key = None
             if self.cache is not None:
-                key = self.cache.key(fn, params)
+                key = self.cache.key(fn, params, forms)
                 hit, value = self.cache.get(key)
                 if hit:
                     results[index] = value

@@ -9,7 +9,11 @@ report the gaps between them.  The recurrence
 
 is evaluated in closed form (``busy_i = S_i + max_j (t_j - S_{j-1})``
 with ``S`` the service prefix sum), so extraction is a handful of
-vectorised passes even for multi-million-request traces.
+vectorised passes even for multi-million-request traces: a prefix sum
+and a running maximum over two arrays updated in place.  Every entry
+point shares that core (:func:`_idle_gaps`); :func:`idle_intervals`
+checks its columns first, while a :class:`Trace` or a stored chunk had
+its order checked when it was built and goes straight in.
 """
 
 from __future__ import annotations
@@ -32,10 +36,30 @@ def service_times(
     :data:`DEFAULT_TRANSFER_RATE`."""
     if positioning < 0:
         raise ValueError(f"positioning must be non-negative: {positioning}")
-    return (
-        positioning
-        + np.asarray(sectors, dtype=float) * 512.0 / DEFAULT_TRANSFER_RATE
-    )
+    service = np.multiply(sectors, 512.0, dtype=float)
+    service /= DEFAULT_TRANSFER_RATE
+    service += positioning
+    return service
+
+
+def _idle_gaps(
+    times: np.ndarray, prefix: np.ndarray, busy_before: float = -np.inf
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The busy recurrence over non-decreasing ``times`` (at least one).
+
+    ``prefix`` is the service prefix sum ``S`` and is overwritten: it
+    becomes the busy-until times.  ``busy_before`` is when the disk
+    drains of whatever came before ``times[0]``.  Returns ``(starts,
+    durations, busy-until of the last request)``.
+    """
+    peaks = np.empty(len(times))
+    peaks[0] = max(times[0], busy_before)
+    np.subtract(times[1:], prefix[:-1], out=peaks[1:])
+    np.maximum.accumulate(peaks, out=peaks)
+    busy = np.add(prefix, peaks, out=prefix)
+    durations = np.subtract(times[1:], busy[:-1], out=peaks[:-1])
+    idle = np.flatnonzero(durations > 0.0)
+    return busy.take(idle), durations.take(idle), float(busy[-1])
 
 
 def idle_intervals(
@@ -72,14 +96,8 @@ def idle_intervals(
         if np.any(service < 0):
             raise ValueError("service times must be non-negative")
 
-    prefix = np.cumsum(service)
-    prior = np.concatenate(([0.0], prefix[:-1]))
-    busy_until = prefix + np.maximum.accumulate(times - prior)
-
-    starts = busy_until[:-1]
-    durations = times[1:] - busy_until[:-1]
-    mask = durations > 0.0
-    return starts[mask], durations[mask]
+    starts, durations, _ = _idle_gaps(times, np.cumsum(service))
+    return starts, durations
 
 
 def idle_intervals_streaming(
@@ -109,22 +127,19 @@ def idle_intervals_streaming(
         times = np.asarray(chunk.times, dtype=float)
         if len(times) == 0:
             continue
-        service = service_times(chunk.sectors, positioning)
-        prefix = np.cumsum(service)
-        prior = np.concatenate(([0.0], prefix[:-1]))
-        peaks = times - prior
         if busy_last is not None:
             gap = times[0] - busy_last
             if gap > 0.0:
                 starts_parts.append(np.array([busy_last]))
                 durations_parts.append(np.array([gap]))
-            peaks[0] = max(peaks[0], busy_last)
-        busy = prefix + np.maximum.accumulate(peaks)
-        durations = times[1:] - busy[:-1]
-        mask = durations > 0.0
-        starts_parts.append(busy[:-1][mask])
-        durations_parts.append(durations[mask])
-        busy_last = float(busy[-1])
+        service = service_times(chunk.sectors, positioning)
+        starts, durations, busy_last = _idle_gaps(
+            times,
+            np.cumsum(service, out=service),
+            -np.inf if busy_last is None else busy_last,
+        )
+        starts_parts.append(starts)
+        durations_parts.append(durations)
     if not starts_parts:
         return np.zeros(0), np.zeros(0)
     return np.concatenate(starts_parts), np.concatenate(durations_parts)
@@ -133,5 +148,11 @@ def idle_intervals_streaming(
 def idle_intervals_from_trace(
     trace: Trace, positioning: float = DEFAULT_POSITIONING
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Idle intervals of a :class:`Trace` under the nominal service model."""
-    return idle_intervals(trace.times, service_times(trace.sectors, positioning))
+    """Idle intervals of a :class:`Trace` under the nominal service model.
+
+    The trace as the one chunk of :func:`idle_intervals_streaming`: the
+    same intervals as :func:`idle_intervals` on its columns, without
+    that function's checks (``Trace.__init__`` checked the order, and
+    the service times are non-negative by construction).
+    """
+    return idle_intervals_streaming((trace,), positioning)

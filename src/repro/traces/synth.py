@@ -19,6 +19,12 @@ reproduces and the :mod:`repro.stats` package verifies:
 Address streams mix sequential runs with jumps into weighted hot
 regions, and request sizes/write ratios are configurable, so the same
 traces drive both statistical analysis and full-stack replay.
+
+Every value comes from one stream in a fixed order (DESIGN §19), and
+every stage runs as whole-array passes: arrivals a block of bursts at
+a time, sizes and hot spots as categorical draws counted against the
+CDF (:func:`_categorical`, the bits of ``Generator.choice(p=...)``),
+addresses and jump targets in place.
 """
 
 from __future__ import annotations
@@ -128,6 +134,38 @@ def _continued_cumsum(carry: float, values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([carry], values)))
 
 
+def _categorical(
+    rng: np.random.Generator, probabilities: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` int64 indices drawn with ``probabilities``: the values,
+    dtype and stream position of ``rng.choice(len(probabilities), size,
+    p=probabilities)``.
+
+    ``choice`` draws one ``random()`` per value and binary-searches the
+    normalised CDF (``searchsorted(side="right")``): the index is the
+    number of edges the uniform reaches, and a uniform never reaches
+    the last edge, 1.0.  Counting the interior edges gives that number
+    without the search, one array pass per edge: meant for the handful
+    of weights a profile has.  Raises ``ValueError`` where ``choice``
+    does: a negative or NaN probability, or a sum away from 1.
+    """
+    probabilities = np.asarray(probabilities, dtype=float)
+    if not (
+        np.all(probabilities >= 0.0)
+        and abs(probabilities.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)
+    ):
+        raise ValueError(
+            f"probabilities must be non-negative and sum to 1: {probabilities}"
+        )
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    uniforms = rng.random(size)
+    index = np.zeros(size, dtype=np.min_scalar_type(len(cdf) - 1))
+    for edge in cdf[:-1]:
+        index += uniforms >= edge
+    return index.astype(np.int64)
+
+
 class SyntheticTraceGenerator:
     """Generates :class:`~repro.traces.record.Trace` objects from a profile."""
 
@@ -143,11 +181,10 @@ class SyntheticTraceGenerator:
         else:
             times = self._bursty_times()
         n = len(times)
-        sectors = self.rng.choice(
-            p.size_choices,
-            size=n,
-            p=np.asarray(p.size_weights) / np.sum(p.size_weights),
+        sizes = _categorical(
+            self.rng, np.asarray(p.size_weights) / np.sum(p.size_weights), n
         )
+        sectors = np.asarray(p.size_choices).take(sizes)
         lbns = self._addresses(sectors)
         is_write = self.rng.random(n) < p.write_fraction
         return Trace(
@@ -174,11 +211,13 @@ class SyntheticTraceGenerator:
     def _poisson_times(self) -> np.ndarray:
         p = self.profile
         expected = p.rate * p.duration
-        gaps = self.rng.exponential(1.0 / p.rate, size=int(expected * 1.05) + 10)
-        times = np.cumsum(gaps)
+        times = self.rng.exponential(1.0 / p.rate, size=int(expected * 1.05) + 10)
+        np.cumsum(times, out=times)
         if times[-1] < p.duration:
             self._warn_ran_dry(times[-1])
-        return times[times < p.duration]
+        # Gaps are non-negative: the arrivals before ``duration`` are a prefix.
+        times.resize(int(np.searchsorted(times, p.duration)), refcheck=False)
+        return times
 
     def _bursty_times(self) -> np.ndarray:
         """ON/OFF bursts in operational time, warped for periodicity.
@@ -297,29 +336,34 @@ class SyntheticTraceGenerator:
             return np.zeros(0, dtype=np.int64)
         is_jump = self.rng.random(n) >= p.seq_prob
         is_jump[0] = True
-        jump_targets = self._jump_targets(int(is_jump.sum()))
+        jumps = np.flatnonzero(is_jump)
+        jump_targets = self._jump_targets(len(jumps))
 
-        # Run-relative offsets: cumsum of sizes with a reset at each
-        # jump.  All int64, so one array updated in place is exact.
+        # Offsets from the first request, then each run shifted from its
+        # first request's offset to its target.  All int64: exact in any
+        # order.
         lbns = np.zeros(n, dtype=np.int64)
         np.cumsum(sectors[:-1], out=lbns[1:])
-        run_ids = np.cumsum(is_jump)
-        run_ids -= 1
-        lbns -= lbns[np.flatnonzero(is_jump)][run_ids]
-        lbns += jump_targets[run_ids]
-        # Wrap runs that fall off the end of the disk.
-        limit = p.capacity_sectors - int(sectors.max())
-        return np.mod(lbns, max(1, limit), out=lbns)
+        jump_targets -= lbns.take(jumps)
+        lbns += np.repeat(jump_targets, np.diff(jumps, append=n))
+        # Wrap runs that fall off the end of the disk.  Addresses are
+        # non-negative, so the modulo changes only those past the limit.
+        limit = max(1, p.capacity_sectors - int(sectors.max()))
+        return np.mod(lbns, limit, out=lbns, where=lbns >= limit)
 
     def _jump_targets(self, count: int) -> np.ndarray:
         p = self.profile
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        spots = np.asarray(p.hot_spots, dtype=float)
-        weights = spots[:, 2] / spots[:, 2].sum()
-        chosen = self.rng.choice(len(spots), size=count, p=weights)
-        centres = spots[chosen, 0]
-        widths = spots[chosen, 1]
-        fractions = centres + (self.rng.random(count) - 0.5) * widths
-        fractions = np.clip(fractions, 0.0, 1.0)
-        return (fractions * (p.capacity_sectors - 1)).astype(np.int64)
+        centres, widths, weights = np.asarray(p.hot_spots, dtype=float).T
+        chosen = _categorical(self.rng, weights / weights.sum(), count)
+        # centre + (uniform - 0.5) * width, clipped to [0, 1], formed in
+        # place: float addition and multiplication commute.
+        fractions = self.rng.random(count)
+        fractions -= 0.5
+        fractions *= widths.take(chosen)
+        fractions += centres.take(chosen)
+        np.maximum(fractions, 0.0, out=fractions)
+        np.minimum(fractions, 1.0, out=fractions)
+        fractions *= p.capacity_sectors - 1
+        return fractions.astype(np.int64)

@@ -699,6 +699,46 @@ class TestTraceCacheKeys:
         )
 
 
+class TestSharedArrayKeys:
+    """One ``map`` hashes an array its tasks share once, not per task."""
+
+    def test_a_three_task_map_hashes_one_durations_array_once(
+        self, tmp_path, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        import repro.parallel.cache as cache_module
+
+        durations = np.random.default_rng(5).exponential(1.0, size=10_000)
+        params = [{"values": durations, "scale": s, "seed": 1} for s in (1, 2, 3)]
+        hashed = []
+
+        def sha256(data=b""):
+            hashed.append(bytes(data) == durations.tobytes())
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(
+            cache_module, "hashlib", SimpleNamespace(sha256=sha256)
+        )
+        results = SweepRunner(workers=0, cache=ResultCache(tmp_path)).map(
+            _noisy_dot, params
+        )
+        assert sum(hashed) == 1
+        monkeypatch.undo()
+
+        cache = ResultCache(tmp_path)  # every key is the unmemoised key
+        assert [cache.get(cache.key(_noisy_dot, p)) for p in params] == [
+            (True, result) for result in results
+        ]
+
+    def test_the_memo_holds_what_it_keys(self):
+        memo = {}
+        forms = [canonicalize(np.arange(n, dtype=float), memo) for n in (3, 4)]
+        assert forms == [canonicalize(np.arange(n, dtype=float)) for n in (3, 4)]
+        assert len(memo) == 2  # the first array lives on: its id is not reused
+        assert all(memo[id(held)] == (held, form) for held, form in memo.values())
+
+
 # -- one process pool --------------------------------------------------------
 
 

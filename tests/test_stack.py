@@ -600,10 +600,10 @@ class TestCacheKeysDidNotMove:
         seen = []
         real = ResultCache.key
 
-        def key(cache, fn, params):
+        def key(cache, fn, params, memo=None):
             identity = (fn.__module__, fn.__qualname__, canonicalize(params))
             seen.append(hashlib.sha256(repr(identity).encode()).hexdigest())
-            return real(cache, fn, params)
+            return real(cache, fn, params, memo)
 
         monkeypatch.setattr(ResultCache, "key", key)
         return lambda: hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest()

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RandomStreams
 from repro.traces import (
@@ -177,11 +179,12 @@ class TestCorrelatedGapsExact:
 # -- the one-shot synthesis the block loop replaced --------------------------
 #
 # ``_bursty_times``, ``_warp``, ``_addresses`` and the body of
-# ``generate`` as they stood before synthesis went block-wise, verbatim
-# but for ``self`` becoming the generator passed in.  They draw the same
-# values in the same order from the same stream, hold every array for
-# the whole draw at once, and are the reference the block loop must
-# equal bit for bit.
+# ``generate`` as they stood before synthesis went block-wise, and
+# ``_jump_targets`` as it stood before its draws were counted and its
+# targets formed in place: verbatim but for ``self`` becoming the
+# generator passed in.  They draw the same values in the same order
+# from the same stream, hold every array for the whole draw at once,
+# and are the reference the block loop must equal bit for bit.
 
 def _one_shot_generate(self) -> Trace:
     p = self.profile
@@ -267,7 +270,7 @@ def _one_shot_addresses(self, sectors: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     is_jump = self.rng.random(n) >= p.seq_prob
     is_jump[0] = True
-    jump_targets = self._jump_targets(int(is_jump.sum()))
+    jump_targets = _one_shot_jump_targets(self, int(is_jump.sum()))
 
     # Run-relative offsets: cumsum of sizes with a reset at each jump.
     shifted = np.concatenate(([0], sectors[:-1]))
@@ -280,6 +283,20 @@ def _one_shot_addresses(self, sectors: np.ndarray) -> np.ndarray:
     # Wrap runs that fall off the end of the disk.
     limit = p.capacity_sectors - int(sectors.max())
     return np.mod(lbns, max(1, limit)).astype(np.int64)
+
+
+def _one_shot_jump_targets(self, count: int) -> np.ndarray:
+    p = self.profile
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    spots = np.asarray(p.hot_spots, dtype=float)
+    weights = spots[:, 2] / spots[:, 2].sum()
+    chosen = self.rng.choice(len(spots), size=count, p=weights)
+    centres = spots[chosen, 0]
+    widths = spots[chosen, 1]
+    fractions = centres + (self.rng.random(count) - 0.5) * widths
+    fractions = np.clip(fractions, 0.0, 1.0)
+    return (fractions * (p.capacity_sectors - 1)).astype(np.int64)
 
 
 def catalog_generator(name, duration, seed, **overrides):
@@ -479,6 +496,75 @@ class TestRunDryWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             generate_trace(name, duration=duration, seed=seed)
+
+
+class TestCountedDraw:
+    """``_categorical`` against the ``Generator.choice(p=...)`` it replaced."""
+
+    @staticmethod
+    def assert_counted_is_choice(weights, size, seed):
+        probabilities = np.asarray(weights, dtype=float)
+        probabilities = probabilities / probabilities.sum()
+        ours_rng = np.random.default_rng(seed)
+        choice_rng = np.random.default_rng(seed)
+        ours = synth._categorical(ours_rng, probabilities, size)
+        reference = choice_rng.choice(len(probabilities), size, p=probabilities)
+        assert ours.dtype == reference.dtype
+        assert ours.shape == reference.shape == (size,)
+        assert ours.tobytes() == reference.tobytes()
+        assert ours_rng.random() == choice_rng.random()  # the stream stands
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-9, 1e9)),
+            min_size=1, max_size=9,
+        ).filter(lambda w: sum(w) > 0),
+        size=st.one_of(st.integers(0, 64), st.integers(0, 100_000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counted_draw_is_choice(self, weights, size, seed):
+        self.assert_counted_is_choice(weights, size, seed)
+
+    @pytest.mark.parametrize("weights", [
+        (0.0, 0.3, 0.7),  # a zero first edge: every uniform reaches it
+        (0.3, 0.7, 0.0),  # a zero last weight: an edge at 1.0
+        (0.0, 0.0, 1.0, 0.0, 0.0),
+        (0.2, 0.0, 0.0, 0.5, 0.3),  # repeated edges
+        (1.0,),  # no interior edge: only the uniforms are drawn
+        (0.3, 0.25, 0.2, 0.15, 0.1),  # the default sizes
+        (0.5, 0.3, 0.2),  # the default hot spots
+        (1e-12, 1.0, 1e-12),
+    ])
+    @pytest.mark.parametrize("size", [0, 1, 100_000])
+    def test_edge_weights(self, weights, size):
+        self.assert_counted_is_choice(weights, size, seed=size + len(weights))
+
+    def test_a_uniform_on_an_edge_is_counted_past_it(self):
+        """``choice`` searches with ``side="right"``: a uniform equal to an
+        edge takes the index after it, as ``uniform >= edge`` counts it."""
+        cdf = np.cumsum([0.25, 0.0, 0.25, 0.5])
+        cdf /= cdf[-1]
+        edges = np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0.0), [0.0]))
+
+        class Fixed:
+            def random(self, size):
+                assert size == len(edges)
+                return edges.copy()
+
+        ours = synth._categorical(Fixed(), np.diff(cdf, prepend=0.0), len(edges))
+        assert ours.tolist() == cdf.searchsorted(edges, side="right").tolist()
+
+    @pytest.mark.parametrize("field, weights", [
+        ("size_weights", (0.3, -0.1, 0.2, 0.4, 0.2)),
+        ("size_weights", (0.0, 0.0, 0.0, 0.0, 0.0)),
+        ("hot_spots", ((0.1, 0.1, 0.5), (0.5, 0.1, -0.2), (0.9, 0.1, 0.7))),
+        ("hot_spots", ((0.1, 0.1, 0.0), (0.5, 0.1, 0.0))),
+    ])
+    def test_negative_or_all_zero_weights_raise(self, field, weights):
+        profile = TraceProfile(name="w", duration=60.0, **{field: weights})
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            make_generator(profile).generate()
 
 
 class TestIdleExtraction:
