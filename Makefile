@@ -47,9 +47,10 @@ doc-budget:
 
 # The golden catalog search (tools/search_golden.py): every catalog
 # trace at 600 s, seeds 3, 7 and 11, searched for the 2 ms and 0.5 ms
-# goals; exit 1 when the sha256 of any outcome's best, rung reports and
-# effort differs from tests/fixtures/search_golden.json (~3 s; tier-1
-# checks seed 7).
+# goals, once with certified rung steps and once with every step on the
+# exact path; exit 1 when the sha256 of any outcome's best, rung reports
+# and effort differs from tests/fixtures/search_golden.json (~5 s;
+# tier-1 checks seed 7 both ways).
 search-golden:
 	$(PYTHON) tools/search_golden.py
 

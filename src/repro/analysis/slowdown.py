@@ -304,11 +304,11 @@ def _ramp(schedule: SizeSchedule, service_model: ScrubServiceModel, longest: flo
 
 
 def _validate(threshold: float, total_requests: int, span: float) -> None:
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise ValueError(f"threshold must be non-negative: {threshold}")
     if total_requests <= 0:
         raise ValueError(f"total_requests must be positive: {total_requests}")
-    if span <= 0:
+    if not span > 0:
         raise ValueError(f"span must be positive: {span}")
 
 

@@ -289,17 +289,21 @@ def check_supervision_flags(args) -> None:
 
 def check_sizes(args, positive=(), non_negative=()) -> None:
     """Refuse a size no stack can be built with: each flag named in
-    ``positive`` must be > 0, each in ``non_negative`` >= 0 (names are
-    ``args`` attributes; an optional flag left unset passes)."""
+    ``positive`` must be > 0, each in ``non_negative`` >= 0, and NaN is
+    neither (names are ``args`` attributes; each element of a list-valued
+    flag is checked; an optional flag left unset passes)."""
     for names, rule, bad in (
-        (positive, "> 0", lambda value: value <= 0),
-        (non_negative, ">= 0", lambda value: value < 0),
+        (positive, "> 0", lambda value: not value > 0),
+        (non_negative, ">= 0", lambda value: not value >= 0),
     ):
         for name in names:
-            value = getattr(args, name)
-            if value is not None and bad(value):
-                flag = "--" + name.replace("_", "-")
-                raise UsageError(f"{flag} must be {rule}: {value:g}")
+            values = getattr(args, name)
+            if values is None:
+                continue
+            for value in values if isinstance(values, list) else [values]:
+                if bad(value):
+                    flag = "--" + name.replace("_", "-")
+                    raise UsageError(f"{flag} must be {rule}: {value:g}")
 
 
 def print_table(columns, rows) -> None:

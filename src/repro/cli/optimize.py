@@ -10,8 +10,8 @@ import json
 
 from ._shared import (
     UsageError, add_sweep_flags, add_telemetry_flags, add_trace_source,
-    build_runner, drive_spec, idle_positioning, load_trace, open_corpus,
-    print_telemetry,
+    build_runner, check_sizes, drive_spec, idle_positioning, load_trace,
+    open_corpus, print_telemetry,
 )
 
 
@@ -75,6 +75,7 @@ def run(args) -> int:
 
     if args.budget < 1:
         raise UsageError(f"--budget must be >= 1: {args.budget}")
+    check_sizes(args, positive=("goals_ms", "max_slowdown_ms"))
     if args.entries and not args.corpus:
         raise UsageError("--entries selects entries of a --corpus")
     if args.json and args.telemetry:

@@ -211,11 +211,12 @@ class ScrubParameterOptimizer:
     durations:
         The workload's idle interval durations (from a short
         representative trace — the paper recommends one capturing the
-        workload's periodicity).
+        workload's periodicity): a non-empty 1-D array of finite,
+        non-negative seconds.
     total_requests:
         Foreground request count over the same window.
     span:
-        Window length in seconds.
+        Window length in seconds, positive and finite.
     service_model:
         Scrub service times for the target drive.
     sizes:
@@ -234,10 +235,23 @@ class ScrubParameterOptimizer:
         max_slowdown: float = DEFAULT_MAX_SLOWDOWN,
     ) -> None:
         self.durations = np.asarray(durations, dtype=float)
-        if len(self.durations) == 0:
-            raise ValueError("empty idle sample")
-        if total_requests <= 0 or span <= 0:
-            raise ValueError("total_requests and span must be positive")
+        if self.durations.ndim != 1 or len(self.durations) == 0:
+            raise ValueError(
+                f"idle sample must be non-empty and 1-D: shape {self.durations.shape}"
+            )
+        # One min/max pair refuses NaN (it fails both comparisons), ±inf
+        # and negative durations.
+        low, self._longest = float(self.durations.min()), float(self.durations.max())
+        if not (low >= 0.0 and self._longest < math.inf):
+            raise ValueError(
+                f"idle durations must be finite and non-negative: "
+                f"min {low}, max {self._longest}"
+            )
+        if not (total_requests > 0 and 0.0 < span < math.inf):
+            raise ValueError(
+                f"total_requests must be positive and span positive and "
+                f"finite: {total_requests}, {span}"
+            )
         self.total_requests = total_requests
         self.span = span
         self.service_model = service_model
@@ -304,10 +318,10 @@ class ScrubParameterOptimizer:
         simulating the whole sample makes, and is metered as that, so
         the answer is bit-identical to it.
         """
-        if slowdown_goal <= 0:
+        if not slowdown_goal > 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
         durations, total_requests = self.durations, self.total_requests
-        top = float(durations.max())
+        top = self._longest
         service = float(self.service_model.time(float(request_bytes)))
         if at_zero is None:
             at_zero = self._pass(durations, 0.0, request_bytes, service)
@@ -364,7 +378,7 @@ class ScrubParameterOptimizer:
         sample-order pass decides alike; an arm it leaves undecided
         takes the exact path, :meth:`_meets`.
         """
-        if slowdown_goal <= 0:
+        if not slowdown_goal > 0:
             raise ValueError(f"slowdown_goal must be positive: {slowdown_goal}")
         n, total_requests = len(ordered), self.total_requests
         prefix = np.zeros(n + 1)

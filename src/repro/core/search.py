@@ -161,38 +161,21 @@ class SuccessiveHalvingSearch:
 
     # -- rungs -------------------------------------------------------------------
     @cached_property
-    def _order(self) -> np.ndarray:
-        """Duration-sorted index of the full sample, computed once.
+    def _sorted(self) -> np.ndarray:
+        """The full sample sorted ascending, computed once.
 
-        Every rung of every goal strides the same order: a subsample
-        depends on the seed, the rung and its fraction, not on the goal.
-        It is the stable order, equal durations by index, computed as
-        numpy's default (SIMD, unstable) argsort with its ties repaired:
-        the positions in runs of equal durations are re-sorted by one
-        sort of ``run * n + index``, which keeps the runs in place and
-        orders each by index.  The key stays below ``n**2 < 2**63``.
+        Every rung of every goal strides the same sorted array: a
+        subsample depends on the seed, the rung and its fraction, not on
+        the goal.  Equal durations are equal floats, so the values at
+        any ranks are those of the stable index order, bit for bit.
         """
-        durations = self._full.durations
-        order = np.argsort(durations)
-        ordered = durations[order]
-        tie = ordered[1:] == ordered[:-1]
-        if tie.any():
-            n = len(order)
-            run = np.concatenate(([0], np.cumsum(~tie)))
-            in_run = np.zeros(n, dtype=bool)
-            in_run[1:] = tie
-            in_run[:-1] |= tie
-            key = np.sort(run[in_run] * n + order[in_run])
-            order[in_run] = key % n
-        return order
+        return np.sort(self._full.durations)
 
-    def _rung_sample(
-        self, rung: int, fraction: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The seeded idle-duration subsample for one rung, in original
-        time order and in duration order.
+    def _rung_sample(self, rung: int, fraction: float) -> np.ndarray:
+        """The seeded idle-duration subsample for one rung, sorted
+        ascending.
 
-        Stratified, not uniform: indices stride the *duration-sorted*
+        Stratified, not uniform: positions stride the *duration-sorted*
         sample at a seeded offset, so every quantile of the idle
         distribution — the long tail above all — is represented in
         proportion.  An arm's throughput is an integral over that
@@ -201,24 +184,19 @@ class SuccessiveHalvingSearch:
         of tail intervals mis-ranks big arms wholesale; a stratified
         draw cannot.  The seed only moves the stride offset, keeping
         reruns bit-identical and distinct seeds honestly different.
-        The stride already reads the sample in duration order; the time
-        order sorts its indices, never the durations.
         """
-        durations = self._full.durations
-        n = len(durations)
+        ordered = self._sorted
+        n = len(ordered)
         m = min(n, max(MIN_RUNG_SAMPLE, math.ceil(n * fraction)))
         if m >= n:
-            return durations, durations[self._order]
+            return ordered
         rng = np.random.default_rng([self.seed, rung])
         # m evenly spaced positions in [0, n), phase-shifted by the
         # seed.  An offset of 1 - 2**-53 rounds (m - 1) + offset up to
         # m, whose position is n: clip it back into range.
         offset = float(rng.random())
         positions = ((np.arange(m) + offset) * (n / m)).astype(np.intp)
-        indices = self._order[np.minimum(positions, n - 1)]
-        ordered = durations[indices]
-        indices.sort()  # original time order: stable float summation
-        return durations[indices], ordered
+        return ordered[np.minimum(positions, n - 1)]
 
     def _run_rung(
         self,
@@ -227,7 +205,10 @@ class SuccessiveHalvingSearch:
         arms: Sequence[int],
         slowdown_goal: float,
     ) -> RungReport:
-        sample, ordered = self._rung_sample(rung, fraction)
+        # The rung's own sample is in duration order: it is both the
+        # optimizer's sample (its passes sum in that order) and the
+        # sorted array the lockstep steps read.
+        sample = self._rung_sample(rung, fraction)
         full = self._full
         scale = len(sample) / len(full.durations)
         rung_opt = ScrubParameterOptimizer(
@@ -239,7 +220,7 @@ class SuccessiveHalvingSearch:
             max_slowdown=full.max_slowdown,
         )
         before = SIM_METER.snapshot()
-        scores = rung_opt._rung_scores(arms, slowdown_goal, RUNG_ITERATIONS, ordered)
+        scores = rung_opt._rung_scores(arms, slowdown_goal, RUNG_ITERATIONS, sample)
         after = SIM_METER.snapshot()
         throughput: Dict[int, float] = {
             size: score for size, (_, score) in zip(arms, scores)

@@ -500,6 +500,15 @@ class TestExitCodes:
         (["detect", "--horizon", "-1"], "--horizon must be > 0: -1"),
         (["detect", "--regions", "0", "--algorithm", "staggered"],
          "--regions must be > 0: 0"),
+        (["detect", "--horizon", "nan"], "--horizon must be > 0: nan"),
+        (["throughput", "--horizon", "nan"], "--horizon must be > 0: nan"),
+        (["trace", "--horizon", "nan"], "--horizon must be >= 0: nan"),
+        (["optimize", "--synthetic", "MSRsrc11", "--duration", "600",
+          "--goals-ms", "nan", "-1", "2"], "--goals-ms must be > 0: nan"),
+        (["optimize", "--synthetic", "MSRsrc11", "--duration", "600",
+          "--goals-ms", "2", "-1"], "--goals-ms must be > 0: -1"),
+        (["optimize", "--synthetic", "MSRsrc11", "--duration", "600",
+          "--max-slowdown-ms", "nan"], "--max-slowdown-ms must be > 0: nan"),
     ])
     def test_a_full_stack_size_no_stack_can_run(self, argv, message, capsys):
         assert main(argv) == 2

@@ -124,6 +124,66 @@ class TestSearch:
         )
 
 
+class TestTuningRefusesNonFiniteInput:
+    """NaN fails every comparison, so a check written ``x <= 0`` lets it
+    through: a NaN goal used to return a "best" of throughput 0.0, a
+    NaN span a throughput of nan, and one infinite duration a threshold
+    of inf."""
+
+    def test_a_nan_goal_raises_like_a_non_positive_one(self, workload):
+        optimizer = ScrubParameterOptimizer(**workload)
+        search = SuccessiveHalvingSearch(**workload)
+        for goal in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="slowdown_goal"):
+                optimizer.optimize(goal)
+            with pytest.raises(ValueError, match="slowdown_goal"):
+                search.search(goal)
+            with pytest.raises(ValueError, match="slowdown_goal"):
+                optimizer.best_threshold(65536, goal)
+            with pytest.raises(ValueError, match="slowdown_goal"):
+                optimizer._rung_scores([65536], goal, 20, search._sorted)
+
+    def test_an_infinite_goal_is_met_at_threshold_zero(self, workload):
+        best = SuccessiveHalvingSearch(**workload).search(float("inf")).best
+        grid = ScrubParameterOptimizer(**workload).optimize(float("inf"))
+        assert best == grid and best.threshold == 0.0
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d.reshape(1, -1), "1-D"),
+        (lambda d: d[:0], "non-empty"),
+        (lambda d: np.append(d, np.nan), "finite and non-negative"),
+        (lambda d: np.append(d, np.inf), "finite and non-negative"),
+        (lambda d: np.append(d, -np.inf), "finite and non-negative"),
+        (lambda d: np.append(d, -1e-9), "finite and non-negative"),
+    ], ids=["2-D", "empty", "nan", "inf", "-inf", "negative"])
+    def test_a_sample_no_trace_has_is_refused(self, workload, damage, message):
+        inputs = {**workload, "durations": damage(workload["durations"])}
+        with pytest.raises(ValueError, match=message):
+            ScrubParameterOptimizer(**inputs)
+        with pytest.raises(ValueError, match=message):
+            SuccessiveHalvingSearch(**inputs)
+
+    @pytest.mark.parametrize("span", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_span_no_window_has_is_refused(self, workload, span):
+        with pytest.raises(ValueError, match="span"):
+            ScrubParameterOptimizer(**{**workload, "span": span})
+        with pytest.raises(ValueError, match="span"):
+            SuccessiveHalvingSearch(**{**workload, "span": span})
+
+    @pytest.mark.parametrize("threshold, span, message", [
+        (float("nan"), 10.0, "threshold"),
+        (0.0, float("nan"), "span"),
+    ])
+    def test_a_pass_refuses_a_nan_threshold_or_span(
+        self, workload, threshold, span, message
+    ):
+        model = workload["service_model"]
+        with pytest.raises(ValueError, match=message):
+            slowdown_module.simulate_fixed_waiting(
+                workload["durations"], threshold, 65536, model, 100, span
+            )
+
+
 def _sizes(first_64k, last_64k=64):
     return tuple(k * 65536 for k in range(first_64k, last_64k + 1))
 
@@ -178,26 +238,49 @@ class TestSearchEffortIsPinned:
         ) == self.CHOSEN[name]
 
 
+def stable_rung_sample(search, rung, fraction):
+    """What a rung strided before it read one value sort: the sample
+    gathered by the stable argsort, at the rung's seeded positions."""
+    durations = search._full.durations
+    n = len(durations)
+    ordered = durations[np.argsort(durations, kind="stable")]
+    m = min(n, max(MIN_RUNG_SAMPLE, int(np.ceil(n * fraction))))
+    if m >= n:
+        return ordered
+    offset = float(np.random.default_rng([search.seed, rung]).random())
+    positions = ((np.arange(m) + offset) * (n / m)).astype(np.intp)
+    return ordered[np.minimum(positions, n - 1)]
+
+
 class TestRungSample:
     def test_sorts_the_sample_once_per_search_object(self, workload, monkeypatch):
-        calls = []
-        real = np.argsort
+        """A search object calls ``np.sort`` once, for every rung of
+        every goal, and ``np.argsort`` never."""
+        sorts, argsorts = [], []
+        real_sort, real_argsort = np.sort, np.argsort
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return real(*args, **kwargs)
+        def counting_sort(*args, **kwargs):
+            sorts.append(len(args[0]))
+            return real_sort(*args, **kwargs)
+
+        def counting_argsort(*args, **kwargs):
+            argsorts.append(len(args[0]))
+            return real_argsort(*args, **kwargs)
 
         search = SuccessiveHalvingSearch(**workload)
         fresh = SuccessiveHalvingSearch(**workload)
-        monkeypatch.setattr(np, "argsort", counting)
+        monkeypatch.setattr(np, "sort", counting_sort)
+        monkeypatch.setattr(np, "argsort", counting_argsort)
         first = search.search(GOAL)
         second = search.search(GOAL / 2)
         assert len(first.rungs) == len(second.rungs) == 3
-        assert calls == [len(workload["durations"])]
-        # Reusing the order changes nothing: a new object agrees.
+        assert sorts == [len(workload["durations"])] and argsorts == []
+        # Reusing the sorted sample changes nothing: a new object agrees.
         assert fresh.search(GOAL / 2) == second
 
     def test_order_is_the_stable_order_on_tied_samples(self, workload):
+        """On samples full of ties every rung's sample holds, byte for
+        byte, the values at its positions of the stable index order."""
         rng = np.random.default_rng(5)
         for case in range(300):
             n = int(rng.integers(1, 3000))
@@ -208,29 +291,27 @@ class TestRungSample:
                 durations = np.full(n, rng.uniform(0.01, 1.0))
             else:  # a handful of distinct values, many copies
                 durations = rng.choice(rng.lognormal(-3.0, 1.5, 5), n)
-            search = SuccessiveHalvingSearch(**{**workload, "durations": durations})
-            expected = np.argsort(durations, kind="stable")
-            assert np.array_equal(search._order, expected)
+            search = SuccessiveHalvingSearch(
+                **{**workload, "durations": durations}, seed=case
+            )
+            for rung, fraction in enumerate(RUNG_FRACTIONS):
+                sample = search._rung_sample(rung, fraction)
+                expected = stable_rung_sample(search, rung, fraction)
+                assert sample.tobytes() == expected.tobytes()
 
     def test_rung_samples_equal_those_of_the_stable_order(self, workload):
         """On the TPCdisk66 day (2 tied pairs among 312,598 intervals)
-        every rung strides the stable order, byte for byte."""
+        every rung strides the stable order's values, byte for byte."""
         trace = generate_trace("TPCdisk66", duration=600.0, seed=0)
         _, durations = trace_idle_intervals("TPCdisk66", trace)
-        inputs = {**workload, "durations": durations}
-        search = SuccessiveHalvingSearch(**inputs)
-        stable = SuccessiveHalvingSearch(**inputs)
-        stable._order = np.argsort(durations, kind="stable")
-        ordered = durations[stable._order]
+        search = SuccessiveHalvingSearch(**{**workload, "durations": durations})
+        ordered = search._sorted
         assert np.count_nonzero(ordered[1:] == ordered[:-1]) == 2
-        assert np.array_equal(search._order, stable._order)
         for rung, fraction in enumerate(RUNG_FRACTIONS):
-            sample, ordered = search._rung_sample(rung, fraction)
-            expected = stable._rung_sample(rung, fraction)
-            assert sample.tobytes() == expected[0].tobytes()
-            assert ordered.tobytes() == expected[1].tobytes()
-            # the duration order is the time-order sample, sorted
-            assert ordered.tobytes() == np.sort(sample).tobytes()
+            sample = search._rung_sample(rung, fraction)
+            expected = stable_rung_sample(search, rung, fraction)
+            assert len(sample) < len(durations)
+            assert sample.tobytes() == expected.tobytes()
 
     def test_last_position_stays_in_range_at_the_largest_offset(
         self, workload, monkeypatch
@@ -249,11 +330,10 @@ class TestRungSample:
         n = 199_980
         durations = np.arange(1.0, n + 1.0)[::-1].copy()
         search = SuccessiveHalvingSearch(**{**workload, "durations": durations})
-        sample, ordered = search._rung_sample(2, 1 / 4)
-        assert len(sample) == len(ordered) == 49_995
-        assert sample.max() == ordered[-1] == float(n)  # clipped onto the longest
-        assert np.all(np.diff(sample) < 0)  # still in original time order
-        assert np.all(np.diff(ordered) > 0)
+        sample = search._rung_sample(2, 1 / 4)
+        assert len(sample) == 49_995
+        assert sample[-1] == float(n)  # clipped onto the longest
+        assert np.all(np.diff(sample) > 0)  # in duration order
 
 
 class TestRungBisectsInLockstep:
@@ -270,7 +350,7 @@ class TestRungBisectsInLockstep:
         real_arrays = slowdown_module._waiting_arrays
         real_pass = optimizer_module.fixed_waiting_pass
         real_result = slowdown_module.SlowdownResult
-        real_sort = np.sort
+        real_sort, real_argsort = np.sort, np.argsort
 
         def counting_arrays(*args):
             calls.append(len(args[0]))
@@ -288,14 +368,19 @@ class TestRungBisectsInLockstep:
             sorts.append(len(args[0]))
             return real_sort(*args, **kwargs)
 
+        def counting_argsort(*args, **kwargs):
+            sorts.append(len(args[0]))
+            return real_argsort(*args, **kwargs)
+
         search = SuccessiveHalvingSearch(**workload)
         arms = list(search._full.admissible_sizes())
-        search._order  # the search object's one sort, before the rung
+        search._sorted  # the search object's one sort, before the rung
         monkeypatch.setattr(slowdown_module, "_waiting_arrays", counting_arrays)
         monkeypatch.setattr(optimizer_module, "_waiting_arrays", counting_arrays)
         monkeypatch.setattr(optimizer_module, "fixed_waiting_pass", counting_pass)
         monkeypatch.setattr(slowdown_module, "SlowdownResult", counting_result)
         monkeypatch.setattr(np, "sort", counting_sort)
+        monkeypatch.setattr(np, "argsort", counting_argsort)
         report = search._run_rung(0, RUNG_FRACTIONS[0], arms, GOAL / 2)
         a = len(arms)  # each bisects: threshold 0, threshold max, the steps
         assert a == 64 and report.sims == a * (2 + RUNG_ITERATIONS)
@@ -340,6 +425,26 @@ class TestGoldenCatalogSearch:
         actual = search_golden.digests([7])
         assert len(actual) == 22
         assert actual == {key: expected[key] for key in actual}
+
+    def test_seed_7_matches_them_with_every_step_on_the_exact_path(
+        self, monkeypatch
+    ):
+        """With ``_certify`` deciding nothing, every rung step sums its
+        sample as the pass does (``_meets``) and the answers stay put."""
+        exact = []
+        real_meets = ScrubParameterOptimizer._meets
+
+        def meets(self, threshold, service, goal):
+            exact.append(threshold)
+            return real_meets(self, threshold, service, goal)
+
+        monkeypatch.setattr(optimizer_module, "_certify", search_golden.undecided)
+        monkeypatch.setattr(ScrubParameterOptimizer, "_meets", meets)
+        expected = search_golden.load_fixture()
+        actual = search_golden.digests([7])
+        assert len(actual) == 22
+        assert actual == {key: expected[key] for key in actual}
+        assert len(exact) == 42_428  # every step decision of the 22 searches
 
 
 class TestSearchDifferential:

@@ -484,14 +484,15 @@ class TestLockstepMatchesPerSizeReference:
 
     def test_catalog_sized_rung_equals_its_reference(self):
         """Rung 0 of a 600 s ``TPCdisk66`` search, all 64 arms, on the
-        drive model the benchmark tunes for."""
+        drive model the benchmark tunes for: its duration-ordered sample
+        is both the rung optimizer's sample and ``ordered``."""
         trace = generate_trace("TPCdisk66", duration=600.0, seed=7)
         _, durations = trace_idle_intervals("TPCdisk66", trace)
         search = SuccessiveHalvingSearch(
             durations, len(trace), trace.duration,
             ScrubServiceModel.from_spec(PRESETS["ultrastar"]()),
         )
-        sample, ordered = search._rung_sample(0, RUNG_FRACTIONS[0])
+        sample = search._rung_sample(0, RUNG_FRACTIONS[0])
         scale = len(sample) / len(durations)
         rung = ScrubParameterOptimizer(
             sample, total_requests=max(1, round(len(trace) * scale)),
@@ -505,7 +506,7 @@ class TestLockstepMatchesPerSizeReference:
                 rung, arms, goal, RUNG_ITERATIONS
             )
             actual, effort = metered(
-                lambda: rung._rung_scores(arms, goal, RUNG_ITERATIONS, ordered)
+                lambda: rung._rung_scores(arms, goal, RUNG_ITERATIONS, sample)
             )
             assert exact_scores(actual) == scores(expected)
             assert effort == expected_effort

@@ -6,14 +6,18 @@ each seed asked for and the slowdown goals 2 ms and 0.5 ms, it runs
 ultrastar service model and hashes ``repr((best, rungs, sims,
 interval_evals))`` of the outcome: the chosen parameters, every rung's
 report and the effort meter, floats by their shortest round-trip
-``repr``.  It exits 1 when any digest differs from
-``tests/fixtures/search_golden.json``, which was recorded before the
-rungs decided their steps from prefix sums, for seeds 3, 7 and 11.
-The fixture pins the search's answers: a change that moves them is a
-change of behaviour to explain, not a fixture to re-record.
+``repr``.  Every seed runs twice: as the search runs, and with
+:func:`undecided` standing in for ``core.optimizer._certify``, so that
+every rung step takes the exact path (``_meets``) instead of a
+certified prefix-sum estimate.  It exits 1 when any digest of either
+run differs from ``tests/fixtures/search_golden.json``, which was
+recorded before the rungs decided their steps from prefix sums, for
+seeds 3, 7 and 11.  The fixture pins the search's answers: a change
+that moves them is a change of behaviour to explain, not a fixture to
+re-record.
 
-``tests/test_search.py::TestGoldenCatalogSearch`` checks seed 7 through
-:func:`digests` in tier-1.
+``tests/test_search.py::TestGoldenCatalogSearch`` checks seed 7 both
+ways through :func:`digests` in tier-1.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ SEEDS = (3, 7, 11)
 
 def key(name: str, seed: int, goal: float) -> str:
     return f"{name} seed={seed} goal={goal!r}"
+
+
+def undecided(sums, lengths, spread, slowdown_goal, total_requests):
+    """``_certify`` deciding nothing: every arm takes the exact path."""
+    import numpy as np
+
+    nothing = np.zeros(len(sums), dtype=bool)
+    return nothing, nothing.copy()
 
 
 def digests(seeds: Iterable[int]) -> Dict[str, str]:
@@ -71,15 +83,25 @@ def load_fixture() -> Dict[str, str]:
 
 
 def main() -> int:
-    actual = digests(SEEDS)
+    from repro.core import optimizer
+
     expected = load_fixture()
-    bad = [k for k in actual if expected.get(k) != actual[k]]
-    for k in bad:
-        print(f"  {k}: {actual[k][:16]}… expected {str(expected.get(k))[:16]}…")
-    verdict = "FAIL" if bad else "OK"
-    print(f"search golden [{verdict}]: {len(actual) - len(bad)}/{len(actual)} "
-          f"searches match the recorded digests")
-    return 1 if bad else 0
+    failed = False
+    certify = optimizer._certify
+    for steps, stand_in in (("certified", certify), ("exact", undecided)):
+        optimizer._certify = stand_in
+        try:
+            actual = digests(SEEDS)
+        finally:
+            optimizer._certify = certify
+        bad = [k for k in actual if expected.get(k) != actual[k]]
+        for k in bad:
+            print(f"  {k}: {actual[k][:16]}… expected {str(expected.get(k))[:16]}…")
+        failed |= bool(bad)
+        print(f"search golden [{'FAIL' if bad else 'OK'}]: "
+              f"{len(actual) - len(bad)}/{len(actual)} searches match the "
+              f"recorded digests ({steps} steps)")
+    return 1 if failed else 0
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(ROOT, "src"))
