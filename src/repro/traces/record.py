@@ -11,7 +11,7 @@ themselves.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -72,42 +72,86 @@ class Trace:
         validated once (e.g. store chunk views, streamed chunks); the
         checks are O(n) and mapping a multi-million request chunk
         should not re-pay them.
+    draw:
+        In place of ``lbns`` and ``is_write`` (pass ``None`` for both):
+        a callable returning the two arrays, run on the first read of
+        either attribute and checked then.  Synthetic traces use it
+        (:meth:`~repro.traces.synth.SyntheticTraceGenerator.generate`),
+        so a reader of arrival times and sizes alone never pays for
+        addresses (their generator's stream then stands after the
+        sizes); it must return the same arrays however often, and
+        whenever, it runs.
     """
 
     def __init__(
         self,
         times: np.ndarray,
-        lbns: np.ndarray,
+        lbns: Optional[np.ndarray],
         sectors: np.ndarray,
-        is_write: np.ndarray,
+        is_write: Optional[np.ndarray],
         name: str = "",
         description: str = "",
         capacity_sectors: Optional[int] = None,
         validate: bool = True,
+        *,
+        draw: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None,
     ) -> None:
         times = np.asarray(times, dtype=float)
-        lbns = np.asarray(lbns, dtype=np.int64)
         sectors = np.asarray(sectors, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
+        self.times = times
+        self.sectors = sectors
+        self.name = name
+        self.description = description
+        self.capacity_sectors = capacity_sectors
+        self._validate = validate
+        #: The pending ``(lbns, is_write)`` draw, until a read runs it.
+        self._draw = draw
+        if draw is None:
+            self._fill(lbns, is_write)
         if validate:
-            lengths = {len(times), len(lbns), len(sectors), len(is_write)}
-            if len(lengths) != 1:
-                raise ValueError(f"mismatched column lengths: {sorted(lengths)}")
+            if len(times) != len(sectors):
+                raise ValueError(
+                    f"mismatched column lengths: {sorted({len(times), len(sectors)})}"
+                )
             if len(times) and np.any(np.diff(times) < 0):
                 raise ValueError("times must be non-decreasing")
             if np.any(sectors <= 0):
                 raise ValueError("sector counts must be positive")
-            if np.any(lbns < 0):
-                raise ValueError("LBNs must be non-negative")
-        self.times = times
-        self.lbns = lbns
-        self.sectors = sectors
-        self.is_write = is_write
-        self.name = name
-        self.description = description
-        self.capacity_sectors = capacity_sectors
         #: Content digest memo (see :meth:`digest`).
         self._digest: Optional[str] = None
+
+    def _fill(self, lbns, is_write) -> None:
+        """Set the address and write-flag columns, checked as ``__init__``
+        checks them: lengths equal to the other columns', LBNs >= 0."""
+        lbns = np.asarray(lbns, dtype=np.int64)
+        is_write = np.asarray(is_write, dtype=bool)
+        if self._validate:
+            lengths = {len(self.times), len(lbns), len(self.sectors), len(is_write)}
+            if len(lengths) != 1:
+                raise ValueError(f"mismatched column lengths: {sorted(lengths)}")
+            if np.any(lbns < 0):
+                raise ValueError("LBNs must be non-negative")
+        self._lbns, self._is_write = lbns, is_write
+        self._draw = None
+
+    def _run_draw(self) -> None:
+        """Run the pending draw, if any (read once: a concurrent reader
+        may finish it first)."""
+        draw = self._draw
+        if draw is not None:
+            self._fill(*draw())
+
+    @property
+    def lbns(self) -> np.ndarray:
+        """Request start addresses (drawn on first read if pending)."""
+        self._run_draw()
+        return self._lbns
+
+    @property
+    def is_write(self) -> np.ndarray:
+        """Write flags, ``False`` = read (drawn on first read if pending)."""
+        self._run_draw()
+        return self._is_write
 
     def __len__(self) -> int:
         return len(self.times)

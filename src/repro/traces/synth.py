@@ -24,13 +24,17 @@ Every value comes from one stream in a fixed order (DESIGN §19), and
 every stage runs as whole-array passes: arrivals a block of bursts at
 a time, sizes and hot spots as categorical draws counted against the
 CDF (:func:`_categorical`, the bits of ``Generator.choice(p=...)``),
-addresses and jump targets in place.
+addresses and jump targets in place.  Addresses and write flags, the
+last draws, are made on the trace's first read of them, from the
+stream's state saved after the sizes: analyses that read only arrival
+times and sizes never synthesise them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
@@ -54,6 +58,12 @@ FLAT = tuple([1.0] * 24)
 #: Arrivals per block of whole bursts in ``_bursty_times``: its working
 #: arrays stay about a megabyte each however long the trace.
 _BLOCK = 1 << 17
+
+#: Bursts from which ``_correlated_lognormal`` runs its AR(1) recursion
+#: through ``scipy.signal.lfilter`` (the same multiply and add per gap,
+#: in C) instead of a Python loop: above every catalog trace of a few
+#: hours (MSRsrc11 at 6 h draws 51.6k), below multi-day disks (1.1M+).
+_LFILTER_BURSTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,20 @@ def _continued_cumsum(carry: float, values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([carry], values)))
 
 
+def _checked(probabilities) -> np.ndarray:
+    """``probabilities`` as floats; ``ValueError`` where ``choice`` raises:
+    a negative or NaN probability, or a sum away from 1."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    if not (
+        np.all(probabilities >= 0.0)
+        and abs(probabilities.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)
+    ):
+        raise ValueError(
+            f"probabilities must be non-negative and sum to 1: {probabilities}"
+        )
+    return probabilities
+
+
 def _categorical(
     rng: np.random.Generator, probabilities: np.ndarray, size: int
 ) -> np.ndarray:
@@ -149,15 +173,7 @@ def _categorical(
     of weights a profile has.  Raises ``ValueError`` where ``choice``
     does: a negative or NaN probability, or a sum away from 1.
     """
-    probabilities = np.asarray(probabilities, dtype=float)
-    if not (
-        np.all(probabilities >= 0.0)
-        and abs(probabilities.sum() - 1.0) <= np.sqrt(np.finfo(float).eps)
-    ):
-        raise ValueError(
-            f"probabilities must be non-negative and sum to 1: {probabilities}"
-        )
-    cdf = np.cumsum(probabilities)
+    cdf = np.cumsum(_checked(probabilities))
     cdf /= cdf[-1]
     uniforms = rng.random(size)
     index = np.zeros(size, dtype=np.min_scalar_type(len(cdf) - 1))
@@ -175,6 +191,15 @@ class SyntheticTraceGenerator:
 
     # -- public ------------------------------------------------------------
     def generate(self) -> Trace:
+        """The profile's trace, its addresses and write flags still undrawn.
+
+        The sizes are the last draw made here, so ``self.rng`` stands
+        after them.  The address and write-flag draws come next on the
+        stream; they run on the first read of ``trace.lbns`` or
+        ``trace.is_write``, from a generator restored to the state the
+        stream has now.  Each column is therefore what an eager draw
+        gives, whatever is drawn from ``self.rng`` in between.
+        """
         p = self.profile
         if p.memoryless:
             times = self._poisson_times()
@@ -185,16 +210,23 @@ class SyntheticTraceGenerator:
             self.rng, np.asarray(p.size_weights) / np.sum(p.size_weights), n
         )
         sectors = np.asarray(p.size_choices).take(sizes)
-        lbns = self._addresses(sectors)
-        is_write = self.rng.random(n) < p.write_fraction
+        # Bad hot-spot weights raise here, not at the first read.
+        weights = np.asarray(p.hot_spots, dtype=float).reshape(-1, 3)[:, 2]
+        _checked(weights / weights.sum())
+        # The state, not the generator: the stream may be a wrapper.
+        bit_generator = self.rng.bit_generator
         return Trace(
             times,
-            lbns,
+            None,
             sectors,
-            is_write,
+            None,
             name=p.name,
             description=p.description,
             capacity_sectors=p.capacity_sectors,
+            draw=partial(
+                _addresses_and_writes,
+                p, type(bit_generator), bit_generator.state, sectors,
+            ),
         )
 
     # -- arrival processes ------------------------------------------------------
@@ -299,9 +331,15 @@ class SyntheticTraceGenerator:
         noise = self.rng.normal(0.0, noise_sigma, size=count)
         noise[0] = self.rng.normal(0.0, sigma)  # start in stationarity
         # AR(1) recursion y[n] = x[n] + phi*y[n-1]: one multiply and one add,
-        # each rounded, per gap -- only burst gaps come here (thousands a trace).
-        recursion = accumulate(noise.tolist(), lambda y, x: x + phi * y)
-        logs = np.fromiter(recursion, dtype=float, count=count)
+        # each rounded, per gap.  lfilter does the same in C; scipy.signal
+        # is imported only for draws long enough to repay its import.
+        if count >= _LFILTER_BURSTS:
+            from scipy.signal import lfilter
+
+            logs = lfilter([1.0], [1.0, -phi], noise)
+        else:
+            recursion = accumulate(noise.tolist(), lambda y, x: x + phi * y)
+            logs = np.fromiter(recursion, dtype=float, count=count)
         return np.exp(mu + logs)
 
     def _warp_knots(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -367,3 +405,16 @@ class SyntheticTraceGenerator:
         np.minimum(fractions, 1.0, out=fractions)
         fractions *= p.capacity_sectors - 1
         return fractions.astype(np.int64)
+
+
+def _addresses_and_writes(
+    profile: TraceProfile, bit_generator_type, state: dict, sectors: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lbns, is_write)`` of a generated trace, drawn from a stream
+    restored to ``state``: the draws ``generate`` leaves for the first
+    read, the same values every time they run."""
+    bit_generator = bit_generator_type()
+    bit_generator.state = state
+    later = SyntheticTraceGenerator(profile, np.random.Generator(bit_generator))
+    lbns = later._addresses(sectors)
+    return lbns, later.rng.random(len(sectors)) < profile.write_fraction

@@ -29,6 +29,12 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 #: function-level import either: what they did is done without them.
 BANNED = ("scipy.signal", "scipy.stats.chi2", "scipy.stats.norm")
 
+#: Banned names one file may import inside a function, and nowhere else:
+#: multi-day synthetic traces run their AR(1) recursion through
+#: ``lfilter`` (DESIGN section 19), a branch tuning and replay never
+#: reach (``TestFreshInterpreter``).
+LAZY = {"traces/synth.py": ("scipy.signal",)}
+
 
 def _imported_names(node):
     """Dotted names an import statement binds from, e.g. ``scipy.stats.chi2``."""
@@ -50,9 +56,10 @@ def _dotted(node):
     return ".".join([node.id] + parts[::-1])
 
 
-def _violations(tree):
+def _violations(tree, allowed=()):
     """(line, what) for every statement or name in ``tree`` that breaks the
-    static contract; at most one finding per node."""
+    static contract; at most one finding per node.  A name under one of
+    ``allowed`` is judged as an unbanned one: function-level imports only."""
     found = []
 
     def visit(node, in_function):
@@ -64,6 +71,7 @@ def _violations(tree):
         banned = [
             name for name in names
             if any(name == b or name.startswith(b + ".") for b in BANNED)
+            and not any(name == a or name.startswith(a + ".") for a in allowed)
         ]
         if banned:
             found.append((node.lineno, f"{banned[0]} is banned outright"))
@@ -88,10 +96,11 @@ class TestStaticContract:
         assert len(files) > 50  # the walk found the package
         for path in files:
             source = path.read_text()
-            for line, what in _violations(ast.parse(source)):
+            allowed = LAZY.get(path.relative_to(SRC).as_posix(), ())
+            for line, what in _violations(ast.parse(source), allowed):
                 breaches.append(f"{path.relative_to(SRC)}:{line}: {what}")
             for word in ("lfilter", "scipy.signal"):
-                if word in source:
+                if word in source and not allowed:
                     breaches.append(f"{path.relative_to(SRC)}: mentions {word}")
         assert breaches == []
 
@@ -113,6 +122,15 @@ class TestStaticContract:
     ])
     def test_the_walk_sees_what_it_should(self, source, count):
         assert len(_violations(ast.parse(source))) == count
+
+    @pytest.mark.parametrize("source, count", [
+        ("from scipy.signal import lfilter", 1),
+        ("import scipy.signal", 1),
+        ("def f():\n    from scipy.signal import lfilter", 0),
+        ("def f():\n    from scipy.stats import chi2", 1),
+    ])
+    def test_an_allowed_name_is_a_function_level_import(self, source, count):
+        assert len(_violations(ast.parse(source), ("scipy.signal",))) == count
 
 
 class TestFreshInterpreter:

@@ -47,6 +47,39 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace([0.0, 1.0], [0], [8], [False])
 
+    def test_columns_are_read_only(self):
+        trace = make_trace()
+        for column in ("lbns", "is_write"):
+            with pytest.raises(AttributeError):
+                setattr(trace, column, np.zeros(5))
+
+    def test_a_pending_draw_runs_once_on_first_read(self):
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return [1, 2], [True, False]
+
+        trace = Trace([0.0, 1.0], None, [8, 8], None, draw=draw)
+        assert calls == [] and len(trace) == 2
+        assert trace.is_write.tolist() == [True, False]
+        assert trace.lbns.dtype == np.int64 and trace.lbns.tolist() == [1, 2]
+        assert calls == [1]
+
+    @pytest.mark.parametrize("columns", [
+        ([1], [True, False]),  # a short address column
+        ([1, 2], [True]),  # a short write-flag column
+        ([1, -2], [True, False]),  # a negative LBN
+    ])
+    def test_drawn_columns_get_the_constructor_checks(self, columns):
+        trace = Trace([0.0, 1.0], None, [8, 8], None, draw=lambda: columns)
+        with pytest.raises(ValueError):
+            trace.lbns
+        unchecked = Trace(
+            [0.0, 1.0], None, [8, 8], None, validate=False, draw=lambda: columns
+        )
+        assert unchecked.lbns.tolist() == columns[0]
+
     def test_window_rebases_times(self):
         trace = make_trace()
         sub = trace.window(1.0, 3.0)

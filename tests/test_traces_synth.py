@@ -1,7 +1,10 @@
 """Tests for synthetic trace generation and the catalog (repro.traces)."""
 
+import copy
+import pickle
 import tracemalloc
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -130,20 +133,23 @@ class TestGenerator:
 
 
 class TestCorrelatedGapsExact:
-    """``_correlated_lognormal`` against the ``lfilter`` call it replaced."""
+    """``_correlated_lognormal`` against ``lfilter`` and the Python loop."""
 
-    @pytest.mark.parametrize("count", [1, 2, 1000, 51_627])
+    @pytest.mark.parametrize("count", [
+        1, 2, 1000, 51_627,
+        synth._LFILTER_BURSTS - 1, synth._LFILTER_BURSTS, synth._LFILTER_BURSTS + 1,
+    ])
     @pytest.mark.parametrize("name", BURSTY)
     def test_ar1_recursion_is_lfilter_bit_for_bit(self, name, count):
-        """The Python recursion ``y[n] = x[n] + phi*y[n-1]`` is now the
-        *definition* of the gap process; ``scipy.signal.lfilter([1], [1,
-        -phi], x)`` (direct form II transposed: the same multiply and
-        the same add, each rounded once) is only the reference it is
-        checked against.  On a platform whose scipy build fuses the
-        multiply-add the two differ in the last bit and this one test
-        fails -- loudly, here, instead of as a silent drift of every
-        trace digest.  The traces are then still the ones every other
-        machine generates.
+        """The recursion ``y[n] = x[n] + phi*y[n-1]`` is the *definition*
+        of the gap process.  Below ``_LFILTER_BURSTS`` gaps it runs as a
+        Python loop, from there as ``scipy.signal.lfilter([1], [1, -phi],
+        x)`` (direct form II transposed: the same multiply and the same
+        add, each rounded once); both must equal both references, the
+        loop and ``lfilter``, on either side of the switch.  On a
+        platform whose scipy build fuses the multiply-add the two differ
+        in the last bit and this one test fails -- loudly, here, instead
+        of as a silent drift of every trace digest.
         """
         from scipy.signal import lfilter
 
@@ -160,10 +166,13 @@ class TestCorrelatedGapsExact:
         noise = rng.normal(0.0, sigma * np.sqrt(1.0 - phi * phi), size=count)
         noise[0] = rng.normal(0.0, sigma)
         reference = np.exp(mu + lfilter([1.0], [1.0, -phi], noise))
+        loop = np.exp(mu + np.fromiter(
+            accumulate(noise.tolist(), lambda y, x: x + phi * y), dtype=float
+        ))
 
         assert ours.dtype == reference.dtype == np.float64
         assert ours.shape == (count,)
-        assert ours.tobytes() == reference.tobytes()
+        assert ours.tobytes() == reference.tobytes() == loop.tobytes()
 
     def test_nine_bursty_catalog_profiles_take_the_recursion(self):
         assert len(BURSTY) == 9
@@ -425,11 +434,78 @@ class TestBlockSynthesisExact:
         assert_same_trace(ours, both_ways(name, 1e-9, 0)[1])
 
 
+class TestDeferredColumns:
+    """Addresses and write flags are drawn on first read, from the
+    stream's state after the sizes: the same bits as the eager draw."""
+
+    def test_idle_extraction_and_search_draw_no_address(self, monkeypatch, tmp_path):
+        """The Table III pipeline reads arrival times and sizes only."""
+        from repro.analysis.service_model import ScrubServiceModel
+        from repro.core.search import SuccessiveHalvingSearch
+        from repro.disk.models import PRESETS
+        from repro.parallel import SweepRunner
+        from repro.parallel.cache import ResultCache
+
+        calls = []
+        addresses = SyntheticTraceGenerator._addresses
+
+        def spy(self, sectors):
+            calls.append(len(sectors))
+            return addresses(self, sectors)
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "_addresses", spy)
+        model = ScrubServiceModel.from_spec(PRESETS["ultrastar"]())
+        for name in ("TPCdisk66", "MSRsrc11"):
+            trace = generate_trace(name, duration=600.0, seed=1)
+            _, durations = trace_idle_intervals(name, trace)
+            runner = SweepRunner(workers=0, cache=ResultCache(tmp_path / name))
+            SuccessiveHalvingSearch(
+                durations, len(trace), trace.duration, model
+            ).search(0.002, runner=runner)
+            assert calls == [], name
+            trace.digest()  # reads every column: the draw runs, once
+            trace.lbns, trace.is_write
+            assert calls == [len(trace)], name
+            calls.clear()
+
+    @pytest.mark.parametrize("name", ["MSRsrc11", "TPCdisk66", "HPc6t5d1"])
+    def test_drawing_from_the_stream_before_the_first_read(self, name):
+        """The caller's stream stands after the sizes, and drawing from
+        it moves no column."""
+        generator = catalog_generator(name, 600, 7)
+        trace = generator.generate()
+        after_sizes = catalog_generator(name, 600, 7)
+        p = after_sizes.profile
+        times = (
+            after_sizes._poisson_times() if p.memoryless
+            else after_sizes._bursty_times()
+        )
+        synth._categorical(
+            after_sizes.rng, np.asarray(p.size_weights) / np.sum(p.size_weights),
+            len(times),
+        )
+        assert generator.rng.random() == after_sizes.rng.random()
+        generator.rng.random(len(trace))
+        generator.rng.normal(size=1000)
+        assert_same_trace(trace, _one_shot_generate(catalog_generator(name, 600, 7)))
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda trace: pickle.loads(pickle.dumps(trace)),
+    ], ids=["deepcopy", "pickle"])
+    def test_an_undrawn_trace_copies(self, clone):
+        trace = generate_trace("MSRusr2", duration=600, seed=3)
+        twin = clone(trace)
+        assert_same_trace(twin, generate_trace("MSRusr2", duration=600, seed=3))
+        assert_same_trace(trace, twin)
+
+
 def traced_peak(name, duration):
-    """(trace, tracemalloc peak in bytes) of one ``generate_trace``."""
+    """(trace, tracemalloc peak in bytes) of one ``generate_trace`` and
+    the first read of its addresses and write flags."""
     tracemalloc.start()
     try:
         trace = generate_trace(name, duration=duration, seed=7)
+        trace.lbns, trace.is_write
         return trace, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,9 @@ interpreter calls ``generate_trace`` and reports
   profile, so a trace that starts in quiet hours draws 5-8x what it
   keeps and one that starts in busy hours runs out (DESIGN section 19);
 * wall seconds and max RSS of the process;
-* RSS growth during the call over the bytes of the trace's four columns;
+* RSS growth during the call over the bytes of the trace's four columns
+  (the probe reads the address and write-flag columns, which a trace
+  draws on first read, inside the measured span);
 * whether the trace reached its duration (no run-dry ``RuntimeWarning``).
 
 A synthesis row fails when its RSS growth exceeds ``3 x trace bytes +
@@ -81,6 +83,9 @@ start = time.perf_counter()
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     trace = catalog.generate_trace(name, duration=duration, seed=seed)
+# Addresses and write flags are drawn on first read: read them here, so
+# the row counts all four columns.
+columns = (trace.times, trace.lbns, trace.sectors, trace.is_write)
 seconds = time.perf_counter() - start
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
@@ -89,10 +94,7 @@ print(json.dumps({
     "seconds": seconds,
     "rss_mb": after / 1024.0,
     "growth_mb": (after - before) / 1024.0,
-    "trace_mb": sum(
-        column.nbytes for column in
-        (trace.times, trace.lbns, trace.sectors, trace.is_write)
-    ) / 2.0**20,
+    "trace_mb": sum(column.nbytes for column in columns) / 2.0**20,
     "reached": not any(w.category is RuntimeWarning for w in caught),
 }))
 """
