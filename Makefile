@@ -75,15 +75,16 @@ trace-budget:
 
 # What a finished full-stack run leaves behind (DESIGN sections 6.1 and
 # 18): twelve serial runs in one fresh interpreter of the Fig. 7
-# cfq-staggered-128 replay, of a scrubber-alone throughput measurement,
-# of a fault-injected detect run with remediation and of the Waiting
+# cfq-staggered-128 replay (bare, and recorded by a Recorder that is
+# then read), of a scrubber-alone throughput measurement, of a
+# fault-injected detect run with remediation and of the Waiting
 # (100 ms) replay of the dense TPCdisk66 stretch, no gc.collect()
 # anywhere; prints max RSS and tracked objects after every call; exit 1
 # when call 12 stands more than 2 MB or 1000 tracked objects above
 # call 2, or when the Python-level calls or kernel events per request
-# (one more call under sys.setprofile) of the replay or the Waiting row
-# exceed that row's limit in the tool's CALLS_PER_REQUEST or
-# EVENTS_PER_REQUEST.  Seconds are never judged.
+# (one more call under sys.setprofile) of either replay row or the
+# Waiting row exceed that row's limit in the tool's CALLS_PER_REQUEST
+# or EVENTS_PER_REQUEST.  Seconds are never judged.
 stack-budget:
 	$(PYTHON) tools/stack_budget.py
 

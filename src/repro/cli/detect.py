@@ -79,8 +79,12 @@ def run(args) -> int:
     staggered = ("regions",) if "staggered" in args.algorithms else ()
     check_sizes(args, positive=("horizon",) + staggered)
     # Loaded once here; SweepRunner's forked workers inherit it and the
-    # cache is keyed on its content digest.
+    # cache is keyed on its content digest.  A synthetic trace draws its
+    # addresses and write flags on first read: read them here, before
+    # the fork, or every worker draws them again.
     fg_trace = load_trace(args) if args.trace or args.synthetic else None
+    if fg_trace is not None:
+        fg_trace.lbns
     param_sets = [
         dict(
             drive=args.drive, cylinders=args.cylinders, algorithm=algorithm,

@@ -55,7 +55,7 @@ def run(args) -> int:
     )
     if recorder is not None:
         print_telemetry(
-            recorder.metrics.snapshot() if args.telemetry else None,
+            recorder.snapshot() if args.telemetry else None,
             title="run telemetry",
             trace_out=args.trace_out,
             events=lambda: recorder.chrome_events(

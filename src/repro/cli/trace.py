@@ -46,7 +46,9 @@ def register(subparsers) -> None:
     )
     parser.add_argument(
         "--max-log-records", type=int, default=None,
-        help="cap the request log as a ring buffer of this many records",
+        help="cap the request log as a ring buffer of this many records; "
+        "the trace's request spans, request metrics and scrub-progress "
+        "samples then cover the last this many as well",
     )
     parser.add_argument(
         "--out", "-o", default="trace.json",
@@ -120,7 +122,7 @@ def run(args) -> int:
         drive.cache.evictions
     )
     print_telemetry(
-        recorder.metrics.snapshot(), title="run telemetry",
+        recorder.snapshot(), title="run telemetry",
         trace_out=args.out,
         events=lambda: recorder.chrome_events(
             process_name=f"{spec.name}:{args.algorithm}"

@@ -107,7 +107,8 @@ def _write_lines(handle: IO[str], records: Iterable[Dict]) -> int:
 
 
 def request_log_records(log) -> Iterator[Dict]:
-    """Flatten a :class:`~repro.sched.device.RequestLog` to dicts."""
+    """Flatten a :class:`~repro.sched.device.RequestLog` to dicts (every
+    logged request carries its drive breakdown)."""
     for request in log.requests():
         breakdown = request.breakdown
         record: Dict = {
@@ -120,17 +121,14 @@ def request_log_records(log) -> Iterator[Dict]:
             "bytes": request.bytes,
             "priority": request.priority.name,
             "source": request.source,
+            "status": breakdown.status.name,
+            "cache_hit": breakdown.cache_hit,
+            "seek_s": breakdown.seek,
+            "rotation_s": breakdown.rotation,
+            "transfer_s": breakdown.transfer,
         }
-        if breakdown is not None:
-            record.update(
-                status=breakdown.status.name,
-                cache_hit=breakdown.cache_hit,
-                seek_s=breakdown.seek,
-                rotation_s=breakdown.rotation,
-                transfer_s=breakdown.transfer,
-            )
-            if breakdown.error_lbn is not None:
-                record["error_lbn"] = breakdown.error_lbn
+        if breakdown.error_lbn is not None:
+            record["error_lbn"] = breakdown.error_lbn
         yield record
 
 

@@ -73,10 +73,9 @@ _LOG_LOW = math.log10(_HIST_LOW)
 class Histogram:
     """Fixed-bucket log-scale streaming histogram.
 
-    ``observe`` is O(1) and allocation-free; percentiles come from the
-    bucket counts of a snapshot (reported as the bucket's geometric
-    upper bound, a deterministic over-estimate of at most one bucket
-    width).
+    ``observe`` is O(1); percentiles come from the bucket counts of a
+    snapshot (reported as the bucket's geometric upper bound, a
+    deterministic over-estimate of at most one bucket width).
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "counts")
@@ -91,19 +90,24 @@ class Histogram:
         self.counts: List[int] = [0] * (_HIST_BUCKETS + 2)
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value < _HIST_LOW:
-            index = 0
-        elif value >= _HIST_HIGH:
-            index = _HIST_BUCKETS + 1
-        else:
-            index = 1 + int((math.log10(value) - _LOG_LOW) * _HIST_PER_DECADE)
-        self.counts[index] += 1
+        self.observe_all((value,))
+
+    def observe_all(self, values: List[float]) -> None:
+        """:meth:`observe` each of ``values`` in turn, in one loop."""
+        total, counts, log10 = self.total, self.counts, math.log10
+        for value in values:
+            total += value
+            if value < _HIST_LOW:
+                counts[0] += 1
+            elif value >= _HIST_HIGH:
+                counts[-1] += 1
+            else:
+                counts[1 + int((log10(value) - _LOG_LOW) * _HIST_PER_DECADE)] += 1
+        if values:
+            self.count += len(values)
+            self.total = total
+            self.min = min(self.min, min(values))
+            self.max = max(self.max, max(values))
 
     @staticmethod
     def bucket_bound(index: int) -> float:

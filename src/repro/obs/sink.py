@@ -10,8 +10,9 @@ cold paths and nothing at all in the kernel's hot loop.
 * :class:`TelemetrySink` — the protocol; every hook is a no-op, so a
   sink overrides only the hooks it cares about
   (:class:`~repro.verify.invariants.InvariantSink` validates them).
-* :class:`Recorder` — appends lifecycle events to in-memory lists and
-  updates a :class:`~repro.obs.metrics.MetricsRegistry`.
+* :class:`Recorder` — keeps counters, instants and engine statistics
+  online and reads every per-request figure off the device's
+  :class:`~repro.sched.device.RequestLog` when it is read.
 
 Determinism contract: a sink only *observes*.  It must never touch a
 random stream, schedule an event, or mutate simulation state — with
@@ -24,6 +25,7 @@ parallel execution.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -32,14 +34,15 @@ __all__ = ["Recorder", "TelemetrySink"]
 
 
 class TelemetrySink:
-    """The hook protocol.  Base implementation: everything is a no-op.
-
-    Subclasses override the hooks they care about.  Components guard
-    hook calls with ``if sink is not None``, so a no-op base method is
-    a safety net, not a hot path.
-    """
+    """The hook protocol: every hook is a no-op, and a sink overrides
+    the hooks it cares about."""
 
     # -- request lifecycle (blktrace Q/D/C) --------------------------------
+    def attach_log(self, log: Any) -> None:
+        """The device's :class:`~repro.sched.device.RequestLog`, handed
+        over once at assembly, for a sink that reads the completed
+        requests later instead of hearing each complete."""
+
     def request_queued(self, now: float, request: Any) -> None:
         """A request entered the scheduler queue."""
 
@@ -81,7 +84,8 @@ class TelemetrySink:
 
 
 class Recorder(TelemetrySink):
-    """In-memory sink: structured lifecycle events plus a metrics registry.
+    """In-memory sink: a metrics registry, instants and progress samples
+    online, and every per-request figure read off the device's log.
 
     Parameters
     ----------
@@ -92,105 +96,74 @@ class Recorder(TelemetrySink):
         leave it off when snapshots must be bit-identical across runs
         (the serial == parallel sweep guarantee).
 
-    Every completed request and every scrub-progress sample is kept for
-    trace export.
+    Request spans and request metrics (``device.completed`` / ``bytes``
+    / ``media_errors``, ``drive.*``, the six time histograms) are read
+    off the log given to :meth:`attach_log`, in completion order, when
+    the recording is read; a log capped at ``max_records`` caps them and
+    the progress samples alike.
     """
 
     def __init__(self, wall_time: bool = False) -> None:
+        #: The online metrics; :meth:`snapshot` adds the log's.
         self.metrics = MetricsRegistry()
         self.wall_time = wall_time
-        #: (submit, dispatch, complete, opcode, lbn, sectors, priority,
-        #:  source, seek, rotation, transfer, cache_hit, status)
-        self.requests: List[Tuple] = []
-        #: (ts, category, name, args-or-None) point events.
+        #: The attached :class:`~repro.sched.device.RequestLog`, if any.
+        self.log = None
+        #: (ts, category, name, args) point events.
         self.instants: List[Tuple] = []
         #: (ts, source, fraction) scrub-progress counter samples.
-        self.progress_samples: List[Tuple] = []
+        self.progress_samples = []
+        # Bound once; :meth:`snapshot` leaves them out until they count.
+        self._submitted = self.metrics.counter("device.submitted")
+        self._dispatched = self.metrics.counter("device.dispatched")
+        self._extents = self.metrics.counter("scrub.extents")
+        self._progress = self.metrics.gauge("scrub.progress")
 
     # -- request lifecycle ---------------------------------------------------
+    def attach_log(self, log: Any) -> None:
+        self.log = log
+        if log.max_records is not None:
+            self.progress_samples = deque(
+                self.progress_samples, maxlen=log.max_records
+            )
+
     def request_queued(self, now: float, request: Any) -> None:
-        self.metrics.counter("device.submitted").inc()
+        self._submitted.value += 1
 
     def request_dispatched(self, now: float, request: Any) -> None:
-        self.metrics.counter("device.dispatched").inc()
+        self._dispatched.value += 1
 
-    def request_completed(self, now: float, request: Any) -> None:
-        metrics = self.metrics
-        metrics.counter("device.completed").inc()
-        metrics.counter("device.bytes").inc(request.bytes)
-        breakdown = request.breakdown
-        if breakdown is not None and not breakdown.ok:
-            metrics.counter("device.media_errors").inc()
-        metrics.histogram("device.response_time_s").observe(
-            request.response_time
-        )
-        metrics.histogram("device.wait_time_s").observe(request.wait_time)
-        metrics.histogram("device.service_time_s").observe(
-            request.service_time
-        )
-        command = request.command
-        self.requests.append(
-            (
-                request.submit_time,
-                request.dispatch_time,
-                request.complete_time,
-                command.opcode.value,
-                command.lbn,
-                command.sectors,
-                request.priority.name,
-                request.source,
-                breakdown.seek if breakdown is not None else 0.0,
-                breakdown.rotation if breakdown is not None else 0.0,
-                breakdown.transfer if breakdown is not None else 0.0,
-                breakdown.cache_hit if breakdown is not None else False,
-                breakdown.status.name if breakdown is not None else "GOOD",
+    def _requests(self) -> list:
+        """The attached log's requests, oldest first."""
+        if self.log is None and self._submitted.value:
+            raise RuntimeError(
+                f"this Recorder heard {self._submitted.value} requests but "
+                "was given no request log (attach_log)"
             )
-        )
-
-    # -- drive ---------------------------------------------------------------
-    def drive_serviced(self, command: Any, breakdown: Any) -> None:
-        metrics = self.metrics
-        metrics.counter("drive.commands").inc()
-        if breakdown.cache_hit:
-            metrics.counter("drive.cache_hits").inc()
-        else:
-            metrics.histogram("drive.seek_s").observe(breakdown.seek)
-            metrics.histogram("drive.rotation_s").observe(breakdown.rotation)
-            metrics.histogram("drive.transfer_s").observe(breakdown.transfer)
-        if not breakdown.ok:
-            metrics.counter("drive.media_errors").inc()
+        return self.log.requests() if self.log is not None else []
 
     # -- scrubbing ------------------------------------------------------------
     def scrub_pass_started(self, now: float, source: str, index: int) -> None:
         self.metrics.counter("scrub.passes_started").inc()
-        self.instants.append(
-            (now, "scrub", "pass_started", {"source": source, "pass": index})
-        )
+        args = {"source": source, "pass": index}
+        self.instants.append((now, "scrub", "pass_started", args))
 
     def scrub_pass_completed(
         self, now: float, source: str, index: int, bytes_scrubbed: int
     ) -> None:
         self.metrics.counter("scrub.passes_completed").inc()
-        self.instants.append(
-            (
-                now,
-                "scrub",
-                "pass_completed",
-                {"source": source, "pass": index, "bytes": bytes_scrubbed},
-            )
-        )
+        args = {"source": source, "pass": index, "bytes": bytes_scrubbed}
+        self.instants.append((now, "scrub", "pass_completed", args))
 
     def scrub_progress(self, now: float, source: str, fraction: float) -> None:
-        self.metrics.counter("scrub.extents").inc()
-        self.metrics.gauge("scrub.progress").set(fraction)
+        self._extents.value += 1
+        self._progress.value = fraction
         self.progress_samples.append((now, source, fraction))
 
     # -- faults ------------------------------------------------------------
     def fault_event(self, now: float, kind: str, lbn: int, **args: Any) -> None:
         self.metrics.counter(f"faults.{kind}").inc()
-        payload: Dict[str, Any] = {"lbn": lbn}
-        payload.update(args)
-        self.instants.append((now, "faults", kind, payload))
+        self.instants.append((now, "faults", kind, {"lbn": lbn, **args}))
 
     # -- engine -------------------------------------------------------------
     def engine_run(
@@ -202,14 +175,49 @@ class Recorder(TelemetrySink):
         metrics.gauge("engine.sim_time_s").set(sim_time)
         if self.wall_time and wall_seconds is not None:
             wall = metrics.gauge("engine.wall_seconds")
-            wall.set(wall.value + wall_seconds)
-            total_wall = wall.value
-            if total_wall > 0:
+            wall.value += wall_seconds
+            if wall.value > 0:
                 metrics.gauge("engine.events_per_wall_second").set(
-                    metrics.counter("engine.events").value / total_wall
+                    metrics.counter("engine.events").value / wall.value
                 )
 
-    # -- export --------------------------------------------------------------
+    # -- reading ------------------------------------------------------------
+    def snapshot(self) -> dict:
+        """The online metrics plus those of a pass over the request log,
+        as a plain dict; a metric exists once it counted something, as if
+        each request had been counted as it completed."""
+        registry = MetricsRegistry()
+        requests = self._requests()
+        breakdowns = [r.breakdown for r in requests]
+        misses = [b for b in breakdowns if not b.cache_hit]
+        count, errors = len(requests), len([b for b in breakdowns if not b.ok])
+        for name, value in zip(
+            ("device.completed", "device.bytes", "device.media_errors",
+             "drive.commands", "drive.cache_hits", "drive.media_errors"),
+            (count, sum([r.command.bytes for r in requests]), errors,
+             count, count - len(misses), errors),
+        ):
+            if value:
+                registry.counter(name).inc(value)
+        for name, values in (
+            ("device.response_time_s", [r.response_time for r in requests]),
+            ("device.wait_time_s", [r.wait_time for r in requests]),
+            ("device.service_time_s", [r.service_time for r in requests]),
+            ("drive.seek_s", [b.seek for b in misses]),
+            ("drive.rotation_s", [b.rotation for b in misses]),
+            ("drive.transfer_s", [b.transfer for b in misses]),
+        ):
+            if values:
+                registry.histogram(name).observe_all(values)
+        for table in ("counters", "gauges", "histograms"):
+            getattr(registry, table).update(getattr(self.metrics, table))
+        for counter in (self._submitted, self._dispatched, self._extents):
+            if not counter.value:
+                del registry.counters[counter.name]
+        if not self._extents.value:
+            del registry.gauges[self._progress.name]
+        return registry.snapshot()
+
     def chrome_events(self, process_name: str = "sim") -> List[dict]:
         """This recording as Chrome trace-event dicts on process id 0
         (see :mod:`repro.obs.trace`): a thread per request source, in
@@ -218,39 +226,30 @@ class Recorder(TelemetrySink):
 
         tids: Dict[str, int] = {}
         spans = []
-        for (
-            submit, dispatch, complete, opcode, lbn, sectors, priority,
-            source, seek, rotation, transfer, cache_hit, status,
-        ) in self.requests:
+        for request in self._requests():
+            command = request.command
+            breakdown = request.breakdown
+            opcode = command.opcode.value
+            source = request.source
+            dispatch = request.dispatch_time
             tid = tids.setdefault(source, len(tids) + 1)
-            args = {
-                "lbn": lbn,
-                "sectors": sectors,
-                "priority": priority,
-                "source": source,
-            }
-            spans.append((f"wait {opcode}", "queue", submit, dispatch, tid, args))
-            spans.append(
-                (
-                    opcode, "service", dispatch, complete, tid,
-                    {
-                        **args,
-                        "seek_s": seek,
-                        "rotation_s": rotation,
-                        "transfer_s": transfer,
-                        "cache_hit": cache_hit,
-                        "status": status,
-                    },
-                )
-            )
+            args = {"lbn": command.lbn, "sectors": command.sectors,
+                    "priority": request.priority.name, "source": source}
+            served = {**args, "seek_s": breakdown.seek,
+                      "rotation_s": breakdown.rotation,
+                      "transfer_s": breakdown.transfer,
+                      "cache_hit": breakdown.cache_hit,
+                      "status": breakdown.status.name}
+            spans.append((f"wait {opcode}", "queue", request.submit_time, dispatch,
+                          tid, args))
+            spans.append((opcode, "service", dispatch, request.complete_time, tid,
+                          served))
         return encode_events(
             process_name,
             [(tid, source) for source, tid in tids.items()],
             spans,
-            [
-                (name, category, ts, 0, args or {})
-                for ts, category, name, args in self.instants
-            ],
+            [(name, category, ts, 0, args)
+             for ts, category, name, args in self.instants],
             [
                 (f"scrub progress ({source})", ts, {"fraction": round(fraction, 6)})
                 for ts, source, fraction in self.progress_samples
@@ -260,9 +259,6 @@ class Recorder(TelemetrySink):
 
     def export(self) -> dict:
         """Picklable bundle: metric snapshot plus Chrome trace events
-        (process id 0).
-
-        This is what sweep tasks attach to their results so a parallel
-        run can be merged into one fleet summary / one trace file.
-        """
-        return {"metrics": self.metrics.snapshot(), "events": self.chrome_events()}
+        (process id 0), which sweep tasks attach to their results so a
+        parallel run merges into one fleet summary / one trace file."""
+        return {"metrics": self.snapshot(), "events": self.chrome_events()}

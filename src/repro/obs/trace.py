@@ -7,11 +7,11 @@ Both recorders of :mod:`repro.obs` export through
 timestamps, all on process id 0 (:func:`with_pid` re-homes them).
 
 * :meth:`~repro.obs.sink.Recorder.chrome_events` maps the simulator's
-  blktrace-style lifecycle: each completed request becomes two
-  complete ("X") spans on its source's thread (``wait <opcode>`` from
-  queued to dispatched, ``<opcode>`` from dispatched to completed, with
-  the drive's seek/rotation/transfer breakdown in ``args``), scrub pass
-  boundaries and fault steps become process-scoped instant ("i")
+  blktrace-style lifecycle: each request in the device's log becomes
+  two complete ("X") spans on its source's thread (``wait <opcode>``
+  from queued to dispatched, ``<opcode>`` from dispatched to completed,
+  with the drive's seek/rotation/transfer breakdown in ``args``), scrub
+  pass boundaries and fault steps become process-scoped instant ("i")
   events, and scrub progress becomes a counter ("C") track.
 * :meth:`~repro.obs.report.CampaignFold.chrome_events` maps the
   campaign → shard → attempt → phase tree replayed from a monitor's

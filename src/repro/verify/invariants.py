@@ -157,8 +157,10 @@ class InvariantSink(TelemetrySink):
         self._window: Deque[Tuple] = deque(maxlen=_WINDOW)
 
     # -- helpers -------------------------------------------------------------
-    def _note(self, now: float, hook: str, detail: str) -> None:
-        self._window.append((now, hook, detail))
+    def _note(self, now: float, hook: str, template: str, *args: Any) -> None:
+        """Count one hook event and keep it in the window, its detail
+        unformatted: ``template.format(*args)`` runs only in :meth:`_fail`."""
+        self._window.append((now, hook, template, args))
         self.events_seen += 1
         if now < self.last_time - 1e-12:
             self._fail(
@@ -169,9 +171,11 @@ class InvariantSink(TelemetrySink):
         self.last_time = max(self.last_time, now)
 
     def _fail(self, invariant: str, message: str, now: Optional[float]) -> None:
-        raise InvariantViolation(
-            invariant, message, time=now, window=list(self._window)
-        )
+        window = [
+            (when, hook, template.format(*args))
+            for when, hook, template, args in self._window
+        ]
+        raise InvariantViolation(invariant, message, time=now, window=window)
 
     def _check_bounds(self, now: float, command: Any) -> None:
         if self.total_sectors is None:
@@ -249,7 +253,7 @@ class InvariantSink(TelemetrySink):
 
     # -- request lifecycle ---------------------------------------------------
     def request_queued(self, now: float, request: Any) -> None:
-        self._note(now, "request_queued", repr(request))
+        self._note(now, "request_queued", "{!r}", request)
         if self._replay is not None and request.source == "foreground":
             self._check_replayed(now, request)
         self._check_bounds(now, request.command)
@@ -266,7 +270,7 @@ class InvariantSink(TelemetrySink):
             )
 
     def request_dispatched(self, now: float, request: Any) -> None:
-        self._note(now, "request_dispatched", repr(request))
+        self._note(now, "request_dispatched", "{!r}", request)
         seq = request.seq
         if seq not in self._queued:
             origin = "completed" if seq in self._done else (
@@ -289,7 +293,7 @@ class InvariantSink(TelemetrySink):
         self.dispatched_total += 1
 
     def request_completed(self, now: float, request: Any) -> None:
-        self._note(now, "request_completed", repr(request))
+        self._note(now, "request_completed", "{!r}", request)
         seq = request.seq
         if seq not in self._dispatched:
             origin = "completed twice" if seq in self._done else (
@@ -314,7 +318,7 @@ class InvariantSink(TelemetrySink):
 
     # -- scrubbing -----------------------------------------------------------
     def scrub_pass_started(self, now: float, source: str, index: int) -> None:
-        self._note(now, "scrub_pass_started", f"{source} pass {index}")
+        self._note(now, "scrub_pass_started", "{} pass {}", source, index)
         self._pass_extents[source] = []
         self._pass_open[source] = index
 
@@ -322,7 +326,8 @@ class InvariantSink(TelemetrySink):
         self, now: float, source: str, index: int, bytes_scrubbed: int
     ) -> None:
         self._note(
-            now, "scrub_pass_completed", f"{source} pass {index} ({bytes_scrubbed}B)"
+            now, "scrub_pass_completed", "{} pass {} ({}B)", source, index,
+            bytes_scrubbed,
         )
         open_index = self._pass_open.pop(source, None)
         if open_index is not None and open_index != index:
@@ -358,7 +363,7 @@ class InvariantSink(TelemetrySink):
             )
 
     def scrub_progress(self, now: float, source: str, fraction: float) -> None:
-        self._note(now, "scrub_progress", f"{source} {fraction:.4f}")
+        self._note(now, "scrub_progress", "{} {:.4f}", source, fraction)
         if not -1e-9 <= fraction <= 1.0 + 1e-9:
             self._fail(
                 "scrub-coverage",
@@ -368,7 +373,7 @@ class InvariantSink(TelemetrySink):
 
     # -- faults --------------------------------------------------------------
     def fault_event(self, now: float, kind: str, lbn: int, **args: Any) -> None:
-        self._note(now, "fault_event", f"{kind} lbn={lbn} {args}")
+        self._note(now, "fault_event", "{} lbn={} {}", kind, lbn, args)
         if self.total_sectors is not None and not 0 <= lbn < self.total_sectors:
             self._fail(
                 "lbn-bounds",
@@ -395,7 +400,7 @@ class InvariantSink(TelemetrySink):
     def engine_run(
         self, events: int, sim_time: float, wall_seconds: Optional[float]
     ) -> None:
-        self._note(sim_time, "engine_run", f"{events} events")
+        self._note(sim_time, "engine_run", "{} events", events)
         if events < 0:
             self._fail("queue-accounting", f"negative event count {events}", sim_time)
 

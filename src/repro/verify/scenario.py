@@ -140,8 +140,9 @@ def run_scenario(
     of the parameters: device/request accounting, the foreground
     response-time array, scrub counters, the distilled fault lifecycle
     and the engine's final clock and event sequence.  With
-    ``telemetry="recorder"`` the recorder's request event stream and
-    metric snapshot ride along under ``"telemetry"``; with
+    ``telemetry="recorder"`` the recorder's export (its Chrome events,
+    a span pair per logged request, and metric snapshot) rides along
+    under ``"telemetry"``; with
     ``telemetry="invariants"`` the run is validated live (and the
     post-run checks executed) before the outcome is returned.
     """
@@ -238,10 +239,5 @@ def run_scenario(
             ],
         }
     if telemetry == "recorder":
-        outcome["telemetry"] = {
-            "requests": list(sink.requests),
-            "instants": list(sink.instants),
-            "progress": list(sink.progress_samples),
-            "metrics": sink.metrics.snapshot(),
-        }
+        outcome["telemetry"] = sink.export()
     return outcome

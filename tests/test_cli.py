@@ -1,5 +1,8 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
@@ -391,6 +394,43 @@ class TestTraceCounters:
         out = capsys.readouterr().out
         assert "device.log_dropped" in out
         assert "drive.cache_evictions" in out
+
+    def test_max_log_records_bounds_every_per_request_store(self, tmp_path):
+        # 106 requests and as many scrub extents in the second: the ring
+        # keeps 64 of each, so the trace holds a span pair per kept
+        # request and one progress sample per kept extent.
+        out = tmp_path / "trace.json"
+        assert main([
+            "trace", "--cylinders", "30", "--horizon", "1",
+            "--max-log-records", "64", "--out", str(out),
+        ]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert sum(event["ph"] == "X" for event in events) == 128
+        assert sum(event["ph"] == "C" for event in events) == 64
+
+
+class TestDetectWorkers:
+    def test_the_replayed_trace_is_drawn_once_before_the_fork(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A synthetic trace draws its addresses on first read; every
+        # forked worker would draw them again unless the parent did.
+        from repro.traces.synth import SyntheticTraceGenerator
+
+        log = tmp_path / "pids"
+        addresses = SyntheticTraceGenerator._addresses
+
+        def spy(self, sectors):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return addresses(self, sectors)
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "_addresses", spy)
+        assert main([
+            "detect", "--synthetic", "MSRsrc11", "--duration", "60",
+            "--horizon", "0.3", "--cylinders", "30", "--workers", "2",
+        ]) == 0
+        assert log.read_text().split() == [str(os.getpid())]
 
 
 _FLEET = TestFleetMonitor._BASE

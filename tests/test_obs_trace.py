@@ -2,7 +2,9 @@
 
 The simulation recorder and the campaign span recorder each used to
 carry their own encoder.  Both are kept below, verbatim, as the golden
-oracle: ``_reference_recorder_events`` (the recorder's flattening) and
+oracle: ``_reference_recorder_events`` (the recorder's flattening, fed
+the 13-field request table the recorder kept before it read the
+device's log, rebuilt from that log by ``_as_table``) and
 ``_reference_span_events`` (the span recorder's, now fed the spans the
 campaign fold replays from an event log).  Each export through the one
 encoder must hold the same events as its oracle, compared as a
@@ -223,6 +225,25 @@ def _reference_span_events(self, process_name: str = "campaign") -> List[dict]:
     return events
 
 
+def _as_table(recorder):
+    """What the oracle reads: the request table as the recorder once
+    copied it, a tuple per completed request, rebuilt from the log the
+    recorder reads now; its instants and progress samples as they are."""
+    requests = [
+        (
+            r.submit_time, r.dispatch_time, r.complete_time,
+            r.command.opcode.value, r.command.lbn, r.command.sectors,
+            r.priority.name, r.source, r.breakdown.seek, r.breakdown.rotation,
+            r.breakdown.transfer, r.breakdown.cache_hit, r.breakdown.status.name,
+        )
+        for r in (recorder.log.requests() if recorder.log is not None else [])
+    ]
+    return SimpleNamespace(
+        requests=requests, instants=recorder.instants,
+        progress_samples=recorder.progress_samples,
+    )
+
+
 def _lines(events):
     """``events`` as a sorted multiset of canonical JSON lines."""
     return sorted(json.dumps(event, sort_keys=True) for event in events)
@@ -264,7 +285,9 @@ class TestTheRecorderEncodesAsBefore:
         assert recorder.progress_samples
         events = recorder.chrome_events(process_name="ultrastar:waiting")
         assert _lines(events) == _lines(
-            _reference_recorder_events(recorder, process_name="ultrastar:waiting")
+            _reference_recorder_events(
+                _as_table(recorder), process_name="ultrastar:waiting"
+            )
         )
         assert {e["s"] for e in events if e["ph"] == "i"} == {"p"}
 
@@ -272,14 +295,16 @@ class TestTheRecorderEncodesAsBefore:
         recorder = _recorded()
         bundle = recorder.export()
         assert _lines(bundle["events"]) == _lines(
-            _reference_recorder_events(recorder)
+            _reference_recorder_events(_as_table(recorder))
         )
         snapshot = json.dumps(bundle["metrics"], sort_keys=True).encode()
         assert hashlib.sha256(snapshot).hexdigest() == _RECORDED_METRICS
 
     def test_an_empty_recording(self):
         recorder = Recorder()
-        assert recorder.chrome_events() == _reference_recorder_events(recorder)
+        assert recorder.chrome_events() == _reference_recorder_events(
+            _as_table(recorder)
+        )
 
 
 def _as_recorder(fold):

@@ -424,7 +424,7 @@ def _signature(sim, device, recorder, base_seq):
     events the kernel pushed to get there rides along as ``"events"``,
     which ``_both`` compares on its own."""
     events = recorder.metrics.counter("engine.events").value
-    snapshot = recorder.metrics.snapshot()
+    snapshot = recorder.snapshot()
     for table in snapshot.values():
         for name in [n for n in table if n.startswith("engine.events")]:
             del table[name]
@@ -545,6 +545,7 @@ class TestTheDispatcherPushesTheGeneratorsEvents:
             recorder = Recorder()
             sim = Simulation(telemetry=recorder)
             device = cls(sim, Drive(ORACLE_SPEC), DeadlineScheduler())
+            recorder.attach_log(device.log)
             calls = _select_spy(device.scheduler)
             replay = TraceReplayer(sim, device, ORACLE_TRACE).start()
             scrub = ScrubberSetup("staggered", regions=4).build(sim, device).start()

@@ -54,6 +54,8 @@ def run_traced_scrub(telemetry=None, horizon=0.5, max_log_records=None):
         NoopScheduler(),
         max_log_records=max_log_records,
     )
+    if telemetry is not None:
+        telemetry.attach_log(device.log)
     scrubber = Scrubber(sim, device, SequentialScrub(), request_bytes=64 * 1024)
     scrubber.start()
     for i in range(20):
@@ -178,28 +180,33 @@ class TestSinks:
         sink.scrub_progress(0.0, "scrubber", 0.5)
         sink.fault_event(0.0, "remap", 7)
         sink.engine_run(10, 1.0, 0.1)
+        sink.attach_log(None)
         # A pure protocol: no switch to test, no registry to carry.
         assert vars(sink) == {}
 
     def test_recorder_captures_lifecycle(self):
         recorder = Recorder()
         device, _ = run_traced_scrub(telemetry=recorder)
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = recorder.snapshot()["counters"]
         assert counters["device.completed"] == len(device.log)
-        assert counters["device.completed"] == len(recorder.requests)
+        assert counters["drive.commands"] == len(device.log)
         assert counters["scrub.passes_started"] >= 1
         assert counters["engine.runs"] == 1
-        sources = {r[7] for r in recorder.requests}
+        sources = {
+            e["args"]["source"]
+            for e in recorder.chrome_events()
+            if e.get("cat") == "service"
+        }
         assert {"foreground", "scrubber"} <= sources
 
     def test_recorder_wall_time_opt_in(self):
         recorder = Recorder()  # default: deterministic, no wall clock
         run_traced_scrub(telemetry=recorder)
-        gauges = recorder.metrics.snapshot()["gauges"]
+        gauges = recorder.snapshot()["gauges"]
         assert "engine.wall_seconds" not in gauges
         timed = Recorder(wall_time=True)
         run_traced_scrub(telemetry=timed)
-        assert timed.metrics.snapshot()["gauges"]["engine.wall_seconds"] > 0
+        assert timed.snapshot()["gauges"]["engine.wall_seconds"] > 0
 
 
 # -- determinism --------------------------------------------------------------

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.disk.commands import DiskCommand
 from repro.faults.log import ErrorLog
+from repro.sched.request import IORequest, PriorityClass
 from repro.verify import (
     InvariantSink,
     InvariantViolation,
@@ -180,6 +182,72 @@ class TestViolationReport:
         assert "clock-monotonicity" in text
         assert "request_queued" in text
         assert str(violation) == text
+
+    def test_a_planted_violation_reports_the_recorded_text(self):
+        # The window keeps each hook's arguments and formats them only
+        # when a check fails; the report is the text the sink wrote when
+        # it formatted every event as it arrived.
+        assert _planted_violation().report() == _PLANTED_REPORT
+
+
+#: ``_planted_violation().report()`` as the eagerly formatting sink wrote it.
+_PLANTED_REPORT = "\n".join([
+    "invariant 'clock-monotonicity' violated at t=0.035000: scrub_progress reported t=0.035 after t=0.04",
+    '  last 21 events leading up to the violation:',
+    '    t=0.000000     engine_run           0 events',
+    '    t=0.000000     scrub_pass_started   scrubber pass 0',
+    '    t=0.000000     request_queued       <IORequest verify lbn=0 x2048 IDLE src=scrubber>',
+    '    t=0.001000     request_dispatched   <IORequest verify lbn=0 x2048 IDLE src=scrubber>',
+    '    t=0.002500     request_completed    <IORequest verify lbn=0 x2048 IDLE src=scrubber>',
+    '    t=0.002500     scrub_progress       scrubber 0.2500',
+    '    t=0.010000     request_queued       <IORequest read lbn=100 x8 BE barrier src=foreground>',
+    '    t=0.011000     request_dispatched   <IORequest read lbn=100 x8 BE barrier src=foreground>',
+    '    t=0.012500     request_completed    <IORequest read lbn=100 x8 BE barrier src=foreground>',
+    '    t=0.020000     request_queued       <IORequest write lbn=300 x16 RT src=foreground>',
+    '    t=0.021000     request_dispatched   <IORequest write lbn=300 x16 RT src=foreground>',
+    '    t=0.022500     request_completed    <IORequest write lbn=300 x16 RT src=foreground>',
+    '    t=0.030000     request_queued       <IORequest verify lbn=2048 x2048 IDLE src=scrubber>',
+    '    t=0.031000     request_dispatched   <IORequest verify lbn=2048 x2048 IDLE src=scrubber>',
+    '    t=0.032500     request_completed    <IORequest verify lbn=2048 x2048 IDLE src=scrubber>',
+    '    t=0.032500     scrub_progress       scrubber 1.0000',
+    "    t=0.040000     fault_event          scrub_detection lbn=77 {'source': 'scrubber', 'sectors': 1}",
+    '    t=0.040000     fault_event          remap lbn=77 {}',
+    '    t=0.040000     scrub_pass_completed scrubber pass 0 (2097152B)',
+    '    t=0.040000     engine_run           40 events',
+    '    t=0.035000     scrub_progress       scrubber 0.2500',
+])
+
+
+def _planted_violation():
+    """Real requests, a scrub pass, two fault events and two engine runs
+    through the sink, then a progress sample from the past."""
+    sink = InvariantSink(total_sectors=4096)
+    sink.engine_run(0, 0.0, None)
+    sink.scrub_pass_started(0.0, "scrubber", 0)
+    requests = [
+        IORequest(DiskCommand.verify(0, 2048), PriorityClass.IDLE, "scrubber"),
+        IORequest(DiskCommand.read(100, 8), source="foreground", soft_barrier=True),
+        IORequest(DiskCommand.write(300, 16), PriorityClass.RT, "foreground"),
+        IORequest(DiskCommand.verify(2048, 2048), PriorityClass.IDLE, "scrubber"),
+    ]
+    now = 0.0
+    for seq, request in enumerate(requests):
+        request.seq = seq
+        request.submit_time = now
+        sink.request_queued(now, request)
+        sink.request_dispatched(now + 0.001, request)
+        request.complete_time = now + 0.0025
+        sink.request_completed(now + 0.0025, request)
+        if request.source == "scrubber":
+            sink.scrub_progress(now + 0.0025, "scrubber", (seq + 1) / 4)
+        now += 0.01
+    sink.fault_event(now, "scrub_detection", 77, source="scrubber", sectors=1)
+    sink.fault_event(now, "remap", 77)
+    sink.scrub_pass_completed(now, "scrubber", 0, 4096 * 512)
+    sink.engine_run(40, now, None)
+    with pytest.raises(InvariantViolation) as exc:
+        sink.scrub_progress(now - 0.005, "scrubber", 0.25)
+    return exc.value
 
 
 class TestErrorLogChecks:

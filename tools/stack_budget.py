@@ -12,6 +12,9 @@ and the number of objects the cycle collector tracks:
 * ``replay`` -- ``replay_with_scrubber`` of the Fig. 7
   ``cfq-staggered-128`` configuration on the benchmark's 40 s MSRsrc11
   window (seed 7);
+* ``replay+recorder`` -- the same stack with a ``Recorder`` attached,
+  whose metrics snapshot and Chrome events are then read: what
+  per-request telemetry costs, recording and reading together;
 * ``throughput`` -- ``standalone_scrub_throughput`` of a 128-region
   staggered scrubber alone on the drive for 2 s, the second assembly
   site (a point of Figs. 4, 5a, 5b);
@@ -25,22 +28,26 @@ Nothing in the probe calls ``gc.collect()``: between runs a driver
 allocates almost nothing with the collector on, so what reference
 counting does not free stays (DESIGN sections 6.1 and 18).
 
-The ``replay`` and ``waiting`` rows then make one more call under
-``sys.setprofile`` and print, per request (foreground completed plus
-scrub issued, as the benchmark counts them), the Python-level calls
-(``"call"`` events: function frames and generator resumptions) and the
-events the kernel pops off its heap (``"c_call"`` events of
-``heapq.heappop``).  Both repeat exactly for a seed on one interpreter
-version.  On CPython 3.11 ``replay`` reads 31.53 calls (323 830 over
-10 272 requests, DESIGN section 6.3; limit 31.61): a frame the
-per-request path pays for nothing, such as a scan of every CFQ BE queue
-per ``select``, shows as a whole call or more.  ``waiting`` reads 34.35
-(limit 34.43, the same slack): a Waiting scrubber woken by every
-foreground submit and completion again (DESIGN section 18) reads 65.92.
-The events read 3.14 (``replay``, limit 3.16) and 3.51 (``waiting``,
-limit 3.53).  A push with no callback costs no Python frame, so only
-the event count sees a replayed request's completion pushed again:
-3.24 and 4.51.
+The ``replay``, ``replay+recorder`` and ``waiting`` rows then make one
+more call under ``sys.setprofile`` and print, per request (foreground
+completed plus scrub issued, as the benchmark counts them), the
+Python-level calls (``"call"`` events: function frames and generator
+resumptions) and the events the kernel pops off its heap (``"c_call"``
+events of ``heapq.heappop``).  Both repeat exactly for a seed on one
+interpreter version.  On CPython 3.11 ``replay`` reads 31.53 calls
+(323 830 over 10 272 requests, DESIGN section 6.3; limit 31.61): a
+frame the per-request path pays for nothing, such as a scan of every
+CFQ BE queue per ``select``, shows as a whole call or more.
+``waiting`` reads 34.35 (limit 34.43, the same slack): a Waiting
+scrubber woken by every foreground submit and completion again (DESIGN
+section 18) reads 65.92.  ``replay+recorder`` reads 49.14 (limit
+49.22): 17.6 calls a request pay for the recorder's hooks and for the
+pass over the request log that its snapshot and Chrome export make; a
+recorder that copied each request into a table of its own as it
+completed read 76.75.  The events read 3.14 (``replay`` and
+``replay+recorder``, limit 3.16) and 3.51 (``waiting``, limit 3.53).
+A push with no callback costs no Python frame, so only the event count
+sees a replayed request's completion pushed again: 3.24 and 4.51.
 
 Exit status 1 when call 12 stands more than 2 MB or 1000 tracked
 objects above call 2 (call 1 pays for imports and first-use caches), or
@@ -63,9 +70,9 @@ CALLS = 12
 GROWTH_MB = 2.0
 GROWTH_OBJECTS = 1000
 #: Limits on Python-level calls per request, by row.
-CALLS_PER_REQUEST = {"replay": 31.61, "waiting": 34.43}
+CALLS_PER_REQUEST = {"replay": 31.61, "replay+recorder": 49.22, "waiting": 34.43}
 #: Limits on kernel events popped per request, by row.
-EVENTS_PER_REQUEST = {"replay": 3.16, "waiting": 3.53}
+EVENTS_PER_REQUEST = {"replay": 3.16, "replay+recorder": 3.16, "waiting": 3.53}
 
 _PROBE = """
 import gc, json, resource, sys, time
@@ -80,7 +87,7 @@ from repro.traces import generate_trace
 
 row, calls, per_request = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
 spec = PRESETS["ultrastar"]()
-if row == "replay":
+if row.startswith("replay"):
     # bench/wl_replay.py's window: the 40 s stretch of a 6 h MSRsrc11
     # trace whose request count is nearest 25 a second.
     trace = generate_trace("MSRsrc11", duration=6 * 3600.0, seed=7)
@@ -88,8 +95,27 @@ if row == "replay":
     start = float(trace.times[0]) + nearest * 40.0
     trace = trace.window(start, start + 40.0)
     setup = ScrubberSetup(algorithm="staggered", regions=128)
+if row == "replay":
     def call():
         return replay_with_scrubber(trace, spec, scrubber=setup, horizon=40.0)
+elif row == "replay+recorder":
+    # replay_with_scrubber's stack with a Recorder, read once it ran.
+    from types import SimpleNamespace
+    from repro.analysis.stack import ScrubStack
+    from repro.obs.sink import Recorder
+    def call():
+        recorder = Recorder()
+        stack = ScrubStack(
+            spec, setup, idle_gate=0.010, cache_enabled=False, telemetry=recorder
+        )
+        stack.replay(trace)
+        stack.run(40.0)
+        recorder.snapshot()
+        recorder.chrome_events()
+        return SimpleNamespace(
+            fg_requests=stack.device.log.count("foreground"),
+            scrub_requests=stack.scrubber.requests_issued,
+        )
 elif row == "waiting":
     # bench/wl_replay.py's replay_dense stretch and Waiting setup.
     trace = generate_trace("TPCdisk66", duration=600.0, seed=7)
@@ -144,7 +170,7 @@ print(json.dumps({
 }))
 """
 
-ROWS = ("replay", "throughput", "detect", "waiting")
+ROWS = ("replay", "replay+recorder", "throughput", "detect", "waiting")
 
 
 def measure(row: str) -> dict:
