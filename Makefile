@@ -75,14 +75,15 @@ trace-budget:
 
 # What a finished full-stack run leaves behind (DESIGN sections 6.1 and
 # 18): twelve serial runs in one fresh interpreter of the Fig. 7
-# cfq-staggered-128 replay (bare, and recorded by a Recorder that is
-# then read), of a scrubber-alone throughput measurement, of a
+# cfq-staggered-128 replay (bare, recorded by a Recorder that is then
+# read, and checked by an InvariantSink that is then finished), of a
+# scrubber-alone throughput measurement, of a
 # fault-injected detect run with remediation and of the Waiting
 # (100 ms) replay of the dense TPCdisk66 stretch, no gc.collect()
 # anywhere; prints max RSS and tracked objects after every call; exit 1
 # when call 12 stands more than 2 MB or 1000 tracked objects above
 # call 2, or when the Python-level calls or kernel events per request
-# (one more call under sys.setprofile) of either replay row or the
+# (one more call under sys.setprofile) of a replay row or the
 # Waiting row exceed that row's limit in the tool's CALLS_PER_REQUEST
 # or EVENTS_PER_REQUEST.  Seconds are never judged.
 stack-budget:
@@ -151,8 +152,8 @@ smoke:
 
 # Correctness-harness fuzz: 200 seeded configurations through the
 # runtime invariant checker and every differential-oracle axis, plus
-# the planted-bug self-test.  Fixed seed, so a CI failure reproduces
-# locally with the printed snippet alone.
+# the planted-bug self-test (~10 s; part of check).  Fixed seed, so a
+# CI failure reproduces locally with the printed snippet alone.
 verify-fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro verify --self-test --seed 0 --configs 200
 
@@ -197,4 +198,4 @@ bench-service:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks --override-ini testpaths=benchmarks
 
-check: tier1 import-budget surface doc-budget search-golden examples trace-budget stack-budget hook-budget obs-dev smoke
+check: tier1 import-budget surface doc-budget search-golden examples trace-budget stack-budget hook-budget obs-dev smoke verify-fuzz

@@ -156,8 +156,6 @@ class ScrubStack:
             NoopScheduler() if waiting else CFQScheduler(idle_gate=idle_gate),
             max_log_records=max_log_records,
         )
-        if telemetry is not None:
-            telemetry.attach_log(self.device.log)
         self.scrubber = (
             setup.build(self.sim, self.device, remediation)
             if setup is not None

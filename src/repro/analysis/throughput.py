@@ -41,8 +41,6 @@ def standalone_scrub_throughput(
         raise ValueError(f"horizon must be positive: {horizon}")
     sim = Simulation(telemetry=telemetry)
     device = BlockDevice(sim, Drive(spec, cache_enabled=False), NoopScheduler())
-    if telemetry is not None:
-        telemetry.attach_log(device.log)
     scrubber = Scrubber(sim, device, algorithm, request_bytes=request_bytes, delay=delay)
     process = scrubber.start()
     sim.run(until=horizon)

@@ -117,10 +117,6 @@ class Drive:
         self.head_cylinder = 0
         self._last_issue_time = float("-inf")
         self.commands_serviced = 0
-        #: Optional telemetry sink; meters every serviced command.  A
-        #: :class:`~repro.sched.device.BlockDevice` installs its
-        #: simulation's sink here.
-        self.telemetry = None
 
     # -- properties ----------------------------------------------------------
     @property
@@ -166,15 +162,12 @@ class Drive:
         self._last_issue_time = now
         self.commands_serviced += 1
 
-        breakdown = None
         cache_path = self.cache_enabled and self._uses_cache_path(command)
         if cache_path:
             breakdown = self._try_cache(command, now)
-        if breakdown is None:
-            breakdown = self._media_access(command, now, cache_path)
-        if self.telemetry is not None:
-            self.telemetry.drive_serviced(command, breakdown)
-        return breakdown
+            if breakdown is not None:
+                return breakdown
+        return self._media_access(command, now, cache_path)
 
     # -- internals -------------------------------------------------------------
     def _uses_cache_path(self, command: DiskCommand) -> bool:

@@ -8,11 +8,14 @@ to say "no sink", so recording off costs one ``is not None`` test on
 cold paths and nothing at all in the kernel's hot loop.
 
 * :class:`TelemetrySink` — the protocol; every hook is a no-op, so a
-  sink overrides only the hooks it cares about
-  (:class:`~repro.verify.invariants.InvariantSink` validates them).
+  sink overrides only the hooks it cares about.  The device hands
+  every sink its :class:`~repro.sched.device.RequestLog`
+  (:meth:`TelemetrySink.attach_log`), so no sink keeps a per-request
+  copy of what the log holds.
 * :class:`Recorder` — keeps counters, instants and engine statistics
-  online and reads every per-request figure off the device's
-  :class:`~repro.sched.device.RequestLog` when it is read.
+  online and reads every per-request figure off the log when it is
+  read.  (:class:`~repro.verify.invariants.InvariantSink` validates
+  the same hooks and reads the same log.)
 
 Determinism contract: a sink only *observes*.  It must never touch a
 random stream, schedule an event, or mutate simulation state — with
@@ -40,8 +43,9 @@ class TelemetrySink:
     # -- request lifecycle (blktrace Q/D/C) --------------------------------
     def attach_log(self, log: Any) -> None:
         """The device's :class:`~repro.sched.device.RequestLog`, handed
-        over once at assembly, for a sink that reads the completed
-        requests later instead of hearing each complete."""
+        over once by :class:`~repro.sched.device.BlockDevice` when it is
+        built, for a sink that reads the completed requests off it
+        instead of keeping its own copy."""
 
     def request_queued(self, now: float, request: Any) -> None:
         """A request entered the scheduler queue."""
@@ -52,10 +56,6 @@ class TelemetrySink:
     def request_completed(self, now: float, request: Any) -> None:
         """A request completed; ``request`` carries its timestamps and
         the drive's :class:`~repro.disk.drive.ServiceBreakdown`."""
-
-    # -- drive ---------------------------------------------------------------
-    def drive_serviced(self, command: Any, breakdown: Any) -> None:
-        """The drive serviced one command (seek/rotation/transfer split)."""
 
     # -- scrubbing ------------------------------------------------------------
     def scrub_pass_started(self, now: float, source: str, index: int) -> None:
@@ -121,6 +121,8 @@ class Recorder(TelemetrySink):
 
     # -- request lifecycle ---------------------------------------------------
     def attach_log(self, log: Any) -> None:
+        if self.log is not None and self.log is not log:
+            raise ValueError("a Recorder reads the request log of one device")
         self.log = log
         if log.max_records is not None:
             self.progress_samples = deque(

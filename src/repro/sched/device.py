@@ -15,8 +15,9 @@ When the owning simulation carries a telemetry sink
 (``sim.telemetry``), the device reports the blktrace-style lifecycle of
 every request to it — queued at :meth:`BlockDevice.post`, dispatched
 when the dispatcher hands it to the drive, completed with the drive's
-service breakdown — and installs the sink on the drive so per-command
-mechanics are metered too.
+service breakdown — and hands the sink its :class:`RequestLog` once,
+when it is built, for whatever the sink reads off the completed
+requests later.
 """
 
 from __future__ import annotations
@@ -120,10 +121,11 @@ class BlockDevice:
         self.scheduler = scheduler
         self.log = RequestLog(max_records=max_log_records)
         #: Telemetry sink from the simulation, or ``None``; the single
-        #: ``is not None`` guard keeps recording off free.
+        #: ``is not None`` guard keeps recording off free.  The device
+        #: owns the log, so it is the one place the sink is handed it.
         self.telemetry = sim.telemetry
-        if self.telemetry is not None and drive.telemetry is None:
-            drive.telemetry = self.telemetry
+        if self.telemetry is not None:
+            self.telemetry.attach_log(self.log)
         #: Callables ``(kind, request, now)`` invoked on "submit" and
         #: "complete" — used by self-scheduling components (e.g. the
         #: Waiting scrubber) to watch foreground activity.

@@ -162,9 +162,11 @@ class Simulation:
         What is left at a horizon is not: the heap holds events whose
         callbacks are bound methods of live processes, a live process
         holds its generator frame and the bound ``_resume`` it hands to
-        every event it waits on, and the simulation refers to itself
-        through :attr:`timeout` and the pooled ``until`` marker.
-        ``close()`` clears the heap, unhooks those self-references and
+        every event it waits on, the simulation refers to itself
+        through :attr:`timeout` and the pooled ``until`` marker, and a
+        sink that keeps requests (a pending one's completion event
+        points back here) is reached through :attr:`telemetry`.
+        ``close()`` clears the heap, unhooks those references and
         abandons each of ``processes`` (generator closed at its wait
         point, ``finally`` blocks run).  The kernel keeps no registry
         of the processes it started — that would be a store per spawn
@@ -172,13 +174,15 @@ class Simulation:
         passes the handles it owns.
 
         Afterwards :attr:`now` and the sequence counter stay readable;
-        :meth:`run` and :attr:`timeout` raise ``RuntimeError``.
+        :meth:`run` and :attr:`timeout` raise ``RuntimeError``, and
+        :attr:`telemetry` is ``None``.
         """
         for process in processes:
             process._close()
         self._queue.clear()
         self._marker = None
         self.timeout = _closed
+        self.telemetry = None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

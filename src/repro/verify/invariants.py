@@ -1,49 +1,42 @@
-"""Runtime invariant checking: conservation laws validated live.
+"""Runtime invariant checking: conservation laws validated online and
+over the device's request log.
 
 :class:`InvariantSink` is a :class:`~repro.obs.sink.TelemetrySink`
-that *validates* instead of recording: attached to a simulation it
-watches the same blktrace-style hook stream the
-:class:`~repro.obs.sink.Recorder` consumes and raises a
-structured :class:`InvariantViolation` the moment an event breaks one
-of the stack's conservation laws:
+that *validates* instead of recording.  It hears the blktrace-style
+hooks the :class:`~repro.obs.sink.Recorder` hears, is handed the
+device's :class:`~repro.sched.device.RequestLog` when the device is
+built (it refuses a capped one: a checked run keeps its whole log), and
+raises a structured :class:`InvariantViolation` when the run breaks a
+law.  It keeps no per-request history: what only the moment shows is
+checked online, the rest is read off the log, a pass's own slice when
+the pass ends and the whole log in :meth:`InvariantSink.finish`:
 
-* **clock monotonicity** — no hook may report a time earlier than the
-  previous hook (the engine pops events in time order, so a backwards
-  timestamp means a component cached a stale ``now``);
-* **request lifecycle** — every request is queued, dispatched and
-  completed *exactly once*, in that order, tracked by its submission
-  sequence number;
-* **queue accounting** (Little's-law bookkeeping) — at all times
-  ``queued >= dispatched >= completed`` and at most one request is on
-  the (single-server) drive; at the end of a run everything dispatched
-  must have completed;
-* **LBN bounds** — no command may touch sectors outside
-  ``[0, total_sectors)``;
-* **scrub-pass coverage** — when a scrub pass completes, the union of
-  the ``VERIFY`` extents issued during that pass must cover the whole
-  disk, for sequential and staggered orders alike;
-* **fault lifecycle** — detection implies a prior onset, no sector is
-  reallocated twice, the spare pool never over-drains, and a
-  ``verify_after_remap`` implies a prior remap;
-* **replay schedule** — once told the replayed trace
-  (:meth:`InvariantSink.expect_replay`), foreground request *i* is
-  trace record *i* (LBN wrapped, sectors clipped, read or write)
-  submitted at exactly the time the replay cursor promises, and no
-  record due before the run ended goes unsubmitted.
+* **clock monotonicity** (online) — no hook reports a time earlier
+  than the previous hook (a component cached a stale ``now``);
+* **request lifecycle** — online, a request is queued once, dispatched
+  only from the queue and completed only off the drive; at ``finish``,
+  each logged request appears once, ``submit <= dispatch <= complete``,
+  and none is still queued;
+* **queue accounting** — online, at most one request is on the
+  single-server drive; at ``finish``, ``queued == completed + waiting
+  + in-flight`` and the log holds exactly the completions heard;
+* **LBN bounds** (online) — no request is queued outside
+  ``[0, total_sectors)``: the drive refuses one before a log holds it;
+* **scrub-pass coverage** (pass end) — the ``VERIFY`` extents a source
+  completed since its pass started cover the whole disk; online, every
+  progress fraction lies in ``[0, 1]``;
+* **fault lifecycle** (``finish``) — the run's error log, by
+  :func:`check_media_faults`;
+* **replay schedule** — under :meth:`InvariantSink.expect_replay`,
+  foreground request *i* is trace record *i*, submitted when the replay
+  cursor promises (online: a request waiting at the horizon is never
+  logged); at ``finish``, no record due before the run ended is
+  unsubmitted.
 
 Violations carry the offending event plus a window of the events that
-led up to it, so a failure inside a million-event run pinpoints its
-context without a debugger.  The sink only observes — attaching it
-never changes what a simulation does — and when it is *not* attached
-the engine runs the untouched fast loop, so the checker costs nothing
-unless asked for.  Attached, it hears the kernel once per
-``Simulation.run`` call, never per event
-(``tests/test_sim_one_loop.py``); what it costs on a stack whose hooks
-fire per request is not budgeted.
-
-Post-run checks that need whole-run state (:func:`check_error_log`,
-:func:`check_media_faults`) live here too; :meth:`InvariantSink.finish`
-runs them when given the run's fault state.
+led up to it.  The sink only observes, and unattached it costs nothing;
+attached, it hears the kernel once per ``Simulation.run`` call
+(``tests/test_sim_one_loop.py``).
 """
 
 from __future__ import annotations
@@ -107,23 +100,23 @@ class InvariantViolation(AssertionError):
         return "\n".join(lines)
 
 
-def _merge_extents(extents: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Merge ``(lbn, sectors)`` extents into sorted disjoint intervals."""
-    if not extents:
-        return []
-    intervals = sorted((lbn, lbn + sectors) for lbn, sectors in extents)
-    merged = [intervals[0]]
-    for start, end in intervals[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged
+def _gaps(extents: List[Tuple[int, int]], total: int) -> List[Tuple[int, int]]:
+    """The ``(start, end)`` stretches of ``[0, total)`` that no
+    ``(lbn, sectors)`` extent covers, in order."""
+    gaps = []
+    cursor = 0
+    for lbn, sectors in sorted(extents):
+        if lbn > cursor:
+            gaps.append((cursor, lbn))
+        cursor = max(cursor, lbn + sectors)
+    if cursor < total:
+        gaps.append((cursor, total))
+    return gaps
 
 
 class InvariantSink(TelemetrySink):
-    """Validating telemetry sink: conservation laws checked per event.
+    """Validating telemetry sink: conservation laws checked online and
+    over the device's request log.
 
     Parameters
     ----------
@@ -142,18 +135,17 @@ class InvariantSink(TelemetrySink):
         self._replayed_at = 0.0
         self.last_time = float("-inf")
         self.events_seen = 0
-        #: Lifecycle state by request sequence number.
+        #: The device's :class:`~repro.sched.device.RequestLog`.
+        self.log = None
+        #: Sequence numbers waiting in the scheduler queue, and that of
+        #: the one request on the drive.
         self._queued: Set[int] = set()
-        self._dispatched: Set[int] = set()
-        self._done: Set[int] = set()
+        self._on_drive: Optional[int] = None
         self.queued_total = 0
-        self.dispatched_total = 0
         self.completed_total = 0
-        #: VERIFY extents per scrub source since its last pass start.
-        self._pass_extents: Dict[str, List[Tuple[int, int]]] = {}
-        self._pass_open: Dict[str, int] = {}
-        #: Fault lifecycle bookkeeping from ``fault_event`` hooks.
-        self._remapped_lbns: Set[int] = set()
+        self.fault_events = 0
+        #: ``(pass index, log length at its start)`` by scrub source.
+        self._pass_open: Dict[str, Tuple[int, int]] = {}
         self._window: Deque[Tuple] = deque(maxlen=_WINDOW)
 
     # -- helpers -------------------------------------------------------------
@@ -177,18 +169,17 @@ class InvariantSink(TelemetrySink):
         ]
         raise InvariantViolation(invariant, message, time=now, window=window)
 
-    def _check_bounds(self, now: float, command: Any) -> None:
-        if self.total_sectors is None:
-            return
-        lbn = command.lbn
-        sectors = command.sectors
-        if lbn < 0 or sectors <= 0 or lbn + sectors > self.total_sectors:
-            self._fail(
-                "lbn-bounds",
-                f"{command.opcode.value} [{lbn}, {lbn + sectors}) outside "
-                f"disk of {self.total_sectors} sectors",
-                now,
-            )
+    def _records(self) -> list:
+        """The attached log's requests, oldest first: the log's own list,
+        so a caller slices what it reads and copies nothing else."""
+        if self.log is None:
+            if self.completed_total:
+                raise RuntimeError(
+                    f"this InvariantSink heard {self.completed_total} "
+                    "completions but was given no request log (attach_log)"
+                )
+            return []
+        return self.log._records
 
     # -- replay schedule -----------------------------------------------------
     def expect_replay(self, trace: Any, time_scale: float, start: float) -> None:
@@ -252,75 +243,75 @@ class InvariantSink(TelemetrySink):
         self._replayed_at = expected[0]
 
     # -- request lifecycle ---------------------------------------------------
+    def attach_log(self, log: Any) -> None:
+        if self.log is not None and self.log is not log:
+            raise ValueError("an InvariantSink checks one device's request log")
+        if log.max_records is not None:
+            raise ValueError(
+                "a checked run keeps its whole request log: the log is "
+                f"capped at max_records={log.max_records}"
+            )
+        self.log = log
+
     def request_queued(self, now: float, request: Any) -> None:
         self._note(now, "request_queued", "{!r}", request)
         if self._replay is not None and request.source == "foreground":
             self._check_replayed(now, request)
-        self._check_bounds(now, request.command)
+        command = request.command
+        if self.total_sectors is not None:
+            lbn = command.lbn
+            sectors = command.sectors
+            if lbn < 0 or sectors <= 0 or lbn + sectors > self.total_sectors:
+                self._fail(
+                    "lbn-bounds",
+                    f"{command.opcode.value} [{lbn}, {lbn + sectors}) outside "
+                    f"disk of {self.total_sectors} sectors",
+                    now,
+                )
         seq = request.seq
-        if seq in self._queued or seq in self._dispatched or seq in self._done:
+        if seq in self._queued or seq == self._on_drive:
             self._fail(
                 "request-lifecycle", f"request #{seq} queued twice: {request!r}", now
             )
         self._queued.add(seq)
         self.queued_total += 1
-        if request.command.opcode.value == "verify" and request.source:
-            self._pass_extents.setdefault(request.source, []).append(
-                (request.command.lbn, request.command.sectors)
-            )
 
     def request_dispatched(self, now: float, request: Any) -> None:
         self._note(now, "request_dispatched", "{!r}", request)
         seq = request.seq
         if seq not in self._queued:
-            origin = "completed" if seq in self._done else (
-                "already dispatched" if seq in self._dispatched else "never queued"
-            )
             self._fail(
                 "request-lifecycle",
-                f"request #{seq} dispatched but {origin}: {request!r}",
+                f"request #{seq} dispatched but not queued: {request!r}",
                 now,
             )
-        if len(self._dispatched) >= 1:
+        if self._on_drive is not None:
             self._fail(
                 "queue-accounting",
                 f"second request on the single-server drive: {request!r} "
-                f"joins #{sorted(self._dispatched)}",
+                f"joins #[{self._on_drive}]",
                 now,
             )
         self._queued.discard(seq)
-        self._dispatched.add(seq)
-        self.dispatched_total += 1
+        self._on_drive = seq
 
     def request_completed(self, now: float, request: Any) -> None:
         self._note(now, "request_completed", "{!r}", request)
         seq = request.seq
-        if seq not in self._dispatched:
-            origin = "completed twice" if seq in self._done else (
-                "still queued" if seq in self._queued else "never dispatched"
-            )
+        if seq != self._on_drive:
+            origin = "still queued" if seq in self._queued else "not on the drive"
             self._fail(
                 "request-lifecycle",
                 f"request #{seq} completed but {origin}: {request!r}",
                 now,
             )
-        self._dispatched.discard(seq)
-        self._done.add(seq)
+        self._on_drive = None
         self.completed_total += 1
-        if request.complete_time is not None and request.submit_time is not None:
-            if request.complete_time < request.submit_time:
-                self._fail(
-                    "request-lifecycle",
-                    f"request #{seq} completed before submission "
-                    f"({request.complete_time} < {request.submit_time})",
-                    now,
-                )
 
     # -- scrubbing -----------------------------------------------------------
     def scrub_pass_started(self, now: float, source: str, index: int) -> None:
         self._note(now, "scrub_pass_started", "{} pass {}", source, index)
-        self._pass_extents[source] = []
-        self._pass_open[source] = index
+        self._pass_open[source] = (index, len(self._records()))
 
     def scrub_pass_completed(
         self, now: float, source: str, index: int, bytes_scrubbed: int
@@ -329,31 +320,26 @@ class InvariantSink(TelemetrySink):
             now, "scrub_pass_completed", "{} pass {} ({}B)", source, index,
             bytes_scrubbed,
         )
-        open_index = self._pass_open.pop(source, None)
+        records = self._records()
+        open_index, begin = self._pass_open.pop(source, (None, len(records)))
         if open_index is not None and open_index != index:
             self._fail(
                 "scrub-coverage",
                 f"{source} completed pass {index} but pass {open_index} was open",
                 now,
             )
-        extents = self._pass_extents.pop(source, [])
         if self.total_sectors is None:
             return
-        merged = _merge_extents(extents)
-        covered = sum(end - start for start, end in merged)
-        if (
-            len(merged) != 1
-            or merged[0][0] != 0
-            or merged[0][1] < self.total_sectors
-        ):
-            gaps = []
-            cursor = 0
-            for start, end in merged:
-                if start > cursor:
-                    gaps.append((cursor, start))
-                cursor = max(cursor, end)
-            if cursor < self.total_sectors:
-                gaps.append((cursor, self.total_sectors))
+        # The pass's own slice of the log: every VERIFY it issued has
+        # completed, and nothing before its start is read.
+        gaps = _gaps([
+            (request.command.lbn, request.command.sectors)
+            for request in records[begin:]
+            if request.source == source
+            and request.command.opcode.value == "verify"
+        ], self.total_sectors)
+        if gaps:
+            covered = self.total_sectors - sum(end - start for start, end in gaps)
             self._fail(
                 "scrub-coverage",
                 f"{source} pass {index} covered {covered} of "
@@ -373,28 +359,10 @@ class InvariantSink(TelemetrySink):
 
     # -- faults --------------------------------------------------------------
     def fault_event(self, now: float, kind: str, lbn: int, **args: Any) -> None:
+        """Counted and kept for the window; :meth:`finish` checks the
+        lifecycle off the run's error log (:func:`check_media_faults`)."""
         self._note(now, "fault_event", "{} lbn={} {}", kind, lbn, args)
-        if self.total_sectors is not None and not 0 <= lbn < self.total_sectors:
-            self._fail(
-                "lbn-bounds",
-                f"fault event {kind!r} for LBN {lbn} outside disk of "
-                f"{self.total_sectors} sectors",
-                now,
-            )
-        if kind == "remap":
-            if lbn in self._remapped_lbns:
-                self._fail(
-                    "fault-lifecycle",
-                    f"sector {lbn} reallocated twice",
-                    now,
-                )
-            self._remapped_lbns.add(lbn)
-        elif kind == "verify_after_remap" and lbn not in self._remapped_lbns:
-            self._fail(
-                "fault-lifecycle",
-                f"verify_after_remap for LBN {lbn} with no prior remap",
-                now,
-            )
+        self.fault_events += 1
 
     # -- engine --------------------------------------------------------------
     def engine_run(
@@ -408,37 +376,63 @@ class InvariantSink(TelemetrySink):
     def finish(self, faults: Any = None) -> None:
         """End-of-run accounting; call after the simulation drains.
 
-        Verifies that nothing is left on the drive, that total counts
-        balance (``queued == dispatched + waiting``,
-        ``dispatched == completed``), and — when given the run's
-        :class:`~repro.faults.state.MediaFaults` — the whole error
-        lifecycle (:func:`check_media_faults`).
-
-        Requests still waiting in a scheduler queue at the horizon are
-        legal (an open-loop replay can end mid-burst), and so is the
-        single request the non-preemptive drive was servicing when the
-        clock stopped — but never more than one, and the totals must
-        balance: ``queued == completed + waiting + in-flight``.  Under
-        :meth:`expect_replay`, the first unsubmitted record must not be
-        due before the last time the sink heard: call ``finish`` at a
-        replayer's ``stop()`` to check the replay up to the stop.
+        The totals must balance, ``queued == completed + waiting +
+        in-flight``: requests still queued at the horizon are legal (an
+        open-loop replay can end mid-burst), and so is the one on the
+        drive when the clock stopped.  One pass over the request log
+        then checks it holds exactly the completions heard, each
+        sequence number once, none still queued, each submitted no later
+        than dispatched and dispatched no later than completed.  Under
+        :meth:`expect_replay`, no record may be due before the last time
+        the sink heard and unsubmitted: call ``finish`` at a replayer's
+        ``stop()`` to check the replay up to the stop.  Given the run's
+        :class:`~repro.faults.state.MediaFaults` (which a sink that
+        heard fault events must be), :func:`check_media_faults` runs.
         """
-        at = self.last_time if self.last_time > float("-inf") else None
-        in_flight = len(self._dispatched)
-        if in_flight > 1:
-            self._fail(
-                "queue-accounting",
-                f"run ended with {in_flight} requests on the single-server "
-                f"drive: #{sorted(self._dispatched)}",
-                at,
+        if self.fault_events and faults is None:
+            raise RuntimeError(
+                f"this InvariantSink heard {self.fault_events} fault events "
+                "but finish() was given no fault state"
             )
-        waiting = len(self._queued)
-        if self.queued_total != self.completed_total + waiting + in_flight:
+        at = self.last_time if self.last_time > float("-inf") else None
+        in_flight = 0 if self._on_drive is None else 1
+        queued = self._queued
+        if self.queued_total != self.completed_total + len(queued) + in_flight:
             self._fail(
                 "queue-accounting",
                 f"queued {self.queued_total} != completed "
-                f"{self.completed_total} + waiting {waiting} + in-flight "
+                f"{self.completed_total} + waiting {len(queued)} + in-flight "
                 f"{in_flight}",
+                at,
+            )
+        records = self._records()
+        if len(records) != self.completed_total:
+            self._fail(
+                "queue-accounting",
+                f"the request log holds {len(records)} requests but "
+                f"{self.completed_total} completions were heard",
+                at,
+            )
+        logged: Set[int] = set()
+        for request in records:
+            seq = request.seq
+            if seq in logged:
+                origin = "completed twice"
+            elif seq in queued:
+                origin = "still queued"
+            elif not (
+                request.submit_time <= request.dispatch_time
+                <= request.complete_time
+            ):
+                origin = "out of order"
+            else:
+                logged.add(seq)
+                continue
+            self._fail(
+                "request-lifecycle",
+                f"request #{seq} logged but {origin}: {request!r} submitted "
+                f"at {request.submit_time}, dispatched at "
+                f"{request.dispatch_time}, completed at {request.complete_time}",
                 at,
             )
         if self._replay is not None and self._replayed < len(self._replay[0]):
@@ -459,11 +453,12 @@ def _replayed(submit: Tuple[float, str, int, int]) -> str:
     return f"{opcode} [{lbn}, {lbn + sectors}) at t={at!r}"
 
 
-def check_error_log(log: Any) -> None:
+def check_error_log(log: Any, total_sectors: Optional[int] = None) -> None:
     """Validate an :class:`~repro.faults.log.ErrorLog`'s lifecycle.
 
-    Raises :class:`InvariantViolation` when: a detection precedes its
-    sector's onset (or has none), a sector is reallocated twice, a
+    Raises :class:`InvariantViolation` when: a record's LBN lies outside
+    ``[0, total_sectors)`` (given the disk size), a detection precedes
+    its sector's onset (or has none), a sector is reallocated twice, a
     successful post-remap verify has no preceding remap, or any record
     stream goes backwards in time.
     """
@@ -472,6 +467,13 @@ def check_error_log(log: Any) -> None:
     last = float("-inf")
     remapped: Set[int] = set()
     for record in log.records:
+        if total_sectors is not None and not 0 <= record.lbn < total_sectors:
+            raise InvariantViolation(
+                "lbn-bounds",
+                f"{record.kind.value} record for LBN {record.lbn} outside "
+                f"disk of {total_sectors} sectors",
+                time=record.time,
+            )
         # INJECTED records are appended lazily (when the clock first
         # sweeps past the onset) carrying the *onset* time, so they are
         # legitimately backdated; every other kind records "now".
@@ -546,12 +548,4 @@ def check_media_faults(faults: Any, total_sectors: Optional[int] = None) -> None
             f"{activated} activated errors but {accounted} accounted for "
             f"(active {faults.active_count} + remapped-after-onset)",
         )
-    if total_sectors is not None:
-        for lbn in faults._active:
-            if not 0 <= lbn < total_sectors:
-                raise InvariantViolation(
-                    "lbn-bounds",
-                    f"active bad sector {lbn} outside disk of "
-                    f"{total_sectors} sectors",
-                )
-    check_error_log(faults.log)
+    check_error_log(faults.log, total_sectors)

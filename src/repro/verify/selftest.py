@@ -23,7 +23,8 @@ The planted bugs (one per conservation law / differential axis):
     accounting* (the single-server drive appears doubly occupied).
 ``double-remap``
     Remediation reallocates the same sector twice, over-drawing the
-    spare pool.  Caught by the *fault-lifecycle* state machine.
+    spare pool.  Caught by the *fault-lifecycle* check of the error log
+    at :meth:`~repro.verify.invariants.InvariantSink.finish`.
 ``backdate-clock``
     A component reports a stale timestamp.  Caught by *clock
     monotonicity*.

@@ -372,7 +372,9 @@ class _ReferenceRotation:
 
 class _ReferenceDrive(Drive):
     """``Drive`` with the old mechanical model and the old service path;
-    the cache, the fault state and everything else are shared code."""
+    the cache, the fault state and everything else are shared code.
+    One edit: ``service`` no longer calls the drive's per-command
+    telemetry hook, which is gone from ``Drive``."""
 
     def __init__(self, spec, cache_enabled=True):
         super().__init__(spec, cache_enabled=cache_enabled)
@@ -406,8 +408,6 @@ class _ReferenceDrive(Drive):
             breakdown = self._try_cache(command, now)
         if breakdown is None:
             breakdown = self._media_access(command, now)
-        if self.telemetry is not None:
-            self.telemetry.drive_serviced(command, breakdown)
         return breakdown
 
     def _uses_cache_path(self, command: DiskCommand) -> bool:

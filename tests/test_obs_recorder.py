@@ -1,7 +1,7 @@
 """The Recorder reads the device's request log.
 
 Its request spans and request metrics are a pass over the
-:class:`~repro.sched.device.RequestLog` the stack hands it, run when
+:class:`~repro.sched.device.RequestLog` the device hands it, run when
 the recording is read; nothing per request is kept twice.  Pinned here:
 
 * ``repro trace``'s Chrome trace, metrics snapshot and JSONL logs are
@@ -10,7 +10,8 @@ the recording is read; nothing per request is kept twice.  Pinned here:
 * a metric exists only once it has counted something (the fixture's
   key sets for a run with no request and one that only hits the cache);
 * a recorder that heard requests but was given no log refuses to be
-  read rather than answer with an empty table;
+  read rather than answer with an empty table, and one handed a second
+  device's log refuses it;
 * the two outputs the log pass changes on purpose: a command still on
   the drive when an undrained run stops is not counted, and a capped log
   caps the metrics with it.
@@ -96,7 +97,6 @@ def test_a_run_of_cache_hits_has_no_seek_histograms():
     drive = Drive(SPEC, cache_enabled=True)
     drive.service(DiskCommand.read(0, 64), 0.0)  # warm the cache, unheard
     device = BlockDevice(sim, drive, NoopScheduler())
-    recorder.attach_log(device.log)
     for lbn in range(0, 64, 8):
         device.submit(IORequest(DiskCommand.read(lbn, 8)))
     sim.run()
@@ -106,16 +106,30 @@ def test_a_run_of_cache_hits_has_no_seek_histograms():
 
 
 def test_a_recorder_without_its_log_refuses_to_be_read():
-    recorder = Recorder()
-    sim = Simulation(telemetry=recorder)
+    # A device hands its sink the log when it is built, so the hooks of
+    # a recorder that never got one are driven by hand.
+    sim = Simulation()
     device = BlockDevice(sim, Drive(SPEC), NoopScheduler())
-    device.submit(IORequest(DiskCommand.read(0, 8)))
+    request = IORequest(DiskCommand.read(0, 8))
+    device.submit(request)
     sim.run()
+    recorder = Recorder()
+    recorder.request_queued(0.0, request)
+    recorder.request_dispatched(request.dispatch_time, request)
     for read in (recorder.snapshot, recorder.chrome_events, recorder.export):
         with pytest.raises(RuntimeError, match="no request log"):
             read()
     recorder.attach_log(device.log)
     assert recorder.snapshot()["counters"]["device.completed"] == 1
+
+
+def test_a_recorder_reads_one_device():
+    # Two devices on one simulation would each hand the recorder their
+    # log; it refuses the second rather than read one of the two.
+    sim = Simulation(telemetry=Recorder())
+    BlockDevice(sim, Drive(SPEC), NoopScheduler())
+    with pytest.raises(ValueError, match="one device"):
+        BlockDevice(sim, Drive(SPEC), NoopScheduler())
 
 
 def test_an_undrained_run_counts_the_drive_commands_it_logged():

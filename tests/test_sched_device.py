@@ -292,9 +292,11 @@ class _ReferenceDevice:
     """The block device as it was while its dispatcher was a generator
     process, kept verbatim as the oracle for the callback dispatcher:
     the same heap entries in the same order, so the same sequence
-    numbers, event counts, clock and request log.  The one edit:
+    numbers, event counts, clock and request log.  Two edits:
     ``IORequest.stamp_submit`` is gone, so ``submit`` stamps the
-    request itself."""
+    request itself; and the sink is handed the request log
+    (``attach_log``) in place of being installed on the drive, whose
+    per-command hook is gone, as ``BlockDevice`` does."""
 
     def __init__(
         self,
@@ -308,8 +310,8 @@ class _ReferenceDevice:
         self.scheduler = scheduler
         self.log = RequestLog(max_records=max_log_records)
         self.telemetry = sim.telemetry
-        if self.telemetry is not None and drive.telemetry is None:
-            drive.telemetry = self.telemetry
+        if self.telemetry is not None:
+            self.telemetry.attach_log(self.log)
         self.observers: List = []
         self.busy = False
         self.busy_since: Optional[float] = None
@@ -545,7 +547,6 @@ class TestTheDispatcherPushesTheGeneratorsEvents:
             recorder = Recorder()
             sim = Simulation(telemetry=recorder)
             device = cls(sim, Drive(ORACLE_SPEC), DeadlineScheduler())
-            recorder.attach_log(device.log)
             calls = _select_spy(device.scheduler)
             replay = TraceReplayer(sim, device, ORACLE_TRACE).start()
             scrub = ScrubberSetup("staggered", regions=4).build(sim, device).start()

@@ -33,6 +33,7 @@ from repro.parallel.cache import ResultCache, canonicalize
 from repro.sched.cfq import CFQScheduler
 from repro.sched.noop import NoopScheduler
 from repro.traces import generate_trace
+from repro.verify.invariants import InvariantSink
 from repro.verify.scenario import FAMILIES, run_scenario
 from repro.workloads.replay import TraceReplayer
 from repro.workloads.synthetic import RandomReader
@@ -239,6 +240,24 @@ class TestAFinishedStackIsFreedWhenDropped:
         assert _growth_per_call(
             lambda: run_scenario(family=family, algorithm="staggered", horizon=0.3)
         ) <= 16
+
+    def test_a_checked_stack(self):
+        # A light replay stopped at the horizon with a scrub VERIFY in
+        # flight: the sink's event window holds it, its completion event
+        # points at the simulation, so ``close()`` must let go of the
+        # sink or the cycle keeps it and the whole request log it reads.
+        trace = generate_trace("TPCdisk66", duration=0.5, seed=0, rate_scale=0.1)
+
+        def call():
+            sink = InvariantSink(Drive(SPEC).total_sectors)
+            stack = _stack(ScrubberSetup(regions=8), telemetry=sink)
+            sink.expect_replay(trace, 1.0, stack.sim.now)
+            stack.replay(trace)
+            stack.run(0.5)
+            sink.finish()
+            assert sink._on_drive is not None or sink._queued
+
+        assert _growth_per_call(call) <= 16
 
     def test_standalone_scrub_throughput(self):
         # The second assembly site: every point of Figs. 4, 5a, 5b.

@@ -54,8 +54,6 @@ def run_traced_scrub(telemetry=None, horizon=0.5, max_log_records=None):
         NoopScheduler(),
         max_log_records=max_log_records,
     )
-    if telemetry is not None:
-        telemetry.attach_log(device.log)
     scrubber = Scrubber(sim, device, SequentialScrub(), request_bytes=64 * 1024)
     scrubber.start()
     for i in range(20):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.disk.commands import DiskCommand
 from repro.faults.log import ErrorLog
+from repro.sched.device import RequestLog
 from repro.sched.request import IORequest, PriorityClass
 from repro.verify import (
     InvariantSink,
@@ -28,24 +29,55 @@ class _FakeRequest:
         self.command = _FakeCommand(lbn, sectors, opcode)
         self.source = source
         self.submit_time = None
+        self.dispatch_time = None
         self.complete_time = None
 
     def __repr__(self):
         return f"<req #{self.seq}>"
 
 
+def _logged_sink(total_sectors=1024):
+    """A sink holding a request log, as a device hands it one."""
+    sink = InvariantSink(total_sectors=total_sectors)
+    sink.attach_log(RequestLog())
+    return sink
+
+
+def _queue(sink, now, request):
+    request.submit_time = now
+    sink.request_queued(now, request)
+
+
+def _dispatch(sink, now, request):
+    request.dispatch_time = now
+    sink.request_dispatched(now, request)
+
+
+def _complete(sink, now, request):
+    """What the device does: stamp the request, log it, then tell the sink."""
+    request.complete_time = now
+    sink.log.add(request)
+    sink.request_completed(now, request)
+
+
+def _serve(sink, now, request, service=0.05):
+    _queue(sink, now, request)
+    _dispatch(sink, now, request)
+    _complete(sink, now + service, request)
+
+
 class TestLifecycle:
     def _sink(self):
-        return InvariantSink(total_sectors=1024)
+        return _logged_sink()
 
     def test_clean_lifecycle_passes(self):
         sink = self._sink()
         r = _FakeRequest(1)
-        sink.request_queued(0.0, r)
-        sink.request_dispatched(0.1, r)
-        sink.request_completed(0.2, r)
+        _queue(sink, 0.0, r)
+        _dispatch(sink, 0.1, r)
+        _complete(sink, 0.2, r)
         sink.finish()
-        assert sink.queued_total == sink.completed_total == 1
+        assert sink.queued_total == sink.completed_total == len(sink.log) == 1
 
     def test_queued_twice_rejected(self):
         sink = self._sink()
@@ -60,7 +92,7 @@ class TestLifecycle:
         sink = self._sink()
         with pytest.raises(InvariantViolation) as exc:
             sink.request_dispatched(0.0, _FakeRequest(7))
-        assert "never queued" in exc.value.message
+        assert "dispatched but not queued" in exc.value.message
 
     def test_double_occupancy_rejected(self):
         sink = self._sink()
@@ -71,30 +103,61 @@ class TestLifecycle:
         with pytest.raises(InvariantViolation) as exc:
             sink.request_dispatched(0.2, b)
         assert exc.value.invariant == "queue-accounting"
+        assert "joins #[1]" in exc.value.message
 
     def test_completed_twice_rejected(self):
+        # Heard twice: the second completion finds nothing on the drive.
         sink = self._sink()
         r = _FakeRequest(1)
-        sink.request_queued(0.0, r)
-        sink.request_dispatched(0.1, r)
-        sink.request_completed(0.2, r)
+        _serve(sink, 0.0, r)
         with pytest.raises(InvariantViolation) as exc:
             sink.request_completed(0.3, r)
-        assert "completed twice" in exc.value.message
+        assert "completed but not on the drive" in exc.value.message
+        # Served twice end to end: the log holds its seq twice.
+        sink = self._sink()
+        _serve(sink, 0.0, r)
+        _serve(sink, 1.0, r)
+        with pytest.raises(InvariantViolation) as exc:
+            sink.finish()
+        assert exc.value.invariant == "request-lifecycle"
+        assert "request #1 logged but completed twice" in exc.value.message
 
     def test_unbalanced_finish_rejected(self):
         sink = self._sink()
         a, b = _FakeRequest(1), _FakeRequest(2)
         for r in (a, b):
-            sink.request_queued(0.0, r)
-        sink.request_dispatched(0.1, a)
-        sink.request_completed(0.2, a)
+            _queue(sink, 0.0, r)
+        _dispatch(sink, 0.1, a)
+        _complete(sink, 0.2, a)
         # b vanished from the dispatcher: still waiting, so finish is
         # legal — but a dropped *completion* is not.
         sink.finish()
-        sink.request_dispatched(0.3, b)
+        _dispatch(sink, 0.3, b)
         # b is now in flight; a single in-flight request is legal.
         sink.finish()
+        # b completes into the log, but the sink never hears it.
+        b.complete_time = 0.4
+        sink.log.add(b)
+        with pytest.raises(InvariantViolation) as exc:
+            sink.finish()
+        assert exc.value.invariant == "queue-accounting"
+        assert "holds 2 requests but 1 completions" in exc.value.message
+
+    def test_the_log_pass_checks_each_request(self):
+        sink = self._sink()
+        r = _FakeRequest(1)
+        _serve(sink, 1.0, r)
+        r.dispatch_time = 0.5  # before its submit at 1.0
+        with pytest.raises(InvariantViolation) as exc:
+            sink.finish()
+        assert "request #1 logged but out of order" in exc.value.message
+        # A logged request queued again and never dispatched.
+        sink = self._sink()
+        _serve(sink, 0.0, r)
+        _queue(sink, 1.0, r)
+        with pytest.raises(InvariantViolation) as exc:
+            sink.finish()
+        assert "request #1 logged but still queued" in exc.value.message
 
     def test_clock_backwards_rejected(self):
         sink = self._sink()
@@ -110,33 +173,93 @@ class TestLifecycle:
         assert exc.value.invariant == "lbn-bounds"
 
 
+class TestTheLog:
+    """The sink reads the device's log and keeps none of its own."""
+
+    def test_a_capped_log_is_refused(self):
+        with pytest.raises(ValueError, match="max_records=8"):
+            InvariantSink().attach_log(RequestLog(max_records=8))
+        from repro.disk import Drive, hitachi_ultrastar_15k450
+        from repro.sched import BlockDevice, NoopScheduler
+        from repro.sim import Simulation
+
+        sim = Simulation(telemetry=InvariantSink())
+        drive = Drive(hitachi_ultrastar_15k450())
+        with pytest.raises(ValueError, match="whole request log"):
+            BlockDevice(sim, drive, NoopScheduler(), max_log_records=8)
+
+    def test_a_second_device_is_refused(self):
+        from repro.disk import Drive, hitachi_ultrastar_15k450
+        from repro.sched import BlockDevice, NoopScheduler
+        from repro.sim import Simulation
+
+        sim = Simulation(telemetry=InvariantSink())
+        spec = hitachi_ultrastar_15k450()
+        BlockDevice(sim, Drive(spec), NoopScheduler())
+        with pytest.raises(ValueError, match="one device's request log"):
+            BlockDevice(sim, Drive(spec), NoopScheduler())
+
+    def test_completions_without_a_log_are_refused(self):
+        sink = InvariantSink(total_sectors=1024)
+        r = _FakeRequest(1)
+        sink.request_queued(0.0, r)
+        sink.request_dispatched(0.1, r)
+        sink.request_completed(0.2, r)
+        with pytest.raises(RuntimeError, match="no request log"):
+            sink.finish()
+
+    def test_no_attribute_grows_with_completed_requests(self):
+        sink = _logged_sink()
+
+        def sizes():
+            return {
+                name: len(value) for name, value in vars(sink).items()
+                if hasattr(value, "__len__") and name != "log"
+            }
+
+        for seq in range(50):
+            _serve(sink, seq * 0.1, _FakeRequest(seq))
+        before = sizes()
+        for seq in range(50, 500):
+            _serve(sink, seq * 0.1, _FakeRequest(seq))
+        assert sizes() == before
+        sink.finish()
+        assert len(sink.log) == sink.completed_total == 500
+
+
 class TestScrubCoverage:
+    def _verify(self, sink, now, lbn, source="scrub"):
+        _serve(sink, now, _FakeRequest(
+            int(now * 100), lbn=lbn, sectors=64, opcode="verify", source=source
+        ))
+
     def test_full_coverage_passes(self):
-        sink = InvariantSink(total_sectors=256)
+        sink = _logged_sink(total_sectors=256)
         sink.scrub_pass_started(0.0, "scrub", 0)
         for i, lbn in enumerate(range(0, 256, 64)):
-            now = 0.1 + i * 0.1
-            r = _FakeRequest(lbn, lbn=lbn, sectors=64, opcode="verify",
-                             source="scrub")
-            sink.request_queued(now, r)
-            sink.request_dispatched(now, r)
-            sink.request_completed(now + 0.05, r)
+            self._verify(sink, 0.1 + i * 0.1, lbn)
         sink.scrub_pass_completed(1.0, "scrub", 0, 256 * 512)
 
     def test_gap_rejected_with_gap_list(self):
-        sink = InvariantSink(total_sectors=256)
+        sink = _logged_sink(total_sectors=256)
         sink.scrub_pass_started(0.0, "scrub", 0)
         for i, lbn in enumerate((0, 128, 192)):  # [64, 128) never verified
-            now = 0.1 + i * 0.1
-            r = _FakeRequest(lbn, lbn=lbn, sectors=64, opcode="verify",
-                             source="scrub")
-            sink.request_queued(now, r)
-            sink.request_dispatched(now, r)
-            sink.request_completed(now + 0.05, r)
+            self._verify(sink, 0.1 + i * 0.1, lbn)
         with pytest.raises(InvariantViolation) as exc:
             sink.scrub_pass_completed(1.0, "scrub", 0, 192 * 512)
         assert exc.value.invariant == "scrub-coverage"
         assert "(64, 128)" in exc.value.message
+
+    def test_a_pass_reads_only_its_own_verifies(self):
+        sink = _logged_sink(total_sectors=256)
+        # [64, 128) verified before the pass, and by another source.
+        self._verify(sink, 0.05, 64)
+        sink.scrub_pass_started(0.1, "scrub", 0)
+        self._verify(sink, 0.2, 64, source="other")
+        for i, lbn in enumerate((0, 128, 192)):
+            self._verify(sink, 0.3 + i * 0.1, lbn)
+        with pytest.raises(InvariantViolation, match=r"gaps: \[\(64, 128\)\]"):
+            sink.scrub_pass_completed(1.0, "scrub", 0, 192 * 512)
 
     def test_progress_fraction_bounds(self):
         sink = InvariantSink(total_sectors=256)
@@ -145,27 +268,60 @@ class TestScrubCoverage:
             sink.scrub_progress(0.1, "scrub", 1.25)
 
 
+def _faults(total_sectors=1024, lbn=17):
+    """Fault state with one latent error at ``lbn``, active from t=0."""
+    from repro.faults import FaultPlan, MediaFaults
+    from repro.faults.plan import SectorError
+
+    faults = MediaFaults(
+        FaultPlan(total_sectors, 1.0, (SectorError(0.0, lbn),)), spare_sectors=8
+    )
+    faults.advance(0.0)
+    return faults
+
+
 class TestFaultLifecycle:
+    """Fault events are heard, counted and checked off the error log at
+    :meth:`InvariantSink.finish`."""
+
     def test_double_remap_rejected(self):
         sink = InvariantSink(total_sectors=1024)
-        sink.fault_event(0.0, "remap", 17)
+        faults = _faults()
+        for now in (0.0, 0.1):
+            faults.reallocate(17, now)
+            sink.fault_event(now, "remap", 17)  # heard, not judged
         with pytest.raises(InvariantViolation) as exc:
-            sink.fault_event(0.1, "remap", 17)
+            sink.finish(faults)
         assert exc.value.invariant == "fault-lifecycle"
+        assert exc.value.message == "sector 17 reallocated twice"
 
     def test_verify_after_remap_needs_remap(self):
-        sink = InvariantSink(total_sectors=1024)
-        with pytest.raises(InvariantViolation):
-            sink.fault_event(0.0, "verify_after_remap", 17)
-        sink = InvariantSink(total_sectors=1024)
-        sink.fault_event(0.0, "remap", 17)
-        sink.fault_event(0.1, "verify_after_remap", 17)  # legal order
+        log = ErrorLog()
+        log.record_verify_after_remap(0.0, 17, ok=True)
+        with pytest.raises(InvariantViolation) as exc:
+            check_error_log(log)
+        assert exc.value.invariant == "fault-lifecycle"
+        assert "verify_after_remap for LBN 17 with no prior" in exc.value.message
+        log = ErrorLog()
+        log.record_reallocated(0.0, 17, ok=True)
+        log.record_verify_after_remap(0.1, 17, ok=True)  # legal order
+        check_error_log(log)
 
     def test_fault_lbn_bounds(self):
-        sink = InvariantSink(total_sectors=64)
+        log = ErrorLog()
+        log.record_reallocated(0.0, 64, ok=True)
+        check_error_log(log)  # no disk size, no bound
         with pytest.raises(InvariantViolation) as exc:
-            sink.fault_event(0.0, "remap", 64)
+            check_error_log(log, total_sectors=64)
         assert exc.value.invariant == "lbn-bounds"
+        assert "reallocated record for LBN 64 outside" in exc.value.message
+
+    def test_finish_needs_the_fault_state_it_heard(self):
+        sink = InvariantSink(total_sectors=1024)
+        sink.fault_event(0.0, "scrub_detection", 17, source="scrub")
+        with pytest.raises(RuntimeError, match="1 fault events .* no fault state"):
+            sink.finish()
+        sink.finish(_faults())
 
 
 class TestViolationReport:
@@ -221,7 +377,7 @@ _PLANTED_REPORT = "\n".join([
 def _planted_violation():
     """Real requests, a scrub pass, two fault events and two engine runs
     through the sink, then a progress sample from the past."""
-    sink = InvariantSink(total_sectors=4096)
+    sink = _logged_sink(total_sectors=4096)
     sink.engine_run(0, 0.0, None)
     sink.scrub_pass_started(0.0, "scrubber", 0)
     requests = [
@@ -237,6 +393,7 @@ def _planted_violation():
         sink.request_queued(now, request)
         sink.request_dispatched(now + 0.001, request)
         request.complete_time = now + 0.0025
+        sink.log.add(request)
         sink.request_completed(now + 0.0025, request)
         if request.source == "scrubber":
             sink.scrub_progress(now + 0.0025, "scrubber", (seq + 1) / 4)

@@ -41,3 +41,26 @@ def test_registry_covers_both_pillars():
     assert InvariantViolation in expectations
     assert DifferentialMismatch in expectations
     assert len(MUTATIONS) >= 5
+
+
+#: The law that catches each planted invariant bug.  A check moved to
+#: another hook or to the end of the run must still catch its bug by
+#: the same law, not by accident through another.
+CAUGHT_BY = {
+    "skip-last-extent": "scrub-coverage",
+    "skip-last-region": "scrub-coverage",
+    "drop-completion": "queue-accounting",
+    "double-remap": "fault-lifecycle",
+    "backdate-clock": "clock-monotonicity",
+    "cursor-drift": "replay-schedule",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAUGHT_BY))
+def test_each_planted_bug_is_caught_by_its_own_law(name, results):
+    # ``detail`` is ``str(InvariantViolation)``: its report's first line
+    # names the violated invariant.
+    first_line = results[name].detail.splitlines()[0]
+    assert first_line.startswith(f"invariant {CAUGHT_BY[name]!r} violated"), (
+        first_line
+    )

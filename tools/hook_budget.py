@@ -24,10 +24,11 @@ run's results differ from the bare run's in any bit (the monitor's
 passivity contract).  What the monitor writes is held by
 ``tests/test_obs_monitor.py`` and ``tests/test_obs_fold.py``.
 
-The engine-level sinks (``Recorder``, ``InvariantSink``) have no row:
-``Simulation.run`` calls a sink once per ``run()``, which
-``tests/test_sim_one_loop.py`` holds, and what the sinks cost where the
-stack's hooks fire is not budgeted.
+The engine-level sinks (``Recorder``, ``InvariantSink``) have no row
+here: ``Simulation.run`` calls a sink once per ``run()``, which
+``tests/test_sim_one_loop.py`` holds, and what they cost where the
+stack's hooks fire is counted in calls per request by ``make
+stack-budget`` (its ``replay+recorder`` and ``replay+invariants`` rows).
 """
 
 from __future__ import annotations

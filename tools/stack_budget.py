@@ -15,6 +15,9 @@ and the number of objects the cycle collector tracks:
 * ``replay+recorder`` -- the same stack with a ``Recorder`` attached,
   whose metrics snapshot and Chrome events are then read: what
   per-request telemetry costs, recording and reading together;
+* ``replay+invariants`` -- the same stack under an ``InvariantSink``
+  held to the replay (``expect_replay``) and then ``finish()``-ed:
+  what the checker costs, online hooks and log pass together;
 * ``throughput`` -- ``standalone_scrub_throughput`` of a 128-region
   staggered scrubber alone on the drive for 2 s, the second assembly
   site (a point of Figs. 4, 5a, 5b);
@@ -28,8 +31,7 @@ Nothing in the probe calls ``gc.collect()``: between runs a driver
 allocates almost nothing with the collector on, so what reference
 counting does not free stays (DESIGN sections 6.1 and 18).
 
-The ``replay``, ``replay+recorder`` and ``waiting`` rows then make one
-more call under ``sys.setprofile`` and print, per request (foreground
+The three ``replay`` rows and ``waiting`` then make one more call under ``sys.setprofile`` and print, per request (foreground
 completed plus scrub issued, as the benchmark counts them), the
 Python-level calls (``"call"`` events: function frames and generator
 resumptions) and the events the kernel pops off its heap (``"c_call"``
@@ -40,12 +42,16 @@ frame the per-request path pays for nothing, such as a scan of every
 CFQ BE queue per ``select``, shows as a whole call or more.
 ``waiting`` reads 34.35 (limit 34.43, the same slack): a Waiting
 scrubber woken by every foreground submit and completion again (DESIGN
-section 18) reads 65.92.  ``replay+recorder`` reads 49.14 (limit
-49.22): 17.6 calls a request pay for the recorder's hooks and for the
+section 18) reads 65.92.  ``replay+recorder`` reads 48.14 (limit
+48.22): 16.6 calls a request pay for the recorder's hooks and for the
 pass over the request log that its snapshot and Chrome export make; a
 recorder that copied each request into a table of its own as it
-completed read 76.75.  The events read 3.14 (``replay`` and
-``replay+recorder``, limit 3.16) and 3.51 (``waiting``, limit 3.53).
+completed read 76.75, and one more call a request went to a no-op
+per-command drive hook.  ``replay+invariants`` reads 41.92 (limit
+42.00): a checker that kept every completed request's sequence number
+and every pass's VERIFY extents, and judged the fault lifecycle online,
+read 45.92.  The events read 3.14 (the three ``replay`` rows, limit
+3.16) and 3.51 (``waiting``, limit 3.53).
 A push with no callback costs no Python frame, so only the event count
 sees a replayed request's completion pushed again: 3.24 and 4.51.
 
@@ -70,9 +76,15 @@ CALLS = 12
 GROWTH_MB = 2.0
 GROWTH_OBJECTS = 1000
 #: Limits on Python-level calls per request, by row.
-CALLS_PER_REQUEST = {"replay": 31.61, "replay+recorder": 49.22, "waiting": 34.43}
+CALLS_PER_REQUEST = {
+    "replay": 31.61, "replay+recorder": 48.22, "replay+invariants": 42.0,
+    "waiting": 34.43,
+}
 #: Limits on kernel events popped per request, by row.
-EVENTS_PER_REQUEST = {"replay": 3.16, "replay+recorder": 3.16, "waiting": 3.53}
+EVENTS_PER_REQUEST = {
+    "replay": 3.16, "replay+recorder": 3.16, "replay+invariants": 3.16,
+    "waiting": 3.53,
+}
 
 _PROBE = """
 import gc, json, resource, sys, time
@@ -98,20 +110,30 @@ if row.startswith("replay"):
 if row == "replay":
     def call():
         return replay_with_scrubber(trace, spec, scrubber=setup, horizon=40.0)
-elif row == "replay+recorder":
-    # replay_with_scrubber's stack with a Recorder, read once it ran.
+elif row.startswith("replay+"):
+    # replay_with_scrubber's stack with a sink: a Recorder, read once it
+    # ran, or an InvariantSink held to the replay and then finished.
     from types import SimpleNamespace
     from repro.analysis.stack import ScrubStack
+    from repro.disk.drive import Drive
     from repro.obs.sink import Recorder
+    from repro.verify.invariants import InvariantSink
+    total_sectors = Drive(spec).total_sectors
+    recording = row == "replay+recorder"
     def call():
-        recorder = Recorder()
+        sink = Recorder() if recording else InvariantSink(total_sectors)
         stack = ScrubStack(
-            spec, setup, idle_gate=0.010, cache_enabled=False, telemetry=recorder
+            spec, setup, idle_gate=0.010, cache_enabled=False, telemetry=sink
         )
+        if not recording:
+            sink.expect_replay(trace, 1.0, stack.sim.now)
         stack.replay(trace)
         stack.run(40.0)
-        recorder.snapshot()
-        recorder.chrome_events()
+        if recording:
+            sink.snapshot()
+            sink.chrome_events()
+        else:
+            sink.finish()
         return SimpleNamespace(
             fg_requests=stack.device.log.count("foreground"),
             scrub_requests=stack.scrubber.requests_issued,
@@ -170,7 +192,10 @@ print(json.dumps({
 }))
 """
 
-ROWS = ("replay", "replay+recorder", "throughput", "detect", "waiting")
+ROWS = (
+    "replay", "replay+recorder", "replay+invariants", "throughput", "detect",
+    "waiting",
+)
 
 
 def measure(row: str) -> dict:
