@@ -6,7 +6,9 @@ periodicity.  We build a 63-disk population like the paper's (the
 catalog disks plus parameterised variants: mostly diurnal, some with
 12 h harmonics, some aperiodic) and check the detected-period
 histogram has the paper's shape: a strong 24 h mode, a minority of
-other periods, and a few no-period disks.
+other periods, and a few no-period disks.  Every disk's candidate F
+and p also match ``scipy.stats.f_oneway`` within ``tests/test_stats.py``'s
+ulp bounds, checked outside the timed run.
 """
 
 import collections
@@ -23,8 +25,10 @@ from repro.traces.synth import (
     SyntheticTraceGenerator,
     TraceProfile,
 )
+from tests.test_stats import F_ULPS, P_ULPS, f_oneway_ulps
 
 DAYS = 4
+MAX_PERIOD = 30
 HALF_DAY = tuple(
     1.0 + 1.6 * (1 if (h % 12) in (2, 3, 4) else 0) for h in range(24)
 )
@@ -62,13 +66,18 @@ def measure():
         trace = SyntheticTraceGenerator(
             profile, streams.get(profile.name)
         ).generate()
-        result = anova_period(trace.requests_per_bin(3600.0), max_period=30)
-        outcomes.append((profile.name, expected, result.period))
+        counts = trace.requests_per_bin(3600.0)
+        result = anova_period(counts, max_period=MAX_PERIOD)
+        outcomes.append((profile.name, expected, result.period, counts))
     return outcomes
 
 
 def test_fig09_anova_periods(benchmark):
     outcomes = run_once(benchmark, measure)
+    for name, _, _, counts in outcomes:
+        f_ulps, p_ulps = f_oneway_ulps(counts, MAX_PERIOD)
+        assert f_ulps <= F_ULPS and p_ulps <= P_ULPS, name
+    outcomes = [outcome[:3] for outcome in outcomes]
     histogram = collections.Counter(period for _, _, period in outcomes)
     benchmark.extra_info["histogram"] = dict(histogram)
     show(

@@ -21,6 +21,13 @@ window* (mean latent error time): :func:`resolve_latent_windows` runs
 the paper's MLET machinery (:mod:`repro.core.mlet`) over the policy's
 actual sector-visit schedule, which is where staggered scrubbing earns
 its shorter exposure.
+
+The specs, their JSON round-trip and :func:`campaign_digest` are plain
+Python: the service's HTTP request path and ``repro submit`` build,
+check and digest specs with no numpy loaded.  numpy is imported only by
+the functions that draw (:func:`_seed_words`, :func:`_generators`,
+:func:`group_profiles`, :func:`resolve_latent_windows`), which run in a
+campaign (DESIGN section 17).
 """
 
 from __future__ import annotations
@@ -31,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import hashlib
-
-import numpy as np
 
 from repro.parallel.cache import canonicalize, derive_seed
 
@@ -263,7 +268,7 @@ def group_seed(campaign_seed: int, group_index: int) -> int:
     return derive_seed(derive_seed(campaign_seed, _GROUP_STREAM), group_index)
 
 
-def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+def _seed_words(seeds: Sequence[int]) -> "np.ndarray":
     """``SeedSequence(s).generate_state(4, np.uint64)``, one row per seed.
 
     numpy's pool mix and state hash, run as ``uint32`` array arithmetic
@@ -273,6 +278,8 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     below 2**32, where the pool hashes a 0 in place of the missing high
     word: the same thing.
     """
+    import numpy as np
+
     steps = iter(zip(_POOL_HASH, _POOL_HASH[1:]))
 
     def hashmix(value):
@@ -300,15 +307,14 @@ def _seed_words(seeds: Sequence[int]) -> np.ndarray:
     )
 
 
-def _generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+def _generators(seeds: Sequence[int]) -> Iterator["np.random.Generator"]:
     """``np.random.default_rng(s)`` for each seed, bit for bit.
 
     The seed hash runs once for the batch (:func:`_seed_words`); each
     ``PCG64`` then seeds itself from its row exactly as from the words
     a ``SeedSequence`` generates.
     """
-    # Here, not at module level: importing repro.fleet loads no
-    # numpy.random (make import-budget).
+    import numpy as np
     from numpy.random.bit_generator import ISeedSequence
 
     class StateWords(ISeedSequence):  # PCG64 asks for 4 x uint64, once
@@ -324,7 +330,7 @@ def _generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
 
 def _group_generators(
     campaign_seed: int, salt: int, start: int, count: int
-) -> Iterator[np.random.Generator]:
+) -> Iterator["np.random.Generator"]:
     """The generators of groups ``[start, start+count)`` in seed stream
     ``salt``: with ``_GROUP_STREAM``, ``default_rng(group_seed(...))``'s."""
     stream = derive_seed(campaign_seed, salt)
@@ -361,6 +367,8 @@ def group_profiles(
         # ``+ 0.0`` is what the jitter term contributes: it turns an
         # ``age_years`` of -0.0 into 0.0 exactly as a draw would.
         return [_profile(classes, 0, classes[0].age_years + 0.0)] * count
+    import numpy as np
+
     weights = np.array([cls.weight for cls in classes])
     total = float(weights.sum())
     cumulative = np.cumsum(weights).tolist()
@@ -544,6 +552,8 @@ def resolve_latent_windows(spec: CampaignSpec) -> Tuple[float, ...]:
     latent window.  Deterministic given the spec, so both the shard
     tasks and the closed-form calibration see the same number.
     """
+    import numpy as np
+
     from repro.core import SequentialScrub, StaggeredScrub
     from repro.core.mlet import (
         generate_bursts,

@@ -42,7 +42,7 @@ import time
 from typing import Callable, Optional
 
 from repro.obs.report import STATUS_VERSION, CampaignFold
-from repro.raid.reliability import HOURS_PER_YEAR
+from repro.raid.units import HOURS_PER_YEAR
 
 __all__ = ["CampaignMonitor", "STATUS_VERSION", "read_events_chunk"]
 

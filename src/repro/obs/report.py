@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.obs.export import atomic_write
 from repro.obs.spans import Span, span_id
 from repro.obs.trace import encode_events
-from repro.raid.reliability import HOURS_PER_YEAR
+from repro.raid.units import HOURS_PER_YEAR
 
 __all__ = [
     "STATUS_VERSION", "CampaignFold", "build_report", "load_obs_dir",

@@ -36,8 +36,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.obs.export import atomic_write
 
 #: ``(module, class)`` of each trace representation :func:`canonicalize`
@@ -107,10 +105,24 @@ def canonicalize(obj: Any, memo: Optional[dict] = None) -> Any:
         return obj
     if isinstance(obj, float):
         return ("f", obj.hex())
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return ("f", float(obj).hex())
+    # No numpy object can exist before numpy is imported, so a process
+    # that has not loaded it (the service's request path) never does
+    # so here, and every key stays the same.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return ("f", float(obj).hex())
+        if isinstance(obj, np.ndarray):
+            if memo is not None and id(obj) in memo:
+                return memo[id(obj)][1]
+            data = np.ascontiguousarray(obj)
+            digest = hashlib.sha256(data.tobytes()).hexdigest()
+            form = ("ndarray", str(data.dtype), data.shape, digest)
+            if memo is not None:
+                memo[id(obj)] = (obj, form)
+            return form
     if isinstance(obj, _trace_classes()):
         # One form for a Trace and a StoredTrace with the same content:
         # a task keyed on a trace gets cache hits regardless of which
@@ -124,15 +136,6 @@ def canonicalize(obj: Any, memo: Optional[dict] = None) -> Any:
             "map",
             tuple(sorted((str(k), canonicalize(v, memo)) for k, v in obj.items())),
         )
-    if isinstance(obj, np.ndarray):
-        if memo is not None and id(obj) in memo:
-            return memo[id(obj)][1]
-        data = np.ascontiguousarray(obj)
-        digest = hashlib.sha256(data.tobytes()).hexdigest()
-        form = ("ndarray", str(data.dtype), data.shape, digest)
-        if memo is not None:
-            memo[id(obj)] = (obj, form)
-        return form
     if isinstance(obj, (set, frozenset)):
         return (
             "set", tuple(sorted(repr(canonicalize(item, memo)) for item in obj))

@@ -26,7 +26,7 @@ from repro import _lazy
 
 _EXPORTS = {
     "GroupReliability": ".reliability",
-    "HOURS_PER_YEAR": ".reliability",
+    "HOURS_PER_YEAR": ".units",
     "RaidArray": ".array",
     "RaidGeometry": ".geometry",
     "RaidLevel": ".geometry",

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mlet import generate_bursts
+from repro.raid.units import HOURS_PER_YEAR  # re-exported: the fleet's unit
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,6 @@ class RebuildRiskModel:
 
 
 # -- closed-form fleet calibration (PR 7) -----------------------------------
-
-#: Hours in a (365-day) year, the fleet layer's time unit conversion.
-HOURS_PER_YEAR = 8760.0
 
 
 def lse_exposure_probability(

@@ -47,8 +47,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.monitor import read_events_chunk
-from repro.obs.report import CampaignFold, build_report, read_events
 from repro.service.queue import JobQueue, QueueError, TERMINAL_STATES
 from repro.service.scheduler import CampaignScheduler
 
@@ -325,10 +323,15 @@ class _Handler(BaseHTTPRequestHandler):
             return 400, {"error": str(exc)}
         return 201 if created else 200, {"job": job.to_dict(), "created": created}
 
+    # The observability readers are imported by the routes that read,
+    # not at module level: the service is ready before it loads them.
+
     def _job_detail(self, svc: CampaignService, job):
         # Live while the job runs; afterwards the fold of its event log.
         status = svc.scheduler.live_status(job.id)
         if status is None:
+            from repro.obs.report import CampaignFold, read_events
+
             try:
                 events = read_events(svc.scheduler.events_path(job.id))
             except OSError:
@@ -343,6 +346,8 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, detail
 
     def _stream_events(self, svc: CampaignService, job_id: str, query):
+        from repro.obs.monitor import read_events_chunk
+
         try:
             offset = int(query.get("offset", "0"))
         except ValueError:
@@ -377,6 +382,8 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def _report(self, svc: CampaignService, job_id: str):
+        from repro.obs.report import build_report
+
         try:
             path = build_report(svc.scheduler.obs_dir(job_id))
         except FileNotFoundError:

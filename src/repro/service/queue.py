@@ -53,7 +53,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.fleet.spec import campaign_digest, spec_from_dict, spec_to_dict
 from repro.obs.export import atomic_write
 
 __all__ = [
@@ -244,6 +243,10 @@ class JobQueue:
           (``created=False``): the journal still holds its completed
           shards, so the retry resumes rather than restarts.
         """
+        # Here, not at module level: the service is ready before its
+        # first submission loads the spec layer (DESIGN section 17).
+        from repro.fleet.spec import campaign_digest, spec_from_dict, spec_to_dict
+
         if not isinstance(spec_dict, dict):
             raise QueueError("campaign spec must be a JSON object")
         try:

@@ -57,10 +57,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
-from repro.fleet.campaign import CampaignCancelled, CampaignRunner
-from repro.fleet.spec import spec_from_dict
-from repro.obs.monitor import CampaignMonitor
-from repro.parallel.supervise import RetryPolicy
 from repro.service.queue import Job, JobQueue
 
 __all__ = ["CampaignScheduler"]
@@ -113,7 +109,7 @@ class CampaignScheduler:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._inflight: Dict[str, object] = {}
         #: Running jobs' monitors, by job id (under ``_inflight_lock``).
-        self._monitors: Dict[str, CampaignMonitor] = {}
+        self._monitors: Dict[str, "CampaignMonitor"] = {}
         self._inflight_lock = threading.Lock()
         #: ``"Type: message"`` of the last exception a dispatch round
         #: raised (the round's jobs stay ``queued``); ``None`` so far.
@@ -225,6 +221,13 @@ class CampaignScheduler:
             self.queue.wakeup.set()
 
     def _run_job(self, job: Job) -> None:
+        # Here, not at module level: the service is ready, and answers
+        # its API, before the first claim loads the fleet kernel.
+        from repro.fleet.campaign import CampaignCancelled, CampaignRunner
+        from repro.fleet.spec import spec_from_dict
+        from repro.obs.monitor import CampaignMonitor
+        from repro.parallel.supervise import RetryPolicy
+
         spec = spec_from_dict(job.spec)
         jdir = self.job_dir(job.id)
         os.makedirs(jdir, exist_ok=True)

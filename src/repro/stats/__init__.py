@@ -2,8 +2,11 @@
 
 Implements, from scratch on numpy, the analyses the paper runs on its
 trace collection.  Three functions lean on scipy (``rankdata``,
-``f_oneway``, ``solve_toeplitz``) and import it at the call, so
-importing this package loads none of it (DESIGN section 17):
+``special.fdtrc``, ``solve_toeplitz``) and import it at the call, so
+importing this package loads none of it (DESIGN section 17).  Period
+detection computes every candidate's one-way ANOVA F in one numpy pass
+and their p-values in one ``fdtrc`` call, not one ``scipy.stats``
+``f_oneway`` call per candidate:
 
 * :mod:`repro.stats.idle` — idle-interval summary statistics (Table II);
 * :mod:`repro.stats.periodicity` — ANOVA-based period detection (Fig. 9)

@@ -24,6 +24,7 @@ import json
 import os
 import pickle
 import signal
+import subprocess
 import sys
 
 import numpy as np
@@ -41,6 +42,8 @@ from repro.fleet import (
     campaign_digest,
     fleet_shard_task,
     loss_rate_interval,
+    spec_from_dict,
+    spec_to_dict,
     wilson_interval,
 )
 from repro.fleet.campaign import _z_for
@@ -132,6 +135,96 @@ class TestSpec:
                     ScrubPolicySpec(name="dup", algorithm="staggered"),
                 )
             )
+
+
+def _typed_spec(np_types=True):
+    """A spec whose every numeric field is a numpy scalar (``np_types``)
+    or the same value as a Python number."""
+    i64, i32, i16, u64 = (
+        (np.int64, np.int32, np.int16, np.uint64) if np_types else (int,) * 4
+    )
+    f64, f32, f16 = (np.float64, np.float32, np.float16) if np_types else (float,) * 3
+    return CampaignSpec(
+        fleet=FleetSpec(
+            groups=i64(40), disks_per_group=i32(4), mttr_hours=f64(12.0),
+            classes=(DriveClass(
+                mttf_hours=f64(2.0e4), lse_burst_rate_per_hour=f32(0.25),
+                age_years=f16(1.5),
+            ),),
+        ),
+        policies=(ScrubPolicySpec(
+            name="weekly", regions=i64(64), latent_window_hours=f64(84.0),
+        ),),
+        mission_years=f32(5.0), seed=u64(3), shards=i16(2),
+    )
+
+
+def _bench_tiny_spec():
+    """The service benchmark's tiny campaign: 24 groups, seed 0, 2 shards."""
+    return CampaignSpec(
+        fleet=FleetSpec(
+            groups=24, disks_per_group=8, mttr_hours=24.0, spare_delay_hours=4.0,
+            classes=(DriveClass(mttf_hours=1.0e5, lse_burst_rate_per_hour=1e-4),),
+        ),
+        policies=(
+            ScrubPolicySpec(name="weekly", latent_window_hours=84.0),
+            ScrubPolicySpec(
+                name="staggered", algorithm="staggered", latent_window_hours=62.0
+            ),
+        ),
+        mission_years=10.0, seed=0, shards=2,
+    )
+
+
+#: ``campaign_digest`` of these specs as computed with numpy loaded by
+#: the release before ``canonicalize`` looked for numpy only in
+#: ``sys.modules``: a job id must not depend on whether its process has
+#: imported numpy.
+PINNED_DIGESTS = {
+    "bench-tiny": "fcaa00b1828a40745105d131b2fb47a2cf923fe28a15c1e869d9d5f845a41d9d",
+    "numpy-typed": "dadc154dace7b31dc1f91961df703811975472f07bfcb2982ea6cdff0d3e0246",
+}
+
+#: Digests each JSON spec of argv[1] in an interpreter that cannot
+#: import numpy at all.
+_NO_NUMPY = """
+import json, sys
+
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, _NoNumpy())
+from repro.fleet import campaign_digest, spec_from_dict
+digests = {name: campaign_digest(spec_from_dict(spec))
+           for name, spec in json.loads(sys.argv[1]).items()}
+assert "numpy" not in sys.modules
+print(json.dumps(digests))
+"""
+
+
+class TestDigestWithoutNumpy:
+    def test_numpy_scalars_digest_as_their_python_values(self):
+        assert campaign_digest(_typed_spec()) == PINNED_DIGESTS["numpy-typed"]
+        assert campaign_digest(_typed_spec(np_types=False)) == (
+            PINNED_DIGESTS["numpy-typed"]
+        )
+        assert campaign_digest(_bench_tiny_spec()) == PINNED_DIGESTS["bench-tiny"]
+
+    def test_a_process_without_numpy_gets_the_pinned_digests(self):
+        specs = {
+            "bench-tiny": spec_to_dict(_bench_tiny_spec()),
+            "numpy-typed": spec_to_dict(_typed_spec(np_types=False)),
+        }
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY, json.dumps(specs)],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == PINNED_DIGESTS
 
 
 class TestDeterminism:

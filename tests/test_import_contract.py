@@ -4,11 +4,14 @@ Importing any package of ``repro`` loads no scipy module and no module
 of ``repro`` but package ``__init__`` modules; neither do the tuning and
 replay paths load scipy; a fleet campaign ends holding
 ``scipy.special`` and nothing heavier; tuning, a campaign and ``repro
-serve``'s start-up load none of the simulator they do not run.  The
-pytest process imported all of it long ago, so every dynamic case runs
-in a fresh interpreter through ``tools/import_budget.py`` -- whose
-``forbidden``, ``strays`` and ``OFF_LIMITS`` are the one statement of what
-a row may hold, shared with ``make import-budget``.
+serve`` load none of the simulator they do not run; ``repro serve``
+starts and answers its API with no numpy, and only its campaign slot
+loads the fleet kernel; ``repro submit`` loads neither.  The pytest
+process imported all of it long ago, so every dynamic case runs in a
+fresh interpreter through ``tools/import_budget.py`` -- whose
+``forbidden``, ``strays``, ``misloaded``, ``OFF_LIMITS`` and ``LOADERS``
+are the one statement of what a row may hold, shared with ``make
+import-budget``.
 
 Nothing here asserts a wall-clock: seconds are the bench's job.
 """
@@ -19,8 +22,8 @@ import pathlib
 import pytest
 
 from tools.import_budget import (
-    OFF_LIMITS, PACKAGES, SCENARIOS, SIMULATOR, SIMULATOR_AIDS, forbidden,
-    measure, strays,
+    LOADERS, OFF_LIMITS, PACKAGES, SCENARIOS, SIMULATOR, SIMULATOR_AIDS,
+    WATCHED, forbidden, measure, misloaded, serve_ready_seconds, strays,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -160,11 +163,28 @@ class TestFreshInterpreter:
         if scenario == "tune":  # what it does load of the simulator
             assert "repro.sim.rng" in report["repro"]
             assert "repro.disk.drive" in report["repro"]
-        else:
-            assert OFF_LIMITS[scenario] == (
-                SIMULATOR + SIMULATOR_AIDS, frozenset()
-            )
-            assert "repro.fleet.campaign" in report["repro"]
+            return
+        assert OFF_LIMITS[scenario] == (SIMULATOR + SIMULATOR_AIDS, frozenset())
+        assert "repro.fleet.campaign" in report["repro"]
+        if scenario == "serve":
+            # Start-up, /healthz and the POST loaded none of numpy, scipy
+            # and the kernel: the campaign slot imported each, when it
+            # claimed the job.
+            assert sorted(report["loaded_by"]) == sorted(WATCHED)
+            assert misloaded(report["loaded_by"], LOADERS["serve"]) == []
+            assert LOADERS["serve"] == "repro-campaign"
+
+    def test_a_submit_loads_neither_numpy_nor_the_fleet_kernel(self):
+        body, allowed = SCENARIOS["submit"]
+        report = measure(body)
+        assert report["loaded_by"] == {}
+        assert misloaded(report["loaded_by"], LOADERS["submit"]) == []
+        assert strays(report["repro"], *OFF_LIMITS["submit"]) == []
+        assert forbidden(report["scipy"], allowed) == []
+        assert "repro.fleet.spec" in report["repro"]  # it built the spec
+
+    def test_serve_ready_reads_the_listening_line(self):
+        assert 0.0 < serve_ready_seconds(spawns=1) < 60.0
 
     def test_the_parser_loads_the_cli_and_not_numpy(self):
         """``repro --help``: the handlers import what they run."""
@@ -196,6 +216,16 @@ class TestStrays:
             "repro.sim.engine",
         ]
         assert strays(loaded, ("repro",)) == loaded
+
+
+class TestMisloaded:
+    def test_only_a_thread_of_the_named_prefix_may_import_first(self):
+        loaded_by = {"numpy": "repro-campaign_0", "scipy": "MainThread"}
+        assert misloaded(loaded_by, "repro-campaign") == ["scipy (by MainThread)"]
+        assert misloaded(loaded_by, None) == [
+            "numpy (by repro-campaign_0)", "scipy (by MainThread)",
+        ]
+        assert misloaded({}, None) == []
 
 
 class TestForbidden:

@@ -8,7 +8,10 @@ is not read closes its connection, so the next request can never be
 parsed out of the leftover body.
 """
 
+import collections
 import json
+import random
+import re
 import socket
 import sys
 import threading
@@ -334,3 +337,94 @@ def test_stop_ends_a_connection_it_accepted_but_had_not_yet_tracked(
         except ConnectionError:
             answer = b""
         assert answer == b""  # hung up, never answered
+
+
+# -- hostile input -------------------------------------------------------------
+
+_SUBMISSION = json.dumps({"spec": _spec(seed=9)}).encode()
+
+#: The well-formed requests the fuzz mutates: every JSON route of the API.
+_FUZZ_SEEDS = (
+    HEALTHZ,
+    b"GET /campaigns HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"GET /campaigns/" + b"0" * 64 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"DELETE /campaigns/" + b"f" * 64 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"POST /campaigns HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\n\r\n%s" % (len(_SUBMISSION), _SUBMISSION),
+)
+
+
+def _hostile_inputs(seed: int, count: int):
+    """``count`` seeded byte strings: a quarter random bytes, the rest a
+    request of :data:`_FUZZ_SEEDS` with one to four bytes flipped, runs
+    cut out, random runs inserted or a prefix of it pasted in."""
+    rng = random.Random(seed)
+
+    def noise(size):
+        return bytes(rng.randrange(256) for _ in range(size))
+
+    for _ in range(count):
+        if rng.random() < 0.25:
+            yield noise(rng.randint(1, 200))
+            continue
+        data = bytearray(rng.choice(_FUZZ_SEEDS))
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(data) + 1)
+            operation = rng.randrange(4)
+            if operation == 0 and data:
+                data[min(at, len(data) - 1)] = rng.randrange(256)
+            elif operation == 1:
+                del data[at:at + rng.randint(1, 16)]
+            elif operation == 2:
+                data[at:at] = noise(rng.randint(1, 16))
+            else:
+                data[at:at] = data[:rng.randint(1, 40)]
+        yield bytes(data)
+
+
+_STATUS_LINE = re.compile(r"HTTP/1\.[01] \d{3} ")
+
+
+def _verdict(raw: bytes) -> str:
+    """``close`` for no reply, ``answer`` for replies that are each a
+    status line and a JSON body, else what is wrong with them."""
+    if not raw:
+        return "close"
+    try:
+        replies = _responses(raw)
+    except (AssertionError, KeyError, ValueError) as exc:
+        return f"bad: {type(exc).__name__} {exc} in {raw[:120]!r}"
+    for status_line, _, _ in replies:
+        if not _STATUS_LINE.match(status_line):
+            return f"bad status line {status_line!r}"
+    return "answer"
+
+
+def test_hostile_bytes_get_a_json_answer_or_a_close(tmp_path, monkeypatch):
+    """Three hundred seeded random or mutated requests, one connection
+    each, the write side shut after sending: every reply is a status
+    line and a JSON body, or the server closes without one, and the
+    service answers ``/healthz`` afterwards.  No submitted campaign is
+    claimed: a mutated spec may ask for a fleet of any size."""
+    svc = CampaignService(tmp_path, port=0)
+    monkeypatch.setattr(svc.queue, "claim_next", lambda quota: None)
+    verdicts = collections.Counter()
+    with svc:
+        for data in _hostile_inputs(seed=0, count=300):
+            with socket.create_connection((svc.host, svc.port), timeout=10) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                chunks = []
+                while True:
+                    try:
+                        chunk = sock.recv(65536)
+                    except ConnectionResetError:
+                        break
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            verdicts[_verdict(b"".join(chunks))] += 1
+        status, health = ServiceClient(svc.url).health()
+    assert [v for v in verdicts if v not in ("answer", "close")] == []
+    assert verdicts["answer"] >= 200  # most of the fuzz reached the API
+    assert status == 200 and health["ok"] is True

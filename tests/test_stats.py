@@ -17,6 +17,7 @@ from repro.stats import (
     tail_concentration,
     usable_fraction,
 )
+from repro.stats.periodicity import _anova_f
 from repro.stats.tails import idle_share_of_largest
 
 
@@ -53,11 +54,89 @@ class TestSummarizeIdle:
             summarize_idle(np.array([1.0]), span=-1)
 
 
+#: How far ``anova_period``'s candidates may sit from ``f_oneway``'s, in
+#: units in the last place: of ``max(|F|, 1)`` for F, of p for p.  Both
+#: compute the within-phase sum as total minus between, which cancels
+#: most where F is large, and sum in different orders (where the true
+#: between-phase sum is 0, either F is rounding noise far below 1); the
+#: p-value's relative error is F's times |d ln p / d ln F|, which is
+#: large far in the tail where these series' p-values lie.  Largest
+#: seen: F 195, p 8288 ulps (Fig. 9's disks and the series below).
+F_ULPS = 512
+P_ULPS = 16384
+
+
+def f_oneway_ulps(counts, max_period):
+    """Largest (F, p) distance in ulps (see :data:`F_ULPS`) between
+    ``anova_period(counts, max_period)``'s candidates and
+    ``scipy.stats.f_oneway`` run on each candidate's phase groups of the
+    same ``log1p`` counts, a non-finite F scoring ``(0.0, 1.0)`` as in
+    ``anova_period``."""
+    from scipy.stats import f_oneway
+
+    series = np.log1p(np.asarray(counts, dtype=float))
+    worst = np.zeros(2)
+    for period, f, p in anova_period(counts, max_period).candidates:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = f_oneway(*(series[phase::period] for phase in range(period)))
+        if not np.isfinite(expected[0]):
+            expected = (0.0, 1.0)
+        for slot, (got, want, floor) in enumerate(zip((f, p), expected, (1.0, 0.0))):
+            spacing = np.spacing(max(abs(got), abs(float(want)), floor))
+            worst[slot] = max(worst[slot], abs(got - want) / spacing)
+    return tuple(worst)
+
+
 class TestAnovaPeriod:
     def _periodic_counts(self, period, repeats, noise=0.1):
         base = 100 + 80 * np.sin(2 * np.pi * np.arange(period) / period)
         counts = np.tile(base, repeats)
         return counts * (1 + noise * rng().standard_normal(len(counts)))
+
+    @pytest.mark.parametrize("series, max_period", [
+        ("periodic-24", 36), ("noise", 36), ("periodic-12", 30),
+    ])
+    def test_every_candidate_matches_f_oneway(self, series, max_period):
+        counts = {
+            "periodic-24": lambda: self._periodic_counts(24, 7),
+            "noise": lambda: rng().poisson(100, size=24 * 7).astype(float),
+            "periodic-12": lambda: self._periodic_counts(12, 10),
+        }[series]()
+        f_ulps, p_ulps = f_oneway_ulps(counts, max_period)
+        assert f_ulps <= F_ULPS and p_ulps <= P_ULPS
+
+    def test_a_period_the_series_repeats_exactly_scores_zero_one(self):
+        # f_oneway's F is infinite there (every phase constant); at the
+        # other candidates it is finite and the two agree.
+        counts = np.tile([3.0, 9.0, 1.0, 4.0], 6)
+        result = anova_period(counts, max_period=12)
+        scores = {period: (f, p) for period, f, p in result.candidates}
+        assert scores[4] == scores[8] == scores[12] == (0.0, 1.0)
+        assert scores[5][0] > 0.0 and scores[5][1] < 1.0
+        assert result.period not in (4, 8, 12)
+        f_ulps, p_ulps = f_oneway_ulps(counts, 12)
+        assert f_ulps <= F_ULPS and p_ulps <= P_ULPS
+
+    def test_a_constant_series_scores_zero_one_everywhere(self):
+        result = anova_period(np.full(30, 7.0))
+        assert {(f, p) for _, f, p in result.candidates} == {(0.0, 1.0)}
+        assert (result.period, result.f_statistic, result.p_value) == (1, 0.0, 1.0)
+
+    def test_a_phase_of_one_observation_scores_zero_one(self):
+        counts = np.log1p(rng().poisson(100, size=11).astype(float))
+        f, p = _anova_f(counts, np.array([2, 5, 6, 10]))
+        assert f[:2].min() > 0.0
+        assert (f[2:].tolist(), p[2:].tolist()) == ([0.0, 0.0], [1.0, 1.0])
+
+    def test_a_long_series_is_taken_a_block_of_periods_at_a_time(
+        self, monkeypatch
+    ):
+        counts = np.log1p(rng().poisson(100, size=200).astype(float))
+        periods = np.arange(2, 67)
+        whole = _anova_f(counts, periods)
+        monkeypatch.setattr("repro.stats.periodicity._PASS_CELLS", 1000)
+        blocked = _anova_f(counts, periods)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
     def test_detects_injected_period(self):
         counts = self._periodic_counts(24, 7)
